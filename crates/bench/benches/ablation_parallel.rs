@@ -11,6 +11,7 @@ use graphblas_core::kernel::mxm::{mxm, MxmStrategy};
 use graphblas_core::mask::MaskCsr;
 use graphblas_core::par;
 use graphblas_core::storage::csr::Csr;
+use graphblas_core::storage::engine::MatrixStore;
 use graphblas_gen::{rmat, RmatParams};
 use std::time::Duration;
 
@@ -78,7 +79,7 @@ fn bench_mxv_scaling(c: &mut Criterion) {
     let g = rmat(14, 8, RmatParams::default(), 11).dedup();
     let mut t = g.weighted_tuples(1.0, 2.0, 11);
     t.sort_by_key(|&(i, j, _)| (i, j));
-    let a = Csr::from_sorted_tuples(g.n, g.n, t);
+    let a = MatrixStore::csr(Csr::from_sorted_tuples(g.n, g.n, t));
     let v = graphblas_core::storage::vec::SparseVec::from_sorted_parts(
         g.n,
         (0..g.n).collect(),
@@ -94,10 +95,11 @@ fn bench_mxv_scaling(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("threads", degree), |b| {
             b.iter(|| {
                 par::with_parallelism(degree, || {
-                    graphblas_core::kernel::mxv::mxv(
+                    graphblas_core::kernel::spmspv::mxv(
                         &sr,
                         &a,
                         &v,
+                        false,
                         &graphblas_core::mask::MaskVec::All,
                     )
                     .nvals()

@@ -1,123 +1,16 @@
-//! Matrix–vector kernels: `mxv` (`w = A ⊕.⊗ v`, pull/row-wise) and `vxm`
-//! (`w^T = v^T ⊕.⊗ A`, push/scatter) — Table II rows 2–3.
-//!
-//! `mxv` walks each row of `A` against the sorted sparse vector — the
-//! "pull" direction; `vxm` scatters each stored `v(i)` through row
-//! `A(i,:)` — the "push" direction. Together they give the push/pull pair
-//! that direction-optimizing traversals (BFS and friends) are built from.
+//! The dense-accumulator `vxm` kernel (`w^T = v^T ⊕.⊗ A`, Table II
+//! row 3): scatter each stored `v(i)` through row `A(i,:)` into a dense
+//! accumulator of size `ncols`. It is the costed `Direction::Dense`
+//! candidate of the SpMSpV dispatcher ([`crate::kernel::spmspv`]), which
+//! owns every other matrix–vector strategy, `mxv` included.
 
 use crate::algebra::binary::BinaryOp;
 use crate::algebra::semiring::Semiring;
 use crate::index::Index;
-use crate::kernel::util::map_rows;
 use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::Bitmap;
 use crate::storage::vec::SparseVec;
-
-/// `t = A ⊕.⊗ v` (pull): `t(i) = ⊕_{k ∈ ind(A(i,:)) ∩ ind(v)}
-/// A(i,k) ⊗ v(k)`, restricted to mask-admitted output indices.
-pub fn mxv<D1, D2, D3, S>(sr: &S, a: &Csr<D1>, v: &SparseVec<D2>, mask: &MaskVec) -> SparseVec<D3>
-where
-    D1: Scalar,
-    D2: Scalar,
-    D3: Scalar,
-    S: Semiring<D1, D2, D3>,
-{
-    debug_assert_eq!(a.ncols(), v.size());
-    let add = sr.add();
-    let mul = sr.mul();
-    let vi = v.indices();
-    let vv = v.vals();
-    let results = map_rows(a.nrows(), a.nvals() + v.nvals(), |i| {
-        if !mask.admits(i) {
-            return None;
-        }
-        let (ac, av) = a.row(i);
-        // merge-walk the stored-index intersection
-        let (mut p, mut q) = (0usize, 0usize);
-        let mut acc: Option<D3> = None;
-        while p < ac.len() && q < vi.len() {
-            match ac[p].cmp(&vi[q]) {
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-                std::cmp::Ordering::Equal => {
-                    let prod = mul.apply(&av[p], &vv[q]);
-                    acc = Some(match acc {
-                        Some(x) => add.apply(&x, &prod),
-                        None => prod,
-                    });
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
-        acc
-    });
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(i);
-            vals.push(val);
-        }
-    }
-    SparseVec::from_sorted_parts(a.nrows(), idx, vals)
-}
-
-/// `t = A ⊕.⊗ v` (pull) over a bitmap-stored `A` — the dense-frontier
-/// fast path of BFS/BC pull steps. The vector is scattered into dense
-/// slots once, then each row is a branch-light walk of `A`'s presence
-/// words with O(1) probes into the scattered vector, instead of the CSR
-/// kernel's per-element merge-walk compare.
-pub fn mxv_bitmap<D1, D2, D3, S>(
-    sr: &S,
-    a: &Bitmap<D1>,
-    v: &SparseVec<D2>,
-    mask: &MaskVec,
-) -> SparseVec<D3>
-where
-    D1: Scalar,
-    D2: Scalar,
-    D3: Scalar,
-    S: Semiring<D1, D2, D3>,
-{
-    debug_assert_eq!(a.ncols(), v.size());
-    let add = sr.add();
-    let mul = sr.mul();
-    // dense scatter of the vector: one O(size) pass, O(1) probes after
-    let mut v_dense: Vec<Option<&D2>> = vec![None; v.size()];
-    for (k, val) in v.iter() {
-        v_dense[k] = Some(val);
-    }
-    let v_dense = &v_dense;
-    let results = map_rows(a.nrows(), a.nvals() + v.nvals(), |i| {
-        if !mask.admits(i) {
-            return None;
-        }
-        let mut acc: Option<D3> = None;
-        for (j, aij) in a.row_iter(i) {
-            if let Some(vj) = v_dense[j] {
-                let prod = mul.apply(aij, vj);
-                acc = Some(match acc {
-                    Some(x) => add.apply(&x, &prod),
-                    None => prod,
-                });
-            }
-        }
-        acc
-    });
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(i);
-            vals.push(val);
-        }
-    }
-    SparseVec::from_sorted_parts(a.nrows(), idx, vals)
-}
 
 /// `t^T = v^T ⊕.⊗ A` (push): `t(j) = ⊕_{i ∈ ind(v) ∩ ind(A(:,j))}
 /// v(i) ⊗ A(i,j)`, restricted to mask-admitted output indices.
@@ -185,27 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn mxv_plus_times() {
+    fn vxm_plus_times() {
         let v = SparseVec::from_dense(&[10, 20, 30]);
-        let w = mxv(&plus_times::<i32>(), &a(), &v, &MaskVec::All);
-        assert_eq!(w.to_tuples(), vec![(0, 50), (1, 180), (2, 230)]);
-    }
-
-    #[test]
-    fn mxv_sparse_vector_undefined_elements_skipped() {
-        // v has only index 1 stored: rows with no stored A(i,1) give no output
-        let v = SparseVec::from_sorted_parts(3, vec![1], vec![10]);
-        let w = mxv(&plus_times::<i32>(), &a(), &v, &MaskVec::All);
-        assert_eq!(w.to_tuples(), vec![(0, 20), (1, 30)]);
-        assert_eq!(w.get(2), None); // A(2,1) undefined -> no contribution
-    }
-
-    #[test]
-    fn vxm_is_transposed_mxv() {
-        let v = SparseVec::from_dense(&[10, 20, 30]);
-        let w1 = vxm(&plus_times::<i32>(), &v, &a(), &MaskVec::All);
-        let w2 = mxv(&plus_times::<i32>(), &a().transpose(), &v, &MaskVec::All);
-        assert_eq!(w1, w2);
+        let w = vxm(&plus_times::<i32>(), &v, &a(), &MaskVec::All);
+        assert_eq!(w.to_tuples(), vec![(0, 160), (1, 80), (2, 260)]);
     }
 
     #[test]
@@ -215,15 +91,6 @@ mod tests {
         let frontier = SparseVec::from_sorted_parts(4, vec![0], vec![true]);
         let next = vxm(&lor_land(), &frontier, &adj, &MaskVec::All);
         assert_eq!(next.to_tuples(), vec![(1, true), (2, true)]);
-    }
-
-    #[test]
-    fn masked_mxv_skips_rows() {
-        let v = SparseVec::from_dense(&[10, 20, 30]);
-        let msrc = SparseVec::from_sorted_parts(3, vec![1], vec![true]);
-        let mask = MaskVec::from_vec(&msrc, false, false);
-        let w = mxv(&plus_times::<i32>(), &a(), &v, &mask);
-        assert_eq!(w.to_tuples(), vec![(1, 180)]);
     }
 
     #[test]
@@ -246,35 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_kernel_matches_csr_kernel() {
-        let v = SparseVec::from_dense(&[10, 20, 30]);
-        let ab = Bitmap::from_csr(&a());
-        let reference = mxv(&plus_times::<i32>(), &a(), &v, &MaskVec::All);
-        assert_eq!(
-            mxv_bitmap(&plus_times::<i32>(), &ab, &v, &MaskVec::All),
-            reference
-        );
-        // sparse vector: undefined v elements contribute nothing
-        let vs = SparseVec::from_sorted_parts(3, vec![1], vec![10]);
-        let reference = mxv(&plus_times::<i32>(), &a(), &vs, &MaskVec::All);
-        assert_eq!(
-            mxv_bitmap(&plus_times::<i32>(), &ab, &vs, &MaskVec::All),
-            reference
-        );
-        // masked
-        let msrc = SparseVec::from_sorted_parts(3, vec![1], vec![true]);
-        let mask = MaskVec::from_vec(&msrc, false, false);
-        let reference = mxv(&plus_times::<i32>(), &a(), &v, &mask);
-        assert_eq!(mxv_bitmap(&plus_times::<i32>(), &ab, &v, &mask), reference);
-    }
-
-    #[test]
     fn empty_vector_gives_empty_result() {
         let v = SparseVec::<i32>::empty(3);
-        assert_eq!(
-            mxv(&plus_times::<i32>(), &a(), &v, &MaskVec::All).nvals(),
-            0
-        );
         assert_eq!(
             vxm(&plus_times::<i32>(), &v, &a(), &MaskVec::All).nvals(),
             0

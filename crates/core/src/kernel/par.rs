@@ -99,24 +99,11 @@ impl Drop for RestoreCost {
     }
 }
 
-fn env_degree() -> Option<usize> {
-    for key in ["GRB_TEST_THREADS", "GRB_THREADS"] {
-        if let Ok(s) = std::env::var(key) {
-            if let Ok(k) = s.trim().parse::<usize>() {
-                if k > 0 {
-                    return Some(k);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Degree before any thread-local override: knob > env > hardware.
 /// Also decides the worker pool's width at first use.
 pub(crate) fn resolved_degree() -> usize {
     default_parallelism()
-        .or_else(env_degree)
+        .or(crate::env::env().threads)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|p| p.get())

@@ -10,8 +10,9 @@
 //!   reverse-oriented CSR (or the bitmap fast path), with
 //!   complement-structural-mask awareness so masked-out rows are never
 //!   expanded;
-//! * **dense** — the pre-existing kernels in [`crate::kernel::mxv`],
-//!   kept verbatim as the baseline and as the choice for dense inputs.
+//! * **dense** — for `vxm`, the dense-accumulator scatter in
+//!   [`crate::kernel::mxv`], the choice for dense inputs; `mxv` serves
+//!   dense from the pull implementation.
 //!
 //! The choice is driven by the per-store property cache
 //! ([`MatrixStore::row_degrees`] / [`MatrixStore::col_degrees`]): the
@@ -251,8 +252,8 @@ where
             push(&fwd, v, mask, out_size, &mulf, &addf)
         }
         Chosen::Pull | Chosen::Dense => {
-            // the pre-PR mxv already pulled (with the bitmap fast
-            // path), so Dense and Pull share an implementation here
+            // pull already is the dense-input strategy for mxv (with the
+            // bitmap fast path), so Dense and Pull share an implementation
             note_direction(if dir == Chosen::Pull { "pull" } else { "dense" });
             if !transposed {
                 if let Layout::Bitmap(b) = store.layout() {

@@ -39,6 +39,7 @@
 pub mod accum;
 pub mod algebra;
 pub mod descriptor;
+mod env;
 pub mod error;
 pub mod exec;
 pub mod index;

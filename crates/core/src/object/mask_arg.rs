@@ -165,7 +165,7 @@ impl<M: AsBool> MatrixMask for &Matrix<M> {
 
     fn snap(&self, desc: &Descriptor) -> MaskSnap2 {
         MaskSnap2::Mat {
-            src: Arc::new(MatrixMaskSource(self.capture())),
+            src: Arc::new(MatrixMaskSource(self.handle.capture())),
             structural: desc.is_mask_structural(),
             complement: desc.is_mask_complemented(),
         }
@@ -197,7 +197,7 @@ impl<M: AsBool> VectorMask for &Vector<M> {
 
     fn snap(&self, desc: &Descriptor) -> MaskSnap1 {
         MaskSnap1::Vec {
-            src: Arc::new(VectorMaskSource(self.capture())),
+            src: Arc::new(VectorMaskSource(self.handle.capture())),
             structural: desc.is_mask_structural(),
             complement: desc.is_mask_complemented(),
         }

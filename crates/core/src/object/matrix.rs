@@ -2,95 +2,46 @@
 //! `A = <D, M, N, {(i, j, A_ij)}>`.
 //!
 //! [`Matrix<T>`] is a *handle*, like the C API's `GrB_Matrix`: cloning a
-//! handle aliases the same object (use [`Matrix::dup`] for a copy). The
-//! object's value lives in an immutable node; every mutating method swaps
-//! in a new node, so deferred operations that captured the old node keep
-//! program-order semantics for free (and output/input aliasing in a
-//! single call is well defined — the inputs are the pre-call snapshots).
+//! handle aliases the same object (use [`Matrix::dup`] for a copy). It is
+//! the dimension-carrying wrapper over the crate's one generic object
+//! handle (`object::handle`), which owns the value node, the
+//! pending-update log and everything concurrent; see that module for the
+//! handle/node and delta semantics.
 //!
 //! Methods that export values to non-opaque data — [`Matrix::nvals`],
 //! [`Matrix::get`], [`Matrix::extract_tuples`] — force completion of any
 //! deferred computation defining this object, surfacing execution errors
-//! (paper §IV/§V).
-//!
-//! Point mutations ([`Matrix::set`], [`Matrix::remove`]) exploit the
-//! same deferral latitude in the other direction: they append to a
-//! pending-update buffer ([`crate::storage::delta`]) in O(1) amortized
-//! time. The buffer is merged into the backing store by the background
-//! auto-flusher once enough updates accumulate
-//! ([`crate::storage::snapshot`]), or eagerly by a completion-forcing
-//! read (the crate-internal `Matrix::resolve`). Kernel input capture
-//! and [`Matrix::snapshot`] instead take an epoch-versioned *overlay*
-//! over `(base, sealed runs)` — readers observe the pending updates
-//! without draining the log, so they never serialize behind writers.
+//! (paper §IV/§V). Point mutations ([`Matrix::set`], [`Matrix::remove`])
+//! exploit the same deferral latitude in the other direction: they
+//! append to the pending-update log in O(1) amortized time.
 
-use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::Arc;
 
 use crate::algebra::binary::BinaryOp;
 use crate::error::{Error, Result};
-use crate::exec::{force, Completable, Node};
+use crate::exec::Node;
 use crate::index::Index;
-use crate::kernel::merge;
+use crate::object::handle::Handle;
+use crate::op::Old;
 use crate::scalar::Scalar;
 use crate::storage::coo::build_matrix;
 use crate::storage::csr::Csr;
-use crate::storage::delta::{DeltaLog, DeltaOp, DeltaStats, Run};
+use crate::storage::delta::{DeltaOp, DeltaStats};
 use crate::storage::engine::{Format, FormatPolicy, MatrixStore};
-use crate::storage::snapshot::{self, MatrixSnapshot};
+use crate::storage::snapshot::MatrixSnapshot;
 
 pub(crate) type MatrixNode<T> = Node<MatrixStore<T>>;
 
-/// Per-epoch overlay memo shared by handle clones: the epoch paired
-/// with the deferred `(base, runs)` merge node built at it.
-type OverlayMemo<T> = Arc<Mutex<Option<(u64, Arc<MatrixNode<T>>)>>>;
-type OverlayMemoWeak<T> = Weak<Mutex<Option<(u64, Arc<MatrixNode<T>>)>>>;
-
-/// What a reader at one epoch sees: `(epoch, base, sealed runs + tail,
-/// overlay node merging them)`. When the log is empty the overlay IS
-/// the base.
-type OverlayParts<T> = (
-    u64,
-    Arc<MatrixNode<T>>,
-    Vec<Run<(Index, Index), T>>,
-    Arc<MatrixNode<T>>,
-);
-
-/// An opaque GraphBLAS matrix handle over domain `T`.
+/// An opaque GraphBLAS matrix handle over domain `T`. `clone` copies the
+/// *handle*: both values refer to the same object, exactly like copying a
+/// `GrB_Matrix` in C.
+#[derive(Clone)]
 pub struct Matrix<T: Scalar> {
     nrows: Index,
     ncols: Index,
-    cell: Arc<RwLock<Arc<MatrixNode<T>>>>,
-    /// Storage-format hint for values computed into this object (the
-    /// `GxB`-style per-object format option). Shared by handle clones,
-    /// like every other property of the object.
-    policy: Arc<RwLock<FormatPolicy>>,
-    /// Pending point mutations not yet merged into the value node;
-    /// keyed row-major. Shared by handle clones. Lock order: `delta`
-    /// before `overlay` before `cell`, always.
-    delta: Arc<Mutex<DeltaLog<(Index, Index), T>>>,
-    /// Memoized overlay node for the current delta epoch: every reader
-    /// (snapshot or kernel capture) at the same epoch shares one
-    /// deferred `(base, runs)` merge. Shared by handle clones.
-    overlay: OverlayMemo<T>,
-}
-
-impl<T: Scalar> Clone for Matrix<T> {
-    /// Clones the *handle*: both values refer to the same object, exactly
-    /// like copying a `GrB_Matrix` in C. Use [`Matrix::dup`] for a copy of
-    /// the contents.
-    fn clone(&self) -> Self {
-        Matrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            cell: self.cell.clone(),
-            policy: self.policy.clone(),
-            delta: self.delta.clone(),
-            overlay: self.overlay.clone(),
-        }
-    }
+    /// The object: value node, per-object format policy (the `GxB`-style
+    /// format option) and pending point updates, shared by handle clones.
+    pub(crate) handle: Handle<MatrixStore<T>>,
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -102,34 +53,17 @@ impl<T: Scalar> Matrix<T> {
                 "matrix dimensions must be positive, got {nrows}x{ncols}"
             )));
         }
-        Ok(Matrix {
-            nrows,
-            ncols,
-            cell: Arc::new(RwLock::new(Node::ready(MatrixStore::empty(nrows, ncols)))),
-            policy: Arc::new(RwLock::new(crate::storage::engine::session_default_policy())),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
-        })
+        let empty = Node::ready(MatrixStore::empty(nrows, ncols));
+        let policy = crate::storage::engine::session_default_policy();
+        Ok(Self::over(nrows, ncols, Handle::new(empty, policy)))
     }
 
-    /// A handle wrapping an existing (pinned) value node — the bridge
-    /// from [`MatrixSnapshot::to_matrix`] back into the kernel layer.
-    pub(crate) fn from_shared_node(
-        nrows: Index,
-        ncols: Index,
-        node: Arc<MatrixNode<T>>,
-        policy: FormatPolicy,
-    ) -> Matrix<T> {
-        // The node is shared with handles whose observe-probes cannot
-        // see this cell; pin it so the fusion pass never absorbs it.
-        node.pin();
+    /// The wrapper over an object of known dimensions.
+    pub(crate) fn over(nrows: Index, ncols: Index, handle: Handle<MatrixStore<T>>) -> Self {
         Matrix {
             nrows,
             ncols,
-            cell: Arc::new(RwLock::new(node)),
-            policy: Arc::new(RwLock::new(policy)),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
+            handle,
         }
     }
 
@@ -199,7 +133,7 @@ impl<T: Scalar> Matrix<T> {
     /// `GrB_Matrix_nvals`: the number of stored elements. Forces
     /// completion.
     pub fn nvals(&self) -> Result<usize> {
-        Ok(self.forced_storage()?.nvals())
+        Ok(self.handle.forced_storage()?.nvals())
     }
 
     /// `GrB_Matrix_extractElement`: `Ok(Some(v))` if stored, `Ok(None)` if
@@ -207,7 +141,7 @@ impl<T: Scalar> Matrix<T> {
     /// completion.
     pub fn get(&self, i: Index, j: Index) -> Result<Option<T>> {
         self.check_bounds(i, j)?;
-        Ok(self.forced_storage()?.get(i, j).cloned())
+        Ok(self.handle.forced_storage()?.get(i, j).cloned())
     }
 
     /// `GrB_Matrix_setElement`. Appends to the object's pending-update
@@ -219,14 +153,7 @@ impl<T: Scalar> Matrix<T> {
     /// forcing read: `nvals`/`get`/`extract_tuples`/`wait`.
     pub fn set(&self, i: Index, j: Index, v: T) -> Result<()> {
         self.check_bounds(i, j)?;
-        let due = {
-            let mut delta = self.delta.lock();
-            delta.push((i, j), DeltaOp::Put(v));
-            delta.autoflush_due(snapshot::flush_window())
-        };
-        if let Some(delay) = due {
-            self.schedule_background_flush(delay);
-        }
+        self.handle.push((i, j), DeltaOp::Put(v));
         Ok(())
     }
 
@@ -234,31 +161,21 @@ impl<T: Scalar> Matrix<T> {
     /// removing an absent element is a no-op, as the C API specifies.
     pub fn remove(&self, i: Index, j: Index) -> Result<()> {
         self.check_bounds(i, j)?;
-        let due = {
-            let mut delta = self.delta.lock();
-            delta.push((i, j), DeltaOp::Del);
-            delta.autoflush_due(snapshot::flush_window())
-        };
-        if let Some(delay) = due {
-            self.schedule_background_flush(delay);
-        }
+        self.handle.push((i, j), DeltaOp::Del);
         Ok(())
     }
 
     /// `GrB_Matrix_extractTuples`: all stored tuples in row-major order.
     /// Forces completion.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, T)>> {
-        Ok(self.forced_storage()?.to_tuples())
+        Ok(self.handle.forced_storage()?.to_tuples())
     }
 
     /// `GrB_Matrix_clear`: remove all stored elements (dimensions kept).
     /// Never fails and never forces — the old value, complete or not,
     /// and any pending point updates are simply abandoned.
     pub fn clear(&self) {
-        let mut delta = self.delta.lock();
-        delta.clear();
-        *self.overlay.lock() = None;
-        self.install_csr(Csr::empty(self.nrows, self.ncols));
+        self.handle.clear(self.shape());
     }
 
     /// `GrB_Matrix_dup`: a new object with a copy of this object's
@@ -269,19 +186,7 @@ impl<T: Scalar> Matrix<T> {
     /// merge (shared with any same-epoch reader) runs only when one
     /// side observes the value.
     pub fn dup(&self) -> Matrix<T> {
-        let node = self.capture();
-        // The copy aliases the (possibly deferred) value node through a
-        // second cell, which the original handle's observe-probe cannot
-        // see — pin the node so the fusion pass never absorbs it.
-        node.pin();
-        Matrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            cell: Arc::new(RwLock::new(node)),
-            policy: Arc::new(RwLock::new(self.format_policy())),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
-        }
+        Self::over(self.nrows, self.ncols, self.handle.dup())
     }
 
     /// Take an O(1) immutable [`MatrixSnapshot`] of this object's value
@@ -290,26 +195,13 @@ impl<T: Scalar> Matrix<T> {
     /// and is unaffected by every later write, flush, or compaction —
     /// the MVCC read side of ingest-while-query streaming.
     pub fn snapshot(&self) -> MatrixSnapshot<T> {
-        let (epoch, base, runs, node) = self.overlay_parts();
-        // The snapshot forces `base` directly for point probes; pin it
-        // (and the uninstalled overlay) against fusion absorption.
-        base.pin();
-        node.pin();
-        MatrixSnapshot::new(
-            self.nrows,
-            self.ncols,
-            epoch,
-            base,
-            runs,
-            node,
-            self.format_policy(),
-        )
+        MatrixSnapshot::new(self.nrows, self.ncols, self.handle.snapshot())
     }
 
     /// Pending-update introspection: buffered entry count, sealed-run
     /// count, and the current epoch (the server's `STATS` surface).
     pub fn delta_stats(&self) -> DeltaStats {
-        self.delta.lock().stats()
+        self.handle.delta_stats()
     }
 
     /// Per-row stored-element counts (`row_degrees[i]` = out-degree of
@@ -318,13 +210,13 @@ impl<T: Scalar> Matrix<T> {
     /// the SpMSpV direction heuristic, which consults the same cache —
     /// are O(1) until the next merge swaps the store.
     pub fn row_degrees(&self) -> Result<Arc<[usize]>> {
-        Ok(self.forced_storage()?.row_degrees())
+        Ok(self.handle.forced_storage()?.row_degrees())
     }
 
     /// Per-column stored-element counts (in-degrees). Memoized like
     /// [`Matrix::row_degrees`].
     pub fn col_degrees(&self) -> Result<Arc<[usize]>> {
-        Ok(self.forced_storage()?.col_degrees())
+        Ok(self.handle.forced_storage()?.col_degrees())
     }
 
     // ----- storage-format hints (GxB-style per-object options) -----
@@ -332,18 +224,18 @@ impl<T: Scalar> Matrix<T> {
     /// The storage format currently holding this object's value. Forces
     /// completion (the format of a deferred value isn't chosen yet).
     pub fn format(&self) -> Result<Format> {
-        Ok(self.forced_storage()?.format())
+        Ok(self.handle.forced_storage()?.format())
     }
 
     /// The format policy applied to values computed into this object.
     pub fn format_policy(&self) -> FormatPolicy {
-        *self.policy.read()
+        self.handle.policy()
     }
 
     /// Set the format policy for values computed into this object from
     /// now on; the current value (deferred or not) is left as stored.
     pub fn set_format_policy(&self, policy: FormatPolicy) {
-        *self.policy.write() = policy;
+        self.handle.set_policy(policy);
     }
 
     /// `GxB_Matrix_Option_set(…, FORMAT, …)` analog: pin this object to
@@ -351,9 +243,9 @@ impl<T: Scalar> Matrix<T> {
     /// directing future computed values into the same layout.
     pub fn set_format(&self, format: Format) -> Result<()> {
         self.set_format_policy(FormatPolicy::Force(format));
-        let store = self.forced_storage()?;
+        let store = self.handle.forced_storage()?;
         if store.format() != format {
-            self.install(Node::ready((*store).clone().into_format(format)));
+            self.install_store((*store).clone().into_format(format));
         }
         Ok(())
     }
@@ -378,10 +270,10 @@ impl<T: Scalar> Matrix<T> {
             rows: rows as u16,
             cols: cols as u16,
         });
-        let store = self.forced_storage()?;
+        let store = self.handle.forced_storage()?;
         let clamped = crate::storage::tiled::clamp_grid(self.nrows, self.ncols, (rows, cols));
         if store.tile_grid() != Some(clamped) {
-            self.install(Node::ready((*store).clone().into_tiled((rows, cols))));
+            self.install_store((*store).clone().into_tiled((rows, cols)));
         }
         Ok(())
     }
@@ -395,11 +287,9 @@ impl<T: Scalar> Matrix<T> {
     /// re-storing the current value as a single slab (forces completion).
     pub fn clear_tile_shape(&self) -> Result<()> {
         self.set_format_policy(FormatPolicy::Auto);
-        let store = self.forced_storage()?;
+        let store = self.handle.forced_storage()?;
         if store.tile_grid().is_some() {
-            self.install(Node::ready(
-                (*store).clone().apply_policy(FormatPolicy::Auto),
-            ));
+            self.install_store((*store).clone().apply_policy(FormatPolicy::Auto));
         }
         Ok(())
     }
@@ -408,14 +298,13 @@ impl<T: Scalar> Matrix<T> {
     /// per-object `GrB_Matrix_wait`), surfacing any execution error from
     /// its defining computation. Merges any pending point updates.
     pub fn wait(&self) -> Result<()> {
-        let node = self.resolve() as Arc<dyn Completable>;
-        force(&node)
+        self.handle.wait()
     }
 
     /// `true` once the object's value is computed and stored with no
     /// pending point updates. Diagnostic for the execution-model tests.
     pub fn is_complete(&self) -> bool {
-        self.delta.lock().is_empty() && self.current_node().is_complete()
+        self.handle.is_complete()
     }
 
     fn check_bounds(&self, i: Index, j: Index) -> Result<()> {
@@ -428,224 +317,20 @@ impl<T: Scalar> Matrix<T> {
         Ok(())
     }
 
-    // ----- internal plumbing for the operation layer -----
-
-    /// The current node (a point-in-time view: later handle swaps don't
-    /// affect it). Does NOT include pending point updates — value
-    /// observers use [`Matrix::resolve`] or [`Matrix::capture`] instead.
-    pub(crate) fn current_node(&self) -> Arc<MatrixNode<T>> {
-        self.cell.read().clone()
-    }
-
-    /// Epoch, base node, sealed runs, and the epoch's overlay node —
-    /// the read side shared by [`Matrix::snapshot`] and
-    /// [`Matrix::capture`]. With no pending updates the overlay *is*
-    /// the base. Otherwise the overlay is a deferred `overlay` DAG node
-    /// that k-way merges `(base, runs)` under the object's format
-    /// policy, memoized per epoch so every same-epoch reader shares one
-    /// merge. Nothing is drained: the log keeps its entries and writers
-    /// keep appending.
-    ///
-    /// Memo soundness: every path that installs a new base empties the
-    /// log first (flush drains, whole-output writes discard, `clear`
-    /// clears), and the epoch is strictly monotone, so (epoch, log
-    /// non-empty) uniquely identifies the `(base, runs)` pair the memo
-    /// entry was built from.
-    fn overlay_parts(&self) -> OverlayParts<T> {
-        let mut delta = self.delta.lock();
-        let base = self.current_node();
-        let epoch = delta.epoch();
-        if delta.is_empty() {
-            return (epoch, base.clone(), Vec::new(), base);
-        }
-        let runs = delta.runs_snapshot();
-        let mut memo = self.overlay.lock();
-        if let Some((e, node)) = memo.as_ref() {
-            if *e == epoch {
-                return (epoch, base, runs, node.clone());
-            }
-        }
-        let policy = self.format_policy();
-        let merge_base = base.clone();
-        let merge_runs = runs.clone();
-        let node = Node::pending_kind(
-            "overlay",
-            vec![base.clone() as Arc<dyn Completable>],
-            Box::new(move || {
-                let store = merge_base.ready_storage()?;
-                Ok(merge::merge_into_store(store.as_ref(), &merge_runs, policy))
-            }),
-        );
-        *memo = Some((epoch, node.clone()));
-        (epoch, base, runs, node)
-    }
-
-    /// The node a kernel should capture as this object's input value:
-    /// the current node when no updates are pending, else the epoch's
-    /// shared overlay node. Unlike [`Matrix::resolve`], capture leaves
-    /// the delta log intact — an operation reading this object never
-    /// blocks, or is blocked by, a concurrent writer's flush.
-    pub(crate) fn capture(&self) -> Arc<MatrixNode<T>> {
-        self.overlay_parts().3
-    }
-
-    /// The current node *including* pending point updates, with the log
-    /// drained: if the delta buffer is non-empty, install a deferred
-    /// flush node merging it into the base (a DAG node depending on the
-    /// current value, so scheduling, tracing, and §V program-order
-    /// error semantics all apply) and return it. Completion-forcing
-    /// reads and the background flusher come through here; kernel input
-    /// capture uses the non-draining [`Matrix::capture`].
-    ///
-    /// The merge runs row-partitioned on the worker pool under the
-    /// kernel cost model and is bitwise-deterministic at any degree; the
-    /// merged value is re-stored under the object's format policy, so
-    /// `FormatPolicy::Auto` re-selects after a flush. If the epoch's
-    /// overlay node already exists (a reader got here first), it is
-    /// adopted and installed instead — the same pending set is never
-    /// merged twice. Neither node registers a fuse face or hook, so a
-    /// producer with pending updates is never fusable and the flush
-    /// itself absorbs nothing.
-    pub(crate) fn resolve(&self) -> Arc<MatrixNode<T>> {
-        let mut delta = self.delta.lock();
-        if delta.is_empty() {
-            return self.current_node();
-        }
-        let epoch = delta.epoch();
-        let mut memo = self.overlay.lock();
-        if let Some((e, node)) = memo.take() {
-            if e == epoch {
-                delta.drain();
-                drop(memo);
-                self.install(node.clone());
-                return node;
-            }
-        }
-        drop(memo);
-        let runs = delta.drain();
-        let base = self.current_node();
-        let policy = self.format_policy();
-        let dep = base.clone() as Arc<dyn Completable>;
-        let node = Node::pending_kind(
-            "flush",
-            vec![dep],
-            Box::new(move || {
-                let store = base.ready_storage()?;
-                Ok(merge::merge_into_store(store.as_ref(), &runs, policy))
-            }),
-        );
-        self.install(node.clone());
-        node
-    }
-
-    /// Queue a background flush of this object's pending updates after
-    /// `delay`. Holds only weak references: if every handle is dropped
-    /// before the job fires, the job is a no-op (pending updates die
-    /// with the object, as program order allows).
-    fn schedule_background_flush(&self, delay: Duration) {
-        let weak = MatrixWeak {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            cell: Arc::downgrade(&self.cell),
-            policy: Arc::downgrade(&self.policy),
-            delta: Arc::downgrade(&self.delta),
-            overlay: Arc::downgrade(&self.overlay),
-        };
-        snapshot::schedule_flush(
-            delay,
-            Box::new(move || {
-                if let Some(m) = weak.upgrade() {
-                    m.flush_now();
-                }
-            }),
-        );
-    }
-
-    /// Flush pending updates into the backing store now (the background
-    /// flusher's entry point). Execution errors are left on the node —
-    /// they surface, in program order, on the next read that forces it.
-    pub(crate) fn flush_now(&self) {
-        {
-            let mut delta = self.delta.lock();
-            // Re-arm first: pushes racing with this flush queue the next.
-            delta.clear_flush_scheduled();
-            if delta.is_empty() {
-                return;
-            }
-        }
-        let node = self.resolve();
-        let _ = force(&(node as Arc<dyn Completable>));
-        snapshot::note_background_flush();
-    }
-
-    /// Drop any pending point updates: the caller is about to overwrite
-    /// this object's whole value (an operation writing the output), so
-    /// the buffered updates are dead by program order.
-    pub(crate) fn discard_pending(&self) {
-        self.delta.lock().clear();
-        *self.overlay.lock() = None;
-    }
-
-    /// Publish a new value node for this object.
-    pub(crate) fn install(&self, node: Arc<MatrixNode<T>>) {
-        *self.cell.write() = node;
-    }
-
     /// Publish an immediately computed CSR value, stored under this
     /// object's format policy.
     pub(crate) fn install_csr(&self, csr: Csr<T>) {
-        self.install(Node::ready(MatrixStore::from_csr(
-            csr,
-            self.format_policy(),
-        )));
+        self.install_store(MatrixStore::from_csr(csr, self.format_policy()));
     }
 
-    /// Force and read the current store (pending updates merged).
-    pub(crate) fn forced_storage(&self) -> Result<Arc<MatrixStore<T>>> {
-        let node = self.resolve();
-        force(&(node.clone() as Arc<dyn Completable>))?;
-        node.ready_storage()
+    fn install_store(&self, store: MatrixStore<T>) {
+        self.handle.install(Node::ready(store));
     }
 
-    /// Handle-liveness probe for the fusion pass: reports whether `node`
-    /// is still observable through this handle — true while this
-    /// object's cell exists and still points at `node`. Once every
-    /// handle is dropped or re-pointed at a newer value, the probe turns
-    /// false and `node` becomes a candidate for absorption.
-    pub(crate) fn observe_probe(
-        &self,
-        node: &Arc<MatrixNode<T>>,
-    ) -> Box<dyn Fn() -> bool + Send + Sync> {
-        let cell = Arc::downgrade(&self.cell);
-        let ptr = Arc::as_ptr(node) as *const u8 as usize;
-        Box::new(move || {
-            cell.upgrade()
-                .is_some_and(|c| Arc::as_ptr(&*c.read()) as *const u8 as usize == ptr)
-        })
-    }
-}
-
-/// Weak form of a [`Matrix`] handle, held by queued background-flush
-/// jobs so the flusher never extends an object's lifetime.
-struct MatrixWeak<T: Scalar> {
-    nrows: Index,
-    ncols: Index,
-    cell: Weak<RwLock<Arc<MatrixNode<T>>>>,
-    policy: Weak<RwLock<FormatPolicy>>,
-    delta: Weak<Mutex<DeltaLog<(Index, Index), T>>>,
-    overlay: OverlayMemoWeak<T>,
-}
-
-impl<T: Scalar> MatrixWeak<T> {
-    fn upgrade(&self) -> Option<Matrix<T>> {
-        Some(Matrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            cell: self.cell.upgrade()?,
-            policy: self.policy.upgrade()?,
-            delta: self.delta.upgrade()?,
-            overlay: self.overlay.upgrade()?,
-        })
+    /// Capture this object's old value for an operation writing it, if
+    /// the write stage will `need` it; see [`Old`].
+    pub(crate) fn old(&self, needed: bool) -> Old<MatrixStore<T>> {
+        Old::capture(&self.handle, needed, self.shape())
     }
 }
 

@@ -1,6 +1,8 @@
-//! The opaque GraphBLAS collections (paper §III-A) and the mask-argument
+//! The opaque GraphBLAS collections (paper §III-A) — two dimension-carrying
+//! wrappers over one generic object handle — and the mask-argument
 //! plumbing.
 
+pub(crate) mod handle;
 pub mod mask_arg;
 pub mod matrix;
 pub mod vector;

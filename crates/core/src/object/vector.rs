@@ -1,82 +1,54 @@
 //! The opaque GraphBLAS vector (paper §III-A): `v = <D, N, {(i, v_i)}>`.
 //!
-//! Mirrors [`Matrix`](crate::object::Matrix): a handle over an immutable
-//! value node, with point mutations deferred into a pending-update
-//! buffer; see that module for the handle/node and delta semantics.
-
-use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-use parking_lot::{Mutex, RwLock};
+//! Mirrors [`Matrix`](crate::object::Matrix): the size-carrying wrapper
+//! over the crate's one generic object handle (`object::handle`); see
+//! that module for the handle/node and delta semantics.
 
 use crate::algebra::binary::BinaryOp;
 use crate::error::{Error, Result};
-use crate::exec::{force, Completable, Node};
+use crate::exec::Node;
 use crate::index::Index;
-use crate::kernel::merge;
+use crate::object::handle::Handle;
+use crate::op::Old;
 use crate::scalar::Scalar;
 use crate::storage::coo::build_vector;
-use crate::storage::delta::{DeltaLog, DeltaOp, DeltaStats, Run};
-use crate::storage::snapshot::{self, VectorSnapshot};
+use crate::storage::delta::{DeltaOp, DeltaStats};
+use crate::storage::snapshot::VectorSnapshot;
 use crate::storage::vec::SparseVec;
 
 pub(crate) type VectorNode<T> = Node<SparseVec<T>>;
 
-/// Per-epoch overlay memo shared by handle clones; see `OverlayMemo`
-/// on the matrix side.
-type OverlayMemo<T> = Arc<Mutex<Option<(u64, Arc<VectorNode<T>>)>>>;
-type OverlayMemoWeak<T> = Weak<Mutex<Option<(u64, Arc<VectorNode<T>>)>>>;
-
-/// An opaque GraphBLAS vector handle over domain `T`.
+/// An opaque GraphBLAS vector handle over domain `T`. `clone` copies the
+/// *handle* (aliases the same object); use [`Vector::dup`] for a copy.
+#[derive(Clone)]
 pub struct Vector<T: Scalar> {
     n: Index,
-    cell: Arc<RwLock<Arc<VectorNode<T>>>>,
-    /// Pending point mutations not yet merged into the value node.
-    /// Shared by handle clones. Lock order: `delta` before `overlay`
-    /// before `cell`.
-    delta: Arc<Mutex<DeltaLog<Index, T>>>,
-    /// Memoized per-epoch overlay node; see `Matrix::overlay`.
-    overlay: OverlayMemo<T>,
-}
-
-impl<T: Scalar> Clone for Vector<T> {
-    /// Clones the *handle* (aliases the same object); use
-    /// [`Vector::dup`] for a copy.
-    fn clone(&self) -> Self {
-        Vector {
-            n: self.n,
-            cell: self.cell.clone(),
-            delta: self.delta.clone(),
-            overlay: self.overlay.clone(),
-        }
-    }
+    /// The object: value node and pending point updates, shared by
+    /// handle clones.
+    pub(crate) handle: Handle<SparseVec<T>>,
 }
 
 impl<T: Scalar> Vector<T> {
     /// `GrB_Vector_new(&v, domain, n)`: a vector with no stored elements.
     /// Size must be positive (paper §III-A: `N > 0`).
     pub fn new(n: Index) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::InvalidValue("vector size must be positive".into()));
-        }
-        Ok(Vector {
-            n,
-            cell: Arc::new(RwLock::new(Node::ready(SparseVec::empty(n)))),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
-        })
+        Self::holding(SparseVec::empty(n))
     }
 
-    /// A handle wrapping an existing (pinned) value node — the bridge
-    /// from [`VectorSnapshot::to_vector`] back into the kernel layer.
-    pub(crate) fn from_shared_node(n: Index, node: Arc<VectorNode<T>>) -> Vector<T> {
-        node.pin();
-        Vector {
-            n,
-            cell: Arc::new(RwLock::new(node)),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
+    /// A new object holding `value`, whose size must be positive.
+    fn holding(value: SparseVec<T>) -> Result<Self> {
+        if value.size() == 0 {
+            return Err(Error::InvalidValue("vector size must be positive".into()));
         }
+        Ok(Self::over(
+            value.size(),
+            Handle::new(Node::ready(value), ()),
+        ))
+    }
+
+    /// The wrapper over an object of known size.
+    pub(crate) fn over(n: Index, handle: Handle<SparseVec<T>>) -> Self {
+        Vector { n, handle }
     }
 
     /// Convenience constructor from unique `(index, value)` tuples.
@@ -95,21 +67,13 @@ impl<T: Scalar> Vector<T> {
                 "from_tuples given duplicate indices; use build() with a dup operator".into(),
             ));
         }
-        v.install(Node::ready(storage));
+        v.handle.install(Node::ready(storage));
         Ok(v)
     }
 
     /// Convenience constructor storing every element of a dense slice.
     pub fn from_dense(vals: &[T]) -> Result<Self> {
-        if vals.is_empty() {
-            return Err(Error::InvalidValue("vector size must be positive".into()));
-        }
-        Ok(Vector {
-            n: vals.len(),
-            cell: Arc::new(RwLock::new(Node::ready(SparseVec::from_dense(vals)))),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
-        })
+        Self::holding(SparseVec::from_dense(vals))
     }
 
     /// `GrB_Vector_build`: copy elements from tuple arrays, combining
@@ -127,7 +91,7 @@ impl<T: Scalar> Vector<T> {
             ));
         }
         let storage = build_vector(self.n, indices, vals, dup)?;
-        self.install(Node::ready(storage));
+        self.handle.install(Node::ready(storage));
         Ok(())
     }
 
@@ -138,13 +102,13 @@ impl<T: Scalar> Vector<T> {
 
     /// `GrB_Vector_nvals`. Forces completion.
     pub fn nvals(&self) -> Result<usize> {
-        Ok(self.forced_storage()?.nvals())
+        Ok(self.handle.forced_storage()?.nvals())
     }
 
     /// `GrB_Vector_extractElement`. Forces completion.
     pub fn get(&self, i: Index) -> Result<Option<T>> {
         self.check_bounds(i)?;
-        Ok(self.forced_storage()?.get(i).cloned())
+        Ok(self.handle.forced_storage()?.get(i).cloned())
     }
 
     /// `GrB_Vector_setElement`. Appends to the pending-update buffer —
@@ -153,14 +117,7 @@ impl<T: Scalar> Vector<T> {
     /// See [`Matrix::set`](crate::object::Matrix::set).
     pub fn set(&self, i: Index, v: T) -> Result<()> {
         self.check_bounds(i)?;
-        let due = {
-            let mut delta = self.delta.lock();
-            delta.push(i, DeltaOp::Put(v));
-            delta.autoflush_due(snapshot::flush_window())
-        };
-        if let Some(delay) = due {
-            self.schedule_background_flush(delay);
-        }
+        self.handle.push(i, DeltaOp::Put(v));
         Ok(())
     }
 
@@ -168,34 +125,24 @@ impl<T: Scalar> Vector<T> {
     /// removing an absent element is a no-op, as the C API specifies.
     pub fn remove(&self, i: Index) -> Result<()> {
         self.check_bounds(i)?;
-        let due = {
-            let mut delta = self.delta.lock();
-            delta.push(i, DeltaOp::Del);
-            delta.autoflush_due(snapshot::flush_window())
-        };
-        if let Some(delay) = due {
-            self.schedule_background_flush(delay);
-        }
+        self.handle.push(i, DeltaOp::Del);
         Ok(())
     }
 
     /// `GrB_Vector_extractTuples`. Forces completion.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, T)>> {
-        Ok(self.forced_storage()?.to_tuples())
+        Ok(self.handle.forced_storage()?.to_tuples())
     }
 
     /// Dense rendering with `None` for absent elements. Forces completion.
     pub fn to_dense(&self) -> Result<Vec<Option<T>>> {
-        Ok(self.forced_storage()?.to_dense())
+        Ok(self.handle.forced_storage()?.to_dense())
     }
 
     /// `GrB_Vector_clear`. Abandons the old value and any pending point
     /// updates.
     pub fn clear(&self) {
-        let mut delta = self.delta.lock();
-        delta.clear();
-        *self.overlay.lock() = None;
-        self.install(Node::ready(SparseVec::empty(self.n)));
+        self.handle.clear(self.n);
     }
 
     /// `GrB_Vector_dup`. Snapshot-cheap even with pending updates: the
@@ -203,43 +150,30 @@ impl<T: Scalar> Vector<T> {
     /// node; the original's log is not drained. See
     /// [`Matrix::dup`](crate::object::Matrix::dup).
     pub fn dup(&self) -> Vector<T> {
-        let node = self.capture();
-        // See `Matrix::dup`: the copy aliases the value node outside the
-        // original handle's observe-probe, so pin it against fusion.
-        node.pin();
-        Vector {
-            n: self.n,
-            cell: Arc::new(RwLock::new(node)),
-            delta: Arc::new(Mutex::new(DeltaLog::new())),
-            overlay: Arc::new(Mutex::new(None)),
-        }
+        Self::over(self.n, self.handle.dup())
     }
 
     /// Take an O(1) immutable [`VectorSnapshot`] at the current delta
     /// epoch; see [`Matrix::snapshot`](crate::object::Matrix::snapshot).
     pub fn snapshot(&self) -> VectorSnapshot<T> {
-        let (epoch, base, runs, node) = self.overlay_parts();
-        base.pin();
-        node.pin();
-        VectorSnapshot::new(self.n, epoch, base, runs, node)
+        VectorSnapshot::new(self.n, self.handle.snapshot())
     }
 
     /// Pending-update introspection; see
     /// [`Matrix::delta_stats`](crate::object::Matrix::delta_stats).
     pub fn delta_stats(&self) -> DeltaStats {
-        self.delta.lock().stats()
+        self.handle.delta_stats()
     }
 
     /// Force completion of this object alone (merges pending updates).
     pub fn wait(&self) -> Result<()> {
-        let node = self.resolve() as Arc<dyn Completable>;
-        force(&node)
+        self.handle.wait()
     }
 
     /// `true` once the value is computed and stored with no pending
     /// point updates.
     pub fn is_complete(&self) -> bool {
-        self.delta.lock().is_empty() && self.current_node().is_complete()
+        self.handle.is_complete()
     }
 
     fn check_bounds(&self, i: Index) -> Result<()> {
@@ -252,178 +186,10 @@ impl<T: Scalar> Vector<T> {
         Ok(())
     }
 
-    // ----- internal plumbing -----
-
-    /// The current node, *excluding* pending point updates — value
-    /// observers use [`Vector::resolve`] or [`Vector::capture`] instead.
-    pub(crate) fn current_node(&self) -> Arc<VectorNode<T>> {
-        self.cell.read().clone()
-    }
-
-    /// Epoch, base, sealed runs, and the epoch's memoized overlay node;
-    /// see `Matrix::overlay_parts` for semantics and the memo-soundness
-    /// argument.
-    #[allow(clippy::type_complexity)]
-    fn overlay_parts(
-        &self,
-    ) -> (
-        u64,
-        Arc<VectorNode<T>>,
-        Vec<Run<Index, T>>,
-        Arc<VectorNode<T>>,
-    ) {
-        let mut delta = self.delta.lock();
-        let base = self.current_node();
-        let epoch = delta.epoch();
-        if delta.is_empty() {
-            return (epoch, base.clone(), Vec::new(), base);
-        }
-        let runs = delta.runs_snapshot();
-        let mut memo = self.overlay.lock();
-        if let Some((e, node)) = memo.as_ref() {
-            if *e == epoch {
-                return (epoch, base, runs, node.clone());
-            }
-        }
-        let merge_base = base.clone();
-        let merge_runs = runs.clone();
-        let node = Node::pending_kind(
-            "overlay",
-            vec![base.clone() as Arc<dyn Completable>],
-            Box::new(move || {
-                let store = merge_base.ready_storage()?;
-                Ok(merge::merge_vector(store.as_ref(), &merge_runs))
-            }),
-        );
-        *memo = Some((epoch, node.clone()));
-        (epoch, base, runs, node)
-    }
-
-    /// The node a kernel should capture as this object's input value
-    /// without draining the log; see
-    /// [`Matrix::capture`](crate::object::Matrix).
-    pub(crate) fn capture(&self) -> Arc<VectorNode<T>> {
-        self.overlay_parts().3
-    }
-
-    /// The current node *including* pending point updates, with the log
-    /// drained; see [`Matrix::resolve`](crate::object::Matrix) for the
-    /// flush-node semantics (scheduling, determinism, fuse opacity) and
-    /// overlay-memo adoption.
-    pub(crate) fn resolve(&self) -> Arc<VectorNode<T>> {
-        let mut delta = self.delta.lock();
-        if delta.is_empty() {
-            return self.current_node();
-        }
-        let epoch = delta.epoch();
-        let mut memo = self.overlay.lock();
-        if let Some((e, node)) = memo.take() {
-            if e == epoch {
-                delta.drain();
-                drop(memo);
-                self.install(node.clone());
-                return node;
-            }
-        }
-        drop(memo);
-        let runs = delta.drain();
-        let base = self.current_node();
-        let dep = base.clone() as Arc<dyn Completable>;
-        let node = Node::pending_kind(
-            "flush",
-            vec![dep],
-            Box::new(move || {
-                let store = base.ready_storage()?;
-                Ok(merge::merge_vector(store.as_ref(), &runs))
-            }),
-        );
-        self.install(node.clone());
-        node
-    }
-
-    /// Queue a background flush after `delay`; weak references only, so
-    /// the flusher never extends the object's lifetime.
-    fn schedule_background_flush(&self, delay: Duration) {
-        let weak = VectorWeak {
-            n: self.n,
-            cell: Arc::downgrade(&self.cell),
-            delta: Arc::downgrade(&self.delta),
-            overlay: Arc::downgrade(&self.overlay),
-        };
-        snapshot::schedule_flush(
-            delay,
-            Box::new(move || {
-                if let Some(v) = weak.upgrade() {
-                    v.flush_now();
-                }
-            }),
-        );
-    }
-
-    /// Flush pending updates now (the background flusher's entry point);
-    /// see [`Matrix::flush_now`](crate::object::Matrix).
-    pub(crate) fn flush_now(&self) {
-        {
-            let mut delta = self.delta.lock();
-            delta.clear_flush_scheduled();
-            if delta.is_empty() {
-                return;
-            }
-        }
-        let node = self.resolve();
-        let _ = force(&(node as Arc<dyn Completable>));
-        snapshot::note_background_flush();
-    }
-
-    /// Drop any pending point updates (the whole value is about to be
-    /// overwritten by an operation's output write).
-    pub(crate) fn discard_pending(&self) {
-        self.delta.lock().clear();
-        *self.overlay.lock() = None;
-    }
-
-    pub(crate) fn install(&self, node: Arc<VectorNode<T>>) {
-        *self.cell.write() = node;
-    }
-
-    pub(crate) fn forced_storage(&self) -> Result<Arc<SparseVec<T>>> {
-        let node = self.resolve();
-        force(&(node.clone() as Arc<dyn Completable>))?;
-        node.ready_storage()
-    }
-
-    /// Handle-liveness probe for the fusion pass; see
-    /// [`Matrix::observe_probe`](crate::object::Matrix).
-    pub(crate) fn observe_probe(
-        &self,
-        node: &Arc<VectorNode<T>>,
-    ) -> Box<dyn Fn() -> bool + Send + Sync> {
-        let cell = Arc::downgrade(&self.cell);
-        let ptr = Arc::as_ptr(node) as *const u8 as usize;
-        Box::new(move || {
-            cell.upgrade()
-                .is_some_and(|c| Arc::as_ptr(&*c.read()) as *const u8 as usize == ptr)
-        })
-    }
-}
-
-/// Weak form of a [`Vector`] handle, held by queued background-flush
-/// jobs; see `MatrixWeak`.
-struct VectorWeak<T: Scalar> {
-    n: Index,
-    cell: Weak<RwLock<Arc<VectorNode<T>>>>,
-    delta: Weak<Mutex<DeltaLog<Index, T>>>,
-    overlay: OverlayMemoWeak<T>,
-}
-
-impl<T: Scalar> VectorWeak<T> {
-    fn upgrade(&self) -> Option<Vector<T>> {
-        Some(Vector {
-            n: self.n,
-            cell: self.cell.upgrade()?,
-            delta: self.delta.upgrade()?,
-            overlay: self.overlay.upgrade()?,
-        })
+    /// Capture this object's old value for an operation writing it, if
+    /// the write stage will `need` it; see [`Old`].
+    pub(crate) fn old(&self, needed: bool) -> Old<SparseVec<T>> {
+        Old::capture(&self.handle, needed, self.n)
     }
 }
 

@@ -26,7 +26,7 @@ use crate::object::mask_arg::{MaskSnap1, MaskSnap2, MatrixMask, VectorMask};
 use crate::object::matrix::{oriented_storage, MatrixNode};
 use crate::object::vector::VectorNode;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims, OldMatrix, OldVector};
+use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims, Old};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::{FormatPolicy, MatrixStore};
@@ -141,7 +141,7 @@ fn install_apply_mat_hook<D1, D2, F, Ac>(
     f: F,
     accum: Ac,
     msnap: MaskSnap2,
-    c_old: OldMatrix<D2>,
+    c_old: Old<MatrixStore<D2>>,
     replace: bool,
     policy: FormatPolicy,
 ) where
@@ -180,7 +180,7 @@ fn install_apply_mat_hook<D1, D2, F, Ac>(
             let comp = comp.clone();
             let (accum, msnap, c_old) = (accum.clone(), msnap.clone(), c_old.clone());
             Box::new(move || -> Result<MatrixStore<D2>> {
-                let old = c_old.storage()?;
+                let old = c_old.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = if use_mask {
                     (comp.compute)(&mcsr)?
@@ -219,7 +219,7 @@ fn install_apply_vec_hook<D1, D2, F, Ac>(
     f: F,
     accum: Ac,
     msnap: MaskSnap1,
-    w_old: OldVector<D2>,
+    w_old: Old<SparseVec<D2>>,
     replace: bool,
 ) where
     D1: Scalar,
@@ -312,12 +312,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -328,17 +325,17 @@ impl Context {
             let (msnap, c_old_cap) = (msnap.clone(), c_old_cap.clone());
             move || {
                 let a_st = oriented_storage(&a_node, tr_a)?;
-                let c_old = c_old_cap.storage()?;
+                let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = apply_matrix(&a_st, &f);
                 let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }
-                Ok(out)
+                Ok(MatrixStore::csr(out))
             }
         };
-        let Some(node) = self.submit_matrix_fusable("apply", c, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("apply", &c.handle, deps, eval)? else {
             return Ok(());
         };
         if !Ac::IS_ACCUM && msnap.is_all() {
@@ -385,12 +382,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let u_node = u.capture();
+        let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -411,7 +405,7 @@ impl Context {
                 Ok(out)
             }
         };
-        let Some(node) = self.submit_vector_fusable("apply", w, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("apply", &w.handle, deps, eval)? else {
             return Ok(());
         };
         if !Ac::IS_ACCUM && msnap.is_all() {

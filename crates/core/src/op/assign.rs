@@ -21,6 +21,7 @@ use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, check_mask_dims2, check_no_duplicates, effective_dims};
 use crate::scalar::Scalar;
+use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
 impl Context {
@@ -57,7 +58,7 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let (a_node, c_node) = (a.capture(), c.capture());
+        let (a_node, c_node) = (a.handle.capture(), c.handle.capture());
         let msnap = mask.snap(desc);
         let mut deps: Vec<_> = vec![a_node.clone() as _, c_node.clone() as _];
         deps.extend(msnap.deps());
@@ -73,15 +74,15 @@ impl Context {
             }
             // Z already embodies the accumulate semantics; the write stage
             // only applies the mask/replace selection against old C.
-            Ok(write_matrix(
+            Ok(MatrixStore::csr(write_matrix(
                 &c_old,
                 z,
                 &crate::accum::NoAccum,
                 &mcsr,
                 replace,
-            ))
+            )))
         };
-        self.submit_matrix("assign", c, deps, Box::new(eval))
+        self.submit("assign", &c.handle, deps, eval).map(drop)
     }
 
     /// `GrB_assign` (matrix, scalar fill): every position of the region
@@ -124,7 +125,7 @@ impl Context {
             return c.set(rows[0], cols[0], value);
         }
 
-        let c_node = c.capture();
+        let c_node = c.handle.capture();
         let msnap = mask.snap(desc);
         let mut deps: Vec<_> = vec![c_node.clone() as _];
         deps.extend(msnap.deps());
@@ -137,15 +138,15 @@ impl Context {
             if let Some(e) = accum.poll_error() {
                 return Err(e);
             }
-            Ok(write_matrix(
+            Ok(MatrixStore::csr(write_matrix(
                 &c_old,
                 z,
                 &crate::accum::NoAccum,
                 &mcsr,
                 replace,
-            ))
+            )))
         };
-        self.submit_matrix("assign", c, deps, Box::new(eval))
+        self.submit("assign", &c.handle, deps, eval).map(drop)
     }
 
     /// `GrB_assign` (vector): `w<mask>(indices) ⊙= u`.
@@ -174,7 +175,7 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let (u_node, w_node) = (u.capture(), w.capture());
+        let (u_node, w_node) = (u.handle.capture(), w.handle.capture());
         let msnap = mask.snap(desc);
         let mut deps: Vec<_> = vec![u_node.clone() as _, w_node.clone() as _];
         deps.extend(msnap.deps());
@@ -196,7 +197,7 @@ impl Context {
                 replace,
             ))
         };
-        self.submit_vector("assign", w, deps, Box::new(eval))
+        self.submit("assign", &w.handle, deps, eval).map(drop)
     }
 
     /// `GrB_assign` (vector, scalar fill) — Fig. 3 line 77: `delta`
@@ -224,7 +225,7 @@ impl Context {
         // build Z straight from the mask pattern instead, making the
         // whole operation O(|mask| + nvals(w)).
         if !Ac::IS_ACCUM && mask.mask_size().is_some() && matches!(indices, IndexSelection::All) {
-            let w_node = w.capture();
+            let w_node = w.handle.capture();
             let msnap = mask.snap(desc);
             let mut deps: Vec<_> = vec![w_node.clone() as _];
             deps.extend(msnap.deps());
@@ -256,7 +257,7 @@ impl Context {
                     replace,
                 ))
             };
-            return self.submit_vector("assign", w, deps, Box::new(eval));
+            return self.submit("assign", &w.handle, deps, eval).map(drop);
         }
 
         let indices = indices.resolve(w.size())?;
@@ -274,7 +275,7 @@ impl Context {
             return w.set(indices[0], value);
         }
 
-        let w_node = w.capture();
+        let w_node = w.handle.capture();
         let msnap = mask.snap(desc);
         let mut deps: Vec<_> = vec![w_node.clone() as _];
         deps.extend(msnap.deps());
@@ -295,7 +296,7 @@ impl Context {
                 replace,
             ))
         };
-        self.submit_vector("assign", w, deps, Box::new(eval))
+        self.submit("assign", &w.handle, deps, eval).map(drop)
     }
 }
 

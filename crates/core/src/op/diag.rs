@@ -9,6 +9,7 @@ use crate::index::Index;
 use crate::object::{Matrix, Vector};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
+use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
 impl Context {
@@ -23,7 +24,7 @@ impl Context {
                 c.shape()
             )
         })?;
-        let v_node = v.capture();
+        let v_node = v.handle.capture();
         let deps = vec![v_node.clone() as _];
         let eval = move || {
             let st = v_node.ready_storage()?;
@@ -35,9 +36,9 @@ impl Context {
                 };
                 (r, c, val.clone())
             });
-            Ok(Csr::from_sorted_tuples(n, n, tuples))
+            Ok(MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples)))
         };
-        self.submit_matrix("diag", c, deps, Box::new(eval))
+        self.submit("diag", &c.handle, deps, eval).map(drop)
     }
 
     /// `GxB_Vector_diag`: `w(i) = A(i, i + k)` for `k >= 0`
@@ -57,7 +58,7 @@ impl Context {
         dim_check(w.size() == len, || {
             format!("diag output must have size {len}, got {}", w.size())
         })?;
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let deps = vec![a_node.clone() as _];
         let eval = move || {
             let st = a_node.ready_storage()?;
@@ -76,7 +77,7 @@ impl Context {
             }
             Ok(SparseVec::from_sorted_parts(len, idx, vals))
         };
-        self.submit_vector("diag", w, deps, Box::new(eval))
+        self.submit("diag", &w.handle, deps, eval).map(drop)
     }
 }
 

@@ -25,6 +25,7 @@ use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
+use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
 impl Context {
@@ -59,12 +60,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let (a_node, b_node) = (a.capture(), b.capture());
+        let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -89,18 +87,18 @@ impl Context {
         let eval = {
             let combine = combine.clone();
             move || {
-                let c_old = c_old_cap.storage()?;
+                let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = combine(&mcsr)?;
                 let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }
-                Ok(out)
+                Ok(MatrixStore::csr(out))
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_matrix_fusable("eWiseAdd", c, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("eWiseAdd", &c.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {
@@ -152,12 +150,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let (a_node, b_node) = (a.capture(), b.capture());
+        let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -210,18 +205,18 @@ impl Context {
         let eval = {
             let combine = combine.clone();
             move || {
-                let c_old = c_old_cap.storage()?;
+                let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = combine(&mcsr)?;
                 let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }
-                Ok(out)
+                Ok(MatrixStore::csr(out))
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_matrix_fusable("eWiseMult", c, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("eWiseMult", &c.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {
@@ -268,12 +263,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let (u_node, v_node) = (u.capture(), v.capture());
+        let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -307,7 +299,7 @@ impl Context {
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_vector_fusable("eWiseAdd", w, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("eWiseAdd", &w.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {
@@ -356,12 +348,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let (u_node, v_node) = (u.capture(), v.capture());
+        let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -423,7 +412,7 @@ impl Context {
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_vector_fusable("eWiseMult", w, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("eWiseMult", &w.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {

@@ -14,6 +14,7 @@ use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
+use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_extract` (matrix): `C<Mask> ⊙= A(rows, cols)`.
@@ -52,12 +53,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -65,16 +63,16 @@ impl Context {
 
         let eval = move || {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let c_old = c_old_cap.storage()?;
+            let c_old = c_old_cap.storage()?.row_csr();
             let mcsr = msnap.materialize()?;
             let t = extract_matrix(&a_st, &rows, &cols);
             let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
             if let Some(e) = accum.poll_error() {
                 return Err(e);
             }
-            Ok(out)
+            Ok(MatrixStore::csr(out))
         };
-        self.submit_matrix("extract", c, deps, Box::new(eval))
+        self.submit("extract", &c.handle, deps, eval).map(drop)
     }
 
     /// `GrB_extract` (vector): `w<mask> ⊙= u(indices)`.
@@ -102,12 +100,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let u_node = u.capture();
+        let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -124,7 +119,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit_vector("extract", w, deps, Box::new(eval))
+        self.submit("extract", &w.handle, deps, eval).map(drop)
     }
 
     /// `GrB_Col_extract`: `w<mask> ⊙= A(rows, j)` — one column as a
@@ -163,12 +158,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -185,7 +177,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit_vector("extract", w, deps, Box::new(eval))
+        self.submit("extract", &w.handle, deps, eval).map(drop)
     }
 }
 

@@ -20,6 +20,7 @@ use crate::object::Matrix;
 use crate::op::{check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
+use crate::storage::engine::MatrixStore;
 
 /// The Kronecker-product kernel: row `i` of the result interleaves row
 /// `i / m2` of `A` with row `i % m2` of `B`.
@@ -86,13 +87,10 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let a_node = a.capture();
-        let b_node = b.capture();
+        let a_node = a.handle.capture();
+        let b_node = b.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -101,7 +99,7 @@ impl Context {
         let eval = move || {
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
-            let c_old = c_old_cap.storage()?;
+            let c_old = c_old_cap.storage()?.row_csr();
             let mcsr = msnap.materialize()?;
             let t = kron_kernel(&a_st, &b_st, &mul);
             if let Some(e) = mul.poll_error() {
@@ -111,9 +109,9 @@ impl Context {
             if let Some(e) = accum.poll_error() {
                 return Err(e);
             }
-            Ok(out)
+            Ok(MatrixStore::csr(out))
         };
-        self.submit_matrix("kronecker", c, deps, Box::new(eval))
+        self.submit("kronecker", &c.handle, deps, eval).map(drop)
     }
 }
 

@@ -37,129 +37,45 @@ use std::sync::Arc;
 use crate::error::{dim_check, Error, Result};
 use crate::exec::{Completable, Context, Node};
 use crate::index::Index;
-use crate::object::matrix::MatrixNode;
-use crate::object::vector::VectorNode;
-use crate::object::{Matrix, Vector};
+use crate::object::handle::{Handle, Stored};
+use crate::object::Matrix;
 use crate::scalar::Scalar;
-use crate::storage::csr::Csr;
-use crate::storage::engine::MatrixStore;
-use crate::storage::vec::SparseVec;
 
 impl Context {
-    /// Install a pending node for `out` and run/defer it per the mode,
-    /// applying any injected test fault. `kind` is the Table II
-    /// operation name, surfaced in execution traces. The computed CSR is
-    /// stored under the output object's format policy — migration (if
-    /// any) happens here, at completion time, once.
-    pub(crate) fn submit_matrix<T: Scalar>(
+    /// Install a pending node as `out`'s new value and run/defer it per
+    /// the mode, applying any injected test fault. `kind` is the Table II
+    /// operation name, surfaced in execution traces. The computed value
+    /// is re-stored under the output object's policy — migration (if
+    /// any) happens here, at completion time, once, and the policy has
+    /// the last word over whatever layout a fast-path kernel produced.
+    ///
+    /// Returns the installed node when the operation is a fusion
+    /// candidate, so the caller can attach a producer face and/or
+    /// consumer rewrite hook (see `exec::fuse`); `None` (plain
+    /// submission) in blocking mode, under `FusePolicy::Off`, or when a
+    /// fault was injected.
+    pub(crate) fn submit<S: Stored>(
         &self,
         kind: &'static str,
-        out: &Matrix<T>,
+        out: &Handle<S>,
         deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<Csr<T>> + Send>,
-    ) -> Result<()> {
-        self.submit_matrix_store(
-            kind,
-            out,
-            deps,
-            Box::new(move || eval().map(MatrixStore::csr)),
-        )
-    }
-
-    /// [`Context::submit_matrix`] for evaluators that produce a
-    /// [`MatrixStore`] natively (fast-path kernels emitting bitmap or
-    /// hypersparse output directly). The policy still has the last word:
-    /// `apply_policy` re-stores when the hint disagrees with what the
-    /// kernel produced.
-    pub(crate) fn submit_matrix_store<T: Scalar>(
-        &self,
-        kind: &'static str,
-        out: &Matrix<T>,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<MatrixStore<T>> + Send>,
-    ) -> Result<()> {
-        self.submit_matrix_store_fusable(kind, out, deps, eval)
-            .map(|_| ())
-    }
-
-    /// [`Context::submit_matrix_store`] that additionally returns the
-    /// installed node when the operation is a fusion candidate — so the
-    /// caller can attach a producer face and/or consumer rewrite hook
-    /// (see `exec::fuse`). Returns `None` (plain submission) in blocking
-    /// mode, under `FusePolicy::Off`, or when a fault was injected.
-    pub(crate) fn submit_matrix_store_fusable<T: Scalar>(
-        &self,
-        kind: &'static str,
-        out: &Matrix<T>,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<MatrixStore<T>> + Send>,
-    ) -> Result<Option<Arc<MatrixNode<T>>>> {
-        let policy = out.format_policy();
+        eval: impl FnOnce() -> Result<S> + Send + 'static,
+    ) -> Result<Option<Arc<Node<S>>>> {
+        let policy = out.policy();
         let fault = self.take_fault();
         let fusable = fault.is_none() && self.fusion_active();
-        let eval: Box<dyn FnOnce() -> Result<MatrixStore<T>> + Send> = match fault {
-            Some(f) => Box::new(move || Err(f)),
-            None => Box::new(move || eval().map(|s| s.apply_policy(policy))),
-        };
-        let node = Node::pending_kind(kind, deps, eval);
+        let node = Node::pending_kind(
+            kind,
+            deps,
+            match fault {
+                Some(f) => Box::new(move || Err(f)),
+                None => Box::new(move || eval().map(|s| s.restore(policy))),
+            },
+        );
         // The operation overwrites the output's whole value, so any
         // still-buffered point updates are dead by program order. (When
         // the write stage needed the old value — accum or mask — its
-        // capture already resolved and drained the buffer.)
-        out.discard_pending();
-        out.install(node.clone());
-        if fusable {
-            node.set_observe_probe(out.observe_probe(&node));
-        }
-        self.finish_op(node.clone())?;
-        Ok(fusable.then_some(node))
-    }
-
-    /// [`Context::submit_matrix`] returning the node for fusion wiring;
-    /// see [`Context::submit_matrix_store_fusable`].
-    pub(crate) fn submit_matrix_fusable<T: Scalar>(
-        &self,
-        kind: &'static str,
-        out: &Matrix<T>,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<Csr<T>> + Send>,
-    ) -> Result<Option<Arc<MatrixNode<T>>>> {
-        self.submit_matrix_store_fusable(
-            kind,
-            out,
-            deps,
-            Box::new(move || eval().map(MatrixStore::csr)),
-        )
-    }
-
-    pub(crate) fn submit_vector<T: Scalar>(
-        &self,
-        kind: &'static str,
-        out: &Vector<T>,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<SparseVec<T>> + Send>,
-    ) -> Result<()> {
-        self.submit_vector_fusable(kind, out, deps, eval)
-            .map(|_| ())
-    }
-
-    /// Vector counterpart of [`Context::submit_matrix_store_fusable`].
-    pub(crate) fn submit_vector_fusable<T: Scalar>(
-        &self,
-        kind: &'static str,
-        out: &Vector<T>,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<SparseVec<T>> + Send>,
-    ) -> Result<Option<Arc<VectorNode<T>>>> {
-        let fault = self.take_fault();
-        let fusable = fault.is_none() && self.fusion_active();
-        let eval: Box<dyn FnOnce() -> Result<SparseVec<T>> + Send> = match fault {
-            Some(f) => Box::new(move || Err(f)),
-            None => eval,
-        };
-        let node = Node::pending_kind(kind, deps, eval);
-        // See submit_matrix_store_fusable: pending point updates on the
-        // output are dead once the operation overwrites it.
+        // capture already took the epoch's overlay over them.)
         out.discard_pending();
         out.install(node.clone());
         if fusable {
@@ -179,28 +95,25 @@ impl Context {
 /// dependency, which lets nonblocking mode elide entire chains of
 /// overwritten intermediates (§IV lazy evaluation) and releases their
 /// memory immediately.
-pub(crate) struct OldMatrix<T: Scalar> {
-    node: Option<Arc<crate::object::matrix::MatrixNode<T>>>,
-    nrows: Index,
-    ncols: Index,
+pub(crate) struct Old<S: Stored> {
+    node: Option<Arc<Node<S>>>,
+    shape: S::Key,
 }
 
-impl<T: Scalar> Clone for OldMatrix<T> {
+impl<S: Stored> Clone for Old<S> {
     fn clone(&self) -> Self {
-        OldMatrix {
+        Old {
             node: self.node.clone(),
-            nrows: self.nrows,
-            ncols: self.ncols,
+            shape: self.shape,
         }
     }
 }
 
-impl<T: Scalar> OldMatrix<T> {
-    pub(crate) fn capture(c: &Matrix<T>, needed: bool) -> Self {
-        OldMatrix {
-            node: needed.then(|| c.capture()),
-            nrows: c.nrows(),
-            ncols: c.ncols(),
+impl<S: Stored> Old<S> {
+    pub(crate) fn capture(out: &Handle<S>, needed: bool, shape: S::Key) -> Self {
+        Old {
+            node: needed.then(|| out.capture()),
+            shape,
         }
     }
 
@@ -208,47 +121,12 @@ impl<T: Scalar> OldMatrix<T> {
         self.node.clone().map(|n| n as Arc<dyn Completable>)
     }
 
-    /// The old content as CSR — or an empty stand-in when the write
-    /// stage can't observe it anyway.
-    pub(crate) fn storage(&self) -> Result<std::sync::Arc<Csr<T>>> {
-        match &self.node {
-            Some(n) => Ok(n.ready_storage()?.row_csr()),
-            None => Ok(Arc::new(Csr::empty(self.nrows, self.ncols))),
-        }
-    }
-}
-
-/// Vector counterpart of [`OldMatrix`].
-pub(crate) struct OldVector<T: Scalar> {
-    node: Option<Arc<crate::object::vector::VectorNode<T>>>,
-    n: Index,
-}
-
-impl<T: Scalar> Clone for OldVector<T> {
-    fn clone(&self) -> Self {
-        OldVector {
-            node: self.node.clone(),
-            n: self.n,
-        }
-    }
-}
-
-impl<T: Scalar> OldVector<T> {
-    pub(crate) fn capture(w: &Vector<T>, needed: bool) -> Self {
-        OldVector {
-            node: needed.then(|| w.capture()),
-            n: w.size(),
-        }
-    }
-
-    pub(crate) fn dep(&self) -> Option<Arc<dyn Completable>> {
-        self.node.clone().map(|n| n as Arc<dyn Completable>)
-    }
-
-    pub(crate) fn storage(&self) -> Result<std::sync::Arc<SparseVec<T>>> {
+    /// The old content — or an empty stand-in when the write stage can't
+    /// observe it anyway.
+    pub(crate) fn storage(&self) -> Result<Arc<S>> {
         match &self.node {
             Some(n) => n.ready_storage(),
-            None => Ok(Arc::new(SparseVec::empty(self.n))),
+            None => Ok(Arc::new(S::empty(self.shape))),
         }
     }
 }

@@ -72,13 +72,10 @@ impl Context {
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
         // --- snapshot inputs, build the deferred thunk ---
-        let a_node = a.capture();
-        let b_node = b.capture();
+        let a_node = a.handle.capture();
+        let b_node = b.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -176,7 +173,7 @@ impl Context {
                     }
                 }
 
-                let c_old = c_old_cap.storage()?;
+                let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = product(&mcsr)?;
                 let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
@@ -187,7 +184,7 @@ impl Context {
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_matrix_store_fusable("mxm", c, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("mxm", &c.handle, deps, eval)? else {
             return Ok(());
         };
         if write_is_identity {

@@ -56,13 +56,10 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let a_node = a.capture();
-        let u_node = u.capture();
+        let a_node = a.handle.capture();
+        let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -102,7 +99,7 @@ impl Context {
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_vector_fusable("mxv", w, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("mxv", &w.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {
@@ -154,13 +151,10 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let a_node = a.capture();
-        let u_node = u.capture();
+        let a_node = a.handle.capture();
+        let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -199,7 +193,7 @@ impl Context {
             }
         };
         let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit_vector_fusable("vxm", w, deps, Box::new(eval))? else {
+        let Some(node) = self.submit("vxm", &w.handle, deps, eval)? else {
             return Ok(());
         };
         if pure {

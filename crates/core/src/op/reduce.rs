@@ -33,7 +33,7 @@ impl Context {
         if !self.fusion_active() {
             return None;
         }
-        let node = a.capture();
+        let node = a.handle.capture();
         if node.is_complete() {
             return None;
         }
@@ -77,7 +77,7 @@ impl Context {
         if !self.fusion_active() {
             return None;
         }
-        let node = u.capture();
+        let node = u.handle.capture();
         if node.is_complete() {
             return None;
         }
@@ -136,12 +136,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -161,7 +158,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit_vector("reduce", w, deps, Box::new(eval))
+        self.submit("reduce", &w.handle, deps, eval).map(drop)
     }
 
     /// `GrB_reduce` (matrix → scalar): `⊕` over every stored element;
@@ -174,7 +171,10 @@ impl Context {
         if let Some(r) = self.try_fused_reduce_matrix(&monoid, a) {
             return r;
         }
-        let st = a.forced_storage().inspect_err(|e| self.record_error(e))?;
+        let st = a
+            .handle
+            .forced_storage()
+            .inspect_err(|e| self.record_error(e))?;
         let v = reduce_matrix_scalar(&st.row_csr(), &monoid);
         match monoid.poll_error() {
             Some(e) => {
@@ -194,7 +194,10 @@ impl Context {
         if let Some(r) = self.try_fused_reduce_vector(&monoid, u) {
             return r;
         }
-        let st = u.forced_storage().inspect_err(|e| self.record_error(e))?;
+        let st = u
+            .handle
+            .forced_storage()
+            .inspect_err(|e| self.record_error(e))?;
         let v = reduce_vector_scalar(&st, &monoid);
         match monoid.poll_error() {
             Some(e) => {

@@ -13,6 +13,7 @@ use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
+use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_select` (matrix): `C<Mask> ⊙= select(op, A)`.
@@ -38,12 +39,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -51,16 +49,16 @@ impl Context {
 
         let eval = move || {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let c_old = c_old_cap.storage()?;
+            let c_old = c_old_cap.storage()?.row_csr();
             let mcsr = msnap.materialize()?;
             let t = a_st.filter(|i, j, v| op.keep(i, j, v));
             let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
             if let Some(e) = accum.poll_error() {
                 return Err(e);
             }
-            Ok(out)
+            Ok(MatrixStore::csr(out))
         };
-        self.submit_matrix("select", c, deps, Box::new(eval))
+        self.submit("select", &c.handle, deps, eval).map(drop)
     }
 
     /// `GrB_select` (vector): `w<mask> ⊙= select(op, u)` (the predicate
@@ -85,12 +83,9 @@ impl Context {
         })?;
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        let u_node = u.capture();
+        let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = crate::op::OldVector::capture(
-            w,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -107,7 +102,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit_vector("select", w, deps, Box::new(eval))
+        self.submit("select", &w.handle, deps, eval).map(drop)
     }
 }
 

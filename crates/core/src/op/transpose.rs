@@ -16,6 +16,7 @@ use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
 use crate::op::{check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
+use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_transpose(C, Mask, accum, A, desc)`.
@@ -47,12 +48,9 @@ impl Context {
         })?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
-        let a_node = a.capture();
+        let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = crate::op::OldMatrix::capture(
-            c,
-            Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()),
-        );
+        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -60,15 +58,15 @@ impl Context {
 
         let eval = move || {
             let t_st = oriented_storage(&a_node, !tr_a)?;
-            let c_old = c_old_cap.storage()?;
+            let c_old = c_old_cap.storage()?.row_csr();
             let mcsr = msnap.materialize()?;
             let out = write_matrix(&c_old, (*t_st).clone(), &accum, &mcsr, replace);
             if let Some(e) = accum.poll_error() {
                 return Err(e);
             }
-            Ok(out)
+            Ok(MatrixStore::csr(out))
         };
-        self.submit_matrix("transpose", c, deps, Box::new(eval))
+        self.submit("transpose", &c.handle, deps, eval).map(drop)
     }
 }
 

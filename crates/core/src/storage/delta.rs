@@ -34,7 +34,7 @@
 //! order the CSR merge consumes), vectors log plain indices.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default tail length at which a delta log seals its unsorted tail into
@@ -84,21 +84,11 @@ pub fn session_run_cap() -> Option<usize> {
     }
 }
 
-fn env_run_cap() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GRB_DELTA_RUN_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&k| k > 0)
-    })
-}
-
 /// The effective tail-seal cap: session knob (`Config::delta_run_cap`) >
 /// `GRB_DELTA_RUN_CAP` env > [`RUN_CAP`].
 pub fn run_cap() -> usize {
     session_run_cap()
-        .or_else(env_run_cap)
+        .or(crate::env::env().delta_run_cap)
         .unwrap_or(RUN_CAP)
         .max(1)
 }

@@ -21,7 +21,7 @@
 //! `OnceLock` serializes concurrent first requests from the parallel
 //! scheduler), which is the "convert an intermediate once instead of
 //! per-consumer" latitude of nonblocking mode. Specialized kernels
-//! (`mxm_hyper`, `mxv_bitmap`, the CSR×CSC dot product) dispatch on
+//! (`mxm_hyper`, the SpMSpV `pull_bitmap`, the CSR×CSC dot product) dispatch on
 //! [`MatrixStore::layout`] instead and skip conversion entirely.
 
 pub mod bitmap;

@@ -39,14 +39,13 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
-use crate::exec::{force, Completable};
+use crate::exec::{force, Completable, Node};
 use crate::index::Index;
-use crate::object::matrix::MatrixNode;
-use crate::object::vector::VectorNode;
+use crate::object::handle::{Handle, Stored};
 use crate::object::{Matrix, Vector};
 use crate::scalar::Scalar;
 use crate::storage::delta::{DeltaOp, Run};
-use crate::storage::engine::{FormatPolicy, MatrixStore};
+use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
 // ----- flush-window configuration -----
@@ -77,22 +76,13 @@ pub fn session_flush_window_ms() -> Option<u64> {
     }
 }
 
-fn env_flush_window_ms() -> Option<u64> {
-    static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GRB_FLUSH_WINDOW_MS")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-    })
-}
-
 /// The effective auto-flush time window: session knob
 /// (`Config::flush_window_ms`) > `GRB_FLUSH_WINDOW_MS` env >
 /// [`DEFAULT_FLUSH_WINDOW_MS`]; a value of `0` (either source) disables
 /// the time trigger (`None`). The size trigger is never disabled.
 pub fn flush_window() -> Option<Duration> {
     let ms = session_flush_window_ms()
-        .or_else(env_flush_window_ms)
+        .or(crate::env::env().flush_window_ms)
         .unwrap_or(DEFAULT_FLUSH_WINDOW_MS);
     (ms > 0).then(|| Duration::from_millis(ms))
 }
@@ -217,6 +207,67 @@ fn probe_runs<K: Copy + Ord, T: Clone>(runs: &[Run<K, T>], key: K) -> Option<Del
     None
 }
 
+/// The immutable, epoch-versioned read view of one object that
+/// [`MatrixSnapshot`] and [`VectorSnapshot`] wrap with dimensions.
+pub(crate) struct Snapshot<S: Stored> {
+    epoch: u64,
+    base: Arc<Node<S>>,
+    runs: Vec<Run<S::Key, S::Elem>>,
+    /// The epoch's overlay node (`base` itself when no updates were
+    /// pending) — shared with every other snapshot and kernel capture at
+    /// this epoch through the handle's overlay memo.
+    node: Arc<Node<S>>,
+    policy: S::Policy,
+    _guard: ActiveGuard,
+}
+
+impl<S: Stored> Snapshot<S> {
+    pub(crate) fn new(
+        epoch: u64,
+        base: Arc<Node<S>>,
+        runs: Vec<Run<S::Key, S::Elem>>,
+        node: Arc<Node<S>>,
+        policy: S::Policy,
+    ) -> Self {
+        Snapshot {
+            epoch,
+            base,
+            runs,
+            node,
+            policy,
+            _guard: note_snapshot(epoch),
+        }
+    }
+
+    /// The snapshot's value, overlay-merged and memoized. Forces the
+    /// overlay node (and the base cone under it) — never the source
+    /// handle's log.
+    fn store(&self) -> Result<Arc<S>> {
+        force(&(self.node.clone() as Arc<dyn Completable>))?;
+        self.node.ready_storage()
+    }
+
+    /// Point probe: pending runs first (newest wins), then the base
+    /// value. Never materializes the overlay merge.
+    fn get(&self, key: S::Key) -> Result<Option<S::Elem>> {
+        match probe_runs(&self.runs, key) {
+            Some(DeltaOp::Put(v)) => Ok(Some(v)),
+            Some(DeltaOp::Del) => Ok(None),
+            None => {
+                force(&(self.base.clone() as Arc<dyn Completable>))?;
+                Ok(self.base.ready_storage()?.get(key).cloned())
+            }
+        }
+    }
+
+    /// A fresh object whose value *is* this snapshot. O(1): it wraps the
+    /// shared overlay node; nothing is merged until a kernel forces it,
+    /// and the merge is shared with every other view of this epoch.
+    fn to_handle(&self) -> Handle<S> {
+        Handle::aliasing(self.node.clone(), self.policy)
+    }
+}
+
 /// An immutable, epoch-versioned read view of a [`Matrix`] — the
 /// `GxB`-style snapshot handle. Cheap to take (Arc clones only), safe to
 /// hold across any amount of concurrent writing, flushing, and
@@ -224,37 +275,15 @@ fn probe_runs<K: Copy + Ord, T: Clone>(runs: &[Run<K, T>], key: K) -> Option<Del
 pub struct MatrixSnapshot<T: Scalar> {
     nrows: Index,
     ncols: Index,
-    epoch: u64,
-    base: Arc<MatrixNode<T>>,
-    runs: Vec<Run<(Index, Index), T>>,
-    /// The epoch's overlay node (`base` itself when no updates were
-    /// pending) — shared with every other snapshot and kernel capture at
-    /// this epoch through the handle's overlay memo.
-    node: Arc<MatrixNode<T>>,
-    policy: FormatPolicy,
-    _guard: ActiveGuard,
+    inner: Snapshot<MatrixStore<T>>,
 }
 
 impl<T: Scalar> MatrixSnapshot<T> {
-    pub(crate) fn new(
-        nrows: Index,
-        ncols: Index,
-        epoch: u64,
-        base: Arc<MatrixNode<T>>,
-        runs: Vec<Run<(Index, Index), T>>,
-        node: Arc<MatrixNode<T>>,
-        policy: FormatPolicy,
-    ) -> Self {
-        let guard = note_snapshot(epoch);
+    pub(crate) fn new(nrows: Index, ncols: Index, inner: Snapshot<MatrixStore<T>>) -> Self {
         MatrixSnapshot {
             nrows,
             ncols,
-            epoch,
-            base,
-            runs,
-            node,
-            policy,
-            _guard: guard,
+            inner,
         }
     }
 
@@ -271,25 +300,17 @@ impl<T: Scalar> MatrixSnapshot<T> {
     /// The delta-log epoch this snapshot pinned. Two snapshots of one
     /// object with equal epochs are views of the identical value.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.inner.epoch
     }
 
     /// Sealed runs pinned by this snapshot (observability).
     pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// The snapshot's value, overlay-merged and memoized. Forces the
-    /// overlay node (and the base cone under it) — never the source
-    /// handle's log.
-    fn store(&self) -> Result<Arc<MatrixStore<T>>> {
-        force(&(self.node.clone() as Arc<dyn Completable>))?;
-        self.node.ready_storage()
+        self.inner.runs.len()
     }
 
     /// Stored-element count at the snapshot's epoch.
     pub fn nvals(&self) -> Result<usize> {
-        Ok(self.store()?.nvals())
+        Ok(self.inner.store()?.nvals())
     }
 
     /// Point probe at the snapshot's epoch: pending runs first (newest
@@ -301,19 +322,12 @@ impl<T: Scalar> MatrixSnapshot<T> {
                 self.nrows, self.ncols
             )));
         }
-        match probe_runs(&self.runs, (i, j)) {
-            Some(DeltaOp::Put(v)) => Ok(Some(v)),
-            Some(DeltaOp::Del) => Ok(None),
-            None => {
-                force(&(self.base.clone() as Arc<dyn Completable>))?;
-                Ok(self.base.ready_storage()?.get(i, j).cloned())
-            }
-        }
+        self.inner.get((i, j))
     }
 
     /// All stored tuples at the snapshot's epoch, row-major.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, T)>> {
-        Ok(self.store()?.to_tuples())
+        Ok(self.inner.store()?.to_tuples())
     }
 
     /// Per-row stored-element counts **at the snapshot's epoch**. The
@@ -322,13 +336,13 @@ impl<T: Scalar> MatrixSnapshot<T> {
     /// a later drain of the source handle (and vice versa) — the
     /// property-cache half of snapshot isolation.
     pub fn row_degrees(&self) -> Result<Arc<[usize]>> {
-        Ok(self.store()?.row_degrees())
+        Ok(self.inner.store()?.row_degrees())
     }
 
     /// Per-column stored-element counts at the snapshot's epoch; see
     /// [`MatrixSnapshot::row_degrees`].
     pub fn col_degrees(&self) -> Result<Arc<[usize]>> {
-        Ok(self.store()?.col_degrees())
+        Ok(self.inner.store()?.col_degrees())
     }
 
     /// A fresh [`Matrix`] handle whose value *is* this snapshot — the
@@ -337,7 +351,7 @@ impl<T: Scalar> MatrixSnapshot<T> {
     /// the shared overlay node; nothing is merged until a kernel forces
     /// it, and the merge is shared with every other view of this epoch.
     pub fn to_matrix(&self) -> Matrix<T> {
-        Matrix::from_shared_node(self.nrows, self.ncols, self.node.clone(), self.policy)
+        Matrix::over(self.nrows, self.ncols, self.inner.to_handle())
     }
 }
 
@@ -346,7 +360,9 @@ impl<T: Scalar> std::fmt::Debug for MatrixSnapshot<T> {
         write!(
             f,
             "MatrixSnapshot<{}x{}@{}>",
-            self.nrows, self.ncols, self.epoch
+            self.nrows,
+            self.ncols,
+            self.epoch()
         )
     }
 }
@@ -355,30 +371,12 @@ impl<T: Scalar> std::fmt::Debug for MatrixSnapshot<T> {
 /// [`MatrixSnapshot`].
 pub struct VectorSnapshot<T: Scalar> {
     n: Index,
-    epoch: u64,
-    base: Arc<VectorNode<T>>,
-    runs: Vec<Run<Index, T>>,
-    node: Arc<VectorNode<T>>,
-    _guard: ActiveGuard,
+    inner: Snapshot<SparseVec<T>>,
 }
 
 impl<T: Scalar> VectorSnapshot<T> {
-    pub(crate) fn new(
-        n: Index,
-        epoch: u64,
-        base: Arc<VectorNode<T>>,
-        runs: Vec<Run<Index, T>>,
-        node: Arc<VectorNode<T>>,
-    ) -> Self {
-        let guard = note_snapshot(epoch);
-        VectorSnapshot {
-            n,
-            epoch,
-            base,
-            runs,
-            node,
-            _guard: guard,
-        }
+    pub(crate) fn new(n: Index, inner: Snapshot<SparseVec<T>>) -> Self {
+        VectorSnapshot { n, inner }
     }
 
     /// Size of the snapshotted vector.
@@ -388,22 +386,17 @@ impl<T: Scalar> VectorSnapshot<T> {
 
     /// The delta-log epoch this snapshot pinned.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.inner.epoch
     }
 
     /// Sealed runs pinned by this snapshot (observability).
     pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    fn store(&self) -> Result<Arc<SparseVec<T>>> {
-        force(&(self.node.clone() as Arc<dyn Completable>))?;
-        self.node.ready_storage()
+        self.inner.runs.len()
     }
 
     /// Stored-element count at the snapshot's epoch.
     pub fn nvals(&self) -> Result<usize> {
-        Ok(self.store()?.nvals())
+        Ok(self.inner.store()?.nvals())
     }
 
     /// Point probe at the snapshot's epoch; see [`MatrixSnapshot::get`].
@@ -414,31 +407,24 @@ impl<T: Scalar> VectorSnapshot<T> {
                 self.n
             )));
         }
-        match probe_runs(&self.runs, i) {
-            Some(DeltaOp::Put(v)) => Ok(Some(v)),
-            Some(DeltaOp::Del) => Ok(None),
-            None => {
-                force(&(self.base.clone() as Arc<dyn Completable>))?;
-                Ok(self.base.ready_storage()?.get(i).cloned())
-            }
-        }
+        self.inner.get(i)
     }
 
     /// All stored tuples at the snapshot's epoch.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, T)>> {
-        Ok(self.store()?.to_tuples())
+        Ok(self.inner.store()?.to_tuples())
     }
 
     /// A fresh [`Vector`] handle whose value is this snapshot; see
     /// [`MatrixSnapshot::to_matrix`].
     pub fn to_vector(&self) -> Vector<T> {
-        Vector::from_shared_node(self.n, self.node.clone())
+        Vector::over(self.n, self.inner.to_handle())
     }
 }
 
 impl<T: Scalar> std::fmt::Debug for VectorSnapshot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VectorSnapshot<{}@{}>", self.n, self.epoch)
+        write!(f, "VectorSnapshot<{}@{}>", self.n, self.epoch())
     }
 }
 

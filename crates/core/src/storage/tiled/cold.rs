@@ -202,7 +202,9 @@ impl<V: Pod> ColdTiledWriter<V> {
     /// Write the directory and header; the file is now openable.
     pub fn finish(mut self) -> io::Result<()> {
         assert_eq!(self.next_row, self.nrows, "not every row was pushed");
-        debug_assert_eq!(self.dir.len(), self.grid_rows * self.grid_cols);
+        // stripes that start past the last row (ceil-sized stripes can
+        // cover the rows in fewer than grid_rows) hold nothing
+        self.dir.resize(self.grid_rows * self.grid_cols, (EMPTY, 0));
         let pad = self.pos.next_multiple_of(8) - self.pos;
         self.file.write_all(&[0u8; 8][..pad as usize])?;
         let dir_offset = self.pos + pad;
@@ -297,6 +299,13 @@ pub struct ColdTiled<V: Pod> {
 }
 
 impl<V: Pod> ColdTiled<V> {
+    /// Open a file written by [`ColdTiledWriter`]. The file is untrusted
+    /// input: the header and every directory entry are checked against
+    /// the mapping here, with overflow-checked arithmetic, so that no
+    /// later [`ColdTiled::tile_row`] can slice outside it — a truncated,
+    /// corrupt or hostile file is `InvalidData`, never a panic or an
+    /// out-of-bounds read. Blob *contents* (row pointers, column
+    /// indices) are not scanned; reads of them stay bounds-checked.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -308,26 +317,65 @@ impl<V: Pod> ColdTiled<V> {
         if h[0] != MAGIC {
             return Err(bad("not a cold-tile file"));
         }
-        if h[5] as usize != size_of::<V>() {
+        if h[5] != size_of::<V>() as u64 {
             return Err(bad("value width does not match the requested type"));
         }
-        let (nrows, ncols) = (h[1] as usize, h[2] as usize);
-        let (grid_rows, grid_cols) = (h[3] as usize, h[4] as usize);
-        let dir_offset = h[6] as usize;
-        let ntiles = grid_rows * grid_cols;
-        if dir_offset + ntiles * 16 > map.len {
-            return Err(bad("truncated directory"));
+        let field = |k: usize| usize::try_from(h[k]).map_err(|_| bad("header field too large"));
+        let (nrows, ncols) = (field(1)?, field(2)?);
+        let (grid_rows, grid_cols) = (field(3)?, field(4)?);
+        let dir_offset = field(6)?;
+        // the writer clamps the grid to the shape: 1 ≤ grid ≤ dimension
+        if grid_rows == 0 || grid_rows > nrows || grid_cols == 0 || grid_cols > ncols {
+            return Err(bad("tile grid is empty or exceeds the matrix shape"));
         }
+        let ntiles = grid_rows.checked_mul(grid_cols);
+        let dir_end = ntiles
+            .and_then(|n| n.checked_mul(16))
+            .and_then(|bytes| bytes.checked_add(dir_offset));
+        let (Some(ntiles), Some(dir_end)) = (ntiles, dir_end) else {
+            return Err(bad("tile grid overflows the address space"));
+        };
+        if dir_offset < HEADER_LEN as usize || dir_offset % 8 != 0 || dir_end > map.len {
+            return Err(bad("truncated or misplaced directory"));
+        }
+        let tile_nrows = nrows.div_ceil(grid_rows);
         let flat: &[u64] = map.slice(dir_offset, ntiles * 2);
         let dir: Vec<(u64, u64)> = flat.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        let nvals = dir.iter().map(|&(_, nnz)| nnz as usize).sum();
+        let mut nvals = 0usize;
+        for (t, &(off, nnz)) in dir.iter().enumerate() {
+            if off == EMPTY {
+                continue;
+            }
+            // rows of this tile's stripe; 0 when the stripe starts past
+            // the last row, where no blob can live
+            let first_row = (t / grid_cols).saturating_mul(tile_nrows);
+            let rows = nrows.saturating_sub(first_row).min(tile_nrows);
+            // blob: row_ptr (rows + 1) × u64, then nnz × (V + u32 column)
+            let blob_end = || {
+                let entries = usize::try_from(nnz).ok()?.checked_mul(size_of::<V>() + 4)?;
+                let row_ptr = rows.checked_add(1)?.checked_mul(8)?;
+                usize::try_from(off)
+                    .ok()?
+                    .checked_add(row_ptr)?
+                    .checked_add(entries)
+            };
+            let inside =
+                off >= HEADER_LEN && off % 8 == 0 && blob_end().is_some_and(|e| e <= dir_offset);
+            if rows == 0 || !inside {
+                return Err(bad("tile blob outside the mapping"));
+            }
+            // nnz fits: it is bounded by the blob length just checked
+            nvals = nvals
+                .checked_add(nnz as usize)
+                .ok_or_else(|| bad("stored-element count overflows"))?;
+        }
         Ok(ColdTiled {
             map,
             nrows,
             ncols,
             grid_rows,
             grid_cols,
-            tile_nrows: nrows.div_ceil(grid_rows),
+            tile_nrows,
             tile_ncols: ncols.div_ceil(grid_cols),
             dir,
             nvals,
@@ -440,7 +488,7 @@ mod tests {
         tuples.sort_by_key(|&(i, j, _)| (i, j));
         tuples.dedup_by_key(|&mut (i, j, _)| (i, j));
         let csr = Csr::from_sorted_tuples(37, 23, tuples);
-        for grid in [(1, 1), (3, 3), (5, 2), (37, 23)] {
+        for grid in [(1, 1), (3, 3), (5, 2), (12, 5), (37, 23)] {
             let path = tmp(&format!("rt-{}-{}", grid.0, grid.1));
             write_csr(&path, &csr, grid);
             let cold = ColdTiled::<f64>::open(&path).unwrap();
@@ -519,6 +567,96 @@ mod tests {
         let cold = ColdTiled::<f64>::open(&path).unwrap();
         assert_eq!(cold.grid(), hot.grid());
         assert_eq!(cold.nvals(), hot.nvals());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A valid 37×23 f64 blob on a 3×3 grid, as bytes.
+    fn valid_blob(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let tuples: Vec<(usize, usize, f64)> =
+            (0..37).map(|i| (i, (i * 5) % 23, i as f64)).collect();
+        let path = tmp(name);
+        write_csr(&path, &Csr::from_sorted_tuples(37, 23, tuples), (3, 3));
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    fn word(bytes: &[u8], k: usize) -> u64 {
+        u64::from_ne_bytes(bytes[k * 8..k * 8 + 8].try_into().unwrap())
+    }
+
+    fn set_word(bytes: &mut [u8], k: usize, v: u64) {
+        bytes[k * 8..k * 8 + 8].copy_from_slice(&v.to_ne_bytes());
+    }
+
+    /// Opening `bytes` must report `InvalidData` — not panic, not succeed.
+    fn assert_rejected(path: &Path, bytes: &[u8], what: &str) {
+        std::fs::write(path, bytes).unwrap();
+        let kind = ColdTiled::<f64>::open(path).err().map(|e| e.kind());
+        assert_eq!(kind, Some(io::ErrorKind::InvalidData), "{what}");
+    }
+
+    #[test]
+    fn cold_open_rejects_truncated_file() {
+        let (path, bytes) = valid_blob("trunc");
+        assert!(ColdTiled::<f64>::open(&path).is_ok());
+        let dir_offset = word(&bytes, 6) as usize;
+        for len in [1, 55, 56, 60, dir_offset / 2, dir_offset, bytes.len() - 1] {
+            assert_rejected(&path, &bytes[..len], &format!("cut to {len} bytes"));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cold_open_rejects_zero_grid() {
+        let (path, bytes) = valid_blob("zerogrid");
+        for k in [3, 4] {
+            let mut b = bytes.clone();
+            set_word(&mut b, k, 0);
+            assert_rejected(&path, &b, "zero grid axis");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cold_open_rejects_overflowing_grid() {
+        let (path, bytes) = valid_blob("overflow");
+        // more tiles than rows
+        let mut b = bytes.clone();
+        set_word(&mut b, 3, u64::MAX / 2 + 1);
+        set_word(&mut b, 4, 4);
+        assert_rejected(&path, &b, "grid larger than the shape");
+        // a shape that admits the grid: the tile count itself overflows
+        for k in 1..=4 {
+            set_word(&mut b, k, u64::MAX / 2 + 1);
+        }
+        assert_rejected(&path, &b, "grid_rows * grid_cols overflows");
+        // tile count fits, its byte length plus the offset does not
+        let mut b = bytes.clone();
+        set_word(&mut b, 6, u64::MAX - 7);
+        assert_rejected(&path, &b, "dir_offset + ntiles * 16 overflows");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cold_open_rejects_tile_past_eof() {
+        let (path, bytes) = valid_blob("eof");
+        let dir = word(&bytes, 6) as usize / 8;
+        let tile = (0..9)
+            .find(|t| word(&bytes, dir + 2 * t) != EMPTY)
+            .expect("some tile is stored");
+        let len = bytes.len() as u64;
+        // offset past EOF, offset whose blob runs past EOF, misaligned
+        // offset, and an nnz whose byte length overflows
+        for off in [len.next_multiple_of(8), len - 8, 57, u64::MAX - 7] {
+            let mut b = bytes.clone();
+            set_word(&mut b, dir + 2 * tile, off);
+            assert_rejected(&path, &b, &format!("tile offset {off}"));
+        }
+        for nnz in [len, u64::MAX / 2] {
+            let mut b = bytes.clone();
+            set_word(&mut b, dir + 2 * tile + 1, nnz);
+            assert_rejected(&path, &b, &format!("tile nnz {nnz}"));
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -21,14 +21,19 @@ cargo build --release -p server
 echo "== cargo build --examples"
 cargo build --examples
 
+# grb-bench is a package outside the workspace: build it here so a core
+# rename it depends on fails the gate, not the benchmark pipeline.
+echo "== cargo build --release --offline --manifest-path grb-bench/Cargo.toml"
+cargo build --release --offline --manifest-path grb-bench/Cargo.toml
+
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
 echo "== cargo test -q -p graphblas-core --no-default-features (sequential path)"
 cargo test -q -p graphblas-core --no-default-features
 
-# Benches must at least compile (they are exercised manually / by the
-# reproduce script, not in CI hot path).
+# Benches must at least compile (they are exercised manually; the
+# recorded numbers come from `grb-bench all`, not the CI hot path).
 echo "== cargo bench --no-run"
 cargo bench --no-run --quiet
 

@@ -250,19 +250,62 @@ proptest! {
         // (false, _) encodes a remove; (true, c) a set of payload c.
         let codes: Vec<Option<u8>> =
             raw.into_iter().map(|(put, c)| put.then_some(c)).collect();
-        let m = Matrix::<f64>::new(N, N).unwrap();
-        for c in &codes {
-            match c {
-                Some(c) => m.set(3, 5, fval(*c)).unwrap(),
-                None => m.remove(3, 5).unwrap(),
-            }
+        last_write_wins(&Matrix::new(N, N).unwrap(), &codes);
+        last_write_wins(&Vector::new(N).unwrap(), &codes);
+    }
+}
+
+/// One fixed cell of a collection — all `last_write_wins` needs, so
+/// `Matrix` and `Vector` run the same body.
+trait Cell {
+    fn put(&self, v: f64);
+    fn del(&self);
+    fn read(&self) -> Option<f64>;
+    fn count(&self) -> usize;
+}
+
+impl Cell for Matrix<f64> {
+    fn put(&self, v: f64) {
+        self.set(3, 5, v).unwrap()
+    }
+    fn del(&self) {
+        self.remove(3, 5).unwrap()
+    }
+    fn read(&self) -> Option<f64> {
+        self.get(3, 5).unwrap()
+    }
+    fn count(&self) -> usize {
+        self.nvals().unwrap()
+    }
+}
+
+impl Cell for Vector<f64> {
+    fn put(&self, v: f64) {
+        self.set(5, v).unwrap()
+    }
+    fn del(&self) {
+        self.remove(5).unwrap()
+    }
+    fn read(&self) -> Option<f64> {
+        self.get(5).unwrap()
+    }
+    fn count(&self) -> usize {
+        self.nvals().unwrap()
+    }
+}
+
+fn last_write_wins(cell: &impl Cell, codes: &[Option<u8>]) {
+    for c in codes {
+        match c {
+            Some(c) => cell.put(fval(*c)),
+            None => cell.del(),
         }
-        match codes.last().unwrap() {
-            Some(c) => {
-                prop_assert_eq!(m.nvals().unwrap(), 1);
-                prop_assert_eq!(m.get(3, 5).unwrap().unwrap().to_bits(), fval(*c).to_bits());
-            }
-            None => prop_assert_eq!(m.nvals().unwrap(), 0),
+    }
+    match codes.last().unwrap() {
+        Some(c) => {
+            assert_eq!(cell.count(), 1);
+            assert_eq!(cell.read().unwrap().to_bits(), fval(*c).to_bits());
         }
+        None => assert_eq!(cell.count(), 0),
     }
 }

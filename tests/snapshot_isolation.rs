@@ -320,38 +320,115 @@ proptest! {
     }
 }
 
+/// What the concurrent test needs of a collection, so `Matrix` and
+/// `Vector` run the same body. Positions are linear: `p` is index `p` of
+/// a vector, cell `(p / SIDE, p % SIDE)` of a matrix.
+trait Collection: Clone + Send + 'static {
+    type Snap;
+    /// An empty collection of `SIDE * SIDE` positions.
+    fn create() -> Self;
+    fn set_at(&self, p: usize, v: f64);
+    fn remove_at(&self, p: usize);
+    /// A completion-forcing read.
+    fn force(&self);
+    fn snap(&self) -> Self::Snap;
+    /// `(position, value bits)` of every stored element, ascending.
+    fn snap_bits(s: &Self::Snap) -> Vec<(usize, u64)>;
+    fn snap_nvals(s: &Self::Snap) -> usize;
+    fn snap_get(s: &Self::Snap, p: usize) -> Option<f64>;
+}
+
+const SIDE: usize = 64;
+
+impl Collection for Matrix<f64> {
+    type Snap = MatrixSnapshot<f64>;
+    fn create() -> Self {
+        Matrix::new(SIDE, SIDE).unwrap()
+    }
+    fn set_at(&self, p: usize, v: f64) {
+        self.set(p / SIDE, p % SIDE, v).unwrap()
+    }
+    fn remove_at(&self, p: usize) {
+        self.remove(p / SIDE, p % SIDE).unwrap()
+    }
+    fn force(&self) {
+        self.nvals().unwrap();
+    }
+    fn snap(&self) -> Self::Snap {
+        self.snapshot()
+    }
+    fn snap_bits(s: &Self::Snap) -> Vec<(usize, u64)> {
+        let bits = snapshot_bits(s).into_iter();
+        bits.map(|(i, j, b)| (i * SIDE + j, b)).collect()
+    }
+    fn snap_nvals(s: &Self::Snap) -> usize {
+        s.nvals().unwrap()
+    }
+    fn snap_get(s: &Self::Snap, p: usize) -> Option<f64> {
+        s.get(p / SIDE, p % SIDE).unwrap()
+    }
+}
+
+impl Collection for Vector<f64> {
+    type Snap = VectorSnapshot<f64>;
+    fn create() -> Self {
+        Vector::new(SIDE * SIDE).unwrap()
+    }
+    fn set_at(&self, p: usize, v: f64) {
+        self.set(p, v).unwrap()
+    }
+    fn remove_at(&self, p: usize) {
+        self.remove(p).unwrap()
+    }
+    fn force(&self) {
+        self.nvals().unwrap();
+    }
+    fn snap(&self) -> Self::Snap {
+        self.snapshot()
+    }
+    fn snap_bits(s: &Self::Snap) -> Vec<(usize, u64)> {
+        let tuples = s.extract_tuples().unwrap().into_iter();
+        tuples.map(|(i, v)| (i, v.to_bits())).collect()
+    }
+    fn snap_nvals(s: &Self::Snap) -> usize {
+        s.nvals().unwrap()
+    }
+    fn snap_get(s: &Self::Snap, p: usize) -> Option<f64> {
+        s.get(p).unwrap()
+    }
+}
+
 /// The concurrent form of the property: a writer thread hammers the
-/// matrix (sets, removes, and forcing reads that install new bases)
+/// collection (sets, removes, and forcing reads that install new bases)
 /// while the reader re-reads one pinned snapshot; every read must see
 /// the pre-writer state, and no read may block on the writer's merges.
-#[test]
-fn snapshot_stable_under_concurrent_writes_and_forces() {
+fn snapshot_stable_under_concurrent_writes_and_forces_on<C: Collection>() {
     tiny_runs();
-    const M: usize = 64;
-    let m = Matrix::<f64>::new(M, M).unwrap();
-    for i in 0..M {
-        m.set(i, i, i as f64).unwrap();
+    let diag = |i: usize| i * SIDE + i;
+    let c = C::create();
+    for i in 0..SIDE {
+        c.set_at(diag(i), i as f64);
     }
-    let snap = m.snapshot();
-    let want: Vec<(usize, usize, u64)> = (0..M).map(|i| (i, i, (i as f64).to_bits())).collect();
+    let snap = c.snap();
+    let want: Vec<(usize, u64)> = (0..SIDE).map(|i| (diag(i), (i as f64).to_bits())).collect();
 
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
-        let m = m.clone();
+        let c = c.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
             let mut k = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let (i, j) = (k * 7 % M, k * 13 % M);
+                let p = (k * 7 % SIDE) * SIDE + k * 13 % SIDE;
                 if k % 5 == 4 {
-                    m.remove(i, j).unwrap();
+                    c.remove_at(p);
                 } else {
-                    m.set(i, j, k as f64).unwrap();
+                    c.set_at(p, k as f64);
                 }
                 if k % 97 == 96 {
                     // Completion-forcing read: drains the log and
                     // installs a fresh base under the snapshot.
-                    let _ = m.nvals().unwrap();
+                    c.force();
                 }
                 k += 1;
             }
@@ -359,14 +436,20 @@ fn snapshot_stable_under_concurrent_writes_and_forces() {
     };
 
     for _ in 0..200 {
-        assert_eq!(snapshot_bits(&snap), want);
-        assert_eq!(snap.nvals().unwrap(), M);
-        assert_eq!(snap.get(7, 7).unwrap(), Some(7.0));
-        assert_eq!(snap.get(0, 1).unwrap(), None);
+        assert_eq!(C::snap_bits(&snap), want);
+        assert_eq!(C::snap_nvals(&snap), SIDE);
+        assert_eq!(C::snap_get(&snap, diag(7)), Some(7.0));
+        assert_eq!(C::snap_get(&snap, 1), None);
     }
 
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
+}
+
+#[test]
+fn snapshot_stable_under_concurrent_writes_and_forces() {
+    snapshot_stable_under_concurrent_writes_and_forces_on::<Matrix<f64>>();
+    snapshot_stable_under_concurrent_writes_and_forces_on::<Vector<f64>>();
 }
 
 /// Same-epoch snapshots share one overlay node even when taken from
