@@ -1,25 +1,27 @@
-//! E12: direction-optimized SpMSpV vs the dense-pull baseline on
+//! E12: direction-optimized SpMSpV vs the full-walk baselines on
 //! `crates/gen` social graphs (GAP-style BFS workloads).
 //!
 //! Two workload shapes, each run twice — once with the dispatch free to
 //! choose (`Direction::Auto`, the shipped default) and once pinned to
-//! the pre-PR dense kernels (`Direction::Dense`):
+//! the strategy the pre-direction-optimization kernels used:
 //!
 //! - `khop2`: 2-hop neighborhood queries from many sources — the
 //!   BFS-heavy service shape. Frontiers stay sparse for the whole
-//!   query, so the O(n + nnz)-per-step dense merge-walk dominates the
+//!   query, so the O(n + nnz)-per-step merge-walk dominates the
 //!   baseline and push wins by a wide margin.
 //! - `bfs_full`: complete single-source BFS — frontiers sweep sparse →
 //!   dense → sparse, so Auto switches push → pull mid-traversal (the
 //!   trace evidence lives in `tests/direction_equivalence.rs`).
 //!
 //! Both workloads step the frontier with `mxv` (`q' = A ⊕.⊗ q`), whose
-//! pre-PR kernel is the dense merge-walk pull over *every* row of A —
-//! the "dense-pull baseline" of the experiment. (`vxm`'s legacy kernel
-//! already expanded only frontier rows, so its gap is the O(n)
-//! accumulator, not the O(nnz) walk; `khop2_vxm_*` quantifies that
-//! smaller win.) On a symmetric graph both forms compute the same
-//! frontier, which `tests/direction_equivalence.rs` pins bitwise.
+//! pre-direction-optimization kernel was a merge-walk over *every*
+//! output row of A: `Direction::Pull` pinned is that walk — the
+//! "dense-pull baseline" of the experiment. `vxm`'s old kernel instead
+//! scattered frontier rows into an O(n) accumulator; its successor is
+//! the `Direction::Dense` scatter (value array + presence bitset, no
+//! sort), and `khop2_vxm_*` compares Auto against pinning it. On a
+//! symmetric graph both forms compute the same frontier, which
+//! `tests/direction_equivalence.rs` pins bitwise.
 //!
 //! The adjacency handle is reused across iterations, so the per-matrix
 //! property caches (degrees, symmetry, shared transpose view) are warm
@@ -65,7 +67,7 @@ fn khop(ctx: &Context, a: &Matrix<bool>, src: usize, hops: usize, use_mxv: bool)
 
 /// Full single-source BFS with `mxv` frontier steps — the same level
 /// sweep as `graphblas_algorithms::bfs_levels`, in the product form
-/// whose pre-PR kernel is the dense merge-walk.
+/// whose old kernel was the full merge-walk.
 fn bfs_mxv(ctx: &Context, a: &Matrix<bool>, src: usize) -> usize {
     let n = a.nrows();
     let levels = Vector::<i64>::new(n).unwrap();
@@ -105,7 +107,7 @@ fn bench_directions(c: &mut Criterion) {
     let sources: Vec<usize> = (0..32).map(|k| (k * 1543) % n).collect();
     for (name, dir) in [
         ("khop2_auto", Direction::Auto),
-        ("khop2_dense_baseline", Direction::Dense),
+        ("khop2_pull_baseline", Direction::Pull),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -136,7 +138,7 @@ fn bench_directions(c: &mut Criterion) {
 
     for (name, dir) in [
         ("bfs_full_auto", Direction::Auto),
-        ("bfs_full_dense_baseline", Direction::Dense),
+        ("bfs_full_pull_baseline", Direction::Pull),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| spmspv::with_direction(dir, || bfs_mxv(&ctx, &a, 0)))

@@ -26,8 +26,9 @@ pub trait Monoid<T: Scalar>: BinaryOp<T, T, T> {
     /// for every `x`. Reduction kernels may stop folding once the
     /// accumulator turns terminal — the result cannot change, so the
     /// early exit is invisible to the bitwise-determinism contract.
-    /// Runtime-registered monoids (`algebra::udf`) opt in; the
-    /// predefined monoids keep the `false` default.
+    /// Runtime-registered monoids (`algebra::udf`) opt in, as do the
+    /// Boolean `LOR` (`true`) and `LAND` (`false`) monoids; the others
+    /// keep the `false` default.
     fn is_terminal(&self, _v: &T) -> bool {
         false
     }
@@ -135,7 +136,7 @@ predefined_monoid!(
 );
 
 macro_rules! predefined_bool_monoid {
-    ($(#[$doc:meta])* $name:ident, $op:ty, $id:expr) => {
+    ($(#[$doc:meta])* $name:ident, $op:ty, $id:expr $(, terminal $term:expr)?) => {
         $(#[$doc])*
         #[derive(Debug, Default, Clone, Copy)]
         pub struct $name;
@@ -152,17 +153,24 @@ macro_rules! predefined_bool_monoid {
             fn identity(&self) -> bool {
                 $id
             }
+
+            $(
+            #[inline]
+            fn is_terminal(&self, v: &bool) -> bool {
+                *v == $term
+            }
+            )?
         }
     };
 }
 
 predefined_bool_monoid!(
-    /// `GrB_LOR_MONOID`: `<bool, ∨, false>`.
-    LOrMonoid, LOr, false
+    /// `GrB_LOR_MONOID`: `<bool, ∨, false>`, terminal `true`.
+    LOrMonoid, LOr, false, terminal true
 );
 predefined_bool_monoid!(
-    /// `GrB_LAND_MONOID`: `<bool, ∧, true>`.
-    LAndMonoid, LAnd, true
+    /// `GrB_LAND_MONOID`: `<bool, ∧, true>`, terminal `false`.
+    LAndMonoid, LAnd, true, terminal false
 );
 predefined_bool_monoid!(
     /// `GrB_LXOR_MONOID`: `<bool, ⊻, false>` — the ⊕ of GF2 (Table I
@@ -227,6 +235,17 @@ mod tests {
         check_identity(&LXnorMonoid, &bools);
         check_associative(&LXorMonoid, &bools);
         check_associative(&LOrMonoid, &bools);
+    }
+
+    #[test]
+    fn boolean_terminals_are_absorbing() {
+        assert!(LOrMonoid.is_terminal(&true) && !LOrMonoid.is_terminal(&false));
+        assert!(LAndMonoid.is_terminal(&false) && !LAndMonoid.is_terminal(&true));
+        assert!(!LXorMonoid.is_terminal(&true) && !LXorMonoid.is_terminal(&false));
+        for x in [false, true] {
+            assert!(LOrMonoid.apply(&true, &x));
+            assert!(!LAndMonoid.apply(&false, &x));
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ pub mod ewise;
 pub mod extract;
 pub mod merge;
 pub mod mxm;
-pub mod mxv;
 pub mod par;
 pub mod reduce;
 pub mod spmspv;

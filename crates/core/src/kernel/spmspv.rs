@@ -2,37 +2,51 @@
 //! picks, per operation, between three bitwise-identical evaluation
 //! strategies:
 //!
-//! * **push** — a sparse-accumulator scatter from the stored entries of
-//!   the input vector through the forward-oriented CSR (the SpMSpV of
-//!   the "parallel hypersparse" line of work): work is proportional to
-//!   the frontier's outgoing edges, not the matrix;
+//! * **dense** — the scatter: each stored input entry `v(i)` is pushed
+//!   through forward row `i` into a value array plus a presence bitset
+//!   over the output range, and the result is emitted by sweeping the
+//!   bitset in index order — nothing is sorted. Work is the frontier's
+//!   outgoing edges plus an O(output / 64) sweep;
+//! * **push** — the sparse accumulator, for tiny frontiers: gather
+//!   `(output index, product)` pairs, stable-sort, reduce adjacent
+//!   duplicates. No O(output) term, serial;
 //! * **pull** — a merge-walk per *admitted* output index over the
-//!   reverse-oriented CSR (or the bitmap fast path), with
-//!   complement-structural-mask awareness so masked-out rows are never
-//!   expanded;
-//! * **dense** — for `vxm`, the dense-accumulator scatter in
-//!   [`crate::kernel::mxv`], the choice for dense inputs; `mxv` serves
-//!   dense from the pull implementation.
+//!   reverse-oriented rows (or the bitmap fast path): non-complement
+//!   masks expand only their indices, complement masks skip excluded
+//!   rows before expanding them, and a row stops folding once its
+//!   accumulator is terminal under ⊕ ([`Monoid::is_terminal`]).
+//!
+//! Every strategy probes the mask in O(1) through one bitset built per
+//! dispatch, in O(|mask| + n/64). Tiled stores serve their
+//! rows through per-tile views ([`RowCursor`]) to every strategy, so
+//! only the tiles a walk touches convert.
 //!
 //! The choice is driven by the per-store property cache
 //! ([`MatrixStore::row_degrees`] / [`MatrixStore::col_degrees`]): the
-//! push cost is the *exact* number of products (the sum of cached
-//! forward degrees over the frontier), the pull cost is the admitted
-//! fraction of the matrix plus a one-time conversion penalty when the
-//! reverse view is not yet materialized. This is the LAGraph-style
-//! direction switch: push on sparse frontiers, pull near the dense peak.
+//! push and dense costs scale with the *exact* number of products (the
+//! sum of cached forward degrees over the frontier), the pull cost with
+//! the admitted fraction of the matrix, plus a one-time conversion
+//! penalty for whichever CSR view a plan needs and is not yet
+//! materialized. This is the LAGraph-style direction switch: push on
+//! tiny frontiers, scatter on large ones, pull when the mask admits
+//! little.
 //!
-//! **Determinism contract.** All three strategies accumulate each output
-//! element's contributions in ascending input-index order with the same
-//! left-fold association, and the parallel push path merges its chunk
-//! results in chunk (= frontier) order — so push ≡ pull ≡ dense
-//! *bitwise* (NaN payloads, signed zeros and all) at every parallelism
-//! degree, the same contract the chunked kernels already honor.
+//! **Determinism contract.** Every strategy folds each output element's
+//! products left to right in ascending input-index order, the first
+//! product stored as is — and no strategy splits one output's fold
+//! across workers: the scatter parallelizes over *output ranges* (each
+//! worker walks the whole frontier and keeps its column sub-slice of
+//! every row) and pull over output rows, with results concatenated in
+//! index order. So push ≡ pull ≡ dense *bitwise* (NaN payloads, signed
+//! zeros and non-associative float sums included) at every parallelism
+//! degree.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::algebra::binary::BinaryOp;
+use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
 use crate::index::Index;
 #[cfg(feature = "parallel")]
@@ -42,7 +56,7 @@ use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::{Bitmap, Layout, MatrixStore};
-use crate::storage::tiled::{self, OrientedTiles, RowCursor, Tiled};
+use crate::storage::tiled::{self, OrientedTiles, RowCursor};
 use crate::storage::vec::SparseVec;
 
 /// Evaluation strategy for one matrix–vector product.
@@ -50,11 +64,11 @@ use crate::storage::vec::SparseVec;
 pub enum Direction {
     /// Let the cost model decide (the default).
     Auto,
-    /// Force the sparse-accumulator push (scatter) path.
+    /// Force the sparse-accumulator (sort-and-reduce) push.
     Push,
     /// Force the per-output merge-walk pull path.
     Pull,
-    /// Force the pre-direction-optimization dense kernels.
+    /// Force the dense scatter (value array + presence bitset).
     Dense,
 }
 
@@ -131,70 +145,13 @@ where
     D3: Scalar,
     S: Semiring<D1, D2, D3>,
 {
-    let add = sr.add();
     let mul = sr.mul();
-    // core closures take (matrix value, vector value); vxm multiplies
-    // vector-first per Table II
-    let mulf = |a: &D2, x: &D1| mul.apply(x, a);
-    let addf = |x: &D3, y: &D3| add.apply(x, y);
-    let out_size = if transposed {
-        store.nrows()
-    } else {
-        store.ncols()
-    };
-    // forward view: rows indexed by the input dimension
-    let fwd_deg = if transposed {
-        store.col_degrees()
-    } else {
-        store.row_degrees()
-    };
-    let bitmap_pull = transposed && matches!(store.layout(), Layout::Bitmap(_));
-    let dir = choose(
-        store,
-        v,
-        transposed,
-        &fwd_deg,
-        mask,
-        out_size,
-        bitmap_pull,
-        true,
-    );
-    match dir {
-        Chosen::Push => {
-            note_direction("push");
-            // tiled stores push through per-tile views instead of an
-            // assembled slab — same frontier walk, segmented rows
-            if let Layout::Tiled(t) = store.layout() {
-                return push_tiled(t, transposed, v, mask, out_size, &fwd_deg, &mulf, &addf);
-            }
-            let fwd = oriented(store, transposed);
-            push(&fwd, v, mask, out_size, &mulf, &addf)
-        }
-        Chosen::Pull => {
-            note_direction("pull");
-            // reverse view: rows indexed by the output dimension. When
-            // the transpose descriptor is set the output dimension is
-            // A's native row dimension, so a bitmap store pulls
-            // directly from its presence words.
-            if transposed {
-                if let Layout::Bitmap(b) = store.layout() {
-                    return pull_bitmap(b, v, mask, &mulf, &addf);
-                }
-            }
-            if let Layout::Tiled(t) = store.layout() {
-                if !wide_pull(mask, out_size) && !store.csr_view_ready(!transposed) {
-                    return pull_tiled(t, !transposed, v, mask, &mulf, &addf);
-                }
-            }
-            let rev = oriented(store, !transposed);
-            pull(&rev, v, mask, &mulf, &addf)
-        }
-        Chosen::Dense => {
-            note_direction("dense");
-            let fwd = oriented(store, transposed);
-            crate::kernel::mxv::vxm(sr, v, &fwd, mask)
-        }
-    }
+    // the forward rows are indexed by the input dimension: A's rows
+    // unless transposed. Kernel closures take (matrix value, vector
+    // value); vxm multiplies vector-first per Table II.
+    spmv(store, transposed, v, mask, sr.add(), &|a: &D2, x: &D1| {
+        mul.apply(x, a)
+    })
 }
 
 /// `w = op(A) ⊕.⊗ v` with direction optimization; `transposed` selects
@@ -212,77 +169,84 @@ where
     D3: Scalar,
     S: Semiring<D1, D2, D3>,
 {
-    let add = sr.add();
     let mul = sr.mul();
-    // mxv multiplies matrix-first per Table II
-    let mulf = |a: &D1, x: &D2| mul.apply(a, x);
-    let addf = |x: &D3, y: &D3| add.apply(x, y);
-    let out_size = if transposed {
-        store.ncols()
-    } else {
+    // mxv's forward rows are A's columns unless transposed, and it
+    // multiplies matrix-first
+    spmv(store, !transposed, v, mask, sr.add(), &|a: &D1, x: &D2| {
+        mul.apply(a, x)
+    })
+}
+
+/// The shared dispatch. `fwd_col_side` names the orientation whose rows
+/// are indexed by the input dimension (`true` = A's columns); push and
+/// the scatter read it, pull reads the other one.
+fn spmv<A, V, D3, Mo, M>(
+    store: &MatrixStore<A>,
+    fwd_col_side: bool,
+    v: &SparseVec<V>,
+    mask: &MaskVec,
+    add: &Mo,
+    mulf: &M,
+) -> SparseVec<D3>
+where
+    A: Scalar,
+    V: Scalar,
+    D3: Scalar,
+    Mo: Monoid<D3>,
+    M: Fn(&A, &V) -> D3 + Sync,
+{
+    let out_size = if fwd_col_side {
         store.nrows()
-    };
-    // forward view for mxv: rows indexed by the *input* dimension, i.e.
-    // A's columns when untransposed
-    let fwd_deg = if transposed {
-        store.row_degrees()
     } else {
-        store.col_degrees()
+        store.ncols()
     };
-    // the reverse (pull) orientation is A's native row orientation when
-    // untransposed — where the bitmap fast path applies
-    let bitmap_pull = !transposed && matches!(store.layout(), Layout::Bitmap(_));
-    let dir = choose(
-        store,
-        v,
-        !transposed,
-        &fwd_deg,
-        mask,
-        out_size,
-        bitmap_pull,
-        false,
-    );
-    match dir {
+    let fwd_deg = if fwd_col_side {
+        store.col_degrees()
+    } else {
+        store.row_degrees()
+    };
+    // exact number of products push and the scatter will form
+    let products: usize = v.indices().iter().map(|&i| fwd_deg[i]).sum();
+    let admitted = admitted(mask, out_size);
+    let bits = MaskBits::new(mask, out_size);
+    match choose(store, v.nvals(), products, fwd_col_side, admitted, out_size) {
         Chosen::Push => {
             note_direction("push");
-            if let Layout::Tiled(t) = store.layout() {
-                return push_tiled(t, !transposed, v, mask, out_size, &fwd_deg, &mulf, &addf);
-            }
-            let fwd = oriented(store, !transposed);
-            push(&fwd, v, mask, out_size, &mulf, &addf)
+            let rows = Rows::new(store, fwd_col_side, false);
+            push(&rows, v, &bits, out_size, mulf, add)
         }
-        Chosen::Pull | Chosen::Dense => {
-            // pull already is the dense-input strategy for mxv (with the
-            // bitmap fast path), so Dense and Pull share an implementation
-            note_direction(if dir == Chosen::Pull { "pull" } else { "dense" });
-            if !transposed {
+        Chosen::Dense => {
+            note_direction("dense");
+            scatter(store, fwd_col_side, v, &bits, out_size, products, mulf, add)
+        }
+        Chosen::Pull => {
+            note_direction("pull");
+            // the reverse orientation is A's native rows when the forward
+            // one is its columns, so a bitmap store pulls directly from
+            // its presence words
+            if fwd_col_side {
                 if let Layout::Bitmap(b) = store.layout() {
-                    return pull_bitmap(b, v, mask, &mulf, &addf);
+                    return pull_bitmap(b, v, &bits, mulf, add);
                 }
             }
-            if let Layout::Tiled(t) = store.layout() {
-                if !wide_pull(mask, out_size) && !store.csr_view_ready(transposed) {
-                    return pull_tiled(t, transposed, v, mask, &mulf, &addf);
-                }
-            }
-            let rev = oriented(store, transposed);
-            pull(&rev, v, mask, &mulf, &addf)
+            // A *wide* pull (the mask admits at least half the outputs)
+            // over a tiled store would re-pay the per-segment overhead
+            // on most rows every call, so it reads the store's memoized
+            // assembled reverse view instead — one slab assembly per
+            // store, the same conversion a slab pays for its missing
+            // orientation. Narrow pulls keep the tile walk and never
+            // force assembly. Both fold in ascending stored-index order,
+            // so the choice is bitwise invisible.
+            let assemble = admitted * 2 >= out_size || store.csr_view_ready(!fwd_col_side);
+            let rows = Rows::new(store, !fwd_col_side, assemble);
+            pull(&rows, v, mask, &bits, out_size, store.nvals(), mulf, add)
         }
     }
 }
 
-/// Whether a pull would walk at least half the output dimension — the
-/// full-sweep shape (O(1) from the mask). A *wide* pull over a tiled
-/// store re-pays the per-segment gather overhead on most rows every
-/// call, so it is served from the store's memoized assembled reverse
-/// view instead (one slab assembly per store — the same conversion
-/// penalty a slab store pays for its missing orientation — then
-/// slab-speed merge-walks for the store's lifetime). Narrow pulls keep
-/// the native tile walk and never force assembly. Both routes fold in
-/// ascending stored-index order, so the choice is bitwise invisible
-/// (`tests/tiled_equivalence.rs`).
-fn wide_pull(mask: &MaskVec, out_size: Index) -> bool {
-    let admitted = match mask {
+/// How many output indices `mask` admits.
+fn admitted(mask: &MaskVec, out_size: Index) -> usize {
+    match mask {
         MaskVec::All => out_size,
         MaskVec::Pattern {
             indices,
@@ -292,17 +256,109 @@ fn wide_pull(mask: &MaskVec, out_size: Index) -> bool {
             indices,
             complement: true,
         } => out_size.saturating_sub(indices.len()),
-    };
-    admitted * 2 >= out_size
+    }
 }
 
-/// The CSR view with rows indexed by A's columns (`col_side = true`) or
-/// rows (`false`).
-fn oriented<T: Scalar>(store: &MatrixStore<T>, col_side: bool) -> Arc<Csr<T>> {
-    if col_side {
-        store.col_csr()
-    } else {
-        store.row_csr()
+/// A [`MaskVec`] in O(1)-probe form, built once per dispatch in
+/// O(|mask| + n/64): bit `j` is set iff `j` is in the pattern. No mask
+/// is the empty pattern complemented, with no words allocated.
+struct MaskBits {
+    words: Vec<u64>,
+    complement: bool,
+}
+
+impl MaskBits {
+    fn new(mask: &MaskVec, n: Index) -> Self {
+        match mask {
+            MaskVec::All => MaskBits {
+                words: Vec::new(),
+                complement: true,
+            },
+            MaskVec::Pattern {
+                indices,
+                complement,
+            } => {
+                let mut words = vec![0u64; n.div_ceil(64)];
+                // one store per word: the indices are sorted, so each
+                // word's bits arrive as one run
+                for run in indices.chunk_by(|a, b| a / 64 == b / 64) {
+                    words[run[0] / 64] |= run.iter().fold(0, |m, j| m | 1 << (j % 64));
+                }
+                MaskBits {
+                    words,
+                    complement: *complement,
+                }
+            }
+        }
+    }
+
+    /// `true` when nothing is excluded, so hot loops can skip the probe.
+    fn admits_all(&self) -> bool {
+        self.words.is_empty() && self.complement
+    }
+
+    #[inline]
+    fn admits(&self, j: Index) -> bool {
+        let word = self.words.get(j / 64).copied().unwrap_or(0);
+        ((word >> (j % 64)) & 1 == 1) != self.complement
+    }
+}
+
+/// The rows one strategy walks, in one orientation: a slab CSR view, or
+/// a tile grid's lazily materialized per-tile views (only the tiles a
+/// walk touches convert). Both serve a row as ascending-offset segments,
+/// so a fold over them is bitwise the same either way.
+enum Rows<'a, A> {
+    Slab(Arc<Csr<A>>),
+    Tiled(OrientedTiles<'a, A>),
+}
+
+impl<'a, A: Scalar> Rows<'a, A> {
+    /// `col_side` picks the orientation (`true` = rows indexed by A's
+    /// columns). A tiled store serves its tiles unless `assemble` asks
+    /// for its memoized slab view.
+    fn new(store: &'a MatrixStore<A>, col_side: bool, assemble: bool) -> Self {
+        match store.layout() {
+            Layout::Tiled(t) if !assemble => Rows::Tiled(OrientedTiles::new(t, col_side)),
+            _ if col_side => Rows::Slab(store.col_csr()),
+            _ => Rows::Slab(store.row_csr()),
+        }
+    }
+
+    /// A reader for one worker; tiled readers cache a stripe's views.
+    fn cursor(&self) -> Cursor<'_, 'a, A> {
+        match self {
+            Rows::Slab(c) => Cursor::Slab(c),
+            Rows::Tiled(ot) => Cursor::Tiled(ot.cursor()),
+        }
+    }
+
+    /// Record the tiles this walk touched in the execution trace.
+    fn note_tiles(&self) {
+        if let Rows::Tiled(ot) = self {
+            tiled::note_tiles(ot.touched());
+        }
+    }
+}
+
+/// See [`Rows::cursor`].
+enum Cursor<'o, 'a, A> {
+    Slab(&'o Csr<A>),
+    Tiled(RowCursor<'o, 'a, A>),
+}
+
+impl<A: Scalar> Cursor<'_, '_, A> {
+    /// Visit row `i` as `f(index offset, local indices, values)`
+    /// segments in ascending global-index order.
+    #[inline]
+    fn for_row(&mut self, i: Index, f: &mut impl FnMut(Index, &[Index], &[A])) {
+        match self {
+            Cursor::Slab(c) => {
+                let (cols, vals) = c.row(i);
+                f(0, cols, vals);
+            }
+            Cursor::Tiled(cur) => cur.for_row(i, f),
+        }
     }
 }
 
@@ -314,22 +370,15 @@ enum Chosen {
 }
 
 /// The direction heuristic. `fwd_col_side` names the orientation whose
-/// CSR the push path needs (`true` = A's column orientation), so the
-/// conversion penalties land on the right side of the comparison;
-/// `bitmap_pull` marks a pull path that reads the bitmap directly and
-/// needs no CSR at all; `dense_on_fwd` says which orientation the
-/// Dense fallback reads (`vxm`'s legacy kernel walks the forward view,
-/// `mxv`'s is the reverse merge-walk).
-#[allow(clippy::too_many_arguments)] // two callers, both internal dispatchers
-fn choose<A: Scalar, V: Scalar>(
+/// CSR push and the scatter need (`true` = A's column orientation), so
+/// the conversion penalties land on the right side of the comparison.
+fn choose<A: Scalar>(
     store: &MatrixStore<A>,
-    v: &SparseVec<V>,
+    v_nnz: usize,
+    products: usize,
     fwd_col_side: bool,
-    fwd_deg: &Arc<[usize]>,
-    mask: &MaskVec,
+    admitted: usize,
     out_size: Index,
-    bitmap_pull: bool,
-    dense_on_fwd: bool,
 ) -> Chosen {
     match direction_override() {
         Direction::Push => return Chosen::Push,
@@ -337,14 +386,11 @@ fn choose<A: Scalar, V: Scalar>(
         Direction::Dense => return Chosen::Dense,
         Direction::Auto => {}
     }
-    let v_nnz = v.nvals();
     if v_nnz == 0 {
         // nothing to scatter; push is the trivially empty plan
         return Chosen::Push;
     }
     let nnz = store.nvals();
-    // exact number of products the push path will form
-    let push_products: usize = v.indices().iter().map(|&i| fwd_deg[i]).sum();
     // a view is free when it is already materialized — or when the row
     // view is and the value is (bitwise) symmetric, because `col_csr`
     // then *shares* the row view instead of transposing. The symmetry
@@ -352,40 +398,37 @@ fn choose<A: Scalar, V: Scalar>(
     // plan never triggers the very conversion being costed. A tiled
     // store serves both orientations through per-tile views (a touched
     // tile transposes lazily, amortized per tile), so neither side pays
-    // the whole-slab conversion penalty.
+    // the whole-slab conversion penalty; a bitmap pull reads the
+    // presence words and needs no CSR at all.
     let is_tiled = matches!(store.layout(), Layout::Tiled(_));
-    let fwd_ready = is_tiled
-        || store.csr_view_ready(fwd_col_side)
-        || (store.csr_view_ready(false) && store.is_symmetric());
-    let fwd_penalty = if fwd_ready { 0 } else { nnz + out_size };
-    // the sparse accumulator sorts and reduces what it gathers — charge
-    // the products twice; the dense accumulator instead pays an
-    // O(out_size) scatter plane, which is why near-dense inputs
-    // (PageRank's iterate, peak BFS frontiers without a usable mask)
-    // fall back to the pre-PR kernels
-    let push_cost = push_products.saturating_mul(2).saturating_add(fwd_penalty);
+    let penalty = |col_side: bool| {
+        let free = is_tiled
+            || store.csr_view_ready(col_side)
+            || (store.csr_view_ready(false) && store.is_symmetric());
+        if free {
+            0
+        } else {
+            CONVERT.saturating_mul(nnz + out_size)
+        }
+    };
+    let fwd_penalty = penalty(fwd_col_side);
+    let bitmap_pull = fwd_col_side && matches!(store.layout(), Layout::Bitmap(_));
+    let rev_penalty = if bitmap_pull {
+        0
+    } else {
+        penalty(!fwd_col_side)
+    };
+    let push_cost = PUSH_PRODUCT
+        .saturating_mul(products)
+        .saturating_add(fwd_penalty);
+    let dense_cost = DENSE_PRODUCT
+        .saturating_mul(products)
+        .saturating_add(DENSE_ROW.saturating_mul(v_nnz))
+        .saturating_add(out_size / DENSE_OUTPUTS)
+        .saturating_add(fwd_penalty);
     // the complement-structural-mask-aware part: only admitted outputs
     // are ever expanded, so the pull cost scales with the admitted
     // fraction, not the matrix
-    let admitted = match mask {
-        MaskVec::All => out_size,
-        MaskVec::Pattern {
-            indices,
-            complement: false,
-        } => indices.len(),
-        MaskVec::Pattern {
-            indices,
-            complement: true,
-        } => out_size.saturating_sub(indices.len()),
-    };
-    // the reverse view is free when it is already materialized, when
-    // the pull path reads the bitmap directly, or via the same symmetry
-    // sharing as the forward side
-    let rev_ready = bitmap_pull
-        || is_tiled
-        || store.csr_view_ready(!fwd_col_side)
-        || (store.csr_view_ready(false) && store.is_symmetric());
-    let rev_penalty = if rev_ready { 0 } else { nnz + out_size };
     let pull_cost = v_nnz
         .saturating_add(admitted)
         .saturating_add(
@@ -394,13 +437,6 @@ fn choose<A: Scalar, V: Scalar>(
                 .saturating_mul(admitted),
         )
         .saturating_add(rev_penalty);
-    let dense_cost = push_products
-        .saturating_add(out_size)
-        .saturating_add(if dense_on_fwd {
-            fwd_penalty
-        } else {
-            rev_penalty
-        });
     if pull_cost < push_cost && pull_cost < dense_cost {
         Chosen::Pull
     } else if push_cost <= dense_cost {
@@ -410,293 +446,304 @@ fn choose<A: Scalar, V: Scalar>(
     }
 }
 
-/// Sparse-accumulator push over frontier positions `lo..hi`: gather
+// Cost units for `choose`: one pull probe (an input lookup for one
+// stored entry of an admitted row), ~2 ns on rmat16. Fitted against the
+// forced-direction timings of every BFS level and SSSP round of the
+// `traverse` inputs.
+/// A sparse-accumulator product: gathered, stable-sorted, reduced.
+const PUSH_PRODUCT: usize = 6;
+/// A scattered product: a random store into the value array.
+const DENSE_PRODUCT: usize = 2;
+/// The scatter's walk of one frontier row.
+const DENSE_ROW: usize = 7;
+/// Output positions the scatter allocates and sweeps per unit.
+const DENSE_OUTPUTS: usize = 2;
+/// One stored entry or output of a CSR view a plan must first build.
+const CONVERT: usize = 2;
+
+/// Sparse-accumulator push, the plan for tiny frontiers: gather
 /// `(output index, product)` pairs in frontier order, stable-sort by
 /// output index (preserving frontier order within each), and reduce
-/// adjacent duplicates left-to-right — ascending-input-index
-/// accumulation, same as every other path.
-#[allow(clippy::too_many_arguments)] // chunk-span shape, mirrors kernel::par callees
-fn push_gather<A, V, D3, M, R>(
-    fwd: &Csr<A>,
-    vi: &[Index],
-    vv: &[V],
-    mask: &MaskVec,
-    lo: usize,
-    hi: usize,
+/// adjacent duplicates left to right. It has no O(output) term and runs
+/// serially — a frontier this small never pays for a fan-out.
+fn push<A, V, D3, Mo, M>(
+    rows: &Rows<'_, A>,
+    v: &SparseVec<V>,
+    bits: &MaskBits,
+    out_size: Index,
     mulf: &M,
-    addf: &R,
-) -> (Vec<Index>, Vec<D3>)
+    add: &Mo,
+) -> SparseVec<D3>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
+    Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
 {
     let mut pairs: Vec<(Index, D3)> = Vec::new();
-    for p in lo..hi {
-        let (cols, vals) = fwd.row(vi[p]);
-        for (j, a) in cols.iter().zip(vals) {
-            // mask first: masked-out outputs never form a product, the
-            // same contract the dense kernel keeps
-            if !mask.admits(*j) {
-                continue;
+    let mut cur = rows.cursor();
+    for (i, x) in v.iter() {
+        cur.for_row(i, &mut |off, cols, vals| {
+            for (j, a) in cols.iter().zip(vals) {
+                // mask first: masked-out outputs never form a product
+                if bits.admits(off + j) {
+                    pairs.push((off + j, mulf(a, x)));
+                }
             }
-            pairs.push((*j, mulf(a, &vv[p])));
-        }
+        });
     }
-    reduce_pairs(pairs, addf)
-}
-
-/// Stable-sort gathered `(output index, product)` pairs and reduce
-/// adjacent duplicates left-to-right — the shared tail of the slab and
-/// tiled push gathers. Stability keeps frontier order within each
-/// output index, so accumulation stays in ascending input-index order.
-fn reduce_pairs<D3, R>(mut pairs: Vec<(Index, D3)>, addf: &R) -> (Vec<Index>, Vec<D3>)
-where
-    D3: Scalar,
-    R: Fn(&D3, &D3) -> D3,
-{
-    pairs.sort_by_key(|&(j, _)| j); // stable sort: frontier order survives
+    rows.note_tiles();
+    pairs.sort_by_key(|&(j, _)| j);
     let mut idx: Vec<Index> = Vec::new();
     let mut out: Vec<D3> = Vec::new();
     for (j, prod) in pairs {
         if idx.last() == Some(&j) {
             let last = out.last_mut().expect("non-empty with last index");
-            *last = addf(last, &prod);
+            *last = add.apply(last, &prod);
         } else {
             idx.push(j);
             out.push(prod);
         }
     }
-    (idx, out)
+    SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
-/// The tiled analog of [`push_gather`]: each frontier row's entries are
-/// drawn from the stripe's tiles left-to-right, so pairs are gathered in
-/// ascending global output order within each frontier position — the
-/// same order a slab row yields.
-#[allow(clippy::too_many_arguments)] // chunk-span shape, mirrors push_gather
-fn push_gather_tiled<A, V, D3, M, R>(
-    ot: &OrientedTiles<'_, A>,
-    vi: &[Index],
-    vv: &[V],
-    mask: &MaskVec,
-    lo: usize,
-    hi: usize,
+/// The positions of the sorted segment `cols` whose global index
+/// `off + j` lies in `lo..hi` — O(1) when the segment sits wholly inside.
+#[inline]
+fn within(cols: &[Index], off: Index, lo: Index, hi: Index) -> Range<usize> {
+    let start = if lo <= off {
+        0
+    } else {
+        cols.partition_point(|&j| off + j < lo)
+    };
+    let end = if cols.last().is_some_and(|&j| off + j < hi) {
+        cols.len()
+    } else {
+        cols.partition_point(|&j| off + j < hi)
+    };
+    start..end
+}
+
+/// The dense scatter over output range `lo..hi`: the first product for
+/// an output is stored as is, later ones fold left in frontier order,
+/// and a presence bitset marks the stored slots; sweeping it emits the
+/// range in index order.
+fn scatter_range<A, V, D3, Mo, M>(
+    rows: &Rows<'_, A>,
+    v: &SparseVec<V>,
+    bits: &MaskBits,
+    lo: Index,
+    hi: Index,
     mulf: &M,
-    addf: &R,
+    add: &Mo,
 ) -> (Vec<Index>, Vec<D3>)
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
+    Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
 {
-    let mut pairs: Vec<(Index, D3)> = Vec::new();
-    // frontier indices are sorted, so the cursor's stripe cache hits
-    let mut cur = ot.cursor();
-    for p in lo..hi {
-        cur.for_row(vi[p], &mut |off, cols, vals| {
-            for (j, a) in cols.iter().zip(vals) {
+    let mut vals: Vec<D3> = vec![add.identity(); hi - lo];
+    let mut seen = vec![0u64; (hi - lo).div_ceil(64)];
+    let mut cur = rows.cursor();
+    let masked = !bits.admits_all();
+    for (i, x) in v.iter() {
+        cur.for_row(i, &mut |off, cols, avals| {
+            let r = within(cols, off, lo, hi);
+            for (j, a) in cols[r.clone()].iter().zip(&avals[r]) {
                 let g = off + j;
-                if !mask.admits(g) {
+                if masked && !bits.admits(g) {
                     continue;
                 }
-                pairs.push((g, mulf(a, &vv[p])));
+                let k = g - lo;
+                let prod = mulf(a, x);
+                let (w, b) = (k / 64, 1u64 << (k % 64));
+                if seen[w] & b == 0 {
+                    seen[w] |= b;
+                    vals[k] = prod;
+                } else {
+                    vals[k] = add.apply(&vals[k], &prod);
+                }
             }
         });
     }
-    reduce_pairs(pairs, addf)
-}
-
-/// Push over a tiled store: the frontier walk of [`push`], reading rows
-/// through lazily materialized per-tile views (`col_side` picks the
-/// orientation) — only tiles the frontier actually touches convert.
-#[allow(clippy::too_many_arguments)] // dispatch-shape, mirrors push
-fn push_tiled<A, V, D3, M, R>(
-    t: &Tiled<A>,
-    col_side: bool,
-    v: &SparseVec<V>,
-    mask: &MaskVec,
-    out_size: Index,
-    fwd_deg: &[usize],
-    mulf: &M,
-    addf: &R,
-) -> SparseVec<D3>
-where
-    A: Scalar,
-    V: Scalar,
-    D3: Scalar,
-    M: Fn(&A, &V) -> D3 + Sync,
-    R: Fn(&D3, &D3) -> D3 + Sync,
-{
-    let vi = v.indices();
-    let vv = v.vals();
-    let ot = OrientedTiles::new(t, col_side);
-    #[cfg(not(feature = "parallel"))]
-    let _ = fwd_deg;
-    #[cfg(feature = "parallel")]
-    {
-        let work: usize = vi.iter().map(|&i| fwd_deg[i]).sum();
-        if let Some(plan) = par::plan(vi.len(), work) {
-            let parts = par::run_chunks(vi.len(), plan, |lo, hi| {
-                push_gather_tiled(&ot, vi, vv, mask, lo, hi, mulf, addf)
-            });
-            let merged = parts
-                .into_iter()
-                .reduce(|a, b| merge_sorted(a, b, addf))
-                .unwrap_or_default();
-            tiled::note_tiles(ot.touched());
-            return SparseVec::from_sorted_parts(out_size, merged.0, merged.1);
-        }
-    }
-    let (idx, vals) = push_gather_tiled(&ot, vi, vv, mask, 0, vi.len(), mulf, addf);
-    tiled::note_tiles(ot.touched());
-    SparseVec::from_sorted_parts(out_size, idx, vals)
-}
-
-/// Merge two sorted per-chunk results; `a` comes from earlier frontier
-/// positions, so duplicates combine as `addf(a, b)` — chunk order is
-/// frontier order is input-index order.
-fn merge_sorted<D3, R>(
-    a: (Vec<Index>, Vec<D3>),
-    b: (Vec<Index>, Vec<D3>),
-    addf: &R,
-) -> (Vec<Index>, Vec<D3>)
-where
-    D3: Scalar,
-    R: Fn(&D3, &D3) -> D3,
-{
-    let (ai, av) = a;
-    let (bi, bv) = b;
-    let mut idx = Vec::with_capacity(ai.len() + bi.len());
-    let mut out = Vec::with_capacity(av.len() + bv.len());
-    let mut ap = ai.iter().zip(av).peekable();
-    let mut bp = bi.iter().zip(bv).peekable();
-    loop {
-        match (ap.peek(), bp.peek()) {
-            (Some((&x, _)), Some((&y, _))) => {
-                if x < y {
-                    let (_, v) = ap.next().expect("peeked");
-                    idx.push(x);
-                    out.push(v);
-                } else if y < x {
-                    let (_, v) = bp.next().expect("peeked");
-                    idx.push(y);
-                    out.push(v);
-                } else {
-                    let (_, va) = ap.next().expect("peeked");
-                    let (_, vb) = bp.next().expect("peeked");
-                    idx.push(x);
-                    out.push(addf(&va, &vb));
-                }
-            }
-            (Some(_), None) => {
-                let (&x, v) = ap.next().expect("peeked");
-                idx.push(x);
-                out.push(v);
-            }
-            (None, Some(_)) => {
-                let (&y, v) = bp.next().expect("peeked");
-                idx.push(y);
-                out.push(v);
-            }
-            (None, None) => break,
+    let stored = seen.iter().map(|w| w.count_ones() as usize).sum();
+    let mut idx = Vec::with_capacity(stored);
+    let mut out = Vec::with_capacity(stored);
+    for (w, &word) in seen.iter().enumerate() {
+        let mut m = word;
+        while m != 0 {
+            let k = w * 64 + m.trailing_zeros() as usize;
+            idx.push(lo + k);
+            out.push(vals[k].clone());
+            m &= m - 1;
         }
     }
     (idx, out)
 }
 
-fn push<A, V, D3, M, R>(
-    fwd: &Csr<A>,
+/// The dense scatter (see [`scatter_range`]) over the forward rows of
+/// `store`. In parallel it splits the *output* index range, one range
+/// per worker, cut where the cached output-dimension degrees give each
+/// range an equal share of the stored entries: every worker walks the
+/// whole frontier in order, so each output's fold never crosses workers
+/// and the concatenated ranges are bitwise the serial result. More
+/// ranges than workers would only add frontier walks.
+#[allow(clippy::too_many_arguments)] // dispatch-shape, mirrors pull
+fn scatter<A, V, D3, Mo, M>(
+    store: &MatrixStore<A>,
+    fwd_col_side: bool,
     v: &SparseVec<V>,
-    mask: &MaskVec,
+    bits: &MaskBits,
     out_size: Index,
+    products: usize,
     mulf: &M,
-    addf: &R,
+    add: &Mo,
 ) -> SparseVec<D3>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
+    Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3 + Sync,
-    R: Fn(&D3, &D3) -> D3 + Sync,
 {
-    let vi = v.indices();
-    let vv = v.vals();
+    let rows = &Rows::new(store, fwd_col_side, false);
+    let eval = |lo: Index, hi: Index| scatter_range(rows, v, bits, lo, hi, mulf, add);
+    // every range re-walks the whole frontier, so only the products
+    // beyond a few per frontier row are worth splitting
     #[cfg(feature = "parallel")]
-    {
-        let work: usize = vi.iter().map(|&i| fwd.row_nvals(i)).sum();
-        if let Some(plan) = par::plan(vi.len(), work) {
-            let parts = par::run_chunks(vi.len(), plan, |lo, hi| {
-                push_gather(fwd, vi, vv, mask, lo, hi, mulf, addf)
-            });
-            // left-fold in chunk order: identical association to the
-            // serial frontier walk
-            let merged = parts
-                .into_iter()
-                .reduce(|a, b| merge_sorted(a, b, addf))
-                .unwrap_or_default();
-            return SparseVec::from_sorted_parts(out_size, merged.0, merged.1);
-        }
+    if par::plan(out_size, products.saturating_sub(8 * v.nvals())).is_some() {
+        let out_deg = if fwd_col_side {
+            store.row_degrees()
+        } else {
+            store.col_degrees()
+        };
+        let bounds = balanced_bounds(&out_deg, par::effective_parallelism());
+        let ranges = bounds.len() - 1;
+        let plan = par::Plan {
+            chunks: ranges,
+            span: 1,
+        };
+        let parts = par::run_chunks(ranges, plan, |c, _| eval(bounds[c], bounds[c + 1]));
+        rows.note_tiles();
+        return concat(out_size, parts);
     }
-    let (idx, vals) = push_gather(fwd, vi, vv, mask, 0, vi.len(), mulf, addf);
-    SparseVec::from_sorted_parts(out_size, idx, vals)
+    let _ = products;
+    let (idx, out) = eval(0, out_size);
+    rows.note_tiles();
+    SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
-/// One reverse-oriented row against the dense-scattered input: O(1)
-/// probes per stored entry, accumulating in ascending stored-index
-/// order — the same left fold as push and the dense kernels.
-fn probe_row<A, V, D3, M, R>(
-    cols: &[Index],
-    vals: &[A],
-    v_dense: &[Option<&V>],
-    mulf: &M,
-    addf: &R,
-) -> Option<D3>
-where
-    A: Scalar,
-    V: Scalar,
-    D3: Scalar,
-    M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
-{
-    let mut acc: Option<D3> = None;
-    for (i, a) in cols.iter().zip(vals) {
-        if let Some(x) = v_dense[*i] {
-            let prod = mulf(a, x);
-            acc = Some(match acc {
-                Some(y) => addf(&y, &prod),
-                None => prod,
-            });
+/// Cut `0..deg.len()` into at most `k` contiguous ranges holding about
+/// equal shares of `deg`'s total; returns the range bounds, first `0`,
+/// last `deg.len()`.
+#[cfg(feature = "parallel")]
+fn balanced_bounds(deg: &[usize], k: usize) -> Vec<Index> {
+    let total: usize = deg.iter().sum();
+    let mut bounds = vec![0];
+    let mut acc = 0usize;
+    for (j, &d) in deg.iter().enumerate() {
+        acc += d;
+        if bounds.len() < k && acc.saturating_mul(k) >= total.saturating_mul(bounds.len()) {
+            bounds.push(j + 1);
         }
     }
-    acc
+    if bounds.last() != Some(&deg.len()) {
+        bounds.push(deg.len());
+    }
+    bounds
 }
 
-fn pull<A, V, D3, M, R>(
-    rev: &Csr<A>,
+/// Concatenate per-range results that arrive in index order.
+#[cfg(feature = "parallel")]
+fn concat<D3: Scalar>(out_size: Index, parts: Vec<(Vec<Index>, Vec<D3>)>) -> SparseVec<D3> {
+    let mut idx = Vec::new();
+    let mut out = Vec::new();
+    for (i, o) in parts {
+        idx.extend(i);
+        out.extend(o);
+    }
+    SparseVec::from_sorted_parts(out_size, idx, out)
+}
+
+/// Assemble per-output results `Some(value)` into a sparse vector.
+fn collect<D3: Scalar>(results: Vec<Option<D3>>) -> SparseVec<D3> {
+    let n = results.len();
+    let mut idx = Vec::new();
+    let mut out = Vec::new();
+    for (j, r) in results.into_iter().enumerate() {
+        if let Some(val) = r {
+            idx.push(j);
+            out.push(val);
+        }
+    }
+    SparseVec::from_sorted_parts(n, idx, out)
+}
+
+/// The input vector scattered for O(1) probes by index.
+fn dense_input<V: Scalar>(v: &SparseVec<V>) -> Vec<Option<&V>> {
+    let mut dense = vec![None; v.size()];
+    for (k, x) in v.iter() {
+        dense[k] = Some(x);
+    }
+    dense
+}
+
+/// Fold `prod` into a pull accumulator — the first product stored as
+/// is, later ones folded left — and report whether the accumulator is
+/// now terminal, after which no further product can change it.
+#[inline]
+fn fold<D3: Scalar, Mo: Monoid<D3>>(acc: &mut Option<D3>, prod: D3, add: &Mo) -> bool {
+    let next = match acc.take() {
+        Some(y) => add.apply(&y, &prod),
+        None => prod,
+    };
+    let terminal = add.is_terminal(&next);
+    *acc = Some(next);
+    terminal
+}
+
+/// Pull: one merge-walk per admitted output over the reverse-oriented
+/// rows, probing the dense-scattered input in O(1) and accumulating in
+/// ascending stored-index (= input-index) order, the same left fold as
+/// push and the scatter.
+#[allow(clippy::too_many_arguments)] // dispatch-shape, mirrors scatter
+fn pull<A, V, D3, Mo, M>(
+    rows: &Rows<'_, A>,
     v: &SparseVec<V>,
     mask: &MaskVec,
+    bits: &MaskBits,
+    out_size: Index,
+    nnz: usize,
     mulf: &M,
-    addf: &R,
+    add: &Mo,
 ) -> SparseVec<D3>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
+    Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3 + Sync,
-    R: Fn(&D3, &D3) -> D3 + Sync,
 {
-    let out_size = rev.nrows();
-    // dense scatter of the input: one O(size) pass, O(1) probes after
-    let mut v_dense: Vec<Option<&V>> = vec![None; v.size()];
-    for (k, val) in v.iter() {
-        v_dense[k] = Some(val);
-    }
-    let v_dense = &v_dense;
+    let v_dense = &dense_input(v);
+    let probe = |cur: &mut Cursor<'_, '_, A>, j: Index| {
+        let mut acc: Option<D3> = None;
+        let mut terminal = false;
+        cur.for_row(j, &mut |off, cols, vals| {
+            for (i, a) in cols.iter().zip(vals) {
+                if terminal {
+                    return;
+                }
+                if let Some(x) = v_dense[off + i] {
+                    terminal = fold(&mut acc, mulf(a, x), add);
+                }
+            }
+        });
+        acc
+    };
     // non-complement pattern: expand *only* the admitted outputs — the
     // mask's indices are sorted, so the result assembles in order
     if let MaskVec::Pattern {
@@ -705,11 +752,11 @@ where
     } = mask
     {
         let eval = |lo: usize, hi: usize| {
+            let mut cur = rows.cursor();
             let mut idx = Vec::new();
             let mut out = Vec::new();
             for &j in &indices[lo..hi] {
-                let (cols, vals) = rev.row(j);
-                if let Some(acc) = probe_row(cols, vals, v_dense, mulf, addf) {
+                if let Some(acc) = probe(&mut cur, j) {
                     idx.push(j);
                     out.push(acc);
                 }
@@ -718,211 +765,76 @@ where
         };
         #[cfg(feature = "parallel")]
         {
-            let work: usize = rev.nvals().min(indices.len().saturating_mul(8)) + v.nvals();
+            let work = nnz.min(indices.len().saturating_mul(8)) + v.nvals();
             if let Some(plan) = par::plan(indices.len(), work) {
                 let parts = par::run_chunks(indices.len(), plan, eval);
-                let mut idx = Vec::new();
-                let mut out = Vec::new();
-                for (i, o) in parts {
-                    idx.extend(i);
-                    out.extend(o);
-                }
-                return SparseVec::from_sorted_parts(out_size, idx, out);
+                rows.note_tiles();
+                return concat(out_size, parts);
             }
         }
         let (idx, out) = eval(0, indices.len());
+        rows.note_tiles();
         return SparseVec::from_sorted_parts(out_size, idx, out);
     }
-    // All or complement-pattern mask: walk rows with the admits()
-    // early-exit so masked-out rows are never expanded
-    let results = map_rows(out_size, rev.nvals() + v.nvals(), |j| {
-        if !mask.admits(j) {
-            return None;
-        }
-        let (cols, vals) = rev.row(j);
-        probe_row(cols, vals, v_dense, mulf, addf)
-    });
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for (j, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(j);
-            out.push(val);
-        }
-    }
-    SparseVec::from_sorted_parts(out_size, idx, out)
-}
-
-/// One reverse-oriented *tiled* row against the dense-scattered input:
-/// tile segments arrive in ascending global stored-index order, so the
-/// left fold is bitwise identical to [`probe_row`] over a slab row.
-fn probe_row_tiled<A, V, D3, M, R>(
-    cur: &mut RowCursor<'_, '_, A>,
-    j: Index,
-    v_dense: &[Option<&V>],
-    mulf: &M,
-    addf: &R,
-) -> Option<D3>
-where
-    A: Scalar,
-    V: Scalar,
-    D3: Scalar,
-    M: Fn(&A, &V) -> D3,
-    R: Fn(&D3, &D3) -> D3,
-{
-    let mut acc: Option<D3> = None;
-    cur.for_row(j, &mut |off, cols, vals| {
-        for (i, a) in cols.iter().zip(vals) {
-            if let Some(x) = v_dense[off + i] {
-                let prod = mulf(a, x);
-                acc = Some(match acc.take() {
-                    Some(y) => addf(&y, &prod),
-                    None => prod,
-                });
-            }
-        }
-    });
-    acc
-}
-
-/// Pull over a tiled store: the per-admitted-output merge-walk of
-/// [`pull`], probing rows through lazily materialized per-tile views
-/// (`col_side` picks the reverse orientation).
-fn pull_tiled<A, V, D3, M, R>(
-    t: &Tiled<A>,
-    col_side: bool,
-    v: &SparseVec<V>,
-    mask: &MaskVec,
-    mulf: &M,
-    addf: &R,
-) -> SparseVec<D3>
-where
-    A: Scalar,
-    V: Scalar,
-    D3: Scalar,
-    M: Fn(&A, &V) -> D3 + Sync,
-    R: Fn(&D3, &D3) -> D3 + Sync,
-{
-    let ot = OrientedTiles::new(t, col_side);
-    let out_size = ot.nrows();
-    let mut v_dense: Vec<Option<&V>> = vec![None; v.size()];
-    for (k, val) in v.iter() {
-        v_dense[k] = Some(val);
-    }
-    let v_dense = &v_dense;
-    if let MaskVec::Pattern {
-        indices,
-        complement: false,
-    } = mask
-    {
-        let eval = |lo: usize, hi: usize| {
-            let mut cur = ot.cursor();
-            let mut idx = Vec::new();
-            let mut out = Vec::new();
-            for &j in &indices[lo..hi] {
-                if let Some(acc) = probe_row_tiled(&mut cur, j, v_dense, mulf, addf) {
-                    idx.push(j);
-                    out.push(acc);
-                }
-            }
-            (idx, out)
-        };
-        #[cfg(feature = "parallel")]
-        {
-            let work: usize = t.nvals().min(indices.len().saturating_mul(8)) + v.nvals();
-            if let Some(plan) = par::plan(indices.len(), work) {
-                let parts = par::run_chunks(indices.len(), plan, eval);
-                let mut idx = Vec::new();
-                let mut out = Vec::new();
-                for (i, o) in parts {
-                    idx.extend(i);
-                    out.extend(o);
-                }
-                tiled::note_tiles(ot.touched());
-                return SparseVec::from_sorted_parts(out_size, idx, out);
-            }
-        }
-        let (idx, out) = eval(0, indices.len());
-        tiled::note_tiles(ot.touched());
-        return SparseVec::from_sorted_parts(out_size, idx, out);
-    }
+    // no mask or a complement one: every row, excluded rows skipped
+    // before they are expanded
     let results = map_rows_init(
         out_size,
-        t.nvals() + v.nvals(),
-        || ot.cursor(),
-        |cur, j| {
-            if !mask.admits(j) {
-                return None;
-            }
-            probe_row_tiled(cur, j, v_dense, mulf, addf)
-        },
+        nnz + v.nvals(),
+        || rows.cursor(),
+        |cur, j| if bits.admits(j) { probe(cur, j) } else { None },
     );
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for (j, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(j);
-            out.push(val);
-        }
-    }
-    tiled::note_tiles(ot.touched());
-    SparseVec::from_sorted_parts(out_size, idx, out)
+    rows.note_tiles();
+    collect(results)
 }
 
 /// Pull over a bitmap store's native row orientation (the dense-frontier
-/// fast path of BFS/BC pull steps), closure-parameterized so both `mxv`
-/// and transposed `vxm` can use it.
-fn pull_bitmap<A, V, D3, M, R>(
+/// fast path of BFS/BC pull steps), for both `mxv` and transposed `vxm`.
+fn pull_bitmap<A, V, D3, Mo, M>(
     b: &Bitmap<A>,
     v: &SparseVec<V>,
-    mask: &MaskVec,
+    bits: &MaskBits,
     mulf: &M,
-    addf: &R,
+    add: &Mo,
 ) -> SparseVec<D3>
 where
     A: Scalar,
     V: Scalar,
     D3: Scalar,
+    Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3 + Sync,
-    R: Fn(&D3, &D3) -> D3 + Sync,
 {
-    let mut v_dense: Vec<Option<&V>> = vec![None; v.size()];
-    for (k, val) in v.iter() {
-        v_dense[k] = Some(val);
-    }
-    let v_dense = &v_dense;
-    let results = map_rows(b.nrows(), b.nvals() + v.nvals(), |i| {
-        if !mask.admits(i) {
+    let v_dense = &dense_input(v);
+    collect(map_rows(b.nrows(), b.nvals() + v.nvals(), |i| {
+        if !bits.admits(i) {
             return None;
         }
         let mut acc: Option<D3> = None;
         for (j, aij) in b.row_iter(i) {
-            if let Some(vj) = v_dense[j] {
-                let prod = mulf(aij, vj);
-                acc = Some(match acc {
-                    Some(x) => addf(&x, &prod),
-                    None => prod,
-                });
+            if let Some(x) = v_dense[j] {
+                if fold(&mut acc, mulf(aij, x), add) {
+                    break;
+                }
             }
         }
         acc
-    });
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(i);
-            out.push(val);
-        }
-    }
-    SparseVec::from_sorted_parts(b.nrows(), idx, out)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::semiring::{lor_land, plus_times};
+    use crate::algebra::semiring::{lor_land, min_plus, plus_times};
+    use crate::kernel::par;
     use crate::storage::engine::{Format, FormatPolicy};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The direction override is process-wide: every test here that
+    /// forces one, or asserts what Auto picks, holds this lock.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn store() -> MatrixStore<i32> {
         // [ 1 2 . ]
@@ -948,6 +860,7 @@ mod tests {
 
     #[test]
     fn directions_agree_for_vxm_and_mxv() {
+        let _serial = serial();
         let sr = plus_times::<i32>();
         let v = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 30]);
         for transposed in [false, true] {
@@ -989,18 +902,208 @@ mod tests {
     }
 
     #[test]
-    fn push_matches_legacy_vxm() {
-        let sr = plus_times::<i32>();
-        let st = store();
+    fn scatter_computes_plus_times_and_min_plus() {
+        let _serial = serial();
         let v = SparseVec::from_dense(&[10, 20, 30]);
-        let legacy = crate::kernel::mxv::vxm(&sr, &v, &st.row_csr(), &MaskVec::All);
-        let got: SparseVec<i32> =
-            with_direction(Direction::Push, || vxm(&sr, &v, &st, false, &MaskVec::All));
-        assert_eq!(got, legacy);
+        let w: SparseVec<i32> = with_direction(Direction::Dense, || {
+            vxm(&plus_times::<i32>(), &v, &store(), false, &MaskVec::All)
+        });
+        assert_eq!(w.to_tuples(), vec![(0, 160), (1, 80), (2, 260)]);
+        // one Bellman-Ford relaxation: dist' = dist min.+ A
+        let adj = MatrixStore::csr(Csr::from_sorted_tuples(
+            3,
+            3,
+            vec![(0, 1, 2i64), (0, 2, 10), (1, 2, 3)],
+        ));
+        let dist = SparseVec::from_sorted_parts(3, vec![0, 1], vec![0i64, 2]);
+        let relaxed: SparseVec<i64> = with_direction(Direction::Dense, || {
+            vxm(&min_plus::<i64>(), &dist, &adj, false, &MaskVec::All)
+        });
+        assert_eq!(relaxed.to_tuples(), vec![(1, 2), (2, 5)]);
+    }
+
+    /// Reference `v^T ⊕.⊗ A` over a dense product table, folding each
+    /// output left in ascending input order.
+    fn oracle(
+        n: usize,
+        a: &[(usize, usize, i64)],
+        v: &[(usize, i64)],
+        mask: &MaskVec,
+    ) -> Vec<(usize, i64)> {
+        let bits = MaskBits::new(mask, n);
+        let mut acc: Vec<Option<i64>> = vec![None; n];
+        for &(i, x) in v {
+            for &(r, c, y) in a {
+                if r == i && bits.admits(c) {
+                    let p = x * y;
+                    acc[c] = Some(acc[c].map_or(p, |s| s + p));
+                }
+            }
+        }
+        acc.into_iter()
+            .enumerate()
+            .filter_map(|(j, s)| s.map(|s| (j, s)))
+            .collect()
+    }
+
+    /// Output sizes on either side of a 64-bit word, every direction,
+    /// serial and chunked, against the oracle — including the empty
+    /// frontier, a complement mask that admits nothing and a mask that
+    /// holds only the last index.
+    #[test]
+    fn bitset_word_edges_agree_with_oracle() {
+        let _serial = serial();
+        let sr = plus_times::<i64>();
+        for n in [63usize, 64, 65] {
+            // every row hits the last column and its own neighbourhood
+            let mut a: Vec<(usize, usize, i64)> = Vec::new();
+            for i in 0..n {
+                for j in [i.saturating_sub(1), i, (i + 1) % n, n - 1] {
+                    a.push((i, j, (i * 7 + j) as i64 % 11 + 1));
+                }
+            }
+            a.sort_unstable();
+            a.dedup_by_key(|t| (t.0, t.1));
+            let full: Vec<(usize, i64)> = (0..n).map(|i| (i, i as i64 - 20)).collect();
+            let frontiers = [vec![], vec![(n - 1, 3)], full];
+            let masks = [
+                MaskVec::All,
+                MaskVec::Pattern {
+                    indices: (0..n).collect(),
+                    complement: true,
+                },
+                MaskVec::Pattern {
+                    indices: vec![n - 1],
+                    complement: false,
+                },
+                MaskVec::Pattern {
+                    indices: vec![0, 63.min(n - 1), n - 1],
+                    complement: true,
+                },
+            ];
+            for fmt in [Format::Csr, Format::Tiled] {
+                let st =
+                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).into_format(fmt);
+                for f in &frontiers {
+                    let (fi, fv): (Vec<usize>, Vec<i64>) = f.iter().copied().unzip();
+                    let v = SparseVec::from_sorted_parts(n, fi, fv);
+                    for mask in &masks {
+                        let want = oracle(n, &a, f, mask);
+                        for d in all_directions() {
+                            for k in [1, 2, 8] {
+                                let got: SparseVec<i64> = par::with_cost_model(1, 0, || {
+                                    par::with_parallelism(k, || {
+                                        with_direction(d, || vxm(&sr, &v, &st, false, mask))
+                                    })
+                                });
+                                assert_eq!(
+                                    got.to_tuples(),
+                                    want,
+                                    "n={n} {fmt:?} {d:?} k={k} {mask:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// LOR's terminal `true` ends a pull row early (slab, tiled and
+    /// bitmap pulls alike); the answer matches every other direction.
+    #[test]
+    fn terminal_early_exit_is_invisible() {
+        let _serial = serial();
+        let n = 70;
+        let a: Vec<(usize, usize, bool)> = (0..n)
+            .flat_map(|i| {
+                (0..n)
+                    .filter(move |j| (i + j) % 3 != 0)
+                    .map(move |j| (i, j, (i * j) % 5 != 0))
+            })
+            .collect();
+        let v =
+            SparseVec::from_sorted_parts(n, (0..n).collect(), (0..n).map(|i| i % 4 != 0).collect());
+        for transposed in [false, true] {
+            // w(j) = ∨_i v(i) ∧ op(A)(i, j), stored wherever a product exists
+            let mut want: Vec<Option<bool>> = vec![None; n];
+            for &(r, c, x) in &a {
+                let (i, j) = if transposed { (c, r) } else { (r, c) };
+                let p = v.get(i).is_some_and(|y| *y) && x;
+                want[j] = Some(want[j].unwrap_or(false) || p);
+            }
+            let want: Vec<(usize, bool)> = want
+                .into_iter()
+                .enumerate()
+                .filter_map(|(j, w)| w.map(|w| (j, w)))
+                .collect();
+            for fmt in [Format::Csr, Format::Bitmap, Format::Tiled] {
+                let st =
+                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).into_format(fmt);
+                for d in all_directions() {
+                    let got: SparseVec<bool> =
+                        with_direction(d, || vxm(&lor_land(), &v, &st, transposed, &MaskVec::All));
+                    assert_eq!(got.to_tuples(), want, "{fmt:?} t={transposed} {d:?}");
+                }
+            }
+        }
+    }
+
+    /// The erased lane: a runtime-registered wrapped-i64 PLUS_TIMES under
+    /// forced Dense matches the built-in i64 result, values and pattern.
+    #[test]
+    fn udf_lane_under_forced_dense() {
+        let _serial = serial();
+        use crate::algebra::udf::{register_type, UdfBinary, UdfMonoid, UdfSemiring, UdfValue};
+        let ty = register_type("spmspv_wrapped_i64", 8).unwrap();
+        let op = |name: &str, f: fn(i64, i64) -> i64| {
+            UdfBinary::new(name, ty, ty, ty, move |z, x, y| {
+                let a = i64::from_ne_bytes(x.try_into().unwrap());
+                let b = i64::from_ne_bytes(y.try_into().unwrap());
+                z.copy_from_slice(&f(a, b).to_ne_bytes());
+            })
+        };
+        let add = UdfMonoid::new(
+            op("spmspv_plus", i64::wrapping_add),
+            &0i64.to_ne_bytes(),
+            None,
+        )
+        .unwrap();
+        let sr = UdfSemiring::new(add, op("spmspv_times", i64::wrapping_mul)).unwrap();
+        let wrap = |x: i64| UdfValue::new(ty, &x.to_ne_bytes()).unwrap();
+        let n = 70;
+        let mut tuples: Vec<(usize, usize, i64)> = (0..n)
+            .flat_map(|i| [(i, (i * 3) % n, i as i64 + 1), (i, n - 1, 2)])
+            .collect();
+        tuples.sort_unstable();
+        tuples.dedup_by_key(|t| (t.0, t.1));
+        let built = MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples.clone()));
+        let erased = MatrixStore::csr(Csr::from_sorted_tuples(
+            n,
+            n,
+            tuples.iter().map(|&(i, j, x)| (i, j, wrap(x))),
+        ));
+        let vi: Vec<usize> = (0..n).step_by(3).collect();
+        let v =
+            SparseVec::from_sorted_parts(n, vi.clone(), vi.iter().map(|&i| i as i64 - 9).collect());
+        let ve = SparseVec::from_sorted_parts(
+            n,
+            vi.clone(),
+            v.vals().iter().map(|&x| wrap(x)).collect(),
+        );
+        let want: SparseVec<i64> = vxm(&plus_times::<i64>(), &v, &built, false, &MaskVec::All);
+        let got: SparseVec<UdfValue> = with_direction(Direction::Dense, || {
+            vxm(&sr, &ve, &erased, false, &MaskVec::All)
+        });
+        assert_eq!(got.indices(), want.indices());
+        for (g, w) in got.vals().iter().zip(want.vals()) {
+            assert_eq!(g.bytes(), &w.to_ne_bytes());
+        }
     }
 
     #[test]
     fn empty_frontier_pushes_nothing() {
+        let _serial = serial();
         let sr = lor_land();
         let st = MatrixStore::from_csr(
             Csr::from_sorted_tuples(4, 4, vec![(0, 1, true), (2, 3, true)]),
@@ -1014,6 +1117,7 @@ mod tests {
 
     #[test]
     fn heuristic_pushes_sparse_frontiers_and_pulls_dense_ones() {
+        let _serial = serial();
         // an undirected ring: every vertex has degree 2, and the value
         // is symmetric so the pull side's transpose is free
         let n = 512;
@@ -1047,15 +1151,24 @@ mod tests {
 
     #[test]
     fn dense_inputs_take_the_dense_kernel() {
-        let sr = plus_times::<i32>();
-        let st = store();
-        let v = SparseVec::from_dense(&[10, 20, 30]);
-        let _: SparseVec<i32> = vxm(&sr, &v, &st, false, &MaskVec::All);
+        let _serial = serial();
+        // a directed band, 16 entries a row: a full frontier, no mask and
+        // no reverse view — the scatter's case
+        let n = 256;
+        let mut band: Vec<(usize, usize, i32)> = (0..n)
+            .flat_map(|i| (i + 1..i + 17).map(move |j| (i, j % n, 1)))
+            .collect();
+        band.sort_unstable();
+        let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, band));
+        let v = SparseVec::full(n, 2);
+        let _: SparseVec<i32> = vxm(&plus_times::<i32>(), &v, &st, false, &MaskVec::All);
         assert_eq!(take_direction(), Some("dense"));
+        assert!(!st.csr_view_ready(true), "the scatter needs no transpose");
     }
 
     #[test]
     fn override_restores_on_exit() {
+        let _serial = serial();
         assert_eq!(direction_override(), Direction::Auto);
         with_direction(Direction::Pull, || {
             assert_eq!(direction_override(), Direction::Pull);

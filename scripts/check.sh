@@ -26,6 +26,11 @@ cargo build --examples
 echo "== cargo build --release --offline --manifest-path grb-bench/Cargo.toml"
 cargo build --release --offline --manifest-path grb-bench/Cargo.toml
 
+# Its harness tests run every workload --quick with its output checks, so
+# a kernel change that breaks a workload's answers fails here too.
+echo "== cargo test --release --offline --manifest-path grb-bench/Cargo.toml"
+cargo test --release --offline --manifest-path grb-bench/Cargo.toml
+
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
@@ -47,13 +52,14 @@ cargo test -q --features mmap-cold --test out_of_core
 
 # Thread matrix: the pool width and default degree follow
 # GRB_TEST_THREADS, and the determinism suites (serial-vs-parallel,
-# deferred-vs-eager pending updates, MVCC snapshot isolation,
-# push/pull/dense SpMSpV direction equivalence, tiled-vs-slab bitwise
-# equivalence, and the query service's admission/fairness/
-# write-isolation properties) must hold at every count.
+# blocking-vs-nonblocking modes, deferred-vs-eager pending updates,
+# MVCC snapshot isolation, push/pull/dense SpMSpV direction
+# equivalence, tiled-vs-slab bitwise equivalence, and the query
+# service's admission/fairness/write-isolation properties) must hold
+# at every count.
 for threads in 1 2 8; do
-    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence"
-    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence
+    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence"
+    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence
     echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs"
     GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs
 done

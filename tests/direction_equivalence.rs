@@ -20,6 +20,9 @@ use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 const N: usize = 24;
+/// A second size whose bitsets span three 64-bit words, the last one
+/// partial.
+const N_WIDE: usize = 150;
 const DEGREES: [usize; 3] = [1, 2, 8];
 
 /// Forced directions are a process-wide override; hold this across any
@@ -40,25 +43,39 @@ fn fval(code: u8) -> f64 {
 
 type Tuples = Vec<(usize, usize, u8)>;
 
-fn sparse(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..N, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
+fn sparse(n: usize, max_nnz: usize) -> impl Strategy<Value = Tuples> {
+    proptest::collection::vec((0..n, 0..n, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
         t.sort_by_key(|&(i, j, _)| (i, j));
         t.dedup_by_key(|&mut (i, j, _)| (i, j));
         t
     })
 }
 
-fn to_matrix(t: &Tuples, format: Option<Format>) -> Matrix<f64> {
+/// A size, then a matrix and two vectors (input, mask) of that size;
+/// entry counts scale with the size.
+fn operands() -> impl Strategy<Value = (usize, Tuples, Tuples, Tuples)> {
+    prop_oneof![Just(N), Just(N_WIDE)].prop_flat_map(|n| {
+        let s = n / N;
+        (
+            Just(n),
+            sparse(n, 96 * s),
+            sparse(n, 24 * s),
+            sparse(n, 24 * s),
+        )
+    })
+}
+
+fn to_matrix(n: usize, t: &Tuples, format: Option<Format>) -> Matrix<f64> {
     let tuples: Vec<(usize, usize, f64)> = t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
-    let m = Matrix::from_tuples(N, N, &tuples).unwrap();
+    let m = Matrix::from_tuples(n, n, &tuples).unwrap();
     if let Some(f) = format {
         m.set_format(f).unwrap();
     }
     m
 }
 
-fn to_vector(t: &Tuples) -> Vector<f64> {
-    let v = Vector::<f64>::new(N).unwrap();
+fn to_vector(n: usize, t: &Tuples) -> Vector<f64> {
+    let v = Vector::<f64>::new(n).unwrap();
     for &(i, _, c) in t {
         v.set(i, fval(c)).unwrap();
     }
@@ -119,9 +136,7 @@ proptest! {
     /// it, under every (mode, format, degree, transpose, mask) shape.
     #[test]
     fn vxm_directions_agree_bitwise(
-        a in sparse(96),
-        u in sparse(24),
-        mask in sparse(24),
+        (n, a, u, mask) in operands(),
         transpose in any::<bool>(),
         complement in any::<bool>(),
         structural in any::<bool>(),
@@ -134,12 +149,12 @@ proptest! {
         };
         for ctx in contexts() {
             for format in FORMATS {
-                let am = to_matrix(&a, format);
-                let uv = to_vector(&u);
-                let mv = to_vector(&mask);
+                let am = to_matrix(n, &a, format);
+                let uv = to_vector(n, &u);
+                let mv = to_vector(n, &mask);
                 for k in DEGREES {
                     let run = |dir| at_degree(k, || spmspv::with_direction(dir, || {
-                        let w = Vector::<f64>::new(N).unwrap();
+                        let w = Vector::<f64>::new(n).unwrap();
                         ctx.vxm(&w, &mv, NoAccum, plus_times::<f64>(), &uv, &am, &desc)
                             .unwrap();
                         vector_bits(&w)
@@ -162,9 +177,7 @@ proptest! {
     /// `vxm`'s — the dispatch must flip push/pull sides accordingly.
     #[test]
     fn mxv_directions_agree_bitwise(
-        a in sparse(96),
-        u in sparse(24),
-        mask in sparse(24),
+        (n, a, u, mask) in operands(),
         transpose in any::<bool>(),
         complement in any::<bool>(),
     ) {
@@ -176,12 +189,12 @@ proptest! {
         };
         for ctx in contexts() {
             for format in FORMATS {
-                let am = to_matrix(&a, format);
-                let uv = to_vector(&u);
-                let mv = to_vector(&mask);
+                let am = to_matrix(n, &a, format);
+                let uv = to_vector(n, &u);
+                let mv = to_vector(n, &mask);
                 for k in DEGREES {
                     let run = |dir| at_degree(k, || spmspv::with_direction(dir, || {
-                        let w = Vector::<f64>::new(N).unwrap();
+                        let w = Vector::<f64>::new(n).unwrap();
                         ctx.mxv(&w, &mv, NoAccum, plus_times::<f64>(), &am, &uv, &desc)
                             .unwrap();
                         vector_bits(&w)
@@ -205,17 +218,15 @@ proptest! {
     /// leak into the merge.
     #[test]
     fn accumulated_vxm_directions_agree(
-        a in sparse(96),
-        u in sparse(24),
-        w0 in sparse(24),
+        (n, a, u, w0) in operands(),
     ) {
         let _serialize = DIRECTION_LOCK.lock().unwrap();
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
-        let uv = to_vector(&u);
+        let am = to_matrix(n, &a, None);
+        let uv = to_vector(n, &u);
         for k in DEGREES {
             let run = |dir| at_degree(k, || spmspv::with_direction(dir, || {
-                let w = to_vector(&w0);
+                let w = to_vector(n, &w0);
                 ctx.vxm(&w, NoMask, Accum(Plus::<f64>::new()), plus_times::<f64>(),
                     &uv, &am, &Descriptor::default()).unwrap();
                 vector_bits(&w)
@@ -223,6 +234,47 @@ proptest! {
             let dense = run(Direction::Dense);
             for dir in DIRECTIONS {
                 prop_assert_eq!(&dense, &run(dir), "accumulated vxm {:?} diverged", dir);
+            }
+        }
+    }
+}
+
+/// Regression: every direction folds an output's products left to right
+/// in input order at every degree. A chunked push that summed per-chunk
+/// partials as `(p1 ⊕ p2) ⊕ (p3 ⊕ p4)` lost the final `+ 1` here:
+/// `((1 + 1e16) - 1e16) + 1 = 1`, but `(1 + 1e16) + (-1e16 + 1) = 0`.
+#[test]
+fn chunked_directions_keep_the_serial_fold() {
+    let _serialize = DIRECTION_LOCK.lock().unwrap();
+    let col0 = [1.0, 1e16, -1e16, 1.0];
+    let tuples: Vec<(usize, usize, f64)> = (0..16)
+        .map(|i| (i, 0, col0.get(i).copied().unwrap_or(0.0)))
+        .collect();
+    let ones: Vec<(usize, f64)> = (0..16).map(|i| (i, 1.0)).collect();
+    let ctx = Context::blocking();
+    for format in [Format::Csr, Format::Tiled] {
+        let a = Matrix::from_tuples(N, N, &tuples).unwrap();
+        a.set_format(format).unwrap();
+        let u = Vector::from_tuples(N, &ones).unwrap();
+        for k in DEGREES {
+            for dir in DIRECTIONS {
+                let w0 = at_degree(k, || {
+                    spmspv::with_direction(dir, || {
+                        let w = Vector::<f64>::new(N).unwrap();
+                        ctx.vxm(
+                            &w,
+                            NoMask,
+                            NoAccum,
+                            plus_times::<f64>(),
+                            &u,
+                            &a,
+                            &Descriptor::default(),
+                        )
+                        .unwrap();
+                        w.get(0).unwrap()
+                    })
+                });
+                assert_eq!(w0, Some(1.0), "{dir:?} {format:?} degree {k}");
             }
         }
     }
