@@ -494,9 +494,12 @@ mod tests {
         m.set_format(GXB_FORMAT_CSR).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csr);
         m.set_format_policy(GXB_FORMAT_AUTO);
-        // next computed value re-chooses: a point update densifies it
+        // next computed value re-chooses: Auto stores a dense value as
+        // CSR — bitmap is reachable only through the explicit hint above
+        m.set_format(GXB_FORMAT_BITMAP).unwrap();
+        m.set_format_policy(GXB_FORMAT_AUTO);
         m.set(1, 1, Value::Int32(2)).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Bitmap); // 2/16 = 12.5% >= 1/16
+        assert_eq!(m.format().unwrap(), Format::Csr); // 2/16 = 12.5% stored
     }
 
     #[test]

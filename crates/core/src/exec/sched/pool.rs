@@ -273,14 +273,25 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_driver_traces_multiple_workers_on_wide_dag() {
-        // 64 independent nodes, each with a little real work: on any
-        // machine (even 1 hardware thread, where the pool still keeps
-        // 2 daemon workers) timeslicing spreads them across workers.
+        // 64 independent nodes, each with a little real work. The pool
+        // keeps at least 2 daemon workers even on 1 hardware thread, but a
+        // fast worker could still drain every node alone — so the first
+        // node holds its worker (up to a deadline) until a second node has
+        // started, which only another worker can do.
+        use std::time::{Duration, Instant};
+        let started = Arc::new(AtomicUsize::new(0));
         let roots: Vec<Arc<dyn Completable>> = (0..64)
             .map(|i| {
+                let started = started.clone();
                 c(&Node::pending(
                     vec![],
                     Box::new(move || {
+                        if started.fetch_add(1, Ordering::SeqCst) == 0 {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                                std::thread::yield_now();
+                            }
+                        }
                         let mut acc = 0u64;
                         for k in 0..200_000u64 {
                             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);

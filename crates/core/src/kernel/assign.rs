@@ -18,6 +18,7 @@
 use crate::accum::Accumulate;
 use crate::index::Index;
 use crate::kernel::util::{assemble_rows, map_rows};
+use crate::mask::Pattern;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
@@ -147,6 +148,62 @@ pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
         let new_pairs: Vec<(Index, T)> =
             sorted_cols.iter().map(|&tj| (tj, value.clone())).collect();
         assign_row(cc, cv, &new_pairs, |j| col_region[j], accum)
+    });
+    assemble_rows(c.nrows(), c.ncols(), out)
+}
+
+/// `C<M> = value` over the whole object without an accumulator, for one
+/// matrix row or a whole vector, given the positions a non-complemented
+/// mask admits there. The write stage reads Z only at those positions, so
+/// they take `value` directly and the dense fill is never built:
+/// O(|admitted| + |C row|). Elements of C outside the mask survive
+/// unless `replace`.
+pub fn fill_admitted<T: Clone>(
+    c_cols: &[Index],
+    c_vals: &[T],
+    admitted: &[Index],
+    value: &T,
+    replace: bool,
+) -> (Vec<Index>, Vec<T>) {
+    if replace {
+        return (admitted.to_vec(), vec![value.clone(); admitted.len()]);
+    }
+    let mut out_c = Vec::with_capacity(c_cols.len() + admitted.len());
+    let mut out_v = Vec::with_capacity(c_cols.len() + admitted.len());
+    let (mut ci, mut mi) = (0usize, 0usize);
+    loop {
+        let keep_c = match (c_cols.get(ci), admitted.get(mi)) {
+            (None, None) => break,
+            (Some(cj), Some(mj)) => cj < mj,
+            (cj, _) => cj.is_some(),
+        };
+        if keep_c {
+            out_c.push(c_cols[ci]);
+            out_v.push(c_vals[ci].clone());
+            ci += 1;
+        } else {
+            // an admitted position overwrites the element C held there
+            if c_cols.get(ci) == admitted.get(mi) {
+                ci += 1;
+            }
+            out_c.push(admitted[mi]);
+            out_v.push(value.clone());
+            mi += 1;
+        }
+    }
+    (out_c, out_v)
+}
+
+/// [`fill_admitted`] over every row of a matrix and its mask pattern.
+pub fn fill_admitted_matrix<T: Scalar>(
+    c: &Csr<T>,
+    pattern: &Pattern,
+    value: &T,
+    replace: bool,
+) -> Csr<T> {
+    let out = map_rows(c.nrows(), c.nvals() + pattern.nvals(), |i| {
+        let (cc, cv) = c.row(i);
+        fill_admitted(cc, cv, pattern.row(i).0, value, replace)
     });
     assemble_rows(c.nrows(), c.ncols(), out)
 }

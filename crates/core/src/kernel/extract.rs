@@ -4,43 +4,58 @@
 //! same source element may land in several output positions).
 
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows_init};
+use crate::kernel::util::{assemble_rows, map_rows};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
 
 /// `T(k, l) = A(rows[k], cols[l])` for stored elements.
+///
+/// Gathers through an inverse column map built once per call (source
+/// column → the output positions that select it), so each output row
+/// costs its source row plus what it emits — never a scan of `cols`.
 pub fn extract_matrix<T: Scalar>(a: &Csr<T>, rows: &[Index], cols: &[Index]) -> Csr<T> {
     let identity_cols = cols.len() == a.ncols() && cols.iter().enumerate().all(|(l, &j)| l == j);
-    let out_rows = map_rows_init(
-        rows.len(),
-        a.nvals(),
-        || (vec![None::<T>; a.ncols()], Vec::<Index>::new()),
-        |(ws, touched), k| {
-            let (src_cols, src_vals) = a.row(rows[k]);
-            if identity_cols {
-                return (src_cols.to_vec(), src_vals.to_vec());
+    // CSR-shaped inverse map: source column `j` lands at output positions
+    // `positions[start[j]..start[j + 1]]`, ascending. A duplicated column
+    // owns several positions; a permutation only reorders them.
+    let (start, positions) = if identity_cols {
+        (Vec::new(), Vec::new())
+    } else {
+        let mut start = vec![0usize; a.ncols() + 1];
+        for &j in cols {
+            start[j + 1] += 1;
+        }
+        for j in 0..a.ncols() {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut positions = vec![0; cols.len()];
+        for (l, &j) in cols.iter().enumerate() {
+            positions[next[j]] = l;
+            next[j] += 1;
+        }
+        (start, positions)
+    };
+    // With `cols` non-decreasing, walking a source row in column order
+    // already emits ascending output positions.
+    let ordered = cols.windows(2).all(|w| w[0] <= w[1]);
+    let out_rows = map_rows(rows.len(), a.nvals(), |k| {
+        let (src_cols, src_vals) = a.row(rows[k]);
+        if identity_cols {
+            return (src_cols.to_vec(), src_vals.to_vec());
+        }
+        let mut out: Vec<(Index, T)> = Vec::new();
+        for (&j, v) in src_cols.iter().zip(src_vals) {
+            for &l in &positions[start[j]..start[j + 1]] {
+                out.push((l, v.clone()));
             }
-            // scatter the source row, then gather in output-column order
-            for (j, v) in src_cols.iter().zip(src_vals) {
-                ws[*j] = Some(v.clone());
-                touched.push(*j);
-            }
-            let mut out_c = Vec::new();
-            let mut out_v = Vec::new();
-            for (l, &j) in cols.iter().enumerate() {
-                if let Some(v) = &ws[j] {
-                    out_c.push(l);
-                    out_v.push(v.clone());
-                }
-            }
-            for &j in touched.iter() {
-                ws[j] = None;
-            }
-            touched.clear();
-            (out_c, out_v)
-        },
-    );
+        }
+        if !ordered {
+            out.sort_unstable_by_key(|&(l, _)| l);
+        }
+        out.into_iter().unzip()
+    });
     assemble_rows(rows.len(), cols.len(), out_rows)
 }
 
@@ -130,6 +145,55 @@ mod tests {
     fn extract_missing_elements_stay_undefined() {
         let t = extract_matrix(&a(), &[1], &[0]);
         assert_eq!(t.nvals(), 0);
+    }
+
+    #[test]
+    fn extract_matches_naive_oracle_on_duplicated_permuted_lists() {
+        // 9x11 with a deterministic pseudo-random pattern
+        let mut tuples = Vec::new();
+        let mut x = 77u64;
+        for i in 0..9 {
+            for j in 0..11 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if (x >> 60) < 7 {
+                    tuples.push((i, j, (x >> 40) as i32));
+                }
+            }
+        }
+        let a = Csr::from_sorted_tuples(9, 11, tuples);
+        let oracle = |rows: &[Index], cols: &[Index]| {
+            let mut t = Vec::new();
+            for (k, &i) in rows.iter().enumerate() {
+                for (l, &j) in cols.iter().enumerate() {
+                    if let Some(v) = a.get(i, j) {
+                        t.push((k, l, *v));
+                    }
+                }
+            }
+            t
+        };
+        let lists: [&[Index]; 6] = [
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            &[10, 3, 3, 0, 7, 3],
+            &[5, 5, 5],
+            &[2, 4, 4, 8, 9],
+            &[8, 1, 6, 0],
+            &[],
+        ];
+        let row_lists: [&[Index]; 4] = [&[0, 1, 2, 3, 4, 5, 6, 7, 8], &[8, 2, 2, 0], &[4], &[]];
+        for rows in row_lists {
+            for cols in lists {
+                let t = extract_matrix(&a, rows, cols);
+                assert_eq!((t.nrows(), t.ncols()), (rows.len(), cols.len()));
+                assert_eq!(
+                    t.to_tuples(),
+                    oracle(rows, cols),
+                    "rows {rows:?} cols {cols:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -410,6 +410,44 @@ where
     assemble_rows(nrows, ncols, rows)
 }
 
+/// The masked-product strategy choice: `true` when the dot form
+/// ([`mxm_dot`]) walks no more than Gustavson ([`mxm`]) would, for an
+/// effective, non-complemented `pattern` over `A′ ⊕.⊗ B`.
+///
+/// The dot form merge-walks `A′(i,:)` against `B(:,j)` for every admitted
+/// `(i, j)` whose row of `A′` is non-empty — at most `|A′(i,:)| + |B(:,j)|`
+/// steps each — after building `Bᵀ`, which costs `bt_cost` (`nnz(B)`, or
+/// 0 when that view is already materialised). Gustavson does `flops`
+/// multiply-adds plus a sweep over the rows of `A′`. `b_col_degrees[j]`
+/// is `|B(:,j)|`, a store's cached degrees, so the estimate is
+/// O(|pattern| + nrows) and stops as soon as the dot side loses.
+///
+/// Both forms fold each output in ascending `k`, so the choice changes
+/// how long a product takes, never a bit of its result.
+pub fn prefer_dot<D1: Scalar>(
+    a: &Csr<D1>,
+    pattern: &Pattern,
+    b_col_degrees: &[usize],
+    bt_cost: usize,
+    flops: usize,
+) -> bool {
+    debug_assert_eq!(a.nrows(), pattern.nrows());
+    let budget = flops.saturating_add(a.nrows());
+    let mut work = bt_cost;
+    for i in 0..pattern.nrows() {
+        let a_row = a.row_nvals(i);
+        if a_row == 0 {
+            continue;
+        }
+        let (mcols, _) = pattern.row(i);
+        work += mcols.len() * a_row + mcols.iter().map(|&j| b_col_degrees[j]).sum::<usize>();
+        if work > budget {
+            return false;
+        }
+    }
+    work <= budget
+}
+
 /// Masked dot-product SpGEMM: computes `T = A ⊕.⊗ B` **only** at the
 /// positions of `pattern` (an effective, non-complemented mask), given
 /// `B` in transposed form. Work is `O(Σ_{(i,j)∈mask} (nnz A(i,:) +
@@ -597,6 +635,66 @@ mod tests {
         };
         let dot = mxm_dot(&plus_times::<i32>(), &a(), &b().transpose(), &pattern);
         assert_eq!(scatter, dot);
+    }
+
+    #[test]
+    fn prefer_dot_routes_wide_block_sweep_to_gustavson() {
+        // Fig. 3 backward sweep at its widest level (rmat12, 32 sources):
+        // `w<sigmas> = A +.* w` with a 17,211-entry mask, each admitted
+        // position meeting a ~1,400-entry column of the 44,410-entry w,
+        // against 350,349 Gustavson flops.
+        let n = 4096;
+        let mut a_tuples: Vec<_> = (0..n)
+            .flat_map(|i| (0..7).map(move |k| (i, (i + k * 577) % n, 1i32)))
+            .collect();
+        a_tuples.sort_unstable();
+        let a = Csr::from_sorted_tuples(n, n, a_tuples);
+        // 538 mask rows, 7 apart, each admitting (nearly) all 32 columns
+        let pattern =
+            Pattern::from_sorted_tuples(n, 32, (0..17_211).map(|e| (e / 32 * 7, e % 32, ())));
+        let flops = 350_349;
+        let b_col_degrees = vec![44_410 / 32; 32];
+        assert!(!prefer_dot(&a, &pattern, &b_col_degrees, 44_410, flops));
+        // even with Bᵀ already materialised
+        assert!(!prefer_dot(&a, &pattern, &b_col_degrees, 0, flops));
+    }
+
+    #[test]
+    fn prefer_dot_keeps_triangle_count_on_dot() {
+        // Sandia-style `C<L> = L ⊕.⊗ Lᵀ` on a graph whose hubs sit at the
+        // lowest indices: L's rows are short, its hub columns long, so
+        // Gustavson expands every hub column once per row that meets it
+        // while the dot form walks only short rows.
+        let (n, hubs) = (2000, 10);
+        let mut tuples = std::collections::BTreeSet::new();
+        for i in hubs..n {
+            for h in 0..hubs {
+                tuples.insert((i, h, true));
+            }
+            tuples.insert((i, i - 1, true));
+            tuples.insert((i, (i * 31) % i, true));
+        }
+        let l = Csr::from_sorted_tuples(n, n, tuples);
+        let pattern = l.map(|_| ());
+        // effective B = Lᵀ: |B(:,j)| = |L(j,:)|, and Bᵀ = L is stored
+        let b_col_degrees: Vec<usize> = (0..n).map(|j| l.row_nvals(j)).collect();
+        let mut l_col_degrees = vec![0usize; n];
+        for &k in l.col_idx() {
+            l_col_degrees[k] += 1;
+        }
+        let flops: usize = l.col_idx().iter().map(|&k| l_col_degrees[k]).sum();
+        assert!(prefer_dot(&l, &pattern, &b_col_degrees, 0, flops));
+        // and the two forms agree on it
+        let sr = plus_times::<i32>();
+        let li = l.map(|_| 1i32);
+        let mask = MaskCsr::Pattern {
+            pattern: pattern.clone(),
+            complement: false,
+        };
+        assert_eq!(
+            mxm(&sr, &li, &li.transpose(), &mask, MxmStrategy::Auto),
+            mxm_dot(&sr, &li, &li, &pattern)
+        );
     }
 
     #[test]

@@ -12,10 +12,11 @@ use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::index::{Index, IndexSelection};
 use crate::kernel::assign::{
-    assign_matrix, assign_scalar_matrix, assign_scalar_vector, assign_vector,
+    assign_matrix, assign_scalar_matrix, assign_scalar_vector, assign_vector, fill_admitted,
+    fill_admitted_matrix,
 };
 use crate::kernel::write::{write_matrix, write_vector};
-use crate::mask::MaskVec;
+use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
@@ -104,6 +105,12 @@ impl Context {
         Ac: Accumulate<T>,
         Mk: MatrixMask,
     {
+        // Whole-matrix masked fill without an accumulator (`levels<frontier>
+        // = d`): a non-complemented mask admits few positions, so Z is built
+        // from its pattern, as in `assign_scalar_vector`.
+        let mask_fill = !Ac::IS_ACCUM
+            && matches!(rows, IndexSelection::All)
+            && matches!(cols, IndexSelection::All);
         let rows = rows.resolve(c.nrows())?;
         let cols = cols.resolve(c.ncols())?;
         check_no_duplicates(&rows, "row")?;
@@ -134,6 +141,18 @@ impl Context {
         let eval = move || {
             let c_old = c_node.ready_storage()?.row_csr();
             let mcsr = msnap.materialize()?;
+            if let (
+                true,
+                MaskCsr::Pattern {
+                    pattern,
+                    complement: false,
+                },
+            ) = (mask_fill, &mcsr)
+            {
+                return Ok(MatrixStore::csr(fill_admitted_matrix(
+                    &c_old, pattern, &value, replace,
+                )));
+            }
             let z = assign_scalar_matrix(&c_old, &value, &rows, &cols, &accum);
             if let Some(e) = accum.poll_error() {
                 return Err(e);
@@ -233,22 +252,19 @@ impl Context {
             let eval = move || {
                 let w_old = w_node.ready_storage()?;
                 let mvec = msnap.materialize()?;
-                let z = match &mvec {
-                    MaskVec::Pattern {
-                        indices,
-                        complement: false,
-                    } => SparseVec::from_sorted_parts(
-                        w_old.size(),
-                        indices.clone(),
-                        vec![value.clone(); indices.len()],
-                    ),
-                    // complement (or absent) patterns admit O(n)
-                    // positions anyway: keep the dense fill
-                    _ => {
-                        let all: Vec<Index> = (0..w_old.size()).collect();
-                        assign_scalar_vector(&w_old, &value, &all, &crate::accum::NoAccum)
-                    }
-                };
+                if let MaskVec::Pattern {
+                    indices,
+                    complement: false,
+                } = &mvec
+                {
+                    let (idx, vals) =
+                        fill_admitted(w_old.indices(), w_old.vals(), indices, &value, replace);
+                    return Ok(SparseVec::from_sorted_parts(w_old.size(), idx, vals));
+                }
+                // complement (or absent) patterns admit O(n) positions
+                // anyway: keep the dense fill
+                let all: Vec<Index> = (0..w_old.size()).collect();
+                let z = assign_scalar_vector(&w_old, &value, &all, &crate::accum::NoAccum);
                 Ok(write_vector(
                     &w_old,
                     z,
@@ -420,6 +436,54 @@ mod tests {
         .unwrap();
         // Z = all-7s; admitted {(0,0),(0,1)} -> 7; replace clears the rest
         assert_eq!(c.extract_tuples().unwrap(), vec![(0, 0, 7), (0, 1, 7)]);
+    }
+
+    #[test]
+    fn mask_driven_matrix_fill_matches_dense_fill() {
+        // `ALL × ALL` takes the mask-pattern path; the same region spelled
+        // as explicit lists takes the dense fill + write stage. Both must
+        // agree for structural and valued masks, merge and replace.
+        let ctx = Context::blocking();
+        let mask = Matrix::from_tuples(
+            4,
+            3,
+            &[
+                (0, 0, true),
+                (0, 2, false),
+                (1, 1, true),
+                (3, 0, true),
+                (3, 2, false),
+            ],
+        )
+        .unwrap();
+        let c_tuples = [(0, 0, 9), (0, 1, 9), (1, 1, 9), (2, 2, 9), (3, 2, 9)];
+        let (rows, cols): (Vec<Index>, Vec<Index>) = ((0..4).collect(), (0..3).collect());
+        for desc in [
+            Descriptor::default(),
+            Descriptor::default().replace(),
+            Descriptor::default().structural_mask(),
+            Descriptor::default().structural_mask().replace(),
+        ] {
+            let fast = Matrix::from_tuples(4, 3, &c_tuples).unwrap();
+            ctx.assign_scalar_matrix(&fast, &mask, NoAccum, 7, ALL, ALL, &desc)
+                .unwrap();
+            let dense = Matrix::from_tuples(4, 3, &c_tuples).unwrap();
+            ctx.assign_scalar_matrix(
+                &dense,
+                &mask,
+                NoAccum,
+                7,
+                IndexSelection::List(&rows),
+                IndexSelection::List(&cols),
+                &desc,
+            )
+            .unwrap();
+            assert_eq!(
+                fast.extract_tuples().unwrap(),
+                dense.extract_tuples().unwrap(),
+                "{desc:?}"
+            );
+        }
     }
 
     #[test]

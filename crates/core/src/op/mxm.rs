@@ -10,7 +10,9 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::fuse::MatProducer;
 use crate::exec::{Completable, Context};
-use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, MxmStrategy};
+use crate::kernel::mxm::{
+    mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, prefer_dot, MxmStrategy,
+};
 use crate::kernel::write::write_matrix;
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
@@ -32,8 +34,9 @@ impl Context {
     /// * `desc` — `GrB_INP0`/`GrB_INP1 = GrB_TRAN` transpose the inputs;
     ///   `GrB_OUTP = GrB_REPLACE` clears unmasked output positions.
     ///
-    /// Masked products are computed only at admitted positions; strongly
-    /// masked products switch to dot-product form automatically.
+    /// Masked products are computed only at admitted positions; a
+    /// non-complemented mask takes the dot-product form whenever that
+    /// walks less than the row-wise product would.
     // the C operation signature: out, mask, accum, op, inputs, descriptor
     #[allow(clippy::too_many_arguments)]
     pub fn mxm<D1, D2, D3, S, Ac, Mk>(
@@ -97,19 +100,29 @@ impl Context {
                 let a_st = oriented_storage(&a_node, tr_a)?;
                 let b_st = oriented_storage(&b_node, tr_b)?;
 
-                // Strongly masked products: switch to dot-product form when
-                // the admitted set is far smaller than the scatter flop
-                // count — or as soon as it's merely no larger, when B's
-                // transposed view is already materialized (a Csc store or a
-                // cached conversion) and the dot form costs no transpose.
+                // Masked products take the dot form when it walks less
+                // than Gustavson (`prefer_dot`): |B(:,j)| is the effective
+                // B's cached column degrees — the stored B's row degrees
+                // when the descriptor transposes it — and building Bᵀ is
+                // free when the store already holds that view.
                 let t = match mcsr {
                     MaskCsr::Pattern {
                         pattern,
                         complement: false,
                     } if pattern.nvals() > 0 => {
                         let flops: usize = a_st.col_idx().iter().map(|&k| b_st.row_nvals(k)).sum();
-                        let bt_free = b_node.ready_storage()?.csr_view_ready(!tr_b);
-                        if pattern.nvals() * 16 <= flops || (bt_free && pattern.nvals() <= flops) {
+                        let b_store = b_node.ready_storage()?;
+                        let b_col_degrees = if tr_b {
+                            b_store.row_degrees()
+                        } else {
+                            b_store.col_degrees()
+                        };
+                        let bt_cost = if b_store.csr_view_ready(!tr_b) {
+                            0
+                        } else {
+                            b_st.nvals()
+                        };
+                        if prefer_dot(&a_st, pattern, &b_col_degrees, bt_cost, flops) {
                             // B^T comes from the store's memoized column
                             // view; if the descriptor already transposed B,
                             // the effective B^T is B itself.

@@ -10,8 +10,10 @@
 //! * [`Format::Csc`] — the CSR of `A^T`: column-major access, and a
 //!   *free* transpose view (a `GrB_TRAN` descriptor on a Csc operand
 //!   reads the stored array as-is);
-//! * [`Format::Bitmap`] — presence bits + value slots, for stored
-//!   fractions ≳ 6% where per-element indices cost more than they save;
+//! * [`Format::Bitmap`] — presence bits + value slots; reached only by an
+//!   explicit hint (`Force`, `GxB_FORMAT_BITMAP`), never by `Auto`: no
+//!   matrix–matrix kernel reads it natively, and even SpMSpV pulls run
+//!   faster from CSR at every measured density (EXPERIMENTS E6);
 //! * [`Format::Hyper`] — hypersparse CSR over the non-empty rows only,
 //!   for `nnz ≪ nrows` where even the row-pointer array would dominate.
 //!
@@ -75,8 +77,8 @@ pub const DEFAULT_TILE_GRID: (usize, usize) = (4, 4);
 /// an object (the `GxB_*`-style hint of the C extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FormatPolicy {
-    /// Pick the layout from observed shape/occupancy on every new value
-    /// (the thresholds below).
+    /// Pick the layout from observed shape/occupancy on every new value:
+    /// `Hyper` when most rows are empty, `Csr` otherwise.
     #[default]
     Auto,
     /// Always store in the given layout.
@@ -87,34 +89,21 @@ pub enum FormatPolicy {
     Tiled { rows: u16, cols: u16 },
 }
 
-/// `Auto` stores a bitmap when `nvals / (nrows*ncols) ≥ 1/16` (6.25%,
-/// inside the 4–10% break-even band measured in the `storage_formats`
-/// bench) …
-pub const BITMAP_DENSITY_DIVISOR: usize = 16;
-/// … but never allocates presence bits + slots for more than this many
-/// cells (64M — a dense `Option<f64>` plane of 1 GB).
-pub const BITMAP_MAX_CELLS: u128 = 1 << 26;
 /// `Auto` goes hypersparse when fewer than one row in this many holds
 /// any element (`nvals * 4 < nrows`).
 pub const HYPER_ROW_DIVISOR: usize = 4;
 
 impl FormatPolicy {
     /// The layout this policy stores a value of the given shape and
-    /// occupancy in. `Auto` never picks `Csc` — column orientation is an
-    /// access-pattern choice, made by explicit hint or transpose views.
-    pub fn choose(self, nrows: Index, ncols: Index, nvals: usize) -> Format {
+    /// occupancy in. `Auto` picks only `Csr` or `Hyper`: column
+    /// orientation is an access-pattern choice, made by explicit hint or
+    /// transpose views, and `Bitmap` is a hint-only layout.
+    pub fn choose(self, nrows: Index, _ncols: Index, nvals: usize) -> Format {
         match self {
             FormatPolicy::Force(f) => f,
             FormatPolicy::Tiled { .. } => Format::Tiled,
             FormatPolicy::Auto => {
-                let cells = nrows as u128 * ncols as u128;
-                if nvals == 0 || cells == 0 {
-                    Format::Csr
-                } else if cells <= BITMAP_MAX_CELLS
-                    && nvals as u128 * BITMAP_DENSITY_DIVISOR as u128 >= cells
-                {
-                    Format::Bitmap
-                } else if (nvals as u128) * (HYPER_ROW_DIVISOR as u128) < nrows as u128 {
+                if nvals > 0 && (nvals as u128) * (HYPER_ROW_DIVISOR as u128) < nrows as u128 {
                     Format::Hyper
                 } else {
                     Format::Csr
@@ -611,16 +600,22 @@ mod tests {
     #[test]
     fn auto_policy_thresholds() {
         let auto = FormatPolicy::Auto;
-        // 4/9 stored = 44% -> bitmap
-        assert_eq!(auto.choose(3, 3, 4), Format::Bitmap);
-        // far below 1/16 density, nnz*4 >= nrows -> csr
+        // dense (4/9 stored) or fully stored: still csr, never bitmap
+        assert_eq!(auto.choose(3, 3, 4), Format::Csr);
+        assert_eq!(auto.choose(4096, 32, 4096 * 32), Format::Csr);
+        // sparse, nnz*4 >= nrows -> csr
         assert_eq!(auto.choose(1000, 1000, 10_000), Format::Csr);
         // nnz << nrows -> hyper
         assert_eq!(auto.choose(1_000_000, 1_000_000, 1_000), Format::Hyper);
         // empty -> csr
         assert_eq!(auto.choose(10, 10, 0), Format::Csr);
-        // dense but too many cells for a bitmap plane -> csr
+        // dense with more cells than any plane could hold -> csr
         assert_eq!(auto.choose(1 << 14, 1 << 14, usize::MAX / 2), Format::Csr);
+        // bitmap stays reachable by an explicit hint
+        assert_eq!(
+            FormatPolicy::Force(Format::Bitmap).choose(3, 3, 4),
+            Format::Bitmap
+        );
         // forced always wins
         assert_eq!(
             FormatPolicy::Force(Format::Hyper).choose(3, 3, 4),
@@ -666,7 +661,8 @@ mod tests {
 
     #[test]
     fn views_are_memoized() {
-        let store = MatrixStore::csr(sample()).into_format(Format::Bitmap);
+        // bitmap has no native CSR: pin it so the row view is a conversion
+        let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Bitmap));
         assert!(!store.csr_view_ready(false));
         let a = store.row_csr();
         assert!(store.csr_view_ready(false));
@@ -676,9 +672,14 @@ mod tests {
 
     #[test]
     fn from_csr_applies_auto_migration() {
-        // dense enough for bitmap under Auto
+        // dense values stay native CSR under Auto: no migration
         let store = MatrixStore::from_csr(sample(), FormatPolicy::Auto);
-        assert_eq!(store.format(), Format::Bitmap);
+        assert_eq!(store.format(), Format::Csr);
+        assert_eq!(store.migrated_from(), None);
+        // a mostly-empty value goes hypersparse, recording the migration
+        let sparse = Csr::from_sorted_tuples(100, 100, vec![(7, 3, 1i32)]);
+        let store = MatrixStore::from_csr(sparse, FormatPolicy::Auto);
+        assert_eq!(store.format(), Format::Hyper);
         assert_eq!(store.migrated_from(), Some(Format::Csr));
         // forced CSR keeps it native with no migration
         let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Csr));

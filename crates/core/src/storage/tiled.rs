@@ -7,8 +7,8 @@
 //! Opportunities, and the 2D decompositions of the CombBLAS line of
 //! work) splits the index space into a `grid_rows × grid_cols` grid of
 //! *local-indexed* blocks, each an ordinary [`MatrixStore`] whose layout
-//! the existing [`FormatPolicy::Auto`] picks per block — a dense corner
-//! goes bitmap while an empty fringe stays hypersparse, inside one
+//! the existing [`FormatPolicy::Auto`] picks per block — a populated
+//! corner stays CSR while an empty fringe goes hypersparse, inside one
 //! logical matrix. The tile is also the unit of everything else:
 //!
 //! * **property caches** — each tile memoizes its own row/col degrees
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn tiles_pick_their_own_formats() {
         // a dense 4x4 corner and one far-away element: the corner tile
-        // goes bitmap under Auto while the sparse tile stays compressed
+        // stays CSR under Auto while the near-empty tile goes hypersparse
         let mut tuples = Vec::new();
         for i in 0..4 {
             for j in 0..4 {
@@ -532,8 +532,8 @@ mod tests {
         tuples.push((63, 63, -1));
         let csr = Csr::from_sorted_tuples(64, 64, tuples);
         let t = Tiled::from_csr(&csr, (8, 8));
-        assert_eq!(t.tile(0, 0).unwrap().format(), Format::Bitmap);
-        assert_ne!(t.tile(7, 7).unwrap().format(), Format::Bitmap);
+        assert_eq!(t.tile(0, 0).unwrap().format(), Format::Csr);
+        assert_eq!(t.tile(7, 7).unwrap().format(), Format::Hyper);
     }
 
     #[test]

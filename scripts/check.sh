@@ -34,6 +34,12 @@ cargo test --release --offline --manifest-path grb-bench/Cargo.toml
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
+# Core unit tests at release speed: scheduler and cost-model tests see
+# optimised kernels here, where timing-sensitive properties differ from
+# debug.
+echo "== cargo test --release -q -p graphblas-core --lib"
+cargo test --release -q -p graphblas-core --lib
+
 echo "== cargo test -q -p graphblas-core --no-default-features (sequential path)"
 cargo test -q -p graphblas-core --no-default-features
 

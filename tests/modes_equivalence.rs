@@ -756,3 +756,81 @@ proptest! {
         }
     }
 }
+
+/// Widths of the thin right operands a masked `mxm` is fed below: one
+/// column, the Fig. 3 batch of 32 sources, and one past a 64-bit word.
+const THIN: [usize; 3] = [1, 32, 65];
+
+fn thin_strategy() -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
+    proptest::collection::vec((0..N, 0..65usize, -4i64..4), 0..40).prop_map(|mut t| {
+        t.sort_by_key(|&(i, j, _)| (i, j));
+        t.dedup_by_key(|&mut (i, j, _)| (i, j));
+        t
+    })
+}
+
+/// `C<M> ⊕= A ⊕.⊗ B` for every thin width, with the mask plain or
+/// complemented and `B` left to `Auto` or pinned to `Csc` (its column
+/// view cached, so the dot form costs no transpose).
+fn interpret_thin(
+    ctx: &Context,
+    a: &[(usize, usize, i64)],
+    b: &[(usize, usize, i64)],
+    mask: &[(usize, usize, i64)],
+    replace: bool,
+) -> Vec<Vec<(usize, usize, i64)>> {
+    let am = Matrix::from_tuples(N, N, a).unwrap();
+    let mut out = Vec::new();
+    for w in THIN {
+        let narrow = |t: &[(usize, usize, i64)]| {
+            let t: Vec<_> = t.iter().copied().filter(|&(_, j, _)| j < w).collect();
+            Matrix::from_tuples(N, w, &t).unwrap()
+        };
+        let (bm, mm) = (narrow(b), narrow(mask));
+        for (complement, csc) in [(false, false), (false, true), (true, false), (true, true)] {
+            if csc {
+                bm.set_format(Format::Csc).unwrap();
+            }
+            let mut desc = Descriptor::default();
+            if complement {
+                desc = desc.complement_mask();
+            }
+            if replace {
+                desc = desc.replace();
+            }
+            let c = narrow(b);
+            ctx.mxm(
+                &c,
+                &mm,
+                Accum(Plus::<i64>::new()),
+                plus_times::<i64>(),
+                &am,
+                &bm,
+                &desc,
+            )
+            .unwrap();
+            out.push(c);
+            bm.set_format_policy(FormatPolicy::Auto);
+        }
+    }
+    ctx.wait().unwrap();
+    out.iter().map(|m| m.extract_tuples().unwrap()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn thin_block_masked_mxm_agrees_across_modes(
+        seeds in seeds_strategy(),
+        b in thin_strategy(),
+        mask in thin_strategy(),
+        replace in any::<bool>(),
+    ) {
+        let blocking = interpret_thin(&Context::blocking(), &seeds[0], &b, &mask, replace);
+        let nb_seq = interpret_thin(&Context::nonblocking_sequential(), &seeds[0], &b, &mask, replace);
+        let nb_par = interpret_thin(&Context::nonblocking_parallel(), &seeds[0], &b, &mask, replace);
+        prop_assert_eq!(&blocking, &nb_seq);
+        prop_assert_eq!(&blocking, &nb_par);
+    }
+}

@@ -83,8 +83,104 @@ const FORMATS: [Option<Format>; 4] = [
     Some(Format::Hyper),
 ];
 
+/// Widths of the thin right operands: a single column, the Fig. 3 batch
+/// of 32 sources, and one past a 64-bit word.
+const THIN: [usize; 3] = [1, 32, 65];
+
+/// A row of `A` whose sequential fold gives exactly 1:
+/// `((1 + 1e16) - 1e16) + 1`. A regrouped fold — pairwise, chunked, or
+/// one that adds the two 1s together first — rounds to 0 or 2.
+const TRAP: [f64; 4] = [1.0, 1e16, -1e16, 1.0];
+
+fn thin_tuples(max_nnz: usize) -> impl Strategy<Value = Tuples> {
+    proptest::collection::vec((0..N, 0..65usize, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
+        t.sort_by_key(|&(i, j, _)| (i, j));
+        t.dedup_by_key(|&mut (i, j, _)| (i, j));
+        t
+    })
+}
+
+/// `A` with row 0 replaced by [`TRAP`] at columns 0..4.
+fn trap_matrix(t: &Tuples) -> Matrix<f64> {
+    let mut tuples: Vec<(usize, usize, f64)> =
+        TRAP.iter().enumerate().map(|(k, &v)| (0, k, v)).collect();
+    tuples.extend(
+        t.iter()
+            .filter(|&&(i, _, _)| i != 0)
+            .map(|&(i, j, c)| (i, j, fval(c))),
+    );
+    Matrix::from_tuples(N, N, &tuples).unwrap()
+}
+
+/// An `N × w` block from `t`, with `B(0..4, 0) = 1` so `T(0, 0)` folds
+/// [`TRAP`]. `trap_col` drops that column when the trap must stay out.
+fn thin_matrix(t: &Tuples, w: usize, trap_col: bool) -> Matrix<f64> {
+    let mut tuples: Vec<(usize, usize, f64)> = t
+        .iter()
+        .filter(|&&(i, j, _)| j < w && !(j == 0 && (i < TRAP.len() || trap_col)))
+        .map(|&(i, j, c)| (i, j, fval(c)))
+        .collect();
+    if trap_col {
+        tuples.extend((0..TRAP.len()).map(|k| (k, 0, 1.0)));
+    }
+    Matrix::from_tuples(N, w, &tuples).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn thin_block_masked_mxm_is_bitwise_deterministic(
+        a in sparse(64),
+        b in thin_tuples(96),
+        mask in thin_tuples(48),
+    ) {
+        // `C<M> = A ⊕.⊗ B` for thin B, with and without a complemented
+        // mask, B's column view cached (Csc) or not. The masked product
+        // may take the dot or the row-wise form; both must equal the
+        // unmasked row-wise product written through the same mask, bit
+        // for bit, at every degree — the TRAP row included.
+        let ctx = Context::blocking();
+        let am = trap_matrix(&a);
+        for w in THIN {
+            let bm = thin_matrix(&b, w, true);
+            for complement in [false, true] {
+                // the trap position alone (a mask the dot form always
+                // wins) and a random mask that also admits it
+                let only_trap = thin_matrix(&Vec::new(), w, false);
+                only_trap.set(0, 0, 1.0).unwrap();
+                let random = thin_matrix(&mask, w, false);
+                random.set(0, 0, 1.0).unwrap();
+                let mut desc = Descriptor::default().structural_mask();
+                if complement {
+                    desc = desc.complement_mask();
+                }
+                for (mm, fb) in [(&only_trap, None), (&only_trap, Some(Format::Csc)), (&random, None)] {
+                    if let Some(f) = fb {
+                        bm.set_format(f).unwrap();
+                    }
+                    let run = |k| at_degree(k, || {
+                        let c = Matrix::<f64>::new(N, w).unwrap();
+                        ctx.mxm(&c, mm, NoAccum, plus_times::<f64>(), &am, &bm, &desc).unwrap();
+                        matrix_bits(&c)
+                    });
+                    let serial = run(1);
+                    for k in DEGREES {
+                        prop_assert_eq!(&serial, &run(k));
+                    }
+                    let t = Matrix::<f64>::new(N, w).unwrap();
+                    ctx.mxm(&t, NoMask, NoAccum, plus_times::<f64>(), &am, &bm,
+                        &Descriptor::default()).unwrap();
+                    let c = Matrix::<f64>::new(N, w).unwrap();
+                    ctx.apply_matrix(&c, mm, NoAccum, Identity::new(), &t, &desc).unwrap();
+                    prop_assert_eq!(&serial, &matrix_bits(&c));
+                    let trap = serial.iter().find(|e| (e.0, e.1) == (0, 0)).map(|e| e.2);
+                    prop_assert_eq!(trap, (!complement).then_some(1f64.to_bits()));
+                }
+                bm.set_format_policy(FormatPolicy::Auto);
+            }
+        }
+    }
 
     #[test]
     fn mxm_is_bitwise_deterministic_across_formats(
