@@ -17,65 +17,60 @@
 
 use crate::accum::Accumulate;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::Pattern;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
 
-/// Merge one output row: `c_row` is the old content, `new_pairs` the
-/// region's new content for this row (sorted by target column),
-/// `in_region(j)` tells whether column `j` belongs to the assigned region.
+/// Merge one output row into `out_c`/`out_v`: `c_*` is the old content,
+/// `new` the region's new content for this row (ascending target
+/// column), `in_region(j)` tells whether column `j` belongs to the
+/// assigned region.
 fn assign_row<T: Scalar, Ac: Accumulate<T>>(
     c_cols: &[Index],
     c_vals: &[T],
-    new_pairs: &[(Index, T)],
+    new: impl Iterator<Item = (Index, T)>,
     in_region: impl Fn(Index) -> bool,
     accum: &Ac,
-) -> (Vec<Index>, Vec<T>) {
-    let mut out_c = Vec::with_capacity(c_cols.len() + new_pairs.len());
-    let mut out_v = Vec::with_capacity(c_cols.len() + new_pairs.len());
-    let (mut ci, mut ni) = (0usize, 0usize);
+    out_c: &mut Vec<Index>,
+    out_v: &mut Vec<T>,
+) {
+    let mut new = new.peekable();
+    let mut ci = 0usize;
     loop {
-        match (c_cols.get(ci), new_pairs.get(ni)) {
+        let take_c = match (c_cols.get(ci), new.peek()) {
             (None, None) => break,
-            (Some(&cj), None) => {
-                if !in_region(cj) || Ac::IS_ACCUM {
-                    out_c.push(cj);
-                    out_v.push(c_vals[ci].clone());
-                }
-                ci += 1;
-            }
-            (None, Some((nj, nv))) => {
-                out_c.push(*nj);
-                out_v.push(nv.clone());
-                ni += 1;
-            }
-            (Some(&cj), Some((nj, nv))) => {
-                if cj < *nj {
-                    if !in_region(cj) || Ac::IS_ACCUM {
-                        out_c.push(cj);
-                        out_v.push(c_vals[ci].clone());
-                    }
-                    ci += 1;
-                } else if *nj < cj {
-                    out_c.push(*nj);
-                    out_v.push(nv.clone());
-                    ni += 1;
-                } else {
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(&cj), Some(&(nj, _))) => {
+                if cj == nj {
+                    let (_, nv) = new.next().expect("peeked");
                     out_c.push(cj);
                     out_v.push(if Ac::IS_ACCUM {
-                        accum.combine(&c_vals[ci], nv)
+                        accum.combine(&c_vals[ci], &nv)
                     } else {
-                        nv.clone()
+                        nv
                     });
                     ci += 1;
-                    ni += 1;
+                    continue;
                 }
+                cj < nj
             }
+        };
+        if take_c {
+            let cj = c_cols[ci];
+            if !in_region(cj) || Ac::IS_ACCUM {
+                out_c.push(cj);
+                out_v.push(c_vals[ci].clone());
+            }
+            ci += 1;
+        } else {
+            let (nj, nv) = new.next().expect("peeked");
+            out_c.push(nj);
+            out_v.push(nv);
         }
     }
-    (out_c, out_v)
 }
 
 /// `Z = C; Z(rows, cols) ⊙= A`.
@@ -101,20 +96,27 @@ pub fn assign_matrix<T: Scalar, Ac: Accumulate<T>>(
     let mut col_map: Vec<(Index, Index)> = cols.iter().copied().enumerate().collect(); // (l, tj)
     col_map.sort_unstable_by_key(|&(_, tj)| tj);
 
-    let out = map_rows(c.nrows(), c.nvals() + a.nvals(), |i| {
-        let (cc, cv) = c.row(i);
-        match row_src[i] {
-            None => (cc.to_vec(), cv.to_vec()),
-            Some(k) => {
-                let new_pairs: Vec<(Index, T)> = col_map
-                    .iter()
-                    .filter_map(|&(l, tj)| a.get(k, l).map(|v| (tj, v.clone())))
-                    .collect();
-                assign_row(cc, cv, &new_pairs, |j| col_region[j], accum)
+    emit_rows(
+        c.nrows(),
+        c.ncols(),
+        c.nvals() + a.nvals(),
+        stateless,
+        |_, i, out_c, out_v| {
+            let (cc, cv) = c.row(i);
+            match row_src[i] {
+                None => {
+                    out_c.extend_from_slice(cc);
+                    out_v.extend_from_slice(cv);
+                }
+                Some(k) => {
+                    let new = col_map
+                        .iter()
+                        .filter_map(|&(l, tj)| a.get(k, l).map(|v| (tj, v.clone())));
+                    assign_row(cc, cv, new, |j| col_region[j], accum, out_c, out_v);
+                }
             }
-        }
-    });
-    assemble_rows(c.nrows(), c.ncols(), out)
+        },
+    )
 }
 
 /// `Z = C; Z(rows, cols) ⊙= value` — the scalar-fill variant used at
@@ -140,16 +142,22 @@ pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
     }
 
     let fill = rows.len().saturating_mul(cols.len());
-    let out = map_rows(c.nrows(), c.nvals().saturating_add(fill), |i| {
-        let (cc, cv) = c.row(i);
-        if !row_region[i] {
-            return (cc.to_vec(), cv.to_vec());
-        }
-        let new_pairs: Vec<(Index, T)> =
-            sorted_cols.iter().map(|&tj| (tj, value.clone())).collect();
-        assign_row(cc, cv, &new_pairs, |j| col_region[j], accum)
-    });
-    assemble_rows(c.nrows(), c.ncols(), out)
+    emit_rows(
+        c.nrows(),
+        c.ncols(),
+        c.nvals().saturating_add(fill),
+        stateless,
+        |_, i, out_c, out_v| {
+            let (cc, cv) = c.row(i);
+            if !row_region[i] {
+                out_c.extend_from_slice(cc);
+                out_v.extend_from_slice(cv);
+                return;
+            }
+            let new = sorted_cols.iter().map(|&tj| (tj, value.clone()));
+            assign_row(cc, cv, new, |j| col_region[j], accum, out_c, out_v);
+        },
+    )
 }
 
 /// `C<M> = value` over the whole object without an accumulator, for one
@@ -157,19 +165,21 @@ pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
 /// mask admits there. The write stage reads Z only at those positions, so
 /// they take `value` directly and the dense fill is never built:
 /// O(|admitted| + |C row|). Elements of C outside the mask survive
-/// unless `replace`.
+/// unless `replace`. The row is appended to `out_c`/`out_v`.
 pub fn fill_admitted<T: Clone>(
     c_cols: &[Index],
     c_vals: &[T],
     admitted: &[Index],
     value: &T,
     replace: bool,
-) -> (Vec<Index>, Vec<T>) {
+    out_c: &mut Vec<Index>,
+    out_v: &mut Vec<T>,
+) {
     if replace {
-        return (admitted.to_vec(), vec![value.clone(); admitted.len()]);
+        out_c.extend_from_slice(admitted);
+        out_v.resize(out_v.len() + admitted.len(), value.clone());
+        return;
     }
-    let mut out_c = Vec::with_capacity(c_cols.len() + admitted.len());
-    let mut out_v = Vec::with_capacity(c_cols.len() + admitted.len());
     let (mut ci, mut mi) = (0usize, 0usize);
     loop {
         let keep_c = match (c_cols.get(ci), admitted.get(mi)) {
@@ -191,7 +201,6 @@ pub fn fill_admitted<T: Clone>(
             mi += 1;
         }
     }
-    (out_c, out_v)
 }
 
 /// [`fill_admitted`] over every row of a matrix and its mask pattern.
@@ -201,11 +210,16 @@ pub fn fill_admitted_matrix<T: Scalar>(
     value: &T,
     replace: bool,
 ) -> Csr<T> {
-    let out = map_rows(c.nrows(), c.nvals() + pattern.nvals(), |i| {
-        let (cc, cv) = c.row(i);
-        fill_admitted(cc, cv, pattern.row(i).0, value, replace)
-    });
-    assemble_rows(c.nrows(), c.ncols(), out)
+    emit_rows(
+        c.nrows(),
+        c.ncols(),
+        c.nvals() + pattern.nvals(),
+        stateless,
+        |_, i, out_c, out_v| {
+            let (cc, cv) = c.row(i);
+            fill_admitted(cc, cv, pattern.row(i).0, value, replace, out_c, out_v);
+        },
+    )
 }
 
 /// `z = w; z(indices) ⊙= u`.
@@ -227,7 +241,17 @@ pub fn assign_vector<T: Scalar, Ac: Accumulate<T>>(
         .filter_map(|(k, ti)| u.get(k).map(|v| (ti, v.clone())))
         .collect();
     new_pairs.sort_unstable_by_key(|&(ti, _)| ti);
-    let (idx, vals) = assign_row(w.indices(), w.vals(), &new_pairs, |i| region[i], accum);
+    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+    let new = new_pairs.into_iter();
+    assign_row(
+        w.indices(),
+        w.vals(),
+        new,
+        |i| region[i],
+        accum,
+        &mut idx,
+        &mut vals,
+    );
     SparseVec::from_sorted_parts(w.size(), idx, vals)
 }
 
@@ -244,8 +268,17 @@ pub fn assign_scalar_vector<T: Scalar, Ac: Accumulate<T>>(
     }
     let mut sorted = indices.to_vec();
     sorted.sort_unstable();
-    let new_pairs: Vec<(Index, T)> = sorted.iter().map(|&ti| (ti, value.clone())).collect();
-    let (idx, vals) = assign_row(w.indices(), w.vals(), &new_pairs, |i| region[i], accum);
+    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+    let new = sorted.iter().map(|&ti| (ti, value.clone()));
+    assign_row(
+        w.indices(),
+        w.vals(),
+        new,
+        |i| region[i],
+        accum,
+        &mut idx,
+        &mut vals,
+    );
     SparseVec::from_sorted_parts(w.size(), idx, vals)
 }
 

@@ -9,7 +9,8 @@
 
 use crate::algebra::binary::BinaryOp;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::{emit_rows, stateless};
+use crate::mask::MaskCsr;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
@@ -46,23 +47,24 @@ pub fn union_merge<T: Scalar, F: BinaryOp<T, T, T>>(
             }
         }
     }
-    for k in i..a_idx.len() {
-        out_idx.push(a_idx[k]);
-        out_vals.push(a_vals[k].clone());
-    }
-    for k in j..b_idx.len() {
-        out_idx.push(b_idx[k]);
-        out_vals.push(b_vals[k].clone());
-    }
+    // at most one tail is left — the whole of a side when the other is
+    // empty — and it is copied as a slice
+    out_idx.extend_from_slice(&a_idx[i..]);
+    out_vals.extend_from_slice(&a_vals[i..]);
+    out_idx.extend_from_slice(&b_idx[j..]);
+    out_vals.extend_from_slice(&b_vals[j..]);
 }
 
-/// Intersection-merge two sorted index/value slices: ⊗ on matches only.
+/// Intersection-merge two sorted index/value slices: ⊗ on the matches
+/// `keep` admits. `keep` is asked in ascending index order.
+#[allow(clippy::too_many_arguments)]
 pub fn intersect_merge<A, B, C, F>(
     a_idx: &[Index],
     a_vals: &[A],
     b_idx: &[Index],
     b_vals: &[B],
     mul: &F,
+    mut keep: impl FnMut(Index) -> bool,
     out_idx: &mut Vec<Index>,
     out_vals: &mut Vec<C>,
 ) where
@@ -77,8 +79,10 @@ pub fn intersect_merge<A, B, C, F>(
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out_idx.push(a_idx[i]);
-                out_vals.push(mul.apply(&a_vals[i], &b_vals[j]));
+                if keep(a_idx[i]) {
+                    out_idx.push(a_idx[i]);
+                    out_vals.push(mul.apply(&a_vals[i], &b_vals[j]));
+                }
                 i += 1;
                 j += 1;
             }
@@ -95,19 +99,28 @@ pub fn ewise_add_matrix<T: Scalar, F: BinaryOp<T, T, T>>(
 ) -> Csr<T> {
     debug_assert_eq!(a.nrows(), b.nrows());
     debug_assert_eq!(a.ncols(), b.ncols());
-    let rows = map_rows(a.nrows(), a.nvals() + b.nvals(), |i| {
-        let (ac, av) = a.row(i);
-        let (bc, bv) = b.row(i);
-        let mut idx = Vec::with_capacity(ac.len() + bc.len());
-        let mut vals = Vec::with_capacity(ac.len() + bc.len());
-        union_merge(ac, av, bc, bv, add, &mut idx, &mut vals);
-        (idx, vals)
-    });
-    assemble_rows(a.nrows(), a.ncols(), rows)
+    emit_rows(
+        a.nrows(),
+        a.ncols(),
+        a.nvals() + b.nvals(),
+        stateless,
+        |_, i, cols, vals| {
+            let (ac, av) = a.row(i);
+            let (bc, bv) = b.row(i);
+            union_merge(ac, av, bc, bv, add, cols, vals);
+        },
+    )
 }
 
-/// `T = A ⊗ B` on matrices (the internal result of `eWiseMult`).
-pub fn ewise_mult_matrix<A, B, C, F>(a: &Csr<A>, b: &Csr<B>, mul: &F) -> Csr<C>
+/// `T = A ⊗ B` on matrices (the internal result of `eWiseMult`), computed
+/// only where `mask` admits. The write stage never reads `T` anywhere
+/// else, so this is the operation's `T` for any mask; `MaskCsr::All`
+/// gives the whole intersection.
+///
+/// A row the mask admits nothing in is skipped. A non-complemented mask
+/// row drives the walk from its own columns, each sought in `A(i,:)` and
+/// `B(i,:)`; a complemented one filters the merge with a monotone cursor.
+pub fn ewise_mult_matrix<A, B, C, F>(a: &Csr<A>, b: &Csr<B>, mask: &MaskCsr, mul: &F) -> Csr<C>
 where
     A: Scalar,
     B: Scalar,
@@ -116,15 +129,37 @@ where
 {
     debug_assert_eq!(a.nrows(), b.nrows());
     debug_assert_eq!(a.ncols(), b.ncols());
-    let rows = map_rows(a.nrows(), a.nvals() + b.nvals(), |i| {
-        let (ac, av) = a.row(i);
-        let (bc, bv) = b.row(i);
-        let mut idx = Vec::with_capacity(ac.len().min(bc.len()));
-        let mut vals = Vec::with_capacity(ac.len().min(bc.len()));
-        intersect_merge(ac, av, bc, bv, mul, &mut idx, &mut vals);
-        (idx, vals)
-    });
-    assemble_rows(a.nrows(), a.ncols(), rows)
+    emit_rows(
+        a.nrows(),
+        a.ncols(),
+        a.nvals() + b.nvals(),
+        stateless,
+        |_, i, cols, vals| {
+            let (ac, av) = a.row(i);
+            let (bc, bv) = b.row(i);
+            let mrow = mask.row(i);
+            match mrow.raw() {
+                (Some(admitted), false) => {
+                    let (mut p, mut q) = (0, 0);
+                    for &j in admitted {
+                        p += ac[p..].partition_point(|&x| x < j);
+                        q += bc[q..].partition_point(|&x| x < j);
+                        if p == ac.len() || q == bc.len() {
+                            break;
+                        }
+                        if ac[p] == j && bc[q] == j {
+                            cols.push(j);
+                            vals.push(mul.apply(&av[p], &bv[q]));
+                        }
+                    }
+                }
+                _ => {
+                    let mut cur = mrow.cursor();
+                    intersect_merge(ac, av, bc, bv, mul, |j| cur.admits(j), cols, vals);
+                }
+            }
+        },
+    )
 }
 
 /// `t = u ⊕ v` on vectors.
@@ -165,6 +200,7 @@ where
         v.indices(),
         v.vals(),
         mul,
+        |_| true,
         &mut idx,
         &mut vals,
     );
@@ -195,8 +231,21 @@ mod tests {
 
     #[test]
     fn mult_is_intersection_only() {
-        let c = ewise_mult_matrix(&a(), &b(), &Times::new());
+        let c = ewise_mult_matrix(&a(), &b(), &MaskCsr::All, &Times::new());
         assert_eq!(c.to_tuples(), vec![(0, 0, 10), (1, 1, 90)]);
+    }
+
+    #[test]
+    fn mult_is_computed_only_where_the_mask_admits() {
+        // the intersection is (0,0) -> 10 and (1,1) -> 90; row 1 of the
+        // plain mask admits nothing
+        let m = Csr::from_sorted_tuples(2, 3, vec![(0, 0, true), (0, 2, true)]);
+        let mult = |complement| {
+            let mask = MaskCsr::from_csr(&m, false, complement);
+            ewise_mult_matrix(&a(), &b(), &mask, &Times::new()).to_tuples()
+        };
+        assert_eq!(mult(false), vec![(0, 0, 10)]);
+        assert_eq!(mult(true), vec![(1, 1, 90)]);
     }
 
     #[test]
@@ -204,7 +253,7 @@ mod tests {
         use crate::algebra::binary::binary_fn;
         let flags = Csr::from_sorted_tuples(2, 3, vec![(0, 0, true), (1, 1, false)]);
         let gate = binary_fn(|x: &i32, keep: &bool| if *keep { *x as f64 } else { 0.0 });
-        let c: Csr<f64> = ewise_mult_matrix(&a(), &flags, &gate);
+        let c: Csr<f64> = ewise_mult_matrix(&a(), &flags, &MaskCsr::All, &gate);
         assert_eq!(c.to_tuples(), vec![(0, 0, 1.0), (1, 1, 0.0)]);
     }
 
@@ -220,7 +269,7 @@ mod tests {
     #[test]
     fn mult_with_empty_operand_is_empty() {
         let e = Csr::<i32>::empty(2, 3);
-        let c = ewise_mult_matrix(&a(), &e, &Times::new());
+        let c = ewise_mult_matrix(&a(), &e, &MaskCsr::All, &Times::new());
         assert_eq!(c.nvals(), 0);
     }
 

@@ -4,7 +4,7 @@
 //! same source element may land in several output positions).
 
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::emit_rows;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
@@ -40,23 +40,33 @@ pub fn extract_matrix<T: Scalar>(a: &Csr<T>, rows: &[Index], cols: &[Index]) -> 
     // With `cols` non-decreasing, walking a source row in column order
     // already emits ascending output positions.
     let ordered = cols.windows(2).all(|w| w[0] <= w[1]);
-    let out_rows = map_rows(rows.len(), a.nvals(), |k| {
-        let (src_cols, src_vals) = a.row(rows[k]);
-        if identity_cols {
-            return (src_cols.to_vec(), src_vals.to_vec());
-        }
-        let mut out: Vec<(Index, T)> = Vec::new();
-        for (&j, v) in src_cols.iter().zip(src_vals) {
-            for &l in &positions[start[j]..start[j + 1]] {
-                out.push((l, v.clone()));
+    emit_rows(
+        rows.len(),
+        cols.len(),
+        a.nvals(),
+        Vec::<(Index, T)>::new,
+        |out, k, out_c, out_v| {
+            let (src_cols, src_vals) = a.row(rows[k]);
+            if identity_cols {
+                out_c.extend_from_slice(src_cols);
+                out_v.extend_from_slice(src_vals);
+                return;
             }
-        }
-        if !ordered {
-            out.sort_unstable_by_key(|&(l, _)| l);
-        }
-        out.into_iter().unzip()
-    });
-    assemble_rows(rows.len(), cols.len(), out_rows)
+            out.clear();
+            for (&j, v) in src_cols.iter().zip(src_vals) {
+                for &l in &positions[start[j]..start[j + 1]] {
+                    out.push((l, v.clone()));
+                }
+            }
+            if !ordered {
+                out.sort_unstable_by_key(|&(l, _)| l);
+            }
+            for (l, v) in out.drain(..) {
+                out_c.push(l);
+                out_v.push(v);
+            }
+        },
+    )
 }
 
 /// `t(k) = u(indices[k])` for stored elements.

@@ -19,8 +19,8 @@ use crate::algebra::binary::BinaryOp;
 use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows, map_rows_init};
-use crate::mask::{MaskCsr, Pattern};
+use crate::kernel::util::{emit_rows, map_rows, stateless};
+use crate::mask::{MaskCsr, MaskRow, Pattern};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::Hyper;
@@ -140,7 +140,8 @@ impl<T: Scalar> HashAcc<T> {
         }
     }
 
-    fn drain_sorted(mut self) -> (Vec<Index>, Vec<T>) {
+    /// Append the accumulated entries in column order.
+    fn drain_into(mut self, cols: &mut Vec<Index>, vals: &mut Vec<T>) {
         let mut pairs: Vec<(Index, T)> = Vec::with_capacity(self.len);
         for (k, v) in self.keys.iter().zip(self.vals.iter_mut()) {
             if *k != EMPTY {
@@ -148,16 +149,98 @@ impl<T: Scalar> HashAcc<T> {
             }
         }
         pairs.sort_unstable_by_key(|&(j, _)| j);
-        pairs.into_iter().unzip()
+        for (j, v) in pairs {
+            cols.push(j);
+            vals.push(v);
+        }
     }
 }
 
-/// Estimated multiply-add count for row `i` of `A·B` (the classic SpGEMM
-/// upper bound on the row's result size).
-#[inline]
-fn row_flops<D1: Scalar, D2: Scalar>(a: &Csr<D1>, b: &Csr<D2>, i: Index) -> usize {
-    let (cols, _) = a.row(i);
-    cols.iter().map(|&k| b.row_nvals(k)).sum()
+/// One output row of Gustavson's product: `A(i,:) ⊕.⊗ B` for the row
+/// `(ac, av)` of `A`, restricted to what `mrow` admits and appended to
+/// `cols`/`vals`. The fold runs in ascending `k` whatever the accumulator,
+/// so every caller produces the same bits for the same row.
+#[allow(clippy::too_many_arguments)]
+fn gustavson_row<D1, D2, D3, S>(
+    sr: &S,
+    ac: &[Index],
+    av: &[D1],
+    b: &Csr<D2>,
+    mrow: MaskRow<'_>,
+    strategy: MxmStrategy,
+    ws: &mut Workspace<D3>,
+    cols: &mut Vec<Index>,
+    vals: &mut Vec<D3>,
+) where
+    D1: Scalar,
+    D2: Scalar,
+    D3: Scalar,
+    S: Semiring<D1, D2, D3>,
+{
+    if mrow.admits_nothing() || ac.is_empty() {
+        return;
+    }
+    let ncols = b.ncols();
+    let unmasked = mrow.admits_everything();
+    // Scatter the mask row for O(1) admission tests during the
+    // accumulation sweep.
+    let mask_flag = if unmasked {
+        true
+    } else {
+        mrow.scatter(&mut ws.mask_ws, &mut ws.mask_touched)
+    };
+    let admitted = |ws: &Workspace<D3>, j: Index| unmasked || (ws.mask_ws[j] != mask_flag);
+
+    let flops: usize = ac.iter().map(|&k| b.row_nvals(k)).sum();
+    let use_dense = match strategy {
+        MxmStrategy::Dense => true,
+        MxmStrategy::Hash => false,
+        MxmStrategy::Auto => ncols <= DENSE_ALWAYS_WIDTH || flops >= ncols / 16,
+    };
+    let add = sr.add();
+    let mul = sr.mul();
+
+    if use_dense {
+        for (k, aik) in ac.iter().zip(av) {
+            let (bc, bv) = b.row(*k);
+            for (j, bkj) in bc.iter().zip(bv) {
+                if !admitted(ws, *j) {
+                    continue;
+                }
+                let prod = mul.apply(aik, bkj);
+                match &mut ws.dense[*j] {
+                    Some(acc) => *acc = add.apply(acc, &prod),
+                    slot @ None => {
+                        *slot = Some(prod);
+                        ws.touched.push(*j);
+                    }
+                }
+            }
+        }
+        ws.touched.sort_unstable();
+        for &j in &ws.touched {
+            cols.push(j);
+            vals.push(ws.dense[j].take().expect("touched slot"));
+        }
+        ws.touched.clear();
+    } else {
+        let mut acc = HashAcc::with_estimate(flops);
+        for (k, aik) in ac.iter().zip(av) {
+            let (bc, bv) = b.row(*k);
+            for (j, bkj) in bc.iter().zip(bv) {
+                if !admitted(ws, *j) {
+                    continue;
+                }
+                acc.accumulate(*j, mul.apply(aik, bkj), add);
+            }
+        }
+        acc.drain_into(cols, vals);
+    }
+    // reset mask workspace for the next row handled by this worker
+    for &j in &ws.mask_touched {
+        ws.mask_ws[j] = false;
+    }
+    ws.mask_touched.clear();
 }
 
 /// `T = A ⊕.⊗ B`, restricted to mask-admitted positions.
@@ -179,83 +262,16 @@ where
 {
     debug_assert_eq!(a.ncols(), b.nrows());
     let (nrows, ncols) = (a.nrows(), b.ncols());
-    let rows = map_rows_init(
+    emit_rows(
         nrows,
+        ncols,
         a.nvals() + b.nvals(),
         || Workspace::<D3>::new(ncols),
-        |ws, i| {
-            let mrow = mask.row(i);
-            if mrow.admits_nothing() || a.row_nvals(i) == 0 {
-                return (Vec::new(), Vec::new());
-            }
-            let unmasked = mrow.admits_everything();
-            // Scatter the mask row for O(1) admission tests during the
-            // accumulation sweep.
-            let mask_flag = if unmasked {
-                true
-            } else {
-                mrow.scatter(&mut ws.mask_ws, &mut ws.mask_touched)
-            };
-            let admitted = |ws: &Workspace<D3>, j: Index| unmasked || (ws.mask_ws[j] != mask_flag);
-
-            let flops = row_flops(a, b, i);
-            let use_dense = match strategy {
-                MxmStrategy::Dense => true,
-                MxmStrategy::Hash => false,
-                MxmStrategy::Auto => ncols <= DENSE_ALWAYS_WIDTH || flops >= ncols / 16,
-            };
+        |ws, i, cols, vals| {
             let (ac, av) = a.row(i);
-            let add = sr.add();
-            let mul = sr.mul();
-
-            let out = if use_dense {
-                for (k, aik) in ac.iter().zip(av) {
-                    let (bc, bv) = b.row(*k);
-                    for (j, bkj) in bc.iter().zip(bv) {
-                        if !admitted(ws, *j) {
-                            continue;
-                        }
-                        let prod = mul.apply(aik, bkj);
-                        match &mut ws.dense[*j] {
-                            Some(acc) => *acc = add.apply(acc, &prod),
-                            slot @ None => {
-                                *slot = Some(prod);
-                                ws.touched.push(*j);
-                            }
-                        }
-                    }
-                }
-                ws.touched.sort_unstable();
-                let mut cols = Vec::with_capacity(ws.touched.len());
-                let mut vals = Vec::with_capacity(ws.touched.len());
-                for &j in &ws.touched {
-                    cols.push(j);
-                    vals.push(ws.dense[j].take().expect("touched slot"));
-                }
-                ws.touched.clear();
-                (cols, vals)
-            } else {
-                let mut acc = HashAcc::with_estimate(flops);
-                for (k, aik) in ac.iter().zip(av) {
-                    let (bc, bv) = b.row(*k);
-                    for (j, bkj) in bc.iter().zip(bv) {
-                        if !admitted(ws, *j) {
-                            continue;
-                        }
-                        acc.accumulate(*j, mul.apply(aik, bkj), add);
-                    }
-                }
-                acc.drain_sorted()
-            };
-            // reset mask workspace for the next row handled by this worker
-            for &j in &ws.mask_touched {
-                ws.mask_ws[j] = false;
-            }
-            ws.mask_touched.clear();
-            out
+            gustavson_row(sr, ac, av, b, mask.row(i), strategy, ws, cols, vals);
         },
-    );
-    assemble_rows(nrows, ncols, rows)
+    )
 }
 
 /// Hypersparse SpGEMM: `T = A ⊕.⊗ B` where `A` is hypersparse, walking
@@ -277,9 +293,10 @@ where
     let mul = sr.mul();
     let rows = map_rows(a.nonempty_rows().len(), a.nvals() + b.nvals(), |k| {
         let (i, ac, av) = a.row_by_pos(k);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
         let mrow = mask.row(i);
         if mrow.admits_nothing() {
-            return (i, Vec::new(), Vec::new());
+            return (i, cols, vals);
         }
         let flops: usize = ac.iter().map(|&p| b.row_nvals(p)).sum();
         let mut acc = HashAcc::with_estimate(flops);
@@ -292,7 +309,7 @@ where
                 acc.accumulate(*j, mul.apply(aik, bkj), add);
             }
         }
-        let (cols, vals) = acc.drain_sorted();
+        acc.drain_into(&mut cols, &mut vals);
         (i, cols, vals)
     });
     Hyper::from_row_slices(
@@ -319,8 +336,9 @@ where
     debug_assert_eq!(a.ncols(), b.nrows());
     let (nrows, ncols) = (a.nrows(), b.ncols());
     let ot = OrientedTiles::new(a, false);
-    let rows = map_rows_init(
+    let t = emit_rows(
         nrows,
+        ncols,
         a.nvals() + b.nvals(),
         || {
             (
@@ -330,84 +348,25 @@ where
                 ot.cursor(),
             )
         },
-        |(ws, ac, av, cur), i| {
+        |(ws, ac, av, cur), i, cols, vals| {
             let mrow = mask.row(i);
             if mrow.admits_nothing() {
-                return (Vec::new(), Vec::new());
+                return;
             }
             // Gather A(i,:) across the stripe's tiles in ascending-k order.
             ac.clear();
             av.clear();
-            cur.for_row(i, &mut |off, cols, vals| {
-                for (c, v) in cols.iter().zip(vals) {
+            cur.for_row(i, &mut |off, tc, tv| {
+                for (c, v) in tc.iter().zip(tv) {
                     ac.push(off + c);
                     av.push(v.clone());
                 }
             });
-            if ac.is_empty() {
-                return (Vec::new(), Vec::new());
-            }
-            let unmasked = mrow.admits_everything();
-            let mask_flag = if unmasked {
-                true
-            } else {
-                mrow.scatter(&mut ws.mask_ws, &mut ws.mask_touched)
-            };
-            let admitted = |ws: &Workspace<D3>, j: Index| unmasked || (ws.mask_ws[j] != mask_flag);
-
-            let flops: usize = ac.iter().map(|&k| b.row_nvals(k)).sum();
-            let use_dense = ncols <= DENSE_ALWAYS_WIDTH || flops >= ncols / 16;
-            let add = sr.add();
-            let mul = sr.mul();
-
-            let out = if use_dense {
-                for (k, aik) in ac.iter().zip(av.iter()) {
-                    let (bc, bv) = b.row(*k);
-                    for (j, bkj) in bc.iter().zip(bv) {
-                        if !admitted(ws, *j) {
-                            continue;
-                        }
-                        let prod = mul.apply(aik, bkj);
-                        match &mut ws.dense[*j] {
-                            Some(acc) => *acc = add.apply(acc, &prod),
-                            slot @ None => {
-                                *slot = Some(prod);
-                                ws.touched.push(*j);
-                            }
-                        }
-                    }
-                }
-                ws.touched.sort_unstable();
-                let mut cols = Vec::with_capacity(ws.touched.len());
-                let mut vals = Vec::with_capacity(ws.touched.len());
-                for &j in &ws.touched {
-                    cols.push(j);
-                    vals.push(ws.dense[j].take().expect("touched slot"));
-                }
-                ws.touched.clear();
-                (cols, vals)
-            } else {
-                let mut acc = HashAcc::with_estimate(flops);
-                for (k, aik) in ac.iter().zip(av.iter()) {
-                    let (bc, bv) = b.row(*k);
-                    for (j, bkj) in bc.iter().zip(bv) {
-                        if !admitted(ws, *j) {
-                            continue;
-                        }
-                        acc.accumulate(*j, mul.apply(aik, bkj), add);
-                    }
-                }
-                acc.drain_sorted()
-            };
-            for &j in &ws.mask_touched {
-                ws.mask_ws[j] = false;
-            }
-            ws.mask_touched.clear();
-            out
+            gustavson_row(sr, ac, av, b, mrow, MxmStrategy::Auto, ws, cols, vals);
         },
     );
     tiled::note_tiles(ot.touched());
-    assemble_rows(nrows, ncols, rows)
+    t
 }
 
 /// The masked-product strategy choice: `true` when the dot form
@@ -467,19 +426,17 @@ where
     let ncols = bt.nrows();
     let add = sr.add();
     let mul = sr.mul();
-    let rows = map_rows_init(
+    emit_rows(
         nrows,
+        ncols,
         a.nvals() + bt.nvals(),
-        || (),
-        |_, i| {
+        stateless,
+        |_, i, cols, vals| {
             let (ac, av) = a.row(i);
             if ac.is_empty() {
-                return (Vec::new(), Vec::new());
+                return;
             }
-            let (mcols, _) = pattern.row(i);
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for &j in mcols {
+            for &j in pattern.row(i).0 {
                 let (bc, bv) = bt.row(j);
                 // merge-walk the intersection ind(A(i,:)) ∩ ind(B(:,j))
                 let (mut p, mut q) = (0usize, 0usize);
@@ -504,10 +461,8 @@ where
                     vals.push(v);
                 }
             }
-            (cols, vals)
         },
-    );
-    assemble_rows(nrows, ncols, rows)
+    )
 }
 
 #[cfg(test)]

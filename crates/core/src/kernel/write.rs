@@ -13,45 +13,11 @@
 
 use crate::accum::Accumulate;
 use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::{MaskCsr, MaskRow, MaskVec};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
-
-/// Monotone membership cursor over a sorted mask row: queries must come
-/// with non-decreasing `j`, giving O(nnz(mask row)) total instead of a
-/// binary search per query.
-struct MaskCursor<'a> {
-    cols: Option<&'a [Index]>,
-    complement: bool,
-    pos: usize,
-}
-
-impl<'a> MaskCursor<'a> {
-    fn new(row: MaskRow<'a>) -> Self {
-        let (cols, complement) = row.raw();
-        MaskCursor {
-            cols,
-            complement,
-            pos: 0,
-        }
-    }
-
-    #[inline]
-    fn admits(&mut self, j: Index) -> bool {
-        match self.cols {
-            None => true,
-            Some(cols) => {
-                while self.pos < cols.len() && cols[self.pos] < j {
-                    self.pos += 1;
-                }
-                let stored = self.pos < cols.len() && cols[self.pos] == j;
-                stored != self.complement
-            }
-        }
-    }
-}
 
 /// One row (or one whole vector) of the accumulate-and-mask pipeline.
 /// `c` is the old output content, `t` the operation's internal result.
@@ -67,7 +33,20 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
     out_idx: &mut Vec<Index>,
     out_vals: &mut Vec<T>,
 ) {
-    let mut mask = MaskCursor::new(mask_row);
+    // The row is exactly old C when the mask admits nothing in it (merge
+    // mode), or when T is empty under an accumulator (Z = C) and nothing
+    // outside the mask is cleared: copy it as a slice.
+    let keeps_c = if replace {
+        t_idx.is_empty() && Ac::IS_ACCUM && mask_row.admits_everything()
+    } else {
+        mask_row.admits_nothing() || (t_idx.is_empty() && Ac::IS_ACCUM)
+    };
+    if keeps_c {
+        out_idx.extend_from_slice(c_idx);
+        out_vals.extend_from_slice(c_vals);
+        return;
+    }
+    let mut mask = mask_row.cursor();
     let (mut ci, mut ti) = (0usize, 0usize);
     loop {
         // next candidate position j with its Z-value (if any) and C-value
@@ -146,25 +125,34 @@ pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
     if mask.admits_all() && !Ac::IS_ACCUM {
         return t;
     }
-    let rows = map_rows(c_old.nrows(), c_old.nvals() + t.nvals(), |i| {
-        let (cc, cv) = c_old.row(i);
-        let (tc, tv) = t.row(i);
-        let mut idx = Vec::with_capacity(cc.len() + tc.len());
-        let mut vals = Vec::with_capacity(cc.len() + tc.len());
-        write_row(
-            cc,
-            cv,
-            tc,
-            tv,
-            accum,
-            mask.row(i),
-            replace,
-            &mut idx,
-            &mut vals,
-        );
-        (idx, vals)
-    });
-    assemble_rows(c_old.nrows(), c_old.ncols(), rows)
+    emit_rows(
+        c_old.nrows(),
+        c_old.ncols(),
+        c_old.nvals() + t.nvals(),
+        stateless,
+        |_, i, cols, vals| {
+            let (cc, cv) = c_old.row(i);
+            let (tc, tv) = t.row(i);
+            write_row(cc, cv, tc, tv, accum, mask.row(i), replace, cols, vals);
+        },
+    )
+}
+
+/// [`write_matrix`] for a `T` the operation computed under this same
+/// `mask`, as `mxm` and `eWiseMult` do: every stored position of `T` is
+/// admitted, so replace mode without an accumulator writes
+/// `C = T ∩ mask = T` and the pass is skipped.
+pub fn write_masked_matrix<T: Scalar, Ac: Accumulate<T>>(
+    c_old: &Csr<T>,
+    t: Csr<T>,
+    accum: &Ac,
+    mask: &MaskCsr,
+    replace: bool,
+) -> Csr<T> {
+    if replace && !Ac::IS_ACCUM {
+        return t;
+    }
+    write_matrix(c_old, t, accum, mask, replace)
 }
 
 /// Full pipeline for vectors: `w ⊙=<mask, replace> t`.
@@ -295,6 +283,17 @@ mod tests {
     }
 
     #[test]
+    fn masked_t_with_replace_is_written_as_is() {
+        // T already restricted to the mask: replace without accum is T
+        let t = Csr::from_sorted_tuples(2, 3, vec![(1, 1, 30)]);
+        let r = write_masked_matrix(&c_old(), t.clone(), &NoAccum, &mask_01_and_11(), true);
+        assert_eq!(r, t);
+        // merge mode still keeps unmasked old values
+        let r = write_masked_matrix(&c_old(), t, &NoAccum, &mask_01_and_11(), false);
+        assert_eq!(r.to_tuples(), vec![(0, 0, 1), (1, 1, 30)]);
+    }
+
+    #[test]
     fn empty_t_with_mask_deletes_admitted_region() {
         let t = Csr::empty(2, 3);
         let r = write_matrix(&c_old(), t, &NoAccum, &mask_01_and_11(), false);
@@ -316,6 +315,8 @@ mod tests {
                         (true, false, false),
                         (true, true, false),
                         (false, false, true),
+                        (false, true, true),
+                        (true, false, true),
                         (true, true, true),
                     ] {
                         let bits = |p: u32| (0..n).filter(move |k| p & (1 << k) != 0);

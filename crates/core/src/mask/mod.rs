@@ -46,7 +46,21 @@ impl MaskCsr {
         let pattern = if structural {
             m.map(|_| ())
         } else {
-            m.filter(|_, _, v| v.as_bool()).map(|_| ())
+            let mut row_ptr = Vec::with_capacity(m.nrows() + 1);
+            row_ptr.push(0);
+            let mut cols = Vec::with_capacity(m.nvals());
+            for i in 0..m.nrows() {
+                let (mc, mv) = m.row(i);
+                cols.extend(
+                    mc.iter()
+                        .zip(mv)
+                        .filter(|(_, v)| v.as_bool())
+                        .map(|(&j, _)| j),
+                );
+                row_ptr.push(cols.len());
+            }
+            let units = vec![(); cols.len()];
+            Pattern::from_parts(m.nrows(), m.ncols(), row_ptr, cols, units)
         };
         MaskCsr::Pattern {
             pattern,
@@ -148,6 +162,15 @@ impl<'a> MaskRow<'a> {
         (self.cols, self.complement)
     }
 
+    /// A monotone membership cursor over this row.
+    pub(crate) fn cursor(self) -> MaskCursor<'a> {
+        MaskCursor {
+            cols: self.cols,
+            complement: self.complement,
+            pos: 0,
+        }
+    }
+
     /// Scatter admissibility into a dense Boolean workspace (used by the
     /// random-access SpGEMM kernel). `workspace` must be at least the row
     /// width and all-`false` on entry for the non-complement case; entries
@@ -167,6 +190,31 @@ impl<'a> MaskRow<'a> {
         match self.cols {
             None => true, // workspace all false, admitted = !false != ... => with flag true: false != true = true
             Some(_) => self.complement,
+        }
+    }
+}
+
+/// Monotone membership cursor over a sorted mask row: queries must come
+/// with non-decreasing `j`, giving O(nnz(mask row)) total instead of a
+/// binary search per query.
+pub(crate) struct MaskCursor<'a> {
+    cols: Option<&'a [Index]>,
+    complement: bool,
+    pos: usize,
+}
+
+impl MaskCursor<'_> {
+    #[inline]
+    pub(crate) fn admits(&mut self, j: Index) -> bool {
+        match self.cols {
+            None => true,
+            Some(cols) => {
+                while self.pos < cols.len() && cols[self.pos] < j {
+                    self.pos += 1;
+                }
+                let stored = self.pos < cols.len() && cols[self.pos] == j;
+                stored != self.complement
+            }
         }
     }
 }

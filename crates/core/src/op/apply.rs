@@ -20,7 +20,7 @@ use crate::exec::fuse::{
 };
 use crate::exec::{Completable, Context};
 use crate::kernel::apply::{apply_matrix, apply_vector};
-use crate::kernel::write::{write_matrix, write_vector};
+use crate::kernel::write::{write_masked_matrix, write_matrix, write_vector};
 use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MaskSnap1, MaskSnap2, MatrixMask, VectorMask};
 use crate::object::matrix::{oriented_storage, MatrixNode};
@@ -189,7 +189,11 @@ fn install_apply_mat_hook<D1, D2, F, Ac>(
                 } else {
                     (comp.compute)(&MaskCsr::All)?
                 };
-                let out = write_matrix(&old, t, &accum, &mcsr, replace);
+                let out = if use_mask {
+                    write_masked_matrix(&old, t, &accum, &mcsr, replace)
+                } else {
+                    write_matrix(&old, t, &accum, &mcsr, replace)
+                };
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }

@@ -257,8 +257,9 @@ impl Context {
                     complement: false,
                 } = &mvec
                 {
-                    let (idx, vals) =
-                        fill_admitted(w_old.indices(), w_old.vals(), indices, &value, replace);
+                    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+                    let (wi, wv) = (w_old.indices(), w_old.vals());
+                    fill_admitted(wi, wv, indices, &value, replace, &mut idx, &mut vals);
                     return Ok(SparseVec::from_sorted_parts(w_old.size(), idx, vals));
                 }
                 // complement (or absent) patterns admit O(n) positions

@@ -17,7 +17,7 @@ use crate::error::{dim_check, Result};
 use crate::exec::fuse::{DotFn, MatProducer, VecProducer};
 use crate::exec::{Completable, Context};
 use crate::kernel::ewise;
-use crate::kernel::write::{write_matrix, write_vector};
+use crate::kernel::write::{write_masked_matrix, write_matrix, write_vector};
 use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
@@ -160,12 +160,14 @@ impl Context {
 
         let pure = !Ac::IS_ACCUM && msnap.is_all();
 
+        // The intersection is computed only where the mask admits, so the
+        // write stage sees a T already under the operation's own mask.
         let combine = {
             let (a_node, b_node, mul) = (a_node.clone(), b_node.clone(), mul.clone());
-            move |_m: &MaskCsr| -> Result<Csr<D3>> {
+            move |m: &MaskCsr| -> Result<Csr<D3>> {
                 let a_st = oriented_storage(&a_node, tr_a)?;
                 let b_st = oriented_storage(&b_node, tr_b)?;
-                let t = ewise::ewise_mult_matrix(&a_st, &b_st, &mul);
+                let t = ewise::ewise_mult_matrix(&a_st, &b_st, m, &mul);
                 if let Some(e) = mul.poll_error() {
                     return Err(e);
                 }
@@ -208,7 +210,7 @@ impl Context {
                 let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
                 let t = combine(&mcsr)?;
-                let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
+                let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }

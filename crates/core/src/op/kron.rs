@@ -11,8 +11,7 @@ use crate::algebra::binary::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
-use crate::index::Index;
-use crate::kernel::util::{assemble_rows, map_rows};
+use crate::kernel::util::{emit_rows, stateless};
 use crate::kernel::write::write_matrix;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
@@ -34,21 +33,23 @@ where
     let (m2, n2) = (b.nrows(), b.ncols());
     let nrows = a.nrows() * m2;
     let ncols = a.ncols() * n2;
-    let rows = map_rows(nrows, a.nvals().saturating_mul(b.nvals()), |i| {
-        let (i1, i2) = (i / m2, i % m2);
-        let (ac, av) = a.row(i1);
-        let (bc, bv) = b.row(i2);
-        let mut cols: Vec<Index> = Vec::with_capacity(ac.len() * bc.len());
-        let mut vals: Vec<D3> = Vec::with_capacity(ac.len() * bc.len());
-        for (j1, x) in ac.iter().zip(av) {
-            for (j2, y) in bc.iter().zip(bv) {
-                cols.push(j1 * n2 + j2);
-                vals.push(mul.apply(x, y));
+    emit_rows(
+        nrows,
+        ncols,
+        a.nvals().saturating_mul(b.nvals()),
+        stateless,
+        |_, i, cols, vals| {
+            let (i1, i2) = (i / m2, i % m2);
+            let (ac, av) = a.row(i1);
+            let (bc, bv) = b.row(i2);
+            for (j1, x) in ac.iter().zip(av) {
+                for (j2, y) in bc.iter().zip(bv) {
+                    cols.push(j1 * n2 + j2);
+                    vals.push(mul.apply(x, y));
+                }
             }
-        }
-        (cols, vals)
-    });
-    assemble_rows(nrows, ncols, rows)
+        },
+    )
 }
 
 impl Context {

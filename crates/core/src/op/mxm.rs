@@ -13,7 +13,7 @@ use crate::exec::{Completable, Context};
 use crate::kernel::mxm::{
     mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, prefer_dot, MxmStrategy,
 };
-use crate::kernel::write::write_matrix;
+use crate::kernel::write::write_masked_matrix;
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
@@ -188,8 +188,9 @@ impl Context {
 
                 let c_old = c_old_cap.storage()?.row_csr();
                 let mcsr = msnap.materialize()?;
+                // the product is computed under `mcsr`, always
                 let t = product(&mcsr)?;
-                let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
+                let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }

@@ -11,7 +11,10 @@
 //! * [`paths::bellman_ford`] / [`paths::dijkstra`];
 //! * [`triangles::triangle_count`] (node-iterator);
 //! * [`pagerank::pagerank`];
-//! * [`components::connected_components`] (union-find).
+//! * [`components::connected_components`] (union-find);
+//! * [`fig2`] — a dense `Option<T>` interpreter of Figure 2's
+//!   compute / accumulate / masked-write steps, the oracle of the core
+//!   operations.
 //!
 //! No dependency on `graphblas-core`: these are deliberately independent
 //! implementations.
@@ -19,6 +22,7 @@
 pub mod bc;
 pub mod centrality;
 pub mod components;
+pub mod fig2;
 pub mod pagerank;
 pub mod paths;
 pub mod traversal;

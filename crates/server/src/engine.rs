@@ -10,14 +10,16 @@
 //! the engine's background auto-flusher) and never stalls a reader —
 //! nor does a long PageRank ever stall ingest.
 //!
-//! The one batched path: a coalesced BFS [`Batch`] becomes a single
-//! [`bfs_multi`] call — the §VII column-block frontier sweep — and the
-//! per-source level vectors are demultiplexed back to the individual
-//! requests' reply slots.
+//! The one batched path: a coalesced BFS [`Batch`] of two or more
+//! sources becomes a single [`bfs_multi`] call — the §VII column-block
+//! frontier sweep — and the per-source level vectors are demultiplexed
+//! back to the individual requests' reply slots. A batch of one source
+//! runs [`bfs_levels`] instead: the SpMSpV traversal costs a fraction of
+//! a one-column block sweep.
 
 use std::sync::atomic::Ordering;
 
-use graphblas_algorithms::{bfs_multi, pagerank};
+use graphblas_algorithms::{bfs_levels, bfs_multi, pagerank};
 use graphblas_core::prelude::*;
 
 use crate::graphs::{GraphEntry, Registry};
@@ -58,7 +60,8 @@ fn finish(job: Job, reply: Reply) {
     job.slot.fill(reply);
 }
 
-/// The coalesced path: one `bfs_multi` for the whole same-graph batch.
+/// The coalesced path: one `bfs_multi` for the whole same-graph batch,
+/// or one `bfs_levels` when the batch holds a single source.
 fn run_bfs_batch(ctx: &Context, graphs: &Registry, stats: &ServiceStats, jobs: Vec<Job>) {
     let graph_name = match &jobs[0].request {
         Request::Bfs { graph, .. } => graph.clone(),
@@ -94,7 +97,11 @@ fn run_bfs_batch(ctx: &Context, graphs: &Registry, stats: &ServiceStats, jobs: V
     // One snapshot for the whole batch: every coalesced source sweeps
     // the same frozen adjacency, and concurrent EDGE+/- never stall it.
     let frozen = entry.matrix.snapshot().to_matrix();
-    match bfs_multi(ctx, &frozen, &sources) {
+    let levels = match sources[..] {
+        [src] => bfs_levels(ctx, &frozen, src).map(|l| vec![l]),
+        _ => bfs_multi(ctx, &frozen, &sources),
+    };
+    match levels {
         Ok(levels) => {
             for (job, per_source) in valid.into_iter().zip(levels) {
                 let ls: Vec<i64> = per_source
@@ -370,5 +377,40 @@ mod tests {
         assert!(matches!(slots[2].wait(), Reply::Err(_)));
         assert_eq!(stats.bfs_requests.load(Ordering::Relaxed), 2);
         assert_eq!(stats.bfs_batches.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn singleton_batch_matches_bfs_multi_and_counts_as_a_batch() {
+        use crate::sched::ReplySlot;
+        use std::time::Instant;
+        let (ctx, graphs) = setup();
+        let stats = ServiceStats::default();
+        let tenant = Arc::new(crate::sched::Tenant {
+            name: "t".into(),
+            weight: 1,
+            counters: Default::default(),
+            latency: crate::stats::Histogram::new(),
+        });
+        let frozen = graphs.get("g").unwrap().matrix.snapshot().to_matrix();
+        for src in 0..6 {
+            let job = crate::sched::Job {
+                tenant: tenant.clone(),
+                request: Request::Bfs {
+                    graph: "g".into(),
+                    src,
+                },
+                submitted: Instant::now(),
+                slot: ReplySlot::new(),
+            };
+            let slot = job.slot.clone();
+            run_batch(&ctx, &graphs, &stats, Batch { jobs: vec![job] });
+            let want: Vec<i64> = bfs_multi(&ctx, &frozen, &[src]).unwrap()[0]
+                .iter()
+                .map(|l| l.map_or(-1, |d| d as i64))
+                .collect();
+            assert_eq!(slot.wait(), Reply::Levels(want), "source {src}");
+            assert_eq!(stats.bfs_batches.load(Ordering::Relaxed), src as u64 + 1);
+        }
+        assert_eq!(stats.bfs_requests.load(Ordering::Relaxed), 6);
     }
 }

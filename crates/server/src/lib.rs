@@ -12,7 +12,9 @@
 //!   against the same graph are coalesced into one multi-source sweep —
 //!   a single masked `mxm` per level over a column-block of frontiers
 //!   (the paper's §VII batched-BC trick) — then demultiplexed back to
-//!   each request's reply slot.
+//!   each request's reply slot. A batch that holds one source runs the
+//!   single-source SpMSpV BFS instead, which is far cheaper than a
+//!   one-column block.
 //! - **Admission control** ([`sched`]): per-tenant bounded queues and a
 //!   global engine-backlog gate shed excess load with a typed
 //!   `OVERLOADED` reply instead of unbounded queueing.

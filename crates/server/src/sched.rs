@@ -36,7 +36,8 @@
 //! answers the whole batch with one column-block frontier sweep
 //! ([`graphblas_algorithms::bfs_multi`]) — the paper's §VII
 //! multi-source trick: one `mxm` per level for the whole batch instead
-//! of one per request. Every coalesced request still advances its own
+//! of one per request. A batch of one source takes the single-source
+//! SpMSpV BFS instead. Every coalesced request still advances its own
 //! tenant's pass, so batching never distorts the fairness accounting.
 
 use std::collections::{HashMap, VecDeque};

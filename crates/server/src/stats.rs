@@ -128,14 +128,16 @@ impl TenantCounters {
 }
 
 /// Service-wide counters. `bfs_batches < bfs_requests` is the direct
-/// observable of §VII coalescing: each batch is one column-block
-/// frontier sweep (one `mxm` launch per level) regardless of how many
-/// BFS requests it served.
+/// observable of §VII coalescing: each batch of two or more sources is
+/// one column-block frontier sweep (one `mxm` launch per level)
+/// regardless of how many BFS requests it served; a batch of one runs
+/// the single-source SpMSpV BFS.
 #[derive(Default)]
 pub struct ServiceStats {
     /// BFS requests answered (batched or not).
     pub bfs_requests: AtomicU64,
-    /// `bfs_multi` launches — one per coalesced batch.
+    /// BFS launches — one per coalesced batch: `bfs_multi` for two or
+    /// more sources, `bfs_levels` for one.
     pub bfs_batches: AtomicU64,
     /// Largest batch coalesced so far.
     pub max_batch: AtomicU64,

@@ -60,12 +60,13 @@ cargo test -q --features mmap-cold --test out_of_core
 # GRB_TEST_THREADS, and the determinism suites (serial-vs-parallel,
 # blocking-vs-nonblocking modes, deferred-vs-eager pending updates,
 # MVCC snapshot isolation, push/pull/dense SpMSpV direction
-# equivalence, tiled-vs-slab bitwise equivalence, and the query
-# service's admission/fairness/write-isolation properties) must hold
-# at every count.
+# equivalence, tiled-vs-slab bitwise equivalence, the Figure 2 oracle
+# — whose forced chunking checks the row emitter's concatenation — and
+# the query service's admission/fairness/write-isolation properties)
+# must hold at every count.
 for threads in 1 2 8; do
-    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence"
-    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence
+    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle"
+    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle
     echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs"
     GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs
 done

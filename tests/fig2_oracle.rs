@@ -1,0 +1,277 @@
+//! The core operations against the Figure 2 oracle of
+//! `graphblas-reference` (`fig2`): `mxm`, `eWiseAdd` and `eWiseMult`
+//! under every mask form (none, valued, structural, complemented),
+//! with and without an accumulator, in merge and replace mode — compared
+//! bit for bit.
+//!
+//! The shapes are the thin blocks of Fig. 3 (n × 1, n × 32, n × 65),
+//! masks are often a single entry, and `A`'s row 0 is the f64 trap row
+//! `[1, 1e16, -1e16, 1]` whose only correct fold is ascending-`k`. Every
+//! kernel is forced to chunk (`par::with_cost_model(1, 0, …)`), so the
+//! row emitter's chunk concatenation is checked at whatever degree
+//! `GRB_TEST_THREADS` sets.
+
+use graphblas_core::accum::Accumulate;
+use graphblas_core::object::MatrixMask;
+use graphblas_core::par;
+use graphblas_core::prelude::*;
+use graphblas_reference::fig2::{self, Dense, Mask};
+use proptest::prelude::*;
+
+const N: usize = 24;
+const THIN: [usize; 3] = [1, 32, 65];
+const TRAP: [f64; 4] = [1.0, 1e16, -1e16, 1.0];
+
+/// Decode a strategy byte into an f64 payload; low codes are the
+/// adversarial specials (NaN, ±∞, -0.0).
+fn fval(code: u8) -> f64 {
+    match code {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        c => (f64::from(c) - 128.0) * 0.625,
+    }
+}
+
+type Tuples = Vec<(usize, usize, u8)>;
+
+fn tuples(ncols: usize, max_nnz: usize) -> impl Strategy<Value = Tuples> {
+    proptest::collection::vec((0..N, 0..ncols, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
+        t.sort_by_key(|&(i, j, _)| (i, j));
+        t.dedup_by_key(|&mut (i, j, _)| (i, j));
+        t
+    })
+}
+
+/// A mask source: a single entry half the time, else a random pattern
+/// with stored `false`s (odd codes) that only a structural mask admits.
+fn mask_tuples() -> impl Strategy<Value = Tuples> {
+    (tuples(65, 48), 0u8..2).prop_map(|(t, one)| {
+        if one == 0 {
+            t.into_iter().take(1).map(|(i, j, _)| (i, j, 0)).collect()
+        } else {
+            t
+        }
+    })
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Mxm,
+    EwiseAdd,
+    EwiseMult,
+}
+
+/// `(structural, complement)` of each masked form; `None` is no mask.
+const MASKS: [Option<(bool, bool)>; 5] = [
+    None,
+    Some((false, false)),
+    Some((true, false)),
+    Some((false, true)),
+    Some((true, true)),
+];
+
+/// The inputs of one case at one width `w`, both as matrices and as the
+/// oracle's dense form.
+struct Case {
+    w: usize,
+    a: Matrix<f64>,
+    b: Matrix<f64>,
+    c0: Vec<(usize, usize, f64)>,
+    mask: Matrix<bool>,
+    dense_a: Dense<f64>,
+    dense_b: Dense<f64>,
+    dense_c0: Dense<f64>,
+    dense_mask: Dense<bool>,
+}
+
+fn dense<T: Clone>(nrows: usize, ncols: usize, t: &[(usize, usize, T)]) -> Dense<T> {
+    let mut d = fig2::empty(nrows, ncols);
+    for (i, j, v) in t {
+        d[*i][*j] = Some(v.clone());
+    }
+    d
+}
+
+impl Case {
+    fn new(a: &Tuples, b: &Tuples, c0: &Tuples, mask: &Tuples, w: usize) -> Case {
+        // A: N × N with the trap row; B: N × w with B(0..4, 0) = 1 so
+        // T(0, 0) folds the trap
+        let mut at: Vec<_> = TRAP.iter().enumerate().map(|(k, &v)| (0, k, v)).collect();
+        at.extend(
+            a.iter()
+                .filter(|t| t.0 != 0)
+                .map(|&(i, j, c)| (i, j % N, fval(c))),
+        );
+        at.sort_by_key(|&(i, j, _)| (i, j));
+        at.dedup_by_key(|t| (t.0, t.1));
+        let mut bt: Vec<_> = (0..TRAP.len()).map(|k| (k, 0, 1.0)).collect();
+        bt.extend(
+            b.iter()
+                .filter(|&&(i, j, _)| j < w && !(j == 0 && i < TRAP.len()))
+                .map(|&(i, j, c)| (i, j, fval(c))),
+        );
+        let ct: Vec<_> = c0
+            .iter()
+            .filter(|t| t.1 < w)
+            .map(|&(i, j, c)| (i, j, fval(c)))
+            .collect();
+        let mt: Vec<_> = mask
+            .iter()
+            .filter(|t| t.1 < w)
+            .map(|&(i, j, c)| (i, j, c % 2 == 0))
+            .collect();
+        Case {
+            w,
+            a: Matrix::from_tuples(N, N, &at).unwrap(),
+            b: Matrix::from_tuples(N, w, &bt).unwrap(),
+            c0: ct.clone(),
+            mask: Matrix::from_tuples(N, w, &mt).unwrap(),
+            dense_a: dense(N, N, &at),
+            dense_b: dense(N, w, &bt),
+            dense_c0: dense(N, w, &ct),
+            dense_mask: dense(N, w, &mt),
+        }
+    }
+
+    /// The eWise operands: `B` and `B` shifted down one row with `A`'s
+    /// first `w` columns added in, so the patterns overlap only partly.
+    fn ewise_operands(&self) -> (Matrix<f64>, Dense<f64>) {
+        let mut t: Vec<_> = self
+            .b
+            .extract_tuples()
+            .unwrap()
+            .into_iter()
+            .filter(|t| t.0 + 1 < N)
+            .map(|(i, j, v)| (i + 1, j, v))
+            .collect();
+        t.extend(
+            self.a
+                .extract_tuples()
+                .unwrap()
+                .into_iter()
+                .filter(|t| t.1 < self.w),
+        );
+        t.sort_by_key(|&(i, j, _)| (i, j));
+        t.dedup_by_key(|t| (t.0, t.1));
+        (
+            Matrix::from_tuples(N, self.w, &t).unwrap(),
+            dense(N, self.w, &t),
+        )
+    }
+
+    /// The core library's answer.
+    fn core(
+        &self,
+        op: Op,
+        y: &Matrix<f64>,
+        mask: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> Dense<f64> {
+        let c = Matrix::from_tuples(N, self.w, &self.c0).unwrap();
+        let mut desc = Descriptor::default();
+        if let Some((structural, complement)) = mask {
+            if structural {
+                desc = desc.structural_mask();
+            }
+            if complement {
+                desc = desc.complement_mask();
+            }
+        }
+        if replace {
+            desc = desc.replace();
+        }
+        let plus = Accum(Plus::<f64>::new());
+        match (mask.is_some(), accum) {
+            (false, false) => self.run(op, &c, NoMask, NoAccum, y, &desc),
+            (false, true) => self.run(op, &c, NoMask, plus, y, &desc),
+            (true, false) => self.run(op, &c, &self.mask, NoAccum, y, &desc),
+            (true, true) => self.run(op, &c, &self.mask, plus, y, &desc),
+        }
+        dense(N, self.w, &c.extract_tuples().unwrap())
+    }
+
+    fn run<Mk: MatrixMask, Ac: Accumulate<f64>>(
+        &self,
+        op: Op,
+        c: &Matrix<f64>,
+        mask: Mk,
+        accum: Ac,
+        y: &Matrix<f64>,
+        desc: &Descriptor,
+    ) {
+        let ctx = Context::blocking();
+        match op {
+            Op::Mxm => ctx.mxm(c, mask, accum, plus_times::<f64>(), &self.a, &self.b, desc),
+            Op::EwiseAdd => ctx.ewise_add_matrix(c, mask, accum, Plus::new(), &self.b, y, desc),
+            Op::EwiseMult => ctx.ewise_mult_matrix(c, mask, accum, Times::new(), &self.b, y, desc),
+        }
+        .unwrap();
+    }
+
+    /// The oracle's answer.
+    fn oracle(
+        &self,
+        op: Op,
+        y: &Dense<f64>,
+        mask: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> Dense<f64> {
+        let add = |x: &f64, y: &f64| x + y;
+        let mul = |x: &f64, y: &f64| x * y;
+        let t = match op {
+            Op::Mxm => fig2::mxm(&self.dense_a, &self.dense_b, add, mul),
+            Op::EwiseAdd => fig2::ewise_add(&self.dense_b, y, add),
+            Op::EwiseMult => fig2::ewise_mult(&self.dense_b, y, mul),
+        };
+        let mask = mask.map(|(structural, complement)| Mask {
+            source: &self.dense_mask,
+            structural,
+            complement,
+        });
+        let accum = accum.then_some(&add as &dyn Fn(&f64, &f64) -> f64);
+        fig2::write(&self.dense_c0, &t, accum, mask, replace)
+    }
+}
+
+fn bits(d: &Dense<f64>) -> Vec<Vec<Option<u64>>> {
+    d.iter()
+        .map(|r| r.iter().map(|v| v.map(f64::to_bits)).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn core_ops_match_the_fig2_oracle_bitwise(
+        a in tuples(N, 64),
+        b in tuples(65, 96),
+        c0 in tuples(65, 64),
+        mask in mask_tuples(),
+        wi in 0usize..3,
+    ) {
+        let case = Case::new(&a, &b, &c0, &mask, THIN[wi]);
+        let (y, dense_y) = case.ewise_operands();
+        par::with_cost_model(1, 0, || {
+            for op in [Op::Mxm, Op::EwiseAdd, Op::EwiseMult] {
+                for m in MASKS {
+                    for accum in [false, true] {
+                        for replace in [false, true] {
+                            let got = case.core(op, &y, m, accum, replace);
+                            let want = case.oracle(op, &dense_y, m, accum, replace);
+                            prop_assert_eq!(
+                                bits(&got), bits(&want),
+                                "{:?} w={} mask={:?} accum={} replace={}",
+                                op, case.w, m, accum, replace
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+}

@@ -254,6 +254,8 @@ proptest! {
     fn ewise_add_and_mult_are_bitwise_deterministic(
         a in sparse(64),
         b in sparse(64),
+        c0 in sparse(48),
+        mask in sparse(48),
     ) {
         let ctx = Context::blocking();
         let am = to_matrix(&a, None);
@@ -270,6 +272,61 @@ proptest! {
         let serial = run(1);
         for k in DEGREES {
             prop_assert_eq!(&serial, &run(k));
+        }
+
+        // Masked, accumulated and replacing forms: eWiseMult computes T
+        // only where the mask admits, so each must equal the unmasked
+        // product written through `apply(Identity)` under the same mask,
+        // accumulator and descriptor — at every degree.
+        let mm = to_matrix(&mask, None);
+        let (sum, prod) = serial;
+        for complement in [false, true] {
+            for replace in [false, true] {
+                let mut desc = Descriptor::default().structural_mask();
+                if complement {
+                    desc = desc.complement_mask();
+                }
+                if replace {
+                    desc = desc.replace();
+                }
+                for accum in [false, true] {
+                    let written = |t: &Matrix<f64>| {
+                        let c = to_matrix(&c0, None);
+                        if accum {
+                            ctx.apply_matrix(&c, &mm, Accum(Plus::<f64>::new()), Identity::new(),
+                                t, &desc).unwrap();
+                        } else {
+                            ctx.apply_matrix(&c, &mm, NoAccum, Identity::new(), t, &desc).unwrap();
+                        }
+                        matrix_bits(&c)
+                    };
+                    let from_bits = |bits: &[(usize, usize, u64)]| {
+                        let t: Vec<_> = bits.iter().map(|&(i, j, x)| (i, j, f64::from_bits(x))).collect();
+                        Matrix::from_tuples(N, N, &t).unwrap()
+                    };
+                    let want = (written(&from_bits(&sum)), written(&from_bits(&prod)));
+                    for k in [1, 2, 8] {
+                        let got = at_degree(k, || {
+                            let s = to_matrix(&c0, None);
+                            let p = to_matrix(&c0, None);
+                            if accum {
+                                ctx.ewise_add_matrix(&s, &mm, Accum(Plus::<f64>::new()), Plus::new(),
+                                    &am, &bm, &desc).unwrap();
+                                ctx.ewise_mult_matrix(&p, &mm, Accum(Plus::<f64>::new()), Times::new(),
+                                    &am, &bm, &desc).unwrap();
+                            } else {
+                                ctx.ewise_add_matrix(&s, &mm, NoAccum, Plus::new(), &am, &bm, &desc)
+                                    .unwrap();
+                                ctx.ewise_mult_matrix(&p, &mm, NoAccum, Times::new(), &am, &bm, &desc)
+                                    .unwrap();
+                            }
+                            (matrix_bits(&s), matrix_bits(&p))
+                        });
+                        prop_assert_eq!(&want, &got,
+                            "scmp {} replace {} accum {} degree {}", complement, replace, accum, k);
+                    }
+                }
+            }
         }
     }
 
