@@ -1,9 +1,6 @@
 //! Experiment E6: the polymorphic storage engine (`storage::engine`).
 //!
 //! Series:
-//! * `e6/mxv_density` — y = Ax with a dense frontier across a matrix
-//!   density sweep, per forced format (CSR vs Bitmap) and Auto: where
-//!   does the presence-bitmap kernel overtake row-merge CSR?
 //! * `e6/hyper_mxm` — C = A·A on a hypersparse square (nnz ≪ nrows):
 //!   the hypersparse kernel walks only non-empty rows while CSR pays
 //!   O(nrows) regardless.
@@ -15,57 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphblas_algorithms::bc_update;
 use graphblas_bench::{int_matrix, rmat_graph};
 use graphblas_core::prelude::*;
-use graphblas_gen::erdos_renyi_gnm;
 use std::time::Duration;
-
-/// An n×n f64 matrix with exactly `nnz` stored entries, pinned to
-/// `format` (or left on Auto).
-fn random_matrix(n: usize, nnz: usize, format: Option<Format>) -> Matrix<f64> {
-    let g = erdos_renyi_gnm(n, nnz, 7);
-    let tuples: Vec<(usize, usize, f64)> = g
-        .edges
-        .iter()
-        .map(|&(i, j)| (i, j, 1.0 + ((i + j) % 7) as f64))
-        .collect();
-    let a = Matrix::from_tuples(n, n, &tuples).unwrap();
-    match format {
-        Some(f) => a.set_format(f).unwrap(),
-        None => a.set_format_policy(FormatPolicy::Auto),
-    }
-    a
-}
-
-fn bench_mxv_density_sweep(c: &mut Criterion) {
-    let n = 1024;
-    let ctx = Context::blocking();
-    let u = Vector::from_dense(&vec![1.0f64; n]).unwrap();
-    let d = Descriptor::default();
-
-    let mut group = c.benchmark_group("e6/mxv_density");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    for density_pct in [1usize, 6, 12, 25] {
-        let nnz = n * n * density_pct / 100;
-        for (label, format) in [
-            ("csr", Some(Format::Csr)),
-            ("bitmap", Some(Format::Bitmap)),
-            ("auto", None),
-        ] {
-            let a = random_matrix(n, nnz, format);
-            a.wait().unwrap();
-            group.bench_function(BenchmarkId::new(label, format!("{density_pct}pct")), |b| {
-                b.iter(|| {
-                    let w = Vector::<f64>::new(n).unwrap();
-                    ctx.mxv(&w, NoMask, NoAccum, plus_times::<f64>(), &a, &u, &d)
-                        .unwrap();
-                    w.nvals().unwrap()
-                })
-            });
-        }
-    }
-    group.finish();
-}
 
 fn bench_hyper_mxm(c: &mut Criterion) {
     // 1<<17 rows, entries confined to 128 of them: nnz ≪ nrows. The
@@ -140,10 +87,5 @@ fn bench_bc_policy(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_mxv_density_sweep,
-    bench_hyper_mxm,
-    bench_bc_policy
-);
+criterion_group!(benches, bench_hyper_mxm, bench_bc_policy);
 criterion_main!(benches);

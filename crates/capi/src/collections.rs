@@ -17,8 +17,11 @@ use crate::value::{GrbType, Value};
 pub const GXB_FORMAT_CSR: Format = Format::Csr;
 /// Column-oriented storage (`GxB_BY_COL`): transpose reads become free.
 pub const GXB_FORMAT_CSC: Format = Format::Csc;
-/// Presence-bitmap storage (`GxB_BITMAP`), for dense-ish matrices.
-pub const GXB_FORMAT_BITMAP: Format = Format::Bitmap;
+/// `GxB_BITMAP`, kept so C-shaped callers compile: an alias of
+/// [`GXB_FORMAT_CSR`]. Sparsity control is a hint (as in SuiteSparse),
+/// and the engine has no bitmap layout — CSR measured faster at every
+/// density — so the hint stores the matrix as CSR.
+pub const GXB_FORMAT_BITMAP: Format = GXB_FORMAT_CSR;
 /// Hypersparse storage (`GxB_HYPERSPARSE`), for nnz ≪ nrows.
 pub const GXB_FORMAT_HYPER: Format = Format::Hyper;
 /// 2D-tiled hypersparse storage; the default grid applies. Pick a
@@ -482,24 +485,43 @@ mod tests {
     fn format_hints_round_trip() {
         let m = GrbMatrix::new(GrbType::Int32, 4, 4).unwrap();
         m.set(0, 0, Value::Int32(1)).unwrap();
-        m.set_format(GXB_FORMAT_BITMAP).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Bitmap);
+        m.set_format(GXB_FORMAT_HYPER).unwrap();
+        assert_eq!(m.format().unwrap(), Format::Hyper);
         // content is unchanged by migration
         assert_eq!(m.get(0, 0).unwrap(), Some(Value::Int32(1)));
         assert_eq!(m.nvals().unwrap(), 1);
+        // the bitmap hint lands on CSR
+        m.set_format(GXB_FORMAT_BITMAP).unwrap();
+        assert_eq!(m.format().unwrap(), Format::Csr);
         m.set_format(GXB_FORMAT_HYPER).unwrap();
         assert_eq!(m.format().unwrap(), Format::Hyper);
         m.set_format(GXB_FORMAT_CSC).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csc);
         m.set_format(GXB_FORMAT_CSR).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csr);
-        m.set_format_policy(GXB_FORMAT_AUTO);
-        // next computed value re-chooses: Auto stores a dense value as
-        // CSR — bitmap is reachable only through the explicit hint above
-        m.set_format(GXB_FORMAT_BITMAP).unwrap();
+        // next computed value re-chooses: Auto stores a dense value as CSR
+        m.set_format(GXB_FORMAT_HYPER).unwrap();
         m.set_format_policy(GXB_FORMAT_AUTO);
         m.set(1, 1, Value::Int32(2)).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csr); // 2/16 = 12.5% stored
+    }
+
+    /// A bitmap hint on a huge, nearly empty matrix must not allocate by
+    /// `nrows * ncols` (2^40 cells; an overflow at 16 x usize::MAX): it
+    /// stores CSR and keeps the entry.
+    #[test]
+    fn bitmap_hint_on_huge_shapes_stores_csr() {
+        for (nrows, ncols) in [(1 << 20, 1 << 20), (16, usize::MAX)] {
+            let m = GrbMatrix::new(GrbType::Int32, nrows, ncols).unwrap();
+            m.set(nrows - 1, ncols - 1, Value::Int32(7)).unwrap();
+            m.set_format(GXB_FORMAT_BITMAP).unwrap();
+            assert_eq!(
+                m.get(nrows - 1, ncols - 1).unwrap(),
+                Some(Value::Int32(7)),
+                "{nrows} x {ncols}"
+            );
+            assert_eq!(m.format().unwrap(), Format::Csr, "{nrows} x {ncols}");
+        }
     }
 
     #[test]

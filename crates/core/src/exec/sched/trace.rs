@@ -38,7 +38,7 @@ pub struct TraceEvent {
     /// Stored elements in the result (0 if the node failed).
     pub nvals: usize,
     /// Storage format chosen for the result (`"csr"`, `"csc"`,
-    /// `"bitmap"`, `"hyper"` for matrix stores; `"sparse"` for vectors
+    /// `"hyper"`, `"tiled"` for matrix stores; `"sparse"` for vectors
     /// and `"sparse"`/empty shapes if the node failed).
     pub format: &'static str,
     /// `Some(from)` when the format policy migrated the result out of the

@@ -11,10 +11,10 @@
 //!   `(output index, product)` pairs, stable-sort, reduce adjacent
 //!   duplicates. No O(output) term, serial;
 //! * **pull** — a merge-walk per *admitted* output index over the
-//!   reverse-oriented rows (or the bitmap fast path): non-complement
-//!   masks expand only their indices, complement masks skip excluded
-//!   rows before expanding them, and a row stops folding once its
-//!   accumulator is terminal under ⊕ ([`Monoid::is_terminal`]).
+//!   reverse-oriented rows: non-complement masks expand only their
+//!   indices, complement masks skip excluded rows before expanding
+//!   them, and a row stops folding once its accumulator is terminal
+//!   under ⊕ ([`Monoid::is_terminal`]).
 //!
 //! Every strategy probes the mask in O(1) through one bitset built per
 //! dispatch, in O(|mask| + n/64). Tiled stores serve their
@@ -51,11 +51,11 @@ use crate::algebra::semiring::Semiring;
 use crate::index::Index;
 #[cfg(feature = "parallel")]
 use crate::kernel::par;
-use crate::kernel::util::{map_rows, map_rows_init};
+use crate::kernel::util::map_rows_init;
 use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::{Bitmap, Layout, MatrixStore};
+use crate::storage::engine::{Layout, MatrixStore};
 use crate::storage::tiled::{self, OrientedTiles, RowCursor};
 use crate::storage::vec::SparseVec;
 
@@ -221,14 +221,6 @@ where
         }
         Chosen::Pull => {
             note_direction("pull");
-            // the reverse orientation is A's native rows when the forward
-            // one is its columns, so a bitmap store pulls directly from
-            // its presence words
-            if fwd_col_side {
-                if let Layout::Bitmap(b) = store.layout() {
-                    return pull_bitmap(b, v, &bits, mulf, add);
-                }
-            }
             // A *wide* pull (the mask admits at least half the outputs)
             // over a tiled store would re-pay the per-segment overhead
             // on most rows every call, so it reads the store's memoized
@@ -398,8 +390,7 @@ fn choose<A: Scalar>(
     // plan never triggers the very conversion being costed. A tiled
     // store serves both orientations through per-tile views (a touched
     // tile transposes lazily, amortized per tile), so neither side pays
-    // the whole-slab conversion penalty; a bitmap pull reads the
-    // presence words and needs no CSR at all.
+    // the whole-slab conversion penalty.
     let is_tiled = matches!(store.layout(), Layout::Tiled(_));
     let penalty = |col_side: bool| {
         let free = is_tiled
@@ -412,12 +403,7 @@ fn choose<A: Scalar>(
         }
     };
     let fwd_penalty = penalty(fwd_col_side);
-    let bitmap_pull = fwd_col_side && matches!(store.layout(), Layout::Bitmap(_));
-    let rev_penalty = if bitmap_pull {
-        0
-    } else {
-        penalty(!fwd_col_side)
-    };
+    let rev_penalty = penalty(!fwd_col_side);
     let push_cost = PUSH_PRODUCT
         .saturating_mul(products)
         .saturating_add(fwd_penalty);
@@ -788,39 +774,6 @@ where
     collect(results)
 }
 
-/// Pull over a bitmap store's native row orientation (the dense-frontier
-/// fast path of BFS/BC pull steps), for both `mxv` and transposed `vxm`.
-fn pull_bitmap<A, V, D3, Mo, M>(
-    b: &Bitmap<A>,
-    v: &SparseVec<V>,
-    bits: &MaskBits,
-    mulf: &M,
-    add: &Mo,
-) -> SparseVec<D3>
-where
-    A: Scalar,
-    V: Scalar,
-    D3: Scalar,
-    Mo: Monoid<D3>,
-    M: Fn(&A, &V) -> D3 + Sync,
-{
-    let v_dense = &dense_input(v);
-    collect(map_rows(b.nrows(), b.nvals() + v.nvals(), |i| {
-        if !bits.admits(i) {
-            return None;
-        }
-        let mut acc: Option<D3> = None;
-        for (j, aij) in b.row_iter(i) {
-            if let Some(x) = v_dense[j] {
-                if fold(&mut acc, mulf(aij, x), add) {
-                    break;
-                }
-            }
-        }
-        acc
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,13 +817,7 @@ mod tests {
         let sr = plus_times::<i32>();
         let v = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 30]);
         for transposed in [false, true] {
-            for fmt in [
-                Format::Csr,
-                Format::Csc,
-                Format::Bitmap,
-                Format::Hyper,
-                Format::Tiled,
-            ] {
+            for fmt in [Format::Csr, Format::Csc, Format::Hyper, Format::Tiled] {
                 let st = store().into_format(fmt);
                 let masks = [
                     MaskVec::All,
@@ -1009,8 +956,8 @@ mod tests {
         }
     }
 
-    /// LOR's terminal `true` ends a pull row early (slab, tiled and
-    /// bitmap pulls alike); the answer matches every other direction.
+    /// LOR's terminal `true` ends a pull row early (slab and tiled pulls
+    /// alike); the answer matches every other direction.
     #[test]
     fn terminal_early_exit_is_invisible() {
         let _serial = serial();
@@ -1037,7 +984,7 @@ mod tests {
                 .enumerate()
                 .filter_map(|(j, w)| w.map(|w| (j, w)))
                 .collect();
-            for fmt in [Format::Csr, Format::Bitmap, Format::Tiled] {
+            for fmt in [Format::Csr, Format::Tiled] {
                 let st =
                     MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).into_format(fmt);
                 for d in all_directions() {

@@ -1,4 +1,5 @@
-//! The polymorphic storage engine: one matrix value, four layouts.
+//! The polymorphic storage engine: one matrix value, three layouts plus
+//! tiling.
 //!
 //! The paper's object model hides representation entirely — a
 //! `GrB_Matrix` is just the set `L(A) = {(i, j, A_ij)}` (§III-A) — which
@@ -10,12 +11,10 @@
 //! * [`Format::Csc`] — the CSR of `A^T`: column-major access, and a
 //!   *free* transpose view (a `GrB_TRAN` descriptor on a Csc operand
 //!   reads the stored array as-is);
-//! * [`Format::Bitmap`] — presence bits + value slots; reached only by an
-//!   explicit hint (`Force`, `GxB_FORMAT_BITMAP`), never by `Auto`: no
-//!   matrix–matrix kernel reads it natively, and even SpMSpV pulls run
-//!   faster from CSR at every measured density (EXPERIMENTS E6);
 //! * [`Format::Hyper`] — hypersparse CSR over the non-empty rows only,
-//!   for `nnz ≪ nrows` where even the row-pointer array would dominate.
+//!   for `nnz ≪ nrows` where even the row-pointer array would dominate;
+//! * [`Format::Tiled`] — a 2D grid of blocks, each stored in one of the
+//!   layouts above.
 //!
 //! Kernels stay layout-generic through the memoized [`MatrixStore::row_csr`]
 //! / [`MatrixStore::col_csr`] views: a store converts to the orientation a
@@ -23,10 +22,9 @@
 //! `OnceLock` serializes concurrent first requests from the parallel
 //! scheduler), which is the "convert an intermediate once instead of
 //! per-consumer" latitude of nonblocking mode. Specialized kernels
-//! (`mxm_hyper`, the SpMSpV `pull_bitmap`, the CSR×CSC dot product) dispatch on
+//! (`mxm_hyper`, the tiled SpMSpV walks, the CSR×CSC dot product) dispatch on
 //! [`MatrixStore::layout`] instead and skip conversion entirely.
 
-pub mod bitmap;
 pub mod hyper;
 
 use std::sync::{Arc, OnceLock};
@@ -36,7 +34,6 @@ use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::tiled::{self, Tiled};
 
-pub use bitmap::Bitmap;
 pub use hyper::Hyper;
 
 /// A concrete storage layout (the engine's `GxB_FORMAT_*` analog).
@@ -46,8 +43,6 @@ pub enum Format {
     Csr,
     /// Compressed sparse column (stored as CSR of the transpose).
     Csc,
-    /// Presence bitmap + dense value slots.
-    Bitmap,
     /// Hypersparse CSR (compressed non-empty-row list).
     Hyper,
     /// 2D grid of independently formatted blocks
@@ -61,7 +56,6 @@ impl Format {
         match self {
             Format::Csr => "csr",
             Format::Csc => "csc",
-            Format::Bitmap => "bitmap",
             Format::Hyper => "hyper",
             Format::Tiled => "tiled",
         }
@@ -97,7 +91,7 @@ impl FormatPolicy {
     /// The layout this policy stores a value of the given shape and
     /// occupancy in. `Auto` picks only `Csr` or `Hyper`: column
     /// orientation is an access-pattern choice, made by explicit hint or
-    /// transpose views, and `Bitmap` is a hint-only layout.
+    /// transpose views.
     pub fn choose(self, nrows: Index, _ncols: Index, nvals: usize) -> Format {
         match self {
             FormatPolicy::Force(f) => f,
@@ -137,15 +131,13 @@ pub fn session_default_policy() -> FormatPolicy {
     *SESSION_DEFAULT_POLICY.read()
 }
 
-/// The four concrete layouts behind a [`MatrixStore`].
+/// The concrete layouts behind a [`MatrixStore`].
 #[derive(Debug)]
 pub enum Layout<T> {
     /// Row-compressed content.
     Csr(Arc<Csr<T>>),
     /// Column-compressed content: the CSR of `A^T`.
     Csc(Arc<Csr<T>>),
-    /// Presence bitmap + value slots.
-    Bitmap(Arc<Bitmap<T>>),
     /// Hypersparse CSR.
     Hyper(Arc<Hyper<T>>),
     /// 2D tile grid of independently formatted blocks.
@@ -158,14 +150,13 @@ impl<T> Clone for Layout<T> {
         match self {
             Layout::Csr(c) => Layout::Csr(c.clone()),
             Layout::Csc(t) => Layout::Csc(t.clone()),
-            Layout::Bitmap(b) => Layout::Bitmap(b.clone()),
             Layout::Hyper(h) => Layout::Hyper(h.clone()),
             Layout::Tiled(g) => Layout::Tiled(g.clone()),
         }
     }
 }
 
-/// One matrix value in one of four layouts, with memoized CSR views of
+/// One matrix value in one of the [`Layout`]s, with memoized CSR views of
 /// both orientations so kernels can stay layout-generic.
 #[derive(Debug)]
 pub struct MatrixStore<T> {
@@ -302,7 +293,6 @@ impl<T: Scalar> MatrixStore<T> {
         let layout = match target {
             Format::Csr => Layout::Csr(self.row_csr()),
             Format::Csc => Layout::Csc(self.col_csr()),
-            Format::Bitmap => Layout::Bitmap(Arc::new(Bitmap::from_csr(&self.row_csr()))),
             Format::Hyper => Layout::Hyper(Arc::new(Hyper::from_csr(&self.row_csr()))),
             Format::Tiled => unreachable!("handled above"),
         };
@@ -338,7 +328,6 @@ impl<T: Scalar> MatrixStore<T> {
         match self.layout {
             Layout::Csr(_) => Format::Csr,
             Layout::Csc(_) => Format::Csc,
-            Layout::Bitmap(_) => Format::Bitmap,
             Layout::Hyper(_) => Format::Hyper,
             Layout::Tiled(_) => Format::Tiled,
         }
@@ -371,29 +360,16 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn nvals(&self) -> usize {
         match &self.layout {
             Layout::Csr(c) | Layout::Csc(c) => c.nvals(),
-            Layout::Bitmap(b) => b.nvals(),
             Layout::Hyper(h) => h.nvals(),
             Layout::Tiled(t) => t.nvals(),
         }
     }
 
-    /// Stored fraction `nvals / (nrows * ncols)`.
-    pub fn density(&self) -> f64 {
-        let cells = self.nrows as f64 * self.ncols as f64;
-        if cells == 0.0 {
-            0.0
-        } else {
-            self.nvals() as f64 / cells
-        }
-    }
-
-    /// Probe `(i, j)` in the native layout — no conversion, O(1) for
-    /// bitmap, O(log row) for the compressed layouts.
+    /// Probe `(i, j)` in the native layout — no conversion, O(log row).
     pub fn get(&self, i: Index, j: Index) -> Option<&T> {
         match &self.layout {
             Layout::Csr(c) => c.get(i, j),
             Layout::Csc(t) => t.get(j, i),
-            Layout::Bitmap(b) => b.get(i, j),
             Layout::Hyper(h) => h.get(i, j),
             Layout::Tiled(t) => t.get(i, j),
         }
@@ -404,7 +380,6 @@ impl<T: Scalar> MatrixStore<T> {
         match &self.layout {
             Layout::Csr(c) => c.to_tuples(),
             Layout::Csc(_) | Layout::Tiled(_) => self.row_csr().to_tuples(),
-            Layout::Bitmap(b) => b.iter().map(|(i, j, v)| (i, j, v.clone())).collect(),
             Layout::Hyper(h) => h.iter().map(|(i, j, v)| (i, j, v.clone())).collect(),
         }
     }
@@ -420,7 +395,6 @@ impl<T: Scalar> MatrixStore<T> {
                 Arc::new(match &self.layout {
                     Layout::Csr(_) => unreachable!(),
                     Layout::Csc(t) => t.transpose(),
-                    Layout::Bitmap(b) => b.to_csr(),
                     Layout::Hyper(h) => h.to_csr(),
                     Layout::Tiled(t) => t.to_csr(),
                 })
@@ -482,11 +456,6 @@ impl<T: Scalar> MatrixStore<T> {
                             deg[i] += 1;
                         }
                     }
-                    Layout::Bitmap(b) => {
-                        for (i, d) in deg.iter_mut().enumerate() {
-                            *d = b.row_bits(i).iter().map(|w| w.count_ones() as usize).sum();
-                        }
-                    }
                     Layout::Hyper(h) => {
                         for k in 0..h.nonempty_rows().len() {
                             let (i, cols, _) = h.row_by_pos(k);
@@ -515,11 +484,6 @@ impl<T: Scalar> MatrixStore<T> {
                     Layout::Csc(t) => {
                         for (j, d) in deg.iter_mut().enumerate() {
                             *d = t.row_nvals(j);
-                        }
-                    }
-                    Layout::Bitmap(b) => {
-                        for (_, j, _) in b.iter() {
-                            deg[j] += 1;
                         }
                     }
                     Layout::Hyper(h) => {
@@ -600,7 +564,7 @@ mod tests {
     #[test]
     fn auto_policy_thresholds() {
         let auto = FormatPolicy::Auto;
-        // dense (4/9 stored) or fully stored: still csr, never bitmap
+        // dense (4/9 stored) or fully stored: still csr
         assert_eq!(auto.choose(3, 3, 4), Format::Csr);
         assert_eq!(auto.choose(4096, 32, 4096 * 32), Format::Csr);
         // sparse, nnz*4 >= nrows -> csr
@@ -609,13 +573,8 @@ mod tests {
         assert_eq!(auto.choose(1_000_000, 1_000_000, 1_000), Format::Hyper);
         // empty -> csr
         assert_eq!(auto.choose(10, 10, 0), Format::Csr);
-        // dense with more cells than any plane could hold -> csr
+        // nvals too large for `nvals * 4` in usize: no overflow, csr
         assert_eq!(auto.choose(1 << 14, 1 << 14, usize::MAX / 2), Format::Csr);
-        // bitmap stays reachable by an explicit hint
-        assert_eq!(
-            FormatPolicy::Force(Format::Bitmap).choose(3, 3, 4),
-            Format::Bitmap
-        );
         // forced always wins
         assert_eq!(
             FormatPolicy::Force(Format::Hyper).choose(3, 3, 4),
@@ -626,7 +585,7 @@ mod tests {
     #[test]
     fn all_formats_preserve_content() {
         let csr = sample();
-        for fmt in [Format::Csr, Format::Csc, Format::Bitmap, Format::Hyper] {
+        for fmt in [Format::Csr, Format::Csc, Format::Hyper] {
             let store = MatrixStore::csr(csr.clone()).into_format(fmt);
             assert_eq!(store.format(), fmt, "{fmt:?}");
             assert_eq!(store.nvals(), 4);
@@ -661,8 +620,8 @@ mod tests {
 
     #[test]
     fn views_are_memoized() {
-        // bitmap has no native CSR: pin it so the row view is a conversion
-        let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Bitmap));
+        // hyper has no native CSR: pin it so the row view is a conversion
+        let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Hyper));
         assert!(!store.csr_view_ready(false));
         let a = store.row_csr();
         assert!(store.csr_view_ready(false));
@@ -688,14 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn density_reporting() {
-        let store = MatrixStore::csr(sample());
-        assert!((store.density() - 4.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn degrees_agree_across_layouts() {
-        for fmt in [Format::Csr, Format::Csc, Format::Bitmap, Format::Hyper] {
+        for fmt in [Format::Csr, Format::Csc, Format::Hyper] {
             let store = MatrixStore::csr(sample()).into_format(fmt);
             assert_eq!(&store.row_degrees()[..], &[2, 0, 2], "{fmt:?} rows");
             assert_eq!(&store.col_degrees()[..], &[2, 1, 1], "{fmt:?} cols");
@@ -760,7 +713,7 @@ mod tests {
     fn migration_carries_property_caches() {
         let store = MatrixStore::csr(sample());
         let deg = store.row_degrees();
-        let bitmap = store.into_format(Format::Bitmap);
-        assert!(Arc::ptr_eq(&deg, &bitmap.row_degrees()));
+        let hyper = store.into_format(Format::Hyper);
+        assert!(Arc::ptr_eq(&deg, &hyper.row_degrees()));
     }
 }

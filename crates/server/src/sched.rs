@@ -128,6 +128,8 @@ struct Inner {
     queued: usize,
     /// Virtual time: pass of the most recently served tenant.
     vtime: u64,
+    /// Executors take no batch while set ([`Scheduler::set_held`]).
+    held: bool,
     shutdown: bool,
 }
 
@@ -155,6 +157,7 @@ impl Scheduler {
                 tenants: HashMap::new(),
                 queued: 0,
                 vtime: 0,
+                held: false,
                 shutdown: false,
             }),
             ready: Condvar::new(),
@@ -228,12 +231,22 @@ impl Scheduler {
         Admit::Queued(slot)
     }
 
-    /// Block until work is available; `None` once shut down *and*
-    /// drained (executors exit only after every queued job is served).
+    /// Stop (`true`) or restart (`false`) handing out batches.
+    /// Admission is unaffected, so while held the queues fill and shed
+    /// exactly as behind a saturated executor. Shutdown releases a hold.
+    pub fn set_held(&self, held: bool) {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.held = held;
+        self.ready.notify_all();
+    }
+
+    /// Block until work is available and not held; `None` once shut
+    /// down *and* drained (executors exit only after every queued job
+    /// is served).
     pub fn next_batch(&self) -> Option<Batch> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if inner.queued > 0 {
+            if inner.queued > 0 && !inner.held {
                 return Some(Self::take_batch(&mut inner, &self.cfg));
             }
             if inner.shutdown {
@@ -297,6 +310,7 @@ impl Scheduler {
     pub fn shutdown(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.shutdown = true;
+        inner.held = false;
         self.ready.notify_all();
     }
 }
@@ -442,6 +456,17 @@ mod tests {
         s.shutdown();
         assert!(matches!(s.submit(&a, degree_req(1)), Admit::Closed));
         assert!(s.next_batch().is_some(), "queued job still drains");
+        assert!(s.next_batch().is_none());
+    }
+
+    #[test]
+    fn shutdown_releases_a_hold() {
+        let s = sched(100);
+        let a = s.register("a", 1);
+        s.set_held(true);
+        s.submit(&a, degree_req(0));
+        s.shutdown();
+        assert!(s.next_batch().is_some(), "held job still drains");
         assert!(s.next_batch().is_none());
     }
 

@@ -147,6 +147,20 @@ impl Service {
         }
     }
 
+    /// Stop the executors from starting new batches (one already
+    /// running finishes) until [`Service::resume`]. Admission control
+    /// keeps answering, so queues fill and shed exactly as behind a
+    /// saturated executor — a load test's "busy executor", by
+    /// construction. [`Service::shutdown`] resumes.
+    pub fn pause(&self) {
+        self.sched.set_held(true);
+    }
+
+    /// Undo [`Service::pause`].
+    pub fn resume(&self) {
+        self.sched.set_held(false);
+    }
+
     /// The named-graph registry (bulk loading in benches/tests).
     pub fn graphs(&self) -> &Registry {
         &self.graphs

@@ -8,35 +8,16 @@
 //! and intra-kernel parallelism degrees, with NaN / ±∞ / -0.0 payloads
 //! included. This is the "deferred ≡ eager" acceptance criterion.
 
-use graphblas_core::par;
+mod common;
+
+use common::{
+    at_degree, contexts, fval, matrix_bits, sparse, to_matrix, to_vector, vector_bits, Tuples,
+};
 use graphblas_core::prelude::*;
-use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 const N: usize = 16;
 const DEGREES: [usize; 3] = [1, 2, 8];
-
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn sparse(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..N, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
 
 /// One step of a random program over a matrix `m` and a vector `u`.
 #[derive(Debug, Clone)]
@@ -91,22 +72,6 @@ struct Obs {
     nvals: Vec<usize>,
 }
 
-fn matrix_bits(m: &Matrix<f64>) -> Vec<(usize, usize, u64)> {
-    m.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, j, v)| (i, j, v.to_bits()))
-        .collect()
-}
-
-fn vector_bits(v: &Vector<f64>) -> Vec<(usize, u64)> {
-    v.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, x)| (i, x.to_bits()))
-        .collect()
-}
-
 /// Interpret `steps` under `ctx`. With `eager` set, every point
 /// mutation is followed by a `wait()` on the mutated object, so the
 /// delta log never holds more than one entry; otherwise the buffer
@@ -119,15 +84,8 @@ fn interpret(
     format: Option<Format>,
     eager: bool,
 ) -> Obs {
-    let tuples: Vec<(usize, usize, f64)> = m0.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
-    let m = Matrix::from_tuples(N, N, &tuples).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
-    }
-    let u = Vector::<f64>::new(N).unwrap();
-    for &(i, _, c) in u0 {
-        u.set(i, fval(c)).unwrap();
-    }
+    let m = to_matrix(N, m0, format);
+    let u = to_vector(N, u0);
     let d = Descriptor::default();
     let mut obs = Obs {
         m: Vec::new(),
@@ -190,24 +148,7 @@ fn interpret(
     obs
 }
 
-/// Run `f` with the intra-kernel degree pinned to `k` and the cost
-/// model forced so even proptest-sized fixtures chunk. The overrides
-/// are thread-local: they bind the blocking and sequential paths (which
-/// compute on the calling thread); the pool path exercises its own
-/// defaults, which the determinism-by-merge design makes equivalent.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Bitmap)];
-
-fn contexts() -> [Context; 3] {
-    [
-        Context::blocking(),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel),
-    ]
-}
+const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Hyper)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -217,8 +158,8 @@ proptest! {
     /// serial eager blocking reference.
     #[test]
     fn deferred_equals_eager_bitwise(
-        m0 in sparse(48),
-        u0 in sparse(16),
+        m0 in sparse(N, 48),
+        u0 in sparse(N, 16),
         steps in proptest::collection::vec(step_strategy(), 1..24),
     ) {
         let reference =

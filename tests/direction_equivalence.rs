@@ -13,10 +13,11 @@
 
 use std::sync::Mutex;
 
-use graphblas_core::par;
+mod common;
+
+use common::{at_degree, contexts, sparse, to_matrix, to_vector, vector_bits, Tuples};
 use graphblas_core::prelude::*;
 use graphblas_core::spmspv::{self, Direction};
-use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 const N: usize = 24;
@@ -28,28 +29,6 @@ const DEGREES: [usize; 3] = [1, 2, 8];
 /// Forced directions are a process-wide override; hold this across any
 /// region that sets one so concurrent test threads never interleave.
 static DIRECTION_LOCK: Mutex<()> = Mutex::new(());
-
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn sparse(n: usize, max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..n, 0..n, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
 
 /// A size, then a matrix and two vectors (input, mask) of that size;
 /// entry counts scale with the size.
@@ -65,43 +44,7 @@ fn operands() -> impl Strategy<Value = (usize, Tuples, Tuples, Tuples)> {
     })
 }
 
-fn to_matrix(n: usize, t: &Tuples, format: Option<Format>) -> Matrix<f64> {
-    let tuples: Vec<(usize, usize, f64)> = t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
-    let m = Matrix::from_tuples(n, n, &tuples).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
-    }
-    m
-}
-
-fn to_vector(n: usize, t: &Tuples) -> Vector<f64> {
-    let v = Vector::<f64>::new(n).unwrap();
-    for &(i, _, c) in t {
-        v.set(i, fval(c)).unwrap();
-    }
-    v
-}
-
-fn vector_bits(v: &Vector<f64>) -> Vec<(usize, u64)> {
-    v.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, x)| (i, x.to_bits()))
-        .collect()
-}
-
-/// Run `f` with the intra-kernel degree pinned to `k` and the cost
-/// model forced so even proptest-sized fixtures chunk.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-const FORMATS: [Option<Format>; 4] = [
-    Some(Format::Csr),
-    Some(Format::Csc),
-    Some(Format::Bitmap),
-    Some(Format::Hyper),
-];
+const FORMATS: [Option<Format>; 3] = [Some(Format::Csr), Some(Format::Csc), Some(Format::Hyper)];
 
 const DIRECTIONS: [Direction; 4] = [
     Direction::Dense,
@@ -109,14 +52,6 @@ const DIRECTIONS: [Direction; 4] = [
     Direction::Pull,
     Direction::Auto,
 ];
-
-fn contexts() -> [Context; 3] {
-    [
-        Context::blocking(),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel),
-    ]
-}
 
 fn mask_descriptor(complement: bool, structural: bool) -> Descriptor {
     let mut d = Descriptor::default();

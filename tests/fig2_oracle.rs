@@ -11,6 +11,9 @@
 //! row emitter's chunk concatenation is checked at whatever degree
 //! `GRB_TEST_THREADS` sets.
 
+mod common;
+
+use common::{fval, tuples, Tuples};
 use graphblas_core::accum::Accumulate;
 use graphblas_core::object::MatrixMask;
 use graphblas_core::par;
@@ -22,32 +25,10 @@ const N: usize = 24;
 const THIN: [usize; 3] = [1, 32, 65];
 const TRAP: [f64; 4] = [1.0, 1e16, -1e16, 1.0];
 
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn tuples(ncols: usize, max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..ncols, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
-
 /// A mask source: a single entry half the time, else a random pattern
 /// with stored `false`s (odd codes) that only a structural mask admits.
 fn mask_tuples() -> impl Strategy<Value = Tuples> {
-    (tuples(65, 48), 0u8..2).prop_map(|(t, one)| {
+    (tuples(N, 65, 48), 0u8..2).prop_map(|(t, one)| {
         if one == 0 {
             t.into_iter().take(1).map(|(i, j, _)| (i, j, 0)).collect()
         } else {
@@ -248,9 +229,9 @@ proptest! {
 
     #[test]
     fn core_ops_match_the_fig2_oracle_bitwise(
-        a in tuples(N, 64),
-        b in tuples(65, 96),
-        c0 in tuples(65, 64),
+        a in tuples(N, N, 64),
+        b in tuples(N, 65, 96),
+        c0 in tuples(N, 65, 64),
         mask in mask_tuples(),
         wi in 0usize..3,
     ) {

@@ -94,7 +94,6 @@ fn formats_strategy() -> impl Strategy<Value = Vec<Option<Format>>> {
             Just(None),
             Just(Some(Format::Csr)),
             Just(Some(Format::Csc)),
-            Just(Some(Format::Bitmap)),
             Just(Some(Format::Hyper)),
         ],
         3,

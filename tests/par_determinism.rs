@@ -6,82 +6,18 @@
 //! degree; blocking mode keeps kernels on the calling thread so the
 //! thread-local overrides apply.
 
-use graphblas_core::par;
+mod common;
+
+use common::{
+    at_degree, fval, matrix_bits, sparse, to_matrix, to_vector, tuples, vector_bits, Tuples,
+};
 use graphblas_core::prelude::*;
 use proptest::prelude::*;
 
 const N: usize = 24;
 const DEGREES: [usize; 2] = [2, 8];
 
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn sparse(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..N, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
-
-fn to_matrix(t: &Tuples, format: Option<Format>) -> Matrix<f64> {
-    let tuples: Vec<(usize, usize, f64)> = t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
-    let m = Matrix::from_tuples(N, N, &tuples).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
-    }
-    m
-}
-
-fn to_vector(t: &Tuples) -> Vector<f64> {
-    let v = Vector::<f64>::new(N).unwrap();
-    for &(i, _, c) in t {
-        v.set(i, fval(c)).unwrap();
-    }
-    v
-}
-
-/// Pattern + bit pattern of every stored element — the bitwise identity
-/// the determinism-by-merge design promises (NaN payloads included).
-fn matrix_bits(m: &Matrix<f64>) -> Vec<(usize, usize, u64)> {
-    m.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, j, v)| (i, j, v.to_bits()))
-        .collect()
-}
-
-fn vector_bits(v: &Vector<f64>) -> Vec<(usize, u64)> {
-    v.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, x)| (i, x.to_bits()))
-        .collect()
-}
-
-/// Run `f` with the intra-kernel degree pinned to `k` and the cost model
-/// forced so even tiny fixtures chunk.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-const FORMATS: [Option<Format>; 4] = [
-    Some(Format::Csr),
-    Some(Format::Csc),
-    Some(Format::Bitmap),
-    Some(Format::Hyper),
-];
+const FORMATS: [Option<Format>; 3] = [Some(Format::Csr), Some(Format::Csc), Some(Format::Hyper)];
 
 /// Widths of the thin right operands: a single column, the Fig. 3 batch
 /// of 32 sources, and one past a 64-bit word.
@@ -91,14 +27,6 @@ const THIN: [usize; 3] = [1, 32, 65];
 /// `((1 + 1e16) - 1e16) + 1`. A regrouped fold — pairwise, chunked, or
 /// one that adds the two 1s together first — rounds to 0 or 2.
 const TRAP: [f64; 4] = [1.0, 1e16, -1e16, 1.0];
-
-fn thin_tuples(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..65usize, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
 
 /// `A` with row 0 replaced by [`TRAP`] at columns 0..4.
 fn trap_matrix(t: &Tuples) -> Matrix<f64> {
@@ -131,9 +59,9 @@ proptest! {
 
     #[test]
     fn thin_block_masked_mxm_is_bitwise_deterministic(
-        a in sparse(64),
-        b in thin_tuples(96),
-        mask in thin_tuples(48),
+        a in sparse(N, 64),
+        b in tuples(N, 65, 96),
+        mask in tuples(N, 65, 48),
     ) {
         // `C<M> = A ⊕.⊗ B` for thin B, with and without a complemented
         // mask, B's column view cached (Csc) or not. The masked product
@@ -184,13 +112,13 @@ proptest! {
 
     #[test]
     fn mxm_is_bitwise_deterministic_across_formats(
-        a in sparse(64),
-        b in sparse(64),
+        a in sparse(N, 64),
+        b in sparse(N, 64),
     ) {
         let ctx = Context::blocking();
         for fa in FORMATS {
-            let am = to_matrix(&a, fa);
-            let bm = to_matrix(&b, None);
+            let am = to_matrix(N, &a, fa);
+            let bm = to_matrix(N, &b, None);
             let run = |k| at_degree(k, || {
                 let c = Matrix::<f64>::new(N, N).unwrap();
                 ctx.mxm(&c, NoMask, NoAccum, plus_times::<f64>(), &am, &bm,
@@ -206,18 +134,18 @@ proptest! {
 
     #[test]
     fn masked_accumulated_mxm_is_bitwise_deterministic(
-        c0 in sparse(48),
-        a in sparse(48),
-        b in sparse(48),
-        mask in sparse(48),
+        c0 in sparse(N, 48),
+        a in sparse(N, 48),
+        b in sparse(N, 48),
+        mask in sparse(N, 48),
     ) {
         // the full Figure-2 pipeline: compute, accumulate, masked write
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
-        let bm = to_matrix(&b, None);
-        let mm = to_matrix(&mask, None);
+        let am = to_matrix(N, &a, None);
+        let bm = to_matrix(N, &b, None);
+        let mm = to_matrix(N, &mask, None);
         let run = |k| at_degree(k, || {
-            let c = to_matrix(&c0, None);
+            let c = to_matrix(N, &c0, None);
             ctx.mxm(&c, &mm, Accum(Plus::<f64>::new()), plus_times::<f64>(), &am, &bm,
                 &Descriptor::default().structural_mask()).unwrap();
             matrix_bits(&c)
@@ -230,13 +158,13 @@ proptest! {
 
     #[test]
     fn mxv_is_bitwise_deterministic(
-        a in sparse(64),
-        u in sparse(24),
+        a in sparse(N, 64),
+        u in sparse(N, 24),
     ) {
         let ctx = Context::blocking();
-        for fa in [Some(Format::Csr), Some(Format::Bitmap)] {
-            let am = to_matrix(&a, fa);
-            let uv = to_vector(&u);
+        for fa in [Some(Format::Csr), Some(Format::Csc)] {
+            let am = to_matrix(N, &a, fa);
+            let uv = to_vector(N, &u);
             let run = |k| at_degree(k, || {
                 let w = Vector::<f64>::new(N).unwrap();
                 ctx.mxv(&w, NoMask, NoAccum, plus_times::<f64>(), &am, &uv,
@@ -252,14 +180,14 @@ proptest! {
 
     #[test]
     fn ewise_add_and_mult_are_bitwise_deterministic(
-        a in sparse(64),
-        b in sparse(64),
-        c0 in sparse(48),
-        mask in sparse(48),
+        a in sparse(N, 64),
+        b in sparse(N, 64),
+        c0 in sparse(N, 48),
+        mask in sparse(N, 48),
     ) {
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
-        let bm = to_matrix(&b, None);
+        let am = to_matrix(N, &a, None);
+        let bm = to_matrix(N, &b, None);
         let run = |k| at_degree(k, || {
             let s = Matrix::<f64>::new(N, N).unwrap();
             let p = Matrix::<f64>::new(N, N).unwrap();
@@ -278,7 +206,7 @@ proptest! {
         // only where the mask admits, so each must equal the unmasked
         // product written through `apply(Identity)` under the same mask,
         // accumulator and descriptor — at every degree.
-        let mm = to_matrix(&mask, None);
+        let mm = to_matrix(N, &mask, None);
         let (sum, prod) = serial;
         for complement in [false, true] {
             for replace in [false, true] {
@@ -291,7 +219,7 @@ proptest! {
                 }
                 for accum in [false, true] {
                     let written = |t: &Matrix<f64>| {
-                        let c = to_matrix(&c0, None);
+                        let c = to_matrix(N, &c0, None);
                         if accum {
                             ctx.apply_matrix(&c, &mm, Accum(Plus::<f64>::new()), Identity::new(),
                                 t, &desc).unwrap();
@@ -307,8 +235,8 @@ proptest! {
                     let want = (written(&from_bits(&sum)), written(&from_bits(&prod)));
                     for k in [1, 2, 8] {
                         let got = at_degree(k, || {
-                            let s = to_matrix(&c0, None);
-                            let p = to_matrix(&c0, None);
+                            let s = to_matrix(N, &c0, None);
+                            let p = to_matrix(N, &c0, None);
                             if accum {
                                 ctx.ewise_add_matrix(&s, &mm, Accum(Plus::<f64>::new()), Plus::new(),
                                     &am, &bm, &desc).unwrap();
@@ -331,9 +259,9 @@ proptest! {
     }
 
     #[test]
-    fn apply_is_bitwise_deterministic(a in sparse(64)) {
+    fn apply_is_bitwise_deterministic(a in sparse(N, 64)) {
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
+        let am = to_matrix(N, &a, None);
         let run = |k| at_degree(k, || {
             let c = Matrix::<f64>::new(N, N).unwrap();
             ctx.apply_matrix(&c, NoMask, NoAccum, Ainv::new(), &am,
@@ -347,12 +275,12 @@ proptest! {
     }
 
     #[test]
-    fn reductions_are_bitwise_deterministic(a in sparse(96)) {
+    fn reductions_are_bitwise_deterministic(a in sparse(N, 96)) {
         // float ⊕ is non-associative, so the tree merge uses the same
         // fixed chunking on the serial and parallel paths — the scalar
         // results must match to the bit, NaN included.
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
+        let am = to_matrix(N, &a, None);
         let run = |k| at_degree(k, || {
             let w = Vector::<f64>::new(N).unwrap();
             ctx.reduce_rows(&w, NoMask, NoAccum, PlusMonoid::new(), &am,
@@ -368,13 +296,13 @@ proptest! {
 
     #[test]
     fn assign_and_extract_are_bitwise_deterministic(
-        c0 in sparse(48),
-        a in sparse(48),
+        c0 in sparse(N, 48),
+        a in sparse(N, 48),
     ) {
         let ctx = Context::blocking();
-        let am = to_matrix(&a, None);
+        let am = to_matrix(N, &a, None);
         let run = |k| at_degree(k, || {
-            let c = to_matrix(&c0, None);
+            let c = to_matrix(N, &c0, None);
             ctx.assign_matrix(&c, NoMask, Accum(Plus::<f64>::new()), &am, ALL, ALL,
                 &Descriptor::default()).unwrap();
             let sub = Matrix::<f64>::new(N / 2, N).unwrap();

@@ -13,10 +13,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use graphblas_core::par;
+mod common;
+
+use common::{at_degree, contexts, fval, matrix_bits};
 use graphblas_core::prelude::*;
 use graphblas_core::storage::delta;
-use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 const N: usize = 16;
@@ -26,18 +27,6 @@ const DEGREES: [usize; 3] = [1, 2, 8];
 /// runs plus an unsorted tail, and compaction actually fires.
 fn tiny_runs() {
     delta::set_session_run_cap(Some(3));
-}
-
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
 }
 
 /// One step of a random program over a matrix.
@@ -70,14 +59,6 @@ type Shadow = BTreeMap<(usize, usize), u64>;
 
 fn shadow_tuples(s: &Shadow) -> Vec<(usize, usize, u64)> {
     s.iter().map(|(&(i, j), &b)| (i, j, b)).collect()
-}
-
-fn matrix_bits(m: &Matrix<f64>) -> Vec<(usize, usize, u64)> {
-    m.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, j, v)| (i, j, v.to_bits()))
-        .collect()
 }
 
 fn snapshot_bits(s: &MatrixSnapshot<f64>) -> Vec<(usize, usize, u64)> {
@@ -217,21 +198,7 @@ fn check_degree_program(steps: &[Step], format: Option<Format>) -> std::result::
     Ok(())
 }
 
-/// Run `f` with the intra-kernel degree pinned to `k` and the cost
-/// model forced so even proptest-sized fixtures chunk.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Bitmap)];
-
-fn contexts() -> [Context; 3] {
-    [
-        Context::blocking(),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel),
-    ]
-}
+const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Hyper)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -7,83 +7,24 @@
 //! {1, 2, 8}. Tiling is a storage-only decision: no kernel result, no
 //! delta-log drain, and no snapshot read may observe it.
 
-use graphblas_core::par;
+mod common;
+
+use common::{at_degree, contexts, fval, matrix_bits, sparse, to_vector, vector_bits, Tuples};
 use graphblas_core::prelude::*;
-use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 const N: usize = 24;
 const DEGREES: [usize; 3] = [1, 2, 8];
 const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 4)];
 
-/// Decode a strategy byte into an f64 payload; low codes are the
-/// adversarial specials (NaN, ±∞, -0.0).
-fn fval(code: u8) -> f64 {
-    match code {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        c => (f64::from(c) - 128.0) * 0.625,
-    }
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn sparse(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..N, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
-}
-
+/// `t` as a tile grid of the given shape, or as a CSR slab.
 fn to_matrix(t: &Tuples, grid: Option<(usize, usize)>) -> Matrix<f64> {
-    let tuples: Vec<(usize, usize, f64)> = t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
-    let m = Matrix::from_tuples(N, N, &tuples).unwrap();
+    let m = common::to_matrix(N, t, None);
     match grid {
         Some((r, c)) => m.set_tile_shape(r, c).unwrap(),
         None => m.set_format(Format::Csr).unwrap(),
     }
     m
-}
-
-fn to_vector(t: &Tuples) -> Vector<f64> {
-    let v = Vector::<f64>::new(N).unwrap();
-    for &(i, _, c) in t {
-        v.set(i, fval(c)).unwrap();
-    }
-    v
-}
-
-fn vector_bits(v: &Vector<f64>) -> Vec<(usize, u64)> {
-    v.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, x)| (i, x.to_bits()))
-        .collect()
-}
-
-fn matrix_bits(m: &Matrix<f64>) -> Vec<(usize, usize, u64)> {
-    m.extract_tuples()
-        .unwrap()
-        .into_iter()
-        .map(|(i, j, x)| (i, j, x.to_bits()))
-        .collect()
-}
-
-/// Run `f` with the intra-kernel degree pinned to `k` and the cost
-/// model forced so even proptest-sized fixtures chunk.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-fn contexts() -> [Context; 3] {
-    [
-        Context::blocking(),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel),
-    ]
 }
 
 proptest! {
@@ -95,9 +36,9 @@ proptest! {
     /// index order, reproducing the slab kernels' fold order exactly.
     #[test]
     fn tiled_mat_vec_matches_slab_bitwise(
-        a in sparse(96),
-        u in sparse(24),
-        mask in sparse(24),
+        a in sparse(N, 96),
+        u in sparse(N, 24),
+        mask in sparse(N, 24),
         transpose in any::<bool>(),
         complement in any::<bool>(),
     ) {
@@ -109,8 +50,8 @@ proptest! {
         let mdesc = if transpose { desc.transpose_first() } else { desc };
         for ctx in contexts() {
             let slab = to_matrix(&a, None);
-            let uv = to_vector(&u);
-            let mv = to_vector(&mask);
+            let uv = to_vector(N, &u);
+            let mv = to_vector(N, &mask);
             for k in DEGREES {
                 let reference = at_degree(k, || {
                     let w = Vector::<f64>::new(N).unwrap();
@@ -144,8 +85,8 @@ proptest! {
     /// view) ride along in the same pipeline.
     #[test]
     fn tiled_pipeline_matches_slab_bitwise(
-        a in sparse(96),
-        b in sparse(96),
+        a in sparse(N, 96),
+        b in sparse(N, 96),
     ) {
         let desc = Descriptor::default();
         for ctx in contexts() {
@@ -181,7 +122,7 @@ proptest! {
     /// value while the handle moves on — all bitwise against the slab.
     #[test]
     fn tiled_delta_and_snapshot_match_slab(
-        a in sparse(64),
+        a in sparse(N, 64),
         writes in proptest::collection::vec((0..N, 0..N, 0u8..255, any::<bool>()), 1..40),
     ) {
         for ctx in contexts() {

@@ -10,12 +10,14 @@
 
 use std::sync::OnceLock;
 
+mod common;
+
+use common::{at_degree, sparse, Tuples};
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, grb_unary_op_new,
     operations as ops, with_session_policies, Descriptor, Format, GrbBinaryOp, GrbMatrix,
     GrbMonoid, GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, Mode, SchedPolicy, Value,
 };
-use graphblas_core::par;
 use graphblas_core::FusePolicy;
 use proptest::prelude::*;
 
@@ -26,16 +28,6 @@ const DEGREES: [usize; 3] = [1, 2, 8];
 /// spread (wrapping arithmetic is exercised by the products).
 fn ival(code: u8) -> i64 {
     (i64::from(code) - 128).wrapping_mul(0x0123_4567_89ab)
-}
-
-type Tuples = Vec<(usize, usize, u8)>;
-
-fn sparse(max_nnz: usize) -> impl Strategy<Value = Tuples> {
-    proptest::collection::vec((0..N, 0..N, 0u8..255), 0..=max_nnz).prop_map(|mut t| {
-        t.sort_by_key(|&(i, j, _)| (i, j));
-        t.dedup_by_key(|&mut (i, j, _)| (i, j));
-        t
-    })
 }
 
 /// The registered wrapped-i64 domain (one registration per process; the
@@ -243,18 +235,7 @@ fn run_builtin(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
     )
 }
 
-/// Pin the intra-kernel degree and force the cost model so even
-/// proptest-sized fixtures chunk.
-fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
-    par::with_cost_model(1, 0, || par::with_parallelism(k, f))
-}
-
-const FORMATS: [Option<Format>; 4] = [
-    None,
-    Some(Format::Csr),
-    Some(Format::Bitmap),
-    Some(Format::Tiled),
-];
+const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Tiled)];
 
 const SESSIONS: [(Mode, SchedPolicy); 3] = [
     (Mode::Blocking, SchedPolicy::Sequential),
@@ -271,8 +252,8 @@ proptest! {
     /// those equals the serial blocking built-in reference.
     #[test]
     fn udt_semiring_equals_builtin_bitwise(
-        m0 in sparse(40),
-        u0 in sparse(12),
+        m0 in sparse(N, 40),
+        u0 in sparse(N, 12),
     ) {
         let reference = with_session_policies(
             Mode::Blocking, SchedPolicy::Sequential, FusePolicy::On,
