@@ -2,39 +2,36 @@
 //! masks (`GrB_NULL`), optional accumulators, runtime-typed semirings
 //! and operators, and runtime domain checking.
 //!
-//! Domain rules (the C API's, restricted to built-in domains): operand
-//! values are implicitly cast to the operator's input domains; the
-//! *output* collection's domain must equal the operation's result domain
-//! (`GrB_DOMAIN_MISMATCH` otherwise); accumulators must accumulate in
-//! the output domain.
+//! Domain rules (the C API's): operand values are implicitly cast to the
+//! operator's input domains; the *output* collection's domain must equal
+//! the operation's result domain (`GrB_DOMAIN_MISMATCH` otherwise);
+//! accumulators must accumulate in the output domain.
 //!
-//! Every wrapper funnels through one dispatch path — the `dispatch!`
-//! macro over an `OpArgs` bundle — which owns session acquisition +
-//! API-error recording (`recorded`), the output-domain rule, accumulator
-//! construction in the output's domain, and the expansion of the four
-//! mask × accumulator argument combinations into the statically-typed
-//! core call.
+//! Every wrapper funnels through one dispatch path. [`in_lane!`] matches
+//! the output's lane once per call, casts each operand into that lane
+//! ([`cast_m`]/[`cast_v`]: borrowed when already there, one typed
+//! `apply` otherwise), binds the accumulator over the lane, and calls
+//! the typed core; the mask's domain is erased when the core snaps it
+//! ([`Mask`]), so it never multiplies the instantiations. [`dispatch!`]
+//! adds the one exception: an operator that spans several domains into a
+//! built-in output is computed on the `Value` lane and its result cast
+//! into the output under the mask and accumulator.
 
 use graphblas_core::accum::{Accum, NoAccum};
 use graphblas_core::descriptor::Descriptor;
 use graphblas_core::error::Result;
 use graphblas_core::exec::Context;
-use graphblas_core::index::IndexSelection;
-use graphblas_core::mask::NoMask;
+use graphblas_core::index::{Index, IndexSelection, ALL};
+use graphblas_core::object::mask_arg::{MaskSnap1, MaskSnap2, MatrixMask, VectorMask};
+use graphblas_core::object::{Matrix, Vector};
+use graphblas_core::scalar::CastFrom;
 
-use crate::collections::{GrbMatrix, GrbVector};
+use crate::collections::{cast_m, cast_v, GrbMatrix, GrbVector, MatLane, VecLane};
 use crate::context::{ctx, record_api};
-use crate::ops::{GrbBinaryOp, GrbMonoid, GrbSelectOp, GrbSemiring, GrbUnaryOp};
+use crate::ops::{
+    Elem, GrbBinaryOp, GrbMonoid, GrbSelectOp, GrbSemiring, GrbUnaryOp, LaneOp, LaneUnary,
+};
 use crate::value::Value;
-
-/// A GraphBLAS operation's C-style trailing arguments in one bundle:
-/// the optional mask (`GrB_NULL` ⇒ `None`), the optional accumulator,
-/// and the descriptor. `M` is the mask's collection type.
-struct OpArgs<'a, M> {
-    mask: Option<&'a M>,
-    accum: Option<&'a GrbBinaryOp>,
-    desc: &'a Descriptor,
-}
 
 /// Acquire the live session and run `body` with API-error recording —
 /// the shared entry/exit path of every operation wrapper. A missing
@@ -44,57 +41,144 @@ fn recorded<R>(body: impl FnOnce(&Context) -> Result<R>) -> Result<R> {
     record_api(&ctx, || body(&ctx))
 }
 
-/// Expand the four mask × accumulator argument combinations into the
-/// statically-typed core call.
-macro_rules! with_mask_accum {
-    ($mask:expr, $acc:expr, |$mk:ident, $ac:ident| $call:expr) => {
-        match ($mask, $acc) {
-            (None, None) => {
-                let $mk = NoMask;
-                let $ac = NoAccum;
-                $call
-            }
-            (Some($mk), None) => {
-                let $ac = NoAccum;
-                $call
-            }
-            (None, Some(af)) => {
-                let $mk = NoMask;
-                let $ac = Accum(af);
-                $call
-            }
-            (Some($mk), Some(af)) => {
-                let $ac = Accum(af);
-                $call
-            }
+/// A `GrB_NULL`-or-handle mask argument. The core snaps it through the
+/// mask's own lane, so one mask type serves every mask domain.
+pub(crate) struct Mask<'a, H>(Option<&'a H>);
+
+impl MatrixMask for Mask<'_, GrbMatrix> {
+    fn mask_dims(&self) -> Option<(Index, Index)> {
+        self.0.map(|m| (m.nrows(), m.ncols()))
+    }
+
+    fn snap(&self, desc: &Descriptor) -> MaskSnap2 {
+        match self.0 {
+            None => MaskSnap2::All,
+            Some(m) => lane!(MatLane, &m.m, x: T => MatrixMask::snap(&x, desc)),
         }
-    };
+    }
 }
 
-/// The one dispatch path behind every masked, accumulated operation.
-///
-/// `$out.$inner` names the output handle and its typed core field; the
-/// optional `: $dom, $label` clause is the output-domain rule (omitted
-/// for scalar `assign`, where the scalar casts to the output's domain
-/// instead); optional `pre …;` clauses run extra checks inside the
-/// recorded region (e.g. `reduce_rows`' input-domain rule). The closure
-/// receives the context, the mask/accumulator pair bound by
-/// [`with_mask_accum!`], and the descriptor. The mask × accumulator
-/// expansion has to stay a macro: the core methods are generic over
-/// both, so the four combinations are four distinct monomorphizations.
-macro_rules! dispatch {
-    ($out:ident.$inner:ident $(: $dom:expr, $label:expr)?, $args:expr,
-     $(pre $pre:expr;)*
-     |$ctx:ident, $mk:ident, $ac:ident, $desc:ident| $call:expr) => {{
-        let args = $args;
-        recorded(|$ctx| {
-            $($out.expect_domain($dom, $label)?;)?
-            $($pre;)*
-            let acc = args.accum.map(|f| f.accum_dyn($out.domain())).transpose()?;
-            let $desc = args.desc;
-            with_mask_accum!(args.mask.map(|m| &m.$inner), acc, |$mk, $ac| $call)
+impl VectorMask for Mask<'_, GrbVector> {
+    fn mask_size(&self) -> Option<Index> {
+        self.0.map(GrbVector::size)
+    }
+
+    fn snap(&self, desc: &Descriptor) -> MaskSnap1 {
+        match self.0 {
+            None => MaskSnap1::All,
+            Some(v) => lane!(VecLane, &v.v, x: T => VectorMask::snap(&x, desc)),
+        }
+    }
+}
+
+/// Run the typed core call `$call` in the output's lane: `$o` is the
+/// output's `Matrix<T>`/`Vector<T>` with `$T` its element, `$mk` the mask
+/// and `$ac` the accumulator over `$T`. The accumulator expansion stays
+/// a macro: `NoAccum` and `Accum` are distinct core instantiations.
+macro_rules! in_lane {
+    ($out:ident: $Lane:ident, $mask:expr, $accum:expr,
+     |$o:ident: $T:ident, $mk:ident, $ac:ident| $call:expr) => {{
+        if let Some(f) = $accum {
+            f.check_accum($out.domain())?;
+        }
+        lane!($Lane, $out.m_lane(), $o: $T => {
+            let $mk = Mask($mask);
+            match $accum {
+                None => {
+                    let $ac = NoAccum;
+                    $call
+                }
+                Some(f) => {
+                    let $ac = Accum(LaneOp::<$T>::new(f));
+                    $call
+                }
+            }
         })
     }};
+}
+
+/// [`in_lane!`] for an operator call. When the operator maps one domain
+/// to itself (`$uniform`), or the output is of a user-defined domain, the
+/// call runs in the output's lane. Otherwise `$call` runs once on the
+/// `Value` lane into a temporary, which is then cast into the output
+/// under the mask and accumulator.
+macro_rules! dispatch {
+    ($ctx:ident, $out:ident: $Lane:ident, $mask:expr, $accum:expr, $desc:expr, $uniform:expr,
+     |$o:ident: $T:ident, $mk:ident, $ac:ident| $call:expr) => {{
+        if $uniform || $out.domain().is_udf() {
+            in_lane!($out: $Lane, $mask, $accum, |$o: $T, $mk, $ac| $call)
+        } else {
+            let tmp = $Lane::Udf($out.value_twin()?);
+            let $Lane::Udf($o) = &tmp else {
+                unreachable!()
+            };
+            #[allow(dead_code)]
+            type $T = Value;
+            let ($mk, $ac) = (Mask($mask.filter(|_| false)), NoAccum);
+            $call?;
+            $out.write_back($ctx, $mask, $accum, &tmp, $desc)
+        }
+    }};
+}
+
+/// The write-back's descriptor: the mask and replace flags of `d`, no
+/// input transposes.
+fn plain(d: &Descriptor) -> Descriptor {
+    let mut p = Descriptor::default();
+    if d.is_replace() {
+        p = p.replace();
+    }
+    if d.is_mask_complemented() {
+        p = p.complement_mask();
+    }
+    if d.is_mask_structural() {
+        p = p.structural_mask();
+    }
+    p
+}
+
+impl GrbMatrix {
+    fn m_lane(&self) -> &MatLane {
+        &self.m
+    }
+
+    fn value_twin(&self) -> Result<Matrix<Value>> {
+        Matrix::new(self.nrows(), self.ncols())
+    }
+
+    /// `C<Mask> ⊙= T`, `T` cast into this matrix's lane.
+    fn write_back(
+        &self,
+        ctx: &Context,
+        mask: Option<&GrbMatrix>,
+        accum: Option<&GrbBinaryOp>,
+        t: &MatLane,
+        desc: &Descriptor,
+    ) -> Result<()> {
+        assign_m(ctx, self, mask, accum, t, ALL, ALL, &plain(desc))
+    }
+}
+
+impl GrbVector {
+    fn m_lane(&self) -> &VecLane {
+        &self.v
+    }
+
+    fn value_twin(&self) -> Result<Vector<Value>> {
+        Vector::new(self.size())
+    }
+
+    /// `w<mask> ⊙= t`, `t` cast into this vector's lane.
+    fn write_back(
+        &self,
+        ctx: &Context,
+        mask: Option<&GrbVector>,
+        accum: Option<&GrbBinaryOp>,
+        t: &VecLane,
+        desc: &Descriptor,
+    ) -> Result<()> {
+        assign_v(ctx, self, mask, accum, t, ALL, &plain(desc))
+    }
 }
 
 /// `GrB_mxm(C, Mask, accum, op, A, B, desc)`.
@@ -107,11 +191,15 @@ pub fn mxm(
     b: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let s = op.casting_dyn();
-    dispatch!(c.m: op.d3(), "output C", OpArgs { mask, accum, desc },
-        pre a.domain().expect_castable_to(op.d1(), "input A")?;
-        pre b.domain().expect_castable_to(op.d2(), "input B")?;
-        |ctx, mk, ac, d| ctx.mxm(&c.m, mk, ac, s, &a.m, &b.m, d))
+    recorded(|ctx| {
+        c.expect_domain(op.d3(), "output C")?;
+        a.domain().expect_castable_to(op.d1(), "input A")?;
+        b.domain().expect_castable_to(op.d2(), "input B")?;
+        dispatch!(ctx, c: MatLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
+            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            ctx.mxm(o, mk, ac, op.lane::<T>(), &*a, &*b, desc)
+        })
+    })
 }
 
 /// `GrB_mxv(w, mask, accum, op, A, u, desc)`.
@@ -124,11 +212,15 @@ pub fn mxv(
     u: &GrbVector,
     desc: &Descriptor,
 ) -> Result<()> {
-    let s = op.casting_dyn();
-    dispatch!(w.v: op.d3(), "output w", OpArgs { mask, accum, desc },
-        pre a.domain().expect_castable_to(op.d1(), "input A")?;
-        pre u.domain().expect_castable_to(op.d2(), "input u")?;
-        |ctx, mk, ac, d| ctx.mxv(&w.v, mk, ac, s, &a.m, &u.v, d))
+    recorded(|ctx| {
+        w.expect_domain(op.d3(), "output w")?;
+        a.domain().expect_castable_to(op.d1(), "input A")?;
+        u.domain().expect_castable_to(op.d2(), "input u")?;
+        dispatch!(ctx, w: VecLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
+            let (a, u) = (cast_m::<T>(ctx, &a.m)?, cast_v::<T>(ctx, &u.v)?);
+            ctx.mxv(o, mk, ac, op.lane::<T>(), &*a, &*u, desc)
+        })
+    })
 }
 
 /// `GrB_vxm(w, mask, accum, op, u, A, desc)`.
@@ -141,11 +233,15 @@ pub fn vxm(
     a: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let s = op.casting_dyn();
-    dispatch!(w.v: op.d3(), "output w", OpArgs { mask, accum, desc },
-        pre u.domain().expect_castable_to(op.d1(), "input u")?;
-        pre a.domain().expect_castable_to(op.d2(), "input A")?;
-        |ctx, mk, ac, d| ctx.vxm(&w.v, mk, ac, s, &u.v, &a.m, d))
+    recorded(|ctx| {
+        w.expect_domain(op.d3(), "output w")?;
+        u.domain().expect_castable_to(op.d1(), "input u")?;
+        a.domain().expect_castable_to(op.d2(), "input A")?;
+        dispatch!(ctx, w: VecLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
+            let (u, a) = (cast_v::<T>(ctx, &u.v)?, cast_m::<T>(ctx, &a.m)?);
+            ctx.vxm(o, mk, ac, op.lane::<T>(), &*u, &*a, desc)
+        })
+    })
 }
 
 /// `GrB_eWiseAdd` (matrix).
@@ -158,11 +254,15 @@ pub fn ewise_add_matrix(
     b: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(c.m: op.d3, "output C", OpArgs { mask, accum, desc },
-        pre a.domain().expect_castable_to(op.d1, "input A")?;
-        pre b.domain().expect_castable_to(op.d2, "input B")?;
-        |ctx, mk, ac, d| ctx.ewise_add_matrix(&c.m, mk, ac, f, &a.m, &b.m, d))
+    recorded(|ctx| {
+        c.expect_domain(op.d3, "output C")?;
+        a.domain().expect_castable_to(op.d1, "input A")?;
+        b.domain().expect_castable_to(op.d2, "input B")?;
+        dispatch!(ctx, c: MatLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
+            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            ctx.ewise_add_matrix(o, mk, ac, LaneOp::new(op), &*a, &*b, desc)
+        })
+    })
 }
 
 /// `GrB_eWiseMult` (matrix).
@@ -175,11 +275,15 @@ pub fn ewise_mult_matrix(
     b: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(c.m: op.d3, "output C", OpArgs { mask, accum, desc },
-        pre a.domain().expect_castable_to(op.d1, "input A")?;
-        pre b.domain().expect_castable_to(op.d2, "input B")?;
-        |ctx, mk, ac, d| ctx.ewise_mult_matrix(&c.m, mk, ac, f, &a.m, &b.m, d))
+    recorded(|ctx| {
+        c.expect_domain(op.d3, "output C")?;
+        a.domain().expect_castable_to(op.d1, "input A")?;
+        b.domain().expect_castable_to(op.d2, "input B")?;
+        dispatch!(ctx, c: MatLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
+            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            ctx.ewise_mult_matrix(o, mk, ac, LaneOp::new(op), &*a, &*b, desc)
+        })
+    })
 }
 
 /// `GrB_eWiseAdd` (vector).
@@ -192,11 +296,15 @@ pub fn ewise_add_vector(
     v: &GrbVector,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(w.v: op.d3, "output w", OpArgs { mask, accum, desc },
-        pre u.domain().expect_castable_to(op.d1, "input u")?;
-        pre v.domain().expect_castable_to(op.d2, "input v")?;
-        |ctx, mk, ac, d| ctx.ewise_add_vector(&w.v, mk, ac, f, &u.v, &v.v, d))
+    recorded(|ctx| {
+        w.expect_domain(op.d3, "output w")?;
+        u.domain().expect_castable_to(op.d1, "input u")?;
+        v.domain().expect_castable_to(op.d2, "input v")?;
+        dispatch!(ctx, w: VecLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
+            let (u, v) = (cast_v::<T>(ctx, &u.v)?, cast_v::<T>(ctx, &v.v)?);
+            ctx.ewise_add_vector(o, mk, ac, LaneOp::new(op), &*u, &*v, desc)
+        })
+    })
 }
 
 /// `GrB_eWiseMult` (vector).
@@ -209,11 +317,15 @@ pub fn ewise_mult_vector(
     v: &GrbVector,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(w.v: op.d3, "output w", OpArgs { mask, accum, desc },
-        pre u.domain().expect_castable_to(op.d1, "input u")?;
-        pre v.domain().expect_castable_to(op.d2, "input v")?;
-        |ctx, mk, ac, d| ctx.ewise_mult_vector(&w.v, mk, ac, f, &u.v, &v.v, d))
+    recorded(|ctx| {
+        w.expect_domain(op.d3, "output w")?;
+        u.domain().expect_castable_to(op.d1, "input u")?;
+        v.domain().expect_castable_to(op.d2, "input v")?;
+        dispatch!(ctx, w: VecLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
+            let (u, v) = (cast_v::<T>(ctx, &u.v)?, cast_v::<T>(ctx, &v.v)?);
+            ctx.ewise_mult_vector(o, mk, ac, LaneOp::new(op), &*u, &*v, desc)
+        })
+    })
 }
 
 /// `GrB_apply` (matrix).
@@ -225,10 +337,14 @@ pub fn apply_matrix(
     a: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(c.m: op.d2, "output C", OpArgs { mask, accum, desc },
-        pre a.domain().expect_castable_to(op.d1, "input A")?;
-        |ctx, mk, ac, d| ctx.apply_matrix(&c.m, mk, ac, f, &a.m, d))
+    recorded(|ctx| {
+        c.expect_domain(op.d2, "output C")?;
+        a.domain().expect_castable_to(op.d1, "input A")?;
+        dispatch!(ctx, c: MatLane, mask, accum, desc, op.d1 == op.d2, |o: T, mk, ac| {
+            let f = LaneUnary::new(op);
+            ctx.apply_matrix(o, mk, ac, f, &*cast_m::<T>(ctx, &a.m)?, desc)
+        })
+    })
 }
 
 /// `GrB_apply` (vector).
@@ -240,10 +356,14 @@ pub fn apply_vector(
     u: &GrbVector,
     desc: &Descriptor,
 ) -> Result<()> {
-    let f = op.casting_dyn();
-    dispatch!(w.v: op.d2, "output w", OpArgs { mask, accum, desc },
-        pre u.domain().expect_castable_to(op.d1, "input u")?;
-        |ctx, mk, ac, d| ctx.apply_vector(&w.v, mk, ac, f, &u.v, d))
+    recorded(|ctx| {
+        w.expect_domain(op.d2, "output w")?;
+        u.domain().expect_castable_to(op.d1, "input u")?;
+        dispatch!(ctx, w: VecLane, mask, accum, desc, op.d1 == op.d2, |o: T, mk, ac| {
+            let f = LaneUnary::new(op);
+            ctx.apply_vector(o, mk, ac, f, &*cast_v::<T>(ctx, &u.v)?, desc)
+        })
+    })
 }
 
 /// `GrB_reduce` (matrix → vector): Fig. 3 line 78.
@@ -255,17 +375,23 @@ pub fn reduce_rows(
     a: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let m = monoid.as_dyn();
-    dispatch!(w.v: monoid.domain(), "output w", OpArgs { mask, accum, desc },
-        pre a.expect_domain(monoid.domain(), "input A")?;
-        |ctx, mk, ac, d| ctx.reduce_rows(&w.v, mk, ac, m, &a.m, d))
+    recorded(|ctx| {
+        w.expect_domain(monoid.domain(), "output w")?;
+        a.expect_domain(monoid.domain(), "input A")?;
+        in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+            let m = monoid.lane::<T>();
+            ctx.reduce_rows(o, mk, ac, m, &*cast_m::<T>(ctx, &a.m)?, desc)
+        })
+    })
 }
 
 /// `GrB_reduce` (matrix → scalar).
 pub fn reduce_matrix_scalar(monoid: &GrbMonoid, a: &GrbMatrix) -> Result<Value> {
     recorded(|ctx| {
         a.expect_domain(monoid.domain(), "input A")?;
-        ctx.reduce_matrix_to_scalar(monoid.as_dyn(), &a.m)
+        lane!(MatLane, &a.m, x: T => {
+            Ok(ctx.reduce_matrix_to_scalar(monoid.lane::<T>(), x)?.to_value())
+        })
     })
 }
 
@@ -273,7 +399,9 @@ pub fn reduce_matrix_scalar(monoid: &GrbMonoid, a: &GrbMatrix) -> Result<Value> 
 pub fn reduce_vector_scalar(monoid: &GrbMonoid, u: &GrbVector) -> Result<Value> {
     recorded(|ctx| {
         u.expect_domain(monoid.domain(), "input u")?;
-        ctx.reduce_vector_to_scalar(monoid.as_dyn(), &u.v)
+        lane!(VecLane, &u.v, x: T => {
+            Ok(ctx.reduce_vector_to_scalar(monoid.lane::<T>(), x)?.to_value())
+        })
     })
 }
 
@@ -285,8 +413,12 @@ pub fn transpose(
     a: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(c.m: a.domain(), "output C", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.transpose(&c.m, mk, ac, &a.m, d))
+    recorded(|ctx| {
+        c.expect_domain(a.domain(), "output C")?;
+        in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
+            ctx.transpose(o, mk, ac, &*cast_m::<T>(ctx, &a.m)?, desc)
+        })
+    })
 }
 
 /// `GrB_extract` (matrix): Fig. 3 line 33.
@@ -299,8 +431,13 @@ pub fn extract_matrix(
     cols: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(c.m: a.domain(), "output C", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.extract_matrix(&c.m, mk, ac, &a.m, rows, cols, d))
+    recorded(|ctx| {
+        c.expect_domain(a.domain(), "output C")?;
+        in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
+            let a = cast_m::<T>(ctx, &a.m)?;
+            ctx.extract_matrix(o, mk, ac, &*a, rows, cols, desc)
+        })
+    })
 }
 
 /// `GrB_select` (matrix): keep stored elements passing the selector.
@@ -312,11 +449,14 @@ pub fn select_matrix(
     a: &GrbMatrix,
     desc: &Descriptor,
 ) -> Result<()> {
-    let sel = op.clone();
-    let f = graphblas_core::algebra::indexop::select_fn(move |i, j, v: &Value| sel.keep(i, j, v));
-    dispatch!(c.m: a.domain(), "output C", OpArgs { mask, accum, desc },
-        pre op.check_input_domain(a.domain())?;
-        |ctx, mk, ac, d| ctx.select_matrix(&c.m, mk, ac, f, &a.m, d))
+    recorded(|ctx| {
+        c.expect_domain(a.domain(), "output C")?;
+        op.check_input_domain(a.domain())?;
+        in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
+            let f = op.lane::<T>();
+            ctx.select_matrix(o, mk, ac, f, &*cast_m::<T>(ctx, &a.m)?, desc)
+        })
+    })
 }
 
 /// `GrB_select` (vector).
@@ -328,11 +468,14 @@ pub fn select_vector(
     u: &GrbVector,
     desc: &Descriptor,
 ) -> Result<()> {
-    let sel = op.clone();
-    let f = graphblas_core::algebra::indexop::select_fn(move |i, j, v: &Value| sel.keep(i, j, v));
-    dispatch!(w.v: u.domain(), "output w", OpArgs { mask, accum, desc },
-        pre op.check_input_domain(u.domain())?;
-        |ctx, mk, ac, d| ctx.select_vector(&w.v, mk, ac, f, &u.v, d))
+    recorded(|ctx| {
+        w.expect_domain(u.domain(), "output w")?;
+        op.check_input_domain(u.domain())?;
+        in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+            let f = op.lane::<T>();
+            ctx.select_vector(o, mk, ac, f, &*cast_v::<T>(ctx, &u.v)?, desc)
+        })
+    })
 }
 
 /// `GrB_extract` (vector): `w<mask> ⊙= u(indices)`.
@@ -344,8 +487,12 @@ pub fn extract_vector(
     indices: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(w.v: u.domain(), "output w", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.extract_vector(&w.v, mk, ac, &u.v, indices, d))
+    recorded(|ctx| {
+        w.expect_domain(u.domain(), "output w")?;
+        in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+            ctx.extract_vector(o, mk, ac, &*cast_v::<T>(ctx, &u.v)?, indices, desc)
+        })
+    })
 }
 
 /// `GrB_Col_extract`: `w<mask> ⊙= A(rows, j)`.
@@ -355,11 +502,47 @@ pub fn extract_col(
     accum: Option<&GrbBinaryOp>,
     a: &GrbMatrix,
     rows: IndexSelection<'_>,
-    j: graphblas_core::index::Index,
+    j: Index,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(w.v: a.domain(), "output w", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.extract_col(&w.v, mk, ac, &a.m, rows, j, d))
+    recorded(|ctx| {
+        w.expect_domain(a.domain(), "output w")?;
+        in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+            ctx.extract_col(o, mk, ac, &*cast_m::<T>(ctx, &a.m)?, rows, j, desc)
+        })
+    })
+}
+
+/// `C<Mask>(rows, cols) ⊙= A` with `A` cast into `C`'s lane.
+#[allow(clippy::too_many_arguments)]
+fn assign_m(
+    ctx: &Context,
+    c: &GrbMatrix,
+    mask: Option<&GrbMatrix>,
+    accum: Option<&GrbBinaryOp>,
+    a: &MatLane,
+    rows: IndexSelection<'_>,
+    cols: IndexSelection<'_>,
+    desc: &Descriptor,
+) -> Result<()> {
+    in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
+        ctx.assign_matrix(o, mk, ac, &*cast_m::<T>(ctx, a)?, rows, cols, desc)
+    })
+}
+
+/// `w<mask>(indices) ⊙= u` with `u` cast into `w`'s lane.
+fn assign_v(
+    ctx: &Context,
+    w: &GrbVector,
+    mask: Option<&GrbVector>,
+    accum: Option<&GrbBinaryOp>,
+    u: &VecLane,
+    indices: IndexSelection<'_>,
+    desc: &Descriptor,
+) -> Result<()> {
+    in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+        ctx.assign_vector(o, mk, ac, &*cast_v::<T>(ctx, u)?, indices, desc)
+    })
 }
 
 /// `GrB_assign` (matrix): `C<Mask>(rows, cols) ⊙= A`.
@@ -372,8 +555,10 @@ pub fn assign_matrix(
     cols: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(c.m: a.domain(), "output C", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.assign_matrix(&c.m, mk, ac, &a.m, rows, cols, d))
+    recorded(|ctx| {
+        c.expect_domain(a.domain(), "output C")?;
+        assign_m(ctx, c, mask, accum, &a.m, rows, cols, desc)
+    })
 }
 
 /// `GrB_assign` (vector): `w<mask>(indices) ⊙= u`.
@@ -385,8 +570,10 @@ pub fn assign_vector(
     indices: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(w.v: u.domain(), "output w", OpArgs { mask, accum, desc },
-        |ctx, mk, ac, d| ctx.assign_vector(&w.v, mk, ac, &u.v, indices, d))
+    recorded(|ctx| {
+        w.expect_domain(u.domain(), "output w")?;
+        assign_v(ctx, w, mask, accum, &u.v, indices, desc)
+    })
 }
 
 /// `GrB_assign` (matrix, scalar fill): Fig. 3 line 61. No output-domain
@@ -400,16 +587,13 @@ pub fn assign_scalar_matrix(
     cols: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(c.m, OpArgs { mask, accum, desc }, |ctx, mk, ac, d| ctx
-        .assign_scalar_matrix(
-            &c.m,
-            mk,
-            ac,
-            value.try_cast_to(c.domain())?,
-            rows,
-            cols,
-            d
-        ))
+    recorded(|ctx| {
+        let value = value.try_cast_to(c.domain())?;
+        in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
+            let x = T::cast_from(&value);
+            ctx.assign_scalar_matrix(o, mk, ac, x, rows, cols, desc)
+        })
+    })
 }
 
 /// `GrB_assign` (vector, scalar fill): Fig. 3 line 77.
@@ -421,15 +605,13 @@ pub fn assign_scalar_vector(
     indices: IndexSelection<'_>,
     desc: &Descriptor,
 ) -> Result<()> {
-    dispatch!(w.v, OpArgs { mask, accum, desc }, |ctx, mk, ac, d| ctx
-        .assign_scalar_vector(
-            &w.v,
-            mk,
-            ac,
-            value.try_cast_to(w.domain())?,
-            indices,
-            d
-        ))
+    recorded(|ctx| {
+        let value = value.try_cast_to(w.domain())?;
+        in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
+            let x = T::cast_from(&value);
+            ctx.assign_scalar_vector(o, mk, ac, x, indices, desc)
+        })
+    })
 }
 
 /// `GrB_Matrix_removeElement(C, i, j)`. Removing an element that is not

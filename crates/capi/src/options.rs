@@ -49,7 +49,7 @@ use graphblas_core::storage::engine;
 use graphblas_core::storage::{delta, snapshot};
 use graphblas_core::{Format, FormatPolicy};
 
-use crate::collections::{GrbMatrix, GrbVector};
+use crate::collections::{GrbMatrix, GrbVector, MatLane};
 
 /// What a [`gxb_set`]/[`gxb_get`] call applies to: the session, one
 /// matrix, or one vector.
@@ -199,19 +199,19 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::Format) => match value {
-            GxbValue::Format(f) => m.m.set_format(f),
+            GxbValue::Format(f) => lane!(MatLane, &m.m, x: T => x.set_format(f)),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::FormatPolicy) => match value {
             GxbValue::FormatPolicy(p) => {
-                m.m.set_format_policy(p);
+                lane!(MatLane, &m.m, x: T => x.set_format_policy(p));
                 Ok(())
             }
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::TileShape) => match value {
-            GxbValue::TileShape(Some((r, c))) => m.m.set_tile_shape(r, c),
-            GxbValue::TileShape(None) => m.m.clear_tile_shape(),
+            GxbValue::TileShape(Some((r, c))) => lane!(MatLane, &m.m, x: T => x.set_tile_shape(r, c)),
+            GxbValue::TileShape(None) => lane!(MatLane, &m.m, x: T => x.clear_tile_shape()),
             v => Err(type_mismatch(option, &v)),
         },
         _ => Err(unsupported(&scope, option, "set")),
@@ -239,11 +239,11 @@ pub fn gxb_get(scope: GxbScope, option: GxbOption) -> Result<GxbValue> {
         (GxbScope::Global, GxbOption::FlushWindowMs) => {
             Ok(GxbValue::Millis(snapshot::session_flush_window_ms()))
         }
-        (GxbScope::Matrix(m), GxbOption::Format) => Ok(GxbValue::Format(m.m.format()?)),
+        (GxbScope::Matrix(m), GxbOption::Format) => Ok(GxbValue::Format(lane!(MatLane, &m.m, x: T => x.format())?)),
         (GxbScope::Matrix(m), GxbOption::FormatPolicy) => {
-            Ok(GxbValue::FormatPolicy(m.m.format_policy()))
+            Ok(GxbValue::FormatPolicy(lane!(MatLane, &m.m, x: T => x.format_policy())))
         }
-        (GxbScope::Matrix(m), GxbOption::TileShape) => Ok(GxbValue::TileShape(m.m.tile_shape())),
+        (GxbScope::Matrix(m), GxbOption::TileShape) => Ok(GxbValue::TileShape(lane!(MatLane, &m.m, x: T => x.tile_shape()))),
         (GxbScope::Matrix(m), GxbOption::ReadEpoch) => Ok(GxbValue::Epoch(m.read_epoch())),
         (GxbScope::Vector(v), GxbOption::ReadEpoch) => Ok(GxbValue::Epoch(v.read_epoch())),
         _ => Err(unsupported(&scope, option, "get")),

@@ -220,6 +220,7 @@ mod tests {
     use crate::collections::{GrbMatrix, GrbVector};
     use crate::context::with_session;
     use crate::operations;
+    use crate::ops::LaneOp;
     use graphblas_core::algebra::binary::BinaryOp;
     use graphblas_core::descriptor::Descriptor;
     use graphblas_core::exec::Mode;
@@ -272,12 +273,8 @@ mod tests {
             out[8..].copy_from_slice(&c.to_ne_bytes());
             t.value(&out).unwrap()
         };
-        let got = dot
-            .check_domains(t.ty(), t.ty(), GrbType::Fp64)
-            .and(Ok(()))
-            .map(|()| dot.as_dyn())
-            .unwrap()
-            .apply(&enc(1.0, 2.0), &enc(3.0, 4.0));
+        dot.check_domains(t.ty(), t.ty(), GrbType::Fp64).unwrap();
+        let got = LaneOp::<Value>::new(&dot).apply(&enc(1.0, 2.0), &enc(3.0, 4.0));
         assert_eq!(got, Value::Fp64(11.0));
     }
 
@@ -323,7 +320,7 @@ mod tests {
         let m = grb_monoid_terminal_new(&min, &b(i64::MAX), &b(0)).unwrap();
         assert_eq!(m.terminal, Some(value_from_bytes(t.ty(), &b(0)).unwrap()));
         use graphblas_core::algebra::monoid::Monoid;
-        let dynm = m.as_dyn();
+        let dynm = m.lane::<Value>();
         assert!(dynm.is_terminal(&t.value(&b(0)).unwrap()));
         assert!(!dynm.is_terminal(&t.value(&b(5)).unwrap()));
         // wrong-domain terminal is a construction error

@@ -2,24 +2,27 @@
 //! ([`GrbType`], Table III's `GrB_Type`).
 //!
 //! The C API is dynamically typed: a `GrB_Matrix` carries its domain at
-//! runtime and mismatches surface as `GrB_DOMAIN_MISMATCH`. This facade
-//! reproduces that by instantiating the typed core over a tagged-union
-//! domain — every built-in C domain is a `Value` variant, the C
-//! implicit-conversion rules live in [`Value::try_cast_to`], and
-//! runtime-registered user types (`GrB_Type_new`; see [`crate::udf`])
-//! ride the [`Value::Udf`] variant as opaque byte payloads.
+//! runtime and mismatches surface as `GrB_DOMAIN_MISMATCH`. Collections
+//! of a built-in domain hold that domain's Rust scalar (see
+//! [`crate::collections`]); `Value` is the scalar at the API boundary
+//! (build, set, get, extract, scalar arguments) and the element of the
+//! user-type lane, where runtime-registered user types (`GrB_Type_new`;
+//! see [`crate::udf`]) ride the [`Value::Udf`] variant as opaque byte
+//! payloads. `Value` carries no arithmetic: an operator evaluated on it
+//! dispatches on the tag to the typed implementation in [`crate::ops`].
 //!
 //! ## Conversion semantics (pinned)
 //!
-//! `try_cast_to` implements C's implicit conversions with the edge cases
-//! nailed down (C leaves some implementation-defined or undefined):
+//! Every conversion among built-in domains — here, and in the typed
+//! `apply` that casts an operand into an operator's domain — is the
+//! core's `CastFrom`, i.e. Rust's `as`, which pins the edge cases C
+//! leaves implementation-defined or undefined:
 //!
 //! * **integer → integer**: modular wrap at the target width, both
-//!   directions (`(uint8_t)-1 == 255`), via an exact 128-bit intermediate
-//!   — never through a float, so 64-bit values above 2⁵³ stay exact.
+//!   directions (`(uint8_t)-1 == 255`) — never through a float, so
+//!   64-bit values above 2⁵³ stay exact.
 //! * **float → integer**: truncation toward zero; out-of-range values
-//!   **saturate** at the target bounds and NaN becomes 0 (C makes these
-//!   undefined; we adopt Rust's defined `as` semantics).
+//!   **saturate** at the target bounds and NaN becomes 0.
 //! * **integer → float**: nearest-even rounding (the C conversion).
 //! * **anything built-in → bool**: `x != 0`.
 //! * **user-defined types**: *no* implicit conversions — a UDT casts
@@ -28,7 +31,7 @@
 
 use graphblas_core::algebra::udf::{UdfTypeId, UdfValue};
 use graphblas_core::error::{Error, Result};
-use graphblas_core::scalar::AsBool;
+use graphblas_core::scalar::{AsBool, CastFrom};
 
 /// `GrB_Type`: the identifier of a built-in domain (Table V lists
 /// `GrB_BOOL`, `GrB_INT32`, `GrB_FP32`; the full C set is supported) or
@@ -136,56 +139,6 @@ impl From<UdfValue> for Value {
     }
 }
 
-/// Apply `$body` with `x` bound to the numeric payload widened to the
-/// given uniform representation, rebuilding the same variant after.
-macro_rules! numeric_map2 {
-    ($a:expr, $b:expr, $x:ident, $y:ident => $int:expr, $flt:expr) => {
-        match ($a, $b) {
-            (Value::Int8($x), Value::Int8($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Int8($int as i8)
-            }
-            (Value::Int16($x), Value::Int16($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Int16($int as i16)
-            }
-            (Value::Int32($x), Value::Int32($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Int32($int as i32)
-            }
-            (Value::Int64($x), Value::Int64($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Int64($int as i64)
-            }
-            (Value::Uint8($x), Value::Uint8($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Uint8($int as u8)
-            }
-            (Value::Uint16($x), Value::Uint16($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Uint16($int as u16)
-            }
-            (Value::Uint32($x), Value::Uint32($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Uint32($int as u32)
-            }
-            (Value::Uint64($x), Value::Uint64($y)) => {
-                let ($x, $y) = (*$x as i128, *$y as i128);
-                Value::Uint64($int as u64)
-            }
-            (Value::Fp32($x), Value::Fp32($y)) => {
-                let ($x, $y) = (*$x as f64, *$y as f64);
-                Value::Fp32($flt as f32)
-            }
-            (Value::Fp64($x), Value::Fp64($y)) => {
-                let ($x, $y) = (*$x, *$y);
-                Value::Fp64($flt)
-            }
-            (a, b) => panic!("domain confusion past the API checks: {a:?} vs {b:?} (capi bug)"),
-        }
-    };
-}
-
 impl Value {
     /// The runtime domain tag.
     pub fn type_of(&self) -> GrbType {
@@ -208,29 +161,10 @@ impl Value {
     /// The default value of a domain (C zero-initialization; a UDT gets
     /// its registered size of zero bytes, exactly `calloc`).
     pub fn zero_of(ty: GrbType) -> Value {
-        match ty {
-            GrbType::Bool => Value::Bool(false),
-            GrbType::Int8 => Value::Int8(0),
-            GrbType::Int16 => Value::Int16(0),
-            GrbType::Int32 => Value::Int32(0),
-            GrbType::Int64 => Value::Int64(0),
-            GrbType::Uint8 => Value::Uint8(0),
-            GrbType::Uint16 => Value::Uint16(0),
-            GrbType::Uint32 => Value::Uint32(0),
-            GrbType::Uint64 => Value::Uint64(0),
-            GrbType::Fp32 => Value::Fp32(0.0),
-            GrbType::Fp64 => Value::Fp64(0.0),
-            GrbType::Udf(id) => Value::Udf(
-                UdfValue::new(id, &vec![0u8; id.size()])
-                    .expect("zero bytes of the registered size"),
-            ),
-        }
-    }
-
-    /// The number one of a numeric domain (no such element exists for a
-    /// user-defined type — callers gate on [`GrbType::is_numeric`]).
-    pub fn one_of(ty: GrbType) -> Value {
-        Value::zero_of(ty).map_f64(|_| 1.0)
+        lane_new!(Value, ty, Default::default(); {
+            let GrbType::Udf(id) = ty else { unreachable!() };
+            Value::Udf(UdfValue::new(id, &vec![0u8; id.size()]).expect("zero bytes of the registered size"))
+        })
     }
 
     /// The UDT payload, if this is a user-defined value.
@@ -238,107 +172,6 @@ impl Value {
         match self {
             Value::Udf(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// Numeric payload as `f64` (C conversion; `bool` as 0/1). Panics on
-    /// a user-defined value — UDT operands must be rejected by the API
-    /// checks before any numeric path runs.
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            Value::Bool(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Value::Int8(x) => *x as f64,
-            Value::Int16(x) => *x as f64,
-            Value::Int32(x) => *x as f64,
-            Value::Int64(x) => *x as f64,
-            Value::Uint8(x) => *x as f64,
-            Value::Uint16(x) => *x as f64,
-            Value::Uint32(x) => *x as f64,
-            Value::Uint64(x) => *x as f64,
-            Value::Fp32(x) => *x as f64,
-            Value::Fp64(x) => *x,
-            Value::Udf(v) => panic!(
-                "domain confusion past the API checks: {v:?} has no numeric value (capi bug)"
-            ),
-        }
-    }
-
-    /// Exact integer payload of an integer/bool variant (never goes
-    /// through a float, so 64-bit magnitudes above 2⁵³ stay exact).
-    fn as_i128(&self) -> i128 {
-        match self {
-            Value::Bool(b) => *b as i128,
-            Value::Int8(x) => *x as i128,
-            Value::Int16(x) => *x as i128,
-            Value::Int32(x) => *x as i128,
-            Value::Int64(x) => *x as i128,
-            Value::Uint8(x) => *x as i128,
-            Value::Uint16(x) => *x as i128,
-            Value::Uint32(x) => *x as i128,
-            Value::Uint64(x) => *x as i128,
-            v => panic!("as_i128 on non-integer {v:?} (capi bug)"),
-        }
-    }
-
-    /// Rebuild the same variant from an `f64` (used for unary numeric
-    /// maps — exact for the magnitudes used in graph computations).
-    pub fn map_f64(&self, f: impl FnOnce(f64) -> f64) -> Value {
-        let r = f(self.as_f64());
-        match self.type_of() {
-            GrbType::Bool => Value::Bool(r != 0.0),
-            GrbType::Int8 => Value::Int8(r as i8),
-            GrbType::Int16 => Value::Int16(r as i16),
-            GrbType::Int32 => Value::Int32(r as i32),
-            GrbType::Int64 => Value::Int64(r as i64),
-            GrbType::Uint8 => Value::Uint8(r as u8),
-            GrbType::Uint16 => Value::Uint16(r as u16),
-            GrbType::Uint32 => Value::Uint32(r as u32),
-            GrbType::Uint64 => Value::Uint64(r as u64),
-            GrbType::Fp32 => Value::Fp32(r as f32),
-            GrbType::Fp64 => Value::Fp64(r),
-            GrbType::Udf(_) => unreachable!("as_f64 already rejected the UDT"),
-        }
-    }
-
-    /// Integer-exact conversion into a numeric target: modular wrap for
-    /// integer targets (the C conversion), nearest-even for floats.
-    fn from_i128_wrapping(v: i128, ty: GrbType) -> Value {
-        match ty {
-            GrbType::Int8 => Value::Int8(v as i8),
-            GrbType::Int16 => Value::Int16(v as i16),
-            GrbType::Int32 => Value::Int32(v as i32),
-            GrbType::Int64 => Value::Int64(v as i64),
-            GrbType::Uint8 => Value::Uint8(v as u8),
-            GrbType::Uint16 => Value::Uint16(v as u16),
-            GrbType::Uint32 => Value::Uint32(v as u32),
-            GrbType::Uint64 => Value::Uint64(v as u64),
-            GrbType::Fp32 => Value::Fp32(v as f32),
-            GrbType::Fp64 => Value::Fp64(v as f64),
-            GrbType::Bool | GrbType::Udf(_) => unreachable!("handled before the numeric table"),
-        }
-    }
-
-    /// Float conversion into a numeric target: truncation with
-    /// saturation for integer targets (NaN → 0), rounding for floats.
-    fn from_f64_saturating(r: f64, ty: GrbType) -> Value {
-        match ty {
-            GrbType::Int8 => Value::Int8(r as i8),
-            GrbType::Int16 => Value::Int16(r as i16),
-            GrbType::Int32 => Value::Int32(r as i32),
-            GrbType::Int64 => Value::Int64(r as i64),
-            GrbType::Uint8 => Value::Uint8(r as u8),
-            GrbType::Uint16 => Value::Uint16(r as u16),
-            GrbType::Uint32 => Value::Uint32(r as u32),
-            GrbType::Uint64 => Value::Uint64(r as u64),
-            GrbType::Fp32 => Value::Fp32(r as f32),
-            GrbType::Fp64 => Value::Fp64(r),
-            GrbType::Bool | GrbType::Udf(_) => unreachable!("handled before the numeric table"),
         }
     }
 
@@ -356,14 +189,7 @@ impl Value {
                 ty.c_name()
             )));
         }
-        Ok(match ty {
-            GrbType::Bool => Value::Bool(self.as_bool()),
-            _ => match self {
-                Value::Fp32(x) => Value::from_f64_saturating(*x as f64, ty),
-                Value::Fp64(x) => Value::from_f64_saturating(*x, ty),
-                v => Value::from_i128_wrapping(v.as_i128(), ty),
-            },
-        })
+        Ok(lane_new!(Value, ty, CastFrom::cast_from(self); unreachable!("checked above")))
     }
 
     /// The C implicit domain conversion on the infallible kernel path:
@@ -373,54 +199,45 @@ impl Value {
         self.try_cast_to(ty)
             .unwrap_or_else(|e| panic!("domain confusion past the API checks: {e} (capi bug)"))
     }
+}
 
-    // ----- arithmetic used by the predefined operators -----
-
-    pub fn add(&self, rhs: &Value) -> Value {
-        numeric_map2!(self, rhs, x, y => x.wrapping_add(y), x + y)
-    }
-
-    pub fn sub(&self, rhs: &Value) -> Value {
-        numeric_map2!(self, rhs, x, y => x.wrapping_sub(y), x - y)
-    }
-
-    pub fn mul(&self, rhs: &Value) -> Value {
-        numeric_map2!(self, rhs, x, y => x.wrapping_mul(y), x * y)
-    }
-
-    pub fn div(&self, rhs: &Value) -> Value {
-        numeric_map2!(self, rhs, x, y => if y == 0 { 0 } else { x / y }, x / y)
-    }
-
-    pub fn min_v(&self, rhs: &Value) -> Value {
-        if rhs.as_f64() < self.as_f64() {
-            rhs.clone()
-        } else {
-            self.clone()
+/// A built-in payload converts into each built-in domain by the core's
+/// `CastFrom`, and wraps into a `Value` unchanged.
+macro_rules! value_casts {
+    ($($t:ty),*) => {$(
+        impl CastFrom<Value> for $t {
+            #[inline]
+            fn cast_from(v: &Value) -> $t {
+                per_domain!(Value, v, x: S => <$t>::cast_from(x), Udf(u) => panic!(
+                    "domain confusion past the API checks: {u:?} cast to {} (capi bug)",
+                    stringify!($t)
+                ))
+            }
         }
-    }
 
-    pub fn max_v(&self, rhs: &Value) -> Value {
-        if rhs.as_f64() > self.as_f64() {
-            rhs.clone()
-        } else {
-            self.clone()
+        impl CastFrom<$t> for Value {
+            #[inline]
+            fn cast_from(x: &$t) -> Value {
+                Value::from(*x)
+            }
         }
+    )*};
+}
+value_casts!(bool, i8, i16, i32, i64, u8, u16, u32, u64, f32, f64);
+
+impl CastFrom<Value> for Value {
+    #[inline]
+    fn cast_from(v: &Value) -> Value {
+        v.clone()
     }
 }
 
 impl AsBool for Value {
     fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(b) => *b,
-            Value::Fp32(x) => *x != 0.0,
-            Value::Fp64(x) => *x != 0.0,
-            // A UDT value masks by its bytes: any nonzero byte is
-            // "present and true" (C has no defined bool conversion for
-            // structs; all-zero ≙ calloc'd default).
-            Value::Udf(v) => v.bytes().iter().any(|&b| b != 0),
-            v => v.as_f64() != 0.0,
-        }
+        // A UDT value masks by its bytes: any nonzero byte is "present and
+        // true" (C has no defined bool conversion for structs; all-zero ≙
+        // calloc'd default).
+        per_domain!(Value, self, x: S => x.as_bool(), Udf(v) => v.bytes().iter().any(|&b| b != 0))
     }
 }
 
@@ -435,23 +252,6 @@ mod tests {
         assert_eq!(GrbType::Fp32.c_name(), "GrB_FP32");
         assert!(GrbType::Int64.is_numeric());
         assert!(!GrbType::Bool.is_numeric());
-    }
-
-    #[test]
-    fn arithmetic_per_domain() {
-        assert_eq!(Value::Int32(2).add(&Value::Int32(3)), Value::Int32(5));
-        assert_eq!(Value::Fp64(2.5).mul(&Value::Fp64(2.0)), Value::Fp64(5.0));
-        assert_eq!(Value::Uint8(200).add(&Value::Uint8(100)), Value::Uint8(44)); // wrap
-        assert_eq!(Value::Int64(7).div(&Value::Int64(2)), Value::Int64(3));
-        assert_eq!(Value::Int64(7).div(&Value::Int64(0)), Value::Int64(0)); // total
-        assert_eq!(Value::Int32(2).min_v(&Value::Int32(-1)), Value::Int32(-1));
-        assert_eq!(Value::Fp32(2.0).max_v(&Value::Fp32(3.0)), Value::Fp32(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "domain confusion")]
-    fn mixed_domain_arithmetic_is_a_bug_not_a_silent_cast() {
-        Value::Int32(1).add(&Value::Fp32(1.0));
     }
 
     #[test]
@@ -568,9 +368,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_one() {
+    fn zeros() {
         assert_eq!(Value::zero_of(GrbType::Fp32), Value::Fp32(0.0));
-        assert_eq!(Value::one_of(GrbType::Int64), Value::Int64(1));
-        assert_eq!(Value::one_of(GrbType::Bool), Value::Bool(true));
+        assert_eq!(Value::zero_of(GrbType::Uint64), Value::Uint64(0));
+        assert_eq!(Value::zero_of(GrbType::Bool), Value::Bool(false));
     }
 }
