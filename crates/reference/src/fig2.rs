@@ -4,12 +4,20 @@
 //! An operation is three steps, executed literally:
 //!
 //! 1. compute the internal result `T` from the inputs ([`mxm`],
-//!    [`ewise_add`], [`ewise_mult`]) — everywhere, ignoring the mask;
+//!    [`ewise_add`], [`ewise_mult`], [`extract`]) — everywhere, ignoring
+//!    the mask;
 //! 2. `Z = C ⊙ T` on `ind(C) ∪ ind(T)` if an accumulator is given,
 //!    else `Z = T` ([`write()`]);
 //! 3. the mask selects what of `Z` reaches `C`: admitted positions take
 //!    `Z` (deleting where `Z` is undefined), the rest keep old `C` — or are
 //!    cleared under `REPLACE` ([`write()`]).
+//!
+//! `GrB_assign` differs only in steps 1–2: [`assign`] builds `Z` itself
+//! (old `C` with the addressed region overwritten or accumulated), and
+//! step 3 is [`write()`] without an accumulator, over the whole output.
+//!
+//! A vector is a `1 × n` matrix here, so [`write()`] and [`Mask`] serve
+//! both shapes.
 //!
 //! Folds run in ascending inner index, left to right, so a
 //! floating-point result is reproducible to the bit.
@@ -92,6 +100,34 @@ pub fn ewise_mult<A, B, C>(a: &Dense<A>, b: &Dense<B>, mul: impl Fn(&A, &B) -> C
         (Some(x), Some(y)) => Some(mul(x, y)),
         _ => None,
     })
+}
+
+/// Step 1 of `GrB_extract` (vector): `T(k) = u(indices[k])`, undefined
+/// where `u` is. A repeated index gathers the same element twice.
+pub fn extract<T: Clone>(u: &[Option<T>], indices: &[usize]) -> Vec<Option<T>> {
+    indices.iter().map(|&i| u[i].clone()).collect()
+}
+
+/// Steps 1 and 2 of `GrB_assign` (vector): `Z = C`, then each target
+/// `indices[k]` takes `u(k)` — combined with `C(indices[k])` under an
+/// accumulator where both are defined, and deleted without one where
+/// `u(k)` is undefined. Positions outside `indices` keep `C`. The scalar
+/// form is `u` defined everywhere.
+pub fn assign<T: Clone>(
+    c: &[Option<T>],
+    u: &[Option<T>],
+    indices: &[usize],
+    accum: Option<&Accumulator<T>>,
+) -> Vec<Option<T>> {
+    let mut z = c.to_vec();
+    for (k, &i) in indices.iter().enumerate() {
+        z[i] = match (accum, &c[i], &u[k]) {
+            (Some(acc), Some(x), Some(y)) => Some(acc(x, y)),
+            (Some(_), x, y) => y.as_ref().or(x.as_ref()).cloned(),
+            (None, _, y) => y.clone(),
+        };
+    }
+    z
 }
 
 /// Steps 2 and 3: accumulate `T` into old `C`, then write through the
@@ -188,6 +224,26 @@ mod tests {
         assert_eq!(
             write(&c, &t, None, Some(scmp), false),
             d(&[&[Some(1), None, Some(30)]])
+        );
+    }
+
+    #[test]
+    fn vector_extract_and_assign() {
+        let u = [Some(1), None, Some(3)];
+        assert_eq!(
+            extract(&u, &[2, 1, 2, 0]),
+            [Some(3), None, Some(3), Some(1)]
+        );
+        let c = [Some(10), Some(20), None];
+        let plus = |x: &i32, y: &i32| x + y;
+        // target 1 gets u(0), target 0 gets the undefined u(1)
+        assert_eq!(
+            assign(&c, &[Some(5), None], &[1, 0], None),
+            [None, Some(5), None]
+        );
+        assert_eq!(
+            assign(&c, &[Some(5), None], &[1, 0], Some(&plus)),
+            [Some(10), Some(25), None]
         );
     }
 

@@ -1,8 +1,8 @@
 //! The core operations against the Figure 2 oracle of
-//! `graphblas-reference` (`fig2`): `mxm`, `eWiseAdd` and `eWiseMult`
-//! under every mask form (none, valued, structural, complemented),
-//! with and without an accumulator, in merge and replace mode — compared
-//! bit for bit.
+//! `graphblas-reference` (`fig2`): `mxm`, `eWiseAdd`, `eWiseMult` and the
+//! vector `extract` and `assign` under every mask form (none, valued,
+//! structural, complemented), with and without an accumulator, in merge
+//! and replace mode — compared bit for bit.
 //!
 //! The shapes are the thin blocks of Fig. 3 (n × 1, n × 32, n × 65),
 //! masks are often a single entry, and `A`'s row 0 is the f64 trap row
@@ -10,12 +10,16 @@
 //! kernel is forced to chunk (`par::with_cost_model(1, 0, …)`), so the
 //! row emitter's chunk concatenation is checked at whatever degree
 //! `GRB_TEST_THREADS` sets.
+//!
+//! The vector cases run at n ∈ {1, 63, 64, 65} — one element and both
+//! sides of a 64-bit word — over `GrB_ALL`, a range, an index list with
+//! repeats (extract only) and a permutation, plus assign's scalar form.
 
 mod common;
 
 use common::{fval, tuples, Tuples};
 use graphblas_core::accum::Accumulate;
-use graphblas_core::object::MatrixMask;
+use graphblas_core::object::{MatrixMask, VectorMask};
 use graphblas_core::par;
 use graphblas_core::prelude::*;
 use graphblas_reference::fig2::{self, Dense, Mask};
@@ -27,8 +31,8 @@ const TRAP: [f64; 4] = [1.0, 1e16, -1e16, 1.0];
 
 /// A mask source: a single entry half the time, else a random pattern
 /// with stored `false`s (odd codes) that only a structural mask admits.
-fn mask_tuples() -> impl Strategy<Value = Tuples> {
-    (tuples(N, 65, 48), 0u8..2).prop_map(|(t, one)| {
+fn mask_tuples(nrows: usize, ncols: usize) -> impl Strategy<Value = Tuples> {
+    (tuples(nrows, ncols, 48), 0u8..2).prop_map(|(t, one)| {
         if one == 0 {
             t.into_iter().take(1).map(|(i, j, _)| (i, j, 0)).collect()
         } else {
@@ -224,6 +228,193 @@ fn bits(d: &Dense<f64>) -> Vec<Vec<Option<u64>>> {
         .collect()
 }
 
+/// Vector sizes: one element, and both sides of a 64-bit word.
+const SIZES: [usize; 4] = [1, 63, 64, 65];
+
+/// An owned index selection of a vector case.
+#[derive(Debug, Clone)]
+enum Sel {
+    All,
+    Range(usize, usize),
+    List(Vec<usize>),
+}
+
+impl Sel {
+    fn core(&self) -> IndexSelection<'_> {
+        match self {
+            Sel::All => ALL,
+            Sel::Range(lo, hi) => IndexSelection::Range(*lo, *hi),
+            Sel::List(l) => IndexSelection::List(l),
+        }
+    }
+
+    /// The indices selected out of `0..n`, in selection order.
+    fn indices(&self, n: usize) -> Vec<usize> {
+        match self {
+            Sel::All => (0..n).collect(),
+            Sel::Range(lo, hi) => (*lo..*hi).collect(),
+            Sel::List(l) => l.clone(),
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum VecOp {
+    Extract,
+    Assign,
+    AssignScalar,
+}
+
+/// The selections of one vector case over `0..n`, derived from the
+/// strategy's raw draws: ALL, a non-empty range, a list with repeats
+/// (extract only; assign rejects them) and a permutation — of all of
+/// `0..n` for extract; for assign, a random-length prefix of one
+/// (distinct indices in random order).
+fn selections(op: VecOp, n: usize, raw: &[usize], seed: u64) -> Vec<Sel> {
+    let lo = raw[0] % n;
+    let hi = lo + 1 + raw[raw.len() - 1] % (n - lo);
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.sort_by_key(|&i| (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut sels = vec![Sel::All, Sel::Range(lo, hi)];
+    match op {
+        VecOp::Extract => {
+            sels.push(Sel::List(raw.iter().map(|r| r % n).collect()));
+            sels.push(Sel::List(perm));
+        }
+        VecOp::Assign | VecOp::AssignScalar => {
+            perm.truncate(1 + raw[1 % raw.len()] % n);
+            sels.push(Sel::List(perm));
+        }
+    }
+    sels
+}
+
+/// The entries of `t` below `n`, the first one per index, as the
+/// vector's `(index, value)` payload and its dense form.
+fn vector_of<T: Clone>(n: usize, t: &[(usize, T)]) -> (Vec<(usize, T)>, Vec<Option<T>>) {
+    let mut t: Vec<_> = t.iter().filter(|e| e.0 < n).cloned().collect();
+    t.sort_by_key(|e| e.0);
+    t.dedup_by_key(|e| e.0);
+    let mut d = vec![None; n];
+    for (i, v) in &t {
+        d[*i] = Some(v.clone());
+    }
+    (t, d)
+}
+
+/// The raw inputs of one vector case: a source `u` of size `n` for
+/// extract; the output starts as `c0` and the mask is `mask`, both cut
+/// to the output's size (`len(sel)` for extract, `n` for assign).
+struct VecCase<'a> {
+    n: usize,
+    u: &'a Tuples,
+    c0: &'a Tuples,
+    mask: &'a Tuples,
+}
+
+/// The source operand of a core call: a vector and assign's scalar.
+struct Source {
+    u: Vector<f64>,
+    scalar: f64,
+}
+
+impl Source {
+    fn run<Mk: VectorMask, Ac: Accumulate<f64>>(
+        &self,
+        op: VecOp,
+        w: &Vector<f64>,
+        mask: Mk,
+        accum: Ac,
+        sel: IndexSelection<'_>,
+        desc: &Descriptor,
+    ) {
+        let ctx = Context::blocking();
+        match op {
+            VecOp::Extract => ctx.extract_vector(w, mask, accum, &self.u, sel, desc),
+            VecOp::Assign => ctx.assign_vector(w, mask, accum, &self.u, sel, desc),
+            VecOp::AssignScalar => ctx.assign_scalar_vector(w, mask, accum, self.scalar, sel, desc),
+        }
+        .unwrap();
+    }
+}
+
+impl VecCase<'_> {
+    /// `op` over `sel` under one mask form, accumulator and replace
+    /// setting: the core library's answer and the oracle's.
+    fn check(
+        &self,
+        op: VecOp,
+        sel: &Sel,
+        m: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+        let idx = sel.indices(self.n);
+        let (src_n, out_n) = match op {
+            VecOp::Extract => (self.n, idx.len()),
+            VecOp::Assign | VecOp::AssignScalar => (idx.len(), self.n),
+        };
+        let decode =
+            |t: &Tuples| -> Vec<(usize, f64)> { t.iter().map(|e| (e.0, fval(e.2))).collect() };
+        let (ut, du) = vector_of(src_n, &decode(self.u));
+        let (ct, dc) = vector_of(out_n, &decode(self.c0));
+        let mt: Vec<(usize, bool)> = self.mask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect();
+        let (mt, dm) = vector_of(out_n, &mt);
+
+        // the core library
+        let src = Source {
+            u: Vector::from_tuples(src_n, &ut).unwrap(),
+            scalar: fval(self.u.first().map_or(7, |e| e.2)),
+        };
+        let w = Vector::from_tuples(out_n, &ct).unwrap();
+        let mv = Vector::from_tuples(out_n, &mt).unwrap();
+        let mut desc = Descriptor::default();
+        if let Some((structural, complement)) = m {
+            if structural {
+                desc = desc.structural_mask();
+            }
+            if complement {
+                desc = desc.complement_mask();
+            }
+        }
+        if replace {
+            desc = desc.replace();
+        }
+        let plus = Accum(Plus::<f64>::new());
+        let s = sel.core();
+        match (m.is_some(), accum) {
+            (false, false) => src.run(op, &w, NoMask, NoAccum, s, &desc),
+            (false, true) => src.run(op, &w, NoMask, plus, s, &desc),
+            (true, false) => src.run(op, &w, &mv, NoAccum, s, &desc),
+            (true, true) => src.run(op, &w, &mv, plus, s, &desc),
+        }
+        let got = vector_of(out_n, &w.extract_tuples().unwrap()).1;
+
+        // the oracle
+        let add = |x: &f64, y: &f64| x + y;
+        let acc = accum.then_some(&add as &dyn Fn(&f64, &f64) -> f64);
+        let msrc = vec![dm];
+        let mask = m.map(|(structural, complement)| Mask {
+            source: &msrc,
+            structural,
+            complement,
+        });
+        let c = vec![dc];
+        let want = match op {
+            VecOp::Extract => fig2::write(&c, &vec![fig2::extract(&du, &idx)], acc, mask, replace),
+            VecOp::Assign => {
+                let z = fig2::assign(&c[0], &du, &idx, acc);
+                fig2::write(&c, &vec![z], None, mask, replace)
+            }
+            VecOp::AssignScalar => {
+                let z = fig2::assign(&c[0], &vec![Some(src.scalar); idx.len()], &idx, acc);
+                fig2::write(&c, &vec![z], None, mask, replace)
+            }
+        };
+        (got, want.into_iter().next().unwrap())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -232,7 +423,7 @@ proptest! {
         a in tuples(N, N, 64),
         b in tuples(N, 65, 96),
         c0 in tuples(N, 65, 64),
-        mask in mask_tuples(),
+        mask in mask_tuples(N, 65),
         wi in 0usize..3,
     ) {
         let case = Case::new(&a, &b, &c0, &mask, THIN[wi]);
@@ -255,4 +446,43 @@ proptest! {
             }
         });
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn vector_extract_and_assign_match_the_fig2_oracle_bitwise(
+        ni in 0usize..4,
+        u in tuples(65, 1, 48),
+        c0 in tuples(65, 1, 48),
+        mask in mask_tuples(65, 1),
+        raw in proptest::collection::vec(0usize..1000, 1..=70),
+        seed in any::<u64>(),
+    ) {
+        let n = SIZES[ni];
+        let case = VecCase { n, u: &u, c0: &c0, mask: &mask };
+        par::with_cost_model(1, 0, || {
+            for op in [VecOp::Extract, VecOp::Assign, VecOp::AssignScalar] {
+                for sel in selections(op, n, &raw, seed) {
+                    for m in MASKS {
+                        for accum in [false, true] {
+                            for replace in [false, true] {
+                                let (got, want) = case.check(op, &sel, m, accum, replace);
+                                prop_assert_eq!(
+                                    vbits(&got), vbits(&want),
+                                    "{:?} n={} sel={:?} mask={:?} accum={} replace={}",
+                                    op, n, sel, m, accum, replace
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+fn vbits(d: &[Option<f64>]) -> Vec<Option<u64>> {
+    d.iter().map(|v| v.map(f64::to_bits)).collect()
 }
