@@ -1,7 +1,18 @@
-//! Connected components by min-label propagation over the
-//! `min.first` semiring: each round every vertex adopts the smallest
-//! label among itself and its neighbors; the fixed point labels each
-//! component with its minimum vertex id.
+//! Connected components by min-label propagation over the `min.first`
+//! semiring, LAGraph-style: only labels that changed in the last round
+//! are pushed. Each round,
+//!
+//! * `incoming = frontier min.first A` — the smallest changed label next
+//!   to each vertex;
+//! * `better = incoming .< labels`;
+//! * `frontier<better> = incoming` (replace) — the vertices that improve;
+//! * `labels = min(labels, frontier)`, which is `labels<better> =
+//!   incoming` as one union merge instead of a masked write.
+//!
+//! It stops when the frontier is empty; the fixed point labels each
+//! component with its minimum vertex id. The first round pushes every
+//! label, later rounds only the shrinking set of improvements, so a round
+//! costs the edges of the vertices that changed, not all of `A`.
 
 use graphblas_core::prelude::*;
 
@@ -14,33 +25,49 @@ pub fn connected_components(ctx: &Context, a: &Matrix<bool>) -> Result<Vec<usize
     }
     let ids: Vec<(Index, u64)> = (0..n).map(|i| (i, i as u64)).collect();
     let labels = Vector::from_tuples(n, &ids)?;
+    let frontier = labels.dup();
     let incoming = Vector::<u64>::new(n)?;
-    let min_first = SemiringDef::new(MinMonoid::<u64>::new(), binary_fn(|l: &u64, _e: &bool| *l));
+    let better = Vector::<bool>::new(n)?;
+    let replace = Descriptor::default().replace();
     loop {
-        let before = labels.extract_tuples()?;
-        // incoming(j) = min over neighbors i of labels(i)
         ctx.vxm(
             &incoming,
             NoMask,
             NoAccum,
-            min_first.clone(),
-            &labels,
+            SemiringDef::new(MinMonoid::<u64>::new(), First::<u64, bool>::new()),
+            &frontier,
             a,
-            &Descriptor::default().replace(),
+            &replace,
         )?;
-        // labels = min(labels, incoming)
+        ctx.ewise_mult_vector(
+            &better,
+            NoMask,
+            NoAccum,
+            binary_fn(|x: &u64, y: &u64| x < y),
+            &incoming,
+            &labels,
+            &replace,
+        )?;
+        ctx.apply_vector(
+            &frontier,
+            &better,
+            NoAccum,
+            Identity::<u64>::new(),
+            &incoming,
+            &replace,
+        )?;
+        if frontier.nvals()? == 0 {
+            break;
+        }
         ctx.ewise_add_vector(
             &labels,
             NoMask,
             NoAccum,
             Min::<u64>::new(),
             &labels,
-            &incoming,
+            &frontier,
             &Descriptor::default(),
         )?;
-        if labels.extract_tuples()? == before {
-            break;
-        }
     }
     Ok(labels
         .extract_tuples()?

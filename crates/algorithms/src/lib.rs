@@ -8,10 +8,13 @@
 //! * [`bc`] — batched Brandes betweenness centrality (Figure 3)
 //! * [`bfs`] — BFS levels and parent trees (`lor.land`, `min.first`)
 //! * [`sssp`] — Bellman–Ford SSSP and min-plus APSP (tropical semiring)
-//! * [`triangles`] — masked-`mxm` triangle counting (`plus_pair`)
+//! * [`triangles`] — masked-`mxm` triangle counting (`plus_pair`):
+//!   Sandia `C<L> = L·L` for the total, Burkhardt `C<A> = A·A` per edge
 //! * [`mis`] — Luby's maximal independent set (randomized, masked)
-//! * [`mod@pagerank`] — power iteration over the arithmetic semiring
-//! * [`components`] — min-label propagation connected components
+//! * [`mod@pagerank`] — power iteration over the arithmetic semiring,
+//!   one `vxm` per step on cached out-degrees
+//! * [`components`] — min-label propagation connected components,
+//!   pushing only the labels that changed
 //! * [`reach`] — transitive closure (`lor.land`) and GF2 walk parity
 //!
 //! Every algorithm takes an explicit [`Context`](graphblas_core::Context)
@@ -37,4 +40,4 @@ pub use mis::maximal_independent_set;
 pub use pagerank::pagerank;
 pub use reach::{reachable_set, transitive_closure, walk_parity};
 pub use sssp::{apsp_min_plus, sssp_bellman_ford};
-pub use triangles::{k_truss, triangle_count, triangle_count_sandia, triangle_counts_per_vertex};
+pub use triangles::{k_truss, triangle_count, triangle_counts_per_vertex};

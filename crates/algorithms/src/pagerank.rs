@@ -1,11 +1,14 @@
-//! PageRank as GraphBLAS primitives: one `vxm` over the arithmetic
-//! semiring per power iteration, plus element-wise scaling and a scalar
-//! reduction for the dangling-mass correction.
+//! PageRank as GraphBLAS primitives, in the GAP/LAGraph shape. The
+//! out-degrees come from the matrix's cached `row_degrees()`, so no
+//! weighted copy of `A` is built. Each power iteration is
 //!
-//! The per-iteration `vxm` goes through the SpMSpV direction dispatch:
-//! the rank vector is dense, so the cost model settles on the pull/dense
-//! side and PageRank keeps its streaming row-walk — while still sharing
-//! the cached degree vectors with the traversal algorithms.
+//! * `w = d · rank ./ deg`, each share rounded as `d * r / k` like the
+//!   reference baseline — sinks have no degree entry and drop out;
+//! * the dangling mass `Σ rank(sinks)`: one index-list `extract` and a
+//!   `reduce`;
+//! * `next = base` over `GrB_ALL`, then `next += w plus.first A` — the
+//!   one `vxm`, through the SpMSpV direction dispatch;
+//! * `l1 = Σ |rank − next|`, and the two handles swap.
 
 use graphblas_core::prelude::*;
 
@@ -24,114 +27,55 @@ pub fn pagerank(
         return Err(Error::DimensionMismatch("adjacency must be square".into()));
     }
     let nf = n as f64;
+    let (mut deg, mut sinks) = (Vec::new(), Vec::new());
+    for (i, &k) in a.row_degrees()?.iter().enumerate() {
+        if k == 0 {
+            sinks.push(i);
+        } else {
+            deg.push((i, k as f64));
+        }
+    }
+    let deg = Vector::from_tuples(n, &deg)?;
+    let sink_rank = match sinks.len() {
+        0 => None,
+        k => Some(Vector::<f64>::new(k)?),
+    };
 
-    // out-degrees: row-reduce of A over plus (bool -> count via apply)
-    let a_ones = Matrix::<f64>::new(n, n)?;
-    ctx.apply_matrix(
-        &a_ones,
-        NoMask,
-        NoAccum,
-        unary_fn(|_: &bool| 1.0f64),
-        a,
-        &Descriptor::default(),
-    )?;
-    let out_deg = Vector::<f64>::new(n)?;
-    ctx.reduce_rows(
-        &out_deg,
-        NoMask,
-        NoAccum,
-        PlusMonoid::<f64>::new(),
-        &a_ones,
-        &Descriptor::default(),
-    )?;
-    // inverse out-degree (absent for dangling vertices)
-    let inv_deg = Vector::<f64>::new(n)?;
-    ctx.apply_vector(
-        &inv_deg,
-        NoMask,
-        NoAccum,
-        Minv::<f64>::new(),
-        &out_deg,
-        &Descriptor::default(),
-    )?;
-
-    // rank starts uniform (dense)
-    let rank = Vector::<f64>::new(n)?;
-    ctx.assign_scalar_vector(
-        &rank,
-        NoMask,
-        NoAccum,
-        1.0 / nf,
-        ALL,
-        &Descriptor::default(),
-    )?;
-    let contrib = Vector::<f64>::new(n)?;
-    let next = Vector::<f64>::new(n)?;
+    let mut rank = Vector::<f64>::new(n)?;
+    let mut next = Vector::<f64>::new(n)?;
+    let w = Vector::<f64>::new(n)?;
     let diff = Vector::<f64>::new(n)?;
-
+    let replace = Descriptor::default().replace();
+    ctx.assign_scalar_vector(&rank, NoMask, NoAccum, 1.0 / nf, ALL, &replace)?;
+    let mut iters = max_iters;
     for it in 1..=max_iters {
-        // contrib = rank ./ out_deg (dangling vertices drop out here)
         ctx.ewise_mult_vector(
-            &contrib,
+            &w,
             NoMask,
             NoAccum,
-            Times::<f64>::new(),
+            binary_fn(move |r: &f64, k: &f64| d * r / k),
             &rank,
-            &inv_deg,
-            &Descriptor::default().replace(),
+            &deg,
+            &replace,
         )?;
-        // dangling mass = total rank - mass that has an outgoing edge
-        let distributed = ctx.reduce_vector_to_scalar(PlusMonoid::<f64>::new(), &contrib)?;
-        let total = ctx.reduce_vector_to_scalar(PlusMonoid::<f64>::new(), &rank)?;
-        // `distributed` is Σ rank/deg, not Σ rank — recompute the mass
-        // carried by non-dangling vertices instead:
-        let _ = distributed;
-        let carried = {
-            let m = Vector::<f64>::new(n)?;
-            // m = rank masked to vertices with out-degree (structural)
-            ctx.ewise_mult_vector(
-                &m,
-                NoMask,
-                NoAccum,
-                First::<f64, f64>::new(),
-                &rank,
-                &inv_deg,
-                &Descriptor::default(),
-            )?;
-            ctx.reduce_vector_to_scalar(PlusMonoid::<f64>::new(), &m)?
+        let dangling = match &sink_rank {
+            Some(s) => {
+                ctx.extract_vector(s, NoMask, NoAccum, &rank, (&sinks).into(), &replace)?;
+                ctx.reduce_vector_to_scalar(PlusMonoid::<f64>::new(), s)?
+            }
+            None => 0.0,
         };
-        let dangling = total - carried;
         let base = (1.0 - d) / nf + d * dangling / nf;
-
-        // next = base everywhere, then accumulate d * (contrib ⊕.⊗ A)
-        ctx.assign_scalar_vector(
-            &next,
-            NoMask,
-            NoAccum,
-            base,
-            ALL,
-            &Descriptor::default().replace(),
-        )?;
-        let scaled = Vector::<f64>::new(n)?;
-        ctx.apply_vector(
-            &scaled,
-            NoMask,
-            NoAccum,
-            unary_fn(move |x: &f64| d * x),
-            &contrib,
-            &Descriptor::default(),
-        )?;
+        ctx.assign_scalar_vector(&next, NoMask, NoAccum, base, ALL, &replace)?;
         ctx.vxm(
             &next,
             NoMask,
             Accum(Plus::<f64>::new()),
-            SemiringDef::new(PlusMonoid::<f64>::new(), binary_fn(|x: &f64, _: &bool| *x)),
-            &scaled,
+            SemiringDef::new(PlusMonoid::<f64>::new(), First::<f64, bool>::new()),
+            &w,
             a,
             &Descriptor::default(),
         )?;
-
-        // diff = |rank - next|, L1
         ctx.ewise_add_vector(
             &diff,
             NoMask,
@@ -139,33 +83,20 @@ pub fn pagerank(
             binary_fn(|x: &f64, y: &f64| (x - y).abs()),
             &rank,
             &next,
-            &Descriptor::default().replace(),
+            &replace,
         )?;
         let l1 = ctx.reduce_vector_to_scalar(PlusMonoid::<f64>::new(), &diff)?;
-
-        // rank = next
-        ctx.apply_vector(
-            &rank,
-            NoMask,
-            NoAccum,
-            Identity::<f64>::new(),
-            &next,
-            &Descriptor::default().replace(),
-        )?;
-
+        std::mem::swap(&mut rank, &mut next);
         if l1 < tol {
-            let mut out = vec![0.0; n];
-            for (i, v) in rank.extract_tuples()? {
-                out[i] = v;
-            }
-            return Ok((out, it));
+            iters = it;
+            break;
         }
     }
     let mut out = vec![0.0; n];
     for (i, v) in rank.extract_tuples()? {
         out[i] = v;
     }
-    Ok((out, max_iters))
+    Ok((out, iters))
 }
 
 #[cfg(test)]

@@ -1,34 +1,47 @@
 //! Triangle counting with masked matrix multiplication — the showcase
-//! for pushing a write mask *into* the multiply: `C<A> = A ⊕.pair A`
-//! touches only positions where an edge exists (Burkhardt's formulation),
-//! so the masked SpGEMM computes wedge counts per edge, never the full
-//! square.
+//! for pushing a write mask *into* the multiply.
+//!
+//! [`triangle_count`] is the Sandia form LAGraph uses: `L = tril(A, -1)`,
+//! `C<L> = L plus_pair L`, so each triangle `i > k > j` is seen once, at
+//! its edge `(i, j)`, and only lower-triangle wedges are enumerated.
+//! [`triangle_counts_per_vertex`] and [`k_truss`] need every edge's count
+//! and keep Burkhardt's `C<A> = A plus_pair A`, which touches only
+//! positions where an edge exists, never the full square.
 
 use graphblas_core::prelude::*;
 
 /// Number of triangles in an undirected graph given as a Boolean
 /// adjacency matrix with both directions stored and no self-loops.
 ///
-/// `C<A-structural> = A plus_pair.⊗ A` counts, for every edge `(i,j)`,
-/// the wedges `i—k—j`; summing over all stored positions counts each
-/// triangle six times (3 corners × 2 directions).
+/// `L = tril(A, -1)` (the `select` extension, `GrB_TRIL`), then
+/// `C<L-structural> = L plus_pair L`: `C(i, j)` counts the `k` with
+/// `i > k > j` closing a triangle, so the sum of `C` counts each
+/// triangle exactly once.
 pub fn triangle_count(ctx: &Context, a: &Matrix<bool>) -> Result<u64> {
     let n = a.nrows();
     if a.ncols() != n {
         return Err(Error::DimensionMismatch("adjacency must be square".into()));
     }
+    let l = Matrix::<bool>::new(n, n)?;
+    ctx.select_matrix(
+        &l,
+        NoMask,
+        NoAccum,
+        Tril::new(-1),
+        a,
+        &Descriptor::default(),
+    )?;
     let c = Matrix::<u64>::new(n, n)?;
     ctx.mxm(
         &c,
-        a,
+        &l,
         NoAccum,
         SemiringDef::new(PlusMonoid::<u64>::new(), Pair::<bool, bool, u64>::new()),
-        a,
-        a,
+        &l,
+        &l,
         &Descriptor::default().structural_mask().replace(),
     )?;
-    let six_t = ctx.reduce_matrix_to_scalar(PlusMonoid::<u64>::new(), &c)?;
-    Ok(six_t / 6)
+    ctx.reduce_matrix_to_scalar(PlusMonoid::<u64>::new(), &c)
 }
 
 /// Per-vertex triangle participation: `t(i)` = number of triangles
@@ -63,38 +76,6 @@ pub fn triangle_counts_per_vertex(ctx: &Context, a: &Matrix<bool>) -> Result<Vec
         out[i] = v / 2;
     }
     Ok(out)
-}
-
-/// Sandia triangle counting: `L = tril(A, -1)`, then
-/// `C<L> = L plus_pair L` and the sum of `C` counts each triangle
-/// exactly once. Uses the `select` extension (`GrB_TRIL`); fewer wedges
-/// are enumerated than in the Burkhardt full-matrix form, at the cost of
-/// the select pass.
-pub fn triangle_count_sandia(ctx: &Context, a: &Matrix<bool>) -> Result<u64> {
-    let n = a.nrows();
-    if a.ncols() != n {
-        return Err(Error::DimensionMismatch("adjacency must be square".into()));
-    }
-    let l = Matrix::<bool>::new(n, n)?;
-    ctx.select_matrix(
-        &l,
-        NoMask,
-        NoAccum,
-        Tril::new(-1),
-        a,
-        &Descriptor::default(),
-    )?;
-    let c = Matrix::<u64>::new(n, n)?;
-    ctx.mxm(
-        &c,
-        &l,
-        NoAccum,
-        SemiringDef::new(PlusMonoid::<u64>::new(), Pair::<bool, bool, u64>::new()),
-        &l,
-        &l,
-        &Descriptor::default().structural_mask().replace(),
-    )?;
-    ctx.reduce_matrix_to_scalar(PlusMonoid::<u64>::new(), &c)
 }
 
 /// k-truss: the maximal subgraph in which every edge participates in at
@@ -201,27 +182,6 @@ mod tests {
             triangle_counts_per_vertex(&ctx, &a).unwrap(),
             vec![2, 2, 1, 1]
         );
-    }
-
-    #[test]
-    fn sandia_variant_agrees_with_burkhardt() {
-        let ctx = Context::blocking();
-        for (n, edges) in [
-            (3, vec![(0, 1), (1, 2), (0, 2)]),
-            (4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-            (5, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-            (
-                6,
-                vec![(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)],
-            ),
-        ] {
-            let a = undirected(n, &edges);
-            assert_eq!(
-                triangle_count(&ctx, &a).unwrap(),
-                triangle_count_sandia(&ctx, &a).unwrap(),
-                "n={n}"
-            );
-        }
     }
 
     #[test]

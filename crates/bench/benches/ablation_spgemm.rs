@@ -91,41 +91,5 @@ fn bench_masked_scatter_vs_dot(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_triangle_variants(c: &mut Criterion) {
-    // Burkhardt (full masked square, /6) vs Sandia (tril-masked, exact)
-    // vs the classic node-iterator baseline
-    use graphblas_algorithms::{triangle_count, triangle_count_sandia};
-    use graphblas_core::prelude::*;
-    use graphblas_reference::AdjGraph;
-
-    let g = rmat(10, 8, RmatParams::default(), 5)
-        .dedup()
-        .without_self_loops()
-        .symmetrize();
-    let ctx = Context::blocking();
-    let a = Matrix::from_tuples(g.n, g.n, &g.bool_tuples()).unwrap();
-    let adj = AdjGraph::from_edges(g.n, &g.edges);
-
-    let mut group = c.benchmark_group("ablation_spgemm/triangles");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    group.bench_function("burkhardt_masked_full", |b| {
-        b.iter(|| triangle_count(&ctx, &a).unwrap())
-    });
-    group.bench_function("sandia_tril_masked", |b| {
-        b.iter(|| triangle_count_sandia(&ctx, &a).unwrap())
-    });
-    group.bench_function("reference_node_iterator", |b| {
-        b.iter(|| graphblas_reference::triangles::triangle_count(&adj))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_strategies,
-    bench_masked_scatter_vs_dot,
-    bench_triangle_variants
-);
+criterion_group!(benches, bench_strategies, bench_masked_scatter_vs_dot);
 criterion_main!(benches);

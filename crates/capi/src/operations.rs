@@ -7,12 +7,12 @@
 //! the operation's result domain (`GrB_DOMAIN_MISMATCH` otherwise);
 //! accumulators must accumulate in the output domain.
 //!
-//! Every wrapper funnels through one dispatch path. [`in_lane!`] matches
+//! Every wrapper funnels through one dispatch path. `in_lane!` matches
 //! the output's lane once per call, casts each operand into that lane
-//! ([`cast_m`]/[`cast_v`]: borrowed when already there, one typed
+//! (`cast_m`/`cast_v`: borrowed when already there, one typed
 //! `apply` otherwise), binds the accumulator over the lane, and calls
 //! the typed core; the mask's domain is erased when the core snaps it
-//! ([`Mask`]), so it never multiplies the instantiations. [`dispatch!`]
+//! (`Mask`), so it never multiplies the instantiations. `dispatch!`
 //! adds the one exception: an operator that spans several domains into a
 //! built-in output is computed on the `Value` lane and its result cast
 //! into the output under the mask and accumulator.

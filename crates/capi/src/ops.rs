@@ -3,10 +3,10 @@
 //! exactly the C API's shape, with `GrB_DOMAIN_MISMATCH` raised at
 //! construction or call time instead of at compile time.
 //!
-//! A predefined operator is an opcode ([`Code`]); a user operator is a
+//! A predefined operator is an opcode (`Code`); a user operator is a
 //! closure over [`Value`]s. Either becomes a typed core operator for one
-//! lane — [`LaneOp`], [`LaneUnary`], [`LaneMonoid`], one type each per
-//! lane element [`Elem`] — which evaluates the opcode natively on a
+//! lane — `LaneOp`, `LaneUnary`, `LaneMonoid`, one type each per
+//! lane element `Elem` — which evaluates the opcode natively on a
 //! built-in domain. On the user-type lane an opcode dispatches on the
 //! tag to that same typed implementation, so there is one arithmetic.
 
@@ -529,7 +529,10 @@ pub(crate) trait Elem:
 #[inline(never)]
 fn user_binary<T: Elem>(op: &GrbBinaryOp, x: &T, y: &T) -> T {
     let f = op.f.as_ref().expect("a user operator carries its closure");
-    T::cast_from(&f(&x.to_value().cast_to(op.d1), &y.to_value().cast_to(op.d2)))
+    T::cast_from(&f(
+        &x.to_value().cast_to(op.d1),
+        &y.to_value().cast_to(op.d2),
+    ))
 }
 
 #[inline(never)]
@@ -693,7 +696,7 @@ fn cast(v: &Value, ty: GrbType) -> Cow<'_, Value> {
 /// Opcode `c` on two values of one domain, by that domain's [`eval`];
 /// the result cast into `out`.
 fn tagged(c: Code, x: &Value, y: &Value, out: GrbType) -> Value {
-        let z = per_domain!(Value, x, a: S => Value::from(eval::<S>(c, a, &S::cast_from(y), || undefined(c, "a tagged value"))),
+    let z = per_domain!(Value, x, a: S => Value::from(eval::<S>(c, a, &S::cast_from(y), || undefined(c, "a tagged value"))),
         Udf(_) => eval(c, x, y, || undefined(c, "a tagged value")));
     cast(&z, out).into_owned()
 }
@@ -777,21 +780,33 @@ mod tests {
             (GrbType::Int32, GrbType::Int32, GrbType::Int32)
         );
         assert_eq!(apply2(&p, 2i32, 3), 5);
-        assert_eq!(apply2(&p, Value::Int32(2), Value::Int32(3)), Value::Int32(5));
+        assert_eq!(
+            apply2(&p, Value::Int32(2), Value::Int32(3)),
+            Value::Int32(5)
+        );
         assert!(GrbBinaryOp::plus(GrbType::Bool).is_err()); // no GrB_PLUS_BOOL
     }
 
     #[test]
     fn arithmetic_per_domain() {
         let op = |f: fn(GrbType) -> Result<GrbBinaryOp>, ty| f(ty).unwrap();
-        assert_eq!(apply2(&op(GrbBinaryOp::times, GrbType::Fp64), 2.5, 2.0), 5.0);
-        assert_eq!(apply2(&op(GrbBinaryOp::plus, GrbType::Uint8), 200u8, 100), 44); // wrap
+        assert_eq!(
+            apply2(&op(GrbBinaryOp::times, GrbType::Fp64), 2.5, 2.0),
+            5.0
+        );
+        assert_eq!(
+            apply2(&op(GrbBinaryOp::plus, GrbType::Uint8), 200u8, 100),
+            44
+        ); // wrap
         let div = op(GrbBinaryOp::div, GrbType::Int64);
         assert_eq!(apply2(&div, 7i64, 2), 3);
         assert_eq!(apply2(&div, 7i64, 0), 0); // total
         assert_eq!(apply2(&div, i64::MIN, -1), i64::MIN); // wraps
         assert_eq!(apply2(&op(GrbBinaryOp::min, GrbType::Int32), 2i32, -1), -1);
-        assert_eq!(apply2(&op(GrbBinaryOp::max, GrbType::Fp32), 2.0f32, 3.0), 3.0);
+        assert_eq!(
+            apply2(&op(GrbBinaryOp::max, GrbType::Fp32), 2.0f32, 3.0),
+            3.0
+        );
         // unordered: the first operand
         let min = op(GrbBinaryOp::min, GrbType::Fp64);
         assert!(apply2(&min, f64::NAN, 1.0).is_nan());
@@ -803,9 +818,15 @@ mod tests {
         // on the user-type lane an operand of another built-in domain is
         // cast into the operator's before the typed implementation runs
         let p = GrbBinaryOp::plus(GrbType::Int32).unwrap();
-        assert_eq!(apply2(&p, Value::Fp64(2.9), Value::Int8(3)), Value::Int32(5));
+        assert_eq!(
+            apply2(&p, Value::Fp64(2.9), Value::Int8(3)),
+            Value::Int32(5)
+        );
         let eq = GrbBinaryOp::eq(GrbType::Fp64);
-        assert_eq!(apply2(&eq, Value::Fp64(f64::NAN), Value::Fp64(f64::NAN)), Value::Bool(false));
+        assert_eq!(
+            apply2(&eq, Value::Fp64(f64::NAN), Value::Fp64(f64::NAN)),
+            Value::Bool(false)
+        );
     }
 
     #[test]
@@ -849,7 +870,10 @@ mod tests {
         // implicit cast of an int input to bool, as in Fig. 3 line 41
         assert_eq!(un(&id, Value::Int32(7)), Value::Bool(true));
         assert!(GrbUnaryOp::minv(GrbType::Bool).is_err());
-        assert_eq!(un(&GrbUnaryOp::lnot(), Value::Bool(false)), Value::Bool(true));
+        assert_eq!(
+            un(&GrbUnaryOp::lnot(), Value::Bool(false)),
+            Value::Bool(true)
+        );
         let ainv = GrbUnaryOp::ainv(GrbType::Int64).unwrap();
         assert_eq!(LaneUnary::<i64>::new(&ainv).apply(&i64::MIN), i64::MIN);
         assert_eq!(un(&ainv, Value::Int32(5)), Value::Int64(-5));
@@ -859,7 +883,11 @@ mod tests {
     fn logical_and_comparison_ops() {
         assert!(!apply2(&GrbBinaryOp::lxor(), true, true));
         assert_eq!(
-            apply2(&GrbBinaryOp::eq(GrbType::Int32), Value::Int32(2), Value::Int32(2)),
+            apply2(
+                &GrbBinaryOp::eq(GrbType::Int32),
+                Value::Int32(2),
+                Value::Int32(2)
+            ),
             Value::Bool(true)
         );
         assert_eq!(apply2(&GrbBinaryOp::first(GrbType::Fp64), 1.0, 2.0), 1.0);

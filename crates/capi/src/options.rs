@@ -210,7 +210,9 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::TileShape) => match value {
-            GxbValue::TileShape(Some((r, c))) => lane!(MatLane, &m.m, x: T => x.set_tile_shape(r, c)),
+            GxbValue::TileShape(Some((r, c))) => {
+                lane!(MatLane, &m.m, x: T => x.set_tile_shape(r, c))
+            }
             GxbValue::TileShape(None) => lane!(MatLane, &m.m, x: T => x.clear_tile_shape()),
             v => Err(type_mismatch(option, &v)),
         },
@@ -239,11 +241,15 @@ pub fn gxb_get(scope: GxbScope, option: GxbOption) -> Result<GxbValue> {
         (GxbScope::Global, GxbOption::FlushWindowMs) => {
             Ok(GxbValue::Millis(snapshot::session_flush_window_ms()))
         }
-        (GxbScope::Matrix(m), GxbOption::Format) => Ok(GxbValue::Format(lane!(MatLane, &m.m, x: T => x.format())?)),
-        (GxbScope::Matrix(m), GxbOption::FormatPolicy) => {
-            Ok(GxbValue::FormatPolicy(lane!(MatLane, &m.m, x: T => x.format_policy())))
+        (GxbScope::Matrix(m), GxbOption::Format) => {
+            Ok(GxbValue::Format(lane!(MatLane, &m.m, x: T => x.format())?))
         }
-        (GxbScope::Matrix(m), GxbOption::TileShape) => Ok(GxbValue::TileShape(lane!(MatLane, &m.m, x: T => x.tile_shape()))),
+        (GxbScope::Matrix(m), GxbOption::FormatPolicy) => Ok(GxbValue::FormatPolicy(
+            lane!(MatLane, &m.m, x: T => x.format_policy()),
+        )),
+        (GxbScope::Matrix(m), GxbOption::TileShape) => Ok(GxbValue::TileShape(
+            lane!(MatLane, &m.m, x: T => x.tile_shape()),
+        )),
         (GxbScope::Matrix(m), GxbOption::ReadEpoch) => Ok(GxbValue::Epoch(m.read_epoch())),
         (GxbScope::Vector(v), GxbOption::ReadEpoch) => Ok(GxbValue::Epoch(v.read_epoch())),
         _ => Err(unsupported(&scope, option, "get")),

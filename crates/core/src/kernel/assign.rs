@@ -13,7 +13,8 @@
 //!
 //! Index lists arrive resolved, bounds-checked, and duplicate-free (the
 //! operation layer rejects duplicate output indices, where the C spec
-//! leaves the outcome undefined).
+//! leaves the outcome undefined). Only an explicit list can be out of
+//! order, so only such a list is ever sorted here.
 
 use crate::accum::Accumulate;
 use crate::index::Index;
@@ -22,6 +23,19 @@ use crate::mask::Pattern;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
+use std::borrow::Cow;
+
+/// `list` in ascending order: borrowed when it already is (every
+/// `GrB_ALL` or range selection), sorted into a copy otherwise.
+fn ascending(list: &[Index]) -> Cow<'_, [Index]> {
+    if list.is_sorted() {
+        Cow::Borrowed(list)
+    } else {
+        let mut sorted = list.to_vec();
+        sorted.sort_unstable();
+        Cow::Owned(sorted)
+    }
+}
 
 /// Merge one output row into `out_c`/`out_v`: `c_*` is the old content,
 /// `new` the region's new content for this row (ascending target
@@ -94,7 +108,9 @@ pub fn assign_matrix<T: Scalar, Ac: Accumulate<T>>(
     }
     // source col l -> target col cols[l], sorted by target for merge order
     let mut col_map: Vec<(Index, Index)> = cols.iter().copied().enumerate().collect(); // (l, tj)
-    col_map.sort_unstable_by_key(|&(_, tj)| tj);
+    if !cols.is_sorted() {
+        col_map.sort_unstable_by_key(|&(_, tj)| tj);
+    }
 
     emit_rows(
         c.nrows(),
@@ -122,7 +138,8 @@ pub fn assign_matrix<T: Scalar, Ac: Accumulate<T>>(
 /// `Z = C; Z(rows, cols) ⊙= value` — the scalar-fill variant used at
 /// Fig. 3 lines 61 and 77 (`GrB_assign(&bcu, …, 1.0f, GrB_ALL, …)`).
 /// Every region position receives the scalar (the region pattern is
-/// dense).
+/// dense), so an old element is only ever dropped where the fill
+/// overwrites it: no region test is needed.
 pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
     c: &Csr<T>,
     value: &T,
@@ -134,12 +151,7 @@ pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
     for &i in rows {
         row_region[i] = true;
     }
-    let mut sorted_cols = cols.to_vec();
-    sorted_cols.sort_unstable();
-    let mut col_region = vec![false; c.ncols()];
-    for &j in cols {
-        col_region[j] = true;
-    }
+    let sorted_cols = ascending(cols);
 
     let fill = rows.len().saturating_mul(cols.len());
     emit_rows(
@@ -155,7 +167,7 @@ pub fn assign_scalar_matrix<T: Scalar, Ac: Accumulate<T>>(
                 return;
             }
             let new = sorted_cols.iter().map(|&tj| (tj, value.clone()));
-            assign_row(cc, cv, new, |j| col_region[j], accum, out_c, out_v);
+            assign_row(cc, cv, new, |_| false, accum, out_c, out_v);
         },
     )
 }
@@ -234,13 +246,15 @@ pub fn assign_vector<T: Scalar, Ac: Accumulate<T>>(
     for &i in indices {
         region[i] = true;
     }
-    let mut new_pairs: Vec<(Index, T)> = indices
+    let mut new_pairs: Vec<(Index, T)> = u
+        .indices()
         .iter()
-        .copied()
-        .enumerate()
-        .filter_map(|(k, ti)| u.get(k).map(|v| (ti, v.clone())))
+        .zip(u.vals())
+        .map(|(&k, v)| (indices[k], v.clone()))
         .collect();
-    new_pairs.sort_unstable_by_key(|&(ti, _)| ti);
+    if !indices.is_sorted() {
+        new_pairs.sort_unstable_by_key(|&(ti, _)| ti);
+    }
     let (mut idx, mut vals) = (Vec::new(), Vec::new());
     let new = new_pairs.into_iter();
     assign_row(
@@ -255,26 +269,22 @@ pub fn assign_vector<T: Scalar, Ac: Accumulate<T>>(
     SparseVec::from_sorted_parts(w.size(), idx, vals)
 }
 
-/// `z = w; z(indices) ⊙= value`.
+/// `z = w; z(indices) ⊙= value` (no region test, as in
+/// [`assign_scalar_matrix`]).
 pub fn assign_scalar_vector<T: Scalar, Ac: Accumulate<T>>(
     w: &SparseVec<T>,
     value: &T,
     indices: &[Index],
     accum: &Ac,
 ) -> SparseVec<T> {
-    let mut region = vec![false; w.size()];
-    for &i in indices {
-        region[i] = true;
-    }
-    let mut sorted = indices.to_vec();
-    sorted.sort_unstable();
+    let sorted = ascending(indices);
     let (mut idx, mut vals) = (Vec::new(), Vec::new());
     let new = sorted.iter().map(|&ti| (ti, value.clone()));
     assign_row(
         w.indices(),
         w.vals(),
         new,
-        |i| region[i],
+        |_| false,
         accum,
         &mut idx,
         &mut vals,

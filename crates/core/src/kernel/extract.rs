@@ -9,76 +9,110 @@ use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::vec::SparseVec;
 
+/// The inverse of an index list over a source dimension, built once per
+/// call: source index `j` lands at output positions
+/// `positions[start[j]..start[j + 1]]`, ascending. A duplicated index
+/// owns several positions; a permutation only reorders them. The
+/// identity list `0..n` keeps no map.
+struct Gather {
+    map: Option<(Vec<usize>, Vec<Index>)>,
+    /// The list is non-decreasing, so a walk of the source in index
+    /// order already emits ascending output positions.
+    ordered: bool,
+}
+
+impl Gather {
+    fn new(n: usize, list: &[Index]) -> Gather {
+        let identity = list.len() == n && list.iter().enumerate().all(|(l, &j)| l == j);
+        let map = (!identity).then(|| {
+            // counts land two slots up, so after the running sum
+            // `start[j + 1]` is j's first position and can serve as its
+            // fill cursor; once filled, `start[j]..start[j + 1]` is j's run
+            let mut start = vec![0usize; n + 2];
+            for &j in list {
+                start[j + 2] += 1;
+            }
+            let mut sum = 0;
+            for s in &mut start {
+                sum += *s;
+                *s = sum;
+            }
+            let mut positions = vec![0; list.len()];
+            for (l, &j) in list.iter().enumerate() {
+                positions[start[j + 1]] = l;
+                start[j + 1] += 1;
+            }
+            (start, positions)
+        });
+        Gather {
+            map,
+            ordered: list.is_sorted(),
+        }
+    }
+
+    /// Append the gather of one ascending source run (`src_idx`,
+    /// `src_vals`) to `out_i`/`out_v` in ascending output position;
+    /// `scratch` is reused across calls to sort an unordered list's hits.
+    fn run<T: Clone>(
+        &self,
+        src_idx: &[Index],
+        src_vals: &[T],
+        scratch: &mut Vec<(Index, T)>,
+        out_i: &mut Vec<Index>,
+        out_v: &mut Vec<T>,
+    ) {
+        let Some((start, positions)) = &self.map else {
+            out_i.extend_from_slice(src_idx);
+            out_v.extend_from_slice(src_vals);
+            return;
+        };
+        let hits = src_idx.iter().zip(src_vals).flat_map(|(&j, v)| {
+            positions[start[j]..start[j + 1]]
+                .iter()
+                .map(move |&l| (l, v))
+        });
+        if self.ordered {
+            for (l, v) in hits {
+                out_i.push(l);
+                out_v.push(v.clone());
+            }
+            return;
+        }
+        scratch.clear();
+        scratch.extend(hits.map(|(l, v)| (l, v.clone())));
+        scratch.sort_unstable_by_key(|&(l, _)| l);
+        for (l, v) in scratch.drain(..) {
+            out_i.push(l);
+            out_v.push(v);
+        }
+    }
+}
+
 /// `T(k, l) = A(rows[k], cols[l])` for stored elements.
 ///
-/// Gathers through an inverse column map built once per call (source
-/// column → the output positions that select it), so each output row
-/// costs its source row plus what it emits — never a scan of `cols`.
+/// Each output row costs its source row plus what it emits — never a
+/// scan of `cols`.
 pub fn extract_matrix<T: Scalar>(a: &Csr<T>, rows: &[Index], cols: &[Index]) -> Csr<T> {
-    let identity_cols = cols.len() == a.ncols() && cols.iter().enumerate().all(|(l, &j)| l == j);
-    // CSR-shaped inverse map: source column `j` lands at output positions
-    // `positions[start[j]..start[j + 1]]`, ascending. A duplicated column
-    // owns several positions; a permutation only reorders them.
-    let (start, positions) = if identity_cols {
-        (Vec::new(), Vec::new())
-    } else {
-        let mut start = vec![0usize; a.ncols() + 1];
-        for &j in cols {
-            start[j + 1] += 1;
-        }
-        for j in 0..a.ncols() {
-            start[j + 1] += start[j];
-        }
-        let mut next = start.clone();
-        let mut positions = vec![0; cols.len()];
-        for (l, &j) in cols.iter().enumerate() {
-            positions[next[j]] = l;
-            next[j] += 1;
-        }
-        (start, positions)
-    };
-    // With `cols` non-decreasing, walking a source row in column order
-    // already emits ascending output positions.
-    let ordered = cols.windows(2).all(|w| w[0] <= w[1]);
+    let gather = Gather::new(a.ncols(), cols);
     emit_rows(
         rows.len(),
         cols.len(),
         a.nvals(),
         Vec::<(Index, T)>::new,
-        |out, k, out_c, out_v| {
+        |scratch, k, out_c, out_v| {
             let (src_cols, src_vals) = a.row(rows[k]);
-            if identity_cols {
-                out_c.extend_from_slice(src_cols);
-                out_v.extend_from_slice(src_vals);
-                return;
-            }
-            out.clear();
-            for (&j, v) in src_cols.iter().zip(src_vals) {
-                for &l in &positions[start[j]..start[j + 1]] {
-                    out.push((l, v.clone()));
-                }
-            }
-            if !ordered {
-                out.sort_unstable_by_key(|&(l, _)| l);
-            }
-            for (l, v) in out.drain(..) {
-                out_c.push(l);
-                out_v.push(v);
-            }
+            gather.run(src_cols, src_vals, scratch, out_c, out_v);
         },
     )
 }
 
-/// `t(k) = u(indices[k])` for stored elements.
+/// `t(k) = u(indices[k])` for stored elements: one walk of `u` through
+/// the same inverse map as [`extract_matrix`].
 pub fn extract_vector<T: Scalar>(u: &SparseVec<T>, indices: &[Index]) -> SparseVec<T> {
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    for (k, &i) in indices.iter().enumerate() {
-        if let Some(v) = u.get(i) {
-            idx.push(k);
-            vals.push(v.clone());
-        }
-    }
+    // each output position holds at most one element
+    let cap = indices.len();
+    let (mut idx, mut vals) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    Gather::new(u.size(), indices).run(u.indices(), u.vals(), &mut Vec::new(), &mut idx, &mut vals);
     SparseVec::from_sorted_parts(indices.len(), idx, vals)
 }
 
@@ -201,6 +235,22 @@ mod tests {
                     t.to_tuples(),
                     oracle(rows, cols),
                     "rows {rows:?} cols {cols:?}"
+                );
+            }
+        }
+        // the vector gather shares the map: each row of A as a vector
+        for i in 0..9 {
+            let (c, v) = a.row(i);
+            let u = SparseVec::from_sorted_parts(11, c.to_vec(), v.to_vec());
+            for cols in lists {
+                let want: Vec<_> = oracle(&[i], cols)
+                    .into_iter()
+                    .map(|(_, l, v)| (l, v))
+                    .collect();
+                assert_eq!(
+                    extract_vector(&u, cols).to_tuples(),
+                    want,
+                    "row {i} {cols:?}"
                 );
             }
         }

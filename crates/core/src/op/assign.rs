@@ -10,7 +10,7 @@ use crate::accum::Accumulate;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
-use crate::index::{Index, IndexSelection};
+use crate::index::IndexSelection;
 use crate::kernel::assign::{
     assign_matrix, assign_scalar_matrix, assign_scalar_vector, assign_vector, fill_admitted,
     fill_admitted_matrix,
@@ -20,7 +20,7 @@ use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, check_no_duplicates, effective_dims};
+use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims, resolve_target};
 use crate::scalar::Scalar;
 use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
@@ -46,10 +46,8 @@ impl Context {
     {
         let tr_a = desc.is_first_transposed();
         let (am, an) = effective_dims(a, tr_a);
-        let rows = rows.resolve(c.nrows())?;
-        let cols = cols.resolve(c.ncols())?;
-        check_no_duplicates(&rows, "row")?;
-        check_no_duplicates(&cols, "column")?;
+        let rows = resolve_target(rows, c.nrows(), "row")?;
+        let cols = resolve_target(cols, c.ncols(), "column")?;
         dim_check((am, an) == (rows.len(), cols.len()), || {
             format!(
                 "assign source is {am}x{an} but target region is {}x{}",
@@ -111,10 +109,8 @@ impl Context {
         let mask_fill = !Ac::IS_ACCUM
             && matches!(rows, IndexSelection::All)
             && matches!(cols, IndexSelection::All);
-        let rows = rows.resolve(c.nrows())?;
-        let cols = cols.resolve(c.ncols())?;
-        check_no_duplicates(&rows, "row")?;
-        check_no_duplicates(&cols, "column")?;
+        let rows = resolve_target(rows, c.nrows(), "row")?;
+        let cols = resolve_target(cols, c.ncols(), "column")?;
         check_mask_dims2(mask.mask_dims(), c.shape())?;
 
         // A 1x1 no-accum unmasked scalar assign is exactly a point
@@ -183,8 +179,7 @@ impl Context {
         Ac: Accumulate<T>,
         Mk: VectorMask,
     {
-        let indices = indices.resolve(w.size())?;
-        check_no_duplicates(&indices, "vector")?;
+        let indices = resolve_target(indices, w.size(), "vector")?;
         dim_check(u.size() == indices.len(), || {
             format!(
                 "assign source has size {} but target region has {}",
@@ -237,21 +232,36 @@ impl Context {
     {
         check_mask_dims1(mask.mask_size(), w.size())?;
 
-        // Whole-vector masked scalar fill (`w<mask> = value` over
-        // `GrB_ALL`, the BFS `visited<q> = true` shape): the write stage
-        // only reads Z at mask-admitted positions, so materializing ALL
-        // and building the dense fill is O(n) of wasted work per call —
-        // build Z straight from the mask pattern instead, making the
-        // whole operation O(|mask| + nvals(w)).
-        if !Ac::IS_ACCUM && mask.mask_size().is_some() && matches!(indices, IndexSelection::All) {
-            let w_node = w.handle.capture();
+        // Single-index no-accum unmasked scalar assign == point update;
+        // see assign_scalar_matrix.
+        if !Ac::IS_ACCUM
+            && mask.mask_size().is_none()
+            && !desc.is_replace()
+            && !desc.is_mask_complemented()
+            && indices.len(w.size()) == 1
+            && !self.has_fault()
+        {
+            return w.set(indices.resolve(w.size())?[0], value);
+        }
+
+        // Whole-vector scalar fill without an accumulator (`next = base`,
+        // or the BFS `visited<q> = true` shape): Z is `value` everywhere,
+        // so no index list is materialized. Unmasked, the result is Z
+        // itself; a non-complemented mask writes only the positions it
+        // admits, O(|mask| + nvals(w)).
+        if !Ac::IS_ACCUM && matches!(indices, IndexSelection::All) {
             let msnap = mask.snap(desc);
-            let mut deps: Vec<_> = vec![w_node.clone() as _];
-            deps.extend(msnap.deps());
             let replace = desc.is_replace();
+            let w_old_cap = w.old(!msnap.is_all() && !replace);
+            let mut deps: Vec<_> = w_old_cap.dep().into_iter().collect();
+            deps.extend(msnap.deps());
+            let n = w.size();
             let eval = move || {
-                let w_old = w_node.ready_storage()?;
                 let mvec = msnap.materialize()?;
+                if mvec.admits_all() {
+                    return Ok(SparseVec::full(n, value));
+                }
+                let w_old = w_old_cap.storage()?;
                 if let MaskVec::Pattern {
                     indices,
                     complement: false,
@@ -260,12 +270,10 @@ impl Context {
                     let (mut idx, mut vals) = (Vec::new(), Vec::new());
                     let (wi, wv) = (w_old.indices(), w_old.vals());
                     fill_admitted(wi, wv, indices, &value, replace, &mut idx, &mut vals);
-                    return Ok(SparseVec::from_sorted_parts(w_old.size(), idx, vals));
+                    return Ok(SparseVec::from_sorted_parts(n, idx, vals));
                 }
-                // complement (or absent) patterns admit O(n) positions
-                // anyway: keep the dense fill
-                let all: Vec<Index> = (0..w_old.size()).collect();
-                let z = assign_scalar_vector(&w_old, &value, &all, &crate::accum::NoAccum);
+                // a complemented pattern admits O(n) positions anyway
+                let z = SparseVec::full(n, value);
                 Ok(write_vector(
                     &w_old,
                     z,
@@ -277,20 +285,7 @@ impl Context {
             return self.submit("assign", &w.handle, deps, eval).map(drop);
         }
 
-        let indices = indices.resolve(w.size())?;
-        check_no_duplicates(&indices, "vector")?;
-
-        // Single-index no-accum unmasked scalar assign == point update;
-        // see assign_scalar_matrix.
-        if !Ac::IS_ACCUM
-            && mask.mask_size().is_none()
-            && !desc.is_replace()
-            && !desc.is_mask_complemented()
-            && indices.len() == 1
-            && !self.has_fault()
-        {
-            return w.set(indices[0], value);
-        }
+        let indices = resolve_target(indices, w.size(), "vector")?;
 
         let w_node = w.handle.capture();
         let msnap = mask.snap(desc);
@@ -323,7 +318,7 @@ mod tests {
     use crate::accum::{Accum, NoAccum};
     use crate::algebra::binary::Plus;
     use crate::error::Error;
-    use crate::index::ALL;
+    use crate::index::{Index, ALL};
     use crate::mask::NoMask;
 
     #[test]

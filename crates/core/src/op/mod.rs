@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use crate::error::{dim_check, Error, Result};
 use crate::exec::{Completable, Context, Node};
-use crate::index::Index;
+use crate::index::{Index, IndexSelection};
 use crate::object::handle::{Handle, Stored};
 use crate::object::Matrix;
 use crate::scalar::Scalar;
@@ -163,15 +163,20 @@ pub(crate) fn check_mask_dims1(mask: Option<Index>, out: Index) -> Result<()> {
     Ok(())
 }
 
-/// Reject duplicate output indices in `assign` targets (the C spec leaves
-/// them undefined; we make the error explicit).
-pub(crate) fn check_no_duplicates(indices: &[Index], what: &str) -> Result<()> {
-    let mut sorted = indices.to_vec();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|w| w[0] == w[1]) {
-        return Err(Error::InvalidValue(format!(
-            "duplicate {what} indices in assign target"
-        )));
+/// Resolve an `assign` target selection against dimension `n`, rejecting
+/// duplicate indices (the C spec leaves them undefined; we make the
+/// error explicit). Only an explicit list can repeat an index: `GrB_ALL`
+/// and ranges resolve ascending and skip the check.
+pub(crate) fn resolve_target(sel: IndexSelection<'_>, n: Index, what: &str) -> Result<Vec<Index>> {
+    let indices = sel.resolve(n)?;
+    if let IndexSelection::List(_) = sel {
+        let mut sorted = indices.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Error::InvalidValue(format!(
+                "duplicate {what} indices in assign target"
+            )));
+        }
     }
-    Ok(())
+    Ok(indices)
 }

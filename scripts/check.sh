@@ -61,12 +61,14 @@ cargo test -q --features mmap-cold --test out_of_core
 # blocking-vs-nonblocking modes, deferred-vs-eager pending updates,
 # MVCC snapshot isolation, push/pull/dense SpMSpV direction
 # equivalence, tiled-vs-slab bitwise equivalence, the Figure 2 oracle
-# — whose forced chunking checks the row emitter's concatenation — and
-# the query service's admission/fairness/write-isolation properties)
-# must hold at every count.
+# — whose forced chunking checks the row emitter's concatenation — the
+# algorithms against their reference baselines, the C facade against the
+# typed core and its error model, and the query service's
+# admission/fairness/write-isolation properties) must hold at every
+# count.
 for threads in 1 2 8; do
-    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle"
-    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle
+    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model"
+    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model
     echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs"
     GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs
 done

@@ -91,19 +91,31 @@ fn triangles_match() {
         let got = alg::triangle_counts_per_vertex(&ctx, &a).unwrap();
         let want = refr::triangles::triangle_counts_per_vertex(&adj);
         assert_eq!(got, want);
+        // the total and the per-vertex counts take different products
+        assert_eq!(
+            alg::triangle_count(&ctx, &a).unwrap(),
+            got.iter().sum::<u64>() / 3
+        );
     }
 }
 
 #[test]
 fn pagerank_matches() {
     let ctx = Context::blocking();
-    for g in test_graphs() {
+    let mut graphs = test_graphs();
+    // no dangling vertex, and nothing but dangling vertices
+    graphs.push(EdgeList::new(7, (0..7).map(|i| (i, (i + 1) % 7)).collect()));
+    graphs.push(EdgeList::new(9, Vec::new()));
+    for g in graphs {
         let a = bool_matrix(&g);
         let adj = AdjGraph::from_edges(g.n, &g.edges);
-        let (got, _) = alg::pagerank(&ctx, &a, 0.85, 1e-12, 300).unwrap();
-        let (want, _) = refr::pagerank::pagerank(&adj, 0.85, 1e-12, 300);
-        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
-            assert!((x - y).abs() < 1e-8, "vertex {i}: {x} vs {y}");
+        for tol in [1e-8, 1e-12] {
+            let (got, got_iters) = alg::pagerank(&ctx, &a, 0.85, tol, 300).unwrap();
+            let (want, want_iters) = refr::pagerank::pagerank(&adj, 0.85, tol, 300);
+            assert_eq!(got_iters, want_iters, "n={} tol={tol}", g.n);
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert!((x - y).abs() < 1e-8, "vertex {i}: {x} vs {y}");
+            }
         }
     }
 }
@@ -111,7 +123,11 @@ fn pagerank_matches() {
 #[test]
 fn components_match() {
     let ctx = Context::blocking();
-    for g in test_graphs() {
+    let mut graphs = test_graphs();
+    // a path is the worst round count; isolated vertices never change
+    graphs.push(EdgeList::new(200, (0..199).map(|i| (i, i + 1)).collect()));
+    graphs.push(EdgeList::new(300, vec![(7, 250), (120, 121)]));
+    for g in graphs {
         let und = g.symmetrize();
         let a = bool_matrix(&und);
         let adj = AdjGraph::from_edges(und.n, &und.edges);
@@ -218,6 +234,14 @@ fn nonblocking_algorithms_agree() {
     assert_eq!(
         alg::triangle_count(&b, &au).unwrap(),
         alg::triangle_count(&nb, &au).unwrap()
+    );
+    assert_eq!(
+        alg::connected_components(&b, &au).unwrap(),
+        alg::connected_components(&nb, &au).unwrap()
+    );
+    assert_eq!(
+        alg::pagerank(&b, &a, 0.85, 1e-10, 100).unwrap(),
+        alg::pagerank(&nb, &a, 0.85, 1e-10, 100).unwrap()
     );
     nb.wait().unwrap();
 }
