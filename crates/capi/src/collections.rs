@@ -7,14 +7,10 @@
 use std::any::Any;
 use std::borrow::Cow;
 
-use graphblas_core::accum::NoAccum;
-use graphblas_core::algebra::unary::Cast;
-use graphblas_core::descriptor::Descriptor;
 use graphblas_core::error::{Error, Result};
-use graphblas_core::exec::Context;
 use graphblas_core::index::Index;
-use graphblas_core::mask::NoMask;
 use graphblas_core::object::{Matrix, Vector};
+use graphblas_core::scalar::CastFrom;
 use graphblas_core::storage::{DeltaStats, MatrixSnapshot, VectorSnapshot};
 use graphblas_core::{Format, FormatPolicy};
 
@@ -93,29 +89,27 @@ fn expect_domain(ty: GrbType, want: GrbType, role: &str) -> Result<()> {
     Ok(())
 }
 
-/// Lane `m` as a `Matrix<T>`: borrowed when it is one, else converted by
-/// one typed `apply` of the C cast.
-pub(crate) fn cast_m<'a, T: Elem>(ctx: &Context, m: &'a MatLane) -> Result<Cow<'a, Matrix<T>>> {
+/// Lane `m` as a `Matrix<T>`: borrowed when it is one, else a new matrix
+/// holding its entries cast by value (the C API's implicit operand cast).
+pub(crate) fn cast_m<T: Elem>(m: &MatLane) -> Result<Cow<'_, Matrix<T>>> {
     lane!(MatLane, m, x: S => match (x as &dyn Any).downcast_ref::<Matrix<T>>() {
         Some(same) => Ok(Cow::Borrowed(same)),
         None => {
-            let out = Matrix::new(x.nrows(), x.ncols())?;
-            let cast = Cast::<S, T>::new();
-            ctx.apply_matrix(&out, NoMask, NoAccum, cast, x, &Descriptor::default())?;
-            Ok(Cow::Owned(out))
+            let cast = |(i, j, v): (Index, Index, S)| (i, j, <T as CastFrom<S>>::cast_from(&v));
+            let tuples: Vec<_> = x.extract_tuples()?.into_iter().map(cast).collect();
+            Ok(Cow::Owned(Matrix::from_tuples(x.nrows(), x.ncols(), &tuples)?))
         }
     })
 }
 
 /// [`cast_m`] for vectors.
-pub(crate) fn cast_v<'a, T: Elem>(ctx: &Context, v: &'a VecLane) -> Result<Cow<'a, Vector<T>>> {
+pub(crate) fn cast_v<T: Elem>(v: &VecLane) -> Result<Cow<'_, Vector<T>>> {
     lane!(VecLane, v, x: S => match (x as &dyn Any).downcast_ref::<Vector<T>>() {
         Some(same) => Ok(Cow::Borrowed(same)),
         None => {
-            let out = Vector::new(x.size())?;
-            let cast = Cast::<S, T>::new();
-            ctx.apply_vector(&out, NoMask, NoAccum, cast, x, &Descriptor::default())?;
-            Ok(Cow::Owned(out))
+            let cast = |(i, v): (Index, S)| (i, <T as CastFrom<S>>::cast_from(&v));
+            let tuples: Vec<_> = x.extract_tuples()?.into_iter().map(cast).collect();
+            Ok(Cow::Owned(Vector::from_tuples(x.size(), &tuples)?))
         }
     })
 }

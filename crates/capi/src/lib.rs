@@ -13,13 +13,15 @@
 //! Each built-in domain runs in its own typed lane: a handle holds a
 //! `Matrix<T>`/`Vector<T>` of the domain's Rust scalar, and an operation
 //! matches the output's domain once per call, casts any operand in
-//! another built-in domain into the operator's domain with one typed
-//! `apply`, and runs the typed core with the predefined operator as an
-//! opcode evaluated natively. Only runtime-registered user types ride
-//! the tagged-union [`Value`] lane, which is also where a call whose
-//! operator spans several domains is computed before its result is cast
-//! into the output. `Value` otherwise appears only at the API boundary:
-//! build, set, get, extract, and scalars.
+//! another built-in domain into the operator's domain by a value map over
+//! its entries, and runs the typed core with the predefined operator as
+//! an opcode evaluated natively and the accumulator as a run-time
+//! `GrB_NULL`-or-operator `Option`: one core instantiation per lane.
+//! Only runtime-registered user types ride the tagged-union [`Value`]
+//! lane, which is also where a call whose operator spans several domains
+//! is computed before its result is cast into the output. `Value`
+//! otherwise appears only at the API boundary: build, set, get, extract,
+//! and scalars.
 //!
 //! The crate's integration tests include a transliteration of the
 //! paper's Figure 3 `BC_update` against this facade.

@@ -9,15 +9,15 @@
 //!
 //! Every wrapper funnels through one dispatch path. `in_lane!` matches
 //! the output's lane once per call, casts each operand into that lane
-//! (`cast_m`/`cast_v`: borrowed when already there, one typed
-//! `apply` otherwise), binds the accumulator over the lane, and calls
-//! the typed core; the mask's domain is erased when the core snaps it
-//! (`Mask`), so it never multiplies the instantiations. `dispatch!`
+//! (`cast_m`/`cast_v`: borrowed when already there, a value map over its
+//! entries otherwise), binds the accumulator over the lane as a run-time
+//! `Option`, and calls the typed core. The mask's domain is erased when
+//! the core snaps it (`Mask`), so neither the mask nor the accumulator
+//! multiplies the instantiations: one per output lane. `dispatch!`
 //! adds the one exception: an operator that spans several domains into a
 //! built-in output is computed on the `Value` lane and its result cast
 //! into the output under the mask and accumulator.
 
-use graphblas_core::accum::{Accum, NoAccum};
 use graphblas_core::descriptor::Descriptor;
 use graphblas_core::error::Result;
 use graphblas_core::exec::Context;
@@ -73,8 +73,8 @@ impl VectorMask for Mask<'_, GrbVector> {
 
 /// Run the typed core call `$call` in the output's lane: `$o` is the
 /// output's `Matrix<T>`/`Vector<T>` with `$T` its element, `$mk` the mask
-/// and `$ac` the accumulator over `$T`. The accumulator expansion stays
-/// a macro: `NoAccum` and `Accum` are distinct core instantiations.
+/// and `$ac` the `GrB_NULL`-or-operator accumulator over `$T`, an
+/// `Option` decided at run time, so each lane instantiates the core once.
 macro_rules! in_lane {
     ($out:ident: $Lane:ident, $mask:expr, $accum:expr,
      |$o:ident: $T:ident, $mk:ident, $ac:ident| $call:expr) => {{
@@ -82,17 +82,8 @@ macro_rules! in_lane {
             f.check_accum($out.domain())?;
         }
         lane!($Lane, $out.m_lane(), $o: $T => {
-            let $mk = Mask($mask);
-            match $accum {
-                None => {
-                    let $ac = NoAccum;
-                    $call
-                }
-                Some(f) => {
-                    let $ac = Accum(LaneOp::<$T>::new(f));
-                    $call
-                }
-            }
+            let ($mk, $ac) = (Mask($mask), $accum.map(LaneOp::<$T>::new));
+            $call
         })
     }};
 }
@@ -114,7 +105,7 @@ macro_rules! dispatch {
             };
             #[allow(dead_code)]
             type $T = Value;
-            let ($mk, $ac) = (Mask($mask.filter(|_| false)), NoAccum);
+            let ($mk, $ac) = (Mask($mask.filter(|_| false)), None::<LaneOp<Value>>);
             $call?;
             $out.write_back($ctx, $mask, $accum, &tmp, $desc)
         }
@@ -196,7 +187,7 @@ pub fn mxm(
         a.domain().expect_castable_to(op.d1(), "input A")?;
         b.domain().expect_castable_to(op.d2(), "input B")?;
         dispatch!(ctx, c: MatLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
-            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            let (a, b) = (cast_m::<T>(&a.m)?, cast_m::<T>(&b.m)?);
             ctx.mxm(o, mk, ac, op.lane::<T>(), &*a, &*b, desc)
         })
     })
@@ -217,7 +208,7 @@ pub fn mxv(
         a.domain().expect_castable_to(op.d1(), "input A")?;
         u.domain().expect_castable_to(op.d2(), "input u")?;
         dispatch!(ctx, w: VecLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
-            let (a, u) = (cast_m::<T>(ctx, &a.m)?, cast_v::<T>(ctx, &u.v)?);
+            let (a, u) = (cast_m::<T>(&a.m)?, cast_v::<T>(&u.v)?);
             ctx.mxv(o, mk, ac, op.lane::<T>(), &*a, &*u, desc)
         })
     })
@@ -238,7 +229,7 @@ pub fn vxm(
         u.domain().expect_castable_to(op.d1(), "input u")?;
         a.domain().expect_castable_to(op.d2(), "input A")?;
         dispatch!(ctx, w: VecLane, mask, accum, desc, op.mul.is_uniform(), |o: T, mk, ac| {
-            let (u, a) = (cast_v::<T>(ctx, &u.v)?, cast_m::<T>(ctx, &a.m)?);
+            let (u, a) = (cast_v::<T>(&u.v)?, cast_m::<T>(&a.m)?);
             ctx.vxm(o, mk, ac, op.lane::<T>(), &*u, &*a, desc)
         })
     })
@@ -259,7 +250,7 @@ pub fn ewise_add_matrix(
         a.domain().expect_castable_to(op.d1, "input A")?;
         b.domain().expect_castable_to(op.d2, "input B")?;
         dispatch!(ctx, c: MatLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
-            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            let (a, b) = (cast_m::<T>(&a.m)?, cast_m::<T>(&b.m)?);
             ctx.ewise_add_matrix(o, mk, ac, LaneOp::new(op), &*a, &*b, desc)
         })
     })
@@ -280,7 +271,7 @@ pub fn ewise_mult_matrix(
         a.domain().expect_castable_to(op.d1, "input A")?;
         b.domain().expect_castable_to(op.d2, "input B")?;
         dispatch!(ctx, c: MatLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
-            let (a, b) = (cast_m::<T>(ctx, &a.m)?, cast_m::<T>(ctx, &b.m)?);
+            let (a, b) = (cast_m::<T>(&a.m)?, cast_m::<T>(&b.m)?);
             ctx.ewise_mult_matrix(o, mk, ac, LaneOp::new(op), &*a, &*b, desc)
         })
     })
@@ -301,7 +292,7 @@ pub fn ewise_add_vector(
         u.domain().expect_castable_to(op.d1, "input u")?;
         v.domain().expect_castable_to(op.d2, "input v")?;
         dispatch!(ctx, w: VecLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
-            let (u, v) = (cast_v::<T>(ctx, &u.v)?, cast_v::<T>(ctx, &v.v)?);
+            let (u, v) = (cast_v::<T>(&u.v)?, cast_v::<T>(&v.v)?);
             ctx.ewise_add_vector(o, mk, ac, LaneOp::new(op), &*u, &*v, desc)
         })
     })
@@ -322,7 +313,7 @@ pub fn ewise_mult_vector(
         u.domain().expect_castable_to(op.d1, "input u")?;
         v.domain().expect_castable_to(op.d2, "input v")?;
         dispatch!(ctx, w: VecLane, mask, accum, desc, op.is_uniform(), |o: T, mk, ac| {
-            let (u, v) = (cast_v::<T>(ctx, &u.v)?, cast_v::<T>(ctx, &v.v)?);
+            let (u, v) = (cast_v::<T>(&u.v)?, cast_v::<T>(&v.v)?);
             ctx.ewise_mult_vector(o, mk, ac, LaneOp::new(op), &*u, &*v, desc)
         })
     })
@@ -342,7 +333,7 @@ pub fn apply_matrix(
         a.domain().expect_castable_to(op.d1, "input A")?;
         dispatch!(ctx, c: MatLane, mask, accum, desc, op.d1 == op.d2, |o: T, mk, ac| {
             let f = LaneUnary::new(op);
-            ctx.apply_matrix(o, mk, ac, f, &*cast_m::<T>(ctx, &a.m)?, desc)
+            ctx.apply_matrix(o, mk, ac, f, &*cast_m::<T>(&a.m)?, desc)
         })
     })
 }
@@ -361,7 +352,7 @@ pub fn apply_vector(
         u.domain().expect_castable_to(op.d1, "input u")?;
         dispatch!(ctx, w: VecLane, mask, accum, desc, op.d1 == op.d2, |o: T, mk, ac| {
             let f = LaneUnary::new(op);
-            ctx.apply_vector(o, mk, ac, f, &*cast_v::<T>(ctx, &u.v)?, desc)
+            ctx.apply_vector(o, mk, ac, f, &*cast_v::<T>(&u.v)?, desc)
         })
     })
 }
@@ -380,7 +371,7 @@ pub fn reduce_rows(
         a.expect_domain(monoid.domain(), "input A")?;
         in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
             let m = monoid.lane::<T>();
-            ctx.reduce_rows(o, mk, ac, m, &*cast_m::<T>(ctx, &a.m)?, desc)
+            ctx.reduce_rows(o, mk, ac, m, &*cast_m::<T>(&a.m)?, desc)
         })
     })
 }
@@ -416,7 +407,7 @@ pub fn transpose(
     recorded(|ctx| {
         c.expect_domain(a.domain(), "output C")?;
         in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
-            ctx.transpose(o, mk, ac, &*cast_m::<T>(ctx, &a.m)?, desc)
+            ctx.transpose(o, mk, ac, &*cast_m::<T>(&a.m)?, desc)
         })
     })
 }
@@ -434,7 +425,7 @@ pub fn extract_matrix(
     recorded(|ctx| {
         c.expect_domain(a.domain(), "output C")?;
         in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
-            let a = cast_m::<T>(ctx, &a.m)?;
+            let a = cast_m::<T>(&a.m)?;
             ctx.extract_matrix(o, mk, ac, &*a, rows, cols, desc)
         })
     })
@@ -454,7 +445,7 @@ pub fn select_matrix(
         op.check_input_domain(a.domain())?;
         in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
             let f = op.lane::<T>();
-            ctx.select_matrix(o, mk, ac, f, &*cast_m::<T>(ctx, &a.m)?, desc)
+            ctx.select_matrix(o, mk, ac, f, &*cast_m::<T>(&a.m)?, desc)
         })
     })
 }
@@ -473,7 +464,7 @@ pub fn select_vector(
         op.check_input_domain(u.domain())?;
         in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
             let f = op.lane::<T>();
-            ctx.select_vector(o, mk, ac, f, &*cast_v::<T>(ctx, &u.v)?, desc)
+            ctx.select_vector(o, mk, ac, f, &*cast_v::<T>(&u.v)?, desc)
         })
     })
 }
@@ -490,7 +481,7 @@ pub fn extract_vector(
     recorded(|ctx| {
         w.expect_domain(u.domain(), "output w")?;
         in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
-            ctx.extract_vector(o, mk, ac, &*cast_v::<T>(ctx, &u.v)?, indices, desc)
+            ctx.extract_vector(o, mk, ac, &*cast_v::<T>(&u.v)?, indices, desc)
         })
     })
 }
@@ -508,7 +499,7 @@ pub fn extract_col(
     recorded(|ctx| {
         w.expect_domain(a.domain(), "output w")?;
         in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
-            ctx.extract_col(o, mk, ac, &*cast_m::<T>(ctx, &a.m)?, rows, j, desc)
+            ctx.extract_col(o, mk, ac, &*cast_m::<T>(&a.m)?, rows, j, desc)
         })
     })
 }
@@ -526,7 +517,7 @@ fn assign_m(
     desc: &Descriptor,
 ) -> Result<()> {
     in_lane!(c: MatLane, mask, accum, |o: T, mk, ac| {
-        ctx.assign_matrix(o, mk, ac, &*cast_m::<T>(ctx, a)?, rows, cols, desc)
+        ctx.assign_matrix(o, mk, ac, &*cast_m::<T>(a)?, rows, cols, desc)
     })
 }
 
@@ -541,7 +532,7 @@ fn assign_v(
     desc: &Descriptor,
 ) -> Result<()> {
     in_lane!(w: VecLane, mask, accum, |o: T, mk, ac| {
-        ctx.assign_vector(o, mk, ac, &*cast_v::<T>(ctx, u)?, indices, desc)
+        ctx.assign_vector(o, mk, ac, &*cast_v::<T>(u)?, indices, desc)
     })
 }
 

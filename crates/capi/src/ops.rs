@@ -481,7 +481,7 @@ impl GrbSemiring {
 /// The element of one lane: a built-in domain's Rust scalar, or [`Value`]
 /// on the user-type lane. Every lane casts from every other (`CastFrom`,
 /// the C conversion), so an operand enters an operator's domain through
-/// one typed `apply`.
+/// a value map over its entries.
 pub(crate) trait Elem:
     AsBool
     + PartialOrd

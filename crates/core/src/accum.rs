@@ -8,9 +8,11 @@
 //! Without an accumulator (`GrB_NULL` in C), `Z = T` and old values of
 //! **C** are not consulted (Figure 2's `accum` parameter).
 //!
-//! [`NoAccum`] and [`Accum`] make the two cases zero-cost in Rust: the
-//! kernels monomorphize over [`Accumulate`] and the `NoAccum` paths
-//! compile down to plain assignment.
+//! [`NoAccum`] and [`Accum`] fix the case at compile time: their
+//! [`Accumulate::is_accum`] is a constant, so a kernel instantiated over
+//! `NoAccum` compiles down to plain assignment. `Option<F>` decides it at
+//! run time, as the C API's `GrB_NULL`-or-operator argument does: `None`
+//! assigns and `Some(op)` accumulates, with one instantiation for both.
 
 use crate::algebra::binary::BinaryOp;
 use crate::error::Error;
@@ -20,10 +22,10 @@ use crate::scalar::Scalar;
 pub trait Accumulate<T: Scalar>: Send + Sync + Clone + 'static {
     /// `true` when an accumulator operator is present (`Z` has pattern
     /// `ind(C) ∪ ind(T)`), `false` for assignment (`Z = T`).
-    const IS_ACCUM: bool;
+    fn is_accum(&self) -> bool;
 
     /// Combine an existing output element with a computed element.
-    /// Only called when `IS_ACCUM` is `true`.
+    /// Only called when [`is_accum`](Self::is_accum) is `true`.
     fn combine(&self, old: &T, new: &T) -> T;
 
     /// Out-of-band execution-error channel (see
@@ -38,7 +40,10 @@ pub trait Accumulate<T: Scalar>: Send + Sync + Clone + 'static {
 pub struct NoAccum;
 
 impl<T: Scalar> Accumulate<T> for NoAccum {
-    const IS_ACCUM: bool = false;
+    #[inline]
+    fn is_accum(&self) -> bool {
+        false
+    }
 
     #[inline]
     fn combine(&self, _old: &T, new: &T) -> T {
@@ -51,7 +56,10 @@ impl<T: Scalar> Accumulate<T> for NoAccum {
 pub struct Accum<F>(pub F);
 
 impl<T: Scalar, F: BinaryOp<T, T, T>> Accumulate<T> for Accum<F> {
-    const IS_ACCUM: bool = true;
+    #[inline]
+    fn is_accum(&self) -> bool {
+        true
+    }
 
     #[inline]
     fn combine(&self, old: &T, new: &T) -> T {
@@ -63,6 +71,26 @@ impl<T: Scalar, F: BinaryOp<T, T, T>> Accumulate<T> for Accum<F> {
     }
 }
 
+/// `GrB_NULL` (`None`) or an accumulator operator, chosen at run time.
+impl<T: Scalar, F: BinaryOp<T, T, T>> Accumulate<T> for Option<F> {
+    #[inline]
+    fn is_accum(&self) -> bool {
+        self.is_some()
+    }
+
+    #[inline]
+    fn combine(&self, old: &T, new: &T) -> T {
+        match self {
+            Some(f) => f.apply(old, new),
+            None => new.clone(),
+        }
+    }
+
+    fn poll_error(&self) -> Option<Error> {
+        self.as_ref().and_then(BinaryOp::poll_error)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,20 +98,43 @@ mod tests {
 
     #[test]
     fn no_accum_assigns() {
-        const { assert!(!<NoAccum as Accumulate<i32>>::IS_ACCUM) };
+        assert!(!Accumulate::<i32>::is_accum(&NoAccum));
         assert_eq!(Accumulate::<i32>::combine(&NoAccum, &5, &9), 9);
     }
 
     #[test]
     fn accum_combines() {
         let a = Accum(Plus::<i32>::new());
-        const { assert!(<Accum<Plus<i32>> as Accumulate<i32>>::IS_ACCUM) };
+        assert!(Accumulate::<i32>::is_accum(&a));
         assert_eq!(a.combine(&5, &9), 14);
     }
 
     #[test]
     fn accum_propagates_checked_errors() {
         let a = Accum(CheckedPlus::<i8>::new());
+        assert!(Accumulate::<i8>::poll_error(&a).is_none());
+        a.combine(&120, &120);
+        assert!(Accumulate::<i8>::poll_error(&a).is_some());
+    }
+
+    #[test]
+    fn none_assigns() {
+        let a: Option<Plus<i32>> = None;
+        assert!(!Accumulate::<i32>::is_accum(&a));
+        assert_eq!(a.combine(&5, &9), 9);
+        assert!(Accumulate::<i32>::poll_error(&a).is_none());
+    }
+
+    #[test]
+    fn some_combines() {
+        let a = Some(Plus::<i32>::new());
+        assert!(Accumulate::<i32>::is_accum(&a));
+        assert_eq!(a.combine(&5, &9), 14);
+    }
+
+    #[test]
+    fn some_propagates_checked_errors() {
+        let a = Some(CheckedPlus::<i8>::new());
         assert!(Accumulate::<i8>::poll_error(&a).is_none());
         a.combine(&120, &120);
         assert!(Accumulate::<i8>::poll_error(&a).is_some());

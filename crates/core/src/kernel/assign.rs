@@ -50,6 +50,7 @@ fn assign_row<T: Scalar, Ac: Accumulate<T>>(
     out_c: &mut Vec<Index>,
     out_v: &mut Vec<T>,
 ) {
+    let is_accum = accum.is_accum();
     let mut new = new.peekable();
     let mut ci = 0usize;
     loop {
@@ -61,7 +62,7 @@ fn assign_row<T: Scalar, Ac: Accumulate<T>>(
                 if cj == nj {
                     let (_, nv) = new.next().expect("peeked");
                     out_c.push(cj);
-                    out_v.push(if Ac::IS_ACCUM {
+                    out_v.push(if is_accum {
                         accum.combine(&c_vals[ci], &nv)
                     } else {
                         nv
@@ -74,7 +75,7 @@ fn assign_row<T: Scalar, Ac: Accumulate<T>>(
         };
         if take_c {
             let cj = c_cols[ci];
-            if !in_region(cj) || Ac::IS_ACCUM {
+            if !in_region(cj) || is_accum {
                 out_c.push(cj);
                 out_v.push(c_vals[ci].clone());
             }

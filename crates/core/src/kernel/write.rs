@@ -33,13 +33,14 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
     out_idx: &mut Vec<Index>,
     out_vals: &mut Vec<T>,
 ) {
+    let is_accum = accum.is_accum();
     // The row is exactly old C when the mask admits nothing in it (merge
     // mode), or when T is empty under an accumulator (Z = C) and nothing
     // outside the mask is cleared: copy it as a slice.
     let keeps_c = if replace {
-        t_idx.is_empty() && Ac::IS_ACCUM && mask_row.admits_everything()
+        t_idx.is_empty() && is_accum && mask_row.admits_everything()
     } else {
-        mask_row.admits_nothing() || (t_idx.is_empty() && Ac::IS_ACCUM)
+        mask_row.admits_nothing() || (t_idx.is_empty() && is_accum)
     };
     if keeps_c {
         out_idx.extend_from_slice(c_idx);
@@ -53,7 +54,7 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
         let (j, z, c): (Index, Option<T>, Option<&T>) = match (c_idx.get(ci), t_idx.get(ti)) {
             (None, None) => break,
             (Some(&cj), None) => {
-                let z = if Ac::IS_ACCUM {
+                let z = if is_accum {
                     Some(c_vals[ci].clone())
                 } else {
                     None
@@ -69,7 +70,7 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
             }
             (Some(&cj), Some(&tj)) => {
                 if cj < tj {
-                    let z = if Ac::IS_ACCUM {
+                    let z = if is_accum {
                         Some(c_vals[ci].clone())
                     } else {
                         None
@@ -82,7 +83,7 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
                     ti += 1;
                     r
                 } else {
-                    let z = if Ac::IS_ACCUM {
+                    let z = if is_accum {
                         accum.combine(&c_vals[ci], &t_vals[ti])
                     } else {
                         t_vals[ti].clone()
@@ -122,7 +123,7 @@ pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
     debug_assert_eq!(c_old.ncols(), t.ncols());
     // Fast path: no mask and no accumulator — C becomes exactly T
     // (replace and merge coincide because every position is admitted).
-    if mask.admits_all() && !Ac::IS_ACCUM {
+    if mask.admits_all() && !accum.is_accum() {
         return t;
     }
     emit_rows(
@@ -149,7 +150,7 @@ pub fn write_masked_matrix<T: Scalar, Ac: Accumulate<T>>(
     mask: &MaskCsr,
     replace: bool,
 ) -> Csr<T> {
-    if replace && !Ac::IS_ACCUM {
+    if replace && !accum.is_accum() {
         return t;
     }
     write_matrix(c_old, t, accum, mask, replace)
@@ -164,7 +165,7 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
     replace: bool,
 ) -> SparseVec<T> {
     debug_assert_eq!(w_old.size(), t.size());
-    if mask.admits_all() && !Ac::IS_ACCUM {
+    if mask.admits_all() && !accum.is_accum() {
         return t;
     }
     let mut idx = Vec::with_capacity(w_old.nvals() + t.nvals());

@@ -203,7 +203,7 @@ fn install_apply_mat_hook<D1, D2, F, Ac>(
         if !me.replace_pending(new_deps, eval) {
             return None;
         }
-        if !Ac::IS_ACCUM && msnap.is_all() {
+        if !accum.is_accum() && msnap.is_all() {
             // Pure fused apply: re-install the *composed* face so a
             // further downstream consumer cascades over it (a stale face
             // here would resurrect the just-absorbed producer edge).
@@ -280,7 +280,7 @@ fn install_apply_vec_hook<D1, D2, F, Ac>(
         if !me.replace_pending(new_deps, eval) {
             return None;
         }
-        if !Ac::IS_ACCUM && msnap.is_all() {
+        if !accum.is_accum() && msnap.is_all() {
             me.set_fuse_face(comp as Arc<dyn Any + Send + Sync>);
         }
         Some(FusedEvent {
@@ -318,7 +318,7 @@ impl Context {
 
         let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -342,7 +342,7 @@ impl Context {
         let Some(node) = self.submit("apply", &c.handle, deps, eval)? else {
             return Ok(());
         };
-        if !Ac::IS_ACCUM && msnap.is_all() {
+        if !accum.is_accum() && msnap.is_all() {
             node.set_fuse_face(
                 Arc::new(apply_mat_face(&a_node, tr_a, &f)) as Arc<dyn Any + Send + Sync>
             );
@@ -388,7 +388,7 @@ impl Context {
 
         let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
@@ -412,7 +412,7 @@ impl Context {
         let Some(node) = self.submit("apply", &w.handle, deps, eval)? else {
             return Ok(());
         };
-        if !Ac::IS_ACCUM && msnap.is_all() {
+        if !accum.is_accum() && msnap.is_all() {
             node.set_fuse_face(Arc::new(apply_vec_face(&u_node, &f)) as Arc<dyn Any + Send + Sync>);
         }
         install_apply_vec_hook(&node, &u_node, f, accum, msnap, w_old_cap, replace);

@@ -106,7 +106,7 @@ impl Context {
         // Whole-matrix masked fill without an accumulator (`levels<frontier>
         // = d`): a non-complemented mask admits few positions, so Z is built
         // from its pattern, as in `assign_scalar_vector`.
-        let mask_fill = !Ac::IS_ACCUM
+        let mask_fill = !accum.is_accum()
             && matches!(rows, IndexSelection::All)
             && matches!(cols, IndexSelection::All);
         let rows = resolve_target(rows, c.nrows(), "row")?;
@@ -117,7 +117,7 @@ impl Context {
         // update: route it through the O(1) pending-update buffer
         // instead of submitting a whole-output rewrite. (Skipped when a
         // test fault is armed, so the fault lands on a real submission.)
-        if !Ac::IS_ACCUM
+        if !accum.is_accum()
             && mask.mask_dims().is_none()
             && !desc.is_replace()
             && !desc.is_mask_complemented()
@@ -234,7 +234,7 @@ impl Context {
 
         // Single-index no-accum unmasked scalar assign == point update;
         // see assign_scalar_matrix.
-        if !Ac::IS_ACCUM
+        if !accum.is_accum()
             && mask.mask_size().is_none()
             && !desc.is_replace()
             && !desc.is_mask_complemented()
@@ -249,7 +249,7 @@ impl Context {
         // so no index list is materialized. Unmasked, the result is Z
         // itself; a non-complemented mask writes only the positions it
         // admits, O(|mask| + nvals(w)).
-        if !Ac::IS_ACCUM && matches!(indices, IndexSelection::All) {
+        if !accum.is_accum() && matches!(indices, IndexSelection::All) {
             let msnap = mask.snap(desc);
             let replace = desc.is_replace();
             let w_old_cap = w.old(!msnap.is_all() && !replace);

@@ -62,13 +62,13 @@ impl Context {
 
         let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         // Union combine under no mask pushdown: the face only offers a
         // full recompute (every position of either operand is live).
@@ -152,13 +152,13 @@ impl Context {
 
         let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         // The intersection is computed only where the mask admits, so the
         // write stage sees a T already under the operation's own mask.
@@ -267,13 +267,13 @@ impl Context {
 
         let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         let combine = {
             let (u_node, v_node, add) = (u_node.clone(), v_node.clone(), add.clone());
@@ -352,13 +352,13 @@ impl Context {
 
         let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         let combine = {
             let (u_node, v_node, mul) = (u_node.clone(), v_node.clone(), mul.clone());

@@ -78,7 +78,7 @@ impl Context {
         let a_node = a.handle.capture();
         let b_node = b.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -88,7 +88,7 @@ impl Context {
         // only taken when that stage is the identity: no accumulator and
         // nothing excludable by the mask (replace with no mask is a plain
         // overwrite).
-        let write_is_identity = !Ac::IS_ACCUM && msnap.is_all();
+        let write_is_identity = !accum.is_accum() && msnap.is_all();
 
         // The internal product `T = A ⊕.⊗ B` under a write mask, shared
         // between the unfused evaluator and the node's fusion face (where

@@ -59,12 +59,12 @@ impl Context {
         let a_node = a.handle.capture();
         let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         // The internal product under a write mask, shared between the
         // unfused evaluator and the node's fusion face (mask pushdown).
@@ -154,13 +154,13 @@ impl Context {
         let a_node = a.handle.capture();
         let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !Ac::IS_ACCUM && msnap.is_all();
+        let pure = !accum.is_accum() && msnap.is_all();
 
         let product = {
             let (a_node, u_node) = (a_node.clone(), u_node.clone());

@@ -138,7 +138,7 @@ impl Context {
 
         let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());

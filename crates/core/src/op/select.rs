@@ -41,7 +41,7 @@ impl Context {
 
         let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());
@@ -85,7 +85,7 @@ impl Context {
 
         let u_node = u.handle.capture();
         let msnap = mask.snap(desc);
-        let w_old_cap = w.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![u_node.clone() as _];
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());

@@ -50,7 +50,7 @@ impl Context {
 
         let a_node = a.handle.capture();
         let msnap = mask.snap(desc);
-        let c_old_cap = c.old(Ac::IS_ACCUM || (!msnap.is_all() && !desc.is_replace()));
+        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
         let mut deps: Vec<_> = vec![a_node.clone() as _];
         deps.extend(c_old_cap.dep());
         deps.extend(msnap.deps());

@@ -4,7 +4,8 @@
 //! bookkeeping, argument dispatch).
 //!
 //! The proptest drives random sequences on an INT32 pool, with a mask
-//! and an operand in other built-in domains; the table test runs every
+//! and an operand in other built-in domains, through the facade in
+//! blocking and nonblocking mode; the table test runs every
 //! predefined binary operator over every built-in domain's edge values
 //! and checks each result against plain Rust.
 
@@ -232,8 +233,8 @@ fn run_typed(seeds: &Seeds, steps: &[Step]) -> Vec<Vec<(usize, usize, i32)>> {
     pool.iter().map(|m| m.extract_tuples().unwrap()).collect()
 }
 
-fn run_capi(seeds: &Seeds, steps: &[Step]) -> Vec<Vec<(usize, usize, i32)>> {
-    grb::with_session(graphblas_core::Mode::Blocking, || {
+fn run_capi(seeds: &Seeds, steps: &[Step], mode: Mode) -> Vec<Vec<(usize, usize, i32)>> {
+    grb::with_session(mode, || {
         let sr = {
             let add = GrbMonoid::new(GrbBinaryOp::plus(GrbType::Int32).unwrap(), Value::Int32(0))
                 .unwrap();
@@ -353,8 +354,9 @@ proptest! {
             3,
         ),
         steps in proptest::collection::vec(step(), 1..10),
+        mode in prop_oneof![Just(Mode::Blocking), Just(Mode::Nonblocking)],
     ) {
-        prop_assert_eq!(run_typed(&seeds, &steps), run_capi(&seeds, &steps));
+        prop_assert_eq!(run_typed(&seeds, &steps), run_capi(&seeds, &steps, mode));
     }
 }
 
