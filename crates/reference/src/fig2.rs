@@ -3,9 +3,9 @@
 //!
 //! An operation is three steps, executed literally:
 //!
-//! 1. compute the internal result `T` from the inputs ([`mxm`],
-//!    [`ewise_add`], [`ewise_mult`], [`extract`]) — everywhere, ignoring
-//!    the mask;
+//! 1. compute the internal result `T` from the inputs ([`mxm`], [`mxv`],
+//!    [`vxm`], [`ewise_add`], [`ewise_mult`], [`extract`]) — everywhere,
+//!    ignoring the mask;
 //! 2. `Z = C ⊙ T` on `ind(C) ∪ ind(T)` if an accumulator is given,
 //!    else `Z = T` ([`write()`]);
 //! 3. the mask selects what of `Z` reaches `C`: admitted positions take
@@ -83,6 +83,32 @@ pub fn mxm<A, B, C>(
                 .collect()
         })
         .collect()
+}
+
+/// Step 1 of `GrB_mxv`: `T = A ⊕.⊗ u`, with `u` as an `n × 1` column.
+pub fn mxv<A, B: Clone, C>(
+    a: &Dense<A>,
+    u: &[Option<B>],
+    add: impl Fn(&C, &C) -> C,
+    mul: impl Fn(&A, &B) -> C,
+) -> Vec<Option<C>> {
+    let column: Dense<B> = u.iter().map(|x| vec![x.clone()]).collect();
+    mxm(a, &column, add, mul)
+        .into_iter()
+        .map(|mut row| row.pop().flatten())
+        .collect()
+}
+
+/// Step 1 of `GrB_vxm`: `T = u ⊕.⊗ A`, with `u` as a `1 × n` row.
+pub fn vxm<A: Clone, B, C>(
+    u: &[Option<A>],
+    a: &Dense<B>,
+    add: impl Fn(&C, &C) -> C,
+    mul: impl Fn(&A, &B) -> C,
+) -> Vec<Option<C>> {
+    let row: Dense<A> = vec![u.to_vec()];
+    let mut t = mxm(&row, a, add, mul);
+    t.pop().expect("a 1 × n product has one row")
 }
 
 /// Step 1 of `GrB_eWiseAdd`: `A ⊕ B` where both are defined, the one
@@ -225,6 +251,17 @@ mod tests {
             write(&c, &t, None, Some(scmp), false),
             d(&[&[Some(1), None, Some(30)]])
         );
+    }
+
+    #[test]
+    fn mxv_and_vxm_are_mxm_on_a_column_and_a_row() {
+        // [ 1 2 ]
+        // [ . 3 ]
+        let a = d(&[&[Some(1), Some(2)], &[None, Some(3)]]);
+        let add = |x: &i32, y: &i32| x + y;
+        let mul = |x: &i32, y: &i32| x * y;
+        assert_eq!(mxv(&a, &[None, Some(10)], add, mul), [Some(20), Some(30)]);
+        assert_eq!(vxm(&[None, Some(10)], &a, add, mul), [None, Some(30)]);
     }
 
     #[test]

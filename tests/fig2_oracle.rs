@@ -14,6 +14,10 @@
 //! The vector cases run at n ∈ {1, 63, 64, 65} — one element and both
 //! sides of a 64-bit word — over `GrB_ALL`, a range, an index list with
 //! repeats (extract only) and a permutation, plus assign's scalar form.
+//!
+//! `mxv` and `vxm` run at the same sizes, with and without `TRAN`, under
+//! each forced SpMSpV direction over a slab and a tiled `A`; `A`'s row 0
+//! and column 0 carry the trap, so both products fold it.
 
 mod common;
 
@@ -22,6 +26,7 @@ use graphblas_core::accum::Accumulate;
 use graphblas_core::object::{MatrixMask, VectorMask};
 use graphblas_core::par;
 use graphblas_core::prelude::*;
+use graphblas_core::spmspv::{self, Direction};
 use graphblas_reference::fig2::{self, Dense, Mask};
 use proptest::prelude::*;
 
@@ -485,4 +490,183 @@ proptest! {
 
 fn vbits(d: &[Option<f64>]) -> Vec<Option<u64>> {
     d.iter().map(|v| v.map(f64::to_bits)).collect()
+}
+
+#[derive(Debug, Clone, Copy)]
+enum MvOp {
+    Mxv,
+    Vxm,
+}
+
+/// One `mxv`/`vxm` case at size `n`: `A` is `n × n` with the trap in row
+/// 0 and column 0 (so `u(0..4) = 1`), `u`, the old output and the mask
+/// are vectors of size `n`.
+struct MvCase {
+    n: usize,
+    a: Vec<(usize, usize, f64)>,
+    u: Vec<(usize, f64)>,
+    c0: Vec<(usize, f64)>,
+    mask: Vec<(usize, bool)>,
+}
+
+impl MvCase {
+    fn new(n: usize, a: &Tuples, u: &Tuples, c0: &Tuples, mask: &Tuples) -> MvCase {
+        let trap = TRAP.len().min(n);
+        let mut at: Vec<_> = (0..trap)
+            .flat_map(|k| [(0, k, TRAP[k]), (k, 0, TRAP[k])])
+            .collect();
+        at.extend(
+            a.iter()
+                .filter(|&&(i, j, _)| i < n && j < n && i != 0 && j != 0)
+                .map(|&(i, j, c)| (i, j, fval(c))),
+        );
+        at.sort_by_key(|&(i, j, _)| (i, j));
+        at.dedup_by_key(|t| (t.0, t.1));
+        let mut ut: Vec<_> = (0..trap).map(|k| (k, 1.0)).collect();
+        ut.extend(u.iter().map(|e| (e.0, fval(e.2))));
+        let decode =
+            |t: &Tuples| -> Vec<(usize, f64)> { t.iter().map(|e| (e.0, fval(e.2))).collect() };
+        let mt: Vec<(usize, bool)> = mask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect();
+        MvCase {
+            n,
+            a: at,
+            u: vector_of(n, &ut).0,
+            c0: vector_of(n, &decode(c0)).0,
+            mask: vector_of(n, &mt).0,
+        }
+    }
+
+    /// The core library's answer with `A` stored as `a`.
+    fn core(
+        &self,
+        op: MvOp,
+        a: &Matrix<f64>,
+        tran: bool,
+        m: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> Vec<Option<f64>> {
+        let u = Vector::from_tuples(self.n, &self.u).unwrap();
+        let w = Vector::from_tuples(self.n, &self.c0).unwrap();
+        let mv = Vector::from_tuples(self.n, &self.mask).unwrap();
+        let mut desc = Descriptor::default();
+        if let Some((structural, complement)) = m {
+            if structural {
+                desc = desc.structural_mask();
+            }
+            if complement {
+                desc = desc.complement_mask();
+            }
+        }
+        if replace {
+            desc = desc.replace();
+        }
+        if tran {
+            desc = match op {
+                MvOp::Mxv => desc.transpose_first(),
+                MvOp::Vxm => desc.transpose_second(),
+            };
+        }
+        let plus = Accum(Plus::<f64>::new());
+        match (m.is_some(), accum) {
+            (false, false) => mv_run(op, &w, NoMask, NoAccum, a, &u, &desc),
+            (false, true) => mv_run(op, &w, NoMask, plus, a, &u, &desc),
+            (true, false) => mv_run(op, &w, &mv, NoAccum, a, &u, &desc),
+            (true, true) => mv_run(op, &w, &mv, plus, a, &u, &desc),
+        }
+        vector_of(self.n, &w.extract_tuples().unwrap()).1
+    }
+
+    /// The oracle's answer.
+    fn oracle(
+        &self,
+        op: MvOp,
+        tran: bool,
+        m: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> Vec<Option<f64>> {
+        let mut da = fig2::empty(self.n, self.n);
+        for &(i, j, v) in &self.a {
+            let (i, j) = if tran { (j, i) } else { (i, j) };
+            da[i][j] = Some(v);
+        }
+        let du = vector_of(self.n, &self.u).1;
+        let add = |x: &f64, y: &f64| x + y;
+        let mul = |x: &f64, y: &f64| x * y;
+        let t = match op {
+            MvOp::Mxv => fig2::mxv(&da, &du, add, mul),
+            MvOp::Vxm => fig2::vxm(&du, &da, add, mul),
+        };
+        let msrc = vec![vector_of(self.n, &self.mask).1];
+        let mask = m.map(|(structural, complement)| Mask {
+            source: &msrc,
+            structural,
+            complement,
+        });
+        let acc = accum.then_some(&add as &dyn Fn(&f64, &f64) -> f64);
+        let c = vec![vector_of(self.n, &self.c0).1];
+        fig2::write(&c, &vec![t], acc, mask, replace).pop().unwrap()
+    }
+}
+
+fn mv_run<Mk: VectorMask, Ac: Accumulate<f64>>(
+    op: MvOp,
+    w: &Vector<f64>,
+    mask: Mk,
+    accum: Ac,
+    a: &Matrix<f64>,
+    u: &Vector<f64>,
+    desc: &Descriptor,
+) {
+    let ctx = Context::blocking();
+    match op {
+        MvOp::Mxv => ctx.mxv(w, mask, accum, plus_times::<f64>(), a, u, desc),
+        MvOp::Vxm => ctx.vxm(w, mask, accum, plus_times::<f64>(), u, a, desc),
+    }
+    .unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The direction override is process-wide; no other test in this
+    /// binary runs an SpMSpV product, so no lock is needed.
+    #[test]
+    fn mxv_and_vxm_match_the_fig2_oracle_bitwise(
+        ni in 0usize..4,
+        a in tuples(65, 65, 400),
+        u in tuples(65, 1, 48),
+        c0 in tuples(65, 1, 48),
+        mask in mask_tuples(65, 1),
+    ) {
+        let case = MvCase::new(SIZES[ni], &a, &u, &c0, &mask);
+        par::with_cost_model(1, 0, || {
+            for fmt in [Format::Csr, Format::Tiled] {
+                let am = Matrix::from_tuples(case.n, case.n, &case.a).unwrap();
+                am.set_format(fmt).unwrap();
+                for d in [Direction::Push, Direction::Pull, Direction::Dense] {
+                    for op in [MvOp::Mxv, MvOp::Vxm] {
+                        for tran in [false, true] {
+                            for m in MASKS {
+                                for accum in [false, true] {
+                                    for replace in [false, true] {
+                                        let got = spmspv::with_direction(d, || {
+                                            case.core(op, &am, tran, m, accum, replace)
+                                        });
+                                        let want = case.oracle(op, tran, m, accum, replace);
+                                        prop_assert_eq!(
+                                            vbits(&got), vbits(&want),
+                                            "{:?} n={} {:?} {:?} tran={} mask={:?} accum={} replace={}",
+                                            op, case.n, fmt, d, tran, m, accum, replace
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
 }
