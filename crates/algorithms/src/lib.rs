@@ -7,7 +7,8 @@
 //!
 //! * [`bc`] — batched Brandes betweenness centrality (Figure 3)
 //! * [`bfs`] — BFS levels and parent trees (`lor.land`, `min.first`)
-//! * [`sssp`] — Bellman–Ford SSSP and min-plus APSP (tropical semiring)
+//! * [`sssp`] — Bellman–Ford SSSP relaxing only the distances that
+//!   changed, and min-plus APSP (tropical semiring)
 //! * [`triangles`] — masked-`mxm` triangle counting (`plus_pair`):
 //!   Sandia `C<L> = L·L` for the total, Burkhardt `C<A> = A·A` per edge
 //! * [`mis`] — Luby's maximal independent set (randomized, masked)

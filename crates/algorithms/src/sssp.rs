@@ -1,13 +1,29 @@
 //! Single-source shortest paths over the min-plus (tropical) semiring —
-//! Table I row 2's family put to work: one `vxm` per Bellman–Ford
-//! relaxation round.
+//! Table I row 2's family put to work: Bellman–Ford as one `vxm` per
+//! relaxation round, LAGraph-style: only the distances that changed in
+//! the last round are relaxed. Each round,
+//!
+//! * `relaxed = frontier min.+ A` — the best path through a vertex whose
+//!   distance just changed;
+//! * `better = relaxed .< dist`;
+//! * `frontier<!struct(dist), replace> = relaxed` — the newly reached
+//!   vertices;
+//! * `frontier<better> = relaxed` (merge) — plus the improved ones;
+//! * `dist = min(dist, frontier)`.
+//!
+//! It stops when the frontier is empty. A vertex that did not change in
+//! the last round already relaxed its out-edges into `dist`, so each
+//! round's `dist` is bitwise the one a relaxation from every reached
+//! vertex would give, in the same number of rounds, at the cost of the
+//! changed vertices' edges instead of all reached ones'. `dist` stays
+//! sparse: an absent entry is unreachable, with no ∞ sentinel.
 
 use graphblas_core::prelude::*;
 
 /// Bellman–Ford SSSP: distances from `src` over a weighted adjacency
 /// matrix (stored weight = edge length; absent = no edge). `None` for
 /// unreachable vertices. Returns an error on a negative cycle reachable
-/// from `src` (distances still decreasing after `n` rounds).
+/// from `src` (distances still improving after `n` rounds).
 pub fn sssp_bellman_ford(ctx: &Context, a: &Matrix<f64>, src: Index) -> Result<Vec<Option<f64>>> {
     let n = a.nrows();
     if a.ncols() != n {
@@ -17,45 +33,72 @@ pub fn sssp_bellman_ford(ctx: &Context, a: &Matrix<f64>, src: Index) -> Result<V
         return Err(Error::InvalidIndex(format!("source {src} out of range")));
     }
     let dist = Vector::from_tuples(n, &[(src, 0.0f64)])?;
+    let frontier = dist.dup();
     let relaxed = Vector::<f64>::new(n)?;
-    let mut prev = dist.extract_tuples()?;
+    let better = Vector::<bool>::new(n)?;
+    let replace = Descriptor::default().replace();
+    let unreached = Descriptor::default()
+        .complement_mask()
+        .structural_mask()
+        .replace();
     for round in 0..n {
-        // relaxed = dist min.+ A
         ctx.vxm(
             &relaxed,
             NoMask,
             NoAccum,
             min_plus::<f64>(),
-            &dist,
+            &frontier,
             a,
-            &Descriptor::default().replace(),
+            &replace,
         )?;
-        // dist = min(dist, relaxed)
-        ctx.ewise_add_vector(
-            &dist,
+        ctx.ewise_mult_vector(
+            &better,
             NoMask,
             NoAccum,
-            Min::<f64>::new(),
+            binary_fn(|x: &f64, y: &f64| x < y),
+            &relaxed,
             &dist,
+            &replace,
+        )?;
+        ctx.apply_vector(
+            &frontier,
+            &dist,
+            NoAccum,
+            Identity::<f64>::new(),
+            &relaxed,
+            &unreached,
+        )?;
+        ctx.apply_vector(
+            &frontier,
+            &better,
+            NoAccum,
+            Identity::<f64>::new(),
             &relaxed,
             &Descriptor::default(),
         )?;
-        let cur = dist.extract_tuples()?;
-        if cur == prev {
-            let mut out = vec![None; n];
-            for (i, d) in cur {
-                out[i] = Some(d);
-            }
-            return Ok(out);
+        if frontier.nvals()? == 0 {
+            break;
         }
         if round == n - 1 {
             return Err(Error::InvalidValue(
                 "negative cycle reachable from source".into(),
             ));
         }
-        prev = cur;
+        ctx.ewise_add_vector(
+            &dist,
+            NoMask,
+            NoAccum,
+            Min::<f64>::new(),
+            &dist,
+            &frontier,
+            &Descriptor::default(),
+        )?;
     }
-    unreachable!("loop returns or errors")
+    let mut out = vec![None; n];
+    for (i, d) in dist.extract_tuples()? {
+        out[i] = Some(d);
+    }
+    Ok(out)
 }
 
 /// All-pairs shortest paths by min-plus matrix powering (repeated

@@ -12,7 +12,7 @@ use crate::error::{dim_check, Result};
 use crate::exec::fuse::VecProducer;
 use crate::exec::{Completable, Context};
 use crate::kernel::spmspv;
-use crate::kernel::write::write_vector;
+use crate::kernel::write::write_masked_vector;
 use crate::mask::MaskVec;
 use crate::object::mask_arg::VectorMask;
 use crate::object::{Matrix, Vector};
@@ -91,7 +91,7 @@ impl Context {
                 let w_old = w_old_cap.storage()?;
                 let mvec = msnap.materialize()?;
                 let t = product(&mvec)?;
-                let out = write_vector(&w_old, t, &accum, &mvec, replace);
+                let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }
@@ -185,7 +185,7 @@ impl Context {
                 let w_old = w_old_cap.storage()?;
                 let mvec = msnap.materialize()?;
                 let t = product(&mvec)?;
-                let out = write_vector(&w_old, t, &accum, &mvec, replace);
+                let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
                 if let Some(e) = accum.poll_error() {
                     return Err(e);
                 }

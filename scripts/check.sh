@@ -21,6 +21,11 @@ cargo build --release -p server
 echo "== cargo build --examples"
 cargo build --examples
 
+# The SSSP example checks min-plus Bellman-Ford against Dijkstra and
+# asserts a distance error below 1e-9, so running it is a test.
+echo "== cargo run --release --example sssp"
+cargo run --release --example sssp
+
 # grb-bench is a package outside the workspace: build it here so a core
 # rename it depends on fails the gate, not the benchmark pipeline.
 echo "== cargo build --release --offline --manifest-path grb-bench/Cargo.toml"
