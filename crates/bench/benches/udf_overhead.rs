@@ -3,8 +3,9 @@
 //! dispatches to the monomorphized kernels, and (b) a runtime-registered
 //! wrapped-`i64` user type whose closures do the identical arithmetic
 //! over raw bytes on the erased `Value::Udf` lane. The gap is the cost
-//! of runtime-defined algebra: per-element closure dispatch, byte
-//! encode/decode, and `Arc<[u8]>` payload allocation. The built-in lane
+//! of runtime-defined algebra: per-element closure dispatch over
+//! borrowed payload bytes and the tagged `Value` element (payloads of
+//! up to 16 bytes are inline, so nothing is allocated). The built-in lane
 //! here must match the untouched E12/E13 built-in numbers — the erased
 //! lane is a separate instantiation, not a rewrite of the hot path.
 

@@ -184,11 +184,7 @@ impl GrbMatrix {
 
     /// `GrB_Matrix_extractTuples` (forces completion).
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, Value)>> {
-        lane!(MatLane, &self.m, m: T => Ok(m
-            .extract_tuples()?
-            .into_iter()
-            .map(|(i, j, x)| (i, j, x.to_value()))
-            .collect()))
+        lane!(MatLane, &self.m, m: T => m.extract_tuples_with(T::to_value))
     }
 
     /// `GrB_Matrix_clear`.
@@ -332,11 +328,7 @@ impl GrbVector {
 
     /// `GrB_Vector_extractTuples`.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Value)>> {
-        lane!(VecLane, &self.v, v: T => Ok(v
-            .extract_tuples()?
-            .into_iter()
-            .map(|(i, x)| (i, x.to_value()))
-            .collect()))
+        lane!(VecLane, &self.v, v: T => v.extract_tuples_with(T::to_value))
     }
 
     /// `GrB_Vector_clear`.
@@ -419,11 +411,7 @@ impl GrbMatrixSnapshot {
 
     /// All stored tuples at the snapshot's epoch, row-major.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, Value)>> {
-        lane!(MatSnapLane, &self.s, s: T => Ok(s
-            .extract_tuples()?
-            .into_iter()
-            .map(|(i, j, x)| (i, j, x.to_value()))
-            .collect()))
+        lane!(MatSnapLane, &self.s, s: T => s.extract_tuples_with(T::to_value))
     }
 
     /// A fresh [`GrbMatrix`] whose value is this snapshot — usable as an
@@ -469,11 +457,7 @@ impl GrbVectorSnapshot {
 
     /// All stored tuples at the snapshot's epoch.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Value)>> {
-        lane!(VecSnapLane, &self.s, s: T => Ok(s
-            .extract_tuples()?
-            .into_iter()
-            .map(|(i, x)| (i, x.to_value()))
-            .collect()))
+        lane!(VecSnapLane, &self.s, s: T => s.extract_tuples_with(T::to_value))
     }
 
     /// A fresh [`GrbVector`] whose value is this snapshot.

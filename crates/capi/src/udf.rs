@@ -16,7 +16,10 @@
 //! Mixed signatures are allowed: an operator may take user-struct inputs
 //! and produce `GrB_FP64`, say. Built-in ends of a signature are bridged
 //! through their native-endian byte representation, exactly what the C
-//! API's `void*` calling convention hands a user function.
+//! API's `void*` calling convention hands a user function. Operands lend
+//! their bytes — a user-defined value its payload, a built-in a stack
+//! array — and a user-defined result is built straight into a
+//! [`Value::Udf`].
 
 use graphblas_core::algebra::udf::{self, UdfBinary, UdfTypeId, UdfUnary, UdfValue};
 use graphblas_core::error::{Error, Result};
@@ -104,23 +107,35 @@ fn core_id(ty: GrbType) -> UdfTypeId {
     }
 }
 
-/// A value's raw bytes as a user function sees them: the opaque payload
-/// for user-defined domains, the native-endian representation for
-/// built-ins (the C `void*` convention).
-fn value_bytes(v: &Value) -> Vec<u8> {
+/// Lend a value's raw bytes to `k` as a user function sees them: the
+/// opaque payload for user-defined domains, the native-endian
+/// representation (a stack array) for built-ins — the C `void*`
+/// convention.
+#[inline]
+fn with_bytes<R>(v: &Value, k: impl FnOnce(&[u8]) -> R) -> R {
     match v {
-        Value::Bool(b) => vec![*b as u8],
-        Value::Int8(x) => x.to_ne_bytes().to_vec(),
-        Value::Int16(x) => x.to_ne_bytes().to_vec(),
-        Value::Int32(x) => x.to_ne_bytes().to_vec(),
-        Value::Int64(x) => x.to_ne_bytes().to_vec(),
-        Value::Uint8(x) => x.to_ne_bytes().to_vec(),
-        Value::Uint16(x) => x.to_ne_bytes().to_vec(),
-        Value::Uint32(x) => x.to_ne_bytes().to_vec(),
-        Value::Uint64(x) => x.to_ne_bytes().to_vec(),
-        Value::Fp32(x) => x.to_ne_bytes().to_vec(),
-        Value::Fp64(x) => x.to_ne_bytes().to_vec(),
-        Value::Udf(u) => u.bytes().to_vec(),
+        Value::Bool(b) => k(&[*b as u8]),
+        Value::Int8(x) => k(&x.to_ne_bytes()),
+        Value::Int16(x) => k(&x.to_ne_bytes()),
+        Value::Int32(x) => k(&x.to_ne_bytes()),
+        Value::Int64(x) => k(&x.to_ne_bytes()),
+        Value::Uint8(x) => k(&x.to_ne_bytes()),
+        Value::Uint16(x) => k(&x.to_ne_bytes()),
+        Value::Uint32(x) => k(&x.to_ne_bytes()),
+        Value::Uint64(x) => k(&x.to_ne_bytes()),
+        Value::Fp32(x) => k(&x.to_ne_bytes()),
+        Value::Fp64(x) => k(&x.to_ne_bytes()),
+        Value::Udf(u) => k(u.bytes()),
+    }
+}
+
+/// A user function's result as a [`Value`] of domain `ty`: a user-defined
+/// result is already one, a built-in one is decoded from its bytes.
+#[inline]
+fn result_value(ty: GrbType, z: UdfValue) -> Value {
+    match ty {
+        GrbType::Udf(_) => Value::Udf(z),
+        _ => value_from_bytes(ty, z.bytes()).expect("output buffer has the registered size"),
     }
 }
 
@@ -158,7 +173,9 @@ fn value_from_bytes(ty: GrbType, b: &[u8]) -> Result<Value> {
 /// `⊙ : D1 × D2 → D3` over raw bytes in the C out-parameter shape
 /// `f(z, x, y)` (`z` arrives zeroed at `d3`'s registered size). The
 /// result is an ordinary [`GrbBinaryOp`] usable in monoids, semirings,
-/// as an accumulator, or as an eWise operator.
+/// as an accumulator, or as an eWise operator. Applying it borrows the
+/// operands' bytes and allocates nothing for payloads of up to
+/// [`udf::INLINE_BYTES`] bytes.
 pub fn grb_binary_op_new(
     name: &str,
     d1: GrbType,
@@ -169,8 +186,8 @@ pub fn grb_binary_op_new(
     let raw = UdfBinary::new(name, core_id(d1), core_id(d2), core_id(d3), f);
     let name = raw.name();
     GrbBinaryOp::new(name, d1, d2, d3, move |x, y| {
-        let out = raw.apply_raw(&value_bytes(x), &value_bytes(y));
-        value_from_bytes(d3, &out).expect("output buffer has the registered size")
+        let z = with_bytes(x, |x| with_bytes(y, |y| raw.apply_bytes(x, y)));
+        result_value(d3, z)
     })
 }
 
@@ -185,8 +202,7 @@ pub fn grb_unary_op_new(
     let raw = UdfUnary::new(name, core_id(d1), core_id(d2), f);
     let name = raw.name();
     GrbUnaryOp::new(name, d1, d2, move |x| {
-        let out = raw.apply_raw(&value_bytes(x));
-        value_from_bytes(d2, &out).expect("output buffer has the registered size")
+        result_value(d2, with_bytes(x, |x| raw.apply_bytes(x)))
     })
 }
 
@@ -220,8 +236,9 @@ mod tests {
     use crate::collections::{GrbMatrix, GrbVector};
     use crate::context::with_session;
     use crate::operations;
-    use crate::ops::LaneOp;
+    use crate::ops::{LaneOp, LaneUnary};
     use graphblas_core::algebra::binary::BinaryOp;
+    use graphblas_core::algebra::unary::UnaryOp;
     use graphblas_core::descriptor::Descriptor;
     use graphblas_core::exec::Mode;
 
@@ -235,6 +252,35 @@ mod tests {
             let c = i64::from_ne_bytes(y.try_into().unwrap());
             z.copy_from_slice(&a.wrapping_add(c).to_ne_bytes());
         })
+    }
+
+    #[test]
+    fn value_stays_32_bytes() {
+        // a 16-byte payload is stored inline without growing the lane's
+        // element
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    #[test]
+    fn equal_payloads_compare_equal_whatever_their_storage() {
+        // 1 and 16 bytes are stored inline, 17 and 24 on the heap; a value
+        // from the registry, its clone, and one an operator computed must
+        // agree, and order follows the bytes
+        for size in [1usize, 16, 17, 24] {
+            let t = grb_type_new("capi_udf_storage", size).unwrap();
+            let copy = grb_unary_op_new("udf_copy", t.ty(), t.ty(), |z, x| z.copy_from_slice(x));
+            let bytes: Vec<u8> = (1..=size as u8).collect();
+            let v = t.value(&bytes).unwrap();
+            let computed = LaneUnary::<Value>::new(&copy).apply(&v);
+            assert_eq!(t.read(&computed).unwrap(), &bytes[..], "size {size}");
+            assert_eq!(computed, v, "size {size}");
+            assert_eq!(v.clone(), v, "size {size}");
+            let mut larger = bytes.clone();
+            larger[size - 1] += 1;
+            let w = t.value(&larger).unwrap();
+            assert_ne!(w, v, "size {size}");
+            assert!(v < w, "size {size}");
+        }
     }
 
     #[test]

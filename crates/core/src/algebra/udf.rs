@@ -8,8 +8,13 @@
 //! algebra instead rides the **erased lane** — a [`UdfValue`] is a
 //! type-tagged byte payload (`memcpy`-able, exactly the C contract: the
 //! library moves user values around without interpreting them), and a
-//! [`UdfBinary`] applies a user closure over raw byte slices with the
-//! C-style out-parameter shape `f(z, x, y)`. Because `UdfValue` satisfies
+//! [`UdfBinary`] applies a user closure over borrowed byte slices with
+//! the C-style out-parameter shape `f(z, x, y)`. Payloads of up to
+//! [`INLINE_BYTES`] bytes (every size the built-in domains and the usual
+//! small structs have) live inside the value, and an operator writes its
+//! result into a stack buffer of the output size it cached when it was
+//! built, so applying ⊗ or ⊕ allocates nothing and takes no lock. Larger
+//! types keep one shared heap payload per value. Because `UdfValue` satisfies
 //! the blanket [`Scalar`](crate::scalar::Scalar) bound, every generic kernel (mxm, SpMSpV,
 //! eWise, reduce, delta merge, tiled walks) works over it unchanged —
 //! the erased lane is a new *instantiation*, not a new code path, so the
@@ -131,15 +136,31 @@ impl UdfTypeId {
 
 // ----- values -----
 
+/// Payloads of at most this many bytes are stored inside the
+/// [`UdfValue`] itself; larger registered types share one heap payload
+/// per value.
+pub const INLINE_BYTES: usize = 16;
+
+/// Where a payload lives. Which variant holds it is a function of its
+/// length alone, and no comparison looks at it.
+#[derive(Clone)]
+enum Payload {
+    Inline { len: u8, bytes: [u8; INLINE_BYTES] },
+    Heap(Arc<[u8]>),
+}
+
 /// A value of a runtime-registered domain: a type tag plus an opaque
-/// byte payload of exactly the registered size. Cloning shares the
-/// payload (values are immutable once constructed, as everywhere in the
-/// engine). Satisfies the blanket [`crate::scalar::Scalar`] bound, so
-/// every generic kernel accepts `Matrix<UdfValue>` directly.
-#[derive(Clone, PartialEq, PartialOrd)]
+/// byte payload of exactly the registered size. Payloads of up to
+/// [`INLINE_BYTES`] bytes are stored inline, so cloning one is a copy;
+/// a larger payload is shared by its clones (values are immutable once
+/// constructed, as everywhere in the engine). Equality and order are
+/// those of `(type, bytes)`. Satisfies the blanket
+/// [`crate::scalar::Scalar`] bound, so every generic kernel accepts
+/// `Matrix<UdfValue>` directly.
+#[derive(Clone)]
 pub struct UdfValue {
     ty: UdfTypeId,
-    bytes: Arc<[u8]>,
+    payload: Payload,
 }
 
 impl UdfValue {
@@ -154,33 +175,60 @@ impl UdfValue {
                 ty.size()
             )));
         }
-        Ok(UdfValue {
-            ty,
-            bytes: bytes.into(),
-        })
+        Ok(UdfValue::filled(ty, bytes.len(), |z| {
+            z.copy_from_slice(bytes)
+        }))
     }
 
-    pub(crate) fn from_boxed(ty: UdfTypeId, bytes: Box<[u8]>) -> Self {
-        debug_assert_eq!(bytes.len(), ty.size());
-        UdfValue {
-            ty,
-            bytes: bytes.into(),
-        }
+    /// A value of `ty`, whose registered size the caller has already
+    /// looked up as `len`, with the payload `fill` writes into zeroes: on
+    /// the stack up to [`INLINE_BYTES`], else in one shared allocation.
+    #[inline]
+    fn filled(ty: UdfTypeId, len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let payload = if len <= INLINE_BYTES {
+            let mut bytes = [0u8; INLINE_BYTES];
+            fill(&mut bytes[..len]);
+            Payload::Inline {
+                len: len as u8,
+                bytes,
+            }
+        } else {
+            let mut heap: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+            fill(Arc::get_mut(&mut heap).expect("a new payload is unshared"));
+            Payload::Heap(heap)
+        };
+        UdfValue { ty, payload }
     }
 
     pub fn ty(&self) -> UdfTypeId {
         self.ty
     }
 
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        match &self.payload {
+            Payload::Inline { len, bytes } => &bytes[..*len as usize],
+            Payload::Heap(heap) => heap,
+        }
+    }
+}
+
+impl PartialEq for UdfValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.ty == other.ty && self.bytes() == other.bytes()
+    }
+}
+
+impl PartialOrd for UdfValue {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some((self.ty, self.bytes()).cmp(&(other.ty, other.bytes())))
     }
 }
 
 impl std::fmt::Debug for UdfValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}(0x", self.ty.name())?;
-        for b in self.bytes.iter() {
+        for b in self.bytes() {
             write!(f, "{b:02x}")?;
         }
         write!(f, ")")
@@ -194,12 +242,14 @@ type RawBinaryFn = Arc<dyn Fn(&mut [u8], &[u8], &[u8]) + Send + Sync>;
 
 /// `GrB_UnaryOp_new`: a user function `f : D1 → D2` over raw bytes, in
 /// the C out-parameter shape `f(z, x)`. The output buffer arrives
-/// zeroed at the registered size of `d2`.
+/// zeroed at the registered size of `d2`, looked up once at
+/// construction.
 #[derive(Clone)]
 pub struct UdfUnary {
     name: &'static str,
     d1: UdfTypeId,
     d2: UdfTypeId,
+    out_len: usize,
     f: RawUnaryFn,
 }
 
@@ -214,6 +264,7 @@ impl UdfUnary {
             name: intern(name),
             d1,
             d2,
+            out_len: d2.size(),
             f: Arc::new(f),
         }
     }
@@ -228,13 +279,13 @@ impl UdfUnary {
         self.d2
     }
 
-    /// Apply over raw payloads (domain checking is the caller's; the
-    /// dispatch layer has already verified the operand domains).
-    pub fn apply_raw(&self, x: &[u8]) -> Box<[u8]> {
+    /// Apply over a borrowed payload, giving a value of `d2` (domain
+    /// checking is the caller's; the dispatch layer has already verified
+    /// the operand domains).
+    #[inline]
+    pub fn apply_bytes(&self, x: &[u8]) -> UdfValue {
         note_udf(self.name);
-        let mut out = vec![0u8; self.d2.size()].into_boxed_slice();
-        (self.f)(&mut out, x);
-        out
+        UdfValue::filled(self.d2, self.out_len, |z| (self.f)(z, x))
     }
 }
 
@@ -253,18 +304,20 @@ impl std::fmt::Debug for UdfUnary {
 impl UnaryOp<UdfValue, UdfValue> for UdfUnary {
     fn apply(&self, x: &UdfValue) -> UdfValue {
         debug_assert_eq!(x.ty, self.d1, "domain confusion past the API checks");
-        UdfValue::from_boxed(self.d2, self.apply_raw(&x.bytes))
+        self.apply_bytes(x.bytes())
     }
 }
 
 /// `GrB_BinaryOp_new`: a user function `⊙ : D1 × D2 → D3` over raw
-/// bytes, in the C out-parameter shape `f(z, x, y)`.
+/// bytes, in the C out-parameter shape `f(z, x, y)`; like [`UdfUnary`],
+/// it caches the size of `d3` when it is built.
 #[derive(Clone)]
 pub struct UdfBinary {
     name: &'static str,
     d1: UdfTypeId,
     d2: UdfTypeId,
     d3: UdfTypeId,
+    out_len: usize,
     f: RawBinaryFn,
 }
 
@@ -281,6 +334,7 @@ impl UdfBinary {
             d1,
             d2,
             d3,
+            out_len: d3.size(),
             f: Arc::new(f),
         }
     }
@@ -298,12 +352,11 @@ impl UdfBinary {
         self.d3
     }
 
-    /// Apply over raw payloads.
-    pub fn apply_raw(&self, x: &[u8], y: &[u8]) -> Box<[u8]> {
+    /// Apply over borrowed payloads, giving a value of `d3`.
+    #[inline]
+    pub fn apply_bytes(&self, x: &[u8], y: &[u8]) -> UdfValue {
         note_udf(self.name);
-        let mut out = vec![0u8; self.d3.size()].into_boxed_slice();
-        (self.f)(&mut out, x, y);
-        out
+        UdfValue::filled(self.d3, self.out_len, |z| (self.f)(z, x, y))
     }
 }
 
@@ -324,7 +377,7 @@ impl BinaryOp<UdfValue, UdfValue, UdfValue> for UdfBinary {
     fn apply(&self, x: &UdfValue, y: &UdfValue) -> UdfValue {
         debug_assert_eq!(x.ty, self.d1, "domain confusion past the API checks");
         debug_assert_eq!(y.ty, self.d2, "domain confusion past the API checks");
-        UdfValue::from_boxed(self.d3, self.apply_raw(&x.bytes, &y.bytes))
+        self.apply_bytes(x.bytes(), y.bytes())
     }
 }
 
@@ -335,8 +388,8 @@ impl BinaryOp<UdfValue, UdfValue, UdfValue> for UdfBinary {
 #[derive(Clone, Debug)]
 pub struct UdfMonoid {
     op: UdfBinary,
-    identity: Arc<[u8]>,
-    terminal: Option<Arc<[u8]>>,
+    identity: UdfValue,
+    terminal: Option<UdfValue>,
 }
 
 impl UdfMonoid {
@@ -362,10 +415,12 @@ impl UdfMonoid {
                 )));
             }
         }
+        let value =
+            |bytes: &[u8]| UdfValue::filled(op.d3, op.out_len, |z| z.copy_from_slice(bytes));
         Ok(UdfMonoid {
+            identity: value(identity),
+            terminal: terminal.map(value),
             op,
-            identity: identity.into(),
-            terminal: terminal.map(Into::into),
         })
     }
 
@@ -379,11 +434,11 @@ impl UdfMonoid {
     }
 
     pub fn identity_bytes(&self) -> &[u8] {
-        &self.identity
+        self.identity.bytes()
     }
 
     pub fn terminal_bytes(&self) -> Option<&[u8]> {
-        self.terminal.as_deref()
+        self.terminal.as_ref().map(UdfValue::bytes)
     }
 }
 
@@ -395,16 +450,13 @@ impl BinaryOp<UdfValue, UdfValue, UdfValue> for UdfMonoid {
 
 impl Monoid<UdfValue> for UdfMonoid {
     fn identity(&self) -> UdfValue {
-        UdfValue {
-            ty: self.op.d3,
-            bytes: self.identity.clone(),
-        }
+        self.identity.clone()
     }
 
     fn is_terminal(&self, v: &UdfValue) -> bool {
         self.terminal
-            .as_deref()
-            .is_some_and(|t| t == v.bytes.as_ref())
+            .as_ref()
+            .is_some_and(|t| t.bytes() == v.bytes())
     }
 }
 
@@ -523,6 +575,25 @@ mod tests {
         assert_eq!(v.ty(), ty);
         assert_eq!(v.bytes(), &i64_bytes(42));
         assert_eq!(v.clone(), v);
+    }
+
+    #[test]
+    fn payload_storage_follows_the_size() {
+        let narrow = register_type("test_narrow", INLINE_BYTES).unwrap();
+        let v = UdfValue::new(narrow, &[7; INLINE_BYTES]).unwrap();
+        assert!(matches!(v.payload, Payload::Inline { .. }));
+        let wide = register_type("test_wide", INLINE_BYTES + 8).unwrap();
+        let bytes: Vec<u8> = (0..wide.size() as u8).collect();
+        let v = UdfValue::new(wide, &bytes).unwrap();
+        assert!(matches!(v.payload, Payload::Heap(_)));
+        let rev = UdfBinary::new("test_wide_rev", wide, wide, wide, |z, x, _| {
+            z.copy_from_slice(x);
+            z.reverse();
+        });
+        let z = rev.apply(&v, &v);
+        assert!(matches!(z.payload, Payload::Heap(_)));
+        assert_eq!(rev.apply(&z, &z), v);
+        assert!(z > v, "ordered by bytes");
     }
 
     #[test]

@@ -168,7 +168,13 @@ impl<T: Scalar> Matrix<T> {
     /// `GrB_Matrix_extractTuples`: all stored tuples in row-major order.
     /// Forces completion.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, T)>> {
-        Ok(self.handle.forced_storage()?.to_tuples())
+        self.extract_tuples_with(T::clone)
+    }
+
+    /// [`Matrix::extract_tuples`] with each value mapped by `f` as it is
+    /// read from the forced storage: one pass, no intermediate tuples.
+    pub fn extract_tuples_with<U>(&self, f: impl FnMut(&T) -> U) -> Result<Vec<(Index, Index, U)>> {
+        Ok(self.handle.forced_storage()?.map_tuples(f))
     }
 
     /// `GrB_Matrix_clear`: remove all stored elements (dimensions kept).

@@ -131,7 +131,13 @@ impl<T: Scalar> Vector<T> {
 
     /// `GrB_Vector_extractTuples`. Forces completion.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, T)>> {
-        Ok(self.handle.forced_storage()?.to_tuples())
+        self.extract_tuples_with(T::clone)
+    }
+
+    /// [`Vector::extract_tuples`] with each value mapped by `f` as it is
+    /// read from the forced storage.
+    pub fn extract_tuples_with<U>(&self, f: impl FnMut(&T) -> U) -> Result<Vec<(Index, U)>> {
+        Ok(self.handle.forced_storage()?.map_tuples(f))
     }
 
     /// Dense rendering with `None` for absent elements. Forces completion.

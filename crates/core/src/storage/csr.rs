@@ -164,7 +164,14 @@ impl<T: Scalar> Csr<T> {
 
     /// Extract all tuples (`GrB_Matrix_extractTuples`), row-major.
     pub fn to_tuples(&self) -> Vec<(Index, Index, T)> {
-        self.iter().map(|(i, j, v)| (i, j, v.clone())).collect()
+        self.map_tuples(T::clone)
+    }
+
+    /// [`Csr::to_tuples`] with each value mapped by `f` as it is read.
+    pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
+        let mut out = Vec::with_capacity(self.nvals());
+        out.extend(self.iter().map(|(i, j, v)| (i, j, f(v))));
+        out
     }
 
     /// The transpose `A^T = <D, N, M, {(j, i, A_ij)}>` (paper §III-A),

@@ -377,10 +377,19 @@ impl<T: Scalar> MatrixStore<T> {
 
     /// All stored tuples in row-major order (`GrB_Matrix_extractTuples`).
     pub fn to_tuples(&self) -> Vec<(Index, Index, T)> {
+        self.map_tuples(T::clone)
+    }
+
+    /// [`Self::to_tuples`] with each value mapped by `f` as it is read.
+    pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
         match &self.layout {
-            Layout::Csr(c) => c.to_tuples(),
-            Layout::Csc(_) | Layout::Tiled(_) => self.row_csr().to_tuples(),
-            Layout::Hyper(h) => h.iter().map(|(i, j, v)| (i, j, v.clone())).collect(),
+            Layout::Csr(c) => c.map_tuples(f),
+            Layout::Csc(_) | Layout::Tiled(_) => self.row_csr().map_tuples(f),
+            Layout::Hyper(h) => {
+                let mut out = Vec::with_capacity(h.nvals());
+                out.extend(h.iter().map(|(i, j, v)| (i, j, f(v))));
+                out
+            }
         }
     }
 

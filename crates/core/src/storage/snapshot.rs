@@ -327,7 +327,13 @@ impl<T: Scalar> MatrixSnapshot<T> {
 
     /// All stored tuples at the snapshot's epoch, row-major.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, Index, T)>> {
-        Ok(self.inner.store()?.to_tuples())
+        self.extract_tuples_with(T::clone)
+    }
+
+    /// [`MatrixSnapshot::extract_tuples`] with each value mapped by `f`
+    /// as it is read.
+    pub fn extract_tuples_with<U>(&self, f: impl FnMut(&T) -> U) -> Result<Vec<(Index, Index, U)>> {
+        Ok(self.inner.store()?.map_tuples(f))
     }
 
     /// Per-row stored-element counts **at the snapshot's epoch**. The
@@ -412,7 +418,13 @@ impl<T: Scalar> VectorSnapshot<T> {
 
     /// All stored tuples at the snapshot's epoch.
     pub fn extract_tuples(&self) -> Result<Vec<(Index, T)>> {
-        Ok(self.inner.store()?.to_tuples())
+        self.extract_tuples_with(T::clone)
+    }
+
+    /// [`VectorSnapshot::extract_tuples`] with each value mapped by `f`
+    /// as it is read.
+    pub fn extract_tuples_with<U>(&self, f: impl FnMut(&T) -> U) -> Result<Vec<(Index, U)>> {
+        Ok(self.inner.store()?.map_tuples(f))
     }
 
     /// A fresh [`Vector`] handle whose value is this snapshot; see

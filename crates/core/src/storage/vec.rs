@@ -117,7 +117,12 @@ impl<T: Scalar> SparseVec<T> {
 
     /// Extract all tuples (`GrB_Vector_extractTuples`).
     pub fn to_tuples(&self) -> Vec<(Index, T)> {
-        self.iter().map(|(i, v)| (i, v.clone())).collect()
+        self.map_tuples(T::clone)
+    }
+
+    /// [`SparseVec::to_tuples`] with each value mapped by `f` as it is read.
+    pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, U)> {
+        self.iter().map(|(i, v)| (i, f(v))).collect()
     }
 
     /// Apply `f` to every stored value, keeping the pattern.

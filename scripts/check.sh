@@ -26,6 +26,14 @@ cargo build --examples
 echo "== cargo run --release --example sssp"
 cargo run --release --example sssp
 
+# The user-type examples assert their results too: complex PLUS_TIMES and
+# tropical min-plus in udf_algebra, and sssp_parents' 16-byte
+# (dist, parent) pair, the largest payload stored inline in a value.
+for example in udf_algebra sssp_parents; do
+    echo "== cargo run --release --example $example"
+    cargo run --release --example "$example"
+done
+
 # grb-bench is a package outside the workspace: build it here so a core
 # rename it depends on fails the gate, not the benchmark pipeline.
 echo "== cargo build --release --offline --manifest-path grb-bench/Cargo.toml"

@@ -7,7 +7,13 @@
 //! 2D-tiled), and intra-kernel parallelism degrees. The built-in lane is
 //! monomorphized; the UDT lane is the erased `Value::Udf` instantiation:
 //! this property pins that the two lanes compute the same algebra.
+//!
+//! A second property registers types of 1, 16, 17 and 24 bytes — either
+//! side of the 16-byte boundary between inline and heap payloads — and
+//! checks every payload the facade returns bitwise against a plain-Rust
+//! model of the same program.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 mod common;
@@ -16,7 +22,8 @@ use common::{at_degree, sparse, Tuples};
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, grb_unary_op_new,
     operations as ops, with_session_policies, Descriptor, Format, GrbBinaryOp, GrbMatrix,
-    GrbMonoid, GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, Mode, SchedPolicy, Value,
+    GrbMonoid, GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, Mode, SchedPolicy,
+    Value,
 };
 use graphblas_core::FusePolicy;
 use proptest::prelude::*;
@@ -278,6 +285,228 @@ proptest! {
                         "udt lane drifted: mode {:?} policy {:?} format {:?} degree {}",
                         mode, policy, format, k
                     );
+                }
+            }
+        }
+    }
+}
+
+// ----- payload sizes either side of the inline boundary -----
+
+/// 1 and 16 bytes are stored inline, 17 and 24 on the heap.
+const SIZES: [usize; 4] = [1, 16, 17, 24];
+
+/// A `size`-byte payload from a strategy byte; its bytes vary with
+/// position, so a byte moved, dropped or zeroed shows.
+fn payload(code: u8, size: usize) -> Vec<u8> {
+    (0..size)
+        .map(|k| code.wrapping_mul(2 * k as u8 + 1).wrapping_add(k as u8))
+        .collect()
+}
+
+/// ⊕: bytewise wrapping add. Associative and commutative with identity
+/// zero, so every fold order gives the same bytes.
+fn byte_plus(z: &mut [u8], x: &[u8], y: &[u8]) {
+    for (k, z) in z.iter_mut().enumerate() {
+        *z = x[k].wrapping_add(y[k]);
+    }
+}
+
+/// ⊗: mixes each byte with its neighbour and is not commutative, so
+/// swapped operands or a shifted payload show.
+fn byte_times(z: &mut [u8], x: &[u8], y: &[u8]) {
+    let n = z.len();
+    for (k, z) in z.iter_mut().enumerate() {
+        *z = x[k].wrapping_mul(y[k]).wrapping_add(x[(k + 1) % n]);
+    }
+}
+
+/// A unary operator that reverses the payload and tags each byte with
+/// its position.
+fn byte_flip(z: &mut [u8], x: &[u8]) {
+    let n = z.len();
+    for (k, z) in z.iter_mut().enumerate() {
+        *z = x[n - 1 - k] ^ k as u8;
+    }
+}
+
+struct SizedAlgebra {
+    t: GrbTypeHandle,
+    sr: GrbSemiring,
+    add: GrbMonoid,
+    plus: GrbBinaryOp,
+    flip: GrbUnaryOp,
+}
+
+/// One registered type and algebra per size, built once per process.
+fn sized_algebra(size: usize) -> &'static SizedAlgebra {
+    static A: OnceLock<Vec<SizedAlgebra>> = OnceLock::new();
+    let all = A.get_or_init(|| {
+        SIZES
+            .iter()
+            .map(|&size| {
+                let t = grb_type_new(&format!("prop_bytes{size}"), size).unwrap();
+                let ty = t.ty();
+                let plus = grb_binary_op_new("prop_byte_plus", ty, ty, ty, byte_plus);
+                let times = grb_binary_op_new("prop_byte_times", ty, ty, ty, byte_times);
+                let flip = grb_unary_op_new("prop_byte_flip", ty, ty, byte_flip);
+                let add = grb_monoid_new(&plus, &vec![0; size]).unwrap();
+                let sr = grb_semiring_new(add.clone(), times).unwrap();
+                SizedAlgebra {
+                    t,
+                    sr,
+                    add,
+                    plus,
+                    flip,
+                }
+            })
+            .collect()
+    });
+    &all[SIZES.iter().position(|&s| s == size).unwrap()]
+}
+
+/// What the sized program observes: every result's tuples and one scalar,
+/// each payload as raw bytes.
+#[derive(Debug, PartialEq, Eq)]
+struct Bytes {
+    vecs: Vec<Vec<(usize, Vec<u8>)>>,
+    mats: Vec<Vec<(usize, usize, Vec<u8>)>>,
+    scalar: Vec<u8>,
+}
+
+/// `w = A ⊕.⊗ u`, `C = A ⊕.⊗ A`, `s = w ⊕ u`, `q = flip(s)`,
+/// `r = ⊕ over the rows of C`, and `⊕` over `q`, through the facade.
+fn run_sized(size: usize, m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Bytes {
+    let alg = sized_algebra(size);
+    let (t, ty, d) = (alg.t, alg.t.ty(), Descriptor::default());
+    let a = GrbMatrix::new(ty, N, N).unwrap();
+    for &(i, j, c) in m0 {
+        a.set(i, j, t.value(&payload(c, size)).unwrap()).unwrap();
+    }
+    if let Some(f) = format {
+        a.set_format(f).unwrap();
+    }
+    let u = GrbVector::new(ty, N).unwrap();
+    for &(i, _, c) in u0 {
+        u.set(i, t.value(&payload(c, size)).unwrap()).unwrap();
+    }
+    let vector = || GrbVector::new(ty, N).unwrap();
+    let (w, s, q, r) = (vector(), vector(), vector(), vector());
+    ops::mxv(&w, None, None, &alg.sr, &a, &u, &d).unwrap();
+    let c = GrbMatrix::new(ty, N, N).unwrap();
+    ops::mxm(&c, None, None, &alg.sr, &a, &a, &d).unwrap();
+    ops::ewise_add_vector(&s, None, None, &alg.plus, &w, &u, &d).unwrap();
+    ops::apply_vector(&q, None, None, &alg.flip, &s, &d).unwrap();
+    ops::reduce_rows(&r, None, None, &alg.add, &c, &d).unwrap();
+    let scalar = ops::reduce_vector_scalar(&alg.add, &q).unwrap();
+
+    let read = |v: &Value| t.read(v).unwrap().to_vec();
+    let vec_bytes = |v: &GrbVector| {
+        let tuples = v.extract_tuples().unwrap();
+        tuples.iter().map(|(i, x)| (*i, read(x))).collect()
+    };
+    let mat_bytes = |m: &GrbMatrix| {
+        let tuples = m.extract_tuples().unwrap();
+        tuples.iter().map(|(i, j, x)| (*i, *j, read(x))).collect()
+    };
+    Bytes {
+        vecs: [&w, &s, &q, &r].into_iter().map(vec_bytes).collect(),
+        mats: vec![mat_bytes(&a), mat_bytes(&c)],
+        scalar: read(&scalar),
+    }
+}
+
+/// The same program in plain Rust over the same byte functions.
+fn model_sized(size: usize, m0: &Tuples, u0: &Tuples) -> Bytes {
+    type Sparse = BTreeMap<usize, Vec<u8>>;
+    let bin = |f: fn(&mut [u8], &[u8], &[u8]), x: &[u8], y: &[u8]| {
+        let mut z = vec![0; size];
+        f(&mut z, x, y);
+        z
+    };
+    let fold = |acc: Option<Vec<u8>>, x: Vec<u8>| match acc {
+        Some(acc) => bin(byte_plus, &acc, &x),
+        None => x,
+    };
+    let a: BTreeMap<(usize, usize), Vec<u8>> = m0
+        .iter()
+        .map(|&(i, j, c)| ((i, j), payload(c, size)))
+        .collect();
+    let u: Sparse = u0.iter().map(|&(i, _, c)| (i, payload(c, size))).collect();
+    let mut w = Sparse::new();
+    for (&(i, j), x) in &a {
+        if let Some(y) = u.get(&j) {
+            let acc = w.remove(&i);
+            w.insert(i, fold(acc, bin(byte_times, x, y)));
+        }
+    }
+    let mut c: BTreeMap<(usize, usize), Vec<u8>> = BTreeMap::new();
+    for (&(i, k), x) in &a {
+        for (&(_, j), y) in a.range((k, 0)..(k + 1, 0)) {
+            let acc = c.remove(&(i, j));
+            c.insert((i, j), fold(acc, bin(byte_times, x, y)));
+        }
+    }
+    let mut s = w.clone();
+    for (&i, y) in &u {
+        let acc = s.remove(&i);
+        s.insert(i, fold(acc, y.clone()));
+    }
+    let q: Sparse = s
+        .iter()
+        .map(|(&i, x)| {
+            let mut z = vec![0; size];
+            byte_flip(&mut z, x);
+            (i, z)
+        })
+        .collect();
+    let mut r = Sparse::new();
+    for (&(i, _), x) in &c {
+        let acc = r.remove(&i);
+        r.insert(i, fold(acc, x.clone()));
+    }
+    let scalar = q
+        .values()
+        .cloned()
+        .fold(vec![0; size], |acc, x| bin(byte_plus, &acc, &x));
+    let vec_bytes = |v: &Sparse| v.iter().map(|(&i, x)| (i, x.clone())).collect();
+    let mat_bytes = |m: &BTreeMap<(usize, usize), Vec<u8>>| {
+        m.iter().map(|(&(i, j), x)| (i, j, x.clone())).collect()
+    };
+    Bytes {
+        vecs: [&w, &s, &q, &r].into_iter().map(vec_bytes).collect(),
+        mats: vec![mat_bytes(&a), mat_bytes(&c)],
+        scalar,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Inline and heap payloads: for each registered size, every result
+    /// of `mxv`, `mxm`, `eWiseAdd`, `apply` and both reductions, read back
+    /// through `extract_tuples`, equals the plain-Rust model bitwise in
+    /// every session, format and degree. Sizes are an axis like the
+    /// others, so each case covers both sides of the boundary.
+    #[test]
+    fn udt_payloads_of_every_size_match_a_plain_model(
+        m0 in sparse(N, 40),
+        u0 in sparse(N, 12),
+    ) {
+        for size in SIZES {
+            let want = model_sized(size, &m0, &u0);
+            for (mode, policy) in SESSIONS {
+                for format in FORMATS {
+                    for k in DEGREES {
+                        let got = with_session_policies(mode, policy, FusePolicy::On, || {
+                            at_degree(k, || run_sized(size, &m0, &u0, format))
+                        }).unwrap();
+                        prop_assert_eq!(
+                            &want, &got,
+                            "size {}: mode {:?} policy {:?} format {:?} degree {}",
+                            size, mode, policy, format, k
+                        );
+                    }
                 }
             }
         }
