@@ -2,7 +2,7 @@
 //! intra-kernel degrees 1, 2, 4, 8 on the shared worker pool (design
 //! objective (ii): "enabling high-performance implementations on modern
 //! hardware"). Kernels are called directly, so there is no DAG
-//! scheduling or fusion in the loop; the degree is pinned per
+//! scheduling in the loop; the degree is pinned per
 //! measurement with [`par::with_parallelism`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

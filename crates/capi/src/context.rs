@@ -11,7 +11,7 @@
 //! pattern for embedders and tests.
 
 use graphblas_core::error::{Error, Result};
-use graphblas_core::exec::{Context, FusePolicy, Mode, SchedPolicy, TraceEvent};
+use graphblas_core::exec::{Context, Mode, SchedPolicy, TraceEvent};
 use graphblas_core::par;
 use graphblas_core::storage::{delta, engine, snapshot};
 use parking_lot::{Mutex, ReentrantMutex};
@@ -30,12 +30,11 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 ///
 /// ```
 /// use graphblas_capi as capi;
-/// use capi::{Config, FusePolicy, Mode, SchedPolicy};
+/// use capi::{Config, Mode, SchedPolicy};
 ///
 /// # capi::context::session_guard_for_doctest(|| {
 /// capi::Config::new(Mode::Nonblocking)
 ///     .sched(SchedPolicy::Sequential) // wait() drain policy
-///     .fuse(FusePolicy::Off)          // §IV rewrite pass
 ///     .parallelism(4)                 // intra-kernel chunk degree
 ///     .init()
 ///     .unwrap();
@@ -46,8 +45,6 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 ///
 /// * [`Config::sched`] — how `GrB_wait()` drains the pending DAG
 ///   (sequential FIFO or the shared worker pool).
-/// * [`Config::fuse`] — whether the §IV fusion pass may rewrite the
-///   DAG before execution.
 /// * [`Config::parallelism`] — the default intra-kernel data-parallel
 ///   degree (how many row chunks a large kernel fans out to the shared
 ///   pool); unset means auto (`GRB_THREADS`/`GRB_TEST_THREADS`, then
@@ -64,7 +61,6 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 pub struct Config {
     mode: Mode,
     sched: SchedPolicy,
-    fuse: FusePolicy,
     parallelism: Option<usize>,
     delta_run_cap: Option<usize>,
     flush_window_ms: Option<u64>,
@@ -76,7 +72,6 @@ impl Config {
         Config {
             mode,
             sched: SchedPolicy::default(),
-            fuse: FusePolicy::default(),
             parallelism: None,
             delta_run_cap: None,
             flush_window_ms: None,
@@ -87,14 +82,6 @@ impl Config {
     /// extension point).
     pub fn sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
-        self
-    }
-
-    /// Pin the fusion policy. `FusePolicy::Off` is the ablation
-    /// baseline: `GrB_wait()` executes the sequence as written, with no
-    /// §IV rewrites.
-    pub fn fuse(mut self, fuse: FusePolicy) -> Self {
-        self.fuse = fuse;
         self
     }
 
@@ -156,7 +143,7 @@ impl Config {
             GxbOption::FlushWindowMs,
             GxbValue::Millis(self.flush_window_ms),
         )?;
-        *g = Some(Context::with_fuse_policy(self.mode, self.sched, self.fuse));
+        *g = Some(Context::with_policy(self.mode, self.sched));
         Ok(())
     }
 }
@@ -264,14 +251,13 @@ pub fn with_session<R>(mode: Mode, f: impl FnOnce() -> R) -> Result<R> {
     with_session_config(Config::new(mode), f)
 }
 
-/// [`with_session`] with explicit scheduling and fusion policies.
+/// [`with_session`] with an explicit scheduling policy.
 pub fn with_session_policies<R>(
     mode: Mode,
     policy: SchedPolicy,
-    fuse: FusePolicy,
     f: impl FnOnce() -> R,
 ) -> Result<R> {
-    with_session_config(Config::new(mode).sched(policy).fuse(fuse), f)
+    with_session_config(Config::new(mode).sched(policy), f)
 }
 
 /// [`with_session`] with a full [`Config`]: serialized
@@ -392,12 +378,6 @@ mod tests {
         finalize().unwrap();
         Config::new(Mode::Nonblocking)
             .sched(SchedPolicy::Sequential)
-            .init()
-            .unwrap();
-        finalize().unwrap();
-        Config::new(Mode::Nonblocking)
-            .sched(SchedPolicy::Sequential)
-            .fuse(FusePolicy::Off)
             .init()
             .unwrap();
         finalize().unwrap();

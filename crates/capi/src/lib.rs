@@ -106,7 +106,7 @@ pub use context::{
 };
 pub use graphblas_core::descriptor::Descriptor;
 pub use graphblas_core::error::{Error, Result};
-pub use graphblas_core::exec::{FusePolicy, FusedNote, Mode, SchedPolicy, TraceEvent};
+pub use graphblas_core::exec::{Mode, SchedPolicy, TraceEvent};
 pub use graphblas_core::index::{Index, IndexSelection, ALL};
 pub use graphblas_core::storage::{snapshot_stats, DeltaStats, SnapshotStats};
 pub use graphblas_core::{Format, FormatPolicy};

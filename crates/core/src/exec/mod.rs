@@ -20,8 +20,6 @@
 //! that keeps both modes testable in one process; the `graphblas-capi`
 //! crate layers the global lifecycle on top.
 
-#[doc(hidden)]
-pub mod fuse;
 pub(crate) mod node;
 pub mod sched;
 
@@ -30,11 +28,19 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-pub use fuse::{FusePolicy, FusedNote};
 #[doc(hidden)]
 pub use node::Completable;
-pub(crate) use node::{force, Node};
+pub(crate) use node::{catch_panic, force, Node};
 pub use sched::{pool_status, PoolStatus, SchedPolicy, TraceEvent};
+
+/// The one fusion policy: the pending DAG executes as written. Kept,
+/// with [`Context::with_fuse_policy`], only for the benchmark harness's
+/// `core.exec` probe, which still names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusePolicy {
+    /// Execute the DAG exactly as written.
+    Off,
+}
 
 /// Execution mode of a context (paper §IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +55,6 @@ struct CtxInner {
     mode: Mode,
     /// How `wait()` drains the pending DAG (nonblocking mode only).
     policy: SchedPolicy,
-    /// Whether `wait()` runs the `exec::fuse` rewrite pass first
-    /// (nonblocking mode only; blocking mode never fuses).
-    fuse: FusePolicy,
     /// Deferred outputs of the current sequence, in program order. Weak:
     /// an intermediate dropped unobserved is simply never computed (the
     /// "lazy evaluation" latitude of §IV).
@@ -87,18 +90,10 @@ impl Context {
     /// The policy only matters in nonblocking mode; blocking mode
     /// completes each operation inline as before.
     pub fn with_policy(mode: Mode, policy: SchedPolicy) -> Self {
-        Context::with_fuse_policy(mode, policy, FusePolicy::default())
-    }
-
-    /// Create a context with explicit scheduling *and* fusion policies.
-    /// `FusePolicy::Off` is the ablation baseline: the DAG executes
-    /// exactly as written (see EXPERIMENTS E7).
-    pub fn with_fuse_policy(mode: Mode, policy: SchedPolicy, fuse: FusePolicy) -> Self {
         Context {
             inner: Arc::new(CtxInner {
                 mode,
                 policy,
-                fuse,
                 sequence: Mutex::new(Vec::new()),
                 last_error: Mutex::new(None),
                 injected: Mutex::new(None),
@@ -106,6 +101,12 @@ impl Context {
                 trace: Mutex::new(Vec::new()),
             }),
         }
+    }
+
+    /// [`Context::with_policy`]; the only [`FusePolicy`] runs the DAG as
+    /// written. Kept only for the benchmark harness's `core.exec` probe.
+    pub fn with_fuse_policy(mode: Mode, policy: SchedPolicy, _fuse: FusePolicy) -> Self {
+        Context::with_policy(mode, policy)
     }
 
     /// `GrB_init(GrB_BLOCKING)`.
@@ -139,50 +140,6 @@ impl Context {
         self.inner.policy
     }
 
-    /// The fusion policy `wait()` uses.
-    pub fn fuse_policy(&self) -> FusePolicy {
-        self.inner.fuse
-    }
-
-    /// Fusion runs only when deferral exists to rewrite: nonblocking
-    /// mode with `FusePolicy::On`. Blocking mode completes every
-    /// operation inline, so there is never a pending producer to absorb.
-    pub(crate) fn fusion_active(&self) -> bool {
-        self.inner.mode == Mode::Nonblocking && self.inner.fuse == FusePolicy::On
-    }
-
-    /// Record a fusion rewrite in the execution trace (when tracing).
-    pub(crate) fn record_fused(&self, note: FusedNote) {
-        if self
-            .inner
-            .tracing
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            self.inner.trace.lock().push(TraceEvent {
-                kind: "fused",
-                rows: 0,
-                cols: 0,
-                nvals: 0,
-                format: "sparse",
-                migrated_from: None,
-                seq: None,
-                ready_ns: 0,
-                start_ns: 0,
-                end_ns: 0,
-                worker: 0,
-                par_chunks: 0,
-                chunk_rows: 0,
-                par_workers: 0,
-                pending_len: 0,
-                merged_rows: 0,
-                fused: Some(note),
-                direction: None,
-                udf: None,
-                tiles: Vec::new(),
-            });
-        }
-    }
-
     /// Enable or disable execution tracing. While enabled, each
     /// `wait()` appends one [`TraceEvent`] per node the scheduler
     /// completes; collect them with [`Context::take_trace`].
@@ -206,22 +163,9 @@ impl Context {
     /// failure states, poisoning their consumers per §V).
     pub fn wait(&self) -> Result<()> {
         let pending: Vec<Weak<dyn Completable>> = std::mem::take(&mut *self.inner.sequence.lock());
-        let mut roots: Vec<Arc<dyn Completable>> =
-            pending.iter().filter_map(Weak::upgrade).collect();
+        let roots: Vec<Arc<dyn Completable>> = pending.iter().filter_map(Weak::upgrade).collect();
         if roots.is_empty() {
             return Ok(());
-        }
-        // §IV fusion latitude: rewrite the pending DAG before draining
-        // it. Absorbed producers are pruned from the roots, so the
-        // scheduler (and the error scan below) never touches them; the
-        // fused consumer carries any failure in their place.
-        if self.fusion_active() {
-            for ev in fuse::fuse_pass(&mut roots) {
-                self.record_fused(ev.note);
-            }
-            if roots.is_empty() {
-                return Ok(());
-            }
         }
         let sink = self
             .inner

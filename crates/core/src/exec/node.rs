@@ -12,14 +12,12 @@
 //! diameter (O(n) on a path), which would overflow the stack if forced
 //! recursively.
 
-use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::exec::fuse::FuseHook;
 use crate::exec::sched::TraceMeta;
 
 /// Shape/occupancy reporting for node storage types, consumed by the
@@ -50,25 +48,15 @@ pub trait Completable: Send + Sync {
     /// Dependency snapshots of a pending node (empty once complete).
     fn dep_nodes(&self) -> Vec<Arc<dyn Completable>>;
     /// Evaluate the thunk. All dependencies must already be complete.
-    /// Stores the value or the failure; never panics on data errors.
+    /// Stores the value or the failure; a panicking operator is stored
+    /// as `Error::Panic` (§V's `GrB_PANIC`), never unwound into the
+    /// caller.
     fn compute(&self);
     /// The failure, if the node completed with an error.
     fn failure(&self) -> Option<Error>;
     /// Operation kind plus dims/nvals (dims reported once complete), for
     /// the scheduler's execution trace.
     fn trace_meta(&self) -> TraceMeta;
-    /// Liveness for the fusion pass: `true` when this node's value can
-    /// still be observed through a live handle (or liveness is unknown).
-    /// The default is the conservative answer — observable — which makes
-    /// the node ineligible for absorption.
-    fn fuse_observable(&self) -> bool {
-        true
-    }
-    /// Take this node's consumer-rewrite hook, if one was installed at
-    /// submit time; the fusion pass runs it at most once.
-    fn take_fuse_hook(&self) -> Option<FuseHook> {
-        None
-    }
 }
 
 /// The state machine shared by matrix and vector nodes. `S` is the
@@ -85,47 +73,19 @@ pub(crate) enum NodeState<S> {
     Failed(Error),
 }
 
-/// The fusion pass's per-node slots, populated at submit time by the
-/// operation layer (see `exec::fuse`):
-///
-/// * `face` — the producer's recompute/compose closures, stored
-///   type-erased (`MatProducer<T>` / `VecProducer<T>` behind `dyn Any`).
-/// * `hook` — the consumer-side rewrite attempt, taken once per pass.
-/// * `probe` — handle-liveness check: does some handle cell still point
-///   at this node?
-struct FuseSlots {
-    face: Option<Arc<dyn Any + Send + Sync>>,
-    hook: Option<FuseHook>,
-    probe: Option<Box<dyn Fn() -> bool + Send + Sync>>,
-}
-
 /// Generic node: storage state plus the erased `Completable` face.
 pub(crate) struct Node<S> {
     /// Operation kind that defined this node (Table II name, or
     /// `"value"` for nodes born complete) — shown in execution traces.
     kind: &'static str,
     state: Mutex<NodeState<S>>,
-    fuse: Mutex<FuseSlots>,
-    /// Set by `dup()`: a second handle aliases this value, so the probe
-    /// alone can no longer prove it unobservable.
-    pinned: AtomicBool,
 }
 
 impl<S: Send + Sync + 'static> Node<S> {
-    fn slots() -> Mutex<FuseSlots> {
-        Mutex::new(FuseSlots {
-            face: None,
-            hook: None,
-            probe: None,
-        })
-    }
-
     pub(crate) fn ready(value: S) -> Arc<Self> {
         Arc::new(Node {
             kind: "value",
             state: Mutex::new(NodeState::Ready(Arc::new(value))),
-            fuse: Self::slots(),
-            pinned: AtomicBool::new(false),
         })
     }
 
@@ -148,49 +108,7 @@ impl<S: Send + Sync + 'static> Node<S> {
         Arc::new(Node {
             kind,
             state: Mutex::new(NodeState::Pending { deps, eval }),
-            fuse: Self::slots(),
-            pinned: AtomicBool::new(false),
         })
-    }
-
-    // ----- fusion-pass plumbing (see `exec::fuse`) -----
-
-    pub(crate) fn set_fuse_face(&self, face: Arc<dyn Any + Send + Sync>) {
-        self.fuse.lock().face = Some(face);
-    }
-
-    pub(crate) fn fuse_face(&self) -> Option<Arc<dyn Any + Send + Sync>> {
-        self.fuse.lock().face.clone()
-    }
-
-    pub(crate) fn set_fuse_hook(&self, hook: FuseHook) {
-        self.fuse.lock().hook = Some(hook);
-    }
-
-    pub(crate) fn set_observe_probe(&self, probe: Box<dyn Fn() -> bool + Send + Sync>) {
-        self.fuse.lock().probe = Some(probe);
-    }
-
-    /// Mark this node as aliased by an additional handle (`dup`), which
-    /// keeps it observable regardless of what the probe reports.
-    pub(crate) fn pin(&self) {
-        self.pinned.store(true, Ordering::Relaxed);
-    }
-
-    /// Swap in a fused evaluator (and its adopted dependencies) — only
-    /// while still pending; a completed node is immutable.
-    pub(crate) fn replace_pending(
-        &self,
-        deps: Vec<Arc<dyn Completable>>,
-        eval: Box<dyn FnOnce() -> Result<S> + Send>,
-    ) -> bool {
-        let mut guard = self.state.lock();
-        if matches!(&*guard, NodeState::Pending { .. }) {
-            *guard = NodeState::Pending { deps, eval };
-            true
-        } else {
-            false
-        }
     }
 
     /// The storage of a *complete* node. `Pending` here is an engine bug;
@@ -200,8 +118,7 @@ impl<S: Send + Sync + 'static> Node<S> {
     /// already-invalid object propagates unchanged — so the reported
     /// message names the root cause regardless of how many invalidated
     /// consumers sit between it and the observation point. That depth is
-    /// schedule- and fusion-dependent (a fused consumer reads the
-    /// absorbed producer's inputs directly); the root cause is not.
+    /// schedule-dependent; the root cause is not.
     pub(crate) fn ready_storage(&self) -> Result<Arc<S>> {
         match &*self.state.lock() {
             NodeState::Ready(s) => Ok(s.clone()),
@@ -238,19 +155,10 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
             let NodeState::Pending { eval, .. } = taken else {
                 unreachable!()
             };
-            *guard = match eval() {
+            *guard = match catch_panic(eval) {
                 Ok(s) => NodeState::Ready(Arc::new(s)),
                 Err(e) => NodeState::Failed(e),
             };
-            drop(guard);
-            // The fusion slots only describe a *pending* node; clearing
-            // them on completion releases the dependency Arcs they
-            // capture (the §IV memory-release property) and keeps drops
-            // of long completed chains shallow.
-            let mut slots = self.fuse.lock();
-            slots.face = None;
-            slots.hook = None;
-            slots.probe = None;
         }
     }
 
@@ -280,22 +188,22 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
             migrated_from,
         }
     }
+}
 
-    fn fuse_observable(&self) -> bool {
-        if self.pinned.load(Ordering::Relaxed) {
-            return true;
-        }
-        match &self.fuse.lock().probe {
-            Some(p) => p(),
-            // No probe installed (value node, or submitted with fusion
-            // off): assume observable.
-            None => true,
-        }
-    }
-
-    fn take_fuse_hook(&self) -> Option<FuseHook> {
-        self.fuse.lock().hook.take()
-    }
+/// Run `f`, reporting a panic as `Error::Panic` carrying its message
+/// (§V: `GrB_PANIC`, an unrecoverable error inside the library) instead
+/// of unwinding into the caller. A user-defined operator can panic; a
+/// pooled kernel chunk that panicked is re-raised on the thread that
+/// submitted it, so it lands here too.
+pub(crate) fn catch_panic<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "operator panicked".into());
+        Err(Error::Panic(msg))
+    })
 }
 
 /// Complete a node (and its pending cone) with an iterative topological
@@ -444,6 +352,26 @@ mod tests {
         force(&as_completable(&top)).unwrap();
         assert_eq!(*top.ready_storage().unwrap(), 23);
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn panicking_eval_fails_the_node_with_panic() {
+        let bad: Arc<Node<i32>> = Node::pending(vec![], Box::new(|| panic!("operator blew up")));
+        let bad_dep = bad.clone();
+        let dependent: Arc<Node<i32>> = Node::pending(
+            vec![as_completable(&bad)],
+            Box::new(move || bad_dep.ready_storage().map(|v| *v + 1)),
+        );
+        let err = force(&as_completable(&dependent)).unwrap_err();
+        assert!(matches!(err, Error::InvalidObject(_)));
+        match bad.failure() {
+            Some(Error::Panic(m)) => assert!(m.contains("operator blew up"), "{m}"),
+            other => panic!("expected Error::Panic, got {other:?}"),
+        }
+        // the engine is still usable afterwards
+        let ok = Node::pending(vec![], Box::new(|| Ok(3i32)));
+        force(&as_completable(&ok)).unwrap();
+        assert_eq!(*ok.ready_storage().unwrap(), 3);
     }
 
     #[test]

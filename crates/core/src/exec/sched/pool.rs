@@ -61,7 +61,6 @@ fn record(
         par_workers: stats.par_workers,
         pending_len: flush.pending_len,
         merged_rows: flush.merged_rows,
-        fused: None,
         direction,
         udf,
         tiles,

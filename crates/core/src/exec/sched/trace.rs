@@ -71,11 +71,6 @@ pub struct TraceEvent {
     /// For `kind == "flush"` nodes: distinct output rows (vector:
     /// indices) those entries touched.
     pub merged_rows: usize,
-    /// `Some` only for synthetic `kind == "fused"` events emitted by the
-    /// `exec::fuse` rewrite pass: which producer was absorbed into which
-    /// consumer, and by which rewrite. Timings are zero for these events
-    /// (the pass runs before the clock-bearing schedulers start).
-    pub fused: Option<crate::exec::FusedNote>,
     /// For matrix–vector products: the direction the SpMSpV dispatch
     /// chose (`"push"`, `"pull"`, or `"dense"`); `None` for every other
     /// kind. This is the trace evidence that direction optimization
@@ -157,7 +152,6 @@ mod tests {
             par_workers: 0,
             pending_len: 0,
             merged_rows: 0,
-            fused: None,
             direction: None,
             udf: None,
             tiles: Vec::new(),
@@ -187,7 +181,6 @@ mod tests {
             par_workers: 0,
             pending_len: 0,
             merged_rows: 0,
-            fused: None,
             direction: None,
             udf: None,
             tiles: Vec::new(),

@@ -53,9 +53,7 @@ pub mod storage;
 pub use accum::{Accum, NoAccum};
 pub use descriptor::Descriptor;
 pub use error::{Error, Result};
-pub use exec::{
-    pool_status, Context, FusePolicy, FusedNote, Mode, PoolStatus, SchedPolicy, TraceEvent,
-};
+pub use exec::{pool_status, Context, Mode, PoolStatus, SchedPolicy, TraceEvent};
 pub use index::{Index, IndexSelection, ALL};
 pub use kernel::par;
 pub use kernel::spmspv;
@@ -89,7 +87,7 @@ pub mod prelude {
     };
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{Error, Result};
-    pub use crate::exec::{Context, FusePolicy, FusedNote, Mode, SchedPolicy, TraceEvent};
+    pub use crate::exec::{Context, FusePolicy, Mode, SchedPolicy, TraceEvent};
     pub use crate::index::{Index, IndexSelection, ALL};
     pub use crate::mask::NoMask;
     pub use crate::object::{Matrix, Vector};

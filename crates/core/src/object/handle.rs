@@ -5,8 +5,7 @@
 //! opaque set of stored tuples, with one or two index dimensions. The
 //! concurrent half of that object — the value cell, the pending-update
 //! log, the per-epoch overlay memo, MVCC snapshot pins, the background
-//! flusher's weak form and the fusion liveness probe — is therefore
-//! written once, here, over any [`Stored`] value type; the public
+//! flusher's weak form — is therefore written once, here, over any [`Stored`] value type; the public
 //! wrappers add only dimensions, bounds checks and tuple shapes.
 //!
 //! The object's value lives in an immutable [`Node`]; every mutation
@@ -111,8 +110,8 @@ impl<T: Scalar> Stored for SparseVec<T> {
     }
 }
 
-/// Everything handle clones share; the background flusher and the
-/// fusion probe hold it weakly.
+/// Everything handle clones share; the background flusher holds it
+/// weakly.
 struct Shared<S: Stored> {
     /// The current value node, pending point updates excluded.
     cell: RwLock<Arc<Node<S>>>,
@@ -143,14 +142,6 @@ impl<S: Stored> Handle<S> {
             delta: Mutex::new(DeltaLog::new()),
             overlay: Mutex::new(None),
         }))
-    }
-
-    /// A new object aliasing a value node some other handle or snapshot
-    /// also holds. That holder's observe-probe cannot see this cell, so
-    /// the node is pinned: the fusion pass never absorbs it.
-    pub(crate) fn aliasing(node: Arc<Node<S>>, policy: S::Policy) -> Self {
-        node.pin();
-        Self::new(node, policy)
     }
 
     pub(crate) fn policy(&self) -> S::Policy {
@@ -190,7 +181,7 @@ impl<S: Stored> Handle<S> {
     /// the epoch's overlay node — this log is *not* drained, and the
     /// overlay merge runs only when one side observes the value.
     pub(crate) fn dup(&self) -> Self {
-        Self::aliasing(self.capture(), self.policy())
+        Self::new(self.capture(), self.policy())
     }
 
     /// An O(1) immutable view of the value at the current epoch: the
@@ -198,10 +189,6 @@ impl<S: Stored> Handle<S> {
     /// log, and is unaffected by every later write, flush or compaction.
     pub(crate) fn snapshot(&self) -> Snapshot<S> {
         let (epoch, base, runs, node) = self.overlay_parts();
-        // The snapshot forces `base` directly for point probes; pin it
-        // (and the uninstalled overlay) against fusion absorption.
-        base.pin();
-        node.pin();
         Snapshot::new(epoch, base, runs, node, self.policy())
     }
 
@@ -257,9 +244,7 @@ impl<S: Stored> Handle<S> {
 
     /// A deferred DAG node merging `runs` into `base` under the object's
     /// policy. It depends on `base`, so scheduling, tracing and §V
-    /// program-order error semantics all apply; it registers no fuse
-    /// face or hook, so a producer with pending updates is never fusable
-    /// and the merge itself absorbs nothing.
+    /// program-order error semantics all apply.
     fn merge_node(
         &self,
         kind: &'static str,
@@ -356,20 +341,6 @@ impl<S: Stored> Handle<S> {
         force(&(node.clone() as Arc<dyn Completable>))?;
         node.ready_storage()
     }
-
-    /// Handle-liveness probe for the fusion pass: reports whether `node`
-    /// is still observable through this object — true while some handle
-    /// exists and the cell still points at `node`. Once every handle is
-    /// dropped or the object is re-pointed at a newer value, the probe
-    /// turns false and `node` becomes a candidate for absorption.
-    pub(crate) fn observe_probe(&self, node: &Arc<Node<S>>) -> Box<dyn Fn() -> bool + Send + Sync> {
-        let weak = Arc::downgrade(&self.0);
-        let ptr = Arc::as_ptr(node) as usize;
-        Box::new(move || {
-            weak.upgrade()
-                .is_some_and(|s| Arc::as_ptr(&*s.cell.read()) as usize == ptr)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -427,20 +398,5 @@ mod tests {
         assert!(Arc::ptr_eq(&overlay, &h.capture()), "memoized per epoch");
         assert!(Arc::ptr_eq(&overlay, &h.resolve()), "never merged twice");
         assert_eq!(h.delta_stats().pending_len, 0);
-    }
-
-    #[test]
-    fn probe_follows_the_cell_and_dies_with_the_object() {
-        let h = vec_handle();
-        let node = h.current_node();
-        let probe = h.observe_probe(&node);
-        assert!(probe());
-        h.install(Node::ready(SparseVec::empty(4)));
-        assert!(!probe(), "re-pointed at a newer value");
-        let node = h.current_node();
-        let probe = h.observe_probe(&node);
-        assert!(probe());
-        drop(h);
-        assert!(!probe(), "every handle dropped");
     }
 }

@@ -81,7 +81,7 @@ impl Context {
                 replace,
             )))
         };
-        self.submit("assign", &c.handle, deps, eval).map(drop)
+        self.submit("assign", &c.handle, deps, eval)
     }
 
     /// `GrB_assign` (matrix, scalar fill): every position of the region
@@ -161,7 +161,7 @@ impl Context {
                 replace,
             )))
         };
-        self.submit("assign", &c.handle, deps, eval).map(drop)
+        self.submit("assign", &c.handle, deps, eval)
     }
 
     /// `GrB_assign` (vector): `w<mask>(indices) ⊙= u`.
@@ -211,7 +211,7 @@ impl Context {
                 replace,
             ))
         };
-        self.submit("assign", &w.handle, deps, eval).map(drop)
+        self.submit("assign", &w.handle, deps, eval)
     }
 
     /// `GrB_assign` (vector, scalar fill) — Fig. 3 line 77: `delta`
@@ -282,7 +282,7 @@ impl Context {
                     replace,
                 ))
             };
-            return self.submit("assign", &w.handle, deps, eval).map(drop);
+            return self.submit("assign", &w.handle, deps, eval);
         }
 
         let indices = resolve_target(indices, w.size(), "vector")?;
@@ -308,7 +308,7 @@ impl Context {
                 replace,
             ))
         };
-        self.submit("assign", &w.handle, deps, eval).map(drop)
+        self.submit("assign", &w.handle, deps, eval)
     }
 }
 

@@ -38,7 +38,7 @@ impl Context {
             });
             Ok(MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples)))
         };
-        self.submit("diag", &c.handle, deps, eval).map(drop)
+        self.submit("diag", &c.handle, deps, eval)
     }
 
     /// `GxB_Vector_diag`: `w(i) = A(i, i + k)` for `k >= 0`
@@ -77,7 +77,7 @@ impl Context {
             }
             Ok(SparseVec::from_sorted_parts(len, idx, vals))
         };
-        self.submit("diag", &w.handle, deps, eval).map(drop)
+        self.submit("diag", &w.handle, deps, eval)
     }
 }
 

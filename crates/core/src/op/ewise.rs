@@ -7,26 +7,19 @@
 //! domains coincide — the C API would insert implicit casts here, which
 //! the typed binding surfaces as an explicit `apply(Cast)`).
 
-use std::any::Any;
-use std::sync::Arc;
-
 use crate::accum::Accumulate;
 use crate::algebra::binary::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
-use crate::exec::fuse::{DotFn, MatProducer, VecProducer};
-use crate::exec::{Completable, Context};
+use crate::exec::Context;
 use crate::kernel::ewise;
 use crate::kernel::write::{write_masked_matrix, write_matrix, write_vector};
-use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
-use crate::storage::csr::Csr;
 use crate::storage::engine::MatrixStore;
-use crate::storage::vec::SparseVec;
 
 impl Context {
     /// `GrB_eWiseAdd` (matrix): `C<Mask> ⊙= A ⊕ B`.
@@ -68,50 +61,22 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !accum.is_accum() && msnap.is_all();
-
-        // Union combine under no mask pushdown: the face only offers a
-        // full recompute (every position of either operand is live).
-        let combine = {
-            let (a_node, b_node, add) = (a_node.clone(), b_node.clone(), add.clone());
-            move |_m: &MaskCsr| -> Result<Csr<T>> {
-                let a_st = oriented_storage(&a_node, tr_a)?;
-                let b_st = oriented_storage(&b_node, tr_b)?;
-                let t = ewise::ewise_add_matrix(&a_st, &b_st, &add);
-                if let Some(e) = add.poll_error() {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let c_old = c_old_cap.storage()?.row_csr();
+            let mcsr = msnap.materialize()?;
+            let a_st = oriented_storage(&a_node, tr_a)?;
+            let b_st = oriented_storage(&b_node, tr_b)?;
+            let t = ewise::ewise_add_matrix(&a_st, &b_st, &add);
+            if let Some(e) = add.poll_error() {
+                return Err(e);
             }
-        };
-        let eval = {
-            let combine = combine.clone();
-            move || {
-                let c_old = c_old_cap.storage()?.row_csr();
-                let mcsr = msnap.materialize()?;
-                let t = combine(&mcsr)?;
-                let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(MatrixStore::csr(out))
+            let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(MatrixStore::csr(out))
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("eWiseAdd", &c.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(MatProducer::<T> {
-                deps: face_deps,
-                compute: Arc::new(combine),
-                maskable: false,
-                lazy: None,
-                dot: None,
-                kind: "eWiseAdd",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("eWiseAdd", &c.handle, deps, eval)
     }
 
     /// `GrB_eWiseMult` (matrix): `C<Mask> ⊙= A ⊗ B`.
@@ -158,80 +123,24 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !accum.is_accum() && msnap.is_all();
-
         // The intersection is computed only where the mask admits, so the
         // write stage sees a T already under the operation's own mask.
-        let combine = {
-            let (a_node, b_node, mul) = (a_node.clone(), b_node.clone(), mul.clone());
-            move |m: &MaskCsr| -> Result<Csr<D3>> {
-                let a_st = oriented_storage(&a_node, tr_a)?;
-                let b_st = oriented_storage(&b_node, tr_b)?;
-                let t = ewise::ewise_mult_matrix(&a_st, &b_st, m, &mul);
-                if let Some(e) = mul.poll_error() {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let c_old = c_old_cap.storage()?.row_csr();
+            let mcsr = msnap.materialize()?;
+            let a_st = oriented_storage(&a_node, tr_a)?;
+            let b_st = oriented_storage(&b_node, tr_b)?;
+            let t = ewise::ewise_mult_matrix(&a_st, &b_st, &mcsr, &mul);
+            if let Some(e) = mul.poll_error() {
+                return Err(e);
             }
-        };
-        // Intersection emission for rewrite 4 (dot-reduce): walk the two
-        // sorted patterns row by row, emitting each product as it forms —
-        // the reduce consumer folds these without ever storing T.
-        let dot: DotFn<D3> = {
-            let (a_node, b_node, mul) = (a_node.clone(), b_node.clone(), mul.clone());
-            Arc::new(move |emit: &mut dyn FnMut(D3)| -> Result<()> {
-                let a_st = oriented_storage(&a_node, tr_a)?;
-                let b_st = oriented_storage(&b_node, tr_b)?;
-                for i in 0..a_st.nrows() {
-                    let (ac, av) = a_st.row(i);
-                    let (bc, bv) = b_st.row(i);
-                    let (mut p, mut q) = (0, 0);
-                    while p < ac.len() && q < bc.len() {
-                        match ac[p].cmp(&bc[q]) {
-                            std::cmp::Ordering::Less => p += 1,
-                            std::cmp::Ordering::Greater => q += 1,
-                            std::cmp::Ordering::Equal => {
-                                emit(mul.apply(&av[p], &bv[q]));
-                                p += 1;
-                                q += 1;
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = mul.poll_error() {
-                    return Err(e);
-                }
-                Ok(())
-            })
-        };
-        let eval = {
-            let combine = combine.clone();
-            move || {
-                let c_old = c_old_cap.storage()?.row_csr();
-                let mcsr = msnap.materialize()?;
-                let t = combine(&mcsr)?;
-                let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(MatrixStore::csr(out))
+            let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(MatrixStore::csr(out))
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("eWiseMult", &c.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(MatProducer::<D3> {
-                deps: face_deps,
-                compute: Arc::new(combine),
-                maskable: false,
-                lazy: None,
-                dot: Some(dot),
-                kind: "eWiseMult",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("eWiseMult", &c.handle, deps, eval)
     }
 
     /// `GrB_eWiseAdd` (vector): `w<mask> ⊙= u ⊕ v`.
@@ -273,48 +182,22 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !accum.is_accum() && msnap.is_all();
-
-        let combine = {
-            let (u_node, v_node, add) = (u_node.clone(), v_node.clone(), add.clone());
-            move |_m: &MaskVec| -> Result<SparseVec<T>> {
-                let u_st = u_node.ready_storage()?;
-                let v_st = v_node.ready_storage()?;
-                let t = ewise::ewise_add_vector(&u_st, &v_st, &add);
-                if let Some(e) = add.poll_error() {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let w_old = w_old_cap.storage()?;
+            let mvec = msnap.materialize()?;
+            let u_st = u_node.ready_storage()?;
+            let v_st = v_node.ready_storage()?;
+            let t = ewise::ewise_add_vector(&u_st, &v_st, &add);
+            if let Some(e) = add.poll_error() {
+                return Err(e);
             }
-        };
-        let eval = {
-            let combine = combine.clone();
-            move || {
-                let w_old = w_old_cap.storage()?;
-                let mvec = msnap.materialize()?;
-                let t = combine(&mvec)?;
-                let out = write_vector(&w_old, t, &accum, &mvec, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(out)
+            let out = write_vector(&w_old, t, &accum, &mvec, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(out)
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("eWiseAdd", &w.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(VecProducer::<T> {
-                deps: face_deps,
-                compute: Arc::new(combine),
-                maskable: false,
-                lazy: None,
-                dot: None,
-                kind: "eWiseAdd",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("eWiseAdd", &w.handle, deps, eval)
     }
 
     /// `GrB_eWiseMult` (vector): `w<mask> ⊙= u ⊗ v`.
@@ -358,76 +241,22 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !accum.is_accum() && msnap.is_all();
-
-        let combine = {
-            let (u_node, v_node, mul) = (u_node.clone(), v_node.clone(), mul.clone());
-            move |_m: &MaskVec| -> Result<SparseVec<D3>> {
-                let u_st = u_node.ready_storage()?;
-                let v_st = v_node.ready_storage()?;
-                let t = ewise::ewise_mult_vector(&u_st, &v_st, &mul);
-                if let Some(e) = mul.poll_error() {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let w_old = w_old_cap.storage()?;
+            let mvec = msnap.materialize()?;
+            let u_st = u_node.ready_storage()?;
+            let v_st = v_node.ready_storage()?;
+            let t = ewise::ewise_mult_vector(&u_st, &v_st, &mul);
+            if let Some(e) = mul.poll_error() {
+                return Err(e);
             }
-        };
-        // Intersection emission for rewrite 4 (dot-reduce): fold the
-        // elementwise products without materializing T — the fused form
-        // of a dot product expressed as eWiseMult + reduce.
-        let dot: DotFn<D3> = {
-            let (u_node, v_node, mul) = (u_node.clone(), v_node.clone(), mul.clone());
-            Arc::new(move |emit: &mut dyn FnMut(D3)| -> Result<()> {
-                let u_st = u_node.ready_storage()?;
-                let v_st = v_node.ready_storage()?;
-                let (ui, uv) = (u_st.indices(), u_st.vals());
-                let (vi, vv) = (v_st.indices(), v_st.vals());
-                let (mut p, mut q) = (0, 0);
-                while p < ui.len() && q < vi.len() {
-                    match ui[p].cmp(&vi[q]) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            emit(mul.apply(&uv[p], &vv[q]));
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                if let Some(e) = mul.poll_error() {
-                    return Err(e);
-                }
-                Ok(())
-            })
-        };
-        let eval = {
-            let combine = combine.clone();
-            move || {
-                let w_old = w_old_cap.storage()?;
-                let mvec = msnap.materialize()?;
-                let t = combine(&mvec)?;
-                let out = write_vector(&w_old, t, &accum, &mvec, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(out)
+            let out = write_vector(&w_old, t, &accum, &mvec, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(out)
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("eWiseMult", &w.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(VecProducer::<D3> {
-                deps: face_deps,
-                compute: Arc::new(combine),
-                maskable: false,
-                lazy: None,
-                dot: Some(dot),
-                kind: "eWiseMult",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("eWiseMult", &w.handle, deps, eval)
     }
 }
 

@@ -72,7 +72,7 @@ impl Context {
             }
             Ok(MatrixStore::csr(out))
         };
-        self.submit("extract", &c.handle, deps, eval).map(drop)
+        self.submit("extract", &c.handle, deps, eval)
     }
 
     /// `GrB_extract` (vector): `w<mask> ⊙= u(indices)`.
@@ -119,7 +119,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit("extract", &w.handle, deps, eval).map(drop)
+        self.submit("extract", &w.handle, deps, eval)
     }
 
     /// `GrB_Col_extract`: `w<mask> ⊙= A(rows, j)` — one column as a
@@ -177,7 +177,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit("extract", &w.handle, deps, eval).map(drop)
+        self.submit("extract", &w.handle, deps, eval)
     }
 }
 

@@ -112,7 +112,7 @@ impl Context {
             }
             Ok(MatrixStore::csr(out))
         };
-        self.submit("kronecker", &c.handle, deps, eval).map(drop)
+        self.submit("kronecker", &c.handle, deps, eval)
     }
 }
 

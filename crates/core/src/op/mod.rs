@@ -48,26 +48,18 @@ impl Context {
     /// is re-stored under the output object's policy — migration (if
     /// any) happens here, at completion time, once, and the policy has
     /// the last word over whatever layout a fast-path kernel produced.
-    ///
-    /// Returns the installed node when the operation is a fusion
-    /// candidate, so the caller can attach a producer face and/or
-    /// consumer rewrite hook (see `exec::fuse`); `None` (plain
-    /// submission) in blocking mode, under `FusePolicy::Off`, or when a
-    /// fault was injected.
     pub(crate) fn submit<S: Stored>(
         &self,
         kind: &'static str,
         out: &Handle<S>,
         deps: Vec<Arc<dyn Completable>>,
         eval: impl FnOnce() -> Result<S> + Send + 'static,
-    ) -> Result<Option<Arc<Node<S>>>> {
+    ) -> Result<()> {
         let policy = out.policy();
-        let fault = self.take_fault();
-        let fusable = fault.is_none() && self.fusion_active();
         let node = Node::pending_kind(
             kind,
             deps,
-            match fault {
+            match self.take_fault() {
                 Some(f) => Box::new(move || Err(f)),
                 None => Box::new(move || eval().map(|s| s.restore(policy))),
             },
@@ -78,11 +70,7 @@ impl Context {
         // capture already took the epoch's overlay over them.)
         out.discard_pending();
         out.install(node.clone());
-        if fusable {
-            node.set_observe_probe(out.observe_probe(&node));
-        }
-        self.finish_op(node.clone())?;
-        Ok(fusable.then_some(node))
+        self.finish_op(node)
     }
 }
 
@@ -98,15 +86,6 @@ impl Context {
 pub(crate) struct Old<S: Stored> {
     node: Option<Arc<Node<S>>>,
     shape: S::Key,
-}
-
-impl<S: Stored> Clone for Old<S> {
-    fn clone(&self) -> Self {
-        Old {
-            node: self.node.clone(),
-            shape: self.shape,
-        }
-    }
 }
 
 impl<S: Stored> Old<S> {

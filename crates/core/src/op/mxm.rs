@@ -1,15 +1,11 @@
 //! `GrB_mxm`: `C<Mask> ⊙= A ⊕.⊗ B` (paper, Figure 2).
 
-use std::any::Any;
-use std::sync::Arc;
-
 use crate::accum::Accumulate;
 use crate::algebra::binary::BinaryOp;
 use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
-use crate::exec::fuse::MatProducer;
-use crate::exec::{Completable, Context};
+use crate::exec::Context;
 use crate::kernel::mxm::{
     mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, prefer_dot, MxmStrategy,
 };
@@ -20,7 +16,6 @@ use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
 use crate::op::{check_mask_dims2, effective_dims};
 use crate::scalar::Scalar;
-use crate::storage::csr::Csr;
 use crate::storage::engine::{Layout, MatrixStore};
 
 impl Context {
@@ -90,131 +85,99 @@ impl Context {
         // overwrite).
         let write_is_identity = !accum.is_accum() && msnap.is_all();
 
-        // The internal product `T = A ⊕.⊗ B` under a write mask, shared
-        // between the unfused evaluator and the node's fusion face (where
-        // a downstream consumer's mask gets pushed down into it).
-        let product = {
-            let (a_node, b_node) = (a_node.clone(), b_node.clone());
-            let semiring = semiring.clone();
-            move |mcsr: &MaskCsr| -> Result<Csr<D3>> {
-                let a_st = oriented_storage(&a_node, tr_a)?;
-                let b_st = oriented_storage(&b_node, tr_b)?;
-
-                // Masked products take the dot form when it walks less
-                // than Gustavson (`prefer_dot`): |B(:,j)| is the effective
-                // B's cached column degrees — the stored B's row degrees
-                // when the descriptor transposes it — and building Bᵀ is
-                // free when the store already holds that view.
-                let t = match mcsr {
-                    MaskCsr::Pattern {
-                        pattern,
-                        complement: false,
-                    } if pattern.nvals() > 0 => {
-                        let flops: usize = a_st.col_idx().iter().map(|&k| b_st.row_nvals(k)).sum();
-                        let b_store = b_node.ready_storage()?;
-                        let b_col_degrees = if tr_b {
-                            b_store.row_degrees()
-                        } else {
-                            b_store.col_degrees()
-                        };
-                        let bt_cost = if b_store.csr_view_ready(!tr_b) {
-                            0
-                        } else {
-                            b_st.nvals()
-                        };
-                        if prefer_dot(&a_st, pattern, &b_col_degrees, bt_cost, flops) {
-                            // B^T comes from the store's memoized column
-                            // view; if the descriptor already transposed B,
-                            // the effective B^T is B itself.
-                            let bt_st = oriented_storage(&b_node, !tr_b)?;
-                            mxm_dot(&semiring, &a_st, &bt_st, pattern)
-                        } else {
-                            mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto)
-                        }
+        let eval = move || {
+            // Hypersparse fast path: A stored hypersparse and used
+            // untransposed — walk only its non-empty rows and emit a
+            // hypersparse store directly, skipping the O(nrows) CSR
+            // assembly entirely.
+            if write_is_identity && !tr_a {
+                if let Layout::Hyper(a_hyper) = a_node.ready_storage()?.layout() {
+                    let a_hyper = a_hyper.clone();
+                    let b_st = oriented_storage(&b_node, tr_b)?;
+                    let t = mxm_hyper(&semiring, &a_hyper, &b_st, &MaskCsr::All);
+                    if let Some(e) = semiring
+                        .add()
+                        .poll_error()
+                        .or_else(|| semiring.mul().poll_error())
+                    {
+                        return Err(e);
                     }
-                    _ => mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto),
-                };
-
-                if let Some(e) = semiring
-                    .add()
-                    .poll_error()
-                    .or_else(|| semiring.mul().poll_error())
-                {
-                    return Err(e);
+                    return Ok(MatrixStore::hyper(t));
                 }
-                Ok(t)
+                // Tiled fast path: walk A's tile grid directly instead
+                // of assembling a slab view first. Per-row gather order
+                // is ascending k, so the product is bitwise-identical
+                // to the slab kernel's.
+                if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
+                    let a_tiled = a_tiled.clone();
+                    let b_st = oriented_storage(&b_node, tr_b)?;
+                    let t = mxm_tiled(&semiring, &a_tiled, &b_st, &MaskCsr::All);
+                    if let Some(e) = semiring
+                        .add()
+                        .poll_error()
+                        .or_else(|| semiring.mul().poll_error())
+                    {
+                        return Err(e);
+                    }
+                    return Ok(MatrixStore::csr(t));
+                }
             }
-        };
 
-        let eval = {
-            let product = product.clone();
-            move || {
-                // Hypersparse fast path: A stored hypersparse and used
-                // untransposed — walk only its non-empty rows and emit a
-                // hypersparse store directly, skipping the O(nrows) CSR
-                // assembly entirely.
-                if write_is_identity && !tr_a {
-                    if let Layout::Hyper(a_hyper) = a_node.ready_storage()?.layout() {
-                        let a_hyper = a_hyper.clone();
-                        let b_st = oriented_storage(&b_node, tr_b)?;
-                        let t = mxm_hyper(&semiring, &a_hyper, &b_st, &MaskCsr::All);
-                        if let Some(e) = semiring
-                            .add()
-                            .poll_error()
-                            .or_else(|| semiring.mul().poll_error())
-                        {
-                            return Err(e);
-                        }
-                        return Ok(MatrixStore::hyper(t));
-                    }
-                    // Tiled fast path: walk A's tile grid directly instead
-                    // of assembling a slab view first. Per-row gather order
-                    // is ascending k, so the product is bitwise-identical
-                    // to the slab kernel's.
-                    if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
-                        let a_tiled = a_tiled.clone();
-                        let b_st = oriented_storage(&b_node, tr_b)?;
-                        let t = mxm_tiled(&semiring, &a_tiled, &b_st, &MaskCsr::All);
-                        if let Some(e) = semiring
-                            .add()
-                            .poll_error()
-                            .or_else(|| semiring.mul().poll_error())
-                        {
-                            return Err(e);
-                        }
-                        return Ok(MatrixStore::csr(t));
+            let c_old = c_old_cap.storage()?.row_csr();
+            let mcsr = msnap.materialize()?;
+            let a_st = oriented_storage(&a_node, tr_a)?;
+            let b_st = oriented_storage(&b_node, tr_b)?;
+
+            // The product is computed under `mcsr`, always. Masked
+            // products take the dot form when it walks less than
+            // Gustavson (`prefer_dot`): |B(:,j)| is the effective B's
+            // cached column degrees — the stored B's row degrees when the
+            // descriptor transposes it — and building Bᵀ is free when the
+            // store already holds that view.
+            let t = match &mcsr {
+                MaskCsr::Pattern {
+                    pattern,
+                    complement: false,
+                } if pattern.nvals() > 0 => {
+                    let flops: usize = a_st.col_idx().iter().map(|&k| b_st.row_nvals(k)).sum();
+                    let b_store = b_node.ready_storage()?;
+                    let b_col_degrees = if tr_b {
+                        b_store.row_degrees()
+                    } else {
+                        b_store.col_degrees()
+                    };
+                    let bt_cost = if b_store.csr_view_ready(!tr_b) {
+                        0
+                    } else {
+                        b_st.nvals()
+                    };
+                    if prefer_dot(&a_st, pattern, &b_col_degrees, bt_cost, flops) {
+                        // B^T comes from the store's memoized column
+                        // view; if the descriptor already transposed B,
+                        // the effective B^T is B itself.
+                        let bt_st = oriented_storage(&b_node, !tr_b)?;
+                        mxm_dot(&semiring, &a_st, &bt_st, pattern)
+                    } else {
+                        mxm_kernel(&semiring, &a_st, &b_st, &mcsr, MxmStrategy::Auto)
                     }
                 }
-
-                let c_old = c_old_cap.storage()?.row_csr();
-                let mcsr = msnap.materialize()?;
-                // the product is computed under `mcsr`, always
-                let t = product(&mcsr)?;
-                let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(MatrixStore::csr(out))
+                _ => mxm_kernel(&semiring, &a_st, &b_st, &mcsr, MxmStrategy::Auto),
+            };
+            if let Some(e) = semiring
+                .add()
+                .poll_error()
+                .or_else(|| semiring.mul().poll_error())
+            {
+                return Err(e);
             }
+
+            let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
+            }
+            Ok(MatrixStore::csr(out))
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("mxm", &c.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if write_is_identity {
-            // Pure product: downstream consumers may recompute it under
-            // their own write mask (rewrite 3, the masked-SpGEMM win) or
-            // fold a unary op into its output stage (rewrite 2).
-            node.set_fuse_face(Arc::new(MatProducer::<D3> {
-                deps: face_deps,
-                compute: Arc::new(product),
-                maskable: true,
-                lazy: None,
-                dot: None,
-                kind: "mxm",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("mxm", &c.handle, deps, eval)
     }
 }
 

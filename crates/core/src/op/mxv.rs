@@ -1,24 +1,18 @@
 //! `GrB_mxv` and `GrB_vxm` (Table II): matrix–vector products over a
 //! semiring.
 
-use std::any::Any;
-use std::sync::Arc;
-
 use crate::accum::Accumulate;
 use crate::algebra::binary::BinaryOp;
 use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
-use crate::exec::fuse::VecProducer;
-use crate::exec::{Completable, Context};
+use crate::exec::Context;
 use crate::kernel::spmspv;
 use crate::kernel::write::write_masked_vector;
-use crate::mask::MaskVec;
 use crate::object::mask_arg::VectorMask;
 use crate::object::{Matrix, Vector};
 use crate::op::{check_mask_dims1, effective_dims};
 use crate::scalar::Scalar;
-use crate::storage::vec::SparseVec;
 
 impl Context {
     /// `GrB_mxv(w, mask, accum, op, A, u, desc)`:
@@ -64,55 +58,26 @@ impl Context {
         deps.extend(w_old_cap.dep());
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
-        let pure = !accum.is_accum() && msnap.is_all();
-
-        // The internal product under a write mask, shared between the
-        // unfused evaluator and the node's fusion face (mask pushdown).
-        let product = {
-            let (a_node, u_node) = (a_node.clone(), u_node.clone());
-            let semiring = semiring.clone();
-            move |mvec: &MaskVec| -> Result<SparseVec<D3>> {
-                let u_st = u_node.ready_storage()?;
-                let a_st = a_node.ready_storage()?;
-                let t = spmspv::mxv(&semiring, &a_st, &u_st, tr_a, mvec);
-                if let Some(e) = semiring
-                    .add()
-                    .poll_error()
-                    .or_else(|| semiring.mul().poll_error())
-                {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let w_old = w_old_cap.storage()?;
+            let mvec = msnap.materialize()?;
+            let u_st = u_node.ready_storage()?;
+            let a_st = a_node.ready_storage()?;
+            let t = spmspv::mxv(&semiring, &a_st, &u_st, tr_a, &mvec);
+            if let Some(e) = semiring
+                .add()
+                .poll_error()
+                .or_else(|| semiring.mul().poll_error())
+            {
+                return Err(e);
             }
-        };
-        let eval = {
-            let product = product.clone();
-            move || {
-                let w_old = w_old_cap.storage()?;
-                let mvec = msnap.materialize()?;
-                let t = product(&mvec)?;
-                let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(out)
+            let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(out)
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("mxv", &w.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(VecProducer::<D3> {
-                deps: face_deps,
-                compute: Arc::new(product),
-                maskable: true,
-                lazy: None,
-                dot: None,
-                kind: "mxv",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("mxv", &w.handle, deps, eval)
     }
 
     /// `GrB_vxm(w, mask, accum, op, u, A, desc)`:
@@ -160,53 +125,26 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        let pure = !accum.is_accum() && msnap.is_all();
-
-        let product = {
-            let (a_node, u_node) = (a_node.clone(), u_node.clone());
-            let semiring = semiring.clone();
-            move |mvec: &MaskVec| -> Result<SparseVec<D3>> {
-                let a_st = a_node.ready_storage()?;
-                let u_st = u_node.ready_storage()?;
-                let t = spmspv::vxm(&semiring, &u_st, &a_st, tr_a, mvec);
-                if let Some(e) = semiring
-                    .add()
-                    .poll_error()
-                    .or_else(|| semiring.mul().poll_error())
-                {
-                    return Err(e);
-                }
-                Ok(t)
+        let eval = move || {
+            let w_old = w_old_cap.storage()?;
+            let mvec = msnap.materialize()?;
+            let a_st = a_node.ready_storage()?;
+            let u_st = u_node.ready_storage()?;
+            let t = spmspv::vxm(&semiring, &u_st, &a_st, tr_a, &mvec);
+            if let Some(e) = semiring
+                .add()
+                .poll_error()
+                .or_else(|| semiring.mul().poll_error())
+            {
+                return Err(e);
             }
-        };
-        let eval = {
-            let product = product.clone();
-            move || {
-                let w_old = w_old_cap.storage()?;
-                let mvec = msnap.materialize()?;
-                let t = product(&mvec)?;
-                let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
-                if let Some(e) = accum.poll_error() {
-                    return Err(e);
-                }
-                Ok(out)
+            let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
+            if let Some(e) = accum.poll_error() {
+                return Err(e);
             }
+            Ok(out)
         };
-        let face_deps: Vec<Arc<dyn Completable>> = deps.clone();
-        let Some(node) = self.submit("vxm", &w.handle, deps, eval)? else {
-            return Ok(());
-        };
-        if pure {
-            node.set_fuse_face(Arc::new(VecProducer::<D3> {
-                deps: face_deps,
-                compute: Arc::new(product),
-                maskable: true,
-                lazy: None,
-                dot: None,
-                kind: "vxm",
-            }) as Arc<dyn Any + Send + Sync>);
-        }
-        Ok(())
+        self.submit("vxm", &w.handle, deps, eval)
     }
 }
 

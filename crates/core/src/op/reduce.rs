@@ -2,14 +2,15 @@
 //! (`w ⊙= ⊕_j A(:,j)`), or fold a whole collection to a scalar.
 //!
 //! Scalar reductions export to non-opaque data, so they force completion
-//! and execute immediately in every mode (paper §IV).
+//! and execute immediately in every mode (paper §IV). Their fold runs on
+//! the calling thread, so a panicking operator is caught there and
+//! reported as `GrB_PANIC` (§V), as it is for deferred nodes.
 
 use crate::accum::Accumulate;
 use crate::algebra::monoid::Monoid;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
-use crate::exec::fuse::{face_as, FusedNote, MatProducer, VecProducer};
-use crate::exec::{force, Completable, Context};
+use crate::exec::{catch_panic, Context};
 use crate::kernel::reduce::{reduce_matrix_scalar, reduce_rows, reduce_vector_scalar};
 use crate::kernel::write::write_vector;
 use crate::object::mask_arg::VectorMask;
@@ -19,95 +20,6 @@ use crate::op::{check_mask_dims1, effective_dims};
 use crate::scalar::Scalar;
 
 impl Context {
-    /// Rewrite 4 (`exec::fuse`): a scalar reduce of a pending producer
-    /// that exposes an emission form folds element-by-element without
-    /// materializing the intermediate — the fused form of a dot product
-    /// written as `eWiseMult` + `reduce`. The producer node is left
-    /// pending (its value was never needed); forcing it later still
-    /// works. Returns `None` when the rewrite doesn't apply.
-    fn try_fused_reduce_matrix<T, M>(&self, monoid: &M, a: &Matrix<T>) -> Option<Result<T>>
-    where
-        T: Scalar,
-        M: Monoid<T>,
-    {
-        if !self.fusion_active() {
-            return None;
-        }
-        let node = a.handle.capture();
-        if node.is_complete() {
-            return None;
-        }
-        let face = face_as::<MatProducer<T>>(node.fuse_face()?)?;
-        let dot = face.dot.clone()?;
-        // Complete the producer's own inputs first; a failure among them
-        // surfaces through the emission's dependency reads with §V's
-        // exact invalid-object wording, same as the unfused path.
-        for d in &face.deps {
-            let _ = force(d);
-        }
-        let mut acc = monoid.identity();
-        let folded = dot(&mut |x| acc = monoid.apply(&acc, &x));
-        Some(
-            match folded.and_then(|()| match monoid.poll_error() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }) {
-                Err(e) => {
-                    self.record_error(&e);
-                    Err(e)
-                }
-                Ok(()) => {
-                    self.record_fused(FusedNote {
-                        rewrite: "dot-reduce",
-                        producer: face.kind,
-                        consumer: "reduce",
-                    });
-                    Ok(acc)
-                }
-            },
-        )
-    }
-
-    /// Vector counterpart of [`Context::try_fused_reduce_matrix`].
-    fn try_fused_reduce_vector<T, M>(&self, monoid: &M, u: &Vector<T>) -> Option<Result<T>>
-    where
-        T: Scalar,
-        M: Monoid<T>,
-    {
-        if !self.fusion_active() {
-            return None;
-        }
-        let node = u.handle.capture();
-        if node.is_complete() {
-            return None;
-        }
-        let face = face_as::<VecProducer<T>>(node.fuse_face()?)?;
-        let dot = face.dot.clone()?;
-        for d in &face.deps {
-            let _ = force(d);
-        }
-        let mut acc = monoid.identity();
-        let folded = dot(&mut |x| acc = monoid.apply(&acc, &x));
-        Some(
-            match folded.and_then(|()| match monoid.poll_error() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }) {
-                Err(e) => {
-                    self.record_error(&e);
-                    Err(e)
-                }
-                Ok(()) => {
-                    self.record_fused(FusedNote {
-                        rewrite: "dot-reduce",
-                        producer: face.kind,
-                        consumer: "reduce",
-                    });
-                    Ok(acc)
-                }
-            },
-        )
-    }
     /// `GrB_reduce` (matrix → vector): `w<mask> ⊙= ⊕_j A(:,j)` — one
     /// entry per non-empty row. `GrB_INP0 = GrB_TRAN` reduces columns
     /// instead.
@@ -158,7 +70,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit("reduce", &w.handle, deps, eval).map(drop)
+        self.submit("reduce", &w.handle, deps, eval)
     }
 
     /// `GrB_reduce` (matrix → scalar): `⊕` over every stored element;
@@ -168,21 +80,15 @@ impl Context {
         T: Scalar,
         M: Monoid<T>,
     {
-        if let Some(r) = self.try_fused_reduce_matrix(&monoid, a) {
-            return r;
-        }
-        let st = a
-            .handle
+        a.handle
             .forced_storage()
-            .inspect_err(|e| self.record_error(e))?;
-        let v = reduce_matrix_scalar(&st.row_csr(), &monoid);
-        match monoid.poll_error() {
-            Some(e) => {
-                self.record_error(&e);
-                Err(e)
-            }
-            None => Ok(v),
-        }
+            .and_then(|st| {
+                catch_panic(|| {
+                    let v = reduce_matrix_scalar(&st.row_csr(), &monoid);
+                    monoid.poll_error().map_or(Ok(v), Err)
+                })
+            })
+            .inspect_err(|e| self.record_error(e))
     }
 
     /// `GrB_reduce` (vector → scalar). Forces completion.
@@ -191,21 +97,15 @@ impl Context {
         T: Scalar,
         M: Monoid<T>,
     {
-        if let Some(r) = self.try_fused_reduce_vector(&monoid, u) {
-            return r;
-        }
-        let st = u
-            .handle
+        u.handle
             .forced_storage()
-            .inspect_err(|e| self.record_error(e))?;
-        let v = reduce_vector_scalar(&st, &monoid);
-        match monoid.poll_error() {
-            Some(e) => {
-                self.record_error(&e);
-                Err(e)
-            }
-            None => Ok(v),
-        }
+            .and_then(|st| {
+                catch_panic(|| {
+                    let v = reduce_vector_scalar(&st, &monoid);
+                    monoid.poll_error().map_or(Ok(v), Err)
+                })
+            })
+            .inspect_err(|e| self.record_error(e))
     }
 }
 

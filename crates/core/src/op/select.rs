@@ -58,7 +58,7 @@ impl Context {
             }
             Ok(MatrixStore::csr(out))
         };
-        self.submit("select", &c.handle, deps, eval).map(drop)
+        self.submit("select", &c.handle, deps, eval)
     }
 
     /// `GrB_select` (vector): `w<mask> ⊙= select(op, u)` (the predicate
@@ -102,7 +102,7 @@ impl Context {
             }
             Ok(out)
         };
-        self.submit("select", &w.handle, deps, eval).map(drop)
+        self.submit("select", &w.handle, deps, eval)
     }
 }
 

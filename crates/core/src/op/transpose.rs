@@ -66,7 +66,7 @@ impl Context {
             }
             Ok(MatrixStore::csr(out))
         };
-        self.submit("transpose", &c.handle, deps, eval).map(drop)
+        self.submit("transpose", &c.handle, deps, eval)
     }
 }
 

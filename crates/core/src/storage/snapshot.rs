@@ -264,7 +264,7 @@ impl<S: Stored> Snapshot<S> {
     /// shared overlay node; nothing is merged until a kernel forces it,
     /// and the merge is shared with every other view of this epoch.
     fn to_handle(&self) -> Handle<S> {
-        Handle::aliasing(self.node.clone(), self.policy)
+        Handle::new(self.node.clone(), self.policy)
     }
 }
 

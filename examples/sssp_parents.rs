@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, operations as ops,
-    with_session_policies, Descriptor, FusePolicy, GrbMatrix, GrbVector, Mode, SchedPolicy, Value,
+    with_session_policies, Descriptor, GrbMatrix, GrbVector, Mode, SchedPolicy, Value,
 };
 use graphblas_core::error::Result;
 use graphblas_gen::erdos_renyi_gnm;
@@ -90,7 +90,6 @@ fn main() -> Result<()> {
     let (dist, parent) = with_session_policies(
         Mode::Nonblocking,
         SchedPolicy::Parallel,
-        FusePolicy::On,
         || -> Result<(Vec<f64>, Vec<u64>)> {
             let d = Descriptor::default();
             // A(u, v) = (w_uv, u): each stored edge knows its source

@@ -14,8 +14,8 @@
 
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_monoid_terminal_new, grb_semiring_new, grb_type_new,
-    operations as ops, with_session_policies, Descriptor, FusePolicy, GrbMatrix, GrbVector, Mode,
-    SchedPolicy, Value,
+    operations as ops, with_session_policies, Descriptor, GrbMatrix, GrbVector, Mode, SchedPolicy,
+    Value,
 };
 use graphblas_core::error::Result;
 
@@ -59,7 +59,6 @@ fn complex_demo() -> Result<()> {
     with_session_policies(
         Mode::Nonblocking,
         SchedPolicy::Parallel,
-        FusePolicy::On,
         || -> Result<()> {
             let d = Descriptor::default();
             // A = [[1+i, 2], [0, -i]], u = [3, 1-i]
@@ -106,7 +105,6 @@ fn tropical_demo() -> Result<()> {
     with_session_policies(
         Mode::Nonblocking,
         SchedPolicy::Parallel,
-        FusePolicy::On,
         || -> Result<()> {
             let d = Descriptor::default();
             let n = 4usize;

@@ -291,116 +291,139 @@ fn grb_error_names_both_domains_on_udt_mismatch() {
 /// on the monomorphized built-in lane stay `None`.
 #[test]
 fn trace_marks_erased_lane_nodes() {
-    use graphblas_capi::{FusePolicy, SchedPolicy};
-    grb::with_session_policies(
-        Mode::Nonblocking,
-        SchedPolicy::Sequential,
-        FusePolicy::On,
-        || {
-            grb::enable_trace(true).unwrap();
-            let t = errm_udt();
-            let enc = |v: i64| t.value(&v.to_ne_bytes()).unwrap();
-            let a = GrbMatrix::new(t.ty(), 2, 2).unwrap();
-            a.set(0, 0, enc(2)).unwrap();
-            a.set(0, 1, enc(3)).unwrap();
-            a.set(1, 1, enc(4)).unwrap();
-            let u = grb::GrbVector::new(t.ty(), 2).unwrap();
-            u.set(0, enc(10)).unwrap();
-            u.set(1, enc(20)).unwrap();
-            let w = grb::GrbVector::new(t.ty(), 2).unwrap();
-            grb::mxv(
-                &w,
-                None,
-                None,
-                errm_semiring(),
-                &a,
-                &u,
-                &Descriptor::default(),
-            )
-            .unwrap();
+    use graphblas_capi::SchedPolicy;
+    grb::with_session_policies(Mode::Nonblocking, SchedPolicy::Sequential, || {
+        grb::enable_trace(true).unwrap();
+        let t = errm_udt();
+        let enc = |v: i64| t.value(&v.to_ne_bytes()).unwrap();
+        let a = GrbMatrix::new(t.ty(), 2, 2).unwrap();
+        a.set(0, 0, enc(2)).unwrap();
+        a.set(0, 1, enc(3)).unwrap();
+        a.set(1, 1, enc(4)).unwrap();
+        let u = grb::GrbVector::new(t.ty(), 2).unwrap();
+        u.set(0, enc(10)).unwrap();
+        u.set(1, enc(20)).unwrap();
+        let w = grb::GrbVector::new(t.ty(), 2).unwrap();
+        grb::mxv(
+            &w,
+            None,
+            None,
+            errm_semiring(),
+            &a,
+            &u,
+            &Descriptor::default(),
+        )
+        .unwrap();
 
-            // a built-in mxv in the same session must stay unmarked
-            let b = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
-            b.set(0, 0, Value::Int32(1)).unwrap();
-            let v = grb::GrbVector::new(GrbType::Int32, 2).unwrap();
-            v.set(0, Value::Int32(5)).unwrap();
-            let wv = grb::GrbVector::new(GrbType::Int32, 2).unwrap();
-            grb::mxv(
-                &wv,
-                None,
-                None,
-                &int32_semiring(),
-                &b,
-                &v,
-                &Descriptor::default(),
-            )
-            .unwrap();
+        // a built-in mxv in the same session must stay unmarked
+        let b = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
+        b.set(0, 0, Value::Int32(1)).unwrap();
+        let v = grb::GrbVector::new(GrbType::Int32, 2).unwrap();
+        v.set(0, Value::Int32(5)).unwrap();
+        let wv = grb::GrbVector::new(GrbType::Int32, 2).unwrap();
+        grb::mxv(
+            &wv,
+            None,
+            None,
+            &int32_semiring(),
+            &b,
+            &v,
+            &Descriptor::default(),
+        )
+        .unwrap();
 
-            grb::wait().unwrap();
-            let trace = grb::take_trace().unwrap();
-            let mxv_events: Vec<_> = trace.iter().filter(|e| e.kind == "mxv").collect();
-            assert_eq!(mxv_events.len(), 2, "{trace:?}");
-            let marked: Vec<&'static str> = mxv_events.iter().filter_map(|e| e.udf).collect();
-            assert_eq!(marked.len(), 1, "exactly the UDT node is marked: {trace:?}");
-            assert!(
-                marked[0] == "errm_plus_i64" || marked[0] == "errm_times_i64",
-                "marked with a registered op name, got {:?}",
-                marked[0]
-            );
-        },
-    )
+        grb::wait().unwrap();
+        let trace = grb::take_trace().unwrap();
+        let mxv_events: Vec<_> = trace.iter().filter(|e| e.kind == "mxv").collect();
+        assert_eq!(mxv_events.len(), 2, "{trace:?}");
+        let marked: Vec<&'static str> = mxv_events.iter().filter_map(|e| e.udf).collect();
+        assert_eq!(marked.len(), 1, "exactly the UDT node is marked: {trace:?}");
+        assert!(
+            marked[0] == "errm_plus_i64" || marked[0] == "errm_times_i64",
+            "marked with a registered op name, got {:?}",
+            marked[0]
+        );
+    })
     .unwrap();
 }
 
-/// The fusion policy rides through the facade's init, and the §IV
-/// rewrites stay observation-equivalent across the C-shaped API.
+/// A wrapped-i64 semiring over [`errm_udt`] whose `⊗` panics when its
+/// left operand is 13: an operator bug, not a data error.
+fn errm_panicky_semiring() -> &'static GrbSemiring {
+    static S: OnceLock<GrbSemiring> = OnceLock::new();
+    S.get_or_init(|| {
+        let t = errm_udt().ty();
+        let dec = |b: &[u8]| i64::from_ne_bytes(b.try_into().unwrap());
+        let plus = grb_binary_op_new("errm_panicky_plus_i64", t, t, t, move |z, x, y| {
+            z.copy_from_slice(&dec(x).wrapping_add(dec(y)).to_ne_bytes());
+        });
+        let times = grb_binary_op_new("errm_panicky_times_i64", t, t, t, move |z, x, y| {
+            assert_ne!(dec(x), 13, "user operator rejects 13");
+            z.copy_from_slice(&dec(x).wrapping_mul(dec(y)).to_ne_bytes());
+        });
+        let add = grb_monoid_new(&plus, &0i64.to_ne_bytes()).unwrap();
+        grb_semiring_new(add, times).unwrap()
+    })
+}
+
+/// §V: a user operator that panics is an unrecoverable error inside the
+/// method, reported as `GrB_PANIC` — from the call in blocking mode,
+/// from `wait()` in nonblocking mode — and never unwound through the
+/// caller. Degree 2 with a zero cost threshold runs blocking mode's
+/// kernels as pooled chunks, so a chunk's panic is covered too. The
+/// session stays usable: a following operation on other objects
+/// succeeds.
 #[test]
-fn fuse_policy_config_controls_rewrites() {
-    use graphblas_capi::{FusePolicy, GrbUnaryOp, SchedPolicy};
-    let run = |fuse: FusePolicy| -> Vec<(usize, usize, Value)> {
-        grb::with_session_policies(Mode::Nonblocking, SchedPolicy::Sequential, fuse, || {
-            grb::enable_trace(true).unwrap();
-            let a = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
-            a.set(0, 0, Value::Int32(2)).unwrap();
-            a.set(1, 1, Value::Int32(3)).unwrap();
-            let mask = GrbMatrix::new(GrbType::Bool, 2, 2).unwrap();
-            mask.set(0, 0, Value::Bool(true)).unwrap();
-            let out = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
-            {
-                let tmp = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
-                grb::mxm(
-                    &tmp,
-                    None,
-                    None,
-                    &int32_semiring(),
-                    &a,
-                    &a,
-                    &Descriptor::default(),
-                )
-                .unwrap();
-                grb::apply_matrix(
-                    &out,
-                    Some(&mask),
-                    None,
-                    &GrbUnaryOp::identity(GrbType::Int32),
-                    &tmp,
-                    &Descriptor::default(),
-                )
-                .unwrap();
-            } // tmp dropped: exclusively dead before wait
-            grb::wait().unwrap();
-            let fused = grb::take_trace()
-                .unwrap()
-                .iter()
-                .filter(|e| e.kind == "fused")
-                .count();
-            match fuse {
-                FusePolicy::On => assert_eq!(fused, 1, "mask-pushdown should fire"),
-                FusePolicy::Off => assert_eq!(fused, 0, "ablation baseline must not rewrite"),
-            }
-            out.extract_tuples().unwrap()
-        })
-        .unwrap()
-    };
-    assert_eq!(run(FusePolicy::On), run(FusePolicy::Off));
+fn panicking_udf_reports_grb_panic_and_the_session_survives() {
+    use graphblas_capi::SchedPolicy;
+    use graphblas_core::par;
+    let sessions = [
+        (Mode::Blocking, SchedPolicy::Sequential),
+        (Mode::Nonblocking, SchedPolicy::Sequential),
+        (Mode::Nonblocking, SchedPolicy::Parallel),
+    ];
+    for (mode, policy) in sessions {
+        for degree in [1, 2] {
+            grb::with_session_policies(mode, policy, || {
+                par::with_cost_model(1, 0, || {
+                    par::with_parallelism(degree, || {
+                        let t = errm_udt();
+                        let enc = |v: i64| t.value(&v.to_ne_bytes()).unwrap();
+                        let d = Descriptor::default();
+                        let a = GrbMatrix::new(t.ty(), 4, 4).unwrap();
+                        for (i, j, v) in [(0, 0, 2), (1, 2, 3), (2, 1, 13), (3, 3, 5)] {
+                            a.set(i, j, enc(v)).unwrap();
+                        }
+                        let c = GrbMatrix::new(t.ty(), 4, 4).unwrap();
+                        let e = grb::mxm(&c, None, None, errm_panicky_semiring(), &a, &a, &d)
+                            .and_then(|()| grb::wait())
+                            .unwrap_err();
+                        assert_eq!(e.code_name(), "GrB_PANIC", "mxm {mode:?} {policy:?}: {e}");
+
+                        let u = grb::GrbVector::new(t.ty(), 4).unwrap();
+                        for i in 0..4 {
+                            u.set(i, enc(1)).unwrap();
+                        }
+                        let w = grb::GrbVector::new(t.ty(), 4).unwrap();
+                        let e = grb::mxv(&w, None, None, errm_panicky_semiring(), &a, &u, &d)
+                            .and_then(|()| grb::wait())
+                            .unwrap_err();
+                        assert_eq!(e.code_name(), "GrB_PANIC", "mxv {mode:?} {policy:?}: {e}");
+
+                        let b = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
+                        b.set(0, 1, Value::Int32(3)).unwrap();
+                        b.set(1, 0, Value::Int32(4)).unwrap();
+                        let cb = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
+                        grb::mxm(&cb, None, None, &int32_semiring(), &b, &b, &d).unwrap();
+                        grb::wait().unwrap();
+                        assert_eq!(
+                            cb.extract_tuples().unwrap(),
+                            vec![(0, 0, Value::Int32(12)), (1, 1, Value::Int32(12))]
+                        );
+                    })
+                })
+            })
+            .unwrap();
+        }
+    }
 }

@@ -493,10 +493,7 @@ proptest! {
 
     /// The scheduler must be invisible: blocking, nonblocking with the
     /// sequential driver, and nonblocking with the worker pool agree on
-    /// every observable object. The fusion axis rides along: the
-    /// default contexts run with `FusePolicy::On`, and the two explicit
-    /// `FusePolicy::Off` runs pin the as-written DAG as the baseline —
-    /// §IV rewrites may never change an observation.
+    /// every observable object.
     #[test]
     fn three_execution_paths_agree(
         seeds in seeds_strategy(),
@@ -505,16 +502,8 @@ proptest! {
         let blocking = interpret(&Context::blocking(), &seeds, &steps);
         let nb_seq = interpret(&Context::nonblocking_sequential(), &seeds, &steps);
         let nb_par = interpret(&Context::nonblocking_parallel(), &seeds, &steps);
-        let nb_seq_nofuse = interpret(
-            &Context::with_fuse_policy(Mode::Nonblocking, SchedPolicy::Sequential, FusePolicy::Off),
-            &seeds, &steps);
-        let nb_par_nofuse = interpret(
-            &Context::with_fuse_policy(Mode::Nonblocking, SchedPolicy::Parallel, FusePolicy::Off),
-            &seeds, &steps);
         prop_assert_eq!(&blocking, &nb_seq);
         prop_assert_eq!(&nb_seq, &nb_par);
-        prop_assert_eq!(&nb_seq, &nb_seq_nofuse);
-        prop_assert_eq!(&nb_par, &nb_par_nofuse);
     }
 
     /// §V with concurrency: injected execution faults poison the same
@@ -535,23 +524,16 @@ proptest! {
             interpret_faulty(&Context::nonblocking_sequential(), &seeds, &steps, &faults);
         let (obs_par, err_par) =
             interpret_faulty(&Context::nonblocking_parallel(), &seeds, &steps, &faults);
-        // fusion shortens failure-propagation chains but may not change
-        // which objects poison or which error wait() reports
-        let (obs_nofuse, err_nofuse) = interpret_faulty(
-            &Context::with_fuse_policy(Mode::Nonblocking, SchedPolicy::Sequential, FusePolicy::Off),
-            &seeds, &steps, &faults);
         prop_assert_eq!(&obs_blk, &obs_seq);
         prop_assert_eq!(&obs_seq, &obs_par);
-        prop_assert_eq!(&obs_seq, &obs_nofuse);
         prop_assert_eq!(&err_seq, &err_par);
-        prop_assert_eq!(&err_seq, &err_nofuse);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Float value classes: §IV equivalence must hold for IEEE-754 special
-// values too — NaN, ±∞, and -0.0 — across all three execution paths and
-// both fusion policies. Equality is semantic: NaNs (any payload) count
+// values too — NaN, ±∞, and -0.0 — across all three execution paths.
+// Equality is semantic: NaNs (any payload) count
 // as equal, and comparisons otherwise use IEEE `==` (so 0.0 == -0.0 —
 // the sign of a zero is not an observation the paper's modes contract
 // covers, but NaN-vs-number very much is).
@@ -737,14 +719,8 @@ proptest! {
     ) {
         let blocking = interpret_floats(&Context::blocking(), &seeds, &steps);
         let runs = [
-            ("nb-seq fuse-on", interpret_floats(&Context::nonblocking_sequential(), &seeds, &steps)),
-            ("nb-par fuse-on", interpret_floats(&Context::nonblocking_parallel(), &seeds, &steps)),
-            ("nb-seq fuse-off", interpret_floats(
-                &Context::with_fuse_policy(Mode::Nonblocking, SchedPolicy::Sequential, FusePolicy::Off),
-                &seeds, &steps)),
-            ("nb-par fuse-off", interpret_floats(
-                &Context::with_fuse_policy(Mode::Nonblocking, SchedPolicy::Parallel, FusePolicy::Off),
-                &seeds, &steps)),
+            ("nb-seq", interpret_floats(&Context::nonblocking_sequential(), &seeds, &steps)),
+            ("nb-par", interpret_floats(&Context::nonblocking_parallel(), &seeds, &steps)),
         ];
         for (label, obs) in &runs {
             prop_assert!(

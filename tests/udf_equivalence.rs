@@ -25,7 +25,6 @@ use graphblas_capi::{
     GrbMonoid, GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, Mode, SchedPolicy,
     Value,
 };
-use graphblas_core::FusePolicy;
 use proptest::prelude::*;
 
 const N: usize = 10;
@@ -263,14 +262,14 @@ proptest! {
         u0 in sparse(N, 12),
     ) {
         let reference = with_session_policies(
-            Mode::Blocking, SchedPolicy::Sequential, FusePolicy::On,
+            Mode::Blocking, SchedPolicy::Sequential,
             || at_degree(1, || run_builtin(&m0, &u0, None)),
         ).unwrap();
 
         for (mode, policy) in SESSIONS {
             for format in FORMATS {
                 for k in DEGREES {
-                    let (b, udt_obs) = with_session_policies(mode, policy, FusePolicy::On, || {
+                    let (b, udt_obs) = with_session_policies(mode, policy, || {
                         at_degree(k, || {
                             (run_builtin(&m0, &u0, format), run_udt(&m0, &u0, format))
                         })
@@ -498,7 +497,7 @@ proptest! {
             for (mode, policy) in SESSIONS {
                 for format in FORMATS {
                     for k in DEGREES {
-                        let got = with_session_policies(mode, policy, FusePolicy::On, || {
+                        let got = with_session_policies(mode, policy, || {
                             at_degree(k, || run_sized(size, &m0, &u0, format))
                         }).unwrap();
                         prop_assert_eq!(
