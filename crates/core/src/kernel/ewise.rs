@@ -55,6 +55,22 @@ pub fn union_merge<T: Scalar, F: BinaryOp<T, T, T>>(
     out_vals.extend_from_slice(&b_vals[j..]);
 }
 
+/// [`union_merge`] when `full` stores every index: copy its values and
+/// fold each of `other`'s entries into its position as
+/// `fold(full(i), other(i))`, the one ⊕ the merge would apply there.
+pub(crate) fn union_full<T: Scalar>(
+    full: &SparseVec<T>,
+    other: &SparseVec<T>,
+    fold: impl Fn(&T, &T) -> T,
+) -> SparseVec<T> {
+    debug_assert!(full.is_full() && full.size() == other.size());
+    let mut vals = full.vals().to_vec();
+    for (i, x) in other.iter() {
+        vals[i] = fold(&vals[i], x);
+    }
+    SparseVec::from_sorted_parts(full.size(), full.indices().to_vec(), vals)
+}
+
 /// Intersection-merge two sorted index/value slices: ⊗ on the matches
 /// `keep` admits. `keep` is asked in ascending index order.
 #[allow(clippy::too_many_arguments)]
@@ -162,13 +178,20 @@ where
     )
 }
 
-/// `t = u ⊕ v` on vectors.
+/// `t = u ⊕ v` on vectors. A full operand is indexed by position
+/// (`union_full`), with ⊕'s operands in the merge's order.
 pub fn ewise_add_vector<T: Scalar, F: BinaryOp<T, T, T>>(
     u: &SparseVec<T>,
     v: &SparseVec<T>,
     add: &F,
 ) -> SparseVec<T> {
     debug_assert_eq!(u.size(), v.size());
+    if u.is_full() {
+        return union_full(u, v, |x, y| add.apply(x, y));
+    }
+    if v.is_full() {
+        return union_full(v, u, |y, x| add.apply(x, y));
+    }
     let mut idx = Vec::with_capacity(u.nvals() + v.nvals());
     let mut vals = Vec::with_capacity(u.nvals() + v.nvals());
     union_merge(
@@ -183,7 +206,8 @@ pub fn ewise_add_vector<T: Scalar, F: BinaryOp<T, T, T>>(
     SparseVec::from_sorted_parts(u.size(), idx, vals)
 }
 
-/// `t = u ⊗ v` on vectors.
+/// `t = u ⊗ v` on vectors. A full operand is gathered by position along
+/// the other one's pattern.
 pub fn ewise_mult_vector<A, B, C, F>(u: &SparseVec<A>, v: &SparseVec<B>, mul: &F) -> SparseVec<C>
 where
     A: Scalar,
@@ -192,6 +216,14 @@ where
     F: BinaryOp<A, B, C>,
 {
     debug_assert_eq!(u.size(), v.size());
+    if u.is_full() {
+        let vals = v.iter().map(|(i, y)| mul.apply(&u.vals()[i], y)).collect();
+        return SparseVec::from_sorted_parts(u.size(), v.indices().to_vec(), vals);
+    }
+    if v.is_full() {
+        let vals = u.iter().map(|(i, x)| mul.apply(x, &v.vals()[i])).collect();
+        return SparseVec::from_sorted_parts(u.size(), u.indices().to_vec(), vals);
+    }
     let mut idx = Vec::with_capacity(u.nvals().min(v.nvals()));
     let mut vals = Vec::with_capacity(u.nvals().min(v.nvals()));
     intersect_merge(
@@ -281,6 +313,26 @@ mod tests {
         assert_eq!(s.to_tuples(), vec![(0, 1), (2, 12), (3, 20), (4, 3)]);
         let p = ewise_mult_vector(&u, &v, &Times::new());
         assert_eq!(p.to_tuples(), vec![(2, 20)]);
+    }
+
+    #[test]
+    fn full_operands_match_the_merges_in_operand_order() {
+        use crate::algebra::binary::Minus;
+        let full = SparseVec::from_dense(&[1, 2, 3, 4, 5]);
+        let part = SparseVec::from_sorted_parts(5, vec![1, 4], vec![10, 20]);
+        let minus = Minus::<i32>::new();
+        assert_eq!(
+            ewise_add_vector(&full, &part, &minus).to_tuples(),
+            vec![(0, 1), (1, -8), (2, 3), (3, 4), (4, -15)]
+        );
+        assert_eq!(
+            ewise_add_vector(&part, &full, &minus).to_tuples(),
+            vec![(0, 1), (1, 8), (2, 3), (3, 4), (4, 15)]
+        );
+        let p = ewise_mult_vector(&full, &part, &minus);
+        assert_eq!(p.to_tuples(), vec![(1, -8), (4, -15)]);
+        let p = ewise_mult_vector(&part, &full, &minus);
+        assert_eq!(p.to_tuples(), vec![(1, 8), (4, 15)]);
     }
 
     #[test]

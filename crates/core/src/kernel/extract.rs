@@ -107,8 +107,13 @@ pub fn extract_matrix<T: Scalar>(a: &Csr<T>, rows: &[Index], cols: &[Index]) -> 
 }
 
 /// `t(k) = u(indices[k])` for stored elements: one walk of `u` through
-/// the same inverse map as [`extract_matrix`].
+/// the same inverse map as [`extract_matrix`]. A full `u` is gathered
+/// through the list directly, with no map.
 pub fn extract_vector<T: Scalar>(u: &SparseVec<T>, indices: &[Index]) -> SparseVec<T> {
+    if u.is_full() {
+        let vals = indices.iter().map(|&j| u.vals()[j].clone()).collect();
+        return SparseVec::from_sorted_parts(indices.len(), (0..indices.len()).collect(), vals);
+    }
     // each output position holds at most one element
     let cap = indices.len();
     let (mut idx, mut vals) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
@@ -254,6 +259,13 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn full_source_gathers_through_the_list() {
+        let u = SparseVec::from_dense(&[7, 8, 9]);
+        let t = extract_vector(&u, &[2, 0, 2]);
+        assert_eq!(t.to_tuples(), vec![(0, 9), (1, 7), (2, 9)]);
     }
 
     #[test]

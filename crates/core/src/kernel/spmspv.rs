@@ -53,7 +53,6 @@ use crate::algebra::semiring::Semiring;
 use crate::index::Index;
 #[cfg(feature = "parallel")]
 use crate::kernel::par;
-use crate::kernel::util::map_rows_init;
 use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
@@ -696,20 +695,6 @@ fn concat<D3: Scalar>(out_size: Index, parts: Vec<(Vec<Index>, Vec<D3>)>) -> Spa
     SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
-/// Assemble per-output results `Some(value)` into a sparse vector.
-fn collect<D3: Scalar>(results: Vec<Option<D3>>) -> SparseVec<D3> {
-    let n = results.len();
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    for (j, r) in results.into_iter().enumerate() {
-        if let Some(val) = r {
-            idx.push(j);
-            out.push(val);
-        }
-    }
-    SparseVec::from_sorted_parts(n, idx, out)
-}
-
 /// The input vector scattered for O(1) probes by index.
 fn dense_input<V: Scalar>(v: &SparseVec<V>) -> Vec<Option<&V>> {
     let mut dense = vec![None; v.size()];
@@ -771,48 +756,45 @@ where
         });
         acc
     };
-    // non-complement pattern: expand *only* the admitted outputs — the
-    // mask's indices are sorted, so the result assembles in order
-    if let MaskVec::Pattern {
-        indices,
-        complement: false,
-    } = mask
-    {
-        let eval = |lo: usize, hi: usize| {
-            let mut cur = rows.cursor();
-            let mut idx = Vec::new();
-            let mut out = Vec::new();
-            for &j in &indices[lo..hi] {
-                if let Some(acc) = probe(&mut cur, j) {
-                    idx.push(j);
-                    out.push(acc);
-                }
+    // a non-complement pattern expands *only* its admitted outputs (its
+    // indices are sorted, so the result assembles in order); no mask or a
+    // complement one walks every output, skipping excluded ones before
+    // they are expanded
+    let (outputs, work) = match mask {
+        MaskVec::Pattern {
+            indices,
+            complement: false,
+        } => (Some(&indices[..]), nnz.min(indices.len().saturating_mul(8))),
+        _ => (None, nnz),
+    };
+    let work = work + v.nvals();
+    let len = outputs.map_or(out_size, <[Index]>::len);
+    let eval = |lo: usize, hi: usize| {
+        let mut cur = rows.cursor();
+        let mut idx = Vec::with_capacity(hi - lo);
+        let mut out = Vec::with_capacity(hi - lo);
+        for k in lo..hi {
+            let j = outputs.map_or(k, |o| o[k]);
+            if !bits.admits(j) {
+                continue;
             }
-            (idx, out)
-        };
-        #[cfg(feature = "parallel")]
-        {
-            let work = nnz.min(indices.len().saturating_mul(8)) + v.nvals();
-            if let Some(plan) = par::plan(indices.len(), work) {
-                let parts = par::run_chunks(indices.len(), plan, eval);
-                rows.note_tiles();
-                return concat(out_size, parts);
+            if let Some(acc) = probe(&mut cur, j) {
+                idx.push(j);
+                out.push(acc);
             }
         }
-        let (idx, out) = eval(0, indices.len());
+        (idx, out)
+    };
+    #[cfg(feature = "parallel")]
+    if let Some(plan) = par::plan(len, work) {
+        let parts = par::run_chunks(len, plan, eval);
         rows.note_tiles();
-        return SparseVec::from_sorted_parts(out_size, idx, out);
+        return concat(out_size, parts);
     }
-    // no mask or a complement one: every row, excluded rows skipped
-    // before they are expanded
-    let results = map_rows_init(
-        out_size,
-        nnz + v.nvals(),
-        || rows.cursor(),
-        |cur, j| if bits.admits(j) { probe(cur, j) } else { None },
-    );
+    let _ = work;
+    let (idx, out) = eval(0, len);
     rows.note_tiles();
-    collect(results)
+    SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
 #[cfg(test)]

@@ -30,39 +30,15 @@ where
     (0..nrows).map(f).collect()
 }
 
-/// Map `f` over `0..nrows` with a scratch state created by `init` — one
-/// state per chunk in parallel (each worker's private accumulator), one
-/// state total on the serial path.
-pub(crate) fn map_rows_init<S, R, I, F>(nrows: usize, work: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if let Some(plan) = par::plan(nrows, work) {
-        return par::run_chunks(nrows, plan, |start, end| {
-            let mut s = init();
-            (start..end).map(|i| f(&mut s, i)).collect::<Vec<R>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    }
-    let _ = work;
-    let mut s = init();
-    (0..nrows).map(|i| f(&mut s, i)).collect()
-}
-
 /// Build an `nrows × ncols` CSR matrix row by row:
 /// `row_fn(state, i, cols, vals)` appends row `i` — sorted, duplicate-free
 /// column indices and their values — to the buffers it is handed.
 ///
 /// On the serial path those buffers are the output arrays themselves, so
 /// an entry is written once. In parallel each chunk fills its own
-/// buffers (with its own `init` state, as in [`map_rows_init`]) and the
-/// chunks are concatenated in row order: per-row results never depend on
-/// chunk boundaries, so the output is bitwise identical at every degree.
+/// buffers (with its own `init` state) and the chunks are concatenated
+/// in row order: per-row results never depend on chunk boundaries, so
+/// the output is bitwise identical at every degree.
 pub(crate) fn emit_rows<T, S, I, F>(
     nrows: Index,
     ncols: Index,
@@ -125,20 +101,6 @@ mod tests {
         let v = map_rows(1000, 1 << 20, |i| i * 2);
         assert_eq!(v.len(), 1000);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
-    }
-
-    #[test]
-    fn map_rows_init_threads_scratch() {
-        let v = map_rows_init(
-            500,
-            0,
-            || vec![0u8; 16],
-            |scratch, i| {
-                scratch[0] = scratch[0].wrapping_add(1);
-                i + 1
-            },
-        );
-        assert_eq!(v[499], 500);
     }
 
     /// Row `i` holds `i % 7` entries at columns `0, 3, 6, …`, valued

@@ -13,6 +13,7 @@
 
 use crate::accum::Accumulate;
 use crate::index::Index;
+use crate::kernel::ewise::union_full;
 use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::{MaskCsr, MaskRow, MaskVec};
 use crate::scalar::Scalar;
@@ -168,6 +169,10 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
     if mask.admits_all() && !accum.is_accum() {
         return t;
     }
+    // Z = w ⊙ t with ind(w) = all: fold t into w's values by position
+    if mask.admits_all() && w_old.is_full() {
+        return union_full(w_old, &t, |c, x| accum.combine(c, x));
+    }
     let mut idx = Vec::with_capacity(w_old.nvals() + t.nvals());
     let mut vals = Vec::with_capacity(w_old.nvals() + t.nvals());
     write_row(
@@ -297,6 +302,15 @@ mod tests {
         // replace: only admitted survive
         let r = write_vector(&w, t, &NoAccum, &mask, true);
         assert_eq!(r.to_tuples(), vec![(1, 10)]);
+    }
+
+    #[test]
+    fn unmasked_accumulate_into_a_full_vector_folds_by_position() {
+        use crate::algebra::binary::Minus;
+        let w = SparseVec::from_dense(&[1, 2, 3]);
+        let t = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 20]);
+        let r = write_vector(&w, t, &Accum(Minus::<i32>::new()), &MaskVec::All, false);
+        assert_eq!(r.to_tuples(), vec![(0, -9), (1, 2), (2, -17)]);
     }
 
     #[test]

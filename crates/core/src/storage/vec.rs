@@ -66,6 +66,13 @@ impl<T: Scalar> SparseVec<T> {
         self.idx.len()
     }
 
+    /// Every index `0..n` is stored, so the index array is exactly `0..n`
+    /// and position `i` of [`SparseVec::vals`] holds `v(i)`.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.idx.len() == self.n
+    }
+
     #[inline]
     pub fn indices(&self) -> &[Index] {
         &self.idx

@@ -14,6 +14,10 @@
 //! The vector cases run at n ∈ {1, 63, 64, 65} — one element and both
 //! sides of a 64-bit word — over `GrB_ALL`, a range, an index list with
 //! repeats (extract only) and a permutation, plus assign's scalar form.
+//! Vector `eWiseAdd`/`eWiseMult` run at the same sizes under a
+//! non-commutative `Minus`. Their operands, extract's source and the old
+//! output of extract, `eWise`, `mxv` and `vxm` each come drawn, one short
+//! of full, or full, since a full vector takes positional kernels.
 //!
 //! `mxv` and `vxm` run at the same sizes, with and without `TRAN`, under
 //! each forced SpMSpV direction over a slab and a tiled `A`; `A`'s row 0
@@ -161,18 +165,7 @@ impl Case {
         replace: bool,
     ) -> Dense<f64> {
         let c = Matrix::from_tuples(N, self.w, &self.c0).unwrap();
-        let mut desc = Descriptor::default();
-        if let Some((structural, complement)) = mask {
-            if structural {
-                desc = desc.structural_mask();
-            }
-            if complement {
-                desc = desc.complement_mask();
-            }
-        }
-        if replace {
-            desc = desc.replace();
-        }
+        let desc = descriptor(mask, replace);
         let plus = Accum(Plus::<f64>::new());
         match (mask.is_some(), accum) {
             (false, false) => self.run(op, &c, NoMask, NoAccum, y, &desc),
@@ -225,6 +218,24 @@ impl Case {
         let accum = accum.then_some(&add as &dyn Fn(&f64, &f64) -> f64);
         fig2::write(&self.dense_c0, &t, accum, mask, replace)
     }
+}
+
+/// The descriptor of one mask form (`(structural, complement)`, `None`
+/// for no mask) and replace setting.
+fn descriptor(mask: Option<(bool, bool)>, replace: bool) -> Descriptor {
+    let mut desc = Descriptor::default();
+    if let Some((structural, complement)) = mask {
+        if structural {
+            desc = desc.structural_mask();
+        }
+        if complement {
+            desc = desc.complement_mask();
+        }
+    }
+    if replace {
+        desc = desc.replace();
+    }
+    desc
 }
 
 fn bits(d: &Dense<f64>) -> Vec<Vec<Option<u64>>> {
@@ -307,14 +318,60 @@ fn vector_of<T: Clone>(n: usize, t: &[(usize, T)]) -> (Vec<(usize, T)>, Vec<Opti
     (t, d)
 }
 
+/// How much of `0..n` a vector operand stores: what was drawn, every
+/// index but one, or all of them. A full vector takes the kernels'
+/// positional branches; one short of full must not.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fill {
+    Drawn,
+    AllButOne,
+    All,
+}
+
+const FILLS: [Fill; 3] = [Fill::Drawn, Fill::AllButOne, Fill::All];
+
+/// [`vector_of`] with `fill` applied: each index `t` leaves undefined
+/// takes a value derived from it, then `AllButOne` drops `skip % n`.
+fn filled(
+    n: usize,
+    t: &[(usize, f64)],
+    fill: Fill,
+    skip: usize,
+) -> (Vec<(usize, f64)>, Vec<Option<f64>>) {
+    let mut d = vector_of(n, t).1;
+    if fill != Fill::Drawn {
+        for (i, x) in d.iter_mut().enumerate() {
+            x.get_or_insert(fval((i * 37 % 251) as u8));
+        }
+    }
+    if fill == Fill::AllButOne {
+        d[skip % n] = None;
+    }
+    let t = d
+        .iter()
+        .enumerate()
+        .filter_map(|(i, x)| x.map(|x| (i, x)))
+        .collect();
+    (t, d)
+}
+
+/// Decoded `(index, value)` pairs of a vector's tuples.
+fn decode(t: &Tuples) -> Vec<(usize, f64)> {
+    t.iter().map(|e| (e.0, fval(e.2))).collect()
+}
+
 /// The raw inputs of one vector case: a source `u` of size `n` for
 /// extract; the output starts as `c0` and the mask is `mask`, both cut
-/// to the output's size (`len(sel)` for extract, `n` for assign).
+/// to the output's size (`len(sel)` for extract, `n` for assign). `u`
+/// and `c0` are filled to `fills`, with `skip` the index `AllButOne`
+/// leaves out.
 struct VecCase<'a> {
     n: usize,
     u: &'a Tuples,
     c0: &'a Tuples,
     mask: &'a Tuples,
+    fills: (Fill, Fill),
+    skip: usize,
 }
 
 /// The source operand of a core call: a vector and assign's scalar.
@@ -359,10 +416,8 @@ impl VecCase<'_> {
             VecOp::Extract => (self.n, idx.len()),
             VecOp::Assign | VecOp::AssignScalar => (idx.len(), self.n),
         };
-        let decode =
-            |t: &Tuples| -> Vec<(usize, f64)> { t.iter().map(|e| (e.0, fval(e.2))).collect() };
-        let (ut, du) = vector_of(src_n, &decode(self.u));
-        let (ct, dc) = vector_of(out_n, &decode(self.c0));
+        let (ut, du) = filled(src_n, &decode(self.u), self.fills.0, self.skip);
+        let (ct, dc) = filled(out_n, &decode(self.c0), self.fills.1, self.skip);
         let mt: Vec<(usize, bool)> = self.mask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect();
         let (mt, dm) = vector_of(out_n, &mt);
 
@@ -373,18 +428,7 @@ impl VecCase<'_> {
         };
         let w = Vector::from_tuples(out_n, &ct).unwrap();
         let mv = Vector::from_tuples(out_n, &mt).unwrap();
-        let mut desc = Descriptor::default();
-        if let Some((structural, complement)) = m {
-            if structural {
-                desc = desc.structural_mask();
-            }
-            if complement {
-                desc = desc.complement_mask();
-            }
-        }
-        if replace {
-            desc = desc.replace();
-        }
+        let desc = descriptor(m, replace);
         let plus = Accum(Plus::<f64>::new());
         let s = sel.core();
         match (m.is_some(), accum) {
@@ -464,21 +508,30 @@ proptest! {
         mask in mask_tuples(65, 1),
         raw in proptest::collection::vec(0usize..1000, 1..=70),
         seed in any::<u64>(),
+        skip in 0usize..65,
     ) {
         let n = SIZES[ni];
-        let case = VecCase { n, u: &u, c0: &c0, mask: &mask };
         par::with_cost_model(1, 0, || {
             for op in [VecOp::Extract, VecOp::Assign, VecOp::AssignScalar] {
-                for sel in selections(op, n, &raw, seed) {
-                    for m in MASKS {
-                        for accum in [false, true] {
-                            for replace in [false, true] {
-                                let (got, want) = case.check(op, &sel, m, accum, replace);
-                                prop_assert_eq!(
-                                    vbits(&got), vbits(&want),
-                                    "{:?} n={} sel={:?} mask={:?} accum={} replace={}",
-                                    op, n, sel, m, accum, replace
-                                );
+                // extract gathers from a full `u` by position, and its
+                // accumulate folds into a full `c0` by position
+                let fills: Vec<(Fill, Fill)> = match op {
+                    VecOp::Extract => FILLS.iter().flat_map(|&f| FILLS.map(|g| (f, g))).collect(),
+                    VecOp::Assign | VecOp::AssignScalar => vec![(Fill::Drawn, Fill::Drawn)],
+                };
+                for fills in fills {
+                    let case = VecCase { n, u: &u, c0: &c0, mask: &mask, fills, skip };
+                    for sel in selections(op, n, &raw, seed) {
+                        for m in MASKS {
+                            for accum in [false, true] {
+                                for replace in [false, true] {
+                                    let (got, want) = case.check(op, &sel, m, accum, replace);
+                                    prop_assert_eq!(
+                                        vbits(&got), vbits(&want),
+                                        "{:?} n={} fills={:?} sel={:?} mask={:?} accum={} replace={}",
+                                        op, n, fills, sel, m, accum, replace
+                                    );
+                                }
                             }
                         }
                     }
@@ -500,7 +553,7 @@ enum MvOp {
 
 /// One `mxv`/`vxm` case at size `n`: `A` is `n × n` with the trap in row
 /// 0 and column 0 (so `u(0..4) = 1`), `u`, the old output and the mask
-/// are vectors of size `n`.
+/// are vectors of size `n`; `u` and the old output are filled to `fills`.
 struct MvCase {
     n: usize,
     a: Vec<(usize, usize, f64)>,
@@ -510,7 +563,15 @@ struct MvCase {
 }
 
 impl MvCase {
-    fn new(n: usize, a: &Tuples, u: &Tuples, c0: &Tuples, mask: &Tuples) -> MvCase {
+    fn new(
+        n: usize,
+        a: &Tuples,
+        u: &Tuples,
+        c0: &Tuples,
+        mask: &Tuples,
+        fills: (Fill, Fill),
+        skip: usize,
+    ) -> MvCase {
         let trap = TRAP.len().min(n);
         let mut at: Vec<_> = (0..trap)
             .flat_map(|k| [(0, k, TRAP[k]), (k, 0, TRAP[k])])
@@ -524,14 +585,13 @@ impl MvCase {
         at.dedup_by_key(|t| (t.0, t.1));
         let mut ut: Vec<_> = (0..trap).map(|k| (k, 1.0)).collect();
         ut.extend(u.iter().map(|e| (e.0, fval(e.2))));
-        let decode =
-            |t: &Tuples| -> Vec<(usize, f64)> { t.iter().map(|e| (e.0, fval(e.2))).collect() };
         let mt: Vec<(usize, bool)> = mask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect();
+        let (uf, cf) = fills;
         MvCase {
             n,
             a: at,
-            u: vector_of(n, &ut).0,
-            c0: vector_of(n, &decode(c0)).0,
+            u: filled(n, &ut, uf, skip).0,
+            c0: filled(n, &decode(c0), cf, skip).0,
             mask: vector_of(n, &mt).0,
         }
     }
@@ -549,18 +609,7 @@ impl MvCase {
         let u = Vector::from_tuples(self.n, &self.u).unwrap();
         let w = Vector::from_tuples(self.n, &self.c0).unwrap();
         let mv = Vector::from_tuples(self.n, &self.mask).unwrap();
-        let mut desc = Descriptor::default();
-        if let Some((structural, complement)) = m {
-            if structural {
-                desc = desc.structural_mask();
-            }
-            if complement {
-                desc = desc.complement_mask();
-            }
-        }
-        if replace {
-            desc = desc.replace();
-        }
+        let mut desc = descriptor(m, replace);
         if tran {
             desc = match op {
                 MvOp::Mxv => desc.transpose_first(),
@@ -639,29 +688,158 @@ proptest! {
         u in tuples(65, 1, 48),
         c0 in tuples(65, 1, 48),
         mask in mask_tuples(65, 1),
+        ui in 0usize..3,
+        skip in 0usize..65,
     ) {
-        let case = MvCase::new(SIZES[ni], &a, &u, &c0, &mask);
         par::with_cost_model(1, 0, || {
-            for fmt in [Format::Csr, Format::Tiled] {
-                let am = Matrix::from_tuples(case.n, case.n, &case.a).unwrap();
-                am.set_format(fmt).unwrap();
-                for d in [Direction::Push, Direction::Pull, Direction::Dense] {
-                    for op in [MvOp::Mxv, MvOp::Vxm] {
-                        for tran in [false, true] {
-                            for m in MASKS {
-                                for accum in [false, true] {
-                                    for replace in [false, true] {
-                                        let got = spmspv::with_direction(d, || {
-                                            case.core(op, &am, tran, m, accum, replace)
-                                        });
-                                        let want = case.oracle(op, tran, m, accum, replace);
-                                        prop_assert_eq!(
-                                            vbits(&got), vbits(&want),
-                                            "{:?} n={} {:?} {:?} tran={} mask={:?} accum={} replace={}",
-                                            op, case.n, fmt, d, tran, m, accum, replace
-                                        );
+            // the accumulate folds into a full old output by position
+            for cf in FILLS {
+                let fills = (FILLS[ui], cf);
+                let case = MvCase::new(SIZES[ni], &a, &u, &c0, &mask, fills, skip);
+                for fmt in [Format::Csr, Format::Tiled] {
+                    let am = Matrix::from_tuples(case.n, case.n, &case.a).unwrap();
+                    am.set_format(fmt).unwrap();
+                    for d in [Direction::Push, Direction::Pull, Direction::Dense] {
+                        for op in [MvOp::Mxv, MvOp::Vxm] {
+                            for tran in [false, true] {
+                                for m in MASKS {
+                                    for accum in [false, true] {
+                                        for replace in [false, true] {
+                                            let got = spmspv::with_direction(d, || {
+                                                case.core(op, &am, tran, m, accum, replace)
+                                            });
+                                            let want = case.oracle(op, tran, m, accum, replace);
+                                            prop_assert_eq!(
+                                                vbits(&got), vbits(&want),
+                                                "{:?} n={} fills={:?} {:?} {:?} tran={} mask={:?} accum={} replace={}",
+                                                op, case.n, fills, fmt, d, tran, m, accum, replace
+                                            );
+                                        }
                                     }
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum EwOp {
+    Add,
+    Mult,
+}
+
+fn ew_run<Mk: VectorMask, Ac: Accumulate<f64>>(
+    op: EwOp,
+    w: &Vector<f64>,
+    mask: Mk,
+    accum: Ac,
+    u: &Vector<f64>,
+    v: &Vector<f64>,
+    desc: &Descriptor,
+) {
+    let ctx = Context::blocking();
+    match op {
+        EwOp::Add => ctx.ewise_add_vector(w, mask, accum, Minus::new(), u, v, desc),
+        EwOp::Mult => ctx.ewise_mult_vector(w, mask, accum, Minus::new(), u, v, desc),
+    }
+    .unwrap();
+}
+
+/// One vector `eWise` case at size `n`: the operands `u` and `v`, the
+/// old output `c0` and the mask source, as `(index, value)` pairs.
+struct EwCase {
+    n: usize,
+    u: Vec<(usize, f64)>,
+    v: Vec<(usize, f64)>,
+    c0: Vec<(usize, f64)>,
+    mask: Vec<(usize, bool)>,
+}
+
+impl EwCase {
+    /// The core library's answer and the oracle's. `⊕`, `⊗` and the
+    /// accumulator are all `Minus`, so an operand swap shows.
+    fn check(
+        &self,
+        op: EwOp,
+        m: Option<(bool, bool)>,
+        accum: bool,
+        replace: bool,
+    ) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+        let n = self.n;
+        let vector = |t: &[(usize, f64)]| Vector::from_tuples(n, t).unwrap();
+        let (u, v, w) = (vector(&self.u), vector(&self.v), vector(&self.c0));
+        let mv = Vector::from_tuples(n, &self.mask).unwrap();
+        let desc = descriptor(m, replace);
+        let minus = Accum(Minus::<f64>::new());
+        match (m.is_some(), accum) {
+            (false, false) => ew_run(op, &w, NoMask, NoAccum, &u, &v, &desc),
+            (false, true) => ew_run(op, &w, NoMask, minus, &u, &v, &desc),
+            (true, false) => ew_run(op, &w, &mv, NoAccum, &u, &v, &desc),
+            (true, true) => ew_run(op, &w, &mv, minus, &u, &v, &desc),
+        }
+        let got = vector_of(n, &w.extract_tuples().unwrap()).1;
+
+        let minus = |x: &f64, y: &f64| x - y;
+        let dense = |t: &[(usize, f64)]| vec![vector_of(n, t).1];
+        let (du, dv) = (dense(&self.u), dense(&self.v));
+        let t = match op {
+            EwOp::Add => fig2::ewise_add(&du, &dv, minus),
+            EwOp::Mult => fig2::ewise_mult(&du, &dv, minus),
+        };
+        let msrc = vec![vector_of(n, &self.mask).1];
+        let mask = m.map(|(structural, complement)| Mask {
+            source: &msrc,
+            structural,
+            complement,
+        });
+        let acc = accum.then_some(&minus as &dyn Fn(&f64, &f64) -> f64);
+        let want = fig2::write(&dense(&self.c0), &t, acc, mask, replace);
+        (got, want.into_iter().next().unwrap())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Vector `eWiseAdd` and `eWiseMult` with `u`, `v` and the old output
+    /// each drawn, one short of full, or full.
+    #[test]
+    fn vector_ewise_matches_the_fig2_oracle_bitwise(
+        ni in 0usize..4,
+        u in tuples(65, 1, 48),
+        v in tuples(65, 1, 48),
+        c0 in tuples(65, 1, 48),
+        mask in mask_tuples(65, 1),
+        skip in 0usize..65,
+    ) {
+        let n = SIZES[ni];
+        let mt: Vec<(usize, bool)> = mask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect();
+        let fills = FILLS
+            .iter()
+            .flat_map(|&f| FILLS.iter().flat_map(move |&g| FILLS.map(|h| (f, g, h))));
+        par::with_cost_model(1, 0, || {
+            for fills in fills {
+                let case = EwCase {
+                    n,
+                    u: filled(n, &decode(&u), fills.0, skip).0,
+                    v: filled(n, &decode(&v), fills.1, skip).0,
+                    c0: filled(n, &decode(&c0), fills.2, skip).0,
+                    mask: vector_of(n, &mt).0,
+                };
+                for op in [EwOp::Add, EwOp::Mult] {
+                    for m in MASKS {
+                        for accum in [false, true] {
+                            for replace in [false, true] {
+                                let (got, want) = case.check(op, m, accum, replace);
+                                prop_assert_eq!(
+                                    vbits(&got), vbits(&want),
+                                    "{:?} n={} fills={:?} mask={:?} accum={} replace={}",
+                                    op, n, fills, m, accum, replace
+                                );
                             }
                         }
                     }
