@@ -37,10 +37,10 @@ pub fn bfs_levels(ctx: &Context, a: &Matrix<bool>, src: Index) -> Result<Vec<Opt
         ctx.assign_scalar_vector(&levels, &q, NoAccum, d, ALL, &Descriptor::default())?;
         // q<!levels> = q lor.land A (replace): expand and prune visited
         ctx.vxm(&q, &levels, NoAccum, lor_land(), &q, a, &push)?;
-        // Drain through the context's scheduler (a no-op in blocking
-        // mode): the nvals() force below would complete the level too,
-        // but outside the scheduler — and so outside the execution
-        // trace that records each level's push/pull choice.
+        // Complete the level through the context's wait() (a no-op in
+        // blocking mode): the nvals() force below would complete it too,
+        // but outside the execution trace that records each level's
+        // push/pull choice.
         ctx.wait()?;
         if q.nvals()? == 0 {
             break;

@@ -9,9 +9,8 @@
 //!   rematerialize" latitude).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphblas_bench::{dense_vector, f64_matrix, int_matrix, rmat_graph};
+use graphblas_bench::{dense_vector, f64_matrix, rmat_graph};
 use graphblas_core::prelude::*;
-use graphblas_core::SchedPolicy;
 use std::time::Duration;
 
 fn bench_pipeline_modes(c: &mut Criterion) {
@@ -166,72 +165,10 @@ fn bench_transpose_caching(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sched(c: &mut Criterion) {
-    // E5: the nonblocking scheduler. A wide DAG — k independent products
-    // deferred, then forced by one wait() — is the scheduler's best
-    // case; batched BC (Figure 3) is the realistic case, a mix of
-    // parallel slack and serial chains.
-    let scale = 9;
-    let g = rmat_graph(scale);
-    let n = g.n;
-    let a = f64_matrix(&g, 6);
-    let policies = [
-        ("sequential", SchedPolicy::Sequential),
-        ("parallel", SchedPolicy::Parallel),
-    ];
-
-    let mut group = c.benchmark_group("exec_sched/wide_dag");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    for (name, policy) in policies {
-        group.bench_function(name, |b| {
-            let ctx = Context::with_policy(Mode::Nonblocking, policy);
-            b.iter(|| {
-                let outs: Vec<Matrix<f64>> = (0..16).map(|_| Matrix::new(n, n).unwrap()).collect();
-                for out in &outs {
-                    ctx.mxm(
-                        out,
-                        NoMask,
-                        NoAccum,
-                        plus_times::<f64>(),
-                        &a,
-                        &a,
-                        &Descriptor::default(),
-                    )
-                    .unwrap();
-                }
-                ctx.wait().unwrap();
-                outs.iter().map(|o| o.nvals().unwrap()).sum::<usize>()
-            })
-        });
-    }
-    group.finish();
-
-    let adj = int_matrix(&rmat_graph(10));
-    let sources: Vec<Index> = (0..8).map(|k| (k * 37) % adj.nrows()).collect();
-    let mut group = c.benchmark_group("exec_sched/bc_batch");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    for (name, policy) in policies {
-        group.bench_function(name, |b| {
-            let ctx = Context::with_policy(Mode::Nonblocking, policy);
-            b.iter(|| {
-                let delta = graphblas_algorithms::bc_update(&ctx, &adj, &sources).unwrap();
-                ctx.wait().unwrap();
-                delta.nvals().unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_pipeline_modes,
     bench_dead_code_elimination,
-    bench_transpose_caching,
-    bench_sched
+    bench_transpose_caching
 );
 criterion_main!(benches);

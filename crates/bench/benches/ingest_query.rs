@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 use graphblas_algorithms::bfs_multi;
 use graphblas_core::prelude::*;
 use graphblas_core::storage::delta;
-use graphblas_core::SchedPolicy;
 use graphblas_gen::{rmat, RmatParams};
 
 const SCALE: u32 = 12; // 4096 vertices
@@ -122,7 +121,7 @@ fn main() {
             let overlays = overlay_snapshots.clone();
             let stall = stall_ns_max.clone();
             std::thread::spawn(move || {
-                let ctx = Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel);
+                let ctx = Context::nonblocking();
                 ctx.enable_trace(true);
                 let mut rng = Lcg(0xace + r as u64);
                 while !stop.load(Ordering::Relaxed) {

@@ -11,7 +11,7 @@
 //! pattern for embedders and tests.
 
 use graphblas_core::error::{Error, Result};
-use graphblas_core::exec::{Context, Mode, SchedPolicy, TraceEvent};
+use graphblas_core::exec::{Context, Mode, TraceEvent};
 use graphblas_core::par;
 use graphblas_core::storage::{delta, engine, snapshot};
 use parking_lot::{Mutex, ReentrantMutex};
@@ -30,12 +30,11 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 ///
 /// ```
 /// use graphblas_capi as capi;
-/// use capi::{Config, Mode, SchedPolicy};
+/// use capi::{Config, Mode};
 ///
 /// # capi::context::session_guard_for_doctest(|| {
 /// capi::Config::new(Mode::Nonblocking)
-///     .sched(SchedPolicy::Sequential) // wait() drain policy
-///     .parallelism(4)                 // intra-kernel chunk degree
+///     .parallelism(4) // intra-kernel chunk degree
 ///     .init()
 ///     .unwrap();
 /// // … GraphBLAS calls …
@@ -43,8 +42,6 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 /// # });
 /// ```
 ///
-/// * [`Config::sched`] — how `GrB_wait()` drains the pending DAG
-///   (sequential FIFO or the shared worker pool).
 /// * [`Config::parallelism`] — the default intra-kernel data-parallel
 ///   degree (how many row chunks a large kernel fans out to the shared
 ///   pool); unset means auto (`GRB_THREADS`/`GRB_TEST_THREADS`, then
@@ -60,7 +57,6 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 #[must_use = "the builder does nothing until .init() is called"]
 pub struct Config {
     mode: Mode,
-    sched: SchedPolicy,
     parallelism: Option<usize>,
     delta_run_cap: Option<usize>,
     flush_window_ms: Option<u64>,
@@ -71,18 +67,10 @@ impl Config {
     pub fn new(mode: Mode) -> Self {
         Config {
             mode,
-            sched: SchedPolicy::default(),
             parallelism: None,
             delta_run_cap: None,
             flush_window_ms: None,
         }
-    }
-
-    /// Pin the `wait()` scheduling policy (the C API's `GxB_init`-style
-    /// extension point).
-    pub fn sched(mut self, policy: SchedPolicy) -> Self {
-        self.sched = policy;
-        self
     }
 
     /// Set the default intra-kernel parallelism degree (`k >= 1`;
@@ -143,7 +131,7 @@ impl Config {
             GxbOption::FlushWindowMs,
             GxbValue::Millis(self.flush_window_ms),
         )?;
-        *g = Some(Context::with_policy(self.mode, self.sched));
+        *g = Some(Context::new(self.mode));
         Ok(())
     }
 }
@@ -214,7 +202,7 @@ pub fn current_mode() -> Option<Mode> {
 }
 
 /// Enable or disable execution tracing on the live context: while on,
-/// each `wait()` records one [`TraceEvent`] per scheduled node.
+/// each `wait()` records one [`TraceEvent`] per node it computes.
 pub fn enable_trace(on: bool) -> Result<()> {
     ctx()?.enable_trace(on);
     Ok(())
@@ -249,15 +237,6 @@ pub fn with_no_session<R>(f: impl FnOnce() -> R) -> Result<R> {
 /// to use the global API from multi-threaded test binaries.
 pub fn with_session<R>(mode: Mode, f: impl FnOnce() -> R) -> Result<R> {
     with_session_config(Config::new(mode), f)
-}
-
-/// [`with_session`] with an explicit scheduling policy.
-pub fn with_session_policies<R>(
-    mode: Mode,
-    policy: SchedPolicy,
-    f: impl FnOnce() -> R,
-) -> Result<R> {
-    with_session_config(Config::new(mode).sched(policy), f)
 }
 
 /// [`with_session`] with a full [`Config`]: serialized
@@ -376,10 +355,8 @@ mod tests {
         Config::new(Mode::Blocking).init().unwrap();
         assert_eq!(current_mode(), Some(Mode::Blocking));
         finalize().unwrap();
-        Config::new(Mode::Nonblocking)
-            .sched(SchedPolicy::Sequential)
-            .init()
-            .unwrap();
+        Config::new(Mode::Nonblocking).init().unwrap();
+        assert_eq!(current_mode(), Some(Mode::Nonblocking));
         finalize().unwrap();
     }
 

@@ -102,11 +102,11 @@ pub use collections::{
 };
 pub use context::{
     current_mode, enable_trace, error, finalize, inject_fault, take_trace, wait, with_no_session,
-    with_session, with_session_config, with_session_policies, Config,
+    with_session, with_session_config, Config,
 };
 pub use graphblas_core::descriptor::Descriptor;
 pub use graphblas_core::error::{Error, Result};
-pub use graphblas_core::exec::{Mode, SchedPolicy, TraceEvent};
+pub use graphblas_core::exec::{Mode, TraceEvent};
 pub use graphblas_core::index::{Index, IndexSelection, ALL};
 pub use graphblas_core::storage::{snapshot_stats, DeltaStats, SnapshotStats};
 pub use graphblas_core::{Format, FormatPolicy};

@@ -25,7 +25,7 @@
 //! domains even with equal names and sizes — exactly the C API, where
 //! each `GrB_Type_new` call mints a distinct opaque handle. Registered
 //! names back error detail (`GrB_DOMAIN_MISMATCH` names both domains)
-//! and the scheduler trace; they are interned for the process lifetime
+//! and the execution trace; they are interned for the process lifetime
 //! (bounded by the number of registrations, a handful per program).
 
 use std::cell::Cell;
@@ -504,7 +504,7 @@ thread_local! {
 }
 
 /// Note that a runtime-registered operator ran on this thread; the
-/// scheduler drains the note per node into `TraceEvent::udf`. First
+/// a traced `wait()` drains the note per node into `TraceEvent::udf`. First
 /// operator wins within one node (a semiring touches both ⊗ and ⊕; one
 /// representative name is enough to mark the erased lane). Applications
 /// inside pool-fanned row chunks may land on a chunk worker's local and
@@ -518,7 +518,7 @@ pub fn note_udf(name: &'static str) {
     });
 }
 
-/// Drain this thread's erased-lane note (scheduler plumbing).
+/// Drain this thread's erased-lane note (trace plumbing).
 pub fn take_udf() -> Option<&'static str> {
     UDF_NOTE.with(Cell::take)
 }
@@ -682,7 +682,7 @@ mod tests {
         )
         .unwrap();
         let uv = |v: i64| UdfValue::new(ty, &i64_bytes(v)).unwrap();
-        let ctx = Context::nonblocking_parallel();
+        let ctx = Context::nonblocking();
         let a = Matrix::<UdfValue>::new(2, 2).unwrap();
         a.set(0, 0, uv(2)).unwrap();
         a.set(0, 1, uv(3)).unwrap();

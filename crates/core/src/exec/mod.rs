@@ -21,7 +21,7 @@
 //! crate layers the global lifecycle on top.
 
 pub(crate) mod node;
-pub mod sched;
+mod trace;
 
 use std::sync::{Arc, Weak};
 
@@ -31,7 +31,7 @@ use crate::error::{Error, Result};
 #[doc(hidden)]
 pub use node::Completable;
 pub(crate) use node::{catch_panic, force, Node};
-pub use sched::{pool_status, PoolStatus, SchedPolicy, TraceEvent};
+pub use trace::TraceEvent;
 
 /// The one fusion policy: the pending DAG executes as written. Kept,
 /// with [`Context::with_fuse_policy`], only for the benchmark harness's
@@ -40,6 +40,45 @@ pub use sched::{pool_status, PoolStatus, SchedPolicy, TraceEvent};
 pub enum FusePolicy {
     /// Execute the DAG exactly as written.
     Off,
+}
+
+/// Inert: `wait()` has one way to run. Kept for grb-bench's `core.exec`
+/// probe, which passes it to [`Context::with_fuse_policy`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedPolicy {
+    Parallel,
+}
+
+/// Load snapshot of the shared worker pool: how many daemon workers
+/// exist and how many kernel chunks sit in the shared queue right now.
+///
+/// Observability hook for layers that place work *onto* the engine —
+/// the `server` crate's admission control reads the backlog to decide
+/// when to shed load instead of queueing more. `queued` counts tasks
+/// waiting in the queue, not tasks mid-execution, so it is a floor on
+/// outstanding work; both fields are `0` before the pool's first use
+/// and always `0` without the `parallel` feature.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStatus {
+    /// Daemon worker count (fixed at first use).
+    pub width: usize,
+    /// Tasks currently waiting in the shared queue.
+    pub queued: usize,
+}
+
+/// Snapshot the shared worker pool's load (see [`PoolStatus`]). Never
+/// spawns the pool.
+pub fn pool_status() -> PoolStatus {
+    #[cfg(feature = "parallel")]
+    {
+        let (width, queued) = crate::kernel::workers::status();
+        PoolStatus { width, queued }
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        PoolStatus::default()
+    }
 }
 
 /// Execution mode of a context (paper §IV).
@@ -53,8 +92,6 @@ pub enum Mode {
 
 struct CtxInner {
     mode: Mode,
-    /// How `wait()` drains the pending DAG (nonblocking mode only).
-    policy: SchedPolicy,
     /// Deferred outputs of the current sequence, in program order. Weak:
     /// an intermediate dropped unobserved is simply never computed (the
     /// "lazy evaluation" latitude of §IV).
@@ -64,7 +101,7 @@ struct CtxInner {
     /// Test hook: the next submitted operation fails with this error.
     injected: Mutex<Option<Error>>,
     /// Execution tracing: when enabled, each `wait()` appends one event
-    /// per scheduled node; drained by `take_trace`.
+    /// per node it computes; drained by `take_trace`.
     tracing: std::sync::atomic::AtomicBool,
     trace: Mutex<Vec<TraceEvent>>,
 }
@@ -80,20 +117,11 @@ pub struct Context {
 }
 
 impl Context {
-    /// Create a context in the given mode, with the default scheduling
-    /// policy (Parallel when the `parallel` feature is on).
+    /// Create a context in the given mode.
     pub fn new(mode: Mode) -> Self {
-        Context::with_policy(mode, SchedPolicy::default())
-    }
-
-    /// Create a context with an explicit scheduling policy for `wait()`.
-    /// The policy only matters in nonblocking mode; blocking mode
-    /// completes each operation inline as before.
-    pub fn with_policy(mode: Mode, policy: SchedPolicy) -> Self {
         Context {
             inner: Arc::new(CtxInner {
                 mode,
-                policy,
                 sequence: Mutex::new(Vec::new()),
                 last_error: Mutex::new(None),
                 injected: Mutex::new(None),
@@ -101,12 +129,6 @@ impl Context {
                 trace: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// [`Context::with_policy`]; the only [`FusePolicy`] runs the DAG as
-    /// written. Kept only for the benchmark harness's `core.exec` probe.
-    pub fn with_fuse_policy(mode: Mode, policy: SchedPolicy, _fuse: FusePolicy) -> Self {
-        Context::with_policy(mode, policy)
     }
 
     /// `GrB_init(GrB_BLOCKING)`.
@@ -119,30 +141,31 @@ impl Context {
         Context::new(Mode::Nonblocking)
     }
 
-    /// Nonblocking mode with the sequential FIFO driver — the
-    /// pre-scheduler engine's observable behavior.
-    pub fn nonblocking_sequential() -> Self {
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential)
+    /// [`Context::new`]. Kept for grb-bench's `core.exec` probe.
+    #[doc(hidden)]
+    pub fn with_fuse_policy(mode: Mode, _sched: SchedPolicy, _fuse: FusePolicy) -> Self {
+        Context::new(mode)
     }
 
-    /// Nonblocking mode with the worker-pool driver (degrades to
-    /// sequential without the `parallel` feature).
+    /// [`Context::nonblocking`]. Kept for grb-bench's `core.exec` probe.
+    #[doc(hidden)]
+    pub fn nonblocking_sequential() -> Self {
+        Context::nonblocking()
+    }
+
+    /// [`Context::nonblocking`]. Kept for grb-bench's `core.exec` probe.
+    #[doc(hidden)]
     pub fn nonblocking_parallel() -> Self {
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel)
+        Context::nonblocking()
     }
 
     pub fn mode(&self) -> Mode {
         self.inner.mode
     }
 
-    /// The scheduling policy `wait()` uses.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.inner.policy
-    }
-
     /// Enable or disable execution tracing. While enabled, each
-    /// `wait()` appends one [`TraceEvent`] per node the scheduler
-    /// completes; collect them with [`Context::take_trace`].
+    /// `wait()` appends one [`TraceEvent`] per node it computes; collect
+    /// them with [`Context::take_trace`].
     pub fn enable_trace(&self, on: bool) {
         self.inner
             .tracing
@@ -155,33 +178,31 @@ impl Context {
     }
 
     /// `GrB_wait()`: terminate the current sequence, completing every
-    /// deferred output. Execution runs through the [`sched`] scheduler
-    /// under this context's [`SchedPolicy`]; error reporting is
-    /// schedule-independent — the roots are scanned in program order
-    /// afterwards, so the error returned is the *first in program
-    /// order* (later outputs are still completed and carry their own
-    /// failure states, poisoning their consumers per §V).
+    /// deferred output. Each live root is forced in program order on
+    /// the calling thread (its pending cone first, each node once), so
+    /// the error returned is the *first in program order*; later
+    /// outputs are still completed and carry their own failure states,
+    /// poisoning their consumers per §V.
     pub fn wait(&self) -> Result<()> {
         let pending: Vec<Weak<dyn Completable>> = std::mem::take(&mut *self.inner.sequence.lock());
-        let roots: Vec<Arc<dyn Completable>> = pending.iter().filter_map(Weak::upgrade).collect();
-        if roots.is_empty() {
-            return Ok(());
-        }
-        let sink = self
+        let mut sink = self
             .inner
             .tracing
             .load(std::sync::atomic::Ordering::Relaxed)
-            .then(sched::TraceSink::new);
-        sched::execute(&roots, self.inner.policy, sink.as_ref());
-        if let Some(sink) = sink {
-            self.inner.trace.lock().extend(sink.into_events());
-        }
+            .then(trace::TraceSink::new);
         let mut first_err: Option<Error> = None;
-        for root in &roots {
-            if let Some(e) = root.failure() {
+        for (seq, root) in pending.iter().filter_map(Weak::upgrade).enumerate() {
+            let r = node::force_with(&root, &mut |n| match &mut sink {
+                Some(sink) => sink.compute(n, Arc::ptr_eq(n, &root).then_some(seq)),
+                None => n.compute(),
+            });
+            if let Err(e) = r {
                 self.record_error(&e);
                 first_err.get_or_insert(e);
             }
+        }
+        if let Some(sink) = sink {
+            self.inner.trace.lock().extend(sink.into_events());
         }
         match first_err {
             Some(e) => Err(e),
@@ -342,5 +363,162 @@ mod tests {
         ctx.inject_fault(Error::InjectedFault("test".into()));
         assert!(ctx.take_fault().is_some());
         assert!(ctx.take_fault().is_none()); // consumed
+    }
+
+    fn c(n: &Arc<Node<i32>>) -> Arc<dyn Completable> {
+        n.clone() as Arc<dyn Completable>
+    }
+
+    #[test]
+    fn wait_computes_a_shared_intermediate_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // base → {left, right} → top, all four in the sequence; `top`
+        // also reads `left` twice, as `mxm(A, A)` reads its operand
+        let count = Arc::new(AtomicUsize::new(0));
+        let cnt = count.clone();
+        let base: Arc<Node<i32>> = Node::pending(
+            vec![],
+            Box::new(move || {
+                cnt.fetch_add(1, Ordering::SeqCst);
+                Ok(10)
+            }),
+        );
+        let (b1, b2) = (base.clone(), base.clone());
+        let left = Node::pending(
+            vec![c(&base)],
+            Box::new(move || b1.ready_storage().map(|v| *v + 1)),
+        );
+        let right = Node::pending(
+            vec![c(&base)],
+            Box::new(move || b2.ready_storage().map(|v| *v + 2)),
+        );
+        let (l, r) = (left.clone(), right.clone());
+        let top = Node::pending(
+            vec![c(&left), c(&right), c(&left)],
+            Box::new(move || Ok(2 * *l.ready_storage()? + *r.ready_storage()?)),
+        );
+        let ctx = Context::nonblocking();
+        ctx.enable_trace(true);
+        for n in [&top, &left, &right, &base] {
+            // submit out of order: the forcing walk still runs `base` first
+            ctx.finish_op(c(n)).unwrap();
+        }
+        ctx.wait().unwrap();
+        assert_eq!(*top.ready_storage().unwrap(), 34);
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        let trace = ctx.take_trace();
+        assert_eq!(trace.len(), 4, "one event per node: {trace:?}");
+        // `top` (seq 0) pulled the other three in as its dependencies
+        assert_eq!(trace.last().unwrap().seq, Some(0));
+        assert!(trace[..3].iter().all(|e| e.seq.is_none()));
+    }
+
+    #[test]
+    fn wait_poisons_consumers_of_failures() {
+        let bad: Arc<Node<i32>> =
+            Node::pending(vec![], Box::new(|| Err(Error::Arithmetic("boom".into()))));
+        let b = bad.clone();
+        let consumer = Node::pending(
+            vec![c(&bad)],
+            Box::new(move || b.ready_storage().map(|v| *v + 1)),
+        );
+        let ok = Node::pending(vec![], Box::new(|| Ok(7i32)));
+        let ctx = Context::nonblocking();
+        for n in [&bad, &consumer, &ok] {
+            ctx.finish_op(c(n)).unwrap();
+        }
+        assert!(matches!(ctx.wait(), Err(Error::Arithmetic(_))));
+        assert!(matches!(bad.failure(), Some(Error::Arithmetic(_))));
+        assert!(matches!(consumer.failure(), Some(Error::InvalidObject(_))));
+        assert_eq!(*ok.ready_storage().unwrap(), 7);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn traced_wait_reports_intra_kernel_chunking() {
+        // a node whose compute fans row chunks out to the pool reports
+        // the chunking on its trace event; its neighbour reports none
+        use crate::kernel::par;
+        let chunked: Arc<Node<i32>> = Node::pending(
+            vec![],
+            Box::new(|| {
+                par::with_parallelism(4, || {
+                    par::with_cost_model(1, 0, || {
+                        let plan = par::plan(256, 256).expect("forced plan");
+                        let parts = par::run_chunks(256, plan, |s, e| e - s);
+                        Ok(parts.iter().sum::<usize>() as i32)
+                    })
+                })
+            }),
+        );
+        let plain: Arc<Node<i32>> = Node::pending(vec![], Box::new(|| Ok(1)));
+        let ctx = Context::nonblocking();
+        ctx.enable_trace(true);
+        ctx.finish_op(c(&chunked)).unwrap();
+        ctx.finish_op(c(&plain)).unwrap();
+        ctx.wait().unwrap();
+        let trace = ctx.take_trace();
+        assert_eq!(trace.len(), 2);
+        assert_eq!((trace[0].par_chunks > 0, trace[0].chunk_rows), (true, 256));
+        assert!(trace[0].par_workers >= 1);
+        assert_eq!(trace[1].par_chunks, 0);
+    }
+
+    /// `wait()` on one thread and `nvals` on another force the same
+    /// shared pending cone at once: every thunk still runs exactly once,
+    /// and both threads see blocking's result.
+    #[test]
+    fn wait_races_per_object_forcing() {
+        use crate::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        // a · b → {x, y} → z, one entry each, so each thunk calls its
+        // counting operator exactly once
+        fn pipeline(ctx: &Context, runs: &Arc<AtomicUsize>) -> Matrix<i64> {
+            let (r1, r2) = (runs.clone(), runs.clone());
+            let inc = unary_fn(move |v: &i64| {
+                r1.fetch_add(1, Ordering::SeqCst);
+                v + 1
+            });
+            let add = binary_fn(move |u: &i64, v: &i64| {
+                r2.fetch_add(1, Ordering::SeqCst);
+                u + v
+            });
+            let d = Descriptor::default();
+            let a = Matrix::from_tuples(1, 1, &[(0, 0, 1i64)]).unwrap();
+            let [b, x, y, z] = [(); 4].map(|_| Matrix::<i64>::new(1, 1).unwrap());
+            ctx.apply_matrix(&b, NoMask, NoAccum, inc.clone(), &a, &d)
+                .unwrap();
+            ctx.apply_matrix(&x, NoMask, NoAccum, inc.clone(), &b, &d)
+                .unwrap();
+            ctx.apply_matrix(&y, NoMask, NoAccum, inc, &b, &d).unwrap();
+            ctx.ewise_add_matrix(&z, NoMask, NoAccum, add, &x, &y, &d)
+                .unwrap();
+            z
+        }
+
+        let want = pipeline(&Context::blocking(), &Arc::new(AtomicUsize::new(0)))
+            .extract_tuples()
+            .unwrap();
+        assert_eq!(want, vec![(0, 0, 6)]);
+        for _ in 0..50 {
+            let ctx = Context::nonblocking();
+            let runs = Arc::new(AtomicUsize::new(0));
+            let z = pipeline(&ctx, &runs);
+            assert_eq!(runs.load(Ordering::SeqCst), 0, "deferred");
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    ctx.wait().unwrap();
+                    assert_eq!(z.extract_tuples().unwrap(), want);
+                });
+                start.wait();
+                assert_eq!(z.nvals().unwrap(), 1);
+                assert_eq!(z.extract_tuples().unwrap(), want);
+            });
+            assert_eq!(runs.load(Ordering::SeqCst), 4, "each thunk once");
+        }
     }
 }

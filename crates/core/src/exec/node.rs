@@ -18,10 +18,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::exec::sched::TraceMeta;
+use crate::exec::trace::TraceMeta;
 
 /// Shape/occupancy reporting for node storage types, consumed by the
-/// scheduler's execution trace (`exec::sched::trace`).
+/// execution trace (`exec::trace`).
 pub(crate) trait StorageMeta {
     /// `(rows, cols)`; vectors report `(size, 1)`.
     fn trace_shape(&self) -> (usize, usize);
@@ -55,7 +55,7 @@ pub trait Completable: Send + Sync {
     /// The failure, if the node completed with an error.
     fn failure(&self) -> Option<Error>;
     /// Operation kind plus dims/nvals (dims reported once complete), for
-    /// the scheduler's execution trace.
+    /// the execution trace.
     fn trace_meta(&self) -> TraceMeta;
 }
 
@@ -209,10 +209,23 @@ pub(crate) fn catch_panic<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
 /// Complete a node (and its pending cone) with an iterative topological
 /// walk. Returns the node's failure, if any.
 ///
-/// Used by blocking mode (single fresh node per call) and by per-object
-/// forcing (`GrB_*_wait`, `nvals`, …). Whole-sequence completion at
-/// `Context::wait` goes through the [`super::sched`] scheduler instead.
+/// Used by blocking mode (single fresh node per call), by per-object
+/// forcing (`GrB_*_wait`, `nvals`, …) and by `Context::wait`, which
+/// forces each sequence root in program order.
+///
+/// Safe to race: another thread forcing an overlapping cone only makes
+/// some `compute()` calls here no-ops, because a node computes under its
+/// own lock and a complete node never recomputes.
 pub(crate) fn force(root: &Arc<dyn Completable>) -> Result<()> {
+    force_with(root, &mut |node| node.compute())
+}
+
+/// [`force`], completing each node of the cone through `compute` — the
+/// hook a traced `wait()` uses to record one event per node.
+pub(crate) fn force_with(
+    root: &Arc<dyn Completable>,
+    compute: &mut dyn FnMut(&Arc<dyn Completable>),
+) -> Result<()> {
     if !root.is_complete() {
         // Expanded-set dedup: in a DAG an intermediate shared by several
         // pending consumers is reached once per in-edge; without the set
@@ -228,7 +241,7 @@ pub(crate) fn force(root: &Arc<dyn Completable>) -> Result<()> {
                 continue;
             }
             if expanded {
-                node.compute();
+                compute(&node);
             } else {
                 if !expanded_set.insert(Arc::as_ptr(&node) as *const u8) {
                     continue;

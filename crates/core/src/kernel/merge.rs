@@ -26,7 +26,7 @@ use crate::storage::tiled::{self, Tiled};
 use crate::storage::{Csr, SparseVec};
 
 /// Flush work observed on this thread since the last
-/// [`take_flush_stats`] — the scheduler drains it into `flush` trace
+/// [`take_flush_stats`] — a traced `wait()` drains it into `flush` trace
 /// events, alongside [`par::take_stats`] for the chunk fan-out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {

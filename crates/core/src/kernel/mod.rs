@@ -16,6 +16,8 @@ pub mod par;
 pub mod reduce;
 pub mod spmspv;
 pub(crate) mod util;
+#[cfg(feature = "parallel")]
+pub(crate) mod workers;
 pub mod write;
 
 pub use mxm::MxmStrategy;

@@ -1,6 +1,5 @@
 //! Intra-kernel data parallelism: row-partitioned execution of the hot
-//! kernels on the scheduler's shared worker pool
-//! ([`crate::exec::sched`]'s pool — there is no second pool).
+//! kernels on the process-wide worker pool (`kernel::workers`).
 //!
 //! The paper's opaque-object design (§II) licenses this freely: the
 //! implementation controls physical execution as long as each
@@ -26,7 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(feature = "parallel")]
-use crate::exec::sched::workers::{self, BatchState, TaskKind};
+use crate::kernel::workers;
 
 /// Default cost-model floor on output rows for going parallel.
 pub const MIN_PAR_ROWS: usize = 128;
@@ -47,7 +46,7 @@ thread_local! {
     /// Per-thread `(min_rows, min_work)` cost-model override.
     static COST_OVERRIDE: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
     /// Chunking observed on this thread since the last [`take_stats`] —
-    /// the scheduler drains it into the trace after each node compute.
+    /// a traced `wait()` drains it into the trace after each node compute.
     static STATS: Cell<ParStats> = const { Cell::new(ParStats::ZERO) };
 }
 
@@ -155,7 +154,7 @@ pub(crate) fn plan(rows: usize, work: usize) -> Option<Plan> {
     }
 }
 
-/// Chunking performed on this thread, for the scheduler's trace.
+/// Chunking performed on this thread, for the execution trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParStats {
     /// Row chunks fanned out to the pool.
@@ -175,7 +174,7 @@ impl ParStats {
 }
 
 /// Drain the chunking stats accumulated on this thread since the last
-/// call (the scheduler calls this right after each node compute).
+/// call (a traced `wait()` calls this right after each node compute).
 pub fn take_stats() -> ParStats {
     STATS.with(|s| s.replace(ParStats::ZERO))
 }
@@ -204,14 +203,13 @@ where
     let Plan { chunks, span } = plan;
     let slots: Vec<parking_lot::Mutex<Option<(usize, C)>>> =
         (0..chunks).map(|_| parking_lot::Mutex::new(None)).collect();
-    let run = |_b: &BatchState, idx: usize, worker: usize| {
+    let run = |idx: usize, worker: usize| {
         let start = idx * span;
         let end = rows.min(start + span);
         let out = eval(start, end);
         *slots[idx].lock() = Some((worker, out));
     };
-    let initial: Vec<usize> = (0..chunks).collect();
-    workers::pool().run_batch(TaskKind::Chunk, chunks, &initial, &run);
+    workers::pool().run_batch(chunks, &run);
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(chunks);
     for slot in slots {

@@ -74,7 +74,7 @@ pub enum Direction {
 }
 
 /// Process-wide direction override, `0 = Auto`. A global (not a
-/// thread-local) on purpose: kernels run on the scheduler's worker
+/// thread-local) on purpose: kernel chunks run on the pool's worker
 /// threads, and the equivalence tests and the E12 baseline need the
 /// forced direction to reach them.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
@@ -115,8 +115,8 @@ pub fn with_direction<R>(d: Direction, f: impl FnOnce() -> R) -> R {
 }
 
 thread_local! {
-    /// Direction taken by the most recent dispatch on this thread; the
-    /// scheduler drains it into the trace after each node compute.
+    /// Direction taken by the most recent dispatch on this thread; a
+    /// traced `wait()` drains it into the trace after each node compute.
     static CHOSEN: std::cell::Cell<Option<&'static str>> =
         const { std::cell::Cell::new(None) };
 }
@@ -126,7 +126,7 @@ fn note_direction(d: &'static str) {
 }
 
 /// Drain the direction note accumulated on this thread since the last
-/// call (the scheduler calls this right after each node compute).
+/// call (a traced `wait()` calls this right after each node compute).
 pub fn take_direction() -> Option<&'static str> {
     CHOSEN.with(|c| c.take())
 }

@@ -53,7 +53,7 @@ pub mod storage;
 pub use accum::{Accum, NoAccum};
 pub use descriptor::Descriptor;
 pub use error::{Error, Result};
-pub use exec::{pool_status, Context, Mode, PoolStatus, SchedPolicy, TraceEvent};
+pub use exec::{pool_status, Context, Mode, PoolStatus, TraceEvent};
 pub use index::{Index, IndexSelection, ALL};
 pub use kernel::par;
 pub use kernel::spmspv;

@@ -19,8 +19,8 @@
 //! Kernels stay layout-generic through the memoized [`MatrixStore::row_csr`]
 //! / [`MatrixStore::col_csr`] views: a store converts to the orientation a
 //! kernel asks for **once**, no matter how many consumers ask (the
-//! `OnceLock` serializes concurrent first requests from the parallel
-//! scheduler), which is the "convert an intermediate once instead of
+//! `OnceLock` serializes concurrent first requests from kernel chunks
+//! or racing readers), which is the "convert an intermediate once instead of
 //! per-consumer" latitude of nonblocking mode. Specialized kernels
 //! (`mxm_hyper`, the tiled SpMSpV walks, the CSR×CSC dot product) dispatch on
 //! [`MatrixStore::layout`] instead and skip conversion entirely.

@@ -445,7 +445,7 @@ impl<'o, 'a, T: Scalar> RowCursor<'o, 'a, T> {
 
 thread_local! {
     /// Tile coordinates touched by kernels/flushes on this thread since
-    /// the last [`take_tiles`]; the scheduler drains it into the trace.
+    /// the last [`take_tiles`]; a traced `wait()` drains it into the trace.
     static TOUCHED_TILES: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 }
 

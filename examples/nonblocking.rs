@@ -1,7 +1,7 @@
 //! The execution model (paper §IV) made visible: deferred operations in
 //! nonblocking mode, completion forced by `wait()` or by exporting
 //! methods, dead intermediates elided, and execution errors surfacing at
-//! the sequence boundary (§V).
+//! the sequence boundary in program order (§V).
 //!
 //! Run with: `cargo run --example nonblocking`
 
@@ -97,6 +97,24 @@ fn main() -> Result<()> {
         Err(e) => println!("the output object is now invalid: {e}"),
         Ok(_) => unreachable!(),
     }
+
+    println!("\n--- two faults in one sequence: wait() reports the first in program order ---");
+    let c1 = Matrix::<i64>::new(n, n)?;
+    let c2 = Matrix::<i64>::new(n, n)?;
+    let d = Descriptor::default();
+    ctx.mxm(&c1, NoMask, NoAccum, plus_times::<i64>(), &a, &a, &d)?;
+    ctx.inject_fault(Error::InjectedFault("first fault in program order".into()));
+    ctx.ewise_add_matrix(&c2, NoMask, NoAccum, Plus::new(), &a, &c1, &d)?;
+    ctx.inject_fault(Error::InjectedFault("second fault".into()));
+    ctx.transpose(&c1, NoMask, NoAccum, &c2, &d)?;
+    match ctx.wait() {
+        Err(e) => println!("wait() reported: {e}"),
+        Ok(()) => unreachable!(),
+    }
+    println!(
+        "the later fault stays on its own output: {:?}",
+        c1.extract_tuples().err()
+    );
 
     println!("\n--- blocking and nonblocking agree on results (§IV) ---");
     let bctx = Context::blocking();

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, operations as ops,
-    with_session_policies, Descriptor, GrbMatrix, GrbVector, Mode, SchedPolicy, Value,
+    with_session, Descriptor, GrbMatrix, GrbVector, Mode, Value,
 };
 use graphblas_core::error::Result;
 use graphblas_gen::erdos_renyi_gnm;
@@ -87,54 +87,50 @@ fn main() -> Result<()> {
     let min_monoid = grb_monoid_new(&min_pair, &enc(f64::INFINITY, NIL))?;
     let sr = grb_semiring_new(min_monoid, relax)?;
 
-    let (dist, parent) = with_session_policies(
-        Mode::Nonblocking,
-        SchedPolicy::Parallel,
-        || -> Result<(Vec<f64>, Vec<u64>)> {
-            let d = Descriptor::default();
-            // A(u, v) = (w_uv, u): each stored edge knows its source
-            let a = GrbMatrix::new(t, n, n)?;
-            for &(u, v, w) in &edges {
-                a.set(u, v, pair.value(&enc(w, u as u64))?)?;
-            }
+    let (dist, parent) = with_session(Mode::Nonblocking, || -> Result<(Vec<f64>, Vec<u64>)> {
+        let d = Descriptor::default();
+        // A(u, v) = (w_uv, u): each stored edge knows its source
+        let a = GrbMatrix::new(t, n, n)?;
+        for &(u, v, w) in &edges {
+            a.set(u, v, pair.value(&enc(w, u as u64))?)?;
+        }
 
-            // dense tentative-distance vector, (inf, NIL) off the source
-            let mut dv = GrbVector::new(t, n)?;
-            for i in 0..n {
-                let init = if i == src {
-                    enc(0.0, NIL)
-                } else {
-                    enc(f64::INFINITY, NIL)
-                };
-                dv.set(i, pair.value(&init)?)?;
-            }
+        // dense tentative-distance vector, (inf, NIL) off the source
+        let mut dv = GrbVector::new(t, n)?;
+        for i in 0..n {
+            let init = if i == src {
+                enc(0.0, NIL)
+            } else {
+                enc(f64::INFINITY, NIL)
+            };
+            dv.set(i, pair.value(&init)?)?;
+        }
 
-            let mut prev = snapshot(&dv)?;
-            for round in 1..n {
-                // one relaxation round: w = d min.relax A, d' = min(d, w)
-                let w = GrbVector::new(t, n)?;
-                ops::vxm(&w, None, None, &sr, &dv, &a, &d)?;
-                let next = GrbVector::new(t, n)?;
-                ops::ewise_add_vector(&next, None, None, &min_pair, &dv, &w, &d)?;
-                dv = next;
-                let cur = snapshot(&dv)?;
-                if cur == prev {
-                    println!("converged after {round} rounds");
-                    break;
-                }
-                prev = cur;
+        let mut prev = snapshot(&dv)?;
+        for round in 1..n {
+            // one relaxation round: w = d min.relax A, d' = min(d, w)
+            let w = GrbVector::new(t, n)?;
+            ops::vxm(&w, None, None, &sr, &dv, &a, &d)?;
+            let next = GrbVector::new(t, n)?;
+            ops::ewise_add_vector(&next, None, None, &min_pair, &dv, &w, &d)?;
+            dv = next;
+            let cur = snapshot(&dv)?;
+            if cur == prev {
+                println!("converged after {round} rounds");
+                break;
             }
+            prev = cur;
+        }
 
-            let mut dist = vec![f64::INFINITY; n];
-            let mut parent = vec![NIL; n];
-            for (i, v) in dv.extract_tuples()? {
-                let (d, p) = dec_value(&v);
-                dist[i] = d;
-                parent[i] = p;
-            }
-            Ok((dist, parent))
-        },
-    )??;
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![NIL; n];
+        for (i, v) in dv.extract_tuples()? {
+            let (d, p) = dec_value(&v);
+            dist[i] = d;
+            parent[i] = p;
+        }
+        Ok((dist, parent))
+    })??;
 
     // validate distances against reference Dijkstra
     let wg = WeightedGraph::from_edges(n, &edges);

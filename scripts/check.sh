@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, the full test suite, and the
-# sequential execution path (core with the `parallel` feature off, so
-# the scheduler's sequential fallback and the single-threaded kernels
-# stay green too).
+# serial build (core with the `parallel` feature off, so the
+# single-threaded kernels stay green too).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,13 +46,13 @@ cargo test --release --offline --manifest-path grb-bench/Cargo.toml
 echo "== cargo test -q (workspace)"
 cargo test -q --workspace
 
-# Core unit tests at release speed: scheduler and cost-model tests see
-# optimised kernels here, where timing-sensitive properties differ from
-# debug.
+# Core unit tests at release speed: the pool, the wait()/nvals race and
+# cost-model tests see optimised kernels here, where timing-sensitive
+# properties differ from debug.
 echo "== cargo test --release -q -p graphblas-core --lib"
 cargo test --release -q -p graphblas-core --lib
 
-echo "== cargo test -q -p graphblas-core --no-default-features (sequential path)"
+echo "== cargo test -q -p graphblas-core --no-default-features (serial build)"
 cargo test -q -p graphblas-core --no-default-features
 
 # Benches must at least compile (they are exercised manually; the

@@ -291,8 +291,7 @@ fn grb_error_names_both_domains_on_udt_mismatch() {
 /// on the monomorphized built-in lane stay `None`.
 #[test]
 fn trace_marks_erased_lane_nodes() {
-    use graphblas_capi::SchedPolicy;
-    grb::with_session_policies(Mode::Nonblocking, SchedPolicy::Sequential, || {
+    grb::with_session(Mode::Nonblocking, || {
         grb::enable_trace(true).unwrap();
         let t = errm_udt();
         let enc = |v: i64| t.value(&v.to_ne_bytes()).unwrap();
@@ -369,22 +368,16 @@ fn errm_panicky_semiring() -> &'static GrbSemiring {
 /// §V: a user operator that panics is an unrecoverable error inside the
 /// method, reported as `GrB_PANIC` — from the call in blocking mode,
 /// from `wait()` in nonblocking mode — and never unwound through the
-/// caller. Degree 2 with a zero cost threshold runs blocking mode's
-/// kernels as pooled chunks, so a chunk's panic is covered too. The
+/// caller. Degree 2 with a zero cost threshold runs the kernels as
+/// pooled chunks in both modes, so a chunk's panic is covered too. The
 /// session stays usable: a following operation on other objects
 /// succeeds.
 #[test]
 fn panicking_udf_reports_grb_panic_and_the_session_survives() {
-    use graphblas_capi::SchedPolicy;
     use graphblas_core::par;
-    let sessions = [
-        (Mode::Blocking, SchedPolicy::Sequential),
-        (Mode::Nonblocking, SchedPolicy::Sequential),
-        (Mode::Nonblocking, SchedPolicy::Parallel),
-    ];
-    for (mode, policy) in sessions {
+    for mode in [Mode::Blocking, Mode::Nonblocking] {
         for degree in [1, 2] {
-            grb::with_session_policies(mode, policy, || {
+            grb::with_session(mode, || {
                 par::with_cost_model(1, 0, || {
                     par::with_parallelism(degree, || {
                         let t = errm_udt();
@@ -398,7 +391,7 @@ fn panicking_udf_reports_grb_panic_and_the_session_survives() {
                         let e = grb::mxm(&c, None, None, errm_panicky_semiring(), &a, &a, &d)
                             .and_then(|()| grb::wait())
                             .unwrap_err();
-                        assert_eq!(e.code_name(), "GrB_PANIC", "mxm {mode:?} {policy:?}: {e}");
+                        assert_eq!(e.code_name(), "GrB_PANIC", "mxm {mode:?}: {e}");
 
                         let u = grb::GrbVector::new(t.ty(), 4).unwrap();
                         for i in 0..4 {
@@ -408,7 +401,7 @@ fn panicking_udf_reports_grb_panic_and_the_session_survives() {
                         let e = grb::mxv(&w, None, None, errm_panicky_semiring(), &a, &u, &d)
                             .and_then(|()| grb::wait())
                             .unwrap_err();
-                        assert_eq!(e.code_name(), "GrB_PANIC", "mxv {mode:?} {policy:?}: {e}");
+                        assert_eq!(e.code_name(), "GrB_PANIC", "mxv {mode:?}: {e}");
 
                         let b = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
                         b.set(0, 1, Value::Int32(3)).unwrap();

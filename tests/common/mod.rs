@@ -8,7 +8,6 @@
 
 use graphblas_core::par;
 use graphblas_core::prelude::*;
-use graphblas_core::SchedPolicy;
 use proptest::prelude::*;
 
 /// Decode a strategy byte into an f64 payload; low codes are the
@@ -82,19 +81,13 @@ pub fn vector_bits(v: &Vector<f64>) -> Vec<(usize, u64)> {
 
 /// Run `f` with the intra-kernel degree pinned to `k` and the cost model
 /// forced so even proptest-sized fixtures chunk. The overrides are
-/// thread-local: they bind the blocking and sequential paths (which
-/// compute on the calling thread), while the pool path runs its own
-/// defaults.
+/// thread-local; both modes compute on the calling thread (nonblocking
+/// `wait()` forces its roots there), so they bind every context.
 pub fn at_degree<R>(k: usize, f: impl FnOnce() -> R) -> R {
     par::with_cost_model(1, 0, || par::with_parallelism(k, f))
 }
 
-/// One context per execution mode: blocking, nonblocking-sequential,
-/// nonblocking-parallel.
-pub fn contexts() -> [Context; 3] {
-    [
-        Context::blocking(),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential),
-        Context::with_policy(Mode::Nonblocking, SchedPolicy::Parallel),
-    ]
+/// One context per execution mode: blocking, nonblocking.
+pub fn contexts() -> [Context; 2] {
+    [Context::blocking(), Context::nonblocking()]
 }

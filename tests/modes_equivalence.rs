@@ -400,6 +400,13 @@ fn interpret_faulty(
     (obs, first_err)
 }
 
+/// A nonblocking context with execution tracing on.
+fn traced_nonblocking() -> Context {
+    let ctx = Context::nonblocking();
+    ctx.enable_trace(true);
+    ctx
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -484,34 +491,32 @@ proptest! {
     ) {
         let baseline = interpret(&Context::blocking(), &seeds, &steps);
         let blk = interpret_with_formats(&Context::blocking(), &seeds, &steps, &formats);
-        let nb_seq = interpret_with_formats(&Context::nonblocking_sequential(), &seeds, &steps, &formats);
-        let nb_par = interpret_with_formats(&Context::nonblocking_parallel(), &seeds, &steps, &formats);
+        let nb = interpret_with_formats(&Context::nonblocking(), &seeds, &steps, &formats);
         prop_assert_eq!(&blk, &baseline);
-        prop_assert_eq!(&nb_seq, &baseline);
-        prop_assert_eq!(&nb_par, &baseline);
+        prop_assert_eq!(&nb, &baseline);
     }
 
-    /// The scheduler must be invisible: blocking, nonblocking with the
-    /// sequential driver, and nonblocking with the worker pool agree on
-    /// every observable object.
+    /// Deferral must be invisible: blocking, nonblocking, and
+    /// nonblocking with tracing on (whose `wait()` computes each node
+    /// through the trace hook) agree on every observable object.
     #[test]
     fn three_execution_paths_agree(
         seeds in seeds_strategy(),
         steps in proptest::collection::vec(step_strategy(), 1..20),
     ) {
         let blocking = interpret(&Context::blocking(), &seeds, &steps);
-        let nb_seq = interpret(&Context::nonblocking_sequential(), &seeds, &steps);
-        let nb_par = interpret(&Context::nonblocking_parallel(), &seeds, &steps);
-        prop_assert_eq!(&blocking, &nb_seq);
-        prop_assert_eq!(&nb_seq, &nb_par);
+        let nonblocking = interpret(&Context::nonblocking(), &seeds, &steps);
+        let traced = interpret(&traced_nonblocking(), &seeds, &steps);
+        prop_assert_eq!(&blocking, &nonblocking);
+        prop_assert_eq!(&nonblocking, &traced);
     }
 
-    /// §V with concurrency: injected execution faults poison the same
-    /// objects in all three execution paths, and the two nonblocking
-    /// drivers report the same program-order-first error from `wait()` —
-    /// never a schedule-dependent one. (Blocking's error comes from the
-    /// failing call itself and may name an op that nonblocking elides as
-    /// dead code, so only its *object states* are compared.)
+    /// §V under deferral: injected execution faults poison the same
+    /// objects in all three execution paths, and both nonblocking paths
+    /// report the same program-order-first error from `wait()`.
+    /// (Blocking's error comes from the failing call itself and may
+    /// name an op that nonblocking elides as dead code, so only its
+    /// *object states* are compared.)
     #[test]
     fn injected_faults_are_schedule_independent(
         seeds in seeds_strategy(),
@@ -520,19 +525,19 @@ proptest! {
     ) {
         let (obs_blk, _err_blk) =
             interpret_faulty(&Context::blocking(), &seeds, &steps, &faults);
-        let (obs_seq, err_seq) =
-            interpret_faulty(&Context::nonblocking_sequential(), &seeds, &steps, &faults);
-        let (obs_par, err_par) =
-            interpret_faulty(&Context::nonblocking_parallel(), &seeds, &steps, &faults);
-        prop_assert_eq!(&obs_blk, &obs_seq);
-        prop_assert_eq!(&obs_seq, &obs_par);
-        prop_assert_eq!(&err_seq, &err_par);
+        let (obs_nb, err_nb) =
+            interpret_faulty(&Context::nonblocking(), &seeds, &steps, &faults);
+        let (obs_traced, err_traced) =
+            interpret_faulty(&traced_nonblocking(), &seeds, &steps, &faults);
+        prop_assert_eq!(&obs_blk, &obs_nb);
+        prop_assert_eq!(&obs_nb, &obs_traced);
+        prop_assert_eq!(&err_nb, &err_traced);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Float value classes: §IV equivalence must hold for IEEE-754 special
-// values too — NaN, ±∞, and -0.0 — across all three execution paths.
+// values too — NaN, ±∞, and -0.0 — in both execution modes.
 // Equality is semantic: NaNs (any payload) count
 // as equal, and comparisons otherwise use IEEE `==` (so 0.0 == -0.0 —
 // the sign of a zero is not an observation the paper's modes contract
@@ -718,17 +723,12 @@ proptest! {
         steps in proptest::collection::vec(fstep_strategy(), 1..14),
     ) {
         let blocking = interpret_floats(&Context::blocking(), &seeds, &steps);
-        let runs = [
-            ("nb-seq", interpret_floats(&Context::nonblocking_sequential(), &seeds, &steps)),
-            ("nb-par", interpret_floats(&Context::nonblocking_parallel(), &seeds, &steps)),
-        ];
-        for (label, obs) in &runs {
-            prop_assert!(
-                float_obs_eq(&blocking, obs),
-                "{} diverged from blocking:\n  blocking: {:?}\n  {}: {:?}",
-                label, blocking, label, obs
-            );
-        }
+        let nonblocking = interpret_floats(&Context::nonblocking(), &seeds, &steps);
+        prop_assert!(
+            float_obs_eq(&blocking, &nonblocking),
+            "nonblocking diverged from blocking:\n  blocking: {:?}\n  nonblocking: {:?}",
+            blocking, nonblocking
+        );
     }
 }
 
@@ -803,9 +803,7 @@ proptest! {
         replace in any::<bool>(),
     ) {
         let blocking = interpret_thin(&Context::blocking(), &seeds[0], &b, &mask, replace);
-        let nb_seq = interpret_thin(&Context::nonblocking_sequential(), &seeds[0], &b, &mask, replace);
-        let nb_par = interpret_thin(&Context::nonblocking_parallel(), &seeds[0], &b, &mask, replace);
-        prop_assert_eq!(&blocking, &nb_seq);
-        prop_assert_eq!(&blocking, &nb_par);
+        let nonblocking = interpret_thin(&Context::nonblocking(), &seeds[0], &b, &mask, replace);
+        prop_assert_eq!(&blocking, &nonblocking);
     }
 }

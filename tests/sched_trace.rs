@@ -1,10 +1,9 @@
-//! The nonblocking scheduler observed from the outside: execution
-//! traces (`Context::take_trace`), compute-once semantics for shared
-//! intermediates (diamond DAGs), and — under the worker-pool policy —
-//! actual concurrency on a wide DAG.
+//! Nonblocking `wait()` observed from the outside: execution traces
+//! (`Context::take_trace`), compute-once semantics for shared
+//! intermediates (diamond DAGs), and pending point updates traced as
+//! overlay nodes.
 
 use graphblas_core::prelude::*;
-use graphblas_core::SchedPolicy;
 use rand::{Rng, SeedableRng};
 
 const N: usize = 256;
@@ -46,10 +45,12 @@ fn trace_records_kinds_shapes_and_timings() {
     assert_eq!(add.nvals, s.nvals().unwrap());
     // program order is preserved in the seq stamps
     assert!(mxm.seq < add.seq);
+    // one thread forces the roots in program order: the events do not
+    // overlap in time
     for e in &trace {
-        assert!(e.start_ns >= e.ready_ns);
         assert!(e.end_ns >= e.start_ns);
     }
+    assert!(trace[0].end_ns <= trace[1].start_ns);
     // drained: a second take is empty, and tracing can be switched off
     assert!(ctx.take_trace().is_empty());
     ctx.enable_trace(false);
@@ -60,101 +61,63 @@ fn trace_records_kinds_shapes_and_timings() {
 }
 
 /// Diamond regression: an intermediate consumed by several later ops
-/// must be scheduled (and computed) exactly once, not once per
-/// consumer. The trace gives the op-level evidence: one `transpose`
-/// event even though two ops read its output.
+/// must be computed exactly once, not once per consumer. The trace
+/// gives the op-level evidence: one `transpose` event even though two
+/// ops read its output.
 #[test]
 fn shared_intermediate_is_scheduled_once() {
-    for policy in [SchedPolicy::Sequential, SchedPolicy::Parallel] {
-        let ctx = Context::with_policy(Mode::Nonblocking, policy);
-        ctx.enable_trace(true);
-        let a = random_matrix(3, 0.05);
-        let mid = Matrix::<i64>::new(N, N).unwrap();
-        let left = Matrix::<i64>::new(N, N).unwrap();
-        let right = Matrix::<i64>::new(N, N).unwrap();
-        let d = Descriptor::default();
-        ctx.transpose(&mid, NoMask, NoAccum, &a, &d).unwrap();
-        ctx.ewise_add_matrix(&left, NoMask, NoAccum, Plus::new(), &a, &mid, &d)
-            .unwrap();
-        ctx.ewise_mult_matrix(&right, NoMask, NoAccum, Times::new(), &a, &mid, &d)
-            .unwrap();
-        ctx.wait().unwrap();
-        let trace = ctx.take_trace();
-        let transposes = trace.iter().filter(|e| e.kind == "transpose").count();
-        assert_eq!(
-            transposes, 1,
-            "policy {policy:?}: diamond base ran {transposes}x"
-        );
-        assert_eq!(trace.len(), 3);
-    }
-}
-
-/// Acceptance: on a wide DAG the pool policy is observably concurrent —
-/// the trace names more than one worker. (The pool spawns at least two
-/// workers even on one hardware thread; 16 independent products give
-/// the OS ample room to interleave them.)
-#[test]
-fn wide_dag_runs_on_multiple_workers() {
-    let ctx = Context::nonblocking_parallel();
+    let ctx = Context::nonblocking();
     ctx.enable_trace(true);
-    let a = random_matrix(4, 0.15);
-    let b = random_matrix(5, 0.15);
-    let outs: Vec<Matrix<i64>> = (0..16).map(|_| Matrix::<i64>::new(N, N).unwrap()).collect();
+    let a = random_matrix(3, 0.05);
+    let mid = Matrix::<i64>::new(N, N).unwrap();
+    let left = Matrix::<i64>::new(N, N).unwrap();
+    let right = Matrix::<i64>::new(N, N).unwrap();
     let d = Descriptor::default();
-    for out in &outs {
-        ctx.mxm(out, NoMask, NoAccum, plus_times::<i64>(), &a, &b, &d)
-            .unwrap();
-    }
+    ctx.transpose(&mid, NoMask, NoAccum, &a, &d).unwrap();
+    ctx.ewise_add_matrix(&left, NoMask, NoAccum, Plus::new(), &a, &mid, &d)
+        .unwrap();
+    ctx.ewise_mult_matrix(&right, NoMask, NoAccum, Times::new(), &a, &mid, &d)
+        .unwrap();
     ctx.wait().unwrap();
     let trace = ctx.take_trace();
-    assert_eq!(trace.len(), 16);
-    let workers: std::collections::HashSet<usize> = trace.iter().map(|e| e.worker).collect();
-    assert!(
-        workers.len() > 1,
-        "expected >1 worker on 16 independent mxm ops, saw {workers:?}"
-    );
-    // all outputs identical (same inputs, schedule-independent results)
-    let expect = outs[0].extract_tuples().unwrap();
-    for out in &outs[1..] {
-        assert_eq!(out.extract_tuples().unwrap(), expect);
-    }
+    let transposes = trace.iter().filter(|e| e.kind == "transpose").count();
+    assert_eq!(transposes, 1, "diamond base ran {transposes}x");
+    assert_eq!(trace.len(), 3);
 }
 
 /// Pending point updates reach kernels as first-class DAG nodes: kernel
 /// input capture takes the epoch's non-draining *overlay* node, so the
 /// trace carries one `"overlay"` event (interior dependency, so
-/// `seq == None`) with the delta-merge statistics, under both scheduler
-/// policies. The source handle's log is untouched by the capture.
+/// `seq == None`) with the delta-merge statistics. The source handle's
+/// log is untouched by the capture.
 #[test]
 fn overlay_nodes_are_traced_with_merge_stats() {
-    for policy in [SchedPolicy::Sequential, SchedPolicy::Parallel] {
-        let ctx = Context::with_policy(Mode::Nonblocking, policy);
-        ctx.enable_trace(true);
-        let a = random_matrix(6, 0.05);
-        for k in 0..10 {
-            a.set(k, k, 1).unwrap();
-        }
-        a.remove(0, 1).unwrap(); // 11 pending entries over 10 rows
-        let out = Matrix::<i64>::new(N, N).unwrap();
-        let d = Descriptor::default();
-        ctx.mxm(&out, NoMask, NoAccum, plus_times::<i64>(), &a, &a, &d)
-            .unwrap();
-        ctx.wait().unwrap();
-        let trace = ctx.take_trace();
-        let overlays: Vec<_> = trace.iter().filter(|e| e.kind == "overlay").collect();
-        assert_eq!(overlays.len(), 1, "policy {policy:?}: {trace:?}");
-        let f = overlays[0];
-        assert_eq!(f.pending_len, 11);
-        assert_eq!(f.merged_rows, 10); // (0,0) and (0,1) share row 0
-        assert!(f.seq.is_none(), "overlay is an interior dependency");
-        assert_eq!((f.rows, f.cols), (N, N));
-        for e in trace.iter().filter(|e| e.kind != "overlay") {
-            assert_eq!((e.pending_len, e.merged_rows), (0, 0));
-        }
-        // capture did not drain the handle's log — the pending updates
-        // are still buffered (the overlay merge observed, not consumed)
-        assert_eq!(a.delta_stats().pending_len, 11);
+    let ctx = Context::nonblocking();
+    ctx.enable_trace(true);
+    let a = random_matrix(6, 0.05);
+    for k in 0..10 {
+        a.set(k, k, 1).unwrap();
     }
+    a.remove(0, 1).unwrap(); // 11 pending entries over 10 rows
+    let out = Matrix::<i64>::new(N, N).unwrap();
+    let d = Descriptor::default();
+    ctx.mxm(&out, NoMask, NoAccum, plus_times::<i64>(), &a, &a, &d)
+        .unwrap();
+    ctx.wait().unwrap();
+    let trace = ctx.take_trace();
+    let overlays: Vec<_> = trace.iter().filter(|e| e.kind == "overlay").collect();
+    assert_eq!(overlays.len(), 1, "{trace:?}");
+    let f = overlays[0];
+    assert_eq!(f.pending_len, 11);
+    assert_eq!(f.merged_rows, 10); // (0,0) and (0,1) share row 0
+    assert!(f.seq.is_none(), "overlay is an interior dependency");
+    assert_eq!((f.rows, f.cols), (N, N));
+    for e in trace.iter().filter(|e| e.kind != "overlay") {
+        assert_eq!((e.pending_len, e.merged_rows), (0, 0));
+    }
+    // capture did not drain the handle's log — the pending updates
+    // are still buffered (the overlay merge observed, not consumed)
+    assert_eq!(a.delta_stats().pending_len, 11);
 }
 
 /// A completion-forcing read on a handle with pending updates still
@@ -162,7 +125,7 @@ fn overlay_nodes_are_traced_with_merge_stats() {
 /// does — the two sides of the read path.
 #[test]
 fn forcing_read_drains_the_log() {
-    let _ctx = Context::with_policy(Mode::Nonblocking, SchedPolicy::Sequential);
+    let _ctx = Context::nonblocking();
     let a = random_matrix(7, 0.05);
     let before = a.nvals().unwrap();
     for k in 0..10 {

@@ -21,9 +21,8 @@ mod common;
 use common::{at_degree, sparse, Tuples};
 use graphblas_capi::{
     grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, grb_unary_op_new,
-    operations as ops, with_session_policies, Descriptor, Format, GrbBinaryOp, GrbMatrix,
-    GrbMonoid, GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, Mode, SchedPolicy,
-    Value,
+    operations as ops, with_session, Descriptor, Format, GrbBinaryOp, GrbMatrix, GrbMonoid,
+    GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, Mode, Value,
 };
 use proptest::prelude::*;
 
@@ -243,46 +242,42 @@ fn run_builtin(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
 
 const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Tiled)];
 
-const SESSIONS: [(Mode, SchedPolicy); 3] = [
-    (Mode::Blocking, SchedPolicy::Sequential),
-    (Mode::Nonblocking, SchedPolicy::Sequential),
-    (Mode::Nonblocking, SchedPolicy::Parallel),
-];
+const SESSIONS: [Mode; 2] = [Mode::Blocking, Mode::Nonblocking];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance property: the registered UDT semiring and the
     /// built-in INT64 semiring observe identical results on every
-    /// (mode, policy, format, degree) combination — and every one of
+    /// (mode, format, degree) combination — and every one of
     /// those equals the serial blocking built-in reference.
     #[test]
     fn udt_semiring_equals_builtin_bitwise(
         m0 in sparse(N, 40),
         u0 in sparse(N, 12),
     ) {
-        let reference = with_session_policies(
-            Mode::Blocking, SchedPolicy::Sequential,
+        let reference = with_session(
+            Mode::Blocking,
             || at_degree(1, || run_builtin(&m0, &u0, None)),
         ).unwrap();
 
-        for (mode, policy) in SESSIONS {
+        for mode in SESSIONS {
             for format in FORMATS {
                 for k in DEGREES {
-                    let (b, udt_obs) = with_session_policies(mode, policy, || {
+                    let (b, udt_obs) = with_session(mode, || {
                         at_degree(k, || {
                             (run_builtin(&m0, &u0, format), run_udt(&m0, &u0, format))
                         })
                     }).unwrap();
                     prop_assert_eq!(
                         &reference, &b,
-                        "builtin drifted: mode {:?} policy {:?} format {:?} degree {}",
-                        mode, policy, format, k
+                        "builtin drifted: mode {:?} format {:?} degree {}",
+                        mode, format, k
                     );
                     prop_assert_eq!(
                         &reference, &udt_obs,
-                        "udt lane drifted: mode {:?} policy {:?} format {:?} degree {}",
-                        mode, policy, format, k
+                        "udt lane drifted: mode {:?} format {:?} degree {}",
+                        mode, format, k
                     );
                 }
             }
@@ -494,16 +489,16 @@ proptest! {
     ) {
         for size in SIZES {
             let want = model_sized(size, &m0, &u0);
-            for (mode, policy) in SESSIONS {
+            for mode in SESSIONS {
                 for format in FORMATS {
                     for k in DEGREES {
-                        let got = with_session_policies(mode, policy, || {
+                        let got = with_session(mode, || {
                             at_degree(k, || run_sized(size, &m0, &u0, format))
                         }).unwrap();
                         prop_assert_eq!(
                             &want, &got,
-                            "size {}: mode {:?} policy {:?} format {:?} degree {}",
-                            size, mode, policy, format, k
+                            "size {}: mode {:?} format {:?} degree {}",
+                            size, mode, format, k
                         );
                     }
                 }
