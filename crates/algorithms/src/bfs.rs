@@ -65,8 +65,7 @@ pub fn bfs_levels(ctx: &Context, a: &Matrix<bool>, src: Index) -> Result<Vec<Opt
 /// for the source itself, `None` if unreachable) — exactly what
 /// [`bfs_levels`] returns for each source on its own, which the unit
 /// tests assert. Duplicate sources are allowed; each occupies its own
-/// column. This is the coalescing primitive the `server` crate's
-/// request batcher drives.
+/// column.
 pub fn bfs_multi(
     ctx: &Context,
     a: &Matrix<bool>,

@@ -5,9 +5,7 @@
 //! driver threads simulate ~1000 clients issuing a ~70/30 read/write
 //! mix (BFS, one-hop, degree, point reads / point writes) against a
 //! handful of shared R-MAT graphs. Reported: end-to-end latency
-//! quantiles (p50/p99/p999), throughput, shed rate, and the batching
-//! evidence — BFS requests vs BFS batch launches (the §VII
-//! column-block coalescing win).
+//! quantiles (p50/p99/p999), throughput and shed rate.
 //!
 //! Environment knobs: `GRB_SERVER_SECS` (default 3),
 //! `GRB_SERVER_DRIVERS` (default 32), `GRB_SERVER_CLIENTS` (default
@@ -51,7 +49,6 @@ fn main() {
     let svc = Service::start(ServiceConfig {
         workers: 4,
         queue_cap: 64,
-        batch_max: 64,
         ..Default::default()
     });
 
@@ -100,8 +97,7 @@ fn main() {
                     let n = nodes[gi];
                     let v = (rng.next() as usize) % n;
                     let u = (rng.next() as usize) % n;
-                    // ~70/30 read/write mix; reads are BFS-heavy so the
-                    // coalescer has something to coalesce
+                    // ~70/30 read/write mix; reads are BFS-heavy
                     let req = match rng.next() % 10 {
                         0..=3 => Request::Bfs { graph, src: v },
                         4 => Request::OneHop { graph, v },
@@ -139,10 +135,6 @@ fn main() {
     let shed = shed.load(Ordering::Relaxed);
     let errors = errors.load(Ordering::Relaxed);
     let total = completed + shed + errors;
-    let stats = svc.stats();
-    let bfs_requests = stats.bfs_requests.load(Ordering::Relaxed);
-    let bfs_batches = stats.bfs_batches.load(Ordering::Relaxed);
-    let max_batch = stats.max_batch.load(Ordering::Relaxed);
 
     println!("server_load: {clients} clients on {drivers} drivers, {GRAPHS} rmat graphs (scale {SCALE}), {elapsed:.1}s");
     println!(
@@ -157,17 +149,9 @@ fn main() {
         latency.quantile(0.999) / 1_000,
         latency.max() / 1_000,
     );
-    println!(
-        "  bfs coalescing: {bfs_requests} requests in {bfs_batches} batches (max batch {max_batch}, {:.1} req/launch)",
-        bfs_requests as f64 / bfs_batches.max(1) as f64
-    );
     svc.shutdown();
 
     assert!(total > 0, "no requests completed");
-    assert!(
-        bfs_batches <= bfs_requests,
-        "batch count cannot exceed request count"
-    );
 
     overload_phase();
 }
@@ -179,7 +163,6 @@ fn overload_phase() {
     let svc = Service::start(ServiceConfig {
         workers: 2,
         queue_cap: 2,
-        batch_max: 64,
         ..Default::default()
     });
     let g = rmat(SCALE, 8, RmatParams::default(), 7)

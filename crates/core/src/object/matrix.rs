@@ -46,14 +46,16 @@ pub struct Matrix<T: Scalar> {
 
 impl<T: Scalar> Matrix<T> {
     /// `GrB_Matrix_new(&A, domain, nrows, ncols)`: a matrix with no stored
-    /// elements. Dimensions must be positive (paper §III-A: `M, N > 0`).
+    /// elements. Dimensions must be positive (paper §III-A: `M, N > 0`);
+    /// a row count whose storage cannot be allocated is `OutOfMemory`
+    /// (`GrB_OUT_OF_MEMORY`, §V).
     pub fn new(nrows: Index, ncols: Index) -> Result<Self> {
         if nrows == 0 || ncols == 0 {
             return Err(Error::InvalidValue(format!(
                 "matrix dimensions must be positive, got {nrows}x{ncols}"
             )));
         }
-        let empty = Node::ready(MatrixStore::empty(nrows, ncols));
+        let empty = Node::ready(MatrixStore::csr(Csr::try_empty(nrows, ncols)?));
         let policy = crate::storage::engine::session_default_policy();
         Ok(Self::over(nrows, ncols, Handle::new(empty, policy)))
     }
@@ -377,6 +379,19 @@ mod tests {
             Matrix::<i32>::new(3, 0),
             Err(Error::InvalidValue(_))
         ));
+    }
+
+    #[test]
+    fn new_reports_an_unallocatable_row_count_as_out_of_memory() {
+        // `usize::MAX + 1` row pointers overflow; `usize::MAX / 8 + 1`
+        // of them overflow the allocator's byte count. Neither depends on
+        // how the machine overcommits.
+        for nrows in [usize::MAX, usize::MAX / 8] {
+            assert!(
+                matches!(Matrix::<bool>::new(nrows, 4), Err(Error::OutOfMemory(_))),
+                "{nrows} rows"
+            );
+        }
     }
 
     #[test]

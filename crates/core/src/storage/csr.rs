@@ -7,6 +7,7 @@
 //! operate on stored-index sets only, exactly as in the paper's
 //! set-notation definition of the operations.
 
+use crate::error::{Error, Result};
 use crate::index::Index;
 use crate::scalar::Scalar;
 
@@ -33,6 +34,22 @@ impl<T: Scalar> Csr<T> {
             col_idx: Vec::new(),
             vals: Vec::new(),
         }
+    }
+
+    /// [`Csr::empty`] for a shape that may not fit in memory: a row
+    /// pointer of `nrows + 1` entries that overflows `usize` or cannot be
+    /// allocated is `OutOfMemory` instead of an abort.
+    pub fn try_empty(nrows: Index, ncols: Index) -> Result<Self> {
+        let oom = || Error::OutOfMemory(format!("no room for the row pointer of {nrows} rows"));
+        let len = nrows.checked_add(1).ok_or_else(oom)?;
+        // `vec![0; len]` aborts the process when the allocator refuses,
+        // so ask first with a reservation that is dropped at once. `empty`
+        // then allocates through calloc, whose zero pages cost no resident
+        // memory until written; filling the reservation would touch them.
+        Vec::<usize>::new()
+            .try_reserve_exact(len)
+            .map_err(|_| oom())?;
+        Ok(Self::empty(nrows, ncols))
     }
 
     /// Assemble from raw parts. Invariants (checked in debug builds):

@@ -8,16 +8,9 @@
 //!
 //! What makes it a *service* rather than a socket wrapper:
 //!
-//! - **Batching** ([`sched`] + the execution engine): concurrent BFS requests
-//!   against the same graph are coalesced into one multi-source sweep —
-//!   a single masked `mxm` per level over a column-block of frontiers
-//!   (the paper's §VII batched-BC trick) — then demultiplexed back to
-//!   each request's reply slot. A batch that holds one source runs the
-//!   single-source SpMSpV BFS instead, which is far cheaper than a
-//!   one-column block.
-//! - **Admission control** ([`sched`]): per-tenant bounded queues and a
-//!   global engine-backlog gate shed excess load with a typed
-//!   `OVERLOADED` reply instead of unbounded queueing.
+//! - **Admission control** ([`sched`]): per-tenant bounded queues shed
+//!   excess load with a typed `OVERLOADED` reply instead of unbounded
+//!   queueing.
 //! - **Weighted fairness** ([`sched`]): stride scheduling picks the
 //!   next tenant by smallest pass value, so a weight-4 tenant gets 4×
 //!   the service of a weight-1 tenant under contention — and a flooding

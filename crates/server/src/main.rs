@@ -1,7 +1,7 @@
 //! The `grb-serve` binary: bind a TCP address and serve graph queries.
 //!
 //! ```text
-//! grb-serve [ADDR] [--workers N] [--queue-cap N] [--batch-max N]
+//! grb-serve [ADDR] [--workers N] [--queue-cap N]
 //! ```
 //!
 //! `ADDR` defaults to `127.0.0.1:7687`. The process serves until
@@ -13,7 +13,7 @@ use std::sync::mpsc;
 use server::{Server, Service, ServiceConfig};
 
 fn usage() -> ! {
-    eprintln!("usage: grb-serve [ADDR] [--workers N] [--queue-cap N] [--batch-max N]");
+    eprintln!("usage: grb-serve [ADDR] [--workers N] [--queue-cap N]");
     std::process::exit(2)
 }
 
@@ -32,7 +32,6 @@ fn parse_args() -> (String, ServiceConfig) {
         match arg.as_str() {
             "--workers" => cfg.workers = num("--workers").max(1),
             "--queue-cap" => cfg.queue_cap = num("--queue-cap").max(1),
-            "--batch-max" => cfg.batch_max = num("--batch-max").max(1),
             "--help" | "-h" => usage(),
             a if a.starts_with('-') => usage(),
             a => {
@@ -58,11 +57,10 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "grb-serve: listening on {} (workers={}, queue_cap={}, batch_max={})",
+        "grb-serve: listening on {} (workers={}, queue_cap={})",
         server.addr(),
         cfg.workers,
-        cfg.queue_cap,
-        cfg.batch_max
+        cfg.queue_cap
     );
     // serve forever: park the main thread on a channel nobody sends to
     let (_tx, rx) = mpsc::channel::<()>();

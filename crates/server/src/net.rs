@@ -203,6 +203,38 @@ mod tests {
     }
 
     #[test]
+    fn an_unallocatable_create_is_an_err_and_the_connection_lives() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let server = Server::bind("127.0.0.1:0", svc.clone()).unwrap();
+        let mut c = Client::connect(server.addr(), "t", 1).unwrap();
+        let create = |graph: &str, nodes| Request::CreateGraph {
+            graph: graph.into(),
+            nodes,
+            tiles: None,
+        };
+        // 2^61 row pointers of 8 bytes each overflow the allocator
+        let huge = c.call(&create("huge", 2305843009213693951)).unwrap();
+        assert!(matches!(huge, Reply::Err(_)), "{huge:?}");
+        assert_eq!(c.call(&create("g", 3)).unwrap(), Reply::Ok);
+        let edge = Request::AddEdge {
+            graph: "g".into(),
+            u: 0,
+            v: 2,
+        };
+        assert_eq!(c.call(&edge).unwrap(), Reply::Ok);
+        let bfs = Request::Bfs {
+            graph: "g".into(),
+            src: 0,
+        };
+        assert_eq!(c.call(&bfs).unwrap(), Reply::Levels(vec![0, -1, 1]));
+        server.shutdown();
+        svc.shutdown();
+    }
+
+    #[test]
     fn data_requests_require_hello() {
         let svc = Service::start(ServiceConfig {
             workers: 1,

@@ -58,7 +58,7 @@ pub enum Request {
     Degree { graph: String, v: Index },
     /// `HOP <graph> <v>` — one-hop out-neighborhood of a vertex.
     OneHop { graph: String, v: Index },
-    /// `BFS <graph> <src>` — BFS levels from a source (batchable).
+    /// `BFS <graph> <src>` — BFS levels from a source.
     Bfs { graph: String, src: Index },
     /// `PR <graph> <iters>` — PageRank, capped power iterations.
     Pagerank { graph: String, iters: usize },

@@ -2,19 +2,11 @@
 //!
 //! ## Admission
 //!
-//! Two gates, both checked at submit time so a rejected request costs
-//! nothing downstream:
-//!
-//! 1. **Per-tenant queue depth** — each tenant owns a bounded FIFO
-//!    (`queue_cap`); a submit that finds it full is shed with the typed
-//!    [`Reply::Overloaded`]. A
-//!    flooding tenant therefore saturates *its own* queue and nothing
-//!    else.
-//! 2. **Engine backlog** — if the shared worker pool's queue (observed
-//!    through [`graphblas_core::exec::pool_status`]) is deeper than
-//!    `pool_backlog_cap`, every tenant is shed until the engine drains;
-//!    queueing more work when the compute layer is saturated only
-//!    converts latency into memory.
+//! Each tenant owns a bounded FIFO (`queue_cap`), checked at submit
+//! time so a rejected request costs nothing downstream: a submit that
+//! finds the queue full is shed with the typed [`Reply::Overloaded`]. A
+//! flooding tenant therefore saturates *its own* queue and nothing
+//! else, and every waiting request sits in one of these queues.
 //!
 //! ## Fairness: stride scheduling
 //!
@@ -26,19 +18,7 @@
 //! races ahead and the light tenant's occasional requests are served
 //! almost immediately. A tenant waking from idle rejoins at the current
 //! virtual time (not its stale pass) so it cannot cash in idle credit
-//! as a burst.
-//!
-//! ## Batching
-//!
-//! When the chosen request is a BFS, the scheduler sweeps *all* tenant
-//! queues for other BFS requests against the same graph and hands the
-//! executor one coalesced `Batch` (up to `batch_max`). The engine
-//! answers the whole batch with one column-block frontier sweep
-//! ([`graphblas_algorithms::bfs_multi`]) — the paper's §VII
-//! multi-source trick: one `mxm` per level for the whole batch instead
-//! of one per request. A batch of one source takes the single-source
-//! SpMSpV BFS instead. Every coalesced request still advances its own
-//! tenant's pass, so batching never distorts the fairness accounting.
+//! as a burst. Every request, BFS included, is one job.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,12 +46,6 @@ pub(crate) struct Job {
     pub request: Request,
     pub submitted: Instant,
     pub slot: Arc<ReplySlot>,
-}
-
-/// A unit of executor work: either a single request or a coalesced
-/// same-graph BFS batch.
-pub(crate) struct Batch {
-    pub jobs: Vec<Job>,
 }
 
 /// One-shot reply mailbox: the submitting thread blocks on `wait`, the
@@ -110,7 +84,7 @@ impl ReplySlot {
 pub(crate) enum Admit {
     /// Queued; block on the slot for the reply.
     Queued(Arc<ReplySlot>),
-    /// Shed by admission control (per-tenant depth or engine backlog).
+    /// Shed by admission control (the tenant's queue is full).
     Shed,
     /// The scheduler is shutting down.
     Closed,
@@ -128,30 +102,20 @@ struct Inner {
     queued: usize,
     /// Virtual time: pass of the most recently served tenant.
     vtime: u64,
-    /// Executors take no batch while set ([`Scheduler::set_held`]).
+    /// Executors take no job while set ([`Scheduler::set_held`]).
     held: bool,
     shutdown: bool,
-}
-
-/// Scheduler tunables (subset of `ServiceConfig`).
-#[derive(Debug, Clone, Copy)]
-pub struct SchedConfig {
-    /// Per-tenant queue bound; a full queue sheds.
-    pub queue_cap: usize,
-    /// Largest BFS batch to coalesce.
-    pub batch_max: usize,
-    /// Shed everyone while the engine pool backlog exceeds this.
-    pub pool_backlog_cap: usize,
 }
 
 pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
     ready: Condvar,
-    cfg: SchedConfig,
+    /// Per-tenant queue bound; a full queue sheds.
+    queue_cap: usize,
 }
 
 impl Scheduler {
-    pub fn new(cfg: SchedConfig) -> Self {
+    pub fn new(queue_cap: usize) -> Self {
         Scheduler {
             inner: Mutex::new(Inner {
                 tenants: HashMap::new(),
@@ -161,7 +125,7 @@ impl Scheduler {
                 shutdown: false,
             }),
             ready: Condvar::new(),
-            cfg,
+            queue_cap,
         }
     }
 
@@ -200,14 +164,11 @@ impl Scheduler {
         if inner.shutdown {
             return Admit::Closed;
         }
-        // gate 2: engine backlog (global)
-        let backlog = graphblas_core::exec::pool_status().queued;
         let vtime = inner.vtime;
         let Some(tq) = inner.tenants.get_mut(&tenant.name) else {
             return Admit::Closed;
         };
-        // gate 1: per-tenant queue depth
-        if tq.queue.len() >= self.cfg.queue_cap || backlog > self.cfg.pool_backlog_cap {
+        if tq.queue.len() >= self.queue_cap {
             tq.meta
                 .counters
                 .shed
@@ -231,7 +192,7 @@ impl Scheduler {
         Admit::Queued(slot)
     }
 
-    /// Stop (`true`) or restart (`false`) handing out batches.
+    /// Stop (`true`) or restart (`false`) handing out jobs.
     /// Admission is unaffected, so while held the queues fill and shed
     /// exactly as behind a saturated executor. Shutdown releases a hold.
     pub fn set_held(&self, held: bool) {
@@ -240,69 +201,30 @@ impl Scheduler {
         self.ready.notify_all();
     }
 
-    /// Block until work is available and not held; `None` once shut
-    /// down *and* drained (executors exit only after every queued job
-    /// is served).
-    pub fn next_batch(&self) -> Option<Batch> {
+    /// Block until work is available and not held, then pop the next
+    /// job by stride order; `None` once shut down *and* drained
+    /// (executors exit only after every queued job is served).
+    pub fn next_job(&self) -> Option<Job> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if inner.queued > 0 && !inner.held {
-                return Some(Self::take_batch(&mut inner, &self.cfg));
-            }
+        while inner.queued == 0 || inner.held {
             if inner.shutdown {
                 return None;
             }
             inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Pop the next job by stride order, then coalesce if it's a BFS.
-    fn take_batch(inner: &mut Inner, cfg: &SchedConfig) -> Batch {
         // min-pass tenant among non-empty; name tie-break for determinism
-        let name = inner
+        let tq = inner
             .tenants
-            .iter()
-            .filter(|(_, q)| !q.queue.is_empty())
-            .min_by_key(|(name, q)| (q.pass, name.as_str()))
-            .map(|(name, _)| name.clone())
+            .values_mut()
+            .filter(|q| !q.queue.is_empty())
+            .min_by(|a, b| (a.pass, &a.meta.name).cmp(&(b.pass, &b.meta.name)))
             .expect("queued > 0 implies a non-empty tenant queue");
-        let tq = inner.tenants.get_mut(&name).expect("tenant exists");
         let job = tq.queue.pop_front().expect("non-empty");
         tq.pass += STRIDE_ONE / u64::from(tq.meta.weight);
-        inner.vtime = tq.pass;
+        let pass = tq.pass;
+        inner.vtime = pass;
         inner.queued -= 1;
-        let mut jobs = vec![job];
-        if let Request::Bfs { graph, .. } = &jobs[0].request {
-            let graph = graph.clone();
-            // sweep every queue (the server's own included) for BFS
-            // requests against the same graph, up to batch_max
-            let mut names: Vec<String> = inner.tenants.keys().cloned().collect();
-            names.sort(); // deterministic sweep order
-            'outer: for n in names {
-                let tq = inner.tenants.get_mut(&n).expect("tenant exists");
-                let stride = STRIDE_ONE / u64::from(tq.meta.weight);
-                let mut i = 0;
-                while i < tq.queue.len() {
-                    if jobs.len() >= cfg.batch_max {
-                        break 'outer;
-                    }
-                    let coalesce = matches!(
-                        &tq.queue[i].request,
-                        Request::Bfs { graph: g, .. } if *g == graph
-                    );
-                    if coalesce {
-                        let job = tq.queue.remove(i).expect("index in bounds");
-                        // batched service is still service: charge it
-                        tq.pass += stride;
-                        inner.queued -= 1;
-                        jobs.push(job);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        Batch { jobs }
+        Some(job)
     }
 
     /// Begin shutdown: new submits are `Closed`, executors drain what
@@ -319,14 +241,6 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn sched(queue_cap: usize) -> Scheduler {
-        Scheduler::new(SchedConfig {
-            queue_cap,
-            batch_max: 64,
-            pool_backlog_cap: usize::MAX,
-        })
-    }
-
     fn degree_req(v: usize) -> Request {
         Request::Degree {
             graph: "g".into(),
@@ -336,7 +250,7 @@ mod tests {
 
     #[test]
     fn stride_serves_in_weight_proportion() {
-        let s = sched(1000);
+        let s = Scheduler::new(1000);
         let a = s.register("a", 1);
         let b = s.register("b", 3);
         for i in 0..80 {
@@ -346,9 +260,7 @@ mod tests {
         let mut served_a = 0;
         let mut served_b = 0;
         for _ in 0..40 {
-            let batch = s.next_batch().unwrap();
-            assert_eq!(batch.jobs.len(), 1, "Degree must not batch");
-            match batch.jobs[0].tenant.name.as_str() {
+            match s.next_job().unwrap().tenant.name.as_str() {
                 "a" => served_a += 1,
                 _ => served_b += 1,
             }
@@ -360,7 +272,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_only_the_flooder() {
-        let s = sched(4);
+        let s = Scheduler::new(4);
         let flood = s.register("flood", 1);
         let light = s.register("light", 1);
         let mut shed = 0;
@@ -382,92 +294,25 @@ mod tests {
     }
 
     #[test]
-    fn bfs_on_same_graph_coalesces_across_tenants() {
-        let s = sched(1000);
-        let a = s.register("a", 1);
-        let b = s.register("b", 1);
-        for i in 0..5 {
-            s.submit(
-                &a,
-                Request::Bfs {
-                    graph: "g".into(),
-                    src: i,
-                },
-            );
-            s.submit(
-                &b,
-                Request::Bfs {
-                    graph: "g".into(),
-                    src: 100 + i,
-                },
-            );
-        }
-        // different graph and different request type must NOT coalesce
-        s.submit(
-            &a,
-            Request::Bfs {
-                graph: "other".into(),
-                src: 0,
-            },
-        );
-        s.submit(&b, degree_req(7));
-        let batch = s.next_batch().unwrap();
-        assert_eq!(batch.jobs.len(), 10, "all same-graph BFS in one batch");
-        assert!(batch
-            .jobs
-            .iter()
-            .all(|j| matches!(&j.request, Request::Bfs { graph, .. } if graph == "g")));
-        // the leftovers drain as singletons
-        let rest: usize = std::iter::from_fn(|| {
-            let b = s.next_batch()?;
-            Some(b.jobs.len())
-        })
-        .take(2)
-        .sum();
-        assert_eq!(rest, 2);
-    }
-
-    #[test]
-    fn batch_max_bounds_coalescing() {
-        let s = Scheduler::new(SchedConfig {
-            queue_cap: 1000,
-            batch_max: 4,
-            pool_backlog_cap: usize::MAX,
-        });
-        let a = s.register("a", 1);
-        for i in 0..10 {
-            s.submit(
-                &a,
-                Request::Bfs {
-                    graph: "g".into(),
-                    src: i,
-                },
-            );
-        }
-        let batch = s.next_batch().unwrap();
-        assert_eq!(batch.jobs.len(), 4);
-    }
-
-    #[test]
     fn shutdown_drains_then_stops() {
-        let s = sched(100);
+        let s = Scheduler::new(100);
         let a = s.register("a", 1);
         s.submit(&a, degree_req(0));
         s.shutdown();
         assert!(matches!(s.submit(&a, degree_req(1)), Admit::Closed));
-        assert!(s.next_batch().is_some(), "queued job still drains");
-        assert!(s.next_batch().is_none());
+        assert!(s.next_job().is_some(), "queued job still drains");
+        assert!(s.next_job().is_none());
     }
 
     #[test]
     fn shutdown_releases_a_hold() {
-        let s = sched(100);
+        let s = Scheduler::new(100);
         let a = s.register("a", 1);
         s.set_held(true);
         s.submit(&a, degree_req(0));
         s.shutdown();
-        assert!(s.next_batch().is_some(), "held job still drains");
-        assert!(s.next_batch().is_none());
+        assert!(s.next_job().is_some(), "held job still drains");
+        assert!(s.next_job().is_none());
     }
 
     #[test]

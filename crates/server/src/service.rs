@@ -7,7 +7,7 @@
 //! and the integration tests all speak to the same object. Control-
 //! plane requests (`HELLO`, `CREATE`, `STATS`) are answered inline;
 //! data requests pass admission control, wait their turn under stride
-//! fair scheduling, and are executed (possibly batched) by an executor
+//! fair scheduling, and are executed one at a time by an executor
 //! thread.
 
 use std::fmt::Write as _;
@@ -21,21 +21,17 @@ use graphblas_core::{snapshot_stats, Context, FormatPolicy};
 use crate::engine;
 use crate::graphs::Registry;
 use crate::protocol::{Reply, Request};
-use crate::sched::{Admit, SchedConfig, Scheduler, Tenant};
+use crate::sched::{Admit, Scheduler, Tenant};
 use crate::stats::ServiceStats;
 
 /// Service tunables. `Default` is sized for tests and small machines;
 /// the binary and the bench override per deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Executor threads pulling batches from the scheduler.
+    /// Executor threads pulling jobs from the scheduler.
     pub workers: usize,
     /// Per-tenant admission queue bound (beyond it: `OVERLOADED`).
     pub queue_cap: usize,
-    /// Largest same-graph BFS batch to coalesce.
-    pub batch_max: usize,
-    /// Shed every tenant while the engine pool backlog exceeds this.
-    pub pool_backlog_cap: usize,
     /// Weight assigned to tenants first seen without a `HELLO`.
     pub default_weight: u32,
 }
@@ -45,8 +41,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_cap: 64,
-            batch_max: 64,
-            pool_backlog_cap: 4096,
             default_weight: 1,
         }
     }
@@ -69,11 +63,7 @@ impl Service {
         let svc = Arc::new(Service {
             ctx: Context::blocking(),
             graphs: Registry::new(),
-            sched: Scheduler::new(SchedConfig {
-                queue_cap: cfg.queue_cap,
-                batch_max: cfg.batch_max,
-                pool_backlog_cap: cfg.pool_backlog_cap,
-            }),
+            sched: Scheduler::new(cfg.queue_cap),
             stats: ServiceStats::default(),
             cfg,
             executors: Mutex::new(Vec::new()),
@@ -85,8 +75,8 @@ impl Service {
                 std::thread::Builder::new()
                     .name(format!("grb-server-exec-{i}"))
                     .spawn(move || {
-                        while let Some(batch) = svc.sched.next_batch() {
-                            engine::run_batch(&svc.ctx, &svc.graphs, &svc.stats, batch);
+                        while let Some(job) = svc.sched.next_job() {
+                            engine::run_job(&svc.ctx, &svc.graphs, &svc.stats, job);
                         }
                     })
                     .expect("spawn executor"),
@@ -147,7 +137,7 @@ impl Service {
         }
     }
 
-    /// Stop the executors from starting new batches (one already
+    /// Stop the executors from starting new jobs (one already
     /// running finishes) until [`Service::resume`]. Admission control
     /// keeps answering, so queues fill and shed exactly as behind a
     /// saturated executor — a load test's "busy executor", by
@@ -166,7 +156,7 @@ impl Service {
         &self.graphs
     }
 
-    /// Service-wide counters (batching evidence for tests/benches).
+    /// Service-wide counters (tests/benches).
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
     }
@@ -184,12 +174,11 @@ impl Service {
         let mut out = String::new();
         let _ = write!(
             out,
-            "global graphs={} admitted={} bfs_requests={} bfs_batches={} max_batch={} pool_width={} pool_queued={}",
+            "global graphs={} admitted={} bfs_requests={} bfs_batches={} pool_width={} pool_queued={}",
             self.graphs.len(),
             self.stats.admitted.load(Ordering::Relaxed),
             self.stats.bfs_requests.load(Ordering::Relaxed),
             self.stats.bfs_batches.load(Ordering::Relaxed),
-            self.stats.max_batch.load(Ordering::Relaxed),
             pool.width,
             pool.queued,
         );

@@ -127,30 +127,18 @@ impl TenantCounters {
     }
 }
 
-/// Service-wide counters. `bfs_batches < bfs_requests` is the direct
-/// observable of §VII coalescing: each batch of two or more sources is
-/// one column-block frontier sweep (one `mxm` launch per level)
-/// regardless of how many BFS requests it served; a batch of one runs
-/// the single-source SpMSpV BFS.
+/// Service-wide counters.
 #[derive(Default)]
 pub struct ServiceStats {
-    /// BFS requests answered (batched or not).
+    /// BFS requests launched. Kept for grb-bench's
+    /// `server.coalesce_req_per_launch` probe, 1.00 by construction.
     pub bfs_requests: AtomicU64,
-    /// BFS launches — one per coalesced batch: `bfs_multi` for two or
-    /// more sources, `bfs_levels` for one.
+    /// BFS launches, bumped with `bfs_requests` once per BFS job. Kept
+    /// for grb-bench's `server.coalesce_req_per_launch` probe, 1.00 by
+    /// construction.
     pub bfs_batches: AtomicU64,
-    /// Largest batch coalesced so far.
-    pub max_batch: AtomicU64,
     /// Requests admitted into the scheduler (all types).
     pub admitted: AtomicU64,
-}
-
-impl ServiceStats {
-    pub fn note_bfs_batch(&self, size: usize) {
-        self.bfs_requests.fetch_add(size as u64, Ordering::Relaxed);
-        self.bfs_batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
-//! Admission control and fairness under load, plus batching evidence.
+//! Admission control and fairness under load.
 //!
 //! These tests run the real service (executor threads, stride
 //! scheduler, engine) in-process. A backlog is built by pausing the
 //! executors ([`Service::pause`]), not by racing slow work against a
 //! sleep, and timing assertions use generous absolute bounds — the
-//! *structural* claims (who got shed, who completed, how many batches
-//! launched) are the point.
+//! *structural* claims (who got shed, who completed) are the point.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,7 +49,6 @@ fn flooder_sheds_light_tenant_survives() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
         queue_cap: 4,
-        batch_max: 64,
         ..Default::default()
     });
     bulk_graph(&svc, "g", 32, chain_edges(32));
@@ -144,72 +142,6 @@ fn flooder_sheds_light_tenant_survives() {
     svc.shutdown();
 }
 
-/// Concurrent same-graph BFS requests coalesce: strictly fewer batch
-/// launches than requests, and every request still gets its own
-/// correct levels.
-#[test]
-fn concurrent_bfs_coalesce_into_fewer_batches() {
-    let svc = Service::start(ServiceConfig {
-        workers: 1,
-        queue_cap: 32,
-        batch_max: 64,
-        ..Default::default()
-    });
-    bulk_graph(&svc, "g", 8, chain_edges(8));
-
-    // Hold the single executor so the BFS requests pile up and the
-    // scheduler can sweep them into one column-block batch.
-    svc.pause();
-
-    let n_bfs = 16usize;
-    let bfs: Vec<_> = (0..n_bfs)
-        .map(|i| {
-            let svc = svc.clone();
-            // four tenants so coalescing is demonstrably cross-tenant
-            let tenant = format!("t{}", i % 4);
-            std::thread::spawn(move || {
-                (
-                    i,
-                    svc.submit(
-                        &tenant,
-                        Request::Bfs {
-                            graph: "g".into(),
-                            src: i % 8,
-                        },
-                    ),
-                )
-            })
-        })
-        .collect();
-    wait_until("every BFS to queue", || {
-        svc.stats().admitted.load(Ordering::Relaxed) == n_bfs as u64
-    });
-    svc.resume();
-
-    for h in bfs {
-        let (i, reply) = h.join().unwrap();
-        let Reply::Levels(levels) = reply else {
-            panic!("request {i} failed: expected levels")
-        };
-        let src = i % 8;
-        let expect: Vec<i64> = (0..8)
-            .map(|v| if v >= src { (v - src) as i64 } else { -1 })
-            .collect();
-        assert_eq!(levels, expect, "wrong levels for source {src}");
-    }
-
-    let stats = svc.stats();
-    let requests = stats.bfs_requests.load(Ordering::Relaxed);
-    let batches = stats.bfs_batches.load(Ordering::Relaxed);
-    let max_batch = stats.max_batch.load(Ordering::Relaxed);
-    assert_eq!(requests, n_bfs as u64);
-    // the first batch sweeps every queue, so the whole backlog is one
-    assert_eq!(batches, 1, "{batches} batches for {requests} requests");
-    assert_eq!(max_batch, n_bfs as u64);
-
-    svc.shutdown();
-}
-
 /// The `STATS` report prints tenant latencies in milliseconds with one
 /// decimal place. The old report integer-divided nanosecond quantiles,
 /// so every sub-unit latency printed as a flat `0` — this pins the
@@ -220,7 +152,6 @@ fn stats_reports_fractional_millisecond_latencies() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
         queue_cap: 8,
-        batch_max: 8,
         ..Default::default()
     });
     bulk_graph(&svc, "g", 8, chain_edges(8));
@@ -278,14 +209,12 @@ fn stats_reports_fractional_millisecond_latencies() {
 
 /// Weighted fairness end to end: under sustained contention, a
 /// weight-4 tenant completes more work than a weight-1 tenant on the
-/// same service. Uses PageRank (never coalesced) so the stride
-/// scheduler alone decides the service order.
+/// same service; the stride scheduler alone decides the service order.
 #[test]
 fn weighted_tenant_gets_more_service() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
         queue_cap: 8,
-        batch_max: 8,
         ..Default::default()
     });
     bulk_graph(&svc, "g", 64, chain_edges(64));

@@ -28,7 +28,9 @@ cargo run --release --example sssp
 # The user-type examples assert their results too: complex PLUS_TIMES and
 # tropical min-plus in udf_algebra, and sssp_parents' 16-byte
 # (dist, parent) pair, the largest payload stored inline in a value.
-for example in udf_algebra sssp_parents; do
+# server_demo asserts its replies over TCP: the hop list, BFS levels
+# before and after point updates, and the STATS tenant lines.
+for example in udf_algebra sssp_parents server_demo; do
     echo "== cargo run --release --example $example"
     cargo run --release --example "$example"
 done
@@ -76,13 +78,13 @@ cargo test -q --features mmap-cold --test out_of_core
 # — whose forced chunking checks the row emitter's concatenation — the
 # algorithms against their reference baselines, the C facade against the
 # typed core and its error model, and the query service's
-# admission/fairness/write-isolation properties) must hold at every
-# count.
+# admission/fairness/write-isolation properties and its survival of
+# hostile wire traffic) must hold at every count.
 for threads in 1 2 8; do
     echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model"
     GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model
-    echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs"
-    GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs
+    echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs --test wire_fuzz"
+    GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs --test wire_fuzz
 done
 
 echo "== cargo doc --workspace --no-deps (deny warnings)"
