@@ -16,8 +16,6 @@ use graphblas_core::par;
 use graphblas_core::storage::{delta, engine, snapshot};
 use parking_lot::{Mutex, ReentrantMutex};
 
-use crate::options::{GxbOption, GxbScope, GxbValue};
-
 static GLOBAL: Mutex<Option<Context>> = Mutex::new(None);
 /// Serializes whole sessions (init → … → finalize) across threads.
 static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
@@ -46,20 +44,15 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 ///   degree (how many row chunks a large kernel fans out to the shared
 ///   pool); unset means auto (`GRB_THREADS`/`GRB_TEST_THREADS`, then
 ///   the hardware's parallelism). [`finalize`] restores auto.
-/// * [`Config::delta_run_cap`] — the pending-update tail-seal cap
-///   (`GxB`-style storage knob); unset means `GRB_DELTA_RUN_CAP`, then
-///   the engine default. [`finalize`] restores auto.
-/// * [`Config::flush_window_ms`] — the background auto-flush time
-///   window; `0` disables the time trigger. Unset means
-///   `GRB_FLUSH_WINDOW_MS`, then the engine default. [`finalize`]
-///   restores auto.
+///
+/// The storage knobs (delta-log run cap, background flush window,
+/// default format policy) have one path: [`gxb_set`](crate::gxb_set) at
+/// [`Global`](crate::GxbScope::Global) scope inside the session.
 #[derive(Debug, Clone)]
 #[must_use = "the builder does nothing until .init() is called"]
 pub struct Config {
     mode: Mode,
     parallelism: Option<usize>,
-    delta_run_cap: Option<usize>,
-    flush_window_ms: Option<u64>,
 }
 
 impl Config {
@@ -68,8 +61,6 @@ impl Config {
         Config {
             mode,
             parallelism: None,
-            delta_run_cap: None,
-            flush_window_ms: None,
         }
     }
 
@@ -78,23 +69,6 @@ impl Config {
     /// values are rejected at [`Config::init`].
     pub fn parallelism(mut self, k: usize) -> Self {
         self.parallelism = Some(k);
-        self
-    }
-
-    /// Set the pending-update tail-seal cap for this session (`k >= 1`;
-    /// out-of-range values are rejected at [`Config::init`]). Smaller
-    /// caps seal (and auto-flush) sooner; larger caps batch more per
-    /// merge.
-    pub fn delta_run_cap(mut self, cap: usize) -> Self {
-        self.delta_run_cap = Some(cap);
-        self
-    }
-
-    /// Set the background auto-flush time window for this session, in
-    /// milliseconds. `0` disables the time trigger entirely (the size
-    /// trigger still applies).
-    pub fn flush_window_ms(mut self, ms: u64) -> Self {
-        self.flush_window_ms = Some(ms);
         self
     }
 
@@ -107,11 +81,6 @@ impl Config {
                 "Config::parallelism must be >= 1 (unset means auto)".into(),
             ));
         }
-        if self.delta_run_cap == Some(0) {
-            return Err(Error::InvalidValue(
-                "Config::delta_run_cap must be >= 1 (unset means auto)".into(),
-            ));
-        }
         let mut g = GLOBAL.lock();
         if g.is_some() {
             return Err(Error::InvalidValue(
@@ -119,29 +88,15 @@ impl Config {
             ));
         }
         par::set_default_parallelism(self.parallelism);
-        // The storage knobs route through the unified option surface —
-        // the builder fields are sugar over GxB_set(Global, …).
-        crate::options::gxb_set(
-            GxbScope::Global,
-            GxbOption::DeltaRunCap,
-            GxbValue::Count(self.delta_run_cap),
-        )?;
-        crate::options::gxb_set(
-            GxbScope::Global,
-            GxbOption::FlushWindowMs,
-            GxbValue::Millis(self.flush_window_ms),
-        )?;
         *g = Some(Context::new(self.mode));
         Ok(())
     }
 }
 
 /// `GrB_finalize()`. Fails if no context is established. Also restores
-/// every session knob ([`Config::parallelism`],
-/// [`Config::delta_run_cap`], [`Config::flush_window_ms`], and anything
-/// set through [`gxb_set`](crate::gxb_set) at
-/// [`Global`](crate::GxbScope::Global) scope) to auto, so pinned values
-/// cannot leak into the next session.
+/// every session knob ([`Config::parallelism`] and anything set through
+/// [`gxb_set`](crate::gxb_set) at [`Global`](crate::GxbScope::Global)
+/// scope) to auto, so pinned values cannot leak into the next session.
 pub fn finalize() -> Result<()> {
     let mut g = GLOBAL.lock();
     if g.take().is_none() {
@@ -260,6 +215,7 @@ pub fn session_guard_for_doctest(f: impl FnOnce()) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{gxb_set, GxbOption, GxbScope, GxbValue};
 
     #[test]
     fn lifecycle_rules() {
@@ -309,11 +265,19 @@ mod tests {
         let _guard = SESSION.lock();
         assert_eq!(delta::session_run_cap(), None);
         assert_eq!(snapshot::session_flush_window_ms(), None);
-        Config::new(Mode::Blocking)
-            .delta_run_cap(16)
-            .flush_window_ms(50)
-            .init()
-            .unwrap();
+        Config::new(Mode::Blocking).init().unwrap();
+        gxb_set(
+            GxbScope::Global,
+            GxbOption::DeltaRunCap,
+            GxbValue::Count(Some(16)),
+        )
+        .unwrap();
+        gxb_set(
+            GxbScope::Global,
+            GxbOption::FlushWindowMs,
+            GxbValue::Millis(Some(50)),
+        )
+        .unwrap();
         assert_eq!(delta::session_run_cap(), Some(16));
         assert_eq!(delta::run_cap(), 16);
         assert_eq!(snapshot::session_flush_window_ms(), Some(50));
@@ -330,10 +294,13 @@ mod tests {
     #[test]
     fn config_flush_window_zero_disables_time_trigger() {
         let _guard = SESSION.lock();
-        Config::new(Mode::Blocking)
-            .flush_window_ms(0)
-            .init()
-            .unwrap();
+        Config::new(Mode::Blocking).init().unwrap();
+        gxb_set(
+            GxbScope::Global,
+            GxbOption::FlushWindowMs,
+            GxbValue::Millis(Some(0)),
+        )
+        .unwrap();
         assert_eq!(snapshot::flush_window(), None);
         finalize().unwrap();
     }
@@ -341,11 +308,18 @@ mod tests {
     #[test]
     fn config_rejects_zero_delta_run_cap() {
         let _guard = SESSION.lock();
+        Config::new(Mode::Blocking).init().unwrap();
         assert!(matches!(
-            Config::new(Mode::Blocking).delta_run_cap(0).init(),
+            gxb_set(
+                GxbScope::Global,
+                GxbOption::DeltaRunCap,
+                GxbValue::Count(Some(0))
+            ),
             Err(Error::InvalidValue(_))
         ));
-        assert!(ctx().is_err());
+        // the rejected value leaves the knob on auto
+        assert_eq!(delta::session_run_cap(), None);
+        finalize().unwrap();
     }
 
     #[test]

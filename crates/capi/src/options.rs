@@ -15,13 +15,13 @@
 //! * [`GxbScope::Vector`] — the read-epoch probe (vectors have a single
 //!   sparse layout, so format options do not apply).
 //!
-//! The pre-existing convenience paths — the [`Config`](crate::Config)
-//! builder's `delta_run_cap`/`flush_window_ms` fields and
-//! [`GrbMatrix::set_format`]'s `GXB_FORMAT_*` hints — forward here, so
-//! this dispatcher is the single implementation (and the **only**
-//! public path to the tiling knobs: there is deliberately no
-//! environment variable and no separate `set_tile_shape` method on the
-//! handle).
+//! This is the one public path to the session storage knobs (the
+//! delta-log run cap and the flush window; the `GRB_*` environment
+//! variables only seed their defaults) and the **only** path to the
+//! tiling knobs: there is deliberately no environment variable and no
+//! separate `set_tile_shape` method on the handle.
+//! [`GrbMatrix::set_format`]'s `GXB_FORMAT_*` hints forward here, so
+//! this dispatcher is the single implementation.
 //!
 //! ```
 //! use graphblas_capi as capi;

@@ -21,8 +21,9 @@
 //! decrement; the completion broadcast goes through the `'static` queue
 //! state, not the batch.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Floor on pool width: even on a single hardware thread the pool keeps
@@ -39,12 +40,14 @@ struct BatchState {
     run: *const (dyn Fn(usize, usize) + Sync),
     /// Tasks not yet finished executing.
     remaining: AtomicUsize,
-    /// Set if any task body panicked; re-raised on the submitter.
-    panicked: AtomicBool,
+    /// The first panic payload of any task body; re-raised on the
+    /// submitter with its message intact.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-// SAFETY: `remaining`/`panicked` are atomics and `run` points to a
-// `Sync` closure, so concurrent shared access from workers is safe.
+// SAFETY: `remaining` is atomic, `panic` is behind a mutex and `run`
+// points to a `Sync` closure, so concurrent shared access from workers
+// is safe.
 unsafe impl Sync for BatchState {}
 
 #[derive(Clone, Copy)]
@@ -129,8 +132,8 @@ impl Pool {
     /// Run tasks `0..total` to completion, calling `run(index,
     /// worker_id)` for each (`worker_id` is 0 on the submitting thread).
     /// The calling thread helps execute tasks and returns once all have
-    /// finished; a panicking task body poisons the batch and the panic
-    /// is re-raised here.
+    /// finished; a panicking task body poisons the batch and its first
+    /// panic payload is re-raised here, message intact.
     pub(crate) fn run_batch(&self, total: usize, run: &(dyn Fn(usize, usize) + Sync)) {
         if total == 0 {
             return;
@@ -142,7 +145,7 @@ impl Pool {
         let batch = BatchState {
             run,
             remaining: AtomicUsize::new(total),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
         };
         {
             // Newest batch at the front: the submitter, which pops from
@@ -158,8 +161,9 @@ impl Pool {
             self.shared.ready.notify_all();
         }
         self.help_until_done(&batch);
-        if batch.panicked.load(Ordering::Acquire) {
-            panic!("a pooled task panicked; batch result is poisoned");
+        let payload = batch.panic.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(payload) = payload {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -210,8 +214,11 @@ fn execute(shared: &'static Shared, task: Task) {
     let batch = unsafe { &*task.batch };
     let run = unsafe { &*batch.run };
     let worker = WORKER_ID.with(|w| w.get());
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(task.index, worker))).is_err() {
-        batch.panicked.store(true, Ordering::Release);
+    if let Err(payload) =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(task.index, worker)))
+    {
+        let mut first = batch.panic.lock().unwrap_or_else(|e| e.into_inner());
+        first.get_or_insert(payload);
     }
     if batch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
         let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -258,8 +265,10 @@ mod tests {
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool().run_batch(8, &run);
-        }));
-        assert!(err.is_err());
+        }))
+        .expect_err("the batch re-raises its task's panic");
+        // the submitter sees the task's own payload
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"injected"));
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub const AUTOFLUSH_MIN_PENDING: usize = 64;
 /// half of the time/size auto-flush policy.
 pub const AUTOFLUSH_RUN_FACTOR: usize = 4;
 
-/// Session override for the run cap; 0 = unset. Set by the capi
-/// `Config::delta_run_cap` knob, restored by `finalize`.
+/// Session override for the run cap; 0 = unset. Set by the capi's
+/// `gxb_set(Global, DeltaRunCap, …)`, restored by `finalize`.
 static SESSION_RUN_CAP: AtomicUsize = AtomicUsize::new(0);
 
 /// Set (or clear, with `None`) the process-wide run-cap override.
@@ -84,7 +84,7 @@ pub fn session_run_cap() -> Option<usize> {
     }
 }
 
-/// The effective tail-seal cap: session knob (`Config::delta_run_cap`) >
+/// The effective tail-seal cap: session knob (`DeltaRunCap`) >
 /// `GRB_DELTA_RUN_CAP` env > [`RUN_CAP`].
 pub fn run_cap() -> usize {
     session_run_cap()

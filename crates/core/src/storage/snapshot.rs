@@ -58,8 +58,8 @@ pub const DEFAULT_FLUSH_WINDOW_MS: u64 = 200;
 /// Sentinel meaning "no session override".
 const WINDOW_UNSET: u64 = u64::MAX;
 
-/// Session override for the flush window; set by the capi
-/// `Config::flush_window_ms` knob, restored by `finalize`. `Some(0)`
+/// Session override for the flush window; set by the capi's
+/// `gxb_set(Global, FlushWindowMs, …)`, restored by `finalize`. `Some(0)`
 /// disables time-windowed auto-flush entirely.
 static SESSION_WINDOW: AtomicU64 = AtomicU64::new(WINDOW_UNSET);
 
@@ -77,7 +77,7 @@ pub fn session_flush_window_ms() -> Option<u64> {
 }
 
 /// The effective auto-flush time window: session knob
-/// (`Config::flush_window_ms`) > `GRB_FLUSH_WINDOW_MS` env >
+/// (`FlushWindowMs`) > `GRB_FLUSH_WINDOW_MS` env >
 /// [`DEFAULT_FLUSH_WINDOW_MS`]; a value of `0` (either source) disables
 /// the time trigger (`None`). The size trigger is never disabled.
 pub fn flush_window() -> Option<Duration> {

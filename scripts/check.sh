@@ -1,12 +1,25 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, the full test suite, and the
+# Tier-1 verification: fmt, clippy, the release builds (workspace,
+# server, examples, grb-bench), the self-checking examples, grb-bench's
+# harness tests, the workspace tests, release-mode core unit tests, the
 # serial build (core with the `parallel` feature off, so the
-# single-threaded kernels stay green too).
+# single-threaded kernels stay green too), the mmap-cold tests, the
+# thread matrix, rustdoc, and EXPERIMENTS.md's generated appendix.
+# Performance is measured by `grb-bench all`, not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
 cargo fmt --check
+
+# The appendix is generated from the committed BENCH_*.json records; a
+# new record without a refreshed appendix fails here.
+echo "== EXPERIMENTS.md appendix matches scripts/bench_tables.sh"
+if ! diff <(sed -n '/<!-- BEGIN BENCH TABLE -->/,/<!-- END BENCH TABLE -->/p' EXPERIMENTS.md | sed '1d;$d') \
+    <(scripts/bench_tables.sh); then
+    echo "EXPERIMENTS.md's appendix is stale: regenerate it (see scripts/bench_tables.sh)" >&2
+    exit 1
+fi
 
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -56,11 +69,6 @@ cargo test --release -q -p graphblas-core --lib
 
 echo "== cargo test -q -p graphblas-core --no-default-features (serial build)"
 cargo test -q -p graphblas-core --no-default-features
-
-# Benches must at least compile (they are exercised manually; the
-# recorded numbers come from `grb-bench all`, not the CI hot path).
-echo "== cargo bench --no-run"
-cargo bench --no-run --quiet
 
 # Out-of-core cold tiles: the mmap-backed grid must build and traverse
 # a graph whose slab cannot be allocated under a 32 MiB rlimit-capped

@@ -392,6 +392,11 @@ fn panicking_udf_reports_grb_panic_and_the_session_survives() {
                             .and_then(|()| grb::wait())
                             .unwrap_err();
                         assert_eq!(e.code_name(), "GrB_PANIC", "mxm {mode:?}: {e}");
+                        // the operator's own message, at every thread degree
+                        assert!(
+                            e.to_string().contains("user operator rejects 13"),
+                            "mxm {mode:?} degree {degree}: {e}"
+                        );
 
                         let u = grb::GrbVector::new(t.ty(), 4).unwrap();
                         for i in 0..4 {
@@ -402,6 +407,10 @@ fn panicking_udf_reports_grb_panic_and_the_session_survives() {
                             .and_then(|()| grb::wait())
                             .unwrap_err();
                         assert_eq!(e.code_name(), "GrB_PANIC", "mxv {mode:?}: {e}");
+                        assert!(
+                            e.to_string().contains("user operator rejects 13"),
+                            "mxv {mode:?} degree {degree}: {e}"
+                        );
 
                         let b = GrbMatrix::new(GrbType::Int32, 2, 2).unwrap();
                         b.set(0, 1, Value::Int32(3)).unwrap();

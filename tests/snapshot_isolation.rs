@@ -445,3 +445,83 @@ fn cross_thread_snapshots_agree() {
         "all same-epoch snapshots read the same bits"
     );
 }
+
+/// Ingest-while-query isolation: one writer streams set/remove batches
+/// into a matrix while a reader repeatedly runs snapshot → `to_matrix`
+/// → `bfs_levels` on a traced nonblocking context. The reader's trace
+/// must never hold a `flush` node (a snapshot read that drained the
+/// writer's log would schedule one), and every BFS must equal a queue
+/// BFS over the tuples of the snapshot it ran on. Both sides do a fixed
+/// amount of work, so the test is bounded whatever the interleaving.
+#[test]
+fn snapshot_readers_never_flush_the_writers_log() {
+    use graphblas_algorithms::bfs_levels;
+    use graphblas_reference::{traversal, AdjGraph};
+    use rand::{Rng, SeedableRng};
+
+    const V: usize = 96;
+    tiny_runs();
+    let m = Matrix::<bool>::new(V, V).unwrap();
+    for u in 0..V {
+        m.set(u, (u + 1) % V, true).unwrap();
+    }
+    m.nvals().unwrap(); // settle the ring into the base
+
+    // Six chords seal two runs at cap 3 and stay under both autoflush
+    // triggers, so the first snapshot reads through a (base, runs)
+    // overlay rather than a quiesced base.
+    for u in 0..6 {
+        m.set(u, (u + V / 2) % V, true).unwrap();
+    }
+    let first = m.snapshot();
+    assert!(
+        first.run_count() > 0,
+        "the first snapshot spans sealed runs"
+    );
+
+    let writer = {
+        let m = m.clone();
+        std::thread::spawn(move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xfeed);
+            for _ in 0..400 {
+                for _ in 0..16 {
+                    let (u, v) = (rng.random_range(0..V), rng.random_range(0..V));
+                    if rng.random_bool(0.1) {
+                        m.remove(u, v).unwrap();
+                    } else {
+                        m.set(u, v, true).unwrap();
+                    }
+                }
+            }
+        })
+    };
+
+    let ctx = Context::nonblocking();
+    ctx.enable_trace(true);
+    let mut snap = first;
+    for round in 0..60 {
+        // BFS first, so any merge the snapshot left pending runs inside
+        // the traced wait()s rather than in the untraced tuple read
+        let src = round * 7 % V;
+        let got = bfs_levels(&ctx, &snap.to_matrix(), src).unwrap();
+        let edges: Vec<(usize, usize)> = snap
+            .extract_tuples()
+            .unwrap()
+            .into_iter()
+            .map(|(u, v, _)| (u, v))
+            .collect();
+        let want = traversal::bfs_levels(&AdjGraph::from_edges(V, &edges), src);
+        assert_eq!(got, want, "round {round}: BFS from {src} over its snapshot");
+        let trace = ctx.take_trace();
+        assert!(
+            trace.iter().any(|e| e.kind == "vxm"),
+            "round {round}: the traced BFS records its levels"
+        );
+        assert!(
+            trace.iter().all(|e| e.kind != "flush"),
+            "round {round}: a snapshot reader forced a drain of the writer's log"
+        );
+        snap = m.snapshot();
+    }
+    writer.join().unwrap();
+}
