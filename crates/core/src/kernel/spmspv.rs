@@ -27,11 +27,14 @@
 //! sum of cached forward degrees over the frontier), plus a mask probe
 //! per product for a masked scatter; the pull cost with the admitted
 //! fraction of the matrix, the products landing in it and how
-//! unpredictably its probes hit the input; plus a one-time conversion
-//! penalty for whichever CSR view a plan needs and is not yet
-//! materialized. This is the LAGraph-style direction switch: push on
-//! tiny frontiers, scatter on large ones, pull when the mask admits
-//! little.
+//! unpredictably its probes hit the input; plus a conversion penalty
+//! for whichever CSR view a plan needs and is not yet materialized. A
+//! store that keeps being asked for a plan only that penalty rules out
+//! builds the view once its regret has paid for it (rent-or-buy, see
+//! `choose`), so a resident matrix gets the pull over `A^T` that
+//! LAGraph's PageRank runs. This is the LAGraph-style direction switch:
+//! push on tiny frontiers, scatter on large ones, pull when the mask
+//! admits little or the input covers almost every row.
 //!
 //! **Determinism contract.** Every strategy folds each output element's
 //! products left to right in ascending input-index order, the first
@@ -404,6 +407,7 @@ fn choose<A: Scalar>(
     // tile transposes lazily, amortized per tile), so neither side pays
     // the whole-slab conversion penalty.
     let is_tiled = matches!(store.layout(), Layout::Tiled(_));
+    let price = CONVERT.saturating_mul(nnz + out_size);
     let penalty = |col_side: bool| {
         let free = is_tiled
             || store.csr_view_ready(col_side)
@@ -411,21 +415,17 @@ fn choose<A: Scalar>(
         if free {
             0
         } else {
-            CONVERT.saturating_mul(nnz + out_size)
+            price
         }
     };
-    let fwd_penalty = penalty(fwd_col_side);
-    let rev_penalty = penalty(!fwd_col_side);
-    let push_cost = PUSH_PRODUCT
-        .saturating_mul(products)
-        .saturating_add(fwd_penalty);
+    let penalties = [penalty(false), penalty(true)];
+    let push_cost = PUSH_PRODUCT.saturating_mul(products);
     let mask_probes = if masked { products } else { 0 };
     let dense_cost = DENSE_PRODUCT
         .saturating_mul(products)
         .saturating_add(DENSE_ROW.saturating_mul(v_nnz))
         .saturating_add(out_size / DENSE_OUTPUTS)
-        .saturating_add(DENSE_MASK.saturating_mul(mask_probes))
-        .saturating_add(fwd_penalty);
+        .saturating_add(DENSE_MASK.saturating_mul(mask_probes));
     // the complement-structural-mask-aware part: only admitted outputs
     // are ever expanded, so the pull cost scales with the admitted
     // fraction, not the matrix. Of its probes, the products that land
@@ -443,14 +443,29 @@ fn choose<A: Scalar>(
         .saturating_add(admitted)
         .saturating_add(probes)
         .saturating_add(PULL_HIT.saturating_mul(hits))
-        .saturating_add(PULL_MIXED.saturating_mul(mixed))
-        .saturating_add(rev_penalty);
-    if pull_cost < push_cost && pull_cost < dense_cost {
-        Chosen::Pull
-    } else if push_cost <= dense_cost {
-        Chosen::Push
-    } else {
-        Chosen::Dense
+        .saturating_add(PULL_MIXED.saturating_mul(mixed));
+    // each plan with the view it walks; on a tie the first listed wins
+    let plans = [
+        (Chosen::Push, push_cost, fwd_col_side),
+        (Chosen::Dense, dense_cost, fwd_col_side),
+        (Chosen::Pull, pull_cost, !fwd_col_side),
+    ];
+    let priced = |p: &&(Chosen, usize, bool)| p.1.saturating_add(penalties[usize::from(p.2)]);
+    let cheapest = plans.iter().min_by_key(priced).expect("three plans");
+    let best = priced(&cheapest);
+    // Rent or buy the missing view: a plan that only its view's penalty
+    // kept from winning adds the gap to the store's regret for that view,
+    // and once the regret reaches the penalty the view is bought — the
+    // plan is taken and walking it builds the view. Deterministic ski
+    // rental: never more than twice the cheaper of never converting and
+    // converting at once.
+    let renting = plans
+        .iter()
+        .filter(|p| penalties[usize::from(p.2)] > 0)
+        .min_by_key(|p| p.1);
+    match renting {
+        Some(&(plan, cost, side)) if cost < best && store.rent(side, best - cost) >= price => plan,
+        _ => cheapest.0,
     }
 }
 
@@ -1134,6 +1149,114 @@ mod tests {
         let _: SparseVec<i32> = vxm(&plus_times::<i32>(), &v, &st, false, &MaskVec::All);
         assert_eq!(take_direction(), Some("dense"));
         assert!(!st.csr_view_ready(true), "the scatter needs no transpose");
+    }
+
+    /// A uniform random digraph, about `deg` out-edges a vertex: bitwise
+    /// asymmetric, so its reverse view costs a real transposition.
+    fn digraph(n: usize, deg: usize) -> Vec<(usize, usize, f64)> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut edges: Vec<(usize, usize, f64)> = (0..n * deg)
+            .map(|e| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (e / deg, (x % n as u64) as usize, 1.0)
+            })
+            .collect();
+        edges.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        edges.dedup_by_key(|t| (t.0, t.1));
+        edges
+    }
+
+    /// The penalty `choose` charges for building one view of `st`.
+    fn price<A: Scalar>(st: &MatrixStore<A>) -> usize {
+        CONVERT * (st.nvals() + st.nrows())
+    }
+
+    /// PageRank's `vxm`: a full input and no mask on a resident store.
+    /// Each call scatters and adds its regret until the regret reaches
+    /// the penalty; that call pulls and builds `A^T`, and every later one
+    /// pulls over it without adding regret.
+    #[test]
+    fn resident_store_buys_the_reverse_view_once_regret_pays_for_it() {
+        let _serial = serial();
+        let n = 2048;
+        let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, digraph(n, 8)));
+        let (sr, v) = (plus_times::<f64>(), SparseVec::full(n, 0.5));
+        let mut calls = 0;
+        loop {
+            let before = st.rent(true, 0);
+            let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
+            calls += 1;
+            let after = st.rent(true, 0);
+            if after < price(&st) {
+                assert!(after > before, "call {calls} added no regret");
+                assert_eq!(take_direction(), Some("dense"), "call {calls}");
+                assert!(!st.csr_view_ready(true), "call {calls} built A^T");
+            } else {
+                assert_eq!(take_direction(), Some("pull"), "crossing call {calls}");
+                assert!(st.csr_view_ready(true), "crossing call {calls}");
+                break;
+            }
+        }
+        assert!(calls > 1, "one call must not pay for the view");
+        let paid = st.rent(true, 0);
+        for _ in 0..3 {
+            let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
+            assert_eq!(take_direction(), Some("pull"));
+        }
+        assert_eq!(st.rent(true, 0), paid, "a bought view accrues no regret");
+    }
+
+    /// A write installs a fresh store: no view, no regret.
+    #[test]
+    fn a_written_store_starts_with_zero_regret() {
+        let _serial = serial();
+        let n = 512;
+        let a = crate::object::matrix::Matrix::from_tuples(n, n, &digraph(n, 8)).unwrap();
+        let st = a.handle.forced_storage().unwrap();
+        let v = SparseVec::full(n, 0.5);
+        let _: SparseVec<f64> = vxm(&plus_times::<f64>(), &v, &st, false, &MaskVec::All);
+        assert!(st.rent(true, 0) > 0, "the scatter should have added regret");
+        a.set(0, 0, 2.0).unwrap();
+        a.wait().unwrap();
+        let fresh = a.handle.forced_storage().unwrap();
+        assert!(!Arc::ptr_eq(&st, &fresh), "the write installs a new store");
+        assert_eq!(fresh.rent(true, 0), 0);
+        assert!(!fresh.csr_view_ready(true));
+    }
+
+    /// One BFS on a fresh store (a snapshot's single query): its dense
+    /// middle levels add regret, but less than the penalty, so the
+    /// traversal never transposes the matrix.
+    #[test]
+    fn one_bfs_on_a_fresh_store_stays_below_the_penalty() {
+        let _serial = serial();
+        let n = 4096;
+        let tuples: Vec<(usize, usize, bool)> = digraph(n, 8)
+            .into_iter()
+            .map(|(i, j, _)| (i, j, true))
+            .collect();
+        let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples));
+        let mut frontier = SparseVec::from_sorted_parts(n, vec![0], vec![true]);
+        let mut visited = vec![0];
+        while frontier.nvals() > 0 {
+            let mask = MaskVec::Pattern {
+                indices: visited.clone(),
+                complement: true,
+            };
+            frontier = vxm(&lor_land(), &frontier, &st, false, &mask);
+            visited.extend_from_slice(frontier.indices());
+            visited.sort_unstable();
+        }
+        assert!(
+            visited.len() > n / 2,
+            "the BFS should reach most of the graph"
+        );
+        let regret = st.rent(true, 0);
+        assert!(regret > 0, "the peak levels should add regret");
+        assert!(regret < price(&st), "{regret} of {}", price(&st));
+        assert!(!st.csr_view_ready(true), "one BFS must not transpose A");
     }
 
     #[test]

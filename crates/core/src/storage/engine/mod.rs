@@ -27,6 +27,7 @@
 
 pub mod hyper;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::index::Index;
@@ -171,6 +172,11 @@ pub struct MatrixStore<T> {
     row_view: OnceLock<Arc<Csr<T>>>,
     /// Memoized CSR of `A^T` (identity for `Csc` layouts).
     col_view: OnceLock<Arc<Csr<T>>>,
+    /// Per orientation (`[row, col]`), the model cost that plans over
+    /// that view would have saved had it existed: the rent SpMSpV pays
+    /// before it builds the view (see `MatrixStore::rent`). Relaxed: it
+    /// publishes nothing, the view itself goes through its `OnceLock`.
+    regret: [AtomicUsize; 2],
     /// Memoized per-row stored-element counts (`len = nrows`).
     row_degrees: OnceLock<Arc<[usize]>>,
     /// Memoized per-column stored-element counts (`len = ncols`).
@@ -188,6 +194,10 @@ impl<T> Clone for MatrixStore<T> {
             migrated_from: self.migrated_from,
             row_view: self.row_view.clone(),
             col_view: self.col_view.clone(),
+            regret: self
+                .regret
+                .each_ref()
+                .map(|r| AtomicUsize::new(r.load(Ordering::Relaxed))),
             row_degrees: self.row_degrees.clone(),
             col_degrees: self.col_degrees.clone(),
             symmetry: self.symmetry.clone(),
@@ -204,6 +214,7 @@ impl<T: Scalar> MatrixStore<T> {
             migrated_from: None,
             row_view: OnceLock::new(),
             col_view: OnceLock::new(),
+            regret: Default::default(),
             row_degrees: OnceLock::new(),
             col_degrees: OnceLock::new(),
             symmetry: OnceLock::new(),
@@ -441,6 +452,17 @@ impl<T: Scalar> MatrixStore<T> {
         } else {
             matches!(self.layout, Layout::Csr(_)) || self.row_view.get().is_some()
         }
+    }
+
+    /// Add `gap` to the regret of the orientation `transposed` names and
+    /// return the total so far. Like the degree caches it lives and dies
+    /// with the store, so every write, drain or migration starts from 0.
+    pub(crate) fn rent(&self, transposed: bool, gap: usize) -> usize {
+        let r = &self.regret[usize::from(transposed)];
+        let prev = r.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |x| {
+            Some(x.saturating_add(gap))
+        });
+        prev.unwrap_or_default().saturating_add(gap)
     }
 
     /// Per-row stored-element counts, computed once per store from the

@@ -78,21 +78,10 @@ echo "== cargo test -q --features mmap-cold (cold tiles + out-of-core smoke)"
 cargo test -q -p graphblas-core --features mmap-cold cold
 cargo test -q --features mmap-cold --test out_of_core
 
-# Thread matrix: the pool width and default degree follow
-# GRB_TEST_THREADS, and the determinism suites (serial-vs-parallel,
-# blocking-vs-nonblocking modes, deferred-vs-eager pending updates,
-# MVCC snapshot isolation, push/pull/dense SpMSpV direction
-# equivalence, tiled-vs-slab bitwise equivalence, the Figure 2 oracle
-# — whose forced chunking checks the row emitter's concatenation — the
-# algorithms against their reference baselines, the C facade against the
-# typed core and its error model, and the query service's
-# admission/fairness/write-isolation properties and its survival of
-# hostile wire traffic) must hold at every count.
+# Thread matrix: the determinism suites at 1, 2 and 8 workers (the
+# suite list lives in scripts/thread_matrix.sh, which CI runs too).
 for threads in 1 2 8; do
-    echo "== GRB_TEST_THREADS=$threads cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model"
-    GRB_TEST_THREADS="$threads" cargo test -q --test par_determinism --test modes_equivalence --test delta_equivalence --test snapshot_isolation --test direction_equivalence --test tiled_equivalence --test udf_equivalence --test fig2_oracle --test algorithms_cross_validation --test capi_vs_typed --test capi_error_model
-    echo "== GRB_TEST_THREADS=$threads cargo test -q -p server --test admission --test write_during_bfs --test wire_fuzz"
-    GRB_TEST_THREADS="$threads" cargo test -q -p server --test admission --test write_during_bfs --test wire_fuzz
+    scripts/thread_matrix.sh "$threads"
 done
 
 echo "== cargo doc --workspace --no-deps (deny warnings)"

@@ -251,6 +251,102 @@ fn bfs_trace_shows_direction_switching() {
     );
 }
 
+/// The directions of the `vxm`s one traced nonblocking `wait()` ran.
+fn traced_directions(ctx: &Context) -> Vec<&'static str> {
+    ctx.wait().unwrap();
+    ctx.take_trace()
+        .iter()
+        .filter_map(|e| e.direction)
+        .collect()
+}
+
+/// PageRank's `vxm` (full input, no mask) on one resident, asymmetric
+/// matrix from four threads at once: the store's regret for `A^T`
+/// crosses its penalty mid-run, so some calls scatter and later ones
+/// pull over the view a racing call built. Every result is bitwise the
+/// forced scatter's.
+#[test]
+fn concurrent_calls_across_the_reverse_view_purchase_agree_bitwise() {
+    let _serialize = DIRECTION_LOCK.lock().unwrap();
+    let n = 1024;
+    let el = graphblas_gen::erdos_renyi_gnm(n, 8 * n, 3);
+    let a = Matrix::from_tuples(n, n, &el.weighted_tuples(-1e3, 1e3, 3)).unwrap();
+    let ones: Vec<(usize, f64)> = (0..n).map(|i| (i, (i as f64).sin() * 1e8)).collect();
+    let u = Vector::from_tuples(n, &ones).unwrap();
+    let product = |ctx: &Context| {
+        let w = Vector::<f64>::new(n).unwrap();
+        ctx.vxm(
+            &w,
+            NoMask,
+            NoAccum,
+            plus_times::<f64>(),
+            &u,
+            &a,
+            &Descriptor::default(),
+        )
+        .unwrap();
+        w
+    };
+    let want = spmspv::with_direction(Direction::Dense, || {
+        vector_bits(&product(&Context::blocking()))
+    });
+    let ctx = Context::nonblocking();
+    ctx.enable_trace(true);
+    let w = product(&ctx);
+    assert_eq!(traced_directions(&ctx), ["dense"], "one call buys no view");
+    assert_eq!(vector_bits(&w), want);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let ctx = Context::blocking();
+                for _ in 0..6 {
+                    assert_eq!(vector_bits(&product(&ctx)), want);
+                }
+            });
+        }
+    });
+    let w = product(&ctx);
+    assert_eq!(
+        traced_directions(&ctx),
+        ["pull"],
+        "the view should be bought"
+    );
+    assert_eq!(vector_bits(&w), want);
+}
+
+/// PageRank run twice on one resident matrix: the first run scatters
+/// until it buys `A^T` part-way through, and the rerun pulls over it, yet
+/// both return the forced scatter's ranks bit for bit.
+#[test]
+fn pagerank_reruns_pull_and_keep_their_ranks_bitwise() {
+    let _serialize = DIRECTION_LOCK.lock().unwrap();
+    let n = 1024;
+    let el = graphblas_gen::erdos_renyi_gnm(n, 8 * n, 5);
+    let a = Matrix::from_tuples(n, n, &el.bool_tuples()).unwrap();
+    let bits = |r: Vec<f64>| r.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let rank = |ctx: &Context| {
+        let (r, _) = graphblas_algorithms::pagerank(ctx, &a, 0.85, 1e-12, 60).unwrap();
+        bits(r)
+    };
+    let fresh = Matrix::from_tuples(n, n, &el.bool_tuples()).unwrap();
+    let want = spmspv::with_direction(Direction::Dense, || {
+        let (r, _) =
+            graphblas_algorithms::pagerank(&Context::blocking(), &fresh, 0.85, 1e-12, 60).unwrap();
+        bits(r)
+    });
+    // PageRank forces its reductions itself, so no `wait()` traces its
+    // `vxm`; the note of the last one says which direction it took
+    let ctx = Context::blocking();
+    assert_eq!(rank(&ctx), want, "first run");
+    assert_eq!(
+        spmspv::take_direction(),
+        Some("pull"),
+        "first run's last call"
+    );
+    assert_eq!(rank(&ctx), want, "rerun");
+    assert_eq!(spmspv::take_direction(), Some("pull"), "rerun");
+}
+
 /// The override itself restores on scope exit even across panics in
 /// the guarded region's siblings — Auto outside, forced inside.
 #[test]
