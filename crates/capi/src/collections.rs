@@ -18,11 +18,11 @@ use crate::ops::{Elem, GrbBinaryOp, LaneOp};
 use crate::value::{GrbType, Value};
 
 /// `GxB`-style storage-format hint constants, mirroring the SuiteSparse
-/// extension's `GxB_SPARSE` / `GxB_BITMAP` / `GxB_HYPERSPARSE` plus the
-/// by-column orientation. Pass to [`GrbMatrix::set_format`].
+/// extension's `GxB_SPARSE` / `GxB_BITMAP` / `GxB_HYPERSPARSE`. Pass to
+/// [`GrbMatrix::set_format`]. There is no by-column hint: orientation is
+/// an access path, and a transposed read builds the column view once per
+/// value and reuses it.
 pub const GXB_FORMAT_CSR: Format = Format::Csr;
-/// Column-oriented storage (`GxB_BY_COL`): transpose reads become free.
-pub const GXB_FORMAT_CSC: Format = Format::Csc;
 /// `GxB_BITMAP`, kept so C-shaped callers compile: an alias of
 /// [`GXB_FORMAT_CSR`]. Sparsity control is a hint (as in SuiteSparse),
 /// and the engine has no bitmap layout — CSR measured faster at every
@@ -548,8 +548,6 @@ mod tests {
         assert_eq!(m.format().unwrap(), Format::Csr);
         m.set_format(GXB_FORMAT_HYPER).unwrap();
         assert_eq!(m.format().unwrap(), Format::Hyper);
-        m.set_format(GXB_FORMAT_CSC).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Csc);
         m.set_format(GXB_FORMAT_CSR).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csr);
         // next computed value re-chooses: Auto stores a dense value as CSR

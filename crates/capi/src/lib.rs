@@ -98,7 +98,7 @@ pub mod value;
 
 pub use collections::{
     GrbMatrix, GrbMatrixSnapshot, GrbVector, GrbVectorSnapshot, GXB_FORMAT_AUTO, GXB_FORMAT_BITMAP,
-    GXB_FORMAT_CSC, GXB_FORMAT_CSR, GXB_FORMAT_HYPER, GXB_FORMAT_TILED,
+    GXB_FORMAT_CSR, GXB_FORMAT_HYPER, GXB_FORMAT_TILED,
 };
 pub use context::{
     current_mode, enable_trace, error, finalize, inject_fault, take_trace, wait, with_no_session,

@@ -42,8 +42,8 @@ pub struct TraceEvent {
     pub cols: usize,
     /// Stored elements in the result (0 if the node failed).
     pub nvals: usize,
-    /// Storage format chosen for the result (`"csr"`, `"csc"`,
-    /// `"hyper"`, `"tiled"` for matrix stores; `"sparse"` for vectors
+    /// Storage format chosen for the result (`"csr"`, `"hyper"`,
+    /// `"tiled"` for matrix stores; `"sparse"` for vectors
     /// and `"sparse"`/empty shapes if the node failed).
     pub format: &'static str,
     /// `Some(from)` when the format policy migrated the result out of the

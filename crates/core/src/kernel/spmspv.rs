@@ -855,7 +855,7 @@ mod tests {
         let sr = plus_times::<i32>();
         let v = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 30]);
         for transposed in [false, true] {
-            for fmt in [Format::Csr, Format::Csc, Format::Hyper, Format::Tiled] {
+            for fmt in [Format::Csr, Format::Hyper, Format::Tiled] {
                 let st = store().into_format(fmt);
                 let masks = [
                     MaskVec::All,

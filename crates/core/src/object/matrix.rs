@@ -343,9 +343,9 @@ impl<T: Scalar> Matrix<T> {
 }
 
 /// Read a complete node's value as CSR in the orientation the descriptor
-/// asks for, through the store's memoized views: a `Csc` store serves
-/// `transposed` for free, and any conversion happens once per node no
-/// matter how many consumers ask.
+/// asks for, through the store's memoized views: the transpose is built
+/// once per node no matter how many consumers ask, and later `transposed`
+/// reads of the same value are free.
 pub(crate) fn oriented_storage<T: Scalar>(
     node: &Arc<MatrixNode<T>>,
     transposed: bool,

@@ -194,6 +194,9 @@ impl<T: Scalar> Csr<T> {
     /// The transpose `A^T = <D, N, M, {(j, i, A_ij)}>` (paper §III-A),
     /// via counting sort — O(nvals + nrows + ncols).
     pub fn transpose(&self) -> Csr<T> {
+        let Some(first) = self.vals.first() else {
+            return Csr::empty(self.ncols, self.nrows);
+        };
         let mut row_ptr = vec![0usize; self.ncols + 1];
         for &j in &self.col_idx {
             row_ptr[j + 1] += 1;
@@ -203,17 +206,18 @@ impl<T: Scalar> Csr<T> {
         }
         let mut cursor = row_ptr.clone();
         let mut col_idx = vec![0 as Index; self.nvals()];
-        let mut vals: Vec<Option<T>> = vec![None; self.nvals()];
+        // every slot is overwritten by the scatter below; the first value
+        // only gives the array a `T` to start from
+        let mut vals = vec![first.clone(); self.nvals()];
         for i in 0..self.nrows {
             let (cols, v) = self.row(i);
             for (k, &j) in cols.iter().enumerate() {
                 let p = cursor[j];
                 cursor[j] += 1;
                 col_idx[p] = i;
-                vals[p] = Some(v[k].clone());
+                vals[p] = v[k].clone();
             }
         }
-        let vals = vals.into_iter().map(|o| o.expect("filled")).collect();
         Csr::from_parts(self.ncols, self.nrows, row_ptr, col_idx, vals)
     }
 
@@ -362,6 +366,8 @@ mod tests {
         );
         // involution
         assert_eq!(t.transpose(), m);
+        // no stored elements: the shape still swaps
+        assert_eq!(Csr::<i32>::empty(2, 5).transpose(), Csr::empty(5, 2));
     }
 
     #[test]
@@ -372,6 +378,11 @@ mod tests {
         assert_eq!(t.ncols(), 2);
         assert_eq!(t.get(3, 0), Some(&10));
         assert_eq!(t.get(0, 1), Some(&20));
+        // empty rows (0, 2, 4) and columns (1, 3, 4) around the stored ones
+        let m = Csr::from_sorted_tuples(5, 5, vec![(1, 2, 7), (3, 0, 8), (3, 2, 9)]);
+        let t = m.transpose();
+        assert_eq!(t.to_tuples(), vec![(0, 3, 8), (2, 1, 7), (2, 3, 9)]);
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The polymorphic storage engine: one matrix value, three layouts plus
+//! The polymorphic storage engine: one matrix value, two layouts plus
 //! tiling.
 //!
 //! The paper's object model hides representation entirely — a
@@ -8,21 +8,19 @@
 //! [`FormatPolicy`] picks from the observed shape and occupancy:
 //!
 //! * [`Format::Csr`] — the general-purpose row-compressed layout;
-//! * [`Format::Csc`] — the CSR of `A^T`: column-major access, and a
-//!   *free* transpose view (a `GrB_TRAN` descriptor on a Csc operand
-//!   reads the stored array as-is);
 //! * [`Format::Hyper`] — hypersparse CSR over the non-empty rows only,
 //!   for `nnz ≪ nrows` where even the row-pointer array would dominate;
 //! * [`Format::Tiled`] — a 2D grid of blocks, each stored in one of the
 //!   layouts above.
 //!
-//! Kernels stay layout-generic through the memoized [`MatrixStore::row_csr`]
-//! / [`MatrixStore::col_csr`] views: a store converts to the orientation a
+//! Column orientation is not a layout: it is an access path. Kernels stay
+//! layout-generic through the memoized [`MatrixStore::row_csr`] /
+//! [`MatrixStore::col_csr`] views: a store converts to the orientation a
 //! kernel asks for **once**, no matter how many consumers ask (the
 //! `OnceLock` serializes concurrent first requests from kernel chunks
 //! or racing readers), which is the "convert an intermediate once instead of
 //! per-consumer" latitude of nonblocking mode. Specialized kernels
-//! (`mxm_hyper`, the tiled SpMSpV walks, the CSR×CSC dot product) dispatch on
+//! (`mxm_hyper`, the tiled SpMSpV walks, the tiled `mxm`) dispatch on
 //! [`MatrixStore::layout`] instead and skip conversion entirely.
 
 pub mod hyper;
@@ -42,8 +40,6 @@ pub use hyper::Hyper;
 pub enum Format {
     /// Compressed sparse row.
     Csr,
-    /// Compressed sparse column (stored as CSR of the transpose).
-    Csc,
     /// Hypersparse CSR (compressed non-empty-row list).
     Hyper,
     /// 2D grid of independently formatted blocks
@@ -56,7 +52,6 @@ impl Format {
     pub fn as_str(self) -> &'static str {
         match self {
             Format::Csr => "csr",
-            Format::Csc => "csc",
             Format::Hyper => "hyper",
             Format::Tiled => "tiled",
         }
@@ -91,8 +86,8 @@ pub const HYPER_ROW_DIVISOR: usize = 4;
 impl FormatPolicy {
     /// The layout this policy stores a value of the given shape and
     /// occupancy in. `Auto` picks only `Csr` or `Hyper`: column
-    /// orientation is an access-pattern choice, made by explicit hint or
-    /// transpose views.
+    /// orientation is an access-pattern choice, served by the memoized
+    /// transpose view.
     pub fn choose(self, nrows: Index, _ncols: Index, nvals: usize) -> Format {
         match self {
             FormatPolicy::Force(f) => f,
@@ -137,8 +132,6 @@ pub fn session_default_policy() -> FormatPolicy {
 pub enum Layout<T> {
     /// Row-compressed content.
     Csr(Arc<Csr<T>>),
-    /// Column-compressed content: the CSR of `A^T`.
-    Csc(Arc<Csr<T>>),
     /// Hypersparse CSR.
     Hyper(Arc<Hyper<T>>),
     /// 2D tile grid of independently formatted blocks.
@@ -150,7 +143,6 @@ impl<T> Clone for Layout<T> {
     fn clone(&self) -> Self {
         match self {
             Layout::Csr(c) => Layout::Csr(c.clone()),
-            Layout::Csc(t) => Layout::Csc(t.clone()),
             Layout::Hyper(h) => Layout::Hyper(h.clone()),
             Layout::Tiled(g) => Layout::Tiled(g.clone()),
         }
@@ -170,7 +162,7 @@ pub struct MatrixStore<T> {
     migrated_from: Option<Format>,
     /// Memoized CSR of `A` (identity for `Csr` layouts).
     row_view: OnceLock<Arc<Csr<T>>>,
-    /// Memoized CSR of `A^T` (identity for `Csc` layouts).
+    /// Memoized CSR of `A^T`.
     col_view: OnceLock<Arc<Csr<T>>>,
     /// Per orientation (`[row, col]`), the model cost that plans over
     /// that view would have saved had it existed: the rent SpMSpV pays
@@ -303,7 +295,6 @@ impl<T: Scalar> MatrixStore<T> {
         let (nrows, ncols) = (self.nrows, self.ncols);
         let layout = match target {
             Format::Csr => Layout::Csr(self.row_csr()),
-            Format::Csc => Layout::Csc(self.col_csr()),
             Format::Hyper => Layout::Hyper(Arc::new(Hyper::from_csr(&self.row_csr()))),
             Format::Tiled => unreachable!("handled above"),
         };
@@ -314,17 +305,6 @@ impl<T: Scalar> MatrixStore<T> {
         store.row_degrees = self.row_degrees;
         store.col_degrees = self.col_degrees;
         store.symmetry = self.symmetry;
-        // the conversion source stays available as a view: a Csc→Csr
-        // migration keeps the column view it came from, and vice versa
-        match (&store.layout, self.layout) {
-            (Layout::Csr(_), Layout::Csc(t)) => {
-                let _ = store.col_view.set(t);
-            }
-            (Layout::Csc(_), Layout::Csr(c)) => {
-                let _ = store.row_view.set(c);
-            }
-            _ => {}
-        }
         store
     }
 
@@ -338,7 +318,6 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn format(&self) -> Format {
         match self.layout {
             Layout::Csr(_) => Format::Csr,
-            Layout::Csc(_) => Format::Csc,
             Layout::Hyper(_) => Format::Hyper,
             Layout::Tiled(_) => Format::Tiled,
         }
@@ -370,7 +349,7 @@ impl<T: Scalar> MatrixStore<T> {
     /// Number of stored elements, from the layout's own bookkeeping.
     pub fn nvals(&self) -> usize {
         match &self.layout {
-            Layout::Csr(c) | Layout::Csc(c) => c.nvals(),
+            Layout::Csr(c) => c.nvals(),
             Layout::Hyper(h) => h.nvals(),
             Layout::Tiled(t) => t.nvals(),
         }
@@ -380,7 +359,6 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn get(&self, i: Index, j: Index) -> Option<&T> {
         match &self.layout {
             Layout::Csr(c) => c.get(i, j),
-            Layout::Csc(t) => t.get(j, i),
             Layout::Hyper(h) => h.get(i, j),
             Layout::Tiled(t) => t.get(i, j),
         }
@@ -395,7 +373,7 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
         match &self.layout {
             Layout::Csr(c) => c.map_tuples(f),
-            Layout::Csc(_) | Layout::Tiled(_) => self.row_csr().map_tuples(f),
+            Layout::Tiled(_) => self.row_csr().map_tuples(f),
             Layout::Hyper(h) => {
                 let mut out = Vec::with_capacity(h.nvals());
                 out.extend(h.iter().map(|(i, j, v)| (i, j, f(v))));
@@ -414,7 +392,6 @@ impl<T: Scalar> MatrixStore<T> {
             .get_or_init(|| {
                 Arc::new(match &self.layout {
                     Layout::Csr(_) => unreachable!(),
-                    Layout::Csc(t) => t.transpose(),
                     Layout::Hyper(h) => h.to_csr(),
                     Layout::Tiled(t) => t.to_csr(),
                 })
@@ -423,15 +400,11 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// The CSR rendering of `A^T` (column orientation) — the engine's
-    /// transpose view, converting at most once per store. For a `Csc`
-    /// store this is the stored array itself: transpose is free, and a
+    /// transpose view, converting at most once per store. A
     /// bitwise-symmetric value shares its row view instead of building a
     /// transposed copy (the degree pre-filter in [`Self::is_symmetric`]
     /// keeps the probe cheap for asymmetric inputs).
     pub fn col_csr(&self) -> Arc<Csr<T>> {
-        if let Layout::Csc(t) = &self.layout {
-            return t.clone();
-        }
         self.col_view
             .get_or_init(|| {
                 if self.is_symmetric() {
@@ -448,7 +421,7 @@ impl<T: Scalar> MatrixStore<T> {
     /// prefer plans whose operand views are free.
     pub fn csr_view_ready(&self, transposed: bool) -> bool {
         if transposed {
-            matches!(self.layout, Layout::Csc(_)) || self.col_view.get().is_some()
+            self.col_view.get().is_some()
         } else {
             matches!(self.layout, Layout::Csr(_)) || self.row_view.get().is_some()
         }
@@ -480,13 +453,6 @@ impl<T: Scalar> MatrixStore<T> {
                             *d = c.row_nvals(i);
                         }
                     }
-                    Layout::Csc(t) => {
-                        // the Csc store is the CSR of A^T: its column
-                        // indices are A's row indices
-                        for &i in t.col_idx() {
-                            deg[i] += 1;
-                        }
-                    }
                     Layout::Hyper(h) => {
                         for k in 0..h.nonempty_rows().len() {
                             let (i, cols, _) = h.row_by_pos(k);
@@ -510,11 +476,6 @@ impl<T: Scalar> MatrixStore<T> {
                     Layout::Csr(c) => {
                         for &j in c.col_idx() {
                             deg[j] += 1;
-                        }
-                    }
-                    Layout::Csc(t) => {
-                        for (j, d) in deg.iter_mut().enumerate() {
-                            *d = t.row_nvals(j);
                         }
                     }
                     Layout::Hyper(h) => {
@@ -616,7 +577,7 @@ mod tests {
     #[test]
     fn all_formats_preserve_content() {
         let csr = sample();
-        for fmt in [Format::Csr, Format::Csc, Format::Hyper] {
+        for fmt in [Format::Csr, Format::Hyper] {
             let store = MatrixStore::csr(csr.clone()).into_format(fmt);
             assert_eq!(store.format(), fmt, "{fmt:?}");
             assert_eq!(store.nvals(), 4);
@@ -637,16 +598,6 @@ mod tests {
         // converting to the format it's already in records nothing new
         let same = hyper.clone().into_format(Format::Hyper);
         assert_eq!(same.migrated_from(), Some(Format::Csr));
-    }
-
-    #[test]
-    fn csc_store_has_free_transpose_view() {
-        let store = MatrixStore::csr(sample()).into_format(Format::Csc);
-        assert!(store.csr_view_ready(true));
-        // migration kept the CSR it came from as the row view
-        assert!(store.csr_view_ready(false));
-        let t = store.col_csr();
-        assert_eq!(*t, sample().transpose());
     }
 
     #[test]
@@ -679,7 +630,7 @@ mod tests {
 
     #[test]
     fn degrees_agree_across_layouts() {
-        for fmt in [Format::Csr, Format::Csc, Format::Hyper] {
+        for fmt in [Format::Csr, Format::Hyper] {
             let store = MatrixStore::csr(sample()).into_format(fmt);
             assert_eq!(&store.row_degrees()[..], &[2, 0, 2], "{fmt:?} rows");
             assert_eq!(&store.col_degrees()[..], &[2, 1, 1], "{fmt:?} cols");

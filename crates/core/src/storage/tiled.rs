@@ -18,9 +18,7 @@
 //!   dirty tiles are re-merged ([`crate::kernel::merge::merge_into_store`]);
 //! * **kernel scheduling** — tile tasks ride the shared pool as ordinary
 //!   chunk work with deterministic in-order merges, so tiled output is
-//!   bitwise identical to slab output at any parallelism degree;
-//! * **out-of-core residency** — the feature-gated `cold` module keeps
-//!   read-only tiles in an mmap'd file for graphs larger than RAM.
+//!   bitwise identical to slab output at any parallelism degree.
 //!
 //! **Determinism contract.** Within one logical row (in either
 //! orientation) tiles are visited left-to-right, so concatenated tile
@@ -37,9 +35,6 @@ use crate::index::Index;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::{FormatPolicy, MatrixStore};
-
-#[cfg(feature = "mmap-cold")]
-pub mod cold;
 
 /// A 2D grid of local-indexed storage blocks holding one matrix value.
 #[derive(Debug)]
@@ -328,45 +323,13 @@ impl<'a, T: Scalar> OrientedTiles<'a, T> {
         }
     }
 
-    /// Visit logical row `i`'s segments in ascending global-index order:
-    /// `f(index_offset, local_indices, values)` per intersecting
-    /// non-empty tile.
-    pub fn for_row(&self, i: Index, f: &mut impl FnMut(Index, &[Index], &[T])) {
-        let t = self.t;
-        if self.transposed {
-            let tj = t.tile_col_of(i);
-            let local = i - tj * t.tile_ncols;
-            for ti in 0..t.grid_rows {
-                if let Some(tile) = t.tile(ti, tj) {
-                    let view = self.views[ti * t.grid_cols + tj].get_or_init(|| tile.col_csr());
-                    let (cols, vals) = view.row(local);
-                    if !cols.is_empty() {
-                        f(ti * t.tile_nrows, cols, vals);
-                    }
-                }
-            }
-        } else {
-            let ti = t.stripe_of(i);
-            let local = i - ti * t.tile_nrows;
-            for tj in 0..t.grid_cols {
-                if let Some(tile) = t.tile(ti, tj) {
-                    let view = self.views[ti * t.grid_cols + tj].get_or_init(|| tile.row_csr());
-                    let (cols, vals) = view.row(local);
-                    if !cols.is_empty() {
-                        f(tj * t.tile_ncols, cols, vals);
-                    }
-                }
-            }
-        }
-    }
-
-    /// A stripe-caching cursor for walks that visit rows in ascending
-    /// (or at least stripe-clustered) order — the SpMSpV shape. It
+    /// A stripe-caching cursor, the one way to walk the logical rows. It
     /// resolves a stripe's tile views once and serves every row in the
     /// stripe by direct slice, instead of paying an atomic view lookup
-    /// per tile per row. Materialization is identical to
-    /// [`OrientedTiles::for_row`]: any row visit resolves exactly its
-    /// stripe's non-empty tiles.
+    /// per tile per row, so walks that visit rows in ascending (or at
+    /// least stripe-clustered) order — the SpMSpV shape — pay one lookup
+    /// per stripe. A row visit materializes exactly its stripe's
+    /// non-empty tiles.
     pub fn cursor(&self) -> RowCursor<'_, 'a, T> {
         RowCursor {
             ot: self,
@@ -421,7 +384,9 @@ impl<'o, 'a, T: Scalar> RowCursor<'o, 'a, T> {
         self.stripe = s;
     }
 
-    /// [`OrientedTiles::for_row`], served from the cached stripe.
+    /// Visit logical row `i`'s segments in ascending global-index order:
+    /// `f(index_offset, local_indices, values)` per intersecting
+    /// non-empty tile, served from the cached stripe.
     pub fn for_row(&mut self, i: Index, f: &mut impl FnMut(Index, &[Index], &[T])) {
         let t = self.ot.t;
         let (s, local) = if self.ot.transposed {
@@ -550,9 +515,10 @@ mod tests {
         let csr = sample(9, 9, 2);
         let t = Tiled::from_csr(&csr, (2, 4));
         let fwd = OrientedTiles::new(&t, false);
+        let mut cur = fwd.cursor();
         for i in 0..9 {
             let mut got = Vec::new();
-            fwd.for_row(i, &mut |off, cols, vals| {
+            cur.for_row(i, &mut |off, cols, vals| {
                 got.extend(cols.iter().zip(vals).map(|(j, v)| (off + j, *v)));
             });
             let (cols, vals) = csr.row(i);
@@ -561,9 +527,10 @@ mod tests {
         }
         let rev = OrientedTiles::new(&t, true);
         let tr = csr.transpose();
+        let mut cur = rev.cursor();
         for j in 0..9 {
             let mut got = Vec::new();
-            rev.for_row(j, &mut |off, cols, vals| {
+            cur.for_row(j, &mut |off, cols, vals| {
                 got.extend(cols.iter().zip(vals).map(|(i, v)| (off + i, *v)));
             });
             let (rows, vals) = tr.row(j);
@@ -578,7 +545,7 @@ mod tests {
         let t = Tiled::from_csr(&csr, (2, 2));
         let fwd = OrientedTiles::new(&t, false);
         assert!(fwd.touched().is_empty());
-        fwd.for_row(0, &mut |_, _, _| {});
+        fwd.cursor().for_row(0, &mut |_, _, _| {});
         let mut got = fwd.touched();
         got.sort_unstable();
         assert_eq!(got, vec![(0, 0), (0, 1)]);

@@ -3,8 +3,8 @@
 # server, examples, grb-bench), the self-checking examples, grb-bench's
 # harness tests, the workspace tests, release-mode core unit tests, the
 # serial build (core with the `parallel` feature off, so the
-# single-threaded kernels stay green too), the mmap-cold tests, the
-# thread matrix, rustdoc, and EXPERIMENTS.md's generated appendix.
+# single-threaded kernels stay green too), the thread matrix, rustdoc,
+# and EXPERIMENTS.md's generated appendix.
 # Performance is measured by `grb-bench all`, not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -69,14 +69,6 @@ cargo test --release -q -p graphblas-core --lib
 
 echo "== cargo test -q -p graphblas-core --no-default-features (serial build)"
 cargo test -q -p graphblas-core --no-default-features
-
-# Out-of-core cold tiles: the mmap-backed grid must build and traverse
-# a graph whose slab cannot be allocated under a 32 MiB rlimit-capped
-# heap (tests/out_of_core.rs caps its own process; feature-gated so the
-# default build stays dependency-free of the unix mmap ABI).
-echo "== cargo test -q --features mmap-cold (cold tiles + out-of-core smoke)"
-cargo test -q -p graphblas-core --features mmap-cold cold
-cargo test -q --features mmap-cold --test out_of_core
 
 # Thread matrix: the determinism suites at 1, 2 and 8 workers (the
 # suite list lives in scripts/thread_matrix.sh, which CI runs too).

@@ -50,6 +50,17 @@ pub fn to_matrix(n: usize, t: &Tuples, format: Option<Format>) -> Matrix<f64> {
     m
 }
 
+/// Memoize `b`'s column view through the public API: one `mxm` that
+/// reads `b` transposed (`GrB_INP0 = GrB_TRAN`) builds its store's `Bᵀ`,
+/// so a later masked product sees the dot form's transpose as free.
+pub fn warm_col_view<T: NumScalar>(ctx: &Context, b: &Matrix<T>) {
+    let t = Matrix::<T>::new(b.ncols(), b.ncols()).unwrap();
+    let tran = Descriptor::default().transpose_first();
+    ctx.mxm(&t, NoMask, NoAccum, plus_times::<T>(), b, b, &tran)
+        .unwrap();
+    t.wait().unwrap();
+}
+
 /// A length-`n` vector set from `t`'s rows (columns ignored; a later
 /// tuple on the same row overwrites an earlier one).
 pub fn to_vector(n: usize, t: &Tuples) -> Vector<f64> {
