@@ -28,12 +28,16 @@ pub const GXB_FORMAT_CSR: Format = Format::Csr;
 /// and the engine has no bitmap layout — CSR measured faster at every
 /// density — so the hint stores the matrix as CSR.
 pub const GXB_FORMAT_BITMAP: Format = GXB_FORMAT_CSR;
-/// Hypersparse storage (`GxB_HYPERSPARSE`), for nnz ≪ nrows.
-pub const GXB_FORMAT_HYPER: Format = Format::Hyper;
-/// 2D-tiled hypersparse storage; the default grid applies. Pick a
-/// specific grid with `gxb_set(…, GxbOption::TileShape, …)`.
+/// `GxB_HYPERSPARSE`, kept so C-shaped callers compile: an alias of
+/// [`GXB_FORMAT_CSR`], like [`GXB_FORMAT_BITMAP`]. The engine has no
+/// hypersparse layout (no workload stored nnz ≪ nrows values in one and
+/// read them faster), so the hint stores the matrix as CSR.
+pub const GXB_FORMAT_HYPER: Format = GXB_FORMAT_CSR;
+/// 2D-tiled storage: CSR tiles, and none at all where a tile is empty.
+/// The default grid applies; pick a specific grid with
+/// `gxb_set(…, GxbOption::TileShape, …)`.
 pub const GXB_FORMAT_TILED: Format = Format::Tiled;
-/// Let the engine pick per value from observed density (`GxB_AUTO_SPARSITY`).
+/// The default policy, one CSR slab (`GxB_AUTO_SPARSITY`).
 pub const GXB_FORMAT_AUTO: FormatPolicy = FormatPolicy::Auto;
 
 /// One collection per domain: a typed lane for each built-in domain, the
@@ -243,8 +247,8 @@ impl GrbMatrix {
         }
     }
 
-    /// `GxB_Matrix_Option_set(…, GxB_SPARSITY_CONTROL, …)`: pin this
-    /// matrix to one of the `GXB_FORMAT_*` layouts, converting the
+    /// `GxB_Matrix_Option_set(…, GxB_SPARSITY_CONTROL, …)`: store this
+    /// matrix in the layout a `GXB_FORMAT_*` hint names, converting the
     /// current value and directing future results into the same layout.
     /// Sugar over [`gxb_set`](crate::gxb_set) at matrix scope.
     pub fn set_format(&self, format: Format) -> Result<()> {
@@ -255,15 +259,15 @@ impl GrbMatrix {
         )
     }
 
-    /// Restore automatic format selection ([`GXB_FORMAT_AUTO`]) or any
-    /// other policy for values computed into this matrix. Sugar over
+    /// Restore the slab policy ([`GXB_FORMAT_AUTO`]) or set a tiling one
+    /// for values computed into this matrix. Sugar over
     /// [`gxb_set`](crate::gxb_set) at matrix scope.
-    pub fn set_format_policy(&self, policy: FormatPolicy) {
-        let _ = crate::options::gxb_set(
+    pub fn set_format_policy(&self, policy: FormatPolicy) -> Result<()> {
+        crate::options::gxb_set(
             crate::options::GxbScope::Matrix(self),
             crate::options::GxbOption::FormatPolicy,
             crate::options::GxbValue::FormatPolicy(policy),
-        );
+        )
     }
 
     /// Check this matrix's domain against an expected one
@@ -538,23 +542,25 @@ mod tests {
     fn format_hints_round_trip() {
         let m = GrbMatrix::new(GrbType::Int32, 4, 4).unwrap();
         m.set(0, 0, Value::Int32(1)).unwrap();
-        m.set_format(GXB_FORMAT_HYPER).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Hyper);
+        m.set_format(GXB_FORMAT_TILED).unwrap();
+        assert_eq!(m.format().unwrap(), Format::Tiled);
         // content is unchanged by migration
         assert_eq!(m.get(0, 0).unwrap(), Some(Value::Int32(1)));
         assert_eq!(m.nvals().unwrap(), 1);
-        // the bitmap hint lands on CSR
-        m.set_format(GXB_FORMAT_BITMAP).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Csr);
-        m.set_format(GXB_FORMAT_HYPER).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Hyper);
+        // the bitmap and hypersparse hints land on CSR
+        for hint in [GXB_FORMAT_BITMAP, GXB_FORMAT_HYPER] {
+            m.set_format(GXB_FORMAT_TILED).unwrap();
+            m.set_format(hint).unwrap();
+            assert_eq!(m.format().unwrap(), Format::Csr, "{hint:?}");
+        }
         m.set_format(GXB_FORMAT_CSR).unwrap();
         assert_eq!(m.format().unwrap(), Format::Csr);
-        // next computed value re-chooses: Auto stores a dense value as CSR
-        m.set_format(GXB_FORMAT_HYPER).unwrap();
-        m.set_format_policy(GXB_FORMAT_AUTO);
+        // the policy directs the next computed value
+        m.set_format(GXB_FORMAT_TILED).unwrap();
+        m.set_format_policy(GXB_FORMAT_AUTO).unwrap();
         m.set(1, 1, Value::Int32(2)).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Csr); // 2/16 = 12.5% stored
+        assert_eq!(m.format().unwrap(), Format::Csr);
+        assert_eq!(m.nvals().unwrap(), 2);
     }
 
     /// A bitmap hint on a huge, nearly empty matrix must not allocate by

@@ -107,7 +107,7 @@ pub fn finalize() -> Result<()> {
     par::set_default_parallelism(None);
     delta::set_session_run_cap(None);
     snapshot::set_session_flush_window_ms(None);
-    engine::set_session_default_policy(graphblas_core::FormatPolicy::Auto);
+    engine::set_session_default_policy(graphblas_core::FormatPolicy::Auto)?;
     Ok(())
 }
 

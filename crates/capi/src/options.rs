@@ -78,18 +78,19 @@ impl GxbScope<'_> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GxbOption {
     /// The storage format. Matrix get: the layout currently holding the
-    /// value (forces completion). Matrix set: pin to that layout,
-    /// converting now. Global set: future matrices default to
-    /// `FormatPolicy::Force(f)`.
+    /// value (forces completion). Matrix set: `Csr` clears the tile grid,
+    /// `Tiled` sets the default one, converting now. Global: the layout
+    /// of the default policy newly created matrices inherit.
     Format,
     /// The format policy applied to future computed values. Matrix
     /// scope sets the per-object policy; Global scope sets the default
     /// policy newly created matrices inherit.
     FormatPolicy,
     /// The 2D tile grid. `TileShape(Some((r, c)))` shards storage into
-    /// an `r × c` grid of hypersparse-capable tiles (matrix scope
-    /// converts the stored value immediately); `TileShape(None)` clears
-    /// tiling back to automatic slab selection.
+    /// an `r × c` grid of CSR tiles whose empty tiles hold no storage
+    /// (matrix scope converts the stored value immediately); each axis
+    /// must be in `1..=MAX_TILE_GRID_AXIS` (64). `TileShape(None)` clears
+    /// tiling back to one CSR slab.
     TileShape,
     /// The pending-update tail-seal cap (global). `Count(None)` restores
     /// auto (`GRB_DELTA_RUN_CAP`, then the engine default).
@@ -132,53 +133,23 @@ fn type_mismatch(option: GxbOption, value: &GxbValue) -> Error {
     ))
 }
 
-fn checked_grid(rows: usize, cols: usize) -> Result<FormatPolicy> {
-    if rows == 0 || cols == 0 {
-        return Err(Error::InvalidValue(format!(
-            "GxB_set(TileShape): tile grid must be positive, got {rows}x{cols}"
-        )));
-    }
-    if rows > u16::MAX as usize || cols > u16::MAX as usize {
-        return Err(Error::InvalidValue(format!(
-            "GxB_set(TileShape): tile grid {rows}x{cols} exceeds the {} per-axis maximum",
-            u16::MAX
-        )));
-    }
-    Ok(FormatPolicy::Tiled {
-        rows: rows as u16,
-        cols: cols as u16,
-    })
-}
-
 /// `GxB_set(scope, option, value)`: write one option. See the
 /// [module docs](self) for the supported (scope, option) pairs.
 pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()> {
     match (&scope, option) {
         (GxbScope::Global, GxbOption::Format) => match value {
-            GxbValue::Format(f) => {
-                engine::set_session_default_policy(FormatPolicy::Force(f));
-                Ok(())
-            }
+            GxbValue::Format(f) => engine::set_session_default_policy(f.into()),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::FormatPolicy) => match value {
-            GxbValue::FormatPolicy(p) => {
-                engine::set_session_default_policy(p);
-                Ok(())
-            }
+            GxbValue::FormatPolicy(p) => engine::set_session_default_policy(p),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::TileShape) => match value {
             GxbValue::TileShape(Some((r, c))) => {
-                engine::set_session_default_policy(checked_grid(r, c)?);
-                Ok(())
+                engine::set_session_default_policy(FormatPolicy::tiled(r, c)?)
             }
-            GxbValue::TileShape(None) => {
-                if engine::session_default_policy().tile_grid().is_some() {
-                    engine::set_session_default_policy(FormatPolicy::Auto);
-                }
-                Ok(())
-            }
+            GxbValue::TileShape(None) => engine::set_session_default_policy(FormatPolicy::Auto),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::DeltaRunCap) => match value {
@@ -203,10 +174,7 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::FormatPolicy) => match value {
-            GxbValue::FormatPolicy(p) => {
-                lane!(MatLane, &m.m, x: T => x.set_format_policy(p));
-                Ok(())
-            }
+            GxbValue::FormatPolicy(p) => lane!(MatLane, &m.m, x: T => x.set_format_policy(p)),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::TileShape) => match value {
@@ -225,12 +193,9 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
 /// readable on matrix and vector scopes.
 pub fn gxb_get(scope: GxbScope, option: GxbOption) -> Result<GxbValue> {
     match (&scope, option) {
-        (GxbScope::Global, GxbOption::Format) => match engine::session_default_policy() {
-            FormatPolicy::Force(f) => Ok(GxbValue::Format(f)),
-            p => Err(Error::InvalidValue(format!(
-                "GxB_get(Global, Format): the default policy is {p:?}, not a pinned format"
-            ))),
-        },
+        (GxbScope::Global, GxbOption::Format) => {
+            Ok(GxbValue::Format(engine::session_default_policy().format()))
+        }
         (GxbScope::Global, GxbOption::FormatPolicy) => {
             Ok(GxbValue::FormatPolicy(engine::session_default_policy()))
         }
@@ -266,6 +231,11 @@ mod tests {
     #[test]
     fn global_knobs_round_trip_and_reset_on_finalize() {
         with_session(Mode::Blocking, || {
+            // the default policy stores one CSR slab
+            assert_eq!(
+                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
+                GxbValue::Format(Format::Csr)
+            );
             gxb_set(
                 GxbScope::Global,
                 GxbOption::DeltaRunCap,
@@ -296,6 +266,10 @@ mod tests {
                 gxb_get(GxbScope::Global, GxbOption::TileShape).unwrap(),
                 GxbValue::TileShape(Some((2, 3)))
             );
+            assert_eq!(
+                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
+                GxbValue::Format(Format::Tiled)
+            );
             // new matrices inherit the session default policy
             let m = GrbMatrix::new(GrbType::Int32, 10, 10).unwrap();
             assert_eq!(
@@ -317,6 +291,10 @@ mod tests {
             assert_eq!(
                 gxb_get(GxbScope::Global, GxbOption::FormatPolicy).unwrap(),
                 GxbValue::FormatPolicy(FormatPolicy::Auto)
+            );
+            assert_eq!(
+                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
+                GxbValue::Format(Format::Csr)
             );
         })
         .unwrap();
@@ -395,6 +373,25 @@ mod tests {
                 GxbValue::Count(Some(0))
             )
             .is_err());
+            // a grid axis past 64 is invalid at either scope, whether it
+            // comes as a tile shape or as a policy, and changes nothing
+            let wide = FormatPolicy::Tiled { rows: 1, cols: 65 };
+            for scope in [GxbScope::Global, GxbScope::Matrix(&m)] {
+                for (option, value) in [
+                    (GxbOption::TileShape, GxbValue::TileShape(Some((1, 65)))),
+                    (GxbOption::FormatPolicy, GxbValue::FormatPolicy(wide)),
+                ] {
+                    assert!(
+                        matches!(gxb_set(scope, option, value), Err(Error::InvalidValue(_))),
+                        "{scope:?} {option:?}"
+                    );
+                    assert_eq!(
+                        gxb_get(scope, GxbOption::TileShape).unwrap(),
+                        GxbValue::TileShape(None),
+                        "{scope:?} {option:?}"
+                    );
+                }
+            }
             // vector read-epoch works
             assert!(matches!(
                 gxb_get(GxbScope::Vector(&v), GxbOption::ReadEpoch),

@@ -42,9 +42,9 @@ pub struct TraceEvent {
     pub cols: usize,
     /// Stored elements in the result (0 if the node failed).
     pub nvals: usize,
-    /// Storage format chosen for the result (`"csr"`, `"hyper"`,
-    /// `"tiled"` for matrix stores; `"sparse"` for vectors
-    /// and `"sparse"`/empty shapes if the node failed).
+    /// Storage format chosen for the result (`"csr"` or `"tiled"` for
+    /// matrix stores; `"sparse"` for vectors and `"sparse"`/empty shapes
+    /// if the node failed).
     pub format: &'static str,
     /// `Some(from)` when the format policy migrated the result out of the
     /// layout it was produced in — the trace's migration event.

@@ -236,10 +236,11 @@ fn merge_tiled<T: Scalar>(t: &Tiled<T>, runs: &[Run<(Index, Index), T>]) -> Matr
         };
         let (tuples, merged_rows) = merge_matrix_rows(&base, &tile_runs[idx], 0, r1 - r0);
         let block = (!tuples.is_empty()).then(|| {
-            Arc::new(MatrixStore::from_csr(
-                Csr::from_sorted_tuples(r1 - r0, c1 - c0, tuples),
-                FormatPolicy::Auto,
-            ))
+            Arc::new(MatrixStore::csr(Csr::from_sorted_tuples(
+                r1 - r0,
+                c1 - c0,
+                tuples,
+            )))
         });
         (block, merged_rows)
     };

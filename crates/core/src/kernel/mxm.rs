@@ -2,12 +2,12 @@
 //! stage): `T(i,j) = ⊕_{k ∈ ind(A(i,:)) ∩ ind(B(:,j))} A(i,k) ⊗ B(k,j)`.
 //!
 //! Row-wise Gustavson SpGEMM, parallel over rows. Two accumulator
-//! strategies (selectable for the ablation benches, `Auto` in production):
+//! strategies (`Auto` picks per row; the unit tests force each one):
 //!
 //! * **Dense**: an `ncols`-wide scatter array per worker — best for rows
 //!   whose result is a large fraction of the width;
 //! * **Hash**: an open-addressing table sized to the row's flop estimate —
-//!   best for hypersparse rows.
+//!   best for very wide rows with few entries.
 //!
 //! The write mask is *pushed into the kernel*: positions the mask does not
 //! admit are never accumulated (and with [`mxm_dot`], never even touched),
@@ -19,11 +19,10 @@ use crate::algebra::binary::BinaryOp;
 use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
 use crate::index::Index;
-use crate::kernel::util::{emit_rows, map_rows, stateless};
+use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::{MaskCsr, MaskRow, Pattern};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::Hyper;
 use crate::storage::tiled::{self, OrientedTiles, Tiled};
 
 /// Row-accumulator strategy for [`mxm`].
@@ -31,9 +30,8 @@ use crate::storage::tiled::{self, OrientedTiles, Tiled};
 pub enum MxmStrategy {
     /// Choose per row: dense whenever the row width fits comfortably in
     /// cache (the per-worker scatter array is reused across rows, so it
-    /// wins even on hypersparse rows — measured in the
-    /// `ablation_spgemm` bench), hash only for genuinely wide rows with
-    /// few expected entries.
+    /// wins even on rows with a handful of entries), hash only for
+    /// genuinely wide rows with few expected entries.
     #[default]
     Auto,
     /// Force the hash accumulator.
@@ -44,7 +42,7 @@ pub enum MxmStrategy {
 
 /// Widths up to this always use the dense accumulator under `Auto`:
 /// the reused scatter array stays cache-resident and beats hashing
-/// (2× on both the sparse-ER and skewed-RMAT ablation workloads).
+/// (2× on both sparse Erdős–Rényi and skewed R-MAT inputs).
 const DENSE_ALWAYS_WIDTH: usize = 1 << 15;
 
 /// Per-worker scratch space, reused across the rows a worker processes.
@@ -66,7 +64,7 @@ impl<T: Scalar> Workspace<T> {
     }
 }
 
-/// Open-addressing accumulator for hypersparse rows.
+/// Open-addressing accumulator for wide, sparse rows.
 struct HashAcc<T> {
     keys: Vec<Index>,
     vals: Vec<Option<T>>,
@@ -271,51 +269,6 @@ where
             let (ac, av) = a.row(i);
             gustavson_row(sr, ac, av, b, mask.row(i), strategy, ws, cols, vals);
         },
-    )
-}
-
-/// Hypersparse SpGEMM: `T = A ⊕.⊗ B` where `A` is hypersparse, walking
-/// **only** `A`'s non-empty rows and emitting hypersparse output
-/// directly. Work and memory are `O(flops + #nonempty-rows)` —
-/// independent of `nrows`, where the CSR kernel pays an `O(nrows)`
-/// sweep/assembly and an `O(ncols)` per-worker scatter array regardless
-/// of how empty the operand is. The hash accumulator keeps per-row state
-/// proportional to the row's flop estimate.
-pub fn mxm_hyper<D1, D2, D3, S>(sr: &S, a: &Hyper<D1>, b: &Csr<D2>, mask: &MaskCsr) -> Hyper<D3>
-where
-    D1: Scalar,
-    D2: Scalar,
-    D3: Scalar,
-    S: Semiring<D1, D2, D3>,
-{
-    debug_assert_eq!(a.ncols(), b.nrows());
-    let add = sr.add();
-    let mul = sr.mul();
-    let rows = map_rows(a.nonempty_rows().len(), a.nvals() + b.nvals(), |k| {
-        let (i, ac, av) = a.row_by_pos(k);
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        let mrow = mask.row(i);
-        if mrow.admits_nothing() {
-            return (i, cols, vals);
-        }
-        let flops: usize = ac.iter().map(|&p| b.row_nvals(p)).sum();
-        let mut acc = HashAcc::with_estimate(flops);
-        for (p, aik) in ac.iter().zip(av) {
-            let (bc, bv) = b.row(*p);
-            for (j, bkj) in bc.iter().zip(bv) {
-                if !mrow.admits(*j) {
-                    continue;
-                }
-                acc.accumulate(*j, mul.apply(aik, bkj), add);
-            }
-        }
-        acc.drain_into(&mut cols, &mut vals);
-        (i, cols, vals)
-    });
-    Hyper::from_row_slices(
-        a.nrows(),
-        b.ncols(),
-        rows.into_iter().filter(|(_, cols, _)| !cols.is_empty()),
     )
 }
 
@@ -690,48 +643,6 @@ mod tests {
         let full_pattern = h.map(|_| ());
         let dot = mxm_dot(&plus_times::<i64>(), &a, &a.transpose(), &full_pattern);
         assert_eq!(dot, h);
-    }
-
-    #[test]
-    fn hyper_kernel_matches_csr_kernel() {
-        // 1000 rows, only a handful occupied
-        let n = 1000usize;
-        let tuples = vec![
-            (3usize, 7usize, 2i64),
-            (3, 900, 5),
-            (500, 3, 1),
-            (998, 500, 4),
-        ];
-        let a_csr = Csr::from_sorted_tuples(n, n, tuples);
-        let a_hyper = Hyper::from_csr(&a_csr);
-        let dense = mxm(
-            &plus_times::<i64>(),
-            &a_csr,
-            &a_csr,
-            &MaskCsr::All,
-            MxmStrategy::Auto,
-        );
-        let hyper = mxm_hyper(&plus_times::<i64>(), &a_hyper, &a_csr, &MaskCsr::All);
-        assert_eq!(hyper.to_csr(), dense);
-        assert!(hyper.nonempty_rows().len() <= 3);
-    }
-
-    #[test]
-    fn hyper_kernel_respects_mask() {
-        let a_csr = Csr::from_sorted_tuples(10, 10, vec![(1, 2, 2i32), (2, 3, 3), (9, 1, 7)]);
-        let a_hyper = Hyper::from_csr(&a_csr);
-        let m = Csr::from_sorted_tuples(10, 10, vec![(1, 3, true)]);
-        let mask = MaskCsr::from_csr(&m, false, false);
-        let masked = mxm_hyper(&plus_times::<i32>(), &a_hyper, &a_csr, &mask);
-        let reference = mxm(
-            &plus_times::<i32>(),
-            &a_csr,
-            &a_csr,
-            &mask,
-            MxmStrategy::Auto,
-        );
-        assert_eq!(masked.to_csr(), reference);
-        assert_eq!(masked.nvals(), 1); // only (1,3) admitted
     }
 
     #[test]

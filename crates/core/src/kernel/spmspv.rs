@@ -817,7 +817,7 @@ mod tests {
     use super::*;
     use crate::algebra::semiring::{lor_land, min_plus, plus_times};
     use crate::kernel::par;
-    use crate::storage::engine::{Format, FormatPolicy};
+    use crate::storage::engine::Format;
     use std::sync::{Mutex, MutexGuard};
 
     /// The direction override is process-wide: every test here that
@@ -855,8 +855,8 @@ mod tests {
         let sr = plus_times::<i32>();
         let v = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 30]);
         for transposed in [false, true] {
-            for fmt in [Format::Csr, Format::Hyper, Format::Tiled] {
-                let st = store().into_format(fmt);
+            for fmt in [Format::Csr, Format::Tiled] {
+                let st = store().apply_policy(fmt.into());
                 let masks = [
                     MaskVec::All,
                     MaskVec::Pattern {
@@ -967,8 +967,8 @@ mod tests {
                 },
             ];
             for fmt in [Format::Csr, Format::Tiled] {
-                let st =
-                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).into_format(fmt);
+                let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone()))
+                    .apply_policy(fmt.into());
                 for f in &frontiers {
                     let (fi, fv): (Vec<usize>, Vec<i64>) = f.iter().copied().unzip();
                     let v = SparseVec::from_sorted_parts(n, fi, fv);
@@ -1023,8 +1023,8 @@ mod tests {
                 .filter_map(|(j, w)| w.map(|w| (j, w)))
                 .collect();
             for fmt in [Format::Csr, Format::Tiled] {
-                let st =
-                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).into_format(fmt);
+                let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone()))
+                    .apply_policy(fmt.into());
                 for d in all_directions() {
                     let got: SparseVec<bool> =
                         with_direction(d, || vxm(&lor_land(), &v, &st, transposed, &MaskVec::All));
@@ -1090,10 +1090,11 @@ mod tests {
     fn empty_frontier_pushes_nothing() {
         let _serial = serial();
         let sr = lor_land();
-        let st = MatrixStore::from_csr(
-            Csr::from_sorted_tuples(4, 4, vec![(0, 1, true), (2, 3, true)]),
-            FormatPolicy::Force(Format::Csr),
-        );
+        let st = MatrixStore::csr(Csr::from_sorted_tuples(
+            4,
+            4,
+            vec![(0, 1, true), (2, 3, true)],
+        ));
         let v = SparseVec::<bool>::empty(4);
         let w: SparseVec<bool> = vxm(&sr, &v, &st, false, &MaskVec::All);
         assert_eq!(w.nvals(), 0);

@@ -242,48 +242,26 @@ impl<T: Scalar> Matrix<T> {
 
     /// Set the format policy for values computed into this object from
     /// now on; the current value (deferred or not) is left as stored.
-    pub fn set_format_policy(&self, policy: FormatPolicy) {
-        self.handle.set_policy(policy);
+    /// `GrB_INVALID_VALUE` for a tile grid [`FormatPolicy::tiled`]
+    /// rejects.
+    pub fn set_format_policy(&self, policy: FormatPolicy) -> Result<()> {
+        self.handle.set_policy(policy.checked()?);
+        Ok(())
     }
 
-    /// `GxB_Matrix_Option_set(…, FORMAT, …)` analog: pin this object to
-    /// `format`, converting the current value now (forces completion) and
-    /// directing future computed values into the same layout.
+    /// `GxB_Matrix_Option_set(…, FORMAT, …)` analog: `Csr` is
+    /// [`Matrix::clear_tile_shape`], `Tiled` sets the default tile grid.
     pub fn set_format(&self, format: Format) -> Result<()> {
-        self.set_format_policy(FormatPolicy::Force(format));
-        let store = self.handle.forced_storage()?;
-        if store.format() != format {
-            self.install_store((*store).clone().into_format(format));
-        }
-        Ok(())
+        self.restore_under(format.into())
     }
 
     /// `GxB_set(matrix, TileShape, rows × cols)` analog: shard this
     /// object's value into a 2D tile grid, converting the current value
     /// now (forces completion) and directing future computed values into
-    /// the same grid. The grid is clamped to the matrix dimensions.
+    /// the same grid. The grid is clamped to the matrix dimensions; an
+    /// axis outside `1..=MAX_TILE_GRID_AXIS` is `GrB_INVALID_VALUE`.
     pub fn set_tile_shape(&self, rows: usize, cols: usize) -> Result<()> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::InvalidValue(format!(
-                "tile grid must be positive, got {rows}x{cols}"
-            )));
-        }
-        if rows > u16::MAX as usize || cols > u16::MAX as usize {
-            return Err(Error::InvalidValue(format!(
-                "tile grid {rows}x{cols} exceeds the {} per-axis maximum",
-                u16::MAX
-            )));
-        }
-        self.set_format_policy(FormatPolicy::Tiled {
-            rows: rows as u16,
-            cols: cols as u16,
-        });
-        let store = self.handle.forced_storage()?;
-        let clamped = crate::storage::tiled::clamp_grid(self.nrows, self.ncols, (rows, cols));
-        if store.tile_grid() != Some(clamped) {
-            self.install_store((*store).clone().into_tiled((rows, cols)));
-        }
-        Ok(())
+        self.restore_under(FormatPolicy::tiled(rows, cols)?)
     }
 
     /// The configured tile grid, if this object's policy shards it.
@@ -294,10 +272,19 @@ impl<T: Scalar> Matrix<T> {
     /// Undo [`Matrix::set_tile_shape`]: back to `FormatPolicy::Auto`,
     /// re-storing the current value as a single slab (forces completion).
     pub fn clear_tile_shape(&self) -> Result<()> {
-        self.set_format_policy(FormatPolicy::Auto);
+        self.restore_under(FormatPolicy::Auto)
+    }
+
+    /// Direct future values into `policy`'s layout and re-store the
+    /// current value there now, unless it is already stored so.
+    fn restore_under(&self, policy: FormatPolicy) -> Result<()> {
+        self.handle.set_policy(policy);
         let store = self.handle.forced_storage()?;
-        if store.tile_grid().is_some() {
-            self.install_store((*store).clone().apply_policy(FormatPolicy::Auto));
+        let grid = policy
+            .tile_grid()
+            .map(|g| crate::storage::tiled::clamp_grid(self.nrows, self.ncols, g));
+        if store.tile_grid() != grid {
+            self.install_store((*store).clone().apply_policy(policy));
         }
         Ok(())
     }

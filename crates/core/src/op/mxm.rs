@@ -6,9 +6,7 @@ use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
-use crate::kernel::mxm::{
-    mxm as mxm_kernel, mxm_dot, mxm_hyper, mxm_tiled, prefer_dot, MxmStrategy,
-};
+use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_tiled, prefer_dot, MxmStrategy};
 use crate::kernel::write::write_masked_matrix;
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
@@ -79,35 +77,18 @@ impl Context {
         deps.extend(msnap.deps());
         let replace = desc.is_replace();
 
-        // The hypersparse fast path bypasses the write stage, so it is
-        // only taken when that stage is the identity: no accumulator and
+        // The tiled fast path bypasses the write stage, so it is only
+        // taken when that stage is the identity: no accumulator and
         // nothing excludable by the mask (replace with no mask is a plain
         // overwrite).
         let write_is_identity = !accum.is_accum() && msnap.is_all();
 
         let eval = move || {
-            // Hypersparse fast path: A stored hypersparse and used
-            // untransposed — walk only its non-empty rows and emit a
-            // hypersparse store directly, skipping the O(nrows) CSR
-            // assembly entirely.
+            // Tiled fast path: walk A's tile grid directly instead of
+            // assembling a slab view first. Per-row gather order is
+            // ascending k, so the product is bitwise-identical to the
+            // slab kernel's.
             if write_is_identity && !tr_a {
-                if let Layout::Hyper(a_hyper) = a_node.ready_storage()?.layout() {
-                    let a_hyper = a_hyper.clone();
-                    let b_st = oriented_storage(&b_node, tr_b)?;
-                    let t = mxm_hyper(&semiring, &a_hyper, &b_st, &MaskCsr::All);
-                    if let Some(e) = semiring
-                        .add()
-                        .poll_error()
-                        .or_else(|| semiring.mul().poll_error())
-                    {
-                        return Err(e);
-                    }
-                    return Ok(MatrixStore::hyper(t));
-                }
-                // Tiled fast path: walk A's tile grid directly instead
-                // of assembling a slab view first. Per-row gather order
-                // is ascending k, so the product is bitwise-identical
-                // to the slab kernel's.
                 if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
                     let a_tiled = a_tiled.clone();
                     let b_st = oriented_storage(&b_node, tr_b)?;

@@ -1,17 +1,15 @@
-//! The polymorphic storage engine: one matrix value, two layouts plus
-//! tiling.
+//! The storage engine: one matrix value, stored as one CSR slab or as a
+//! grid of CSR tiles.
 //!
 //! The paper's object model hides representation entirely — a
 //! `GrB_Matrix` is just the set `L(A) = {(i, j, A_ij)}` (§III-A) — which
 //! is precisely the latitude this module exploits. A [`MatrixStore`]
-//! holds the same mathematical content in whichever concrete layout the
-//! [`FormatPolicy`] picks from the observed shape and occupancy:
+//! holds the same mathematical content in whichever concrete layout its
+//! [`FormatPolicy`] names:
 //!
-//! * [`Format::Csr`] — the general-purpose row-compressed layout;
-//! * [`Format::Hyper`] — hypersparse CSR over the non-empty rows only,
-//!   for `nnz ≪ nrows` where even the row-pointer array would dominate;
-//! * [`Format::Tiled`] — a 2D grid of blocks, each stored in one of the
-//!   layouts above.
+//! * [`Format::Csr`] — the general-purpose row-compressed slab;
+//! * [`Format::Tiled`] — a 2D grid of CSR blocks whose empty tiles hold
+//!   no storage at all.
 //!
 //! Column orientation is not a layout: it is an access path. Kernels stay
 //! layout-generic through the memoized [`MatrixStore::row_csr`] /
@@ -19,31 +17,25 @@
 //! kernel asks for **once**, no matter how many consumers ask (the
 //! `OnceLock` serializes concurrent first requests from kernel chunks
 //! or racing readers), which is the "convert an intermediate once instead of
-//! per-consumer" latitude of nonblocking mode. Specialized kernels
-//! (`mxm_hyper`, the tiled SpMSpV walks, the tiled `mxm`) dispatch on
+//! per-consumer" latitude of nonblocking mode. Specialized kernels (the
+//! tiled SpMSpV walks, the tiled `mxm`) dispatch on
 //! [`MatrixStore::layout`] instead and skip conversion entirely.
-
-pub mod hyper;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::error::{Error, Result};
 use crate::index::Index;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::tiled::{self, Tiled};
-
-pub use hyper::Hyper;
 
 /// A concrete storage layout (the engine's `GxB_FORMAT_*` analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Format {
     /// Compressed sparse row.
     Csr,
-    /// Hypersparse CSR (compressed non-empty-row list).
-    Hyper,
-    /// 2D grid of independently formatted blocks
-    /// ([`crate::storage::tiled::Tiled`]).
+    /// 2D grid of CSR blocks ([`crate::storage::tiled::Tiled`]).
     Tiled,
 }
 
@@ -52,53 +44,61 @@ impl Format {
     pub fn as_str(self) -> &'static str {
         match self {
             Format::Csr => "csr",
-            Format::Hyper => "hyper",
             Format::Tiled => "tiled",
         }
     }
 }
 
-/// The tile grid [`MatrixStore::into_format`] uses when asked for
-/// [`Format::Tiled`] without an explicit shape (`FormatPolicy::Tiled`
-/// carries its own).
-pub const DEFAULT_TILE_GRID: (usize, usize) = (4, 4);
+/// The most tiles along either grid axis. Each populated tile keeps
+/// `tile_nrows + 1` row pointers, so a grid holds up to
+/// `grid_cols · (nrows + grid_rows)` of them: the bound keeps that within
+/// 64 slabs' worth, where `u16::MAX` let one request ask for hundreds of
+/// gigabytes.
+pub const MAX_TILE_GRID_AXIS: usize = 64;
 
 /// Per-object format policy: how the engine stores values computed into
 /// an object (the `GxB_*`-style hint of the C extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FormatPolicy {
-    /// Pick the layout from observed shape/occupancy on every new value:
-    /// `Hyper` when most rows are empty, `Csr` otherwise.
+    /// One CSR slab.
     #[default]
     Auto,
-    /// Always store in the given layout.
-    Force(Format),
-    /// Store as a 2D tile grid of the given shape, each block formatted
-    /// autonomously by `Auto` — the tiling knob set through
-    /// `GxB_set(…, TileShape, …)`.
+    /// A 2D tile grid of the given shape — the tiling knob set through
+    /// `GxB_set(…, TileShape, …)`. Build it with [`FormatPolicy::tiled`],
+    /// which checks the grid.
     Tiled { rows: u16, cols: u16 },
 }
 
-/// `Auto` goes hypersparse when fewer than one row in this many holds
-/// any element (`nvals * 4 < nrows`).
-pub const HYPER_ROW_DIVISOR: usize = 4;
-
 impl FormatPolicy {
-    /// The layout this policy stores a value of the given shape and
-    /// occupancy in. `Auto` picks only `Csr` or `Hyper`: column
-    /// orientation is an access-pattern choice, served by the memoized
-    /// transpose view.
-    pub fn choose(self, nrows: Index, _ncols: Index, nvals: usize) -> Format {
+    /// The tiling policy for a `rows × cols` grid: `GrB_INVALID_VALUE`
+    /// unless both axes are in `1..=MAX_TILE_GRID_AXIS`.
+    pub fn tiled(rows: usize, cols: usize) -> Result<Self> {
+        let axis_ok = |n| (1..=MAX_TILE_GRID_AXIS).contains(&n);
+        if !(axis_ok(rows) && axis_ok(cols)) {
+            return Err(Error::InvalidValue(format!(
+                "tile grid {rows}x{cols}: each axis must be in 1..={MAX_TILE_GRID_AXIS}"
+            )));
+        }
+        Ok(FormatPolicy::Tiled {
+            rows: rows as u16,
+            cols: cols as u16,
+        })
+    }
+
+    /// This policy with its grid, if any, run through
+    /// [`FormatPolicy::tiled`]'s check.
+    pub fn checked(self) -> Result<Self> {
+        match self.tile_grid() {
+            Some((rows, cols)) => Self::tiled(rows, cols),
+            None => Ok(self),
+        }
+    }
+
+    /// The layout this policy stores values in.
+    pub fn format(self) -> Format {
         match self {
-            FormatPolicy::Force(f) => f,
+            FormatPolicy::Auto => Format::Csr,
             FormatPolicy::Tiled { .. } => Format::Tiled,
-            FormatPolicy::Auto => {
-                if nvals > 0 && (nvals as u128) * (HYPER_ROW_DIVISOR as u128) < nrows as u128 {
-                    Format::Hyper
-                } else {
-                    Format::Csr
-                }
-            }
         }
     }
 
@@ -106,7 +106,17 @@ impl FormatPolicy {
     pub fn tile_grid(self) -> Option<(usize, usize)> {
         match self {
             FormatPolicy::Tiled { rows, cols } => Some((rows as usize, cols as usize)),
-            _ => None,
+            FormatPolicy::Auto => None,
+        }
+    }
+}
+
+impl From<Format> for FormatPolicy {
+    /// `Csr` is the slab policy, `Tiled` the default 4 × 4 grid.
+    fn from(format: Format) -> Self {
+        match format {
+            Format::Csr => FormatPolicy::Auto,
+            Format::Tiled => FormatPolicy::Tiled { rows: 4, cols: 4 },
         }
     }
 }
@@ -117,9 +127,12 @@ impl FormatPolicy {
 static SESSION_DEFAULT_POLICY: parking_lot::RwLock<FormatPolicy> =
     parking_lot::RwLock::new(FormatPolicy::Auto);
 
-/// Set (or with `FormatPolicy::Auto` reset) the session default policy.
-pub fn set_session_default_policy(policy: FormatPolicy) {
-    *SESSION_DEFAULT_POLICY.write() = policy;
+/// Set (or with `FormatPolicy::Auto` reset) the session default policy:
+/// `GrB_INVALID_VALUE`, and no change, for a grid
+/// [`FormatPolicy::tiled`] rejects.
+pub fn set_session_default_policy(policy: FormatPolicy) -> Result<()> {
+    *SESSION_DEFAULT_POLICY.write() = policy.checked()?;
+    Ok(())
 }
 
 /// The format policy newly created matrices start with.
@@ -132,9 +145,7 @@ pub fn session_default_policy() -> FormatPolicy {
 pub enum Layout<T> {
     /// Row-compressed content.
     Csr(Arc<Csr<T>>),
-    /// Hypersparse CSR.
-    Hyper(Arc<Hyper<T>>),
-    /// 2D tile grid of independently formatted blocks.
+    /// 2D grid of CSR blocks.
     Tiled(Arc<Tiled<T>>),
 }
 
@@ -143,7 +154,6 @@ impl<T> Clone for Layout<T> {
     fn clone(&self) -> Self {
         match self {
             Layout::Csr(c) => Layout::Csr(c.clone()),
-            Layout::Hyper(h) => Layout::Hyper(h.clone()),
             Layout::Tiled(g) => Layout::Tiled(g.clone()),
         }
     }
@@ -224,38 +234,26 @@ impl<T: Scalar> MatrixStore<T> {
         Self::from_layout(nrows, ncols, Layout::Csr(Arc::new(csr)))
     }
 
-    /// Wrap a natively produced hypersparse value without conversion.
-    pub fn hyper(h: Hyper<T>) -> Self {
-        let (nrows, ncols) = (h.nrows(), h.ncols());
-        Self::from_layout(nrows, ncols, Layout::Hyper(Arc::new(h)))
-    }
-
     /// Wrap a natively produced tile grid without conversion.
     pub fn tiled(t: Tiled<T>) -> Self {
         let (nrows, ncols) = (t.nrows(), t.ncols());
         Self::from_layout(nrows, ncols, Layout::Tiled(Arc::new(t)))
     }
 
-    /// Store a freshly computed CSR value under `policy`: choose the
-    /// layout from the value's shape/occupancy and convert if it differs
-    /// from CSR, recording the migration.
+    /// Store a freshly computed CSR value under `policy`: as it is, or
+    /// cut into the policy's tile grid (recording the migration).
     pub fn from_csr(csr: Csr<T>, policy: FormatPolicy) -> Self {
-        if let Some(grid) = policy.tile_grid() {
-            return Self::csr(csr).into_tiled(grid);
-        }
-        let target = policy.choose(csr.nrows(), csr.ncols(), csr.nvals());
-        Self::csr(csr).into_format(target)
+        Self::csr(csr).apply_policy(policy)
     }
 
     /// Re-store this value under `policy` (the migration step of
-    /// `set_format` and of fast-path kernel outputs). A no-op when the
-    /// policy's choice matches the current layout.
+    /// `set_format` and of fast-path kernel outputs): tile it, or
+    /// assemble it into one slab. A no-op when it is already stored so.
     pub fn apply_policy(self, policy: FormatPolicy) -> Self {
-        if let Some(grid) = policy.tile_grid() {
-            return self.into_tiled(grid);
+        match policy.tile_grid() {
+            Some(grid) => self.into_tiled(grid),
+            None => self.into_slab(),
         }
-        let target = policy.choose(self.nrows, self.ncols, self.nvals());
-        self.into_format(target)
     }
 
     /// Convert to a tile grid of the given shape (clamped to the matrix
@@ -268,40 +266,31 @@ impl<T: Scalar> MatrixStore<T> {
                 return self;
             }
         }
-        let from = self.format();
-        let (nrows, ncols) = (self.nrows, self.ncols);
         let slab = self.row_csr();
         let layout = Layout::Tiled(Arc::new(Tiled::from_csr(&slab, clamped)));
-        let mut store = Self::from_layout(nrows, ncols, layout);
-        store.migrated_from = Some(from);
-        store.row_degrees = self.row_degrees;
-        store.col_degrees = self.col_degrees;
-        store.symmetry = self.symmetry;
+        let store = self.migrate(layout);
         // the slab this grid was cut from stays available as the row view
         let _ = store.row_view.set(slab);
         store
     }
 
-    /// Convert to an explicit layout, recording where the value came
-    /// from. No-op (and no record) when already there.
-    pub fn into_format(self, target: Format) -> Self {
-        let from = self.format();
-        if from == target {
-            return self;
+    /// Assemble a tiled value into one CSR slab. A no-op on a slab.
+    fn into_slab(self) -> Self {
+        match self.layout {
+            Layout::Csr(_) => self,
+            Layout::Tiled(_) => {
+                let layout = Layout::Csr(self.row_csr());
+                self.migrate(layout)
+            }
         }
-        if target == Format::Tiled {
-            return self.into_tiled(DEFAULT_TILE_GRID);
-        }
-        let (nrows, ncols) = (self.nrows, self.ncols);
-        let layout = match target {
-            Format::Csr => Layout::Csr(self.row_csr()),
-            Format::Hyper => Layout::Hyper(Arc::new(Hyper::from_csr(&self.row_csr()))),
-            Format::Tiled => unreachable!("handled above"),
-        };
-        let mut store = Self::from_layout(nrows, ncols, layout);
-        store.migrated_from = Some(from);
-        // cached properties describe the mathematical content, not the
-        // layout, so a migration carries them over instead of recomputing
+    }
+
+    /// This value in `layout`, recording where it came from. Cached
+    /// properties describe the mathematical content, not the layout, so
+    /// a migration carries them over instead of recomputing.
+    fn migrate(self, layout: Layout<T>) -> Self {
+        let mut store = Self::from_layout(self.nrows, self.ncols, layout);
+        store.migrated_from = Some(self.format());
         store.row_degrees = self.row_degrees;
         store.col_degrees = self.col_degrees;
         store.symmetry = self.symmetry;
@@ -318,7 +307,6 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn format(&self) -> Format {
         match self.layout {
             Layout::Csr(_) => Format::Csr,
-            Layout::Hyper(_) => Format::Hyper,
             Layout::Tiled(_) => Format::Tiled,
         }
     }
@@ -350,7 +338,6 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn nvals(&self) -> usize {
         match &self.layout {
             Layout::Csr(c) => c.nvals(),
-            Layout::Hyper(h) => h.nvals(),
             Layout::Tiled(t) => t.nvals(),
         }
     }
@@ -359,7 +346,6 @@ impl<T: Scalar> MatrixStore<T> {
     pub fn get(&self, i: Index, j: Index) -> Option<&T> {
         match &self.layout {
             Layout::Csr(c) => c.get(i, j),
-            Layout::Hyper(h) => h.get(i, j),
             Layout::Tiled(t) => t.get(i, j),
         }
     }
@@ -370,33 +356,20 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// [`Self::to_tuples`] with each value mapped by `f` as it is read.
-    pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
+    pub fn map_tuples<U>(&self, f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
         match &self.layout {
             Layout::Csr(c) => c.map_tuples(f),
             Layout::Tiled(_) => self.row_csr().map_tuples(f),
-            Layout::Hyper(h) => {
-                let mut out = Vec::with_capacity(h.nvals());
-                out.extend(h.iter().map(|(i, j, v)| (i, j, f(v))));
-                out
-            }
         }
     }
 
     /// The CSR rendering of this value (row orientation), converting at
     /// most once per store — concurrent consumers share the result.
     pub fn row_csr(&self) -> Arc<Csr<T>> {
-        if let Layout::Csr(c) = &self.layout {
-            return c.clone();
+        match &self.layout {
+            Layout::Csr(c) => c.clone(),
+            Layout::Tiled(t) => self.row_view.get_or_init(|| Arc::new(t.to_csr())).clone(),
         }
-        self.row_view
-            .get_or_init(|| {
-                Arc::new(match &self.layout {
-                    Layout::Csr(_) => unreachable!(),
-                    Layout::Hyper(h) => h.to_csr(),
-                    Layout::Tiled(t) => t.to_csr(),
-                })
-            })
-            .clone()
     }
 
     /// The CSR rendering of `A^T` (column orientation) — the engine's
@@ -453,12 +426,6 @@ impl<T: Scalar> MatrixStore<T> {
                             *d = c.row_nvals(i);
                         }
                     }
-                    Layout::Hyper(h) => {
-                        for k in 0..h.nonempty_rows().len() {
-                            let (i, cols, _) = h.row_by_pos(k);
-                            deg[i] = cols.len();
-                        }
-                    }
                     Layout::Tiled(t) => deg = t.row_degrees_sum(),
                 }
                 deg.into()
@@ -475,11 +442,6 @@ impl<T: Scalar> MatrixStore<T> {
                 match &self.layout {
                     Layout::Csr(c) => {
                         for &j in c.col_idx() {
-                            deg[j] += 1;
-                        }
-                    }
-                    Layout::Hyper(h) => {
-                        for (_, j, _) in h.iter() {
                             deg[j] += 1;
                         }
                     }
@@ -554,31 +516,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_thresholds() {
-        let auto = FormatPolicy::Auto;
-        // dense (4/9 stored) or fully stored: still csr
-        assert_eq!(auto.choose(3, 3, 4), Format::Csr);
-        assert_eq!(auto.choose(4096, 32, 4096 * 32), Format::Csr);
-        // sparse, nnz*4 >= nrows -> csr
-        assert_eq!(auto.choose(1000, 1000, 10_000), Format::Csr);
-        // nnz << nrows -> hyper
-        assert_eq!(auto.choose(1_000_000, 1_000_000, 1_000), Format::Hyper);
-        // empty -> csr
-        assert_eq!(auto.choose(10, 10, 0), Format::Csr);
-        // nvals too large for `nvals * 4` in usize: no overflow, csr
-        assert_eq!(auto.choose(1 << 14, 1 << 14, usize::MAX / 2), Format::Csr);
-        // forced always wins
-        assert_eq!(
-            FormatPolicy::Force(Format::Hyper).choose(3, 3, 4),
-            Format::Hyper
-        );
-    }
-
-    #[test]
     fn all_formats_preserve_content() {
         let csr = sample();
-        for fmt in [Format::Csr, Format::Hyper] {
-            let store = MatrixStore::csr(csr.clone()).into_format(fmt);
+        for fmt in [Format::Csr, Format::Tiled] {
+            let store = MatrixStore::csr(csr.clone()).apply_policy(fmt.into());
             assert_eq!(store.format(), fmt, "{fmt:?}");
             assert_eq!(store.nvals(), 4);
             assert_eq!(store.to_tuples(), csr.to_tuples(), "{fmt:?}");
@@ -593,17 +534,20 @@ mod tests {
     fn migration_is_recorded_once() {
         let store = MatrixStore::csr(sample());
         assert_eq!(store.migrated_from(), None);
-        let hyper = store.into_format(Format::Hyper);
-        assert_eq!(hyper.migrated_from(), Some(Format::Csr));
+        let tiled = store.apply_policy(Format::Tiled.into());
+        assert_eq!(tiled.migrated_from(), Some(Format::Csr));
         // converting to the format it's already in records nothing new
-        let same = hyper.clone().into_format(Format::Hyper);
+        let same = tiled.clone().apply_policy(Format::Tiled.into());
         assert_eq!(same.migrated_from(), Some(Format::Csr));
+        let slab = same.apply_policy(FormatPolicy::Auto);
+        assert_eq!(slab.format(), Format::Csr);
+        assert_eq!(slab.migrated_from(), Some(Format::Tiled));
     }
 
     #[test]
     fn views_are_memoized() {
-        // hyper has no native CSR: pin it so the row view is a conversion
-        let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Hyper));
+        // a grid built tile by tile has no slab: the row view is a conversion
+        let store = MatrixStore::tiled(Tiled::from_csr(&sample(), (2, 2)));
         assert!(!store.csr_view_ready(false));
         let a = store.row_csr();
         assert!(store.csr_view_ready(false));
@@ -612,32 +556,41 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_applies_auto_migration() {
-        // dense values stay native CSR under Auto: no migration
+    fn from_csr_tiles_only_under_a_tiling_policy() {
+        // the slab policy keeps the value native: no migration
         let store = MatrixStore::from_csr(sample(), FormatPolicy::Auto);
         assert_eq!(store.format(), Format::Csr);
         assert_eq!(store.migrated_from(), None);
-        // a mostly-empty value goes hypersparse, recording the migration
-        let sparse = Csr::from_sorted_tuples(100, 100, vec![(7, 3, 1i32)]);
-        let store = MatrixStore::from_csr(sparse, FormatPolicy::Auto);
-        assert_eq!(store.format(), Format::Hyper);
+        // a tiling policy cuts the grid, recording the migration
+        let store = MatrixStore::from_csr(sample(), FormatPolicy::tiled(2, 2).unwrap());
+        assert_eq!(store.tile_grid(), Some((2, 2)));
         assert_eq!(store.migrated_from(), Some(Format::Csr));
-        // forced CSR keeps it native with no migration
-        let store = MatrixStore::from_csr(sample(), FormatPolicy::Force(Format::Csr));
-        assert_eq!(store.format(), Format::Csr);
-        assert_eq!(store.migrated_from(), None);
+    }
+
+    #[test]
+    fn tile_grids_are_checked() {
+        assert!(FormatPolicy::tiled(1, MAX_TILE_GRID_AXIS).is_ok());
+        for (r, c) in [(0, 4), (4, 0), (1, 65), (65, 1), (1, 65_535)] {
+            assert!(
+                matches!(FormatPolicy::tiled(r, c), Err(Error::InvalidValue(_))),
+                "{r}x{c}"
+            );
+        }
+        let wide = FormatPolicy::Tiled { rows: 1, cols: 65 };
+        assert!(wide.checked().is_err());
+        assert_eq!(FormatPolicy::Auto.checked().unwrap(), FormatPolicy::Auto);
     }
 
     #[test]
     fn degrees_agree_across_layouts() {
-        for fmt in [Format::Csr, Format::Hyper] {
-            let store = MatrixStore::csr(sample()).into_format(fmt);
+        for fmt in [Format::Csr, Format::Tiled] {
+            let store = MatrixStore::csr(sample()).apply_policy(fmt.into());
             assert_eq!(&store.row_degrees()[..], &[2, 0, 2], "{fmt:?} rows");
             assert_eq!(&store.col_degrees()[..], &[2, 1, 1], "{fmt:?} cols");
         }
-        // hypersparse with a genuinely empty tail
+        // a grid with empty tiles and a genuinely empty tail
         let wide = Csr::from_sorted_tuples(6, 4, vec![(1, 3, 1i32), (4, 0, 2)]);
-        let store = MatrixStore::csr(wide).into_format(Format::Hyper);
+        let store = MatrixStore::tiled(Tiled::from_csr(&wide, (3, 2)));
         assert_eq!(&store.row_degrees()[..], &[0, 1, 0, 0, 1, 0]);
         assert_eq!(&store.col_degrees()[..], &[1, 0, 0, 1]);
     }
@@ -695,7 +648,7 @@ mod tests {
     fn migration_carries_property_caches() {
         let store = MatrixStore::csr(sample());
         let deg = store.row_degrees();
-        let hyper = store.into_format(Format::Hyper);
-        assert!(Arc::ptr_eq(&deg, &hyper.row_degrees()));
+        let tiled = store.apply_policy(Format::Tiled.into());
+        assert!(Arc::ptr_eq(&deg, &tiled.row_degrees()));
     }
 }

@@ -1,15 +1,13 @@
-//! 2D-tiled hypersparse storage: a grid of independently formatted
-//! blocks behind one [`MatrixStore`].
+//! 2D-tiled storage: a grid of CSR blocks behind one [`MatrixStore`].
 //!
 //! A single-slab store caps graph scale at one allocation and gives the
 //! kernels one flat row partition to chunk over. The tiled layout (the
 //! "parallel hypersparse" direction of GraphBLAS Mathematical
 //! Opportunities, and the 2D decompositions of the CombBLAS line of
 //! work) splits the index space into a `grid_rows × grid_cols` grid of
-//! *local-indexed* blocks, each an ordinary [`MatrixStore`] whose layout
-//! the existing [`FormatPolicy::Auto`] picks per block — a populated
-//! corner stays CSR while an empty fringe goes hypersparse, inside one
-//! logical matrix. The tile is also the unit of everything else:
+//! *local-indexed* blocks, each an ordinary CSR [`MatrixStore`]. An
+//! empty tile holds no storage at all: that is where the hypersparse
+//! idea lives here. The tile is also the unit of everything else:
 //!
 //! * **property caches** — each tile memoizes its own row/col degrees
 //!   and views, so a flush that touches one tile leaves every other
@@ -34,7 +32,7 @@ use std::sync::{Arc, OnceLock};
 use crate::index::Index;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::{FormatPolicy, MatrixStore};
+use crate::storage::engine::MatrixStore;
 
 /// A 2D grid of local-indexed storage blocks holding one matrix value.
 #[derive(Debug)]
@@ -78,61 +76,49 @@ pub fn clamp_grid(nrows: Index, ncols: Index, grid: (usize, usize)) -> (usize, u
 }
 
 impl<T: Scalar> Tiled<T> {
-    /// Partition a CSR slab into a `grid` of blocks, each stored under
-    /// [`FormatPolicy::Auto`] — per-tile format autonomy.
+    /// Partition a CSR slab into a `grid` of CSR blocks. Only populated
+    /// tiles allocate: a tile's row pointers start at the first row that
+    /// reaches it, so an empty grid costs one `None` per tile.
     pub fn from_csr(csr: &Csr<T>, grid: (usize, usize)) -> Self {
         let (nrows, ncols) = (csr.nrows(), csr.ncols());
         let (gr, gc) = clamp_grid(nrows, ncols, grid);
         let tile_nrows = nrows.div_ceil(gr);
         let tile_ncols = ncols.div_ceil(gc);
         let mut tiles: Vec<Option<Arc<MatrixStore<T>>>> = Vec::with_capacity(gr * gc);
-        let mut nvals = 0usize;
         for ti in 0..gr {
             let r0 = (ti * tile_nrows).min(nrows);
             let r1 = ((ti + 1) * tile_nrows).min(nrows);
-            let local_rows = r1 - r0;
             // one pass over the stripe's rows splits each sorted row into
-            // per-tile local-column segments, preserving order
-            let mut parts: Vec<(Vec<usize>, Vec<Index>, Vec<T>)> = (0..gc)
-                .map(|_| (vec![0usize], Vec::new(), Vec::new()))
-                .collect();
+            // per-tile local-column segments, preserving order; `live`
+            // lists the tiles reached so far, whose row pointers advance
+            let mut parts = vec![None; gc];
+            let mut live: Vec<usize> = Vec::new();
             for r in r0..r1 {
                 let (cols, vals) = csr.row(r);
                 for (j, v) in cols.iter().zip(vals) {
                     let tj = j / tile_ncols;
-                    let part = &mut parts[tj];
+                    let part = parts[tj].get_or_insert_with(|| {
+                        live.push(tj);
+                        (vec![0; r - r0 + 1], Vec::new(), Vec::new())
+                    });
                     part.1.push(j - tj * tile_ncols);
                     part.2.push(v.clone());
                 }
-                for part in parts.iter_mut() {
+                for &tj in &live {
+                    let part = parts[tj].as_mut().expect("live tiles have parts");
                     part.0.push(part.1.len());
                 }
             }
-            for (tj, (row_ptr, col_idx, vals)) in parts.into_iter().enumerate() {
-                if col_idx.is_empty() {
-                    tiles.push(None);
-                    continue;
-                }
-                let c0 = tj * tile_ncols;
-                let c1 = ((tj + 1) * tile_ncols).min(ncols);
-                nvals += col_idx.len();
-                let block = Csr::from_parts(local_rows, c1 - c0, row_ptr, col_idx, vals);
-                tiles.push(Some(Arc::new(MatrixStore::from_csr(
-                    block,
-                    FormatPolicy::Auto,
-                ))));
+            for (tj, part) in parts.into_iter().enumerate() {
+                tiles.push(part.map(|(row_ptr, col_idx, vals)| {
+                    let c1 = ((tj + 1) * tile_ncols).min(ncols);
+                    let block =
+                        Csr::from_parts(r1 - r0, c1 - tj * tile_ncols, row_ptr, col_idx, vals);
+                    Arc::new(MatrixStore::csr(block))
+                }));
             }
         }
-        Tiled {
-            nrows,
-            ncols,
-            grid_rows: gr,
-            grid_cols: gc,
-            tile_nrows,
-            tile_ncols,
-            tiles,
-            nvals,
-        }
+        Self::from_tiles(nrows, ncols, (gr, gc), tiles)
     }
 
     /// Assemble from an existing grid of blocks (the tile-granular flush
@@ -433,7 +419,6 @@ pub fn take_tiles() -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::engine::Format;
 
     fn sample(n: Index, m: Index, step: usize) -> Csr<i64> {
         let mut tuples = Vec::new();
@@ -482,23 +467,9 @@ mod tests {
         assert!(t.tile(0, 1).is_none());
         assert!(t.tile(1, 0).is_none());
         assert!(t.tile(1, 1).is_none());
-    }
-
-    #[test]
-    fn tiles_pick_their_own_formats() {
-        // a dense 4x4 corner and one far-away element: the corner tile
-        // stays CSR under Auto while the near-empty tile goes hypersparse
-        let mut tuples = Vec::new();
-        for i in 0..4 {
-            for j in 0..4 {
-                tuples.push((i, j, (i * 4 + j) as i64));
-            }
-        }
-        tuples.push((63, 63, -1));
-        let csr = Csr::from_sorted_tuples(64, 64, tuples);
-        let t = Tiled::from_csr(&csr, (8, 8));
-        assert_eq!(t.tile(0, 0).unwrap().format(), Format::Csr);
-        assert_eq!(t.tile(7, 7).unwrap().format(), Format::Hyper);
+        // an empty value cut into the widest grid allocates no tile
+        let empty = Tiled::from_csr(&Csr::<i64>::empty(20_000, 20_000), (64, 64));
+        assert!(empty.tiles().iter().all(Option::is_none));
     }
 
     #[test]

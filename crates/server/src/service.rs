@@ -209,7 +209,6 @@ impl Service {
         for g in graphs {
             let policy = match g.matrix.format_policy() {
                 FormatPolicy::Auto => "auto".to_string(),
-                FormatPolicy::Force(f) => format!("{f:?}").to_lowercase(),
                 FormatPolicy::Tiled { rows, cols } => format!("tiled:{rows}x{cols}"),
             };
             let _ = write!(

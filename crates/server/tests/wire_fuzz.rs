@@ -1,9 +1,9 @@
 //! Hostile wire traffic against a live `Server`: random bytes,
 //! oversized and truncated frames, invalid UTF-8, data before `HELLO`
-//! and well-formed requests with absurd operands. Each hostile
-//! connection is opened, used and closed on its own; after each one a
-//! well-behaved tenant on a fresh connection must still get the exact
-//! BFS levels of a chain graph.
+//! and well-formed requests with absurd operands (a tile grid past its
+//! bound among them). Each hostile connection is opened, used and
+//! closed on its own; after each one a well-behaved tenant on a fresh
+//! connection must still get the exact BFS levels of a chain graph.
 //!
 //! The generator is a seeded xorshift, so a failure replays exactly.
 
@@ -92,12 +92,14 @@ fn hostile(kind: usize, rng: &mut XorShift) -> (Vec<Vec<u8>>, Vec<&'static str>)
                 "CREATE x 0",
                 "CREATE huge 2305843009213693951",
                 "CREATE t 8 0x9",
+                // past the per-axis grid bound: refused before any tile
+                "CREATE big 1000000 tiles=1x65535",
             ];
             let k = rng.range(0, absurd.len() - 1);
             absurd.rotate_left(k);
             let mut chunks = vec![text("HELLO fuzz 1")];
             chunks.extend(absurd.iter().map(|r| text(r)));
-            (chunks, vec!["OK", "ERR ", "ERR ", "ERR ", "ERR "])
+            (chunks, vec!["OK", "ERR ", "ERR ", "ERR ", "ERR ", "ERR "])
         }
     }
 }

@@ -148,7 +148,7 @@ fn interpret(
     obs
 }
 
-const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Hyper)];
+const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -44,7 +44,7 @@ fn operands() -> impl Strategy<Value = (usize, Tuples, Tuples, Tuples)> {
     })
 }
 
-const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Hyper)];
+const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Tiled)];
 
 const DIRECTIONS: [Direction; 4] = [
     Direction::Dense,

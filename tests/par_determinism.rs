@@ -18,7 +18,7 @@ use proptest::prelude::*;
 const N: usize = 24;
 const DEGREES: [usize; 2] = [2, 8];
 
-const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Hyper)];
+const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Tiled)];
 
 /// Widths of the thin right operands: a single column, the Fig. 3 batch
 /// of 32 sources, and one past a 64-bit word.

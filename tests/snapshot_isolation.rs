@@ -198,7 +198,7 @@ fn check_degree_program(steps: &[Step], format: Option<Format>) -> std::result::
     Ok(())
 }
 
-const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Hyper)];
+const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
