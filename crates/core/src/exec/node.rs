@@ -78,6 +78,8 @@ pub(crate) struct Node<S> {
     /// Operation kind that defined this node (Table II name, or
     /// `"value"` for nodes born complete) — shown in execution traces.
     kind: &'static str,
+    /// A `"flush"` node the background flusher drained the log into.
+    by_flusher: bool,
     state: Mutex<NodeState<S>>,
 }
 
@@ -85,6 +87,7 @@ impl<S: Send + Sync + 'static> Node<S> {
     pub(crate) fn ready(value: S) -> Arc<Self> {
         Arc::new(Node {
             kind: "value",
+            by_flusher: false,
             state: Mutex::new(NodeState::Ready(Arc::new(value))),
         })
     }
@@ -105,8 +108,21 @@ impl<S: Send + Sync + 'static> Node<S> {
         deps: Vec<Arc<dyn Completable>>,
         eval: Box<dyn FnOnce() -> Result<S> + Send>,
     ) -> Arc<Self> {
+        Self::pending_merge(kind, false, deps, eval)
+    }
+
+    /// A pending node merging pending updates into storage: `"overlay"`
+    /// or `"flush"`, the latter marked when the background flusher
+    /// drained the log into it.
+    pub(crate) fn pending_merge(
+        kind: &'static str,
+        by_flusher: bool,
+        deps: Vec<Arc<dyn Completable>>,
+        eval: Box<dyn FnOnce() -> Result<S> + Send>,
+    ) -> Arc<Self> {
         Arc::new(Node {
             kind,
+            by_flusher,
             state: Mutex::new(NodeState::Pending { deps, eval }),
         })
     }
@@ -181,6 +197,7 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
         };
         TraceMeta {
             kind: self.kind,
+            by_flusher: self.by_flusher,
             rows: shape.0,
             cols: shape.1,
             nvals,

@@ -24,6 +24,7 @@ use crate::storage::tiled;
 #[derive(Debug, Clone, Copy)]
 pub struct TraceMeta {
     pub kind: &'static str,
+    pub by_flusher: bool,
     pub rows: usize,
     pub cols: usize,
     pub nvals: usize,
@@ -71,6 +72,12 @@ pub struct TraceEvent {
     /// For `kind == "flush"` nodes: distinct output rows (vector:
     /// indices) those entries touched.
     pub merged_rows: usize,
+    /// For `kind == "flush"` nodes: `true` when the background flusher
+    /// drained the log into the node. Whichever `wait()` forces it first
+    /// computes the merge, so a reader whose snapshot captured the
+    /// flusher's still-pending node records this event without having
+    /// drained anything.
+    pub by_flusher: bool,
     /// For matrix–vector products: the direction the SpMSpV dispatch
     /// chose (`"push"`, `"pull"`, or `"dense"`); `None` for every other
     /// kind. This is the trace evidence that direction optimization
@@ -157,6 +164,7 @@ impl TraceSink {
             par_workers: stats.par_workers,
             pending_len: flush.pending_len,
             merged_rows: flush.merged_rows,
+            by_flusher: meta.by_flusher,
             direction,
             udf,
             tiles,

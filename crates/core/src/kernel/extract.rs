@@ -98,7 +98,7 @@ pub fn extract_matrix<T: Scalar>(a: &Csr<T>, rows: &[Index], cols: &[Index]) -> 
         rows.len(),
         cols.len(),
         a.nvals(),
-        Vec::<(Index, T)>::new,
+        |_, _| Vec::<(Index, T)>::new(),
         |scratch, k, out_c, out_v| {
             let (src_cols, src_vals) = a.row(rows[k]);
             gather.run(src_cols, src_vals, scratch, out_c, out_v);

@@ -1,12 +1,14 @@
-//! Flush kernel: k-way merge of pending-update runs
-//! ([`crate::storage::delta`]) into backing storage.
+//! Flush kernel: merges pending-update runs ([`crate::storage::delta`])
+//! into backing storage, row by row.
 //!
-//! The merge is row-partitioned onto the shared worker pool under the
-//! same cost model and deterministic in-order chunk concatenation as
-//! every other kernel ([`crate::kernel::par`]): each chunk covers a
-//! contiguous row range, run slices are located by binary search, and a
-//! chunk's output never depends on chunk boundaries — so flushed storage
-//! is bitwise identical at every worker degree.
+//! The matrix merge writes its output through `kernel::util::emit_rows`,
+//! like every other CSR-producing kernel: a row no run touches is one
+//! slice copy of its columns and values, and a touched row is the base
+//! row merged with the runs' entries for it. Each chunk locates the run
+//! slices covering its rows by binary search, combines them across runs
+//! once and walks the result row by row, so a row's output never
+//! depends on chunk boundaries and flushed storage is bitwise identical
+//! at every worker degree ([`crate::kernel::par`]).
 //!
 //! Last-write-wins ordering: within a sealed run duplicates are already
 //! combined (the log's dup policy); across runs the entry with the
@@ -15,10 +17,14 @@
 //! C API's no-op semantics for `GrB_*_removeElement`.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::index::Index;
+#[cfg(feature = "parallel")]
 use crate::kernel::par;
+use crate::kernel::util::emit_rows;
 use crate::scalar::Scalar;
 use crate::storage::delta::{DeltaEntry, DeltaOp, Run};
 use crate::storage::engine::{FormatPolicy, Layout, MatrixStore};
@@ -61,91 +67,99 @@ fn note_flush(pending_len: usize, merged_rows: usize) {
     });
 }
 
-/// Merge one row range `[start, end)`: k-way combine the run slices
-/// (highest `seq` wins per key), then two-pointer merge with the base
-/// rows. Returns the chunk's output tuples and the count of distinct
-/// rows the deltas touched.
-fn merge_matrix_rows<T: Scalar>(
-    base: &Csr<T>,
-    runs: &[Run<(Index, Index), T>],
-    start: Index,
-    end: Index,
-) -> (Vec<(Index, Index, T)>, usize) {
-    let slices: Vec<&[DeltaEntry<(Index, Index), T>]> = runs
-        .iter()
-        .map(|r| {
-            let lo = r.partition_point(|e| e.key.0 < start);
-            let hi = r.partition_point(|e| e.key.0 < end);
-            &r[lo..hi]
-        })
-        .collect();
-    // Cross-run k-way merge into one LWW-deduplicated delta list. Each
-    // run is internally deduplicated, so each holds at most one entry
-    // per key; among runs sharing the min key, the highest seq wins.
-    let mut cursors = vec![0usize; slices.len()];
-    let mut delta: Vec<(Index, Index, DeltaOp<T>)> = Vec::new();
-    let mut touched_rows = 0usize;
-    loop {
-        let mut min_key: Option<(Index, Index)> = None;
-        for (s, &c) in slices.iter().zip(&cursors) {
-            if let Some(e) = s.get(c) {
-                min_key = Some(min_key.map_or(e.key, |m: (Index, Index)| m.min(e.key)));
-            }
-        }
-        let Some(key) = min_key else { break };
-        let mut best: Option<&DeltaEntry<(Index, Index), T>> = None;
-        for (s, c) in slices.iter().zip(cursors.iter_mut()) {
-            if let Some(e) = s.get(*c) {
-                if e.key == key {
-                    if best.is_none_or(|b| e.seq > b.seq) {
-                        best = Some(e);
-                    }
-                    *c += 1;
-                }
-            }
-        }
-        if delta.last().is_none_or(|d| d.0 != key.0) {
-            touched_rows += 1;
-        }
-        delta.push((key.0, key.1, best.expect("min key has an entry").op.clone()));
+/// Cross-run last-write-wins: `parts` are the runs' entries over one
+/// key range, each sorted and duplicate-free; append to `out` (empty)
+/// one entry per key, the one with the highest `seq`. The stable sort
+/// finds the parts already sorted and merges them.
+fn combine<'a, K: Ord + Copy + 'a, T: 'a>(
+    parts: impl Iterator<Item = &'a [DeltaEntry<K, T>]>,
+    out: &mut Vec<&'a DeltaEntry<K, T>>,
+) {
+    let mut live = 0;
+    for p in parts {
+        live += usize::from(!p.is_empty());
+        out.extend(p);
     }
-    // Two-pointer merge of each base row with its delta span.
-    let mut out = Vec::with_capacity(base.row_ptr()[end] - base.row_ptr()[start] + delta.len());
-    let mut d = 0usize;
-    for i in start..end {
-        let (cols, vals) = base.row(i);
-        let mut b = 0usize;
-        loop {
-            let pending = (d < delta.len() && delta[d].0 == i).then(|| delta[d].1);
-            match (cols.get(b), pending) {
-                (Some(&bc), Some(dc)) if dc < bc => {
-                    if let DeltaOp::Put(v) = &delta[d].2 {
-                        out.push((i, dc, v.clone()));
-                    }
-                    d += 1;
-                }
-                (Some(&bc), Some(dc)) if dc == bc => {
-                    if let DeltaOp::Put(v) = &delta[d].2 {
-                        out.push((i, dc, v.clone()));
-                    }
-                    d += 1;
-                    b += 1;
-                }
-                (Some(&bc), _) => {
-                    out.push((i, bc, vals[b].clone()));
-                    b += 1;
-                }
-                (None, Some(dc)) => {
-                    if let DeltaOp::Put(v) = &delta[d].2 {
-                        out.push((i, dc, v.clone()));
-                    }
-                    d += 1;
-                }
-                (None, None) => break,
-            }
+    if live > 1 {
+        out.sort_by_key(|e| (e.key, Reverse(e.seq)));
+        out.dedup_by_key(|e| e.key);
+    }
+}
+
+/// Append the base row `(cols, vals)` with `delta` (ascending columns,
+/// one op each) applied. The base stretches between delta columns are
+/// slice copies.
+fn merge_row<'a, T: Scalar>(
+    (bc, bv): (&[Index], &[T]),
+    delta: impl Iterator<Item = (Index, &'a DeltaOp<T>)>,
+    cols: &mut Vec<Index>,
+    vals: &mut Vec<T>,
+) {
+    let mut b = 0;
+    for (c, op) in delta {
+        let stop = b + bc[b..].partition_point(|&x| x < c);
+        cols.extend_from_slice(&bc[b..stop]);
+        vals.extend_from_slice(&bv[b..stop]);
+        b = stop + usize::from(bc.get(stop) == Some(&c));
+        if let DeltaOp::Put(v) = op {
+            cols.push(c);
+            vals.push(v.clone());
         }
     }
-    (out, touched_rows)
+    cols.extend_from_slice(&bc[b..]);
+    vals.extend_from_slice(&bv[b..]);
+}
+
+type Entry<T> = DeltaEntry<(Index, Index), T>;
+
+/// One chunk's share of the runs: their entries for the chunk's rows,
+/// combined across runs, and how far the row walk has read them.
+struct ChunkDelta<'a, T> {
+    entries: Vec<&'a Entry<T>>,
+    at: usize,
+    /// An upper bound on the chunk's output entries, reserved at its
+    /// first row so the output arrays never grow by doubling.
+    reserve: usize,
+}
+
+/// Merge `runs` into `base` through [`emit_rows`]; returns the merged
+/// rows and the count of distinct rows the runs touched.
+fn merge_rows<T: Scalar>(base: &Csr<T>, runs: &[Run<(Index, Index), T>]) -> (Csr<T>, usize) {
+    let pending: usize = runs.iter().map(|r| r.len()).sum();
+    let touched = AtomicUsize::new(0);
+    let out = emit_rows(
+        base.nrows(),
+        base.ncols(),
+        base.nvals() + pending,
+        |start, end| {
+            let parts = runs.iter().map(|r| {
+                &r[r.partition_point(|e| e.key.0 < start)..r.partition_point(|e| e.key.0 < end)]
+            });
+            let mut entries = Vec::new();
+            combine(parts, &mut entries);
+            let rows = entries.chunk_by(|a, b| a.key.0 == b.key.0).count();
+            touched.fetch_add(rows, Ordering::Relaxed);
+            let ptr = base.row_ptr();
+            let reserve = ptr[end] - ptr[start] + entries.len();
+            ChunkDelta {
+                entries,
+                at: 0,
+                reserve,
+            }
+        },
+        |st: &mut ChunkDelta<T>, i, cols, vals| {
+            if st.reserve > 0 {
+                cols.reserve(st.reserve);
+                vals.reserve(st.reserve);
+                st.reserve = 0;
+            }
+            let lo = st.at;
+            st.at += st.entries[lo..].iter().take_while(|e| e.key.0 == i).count();
+            let delta = st.entries[lo..st.at].iter().map(|e| (e.key.1, &e.op));
+            merge_row(base.row(i), delta, cols, vals);
+        },
+    );
+    (out, touched.into_inner())
 }
 
 /// Merge pending runs into a CSR base, producing the flushed storage —
@@ -153,18 +167,9 @@ fn merge_matrix_rows<T: Scalar>(
 /// `seq` order) would have produced. Row-parallel when the cost model
 /// approves; bitwise identical either way.
 pub fn merge_matrix<T: Scalar>(base: &Csr<T>, runs: &[Run<(Index, Index), T>]) -> Csr<T> {
-    let pending: usize = runs.iter().map(|r| r.len()).sum();
-    let (nrows, ncols) = (base.nrows(), base.ncols());
-    #[cfg(feature = "parallel")]
-    if let Some(plan) = par::plan(nrows, base.nvals() + pending) {
-        let parts = par::run_chunks(nrows, plan, |s, e| merge_matrix_rows(base, runs, s, e));
-        let merged_rows = parts.iter().map(|p| p.1).sum();
-        note_flush(pending, merged_rows);
-        return Csr::from_sorted_tuples(nrows, ncols, parts.into_iter().flat_map(|p| p.0));
-    }
-    let (tuples, merged_rows) = merge_matrix_rows(base, runs, 0, nrows);
-    note_flush(pending, merged_rows);
-    Csr::from_sorted_tuples(nrows, ncols, tuples)
+    let (out, merged_rows) = merge_rows(base, runs);
+    note_flush(runs.iter().map(|r| r.len()).sum(), merged_rows);
+    out
 }
 
 /// Merge pending runs into a *store* under `policy` — the flush entry
@@ -234,14 +239,8 @@ fn merge_tiled<T: Scalar>(t: &Tiled<T>, runs: &[Run<(Index, Index), T>]) -> Matr
             Some(s) => s.row_csr(),
             None => Arc::new(Csr::empty(r1 - r0, c1 - c0)),
         };
-        let (tuples, merged_rows) = merge_matrix_rows(&base, &tile_runs[idx], 0, r1 - r0);
-        let block = (!tuples.is_empty()).then(|| {
-            Arc::new(MatrixStore::csr(Csr::from_sorted_tuples(
-                r1 - r0,
-                c1 - c0,
-                tuples,
-            )))
-        });
+        let (merged, merged_rows) = merge_rows(&base, &tile_runs[idx]);
+        let block = (merged.nvals() > 0).then(|| Arc::new(MatrixStore::csr(merged)));
         (block, merged_rows)
     };
     let work = pending
@@ -278,113 +277,64 @@ fn merge_tiled<T: Scalar>(t: &Tiled<T>, runs: &[Run<(Index, Index), T>]) -> Matr
     MatrixStore::tiled(Tiled::from_tiles(t.nrows(), t.ncols(), (gr, gc), tiles))
 }
 
-/// The vector analogue of [`merge_matrix_rows`] over the index range
-/// `[start, end)`.
-fn merge_vector_span<T: Scalar>(
-    base: &SparseVec<T>,
-    runs: &[Run<Index, T>],
-    start: Index,
-    end: Index,
-) -> (Vec<(Index, T)>, usize) {
-    let slices: Vec<&[DeltaEntry<Index, T>]> = runs
-        .iter()
-        .map(|r| {
-            let lo = r.partition_point(|e| e.key < start);
-            let hi = r.partition_point(|e| e.key < end);
-            &r[lo..hi]
-        })
-        .collect();
-    let mut cursors = vec![0usize; slices.len()];
-    let mut delta: Vec<(Index, DeltaOp<T>)> = Vec::new();
-    loop {
-        let mut min_key: Option<Index> = None;
-        for (s, &c) in slices.iter().zip(&cursors) {
-            if let Some(e) = s.get(c) {
-                min_key = Some(min_key.map_or(e.key, |m| m.min(e.key)));
-            }
-        }
-        let Some(key) = min_key else { break };
-        let mut best: Option<&DeltaEntry<Index, T>> = None;
-        for (s, c) in slices.iter().zip(cursors.iter_mut()) {
-            if let Some(e) = s.get(*c) {
-                if e.key == key {
-                    if best.is_none_or(|b| e.seq > b.seq) {
-                        best = Some(e);
-                    }
-                    *c += 1;
-                }
-            }
-        }
-        delta.push((key, best.expect("min key has an entry").op.clone()));
-    }
-    let touched = delta.len();
-    let base_lo = base.indices().partition_point(|&i| i < start);
-    let base_hi = base.indices().partition_point(|&i| i < end);
-    let (bidx, bvals) = (
-        &base.indices()[base_lo..base_hi],
-        &base.vals()[base_lo..base_hi],
-    );
-    let mut out = Vec::with_capacity(bidx.len() + delta.len());
-    let (mut b, mut d) = (0usize, 0usize);
-    loop {
-        match (bidx.get(b), delta.get(d)) {
-            (Some(&bi), Some(&(di, ref op))) if di < bi => {
-                if let DeltaOp::Put(v) = op {
-                    out.push((di, v.clone()));
-                }
-                d += 1;
-            }
-            (Some(&bi), Some(&(di, ref op))) if di == bi => {
-                if let DeltaOp::Put(v) = op {
-                    out.push((di, v.clone()));
-                }
-                d += 1;
-                b += 1;
-            }
-            (Some(&bi), _) => {
-                out.push((bi, bvals[b].clone()));
-                b += 1;
-            }
-            (None, Some(&(di, ref op))) => {
-                if let DeltaOp::Put(v) = op {
-                    out.push((di, v.clone()));
-                }
-                d += 1;
-            }
-            (None, None) => break,
-        }
-    }
-    (out, touched)
-}
-
 /// Merge pending runs into a sparse-vector base; index-partitioned onto
-/// the pool under the same cost model as the matrix flush.
+/// the pool under the same cost model as the matrix flush. A span is
+/// one row of the matrix merge: its run slices combined, then merged
+/// with the base entries it covers.
 pub fn merge_vector<T: Scalar>(base: &SparseVec<T>, runs: &[Run<Index, T>]) -> SparseVec<T> {
     let pending: usize = runs.iter().map(|r| r.len()).sum();
     let n = base.size();
+    let span = |start: Index, end: Index| {
+        let parts = runs
+            .iter()
+            .map(|r| &r[r.partition_point(|e| e.key < start)..r.partition_point(|e| e.key < end)]);
+        let mut delta = Vec::new();
+        combine(parts, &mut delta);
+        let lo = base.indices().partition_point(|&i| i < start);
+        let hi = base.indices().partition_point(|&i| i < end);
+        let cap = hi - lo + delta.len();
+        let (mut idx, mut vals) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        merge_row(
+            (&base.indices()[lo..hi], &base.vals()[lo..hi]),
+            delta.iter().map(|e| (e.key, &e.op)),
+            &mut idx,
+            &mut vals,
+        );
+        (idx, vals, delta.len())
+    };
     #[cfg(feature = "parallel")]
     if let Some(plan) = par::plan(n, base.nvals() + pending) {
-        let parts = par::run_chunks(n, plan, |s, e| merge_vector_span(base, runs, s, e));
-        let merged_rows = parts.iter().map(|p| p.1).sum();
+        let parts = par::run_chunks(n, plan, span);
+        // allocated on the calling thread, as in `emit_rows`
+        let total = parts.iter().map(|p| p.0.len()).sum();
+        let (mut idx, mut vals) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let mut merged_rows = 0;
+        for (mut i, mut v, touched) in parts {
+            idx.append(&mut i);
+            vals.append(&mut v);
+            merged_rows += touched;
+        }
         note_flush(pending, merged_rows);
-        let (idx, vals) = parts.into_iter().flat_map(|p| p.0).unzip();
         return SparseVec::from_sorted_parts(n, idx, vals);
     }
-    let (tuples, merged_rows) = merge_vector_span(base, runs, 0, n);
+    let (idx, vals, merged_rows) = span(0, n);
     note_flush(pending, merged_rows);
-    let (idx, vals) = tuples.into_iter().unzip();
     SparseVec::from_sorted_parts(n, idx, vals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::delta::DeltaLog;
+    use crate::kernel::par;
+    use crate::storage::delta::{DeltaLog, MAX_RUNS};
+    use std::collections::BTreeSet;
 
-    fn eager_apply(
-        base: &Csr<i64>,
-        ops: &[(Index, Index, Option<i64>)], // None = remove
-    ) -> Csr<i64> {
+    /// `(row, col, value)`; a `None` value removes.
+    type Op = (Index, Index, Option<i64>);
+    /// A name, a base, and the batches of ops drained into runs.
+    type Case = (&'static str, Csr<i64>, Vec<Vec<Op>>);
+
+    fn eager_apply(base: &Csr<i64>, ops: &[Op]) -> Csr<i64> {
         let mut m = base.clone();
         for &(i, j, v) in ops {
             match v {
@@ -397,18 +347,86 @@ mod tests {
         m
     }
 
-    fn log_of(ops: &[(Index, Index, Option<i64>)]) -> DeltaLog<(Index, Index), i64> {
+    /// One log drained after each batch: every batch seals its own run,
+    /// and later batches outrank earlier ones.
+    fn runs_of(batches: &[Vec<Op>]) -> Vec<Run<(Index, Index), i64>> {
         let mut log = DeltaLog::new();
-        for &(i, j, v) in ops {
-            log.push(
-                (i, j),
-                match v {
-                    Some(v) => DeltaOp::Put(v),
-                    None => DeltaOp::Del,
-                },
-            );
+        let mut runs = Vec::new();
+        for batch in batches {
+            for &(i, j, v) in batch {
+                log.push((i, j), v.map_or(DeltaOp::Del, DeltaOp::Put));
+            }
+            runs.extend(log.drain());
         }
-        log
+        runs
+    }
+
+    /// Merge cases over a 256 × 8 base. Under `with_cost_model(1, 0)` the
+    /// row chunks span 32 rows at degree 2 and 8 rows at degree 8.
+    fn cases() -> Vec<Case> {
+        let (n, m) = (256usize, 8usize);
+        let one_per_row = Csr::from_sorted_tuples(n, m, (0..n).map(|i| (i, (i * 3) % m, i as i64)));
+        let even_rows = one_per_row.filter(|i, _, _| i % 2 == 0);
+        let row_5_full = Csr::from_sorted_tuples(
+            n,
+            m,
+            (0..n).flat_map(|i| {
+                let cols = if i == 5 {
+                    0..m
+                } else {
+                    (i * 3) % m..(i * 3) % m + 1
+                };
+                cols.map(move |j| (i, j, (i * m + j) as i64))
+            }),
+        );
+        let many_runs: Vec<Vec<Op>> = (0..MAX_RUNS + 4)
+            .map(|r| {
+                (0..24)
+                    .map(|k| {
+                        let (i, j) = ((r * 37 + k * 11) % n, (r + k) % m);
+                        (i, j, (k % 3 != 0).then_some((r * 100 + k) as i64))
+                    })
+                    .collect()
+            })
+            .collect();
+        vec![
+            (
+                // chunk boundaries fall on multiples of 8, between rows
+                // 8k - 1 and 8k, which no run touches
+                "untouched rows on both sides of every chunk boundary",
+                one_per_row.clone(),
+                vec![(0..n)
+                    .filter(|i| i % 8 == 4)
+                    .flat_map(|i| [(i, (i * 3) % m, None), (i, 6, Some(-(i as i64)))])
+                    .collect()],
+            ),
+            (
+                "rows present only in the runs",
+                even_rows,
+                vec![(0..n)
+                    .filter(|i| i % 2 == 1)
+                    .flat_map(|i| [(i, 1, Some(1)), (i, 5, Some(5))])
+                    .collect()],
+            ),
+            (
+                "a row whose every entry is deleted, across two runs",
+                row_5_full,
+                vec![
+                    (0..4).map(|j| (5, j, None)).collect(),
+                    (4..m).map(|j| (5, j, None)).collect(),
+                ],
+            ),
+            (
+                "del of an absent entry",
+                one_per_row.clone(),
+                vec![(0..n)
+                    .step_by(3)
+                    .map(|i| (i, (i * 3 + 1) % m, None))
+                    .collect()],
+            ),
+            ("more runs than MAX_RUNS", one_per_row, many_runs.clone()),
+            ("an empty base", Csr::empty(n, m), many_runs),
+        ]
     }
 
     #[test]
@@ -431,7 +449,7 @@ mod tests {
             (3, 0, None),     // delete absent: no-op
             (0, 3, Some(30)), // insert into stored row
         ];
-        let out = merge_matrix(&base, &log_of(&ops).drain());
+        let out = merge_matrix(&base, &runs_of(&[ops.to_vec()]));
         assert_eq!(out, eager_apply(&base, &ops));
         let st = take_flush_stats();
         assert_eq!(st.pending_len, 5);
@@ -469,59 +487,81 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn chunked_merge_is_bitwise_serial() {
-        let base = Csr::from_sorted_tuples(64, 8, (0..64usize).map(|i| (i, i % 8, i as i64)));
-        let ops: Vec<(Index, Index, Option<i64>)> = (0..200)
-            .map(|k| {
-                let i = (k * 13) % 64;
-                let j = (k * 7) % 8;
-                (i, j, if k % 5 == 0 { None } else { Some(k as i64) })
-            })
-            .collect();
-        let runs = log_of(&ops).drain();
-        let serial = par::with_parallelism(1, || merge_matrix(&base, &runs));
-        take_flush_stats();
-        let parallel = par::with_parallelism(4, || {
-            par::with_cost_model(1, 0, || merge_matrix(&base, &runs))
-        });
-        let st = take_flush_stats();
-        assert_eq!(serial, parallel);
-        assert_eq!(st.pending_len, runs.iter().map(|r| r.len()).sum::<usize>());
-        let pst = par::take_stats();
-        assert!(pst.par_chunks >= 2, "merge did not chunk");
+        let mut all = cases();
+        all.push((
+            "one run over a 64-row diagonal",
+            Csr::from_sorted_tuples(64, 8, (0..64usize).map(|i| (i, i % 8, i as i64))),
+            vec![(0..200)
+                .map(|k| {
+                    let (i, j) = ((k * 13) % 64, (k * 7) % 8);
+                    (i, j, (k % 5 != 0).then_some(k as i64))
+                })
+                .collect()],
+        ));
+        for (name, base, batches) in all {
+            let runs = runs_of(&batches);
+            let ops = batches.concat();
+            let expect = eager_apply(&base, &ops);
+            let serial = par::with_parallelism(1, || merge_matrix(&base, &runs));
+            let st = take_flush_stats();
+            assert_eq!(serial, expect, "{name}");
+            assert_eq!(st.pending_len, runs.iter().map(|r| r.len()).sum::<usize>());
+            let rows: BTreeSet<Index> = ops.iter().map(|o| o.0).collect();
+            assert_eq!(st.merged_rows, rows.len(), "{name}");
+            par::take_stats();
+            for k in [2, 8] {
+                let parallel = par::with_parallelism(k, || {
+                    par::with_cost_model(1, 0, || merge_matrix(&base, &runs))
+                });
+                assert_eq!(parallel, expect, "{name} at degree {k}");
+                assert_eq!(take_flush_stats(), st, "{name} at degree {k}");
+                assert!(
+                    par::take_stats().par_chunks >= 2,
+                    "{name}: no chunks at degree {k}"
+                );
+            }
+        }
+        let runs = runs_of(&cases()[4].2);
+        assert!(runs.len() > MAX_RUNS);
     }
 
     #[test]
     fn tiled_merge_matches_slab_merge() {
-        let base =
-            Csr::from_sorted_tuples(16, 16, (0..16usize).map(|i| (i, (i * 5) % 16, i as i64)));
-        let ops: Vec<(Index, Index, Option<i64>)> = (0..60)
-            .map(|k| {
-                let i = (k * 11) % 16;
-                let j = (k * 3) % 16;
-                (
-                    i,
-                    j,
-                    if k % 4 == 0 {
-                        None
-                    } else {
-                        Some(100 + k as i64)
-                    },
-                )
-            })
-            .collect();
-        let runs = log_of(&ops).drain();
-        let slab = merge_matrix(&base, &runs);
-        take_flush_stats();
-        for grid in [(1, 1), (2, 2), (4, 4), (3, 5)] {
-            let policy = FormatPolicy::Tiled {
-                rows: grid.0,
-                cols: grid.1,
-            };
-            let store = MatrixStore::from_csr(base.clone(), policy);
-            let out = merge_into_store(&store, &runs, policy);
-            assert_eq!(out.row_csr().as_ref(), &slab, "grid {grid:?}");
+        let mut all = cases();
+        all.push((
+            "one run over a 16 × 16 permutation",
+            Csr::from_sorted_tuples(16, 16, (0..16usize).map(|i| (i, (i * 5) % 16, i as i64))),
+            vec![(0..60)
+                .map(|k| {
+                    let (i, j) = ((k * 11) % 16, (k * 3) % 16);
+                    (i, j, (k % 4 != 0).then_some(100 + k as i64))
+                })
+                .collect()],
+        ));
+        for (name, base, batches) in all {
+            let runs = runs_of(&batches);
+            let expect = eager_apply(&base, &batches.concat());
+            assert_eq!(merge_matrix(&base, &runs), expect, "{name}");
             take_flush_stats();
-            let _ = tiled::take_tiles();
+            for grid in [(1, 1), (2, 2), (4, 4), (3, 5)] {
+                let policy = FormatPolicy::Tiled {
+                    rows: grid.0,
+                    cols: grid.1,
+                };
+                let store = MatrixStore::from_csr(base.clone(), policy);
+                for k in [1, 2, 8] {
+                    let out = par::with_parallelism(k, || {
+                        par::with_cost_model(1, 0, || merge_into_store(&store, &runs, policy))
+                    });
+                    assert_eq!(
+                        out.row_csr().as_ref(),
+                        &expect,
+                        "{name}, grid {grid:?}, degree {k}"
+                    );
+                    take_flush_stats();
+                    let _ = tiled::take_tiles();
+                }
+            }
         }
     }
 
@@ -600,5 +640,50 @@ mod tests {
         let st = take_flush_stats();
         assert_eq!(st.pending_len, 4);
         assert_eq!(st.merged_rows, 4);
+
+        // The matrix cases flattened row-major into vectors of 2,048:
+        // forced chunks span 64 indices (8 rows) at degree 8.
+        for (name, csr, batches) in cases() {
+            let m = csr.ncols();
+            let flat = |(i, j): (Index, Index)| i * m + j;
+            let tuples = csr.to_tuples();
+            let base = SparseVec::from_sorted_parts(
+                csr.nrows() * m,
+                tuples.iter().map(|&(i, j, _)| flat((i, j))).collect(),
+                tuples.iter().map(|t| t.2).collect(),
+            );
+            let mut expect = base.clone();
+            let mut log = DeltaLog::new();
+            let mut runs = Vec::new();
+            for batch in &batches {
+                for &(i, j, v) in batch {
+                    let k = flat((i, j));
+                    match v {
+                        Some(v) => expect.set(k, v),
+                        None => {
+                            expect.remove(k);
+                        }
+                    }
+                    log.push(k, v.map_or(DeltaOp::Del, DeltaOp::Put));
+                }
+                runs.extend(log.drain());
+            }
+            let serial = par::with_parallelism(1, || merge_vector(&base, &runs));
+            let st = take_flush_stats();
+            assert_eq!(serial, expect, "{name}");
+            let keys: BTreeSet<Index> = batches
+                .concat()
+                .iter()
+                .map(|&(i, j, _)| flat((i, j)))
+                .collect();
+            assert_eq!(st.merged_rows, keys.len(), "{name}");
+            for k in [2, 8] {
+                let parallel = par::with_parallelism(k, || {
+                    par::with_cost_model(1, 0, || merge_vector(&base, &runs))
+                });
+                assert_eq!(parallel, expect, "{name} at degree {k}");
+                assert_eq!(take_flush_stats(), st, "{name} at degree {k}");
+            }
+        }
     }
 }

@@ -264,7 +264,7 @@ where
         nrows,
         ncols,
         a.nvals() + b.nvals(),
-        || Workspace::<D3>::new(ncols),
+        |_, _| Workspace::<D3>::new(ncols),
         |ws, i, cols, vals| {
             let (ac, av) = a.row(i);
             gustavson_row(sr, ac, av, b, mask.row(i), strategy, ws, cols, vals);
@@ -293,7 +293,7 @@ where
         nrows,
         ncols,
         a.nvals() + b.nvals(),
-        || {
+        |_, _| {
             (
                 Workspace::<D3>::new(ncols),
                 Vec::<Index>::new(),

@@ -36,9 +36,10 @@ where
 ///
 /// On the serial path those buffers are the output arrays themselves, so
 /// an entry is written once. In parallel each chunk fills its own
-/// buffers (with its own `init` state) and the chunks are concatenated
-/// in row order: per-row results never depend on chunk boundaries, so
-/// the output is bitwise identical at every degree.
+/// buffers and the chunks are concatenated in row order: per-row
+/// results never depend on chunk boundaries, so the output is bitwise
+/// identical at every degree. Either way a run of rows `start..end`
+/// starts from the state `init(start, end)`.
 pub(crate) fn emit_rows<T, S, I, F>(
     nrows: Index,
     ncols: Index,
@@ -48,13 +49,13 @@ pub(crate) fn emit_rows<T, S, I, F>(
 ) -> Csr<T>
 where
     T: Scalar,
-    I: Fn() -> S + Sync,
+    I: Fn(Index, Index) -> S + Sync,
     F: Fn(&mut S, Index, &mut Vec<Index>, &mut Vec<T>) + Sync,
 {
     // One chunk's rows as a local CSR: `ptr` starts at 0 and has one end
     // offset per row.
     let fill = |start: usize, end: usize| {
-        let mut s = init();
+        let mut s = init(start, end);
         let mut ptr = Vec::with_capacity(end - start + 1);
         ptr.push(0usize);
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
@@ -90,7 +91,7 @@ where
 }
 
 /// The `init` of an [`emit_rows`] whose rows need no scratch state.
-pub(crate) fn stateless() {}
+pub(crate) fn stateless(_: Index, _: Index) {}
 
 #[cfg(test)]
 mod tests {

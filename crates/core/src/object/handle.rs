@@ -237,7 +237,7 @@ impl<S: Stored> Handle<S> {
                 return (epoch, base, runs, node.clone());
             }
         }
-        let node = self.merge_node("overlay", base.clone(), runs.clone());
+        let node = self.merge_node("overlay", false, base.clone(), runs.clone());
         *memo = Some((epoch, node.clone()));
         (epoch, base, runs, node)
     }
@@ -248,12 +248,14 @@ impl<S: Stored> Handle<S> {
     fn merge_node(
         &self,
         kind: &'static str,
+        by_flusher: bool,
         base: Arc<Node<S>>,
         runs: Vec<Run<S::Key, S::Elem>>,
     ) -> Arc<Node<S>> {
         let policy = self.policy();
-        Node::pending_kind(
+        Node::pending_merge(
             kind,
+            by_flusher,
             vec![base.clone() as Arc<dyn Completable>],
             Box::new(move || Ok(base.ready_storage()?.merge(&runs, policy))),
         )
@@ -276,6 +278,12 @@ impl<S: Stored> Handle<S> {
     /// adopted and installed instead — the same pending set is never
     /// merged twice.
     pub(crate) fn resolve(&self) -> Arc<Node<S>> {
+        self.drain(false)
+    }
+
+    /// [`Handle::resolve`], with `by_flusher` recorded on a new `flush`
+    /// node: the trace tells the flusher's drains from a reader's.
+    fn drain(&self, by_flusher: bool) -> Arc<Node<S>> {
         let mut delta = self.0.delta.lock();
         if delta.is_empty() {
             return self.current_node();
@@ -284,7 +292,7 @@ impl<S: Stored> Handle<S> {
         let runs = delta.drain();
         let node = match self.0.overlay.lock().take() {
             Some((e, node)) if e == epoch => node,
-            _ => self.merge_node("flush", self.current_node(), runs),
+            _ => self.merge_node("flush", by_flusher, self.current_node(), runs),
         };
         self.install(node.clone());
         node
@@ -318,7 +326,7 @@ impl<S: Stored> Handle<S> {
                 return;
             }
         }
-        let _ = self.wait();
+        let _ = force(&(self.drain(true) as Arc<dyn Completable>));
         snapshot::note_background_flush();
     }
 
@@ -387,7 +395,10 @@ mod tests {
         h.schedule_background_flush(Duration::ZERO);
         drain_flusher();
         assert!(h.is_complete(), "the flusher drained and forced the log");
+        assert!(h.current_node().trace_meta().by_flusher);
         assert_eq!(h.forced_storage().unwrap().get(1), Some(&5));
+        h.push(2, DeltaOp::Put(6));
+        assert!(!h.resolve().trace_meta().by_flusher, "a reader's drain");
     }
 
     #[test]

@@ -185,9 +185,13 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// [`Csr::to_tuples`] with each value mapped by `f` as it is read.
+    /// Each row is one `extend` from its column and value slices.
     pub fn map_tuples<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<(Index, Index, U)> {
         let mut out = Vec::with_capacity(self.nvals());
-        out.extend(self.iter().map(|(i, j, v)| (i, j, f(v))));
+        for i in 0..self.nrows {
+            let (cols, vals) = self.row(i);
+            out.extend(cols.iter().zip(vals).map(|(&j, v)| (i, j, f(v))));
+        }
         out
     }
 

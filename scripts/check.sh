@@ -76,6 +76,9 @@ for threads in 1 2 8; do
     scripts/thread_matrix.sh "$threads"
 done
 
+# The race-sensitive suites, 50 runs each at 2 workers.
+scripts/repeat_races.sh
+
 echo "== cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -448,11 +448,14 @@ fn cross_thread_snapshots_agree() {
 
 /// Ingest-while-query isolation: one writer streams set/remove batches
 /// into a matrix while a reader repeatedly runs snapshot → `to_matrix`
-/// → `bfs_levels` on a traced nonblocking context. The reader's trace
-/// must never hold a `flush` node (a snapshot read that drained the
-/// writer's log would schedule one), and every BFS must equal a queue
-/// BFS over the tuples of the snapshot it ran on. Both sides do a fixed
-/// amount of work, so the test is bounded whatever the interleaving.
+/// → `bfs_levels` on a traced nonblocking context. A snapshot read must
+/// never drain the writer's log: taking one leaves the log's stats as
+/// they were, and every `flush` node in the reader's trace must be one
+/// the background flusher drained (a snapshot can capture the flusher's
+/// still-pending flush node as its base, and the reader's BFS may be
+/// the first to force it). Every BFS must equal a queue BFS over the
+/// tuples of the snapshot it ran on. Both sides do a fixed amount of
+/// work, so the test is bounded whatever the interleaving.
 #[test]
 fn snapshot_readers_never_flush_the_writers_log() {
     use graphblas_algorithms::bfs_levels;
@@ -461,19 +464,21 @@ fn snapshot_readers_never_flush_the_writers_log() {
 
     const V: usize = 96;
     tiny_runs();
-    let m = Matrix::<bool>::new(V, V).unwrap();
-    for u in 0..V {
-        m.set(u, (u + 1) % V, true).unwrap();
-    }
-    m.nvals().unwrap(); // settle the ring into the base
+    // the ring goes straight into the base: no pushes, so no background
+    // flush is queued before the writer starts
+    let ring: Vec<(usize, usize, bool)> = (0..V).map(|u| (u, (u + 1) % V, true)).collect();
+    let m = Matrix::<bool>::from_tuples(V, V, &ring).unwrap();
 
     // Six chords seal two runs at cap 3 and stay under both autoflush
     // triggers, so the first snapshot reads through a (base, runs)
-    // overlay rather than a quiesced base.
+    // overlay rather than a quiesced base, and nothing but the snapshot
+    // can touch the log here.
     for u in 0..6 {
         m.set(u, (u + V / 2) % V, true).unwrap();
     }
+    let before = m.delta_stats();
     let first = m.snapshot();
+    assert_eq!(m.delta_stats(), before, "taking a snapshot drained the log");
     assert!(
         first.run_count() > 0,
         "the first snapshot spans sealed runs"
@@ -518,7 +523,7 @@ fn snapshot_readers_never_flush_the_writers_log() {
             "round {round}: the traced BFS records its levels"
         );
         assert!(
-            trace.iter().all(|e| e.kind != "flush"),
+            trace.iter().all(|e| e.kind != "flush" || e.by_flusher),
             "round {round}: a snapshot reader forced a drain of the writer's log"
         );
         snap = m.snapshot();

@@ -240,7 +240,7 @@ fn run_builtin(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
     )
 }
 
-const FORMATS: [Option<Format>; 3] = [None, Some(Format::Csr), Some(Format::Tiled)];
+const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
 
 const SESSIONS: [Mode; 2] = [Mode::Blocking, Mode::Nonblocking];
 
