@@ -36,6 +36,12 @@ pub trait Semiring<D1: Scalar, D2: Scalar, D3: Scalar>: Send + Sync + Clone + 's
     fn zero(&self) -> D3 {
         self.add().identity()
     }
+
+    /// The first execution error either operator latched during a kernel
+    /// (see [`BinaryOp::poll_error`]): ⊕'s, then ⊗'s.
+    fn poll_error(&self) -> Option<crate::error::Error> {
+        self.add().poll_error().or_else(|| self.mul().poll_error())
+    }
 }
 
 /// A semiring assembled from a monoid and a binary operator

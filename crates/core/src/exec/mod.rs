@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use crate::error::{Error, Result};
 #[doc(hidden)]
 pub use node::Completable;
-pub(crate) use node::{catch_panic, force, Node};
+pub(crate) use node::{catch_panic, force, invalidated, Node};
 pub use trace::TraceEvent;
 
 /// The one fusion policy: the pending DAG executes as written. Kept,

@@ -128,20 +128,11 @@ impl<S: Send + Sync + 'static> Node<S> {
     }
 
     /// The storage of a *complete* node. `Pending` here is an engine bug;
-    /// a failed node surfaces as `InvalidObject` (paper §V: "at least one
-    /// of the argument objects is in an invalid state — caused by a
-    /// previous execution error"). The wrapping is idempotent — an
-    /// already-invalid object propagates unchanged — so the reported
-    /// message names the root cause regardless of how many invalidated
-    /// consumers sit between it and the observation point. That depth is
-    /// schedule-dependent; the root cause is not.
+    /// a failed node surfaces as [`invalidated`].
     pub(crate) fn ready_storage(&self) -> Result<Arc<S>> {
         match &*self.state.lock() {
             NodeState::Ready(s) => Ok(s.clone()),
-            NodeState::Failed(e @ Error::InvalidObject(_)) => Err(e.clone()),
-            NodeState::Failed(e) => Err(Error::InvalidObject(format!(
-                "object invalidated by a previous execution error: {e}"
-            ))),
+            NodeState::Failed(e) => Err(invalidated(e)),
             NodeState::Pending { .. } => Err(Error::Panic(
                 "internal: read of a pending node (forcing engine bug)".into(),
             )),
@@ -204,6 +195,22 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
             format,
             migrated_from,
         }
+    }
+}
+
+/// What a read of a failed node returns: `InvalidObject` (paper §V: "at
+/// least one of the argument objects is in an invalid state — caused by
+/// a previous execution error"). The wrapping is idempotent — an
+/// already-invalid object propagates unchanged — so the reported message
+/// names the root cause regardless of how many invalidated consumers sit
+/// between it and the observation point. That depth is
+/// schedule-dependent; the root cause is not.
+pub(crate) fn invalidated(failure: &Error) -> Error {
+    match failure {
+        Error::InvalidObject(_) => failure.clone(),
+        e => Error::InvalidObject(format!(
+            "object invalidated by a previous execution error: {e}"
+        )),
     }
 }
 

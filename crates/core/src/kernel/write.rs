@@ -1,5 +1,7 @@
-//! The output-write pipeline shared by every operation (paper, Figure 2
-//! and Section VI):
+//! The output-write kernel of Figure 2 and Section VI. The one place an
+//! operation's result reaches its output is the write stage in `op`
+//! (`op::Fig2`), which picks the identity writes itself and calls these
+//! kernels for the rest:
 //!
 //! 1. the operation computes an internal result **T**;
 //! 2. if an accumulator ⊙ is present, `Z = C ⊙ T` on the pattern
@@ -112,7 +114,7 @@ fn write_row<T: Scalar, Ac: Accumulate<T>>(
     }
 }
 
-/// Full pipeline for matrices: `C ⊙=<mask, replace> T`.
+/// The full pass for matrices: `C ⊙=<mask, replace> T`, row by row.
 pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
     c_old: &Csr<T>,
     t: Csr<T>,
@@ -122,11 +124,6 @@ pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
 ) -> Csr<T> {
     debug_assert_eq!(c_old.nrows(), t.nrows());
     debug_assert_eq!(c_old.ncols(), t.ncols());
-    // Fast path: no mask and no accumulator — C becomes exactly T
-    // (replace and merge coincide because every position is admitted).
-    if mask.admits_all() && !accum.is_accum() {
-        return t;
-    }
     emit_rows(
         c_old.nrows(),
         c_old.ncols(),
@@ -140,24 +137,7 @@ pub fn write_matrix<T: Scalar, Ac: Accumulate<T>>(
     )
 }
 
-/// [`write_matrix`] for a `T` the operation computed under this same
-/// `mask`, as `mxm` and `eWiseMult` do: every stored position of `T` is
-/// admitted, so replace mode without an accumulator writes
-/// `C = T ∩ mask = T` and the pass is skipped.
-pub fn write_masked_matrix<T: Scalar, Ac: Accumulate<T>>(
-    c_old: &Csr<T>,
-    t: Csr<T>,
-    accum: &Ac,
-    mask: &MaskCsr,
-    replace: bool,
-) -> Csr<T> {
-    if replace && !accum.is_accum() {
-        return t;
-    }
-    write_matrix(c_old, t, accum, mask, replace)
-}
-
-/// Full pipeline for vectors: `w ⊙=<mask, replace> t`.
+/// The full pass for vectors: `w ⊙=<mask, replace> t`.
 pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
     w_old: &SparseVec<T>,
     t: SparseVec<T>,
@@ -166,11 +146,8 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
     replace: bool,
 ) -> SparseVec<T> {
     debug_assert_eq!(w_old.size(), t.size());
-    if mask.admits_all() && !accum.is_accum() {
-        return t;
-    }
     // Z = w ⊙ t with ind(w) = all: fold t into w's values by position
-    if mask.admits_all() && w_old.is_full() {
+    if mask.admits_all() && accum.is_accum() && w_old.is_full() {
         return union_full(w_old, &t, |c, x| accum.combine(c, x));
     }
     let mut idx = Vec::with_capacity(w_old.nvals() + t.nvals());
@@ -187,22 +164,6 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
         &mut vals,
     );
     SparseVec::from_sorted_parts(w_old.size(), idx, vals)
-}
-
-/// [`write_vector`] for a `t` the operation computed under this same
-/// `mask`, as `mxv` and `vxm` do: replace mode without an accumulator
-/// writes `w = t ∩ mask = t` and the pass is skipped.
-pub fn write_masked_vector<T: Scalar, Ac: Accumulate<T>>(
-    w_old: &SparseVec<T>,
-    t: SparseVec<T>,
-    accum: &Ac,
-    mask: &MaskVec,
-    replace: bool,
-) -> SparseVec<T> {
-    if replace && !accum.is_accum() {
-        return t;
-    }
-    write_vector(w_old, t, accum, mask, replace)
 }
 
 #[cfg(test)]
@@ -311,35 +272,6 @@ mod tests {
         let t = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 20]);
         let r = write_vector(&w, t, &Accum(Minus::<i32>::new()), &MaskVec::All, false);
         assert_eq!(r.to_tuples(), vec![(0, -9), (1, 2), (2, -17)]);
-    }
-
-    #[test]
-    fn masked_t_with_replace_is_written_as_is() {
-        // T already restricted to the mask: replace without accum is T
-        let t = Csr::from_sorted_tuples(2, 3, vec![(1, 1, 30)]);
-        let r = write_masked_matrix(&c_old(), t.clone(), &NoAccum, &mask_01_and_11(), true);
-        assert_eq!(r, t);
-        // merge mode still keeps unmasked old values
-        let r = write_masked_matrix(&c_old(), t, &NoAccum, &mask_01_and_11(), false);
-        assert_eq!(r.to_tuples(), vec![(0, 0, 1), (1, 1, 30)]);
-    }
-
-    #[test]
-    fn masked_vector_t_with_replace_is_written_as_is() {
-        let w = SparseVec::from_sorted_parts(4, vec![0, 2], vec![1, 2]);
-        let msrc = SparseVec::from_sorted_parts(4, vec![1, 3], vec![true, true]);
-        let mask = MaskVec::from_vec(&msrc, false, false);
-        // T already restricted to the mask: replace without accum is T
-        let t = SparseVec::from_sorted_parts(4, vec![1], vec![10]);
-        let r = write_masked_vector(&w, t.clone(), &NoAccum, &mask, true);
-        assert_eq!(r, t);
-        // merge mode still keeps unmasked old values
-        let r = write_masked_vector(&w, t.clone(), &NoAccum, &mask, false);
-        assert_eq!(r.to_tuples(), vec![(0, 1), (1, 10), (2, 2)]);
-        // an accumulator takes the full pass: replace clears the
-        // unadmitted old values
-        let r = write_masked_vector(&w, t, &Accum(Plus::<i32>::new()), &mask, true);
-        assert_eq!(r.to_tuples(), vec![(1, 10)]);
     }
 
     #[test]

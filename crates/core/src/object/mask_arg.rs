@@ -75,20 +75,33 @@ pub enum MaskSnap2 {
     },
 }
 
-impl MaskSnap2 {
+/// What the write stage reads of a mask snapshot, for either shape.
+pub(crate) trait Snap: Send + 'static {
+    /// The kernel-facing mask: [`MaskCsr`] or [`MaskVec`].
+    type Mask;
     /// `true` when no mask was supplied (every position admitted).
-    pub(crate) fn is_all(&self) -> bool {
+    fn is_all(&self) -> bool;
+    /// The mask object's node, if any: a dependency of the operation.
+    fn deps(&self) -> Vec<Arc<dyn Completable>>;
+    /// The mask at evaluation time, descriptor flags applied.
+    fn materialize(&self) -> Result<Self::Mask>;
+}
+
+impl Snap for MaskSnap2 {
+    type Mask = MaskCsr;
+
+    fn is_all(&self) -> bool {
         matches!(self, MaskSnap2::All)
     }
 
-    pub(crate) fn deps(&self) -> Vec<Arc<dyn Completable>> {
+    fn deps(&self) -> Vec<Arc<dyn Completable>> {
         match self {
             MaskSnap2::All => Vec::new(),
             MaskSnap2::Mat { src, .. } => vec![src.completable()],
         }
     }
 
-    pub(crate) fn materialize(&self) -> Result<MaskCsr> {
+    fn materialize(&self) -> Result<MaskCsr> {
         match self {
             MaskSnap2::All => Ok(MaskCsr::All),
             MaskSnap2::Mat {
@@ -112,20 +125,21 @@ pub enum MaskSnap1 {
     },
 }
 
-impl MaskSnap1 {
-    /// `true` when no mask was supplied.
-    pub(crate) fn is_all(&self) -> bool {
+impl Snap for MaskSnap1 {
+    type Mask = MaskVec;
+
+    fn is_all(&self) -> bool {
         matches!(self, MaskSnap1::All)
     }
 
-    pub(crate) fn deps(&self) -> Vec<Arc<dyn Completable>> {
+    fn deps(&self) -> Vec<Arc<dyn Completable>> {
         match self {
             MaskSnap1::All => Vec::new(),
             MaskSnap1::Vec { src, .. } => vec![src.completable()],
         }
     }
 
-    pub(crate) fn materialize(&self) -> Result<MaskVec> {
+    fn materialize(&self) -> Result<MaskVec> {
         match self {
             MaskSnap1::All => Ok(MaskVec::All),
             MaskSnap1::Vec {

@@ -22,7 +22,6 @@ use crate::error::{Error, Result};
 use crate::exec::Node;
 use crate::index::Index;
 use crate::object::handle::Handle;
-use crate::op::Old;
 use crate::scalar::Scalar;
 use crate::storage::coo::build_matrix;
 use crate::storage::csr::Csr;
@@ -320,12 +319,6 @@ impl<T: Scalar> Matrix<T> {
 
     fn install_store(&self, store: MatrixStore<T>) {
         self.handle.install(Node::ready(store));
-    }
-
-    /// Capture this object's old value for an operation writing it, if
-    /// the write stage will `need` it; see [`Old`].
-    pub(crate) fn old(&self, needed: bool) -> Old<MatrixStore<T>> {
-        Old::capture(&self.handle, needed, self.shape())
     }
 }
 

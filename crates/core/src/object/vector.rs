@@ -9,7 +9,6 @@ use crate::error::{Error, Result};
 use crate::exec::Node;
 use crate::index::Index;
 use crate::object::handle::Handle;
-use crate::op::Old;
 use crate::scalar::Scalar;
 use crate::storage::coo::build_vector;
 use crate::storage::delta::{DeltaOp, DeltaStats};
@@ -190,12 +189,6 @@ impl<T: Scalar> Vector<T> {
             )));
         }
         Ok(())
-    }
-
-    /// Capture this object's old value for an operation writing it, if
-    /// the write stage will `need` it; see [`Old`].
-    pub(crate) fn old(&self, needed: bool) -> Old<SparseVec<T>> {
-        Old::capture(&self.handle, needed, self.n)
     }
 }
 

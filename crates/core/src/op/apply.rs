@@ -6,13 +6,11 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::kernel::apply::{apply_matrix, apply_vector};
-use crate::kernel::write::{write_matrix, write_vector};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed, First};
 use crate::scalar::Scalar;
-use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_apply` (matrix): apply a unary operator to every stored
@@ -38,28 +36,12 @@ impl Context {
         dim_check(c.shape() == da, || {
             format!("apply output is {:?} but input is {da:?}", c.shape())
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading(First::Inputs);
         let a_node = a.handle.capture();
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("apply", vec![a_node.clone() as _], move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
-            let t = apply_matrix(&a_st, &f);
-            let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("apply", &c.handle, deps, eval)
+            Ok(Computed::T(apply_matrix(&a_st, &f)))
+        })
     }
 
     /// `GrB_apply` (vector).
@@ -82,28 +64,12 @@ impl Context {
         dim_check(w.size() == u.size(), || {
             format!("apply output is {} but input is {}", w.size(), u.size())
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?.reading(First::Inputs);
         let u_node = u.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![u_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("apply", vec![u_node.clone() as _], move |_, _, _| {
             let u_st = u_node.ready_storage()?;
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let t = apply_vector(&u_st, &f);
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("apply", &w.handle, deps, eval)
+            Ok(Computed::T(apply_vector(&u_st, &f)))
+        })
     }
 }
 

@@ -15,12 +15,11 @@ use crate::kernel::assign::{
     assign_matrix, assign_scalar_matrix, assign_scalar_vector, assign_vector, fill_admitted,
     fill_admitted_matrix,
 };
-use crate::kernel::write::{write_matrix, write_vector};
 use crate::mask::{MaskCsr, MaskVec};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims, resolve_target};
+use crate::op::{effective_dims, resolve_target, Computed, First};
 use crate::scalar::Scalar;
 use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
@@ -55,33 +54,19 @@ impl Context {
                 cols.len()
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
-        let (a_node, c_node) = (a.handle.capture(), c.handle.capture());
-        let msnap = mask.snap(desc);
-        let mut deps: Vec<_> = vec![a_node.clone() as _, c_node.clone() as _];
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let a_st = oriented_storage(&a_node, tr_a)?;
-            let c_old = c_node.ready_storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
-            let z = assign_matrix(&c_old, &a_st, &rows, &cols, &accum);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            // Z already embodies the accumulate semantics; the write stage
-            // only applies the mask/replace selection against old C.
-            Ok(MatrixStore::csr(write_matrix(
-                &c_old,
-                z,
-                &crate::accum::NoAccum,
-                &mcsr,
-                replace,
-            )))
-        };
-        self.submit("assign", &c.handle, deps, eval)
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading_c();
+        let fig2 = fig2.reading(First::Inputs);
+        let a_node = a.handle.capture();
+        fig2.submit(
+            "assign",
+            vec![a_node.clone() as _],
+            move |_, accum, c_old| {
+                let a_st = oriented_storage(&a_node, tr_a)?;
+                Ok(Computed::Z(assign_matrix(
+                    c_old, &a_st, &rows, &cols, accum,
+                )))
+            },
+        )
     }
 
     /// `GrB_assign` (matrix, scalar fill): every position of the region
@@ -111,7 +96,6 @@ impl Context {
             && matches!(cols, IndexSelection::All);
         let rows = resolve_target(rows, c.nrows(), "row")?;
         let cols = resolve_target(cols, c.ncols(), "column")?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
 
         // A 1x1 no-accum unmasked scalar assign is exactly a point
         // update: route it through the O(1) pending-update buffer
@@ -128,40 +112,23 @@ impl Context {
             return c.set(rows[0], cols[0], value);
         }
 
-        let c_node = c.handle.capture();
-        let msnap = mask.snap(desc);
-        let mut deps: Vec<_> = vec![c_node.clone() as _];
-        deps.extend(msnap.deps());
         let replace = desc.is_replace();
-
-        let eval = move || {
-            let c_old = c_node.ready_storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading_c();
+        fig2.submit("assign", vec![], move |mcsr, accum, c_old| {
             if let (
                 true,
                 MaskCsr::Pattern {
                     pattern,
                     complement: false,
                 },
-            ) = (mask_fill, &mcsr)
+            ) = (mask_fill, mcsr)
             {
-                return Ok(MatrixStore::csr(fill_admitted_matrix(
-                    &c_old, pattern, &value, replace,
-                )));
+                let z = fill_admitted_matrix(c_old, pattern, &value, replace);
+                return Ok(Computed::Done(MatrixStore::csr(z)));
             }
-            let z = assign_scalar_matrix(&c_old, &value, &rows, &cols, &accum);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(write_matrix(
-                &c_old,
-                z,
-                &crate::accum::NoAccum,
-                &mcsr,
-                replace,
-            )))
-        };
-        self.submit("assign", &c.handle, deps, eval)
+            let z = assign_scalar_matrix(c_old, &value, &rows, &cols, accum);
+            Ok(Computed::Z(z))
+        })
     }
 
     /// `GrB_assign` (vector): `w<mask>(indices) ⊙= u`.
@@ -187,31 +154,17 @@ impl Context {
                 indices.len()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
-        let (u_node, w_node) = (u.handle.capture(), w.handle.capture());
-        let msnap = mask.snap(desc);
-        let mut deps: Vec<_> = vec![u_node.clone() as _, w_node.clone() as _];
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let u_st = u_node.ready_storage()?;
-            let w_old = w_node.ready_storage()?;
-            let mvec = msnap.materialize()?;
-            let z = assign_vector(&w_old, &u_st, &indices, &accum);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(write_vector(
-                &w_old,
-                z,
-                &crate::accum::NoAccum,
-                &mvec,
-                replace,
-            ))
-        };
-        self.submit("assign", &w.handle, deps, eval)
+        let fig2 = self.fig2(w, mask, accum, desc)?.reading_c();
+        let fig2 = fig2.reading(First::Inputs);
+        let u_node = u.handle.capture();
+        fig2.submit(
+            "assign",
+            vec![u_node.clone() as _],
+            move |_, accum, w_old| {
+                let u_st = u_node.ready_storage()?;
+                Ok(Computed::Z(assign_vector(w_old, &u_st, &indices, accum)))
+            },
+        )
     }
 
     /// `GrB_assign` (vector, scalar fill) — Fig. 3 line 77: `delta`
@@ -230,12 +183,14 @@ impl Context {
         Ac: Accumulate<T>,
         Mk: VectorMask,
     {
-        check_mask_dims1(mask.mask_size(), w.size())?;
+        let assigns = !accum.is_accum();
+        let unmasked = mask.mask_size().is_none();
+        let fig2 = self.fig2(w, mask, accum, desc)?;
 
         // Single-index no-accum unmasked scalar assign == point update;
         // see assign_scalar_matrix.
-        if !accum.is_accum()
-            && mask.mask_size().is_none()
+        if assigns
+            && unmasked
             && !desc.is_replace()
             && !desc.is_mask_complemented()
             && indices.len(w.size()) == 1
@@ -249,66 +204,33 @@ impl Context {
         // so no index list is materialized. Unmasked, the result is Z
         // itself; a non-complemented mask writes only the positions it
         // admits, O(|mask| + nvals(w)).
-        if !accum.is_accum() && matches!(indices, IndexSelection::All) {
-            let msnap = mask.snap(desc);
-            let replace = desc.is_replace();
-            let w_old_cap = w.old(!msnap.is_all() && !replace);
-            let mut deps: Vec<_> = w_old_cap.dep().into_iter().collect();
-            deps.extend(msnap.deps());
-            let n = w.size();
-            let eval = move || {
-                let mvec = msnap.materialize()?;
-                if mvec.admits_all() {
-                    return Ok(SparseVec::full(n, value));
-                }
-                let w_old = w_old_cap.storage()?;
-                if let MaskVec::Pattern {
-                    indices,
-                    complement: false,
-                } = &mvec
-                {
-                    let (mut idx, mut vals) = (Vec::new(), Vec::new());
-                    let (wi, wv) = (w_old.indices(), w_old.vals());
-                    fill_admitted(wi, wv, indices, &value, replace, &mut idx, &mut vals);
-                    return Ok(SparseVec::from_sorted_parts(n, idx, vals));
-                }
-                // a complemented pattern admits O(n) positions anyway
-                let z = SparseVec::full(n, value);
-                Ok(write_vector(
-                    &w_old,
-                    z,
-                    &crate::accum::NoAccum,
-                    &mvec,
-                    replace,
-                ))
-            };
-            return self.submit("assign", &w.handle, deps, eval);
+        if assigns && matches!(indices, IndexSelection::All) {
+            let (n, replace) = (w.size(), desc.is_replace());
+            let fig2 = fig2.reading(First::Mask);
+            return fig2.submit("assign", vec![], move |mvec, _, w_old| {
+                Ok(match mvec {
+                    MaskVec::All => Computed::Done(SparseVec::full(n, value)),
+                    MaskVec::Pattern {
+                        indices,
+                        complement: false,
+                    } => {
+                        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+                        let (wi, wv) = (w_old.indices(), w_old.vals());
+                        fill_admitted(wi, wv, indices, &value, replace, &mut idx, &mut vals);
+                        Computed::Done(SparseVec::from_sorted_parts(n, idx, vals))
+                    }
+                    // a complemented pattern admits O(n) positions anyway
+                    _ => Computed::Z(SparseVec::full(n, value)),
+                })
+            });
         }
 
         let indices = resolve_target(indices, w.size(), "vector")?;
-
-        let w_node = w.handle.capture();
-        let msnap = mask.snap(desc);
-        let mut deps: Vec<_> = vec![w_node.clone() as _];
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let w_old = w_node.ready_storage()?;
-            let mvec = msnap.materialize()?;
-            let z = assign_scalar_vector(&w_old, &value, &indices, &accum);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(write_vector(
-                &w_old,
-                z,
-                &crate::accum::NoAccum,
-                &mvec,
-                replace,
-            ))
-        };
-        self.submit("assign", &w.handle, deps, eval)
+        fig2.reading_c()
+            .submit("assign", vec![], move |_, accum, w_old| {
+                let z = assign_scalar_vector(w_old, &value, &indices, accum);
+                Ok(Computed::Z(z))
+            })
     }
 }
 

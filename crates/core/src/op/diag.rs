@@ -26,6 +26,7 @@ impl Context {
         })?;
         let v_node = v.handle.capture();
         let deps = vec![v_node.clone() as _];
+        let policy = c.handle.policy();
         let eval = move || {
             let st = v_node.ready_storage()?;
             let tuples = st.iter().map(|(i, val)| {
@@ -36,9 +37,10 @@ impl Context {
                 };
                 (r, c, val.clone())
             });
-            Ok(MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples)))
+            let csr = Csr::from_sorted_tuples(n, n, tuples);
+            Ok(MatrixStore::from_csr(csr, policy))
         };
-        self.submit("diag", &c.handle, deps, eval)
+        self.submit("diag", &c.handle, deps, Box::new(eval))
     }
 
     /// `GxB_Vector_diag`: `w(i) = A(i, i + k)` for `k >= 0`
@@ -77,7 +79,7 @@ impl Context {
             }
             Ok(SparseVec::from_sorted_parts(len, idx, vals))
         };
-        self.submit("diag", &w.handle, deps, eval)
+        self.submit("diag", &w.handle, deps, Box::new(eval))
     }
 }
 

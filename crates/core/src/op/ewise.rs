@@ -13,13 +13,11 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::kernel::ewise;
-use crate::kernel::write::{write_masked_matrix, write_matrix, write_vector};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed};
 use crate::scalar::Scalar;
-use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_eWiseAdd` (matrix): `C<Mask> ⊙= A ⊕ B`.
@@ -51,32 +49,15 @@ impl Context {
         dim_check(c.shape() == da, || {
             format!("eWiseAdd output is {:?} but operands are {da:?}", c.shape())
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
+        let fig2 = self.fig2(c, mask, accum, desc)?;
         let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
+        let inputs = vec![a_node.clone() as _, b_node.clone() as _];
+        fig2.submit("eWiseAdd", inputs, move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
             let t = ewise::ewise_add_matrix(&a_st, &b_st, &add);
-            if let Some(e) = add.poll_error() {
-                return Err(e);
-            }
-            let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("eWiseAdd", &c.handle, deps, eval)
+            add.poll_error().map_or(Ok(Computed::T(t)), Err)
+        })
     }
 
     /// `GrB_eWiseMult` (matrix): `C<Mask> ⊙= A ⊗ B`.
@@ -113,34 +94,17 @@ impl Context {
                 c.shape()
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
+        let fig2 = self.fig2(c, mask, accum, desc)?;
         let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
+        let inputs = vec![a_node.clone() as _, b_node.clone() as _];
         // The intersection is computed only where the mask admits, so the
         // write stage sees a T already under the operation's own mask.
-        let eval = move || {
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
+        fig2.submit("eWiseMult", inputs, move |mcsr, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
-            let t = ewise::ewise_mult_matrix(&a_st, &b_st, &mcsr, &mul);
-            if let Some(e) = mul.poll_error() {
-                return Err(e);
-            }
-            let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("eWiseMult", &c.handle, deps, eval)
+            let t = ewise::ewise_mult_matrix(&a_st, &b_st, mcsr, &mul);
+            mul.poll_error().map_or(Ok(Computed::Masked(t)), Err)
+        })
     }
 
     /// `GrB_eWiseAdd` (vector): `w<mask> ⊙= u ⊕ v`.
@@ -172,32 +136,14 @@ impl Context {
                 u.size()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?;
         let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let u_st = u_node.ready_storage()?;
-            let v_st = v_node.ready_storage()?;
+        let inputs = vec![u_node.clone() as _, v_node.clone() as _];
+        fig2.submit("eWiseAdd", inputs, move |_, _, _| {
+            let (u_st, v_st) = (u_node.ready_storage()?, v_node.ready_storage()?);
             let t = ewise::ewise_add_vector(&u_st, &v_st, &add);
-            if let Some(e) = add.poll_error() {
-                return Err(e);
-            }
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("eWiseAdd", &w.handle, deps, eval)
+            add.poll_error().map_or(Ok(Computed::T(t)), Err)
+        })
     }
 
     /// `GrB_eWiseMult` (vector): `w<mask> ⊙= u ⊗ v`.
@@ -231,32 +177,14 @@ impl Context {
                 u.size()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?;
         let (u_node, v_node) = (u.handle.capture(), v.handle.capture());
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![u_node.clone() as _, v_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let u_st = u_node.ready_storage()?;
-            let v_st = v_node.ready_storage()?;
+        let inputs = vec![u_node.clone() as _, v_node.clone() as _];
+        fig2.submit("eWiseMult", inputs, move |_, _, _| {
+            let (u_st, v_st) = (u_node.ready_storage()?, v_node.ready_storage()?);
             let t = ewise::ewise_mult_vector(&u_st, &v_st, &mul);
-            if let Some(e) = mul.poll_error() {
-                return Err(e);
-            }
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("eWiseMult", &w.handle, deps, eval)
+            mul.poll_error().map_or(Ok(Computed::T(t)), Err)
+        })
     }
 }
 

@@ -8,13 +8,11 @@ use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::index::IndexSelection;
 use crate::kernel::extract::{extract_matrix, extract_matrix_col, extract_vector};
-use crate::kernel::write::{write_matrix, write_vector};
 use crate::object::mask_arg::{MatrixMask, VectorMask};
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed, First};
 use crate::scalar::Scalar;
-use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_extract` (matrix): `C<Mask> ⊙= A(rows, cols)`.
@@ -51,28 +49,12 @@ impl Context {
                 cols.len()
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading(First::Inputs);
         let a_node = a.handle.capture();
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("extract", vec![a_node.clone() as _], move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
-            let t = extract_matrix(&a_st, &rows, &cols);
-            let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("extract", &c.handle, deps, eval)
+            Ok(Computed::T(extract_matrix(&a_st, &rows, &cols)))
+        })
     }
 
     /// `GrB_extract` (vector): `w<mask> ⊙= u(indices)`.
@@ -98,28 +80,12 @@ impl Context {
                 indices.len()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?.reading(First::Inputs);
         let u_node = u.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![u_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("extract", vec![u_node.clone() as _], move |_, _, _| {
             let u_st = u_node.ready_storage()?;
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let t = extract_vector(&u_st, &indices);
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("extract", &w.handle, deps, eval)
+            Ok(Computed::T(extract_vector(&u_st, &indices)))
+        })
     }
 
     /// `GrB_Col_extract`: `w<mask> ⊙= A(rows, j)` — one column as a
@@ -156,28 +122,12 @@ impl Context {
                 rows.len()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?.reading(First::Inputs);
         let a_node = a.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("extract", vec![a_node.clone() as _], move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let t = extract_matrix_col(&a_st, &rows, j);
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("extract", &w.handle, deps, eval)
+            Ok(Computed::T(extract_matrix_col(&a_st, &rows, j)))
+        })
     }
 }
 

@@ -12,14 +12,12 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::kernel::util::{emit_rows, stateless};
-use crate::kernel::write::write_matrix;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
-use crate::op::{check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed, First};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::MatrixStore;
 
 /// The Kronecker-product kernel: row `i` of the result interleaves row
 /// `i / m2` of `A` with row `i % m2` of `B`.
@@ -86,33 +84,15 @@ impl Context {
                 an * bn
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
-        let a_node = a.handle.capture();
-        let b_node = b.handle.capture();
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading(First::Inputs);
+        let (a_node, b_node) = (a.handle.capture(), b.handle.capture());
+        let inputs = vec![a_node.clone() as _, b_node.clone() as _];
+        fig2.submit("kronecker", inputs, move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
             let t = kron_kernel(&a_st, &b_st, &mul);
-            if let Some(e) = mul.poll_error() {
-                return Err(e);
-            }
-            let out = write_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("kronecker", &c.handle, deps, eval)
+            mul.poll_error().map_or(Ok(Computed::T(t)), Err)
+        })
     }
 }
 

@@ -14,11 +14,17 @@
 //! | extract | [`Context::extract_matrix`], [`Context::extract_vector`], [`Context::extract_col`] |
 //! | assign | [`Context::assign_matrix`], [`Context::assign_vector`], [`Context::assign_scalar_matrix`], [`Context::assign_scalar_vector`] |
 //!
-//! Every method follows Figure 2's three-stage semantics: form the
-//! internal inputs per the descriptor, compute the internal result **T**,
-//! then `Z = C ⊙ T` and the masked write. API errors (dimensions,
-//! indices) are checked eagerly, before any computation and in both
-//! modes; execution errors follow §V.
+//! Every method follows Figure 2's three steps: form the internal inputs
+//! per the descriptor and compute the internal result **T**, then
+//! `Z = C ⊙ T`, then the masked write. Each method owns only the first
+//! step — its own dimension checks, its input captures and one closure
+//! computing **T** under the materialized mask. The second and third
+//! steps happen in one place, this module's write stage (`Fig2`): it
+//! checks the mask against the output, snapshots it, decides whether
+//! the old output is read at all, materializes the mask, forms and
+//! writes **Z**, polls the accumulator and submits. API errors
+//! (dimensions, indices) are checked eagerly, before any computation and
+//! in both modes; execution errors follow §V.
 
 mod apply;
 mod assign;
@@ -34,34 +40,42 @@ mod transpose;
 
 use std::sync::Arc;
 
+use crate::accum::{Accumulate, NoAccum};
+use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Error, Result};
-use crate::exec::{Completable, Context, Node};
+use crate::exec::{invalidated, Completable, Context, Node};
 use crate::index::{Index, IndexSelection};
+use crate::kernel::write::{write_matrix, write_vector};
+use crate::mask::{MaskCsr, MaskVec};
 use crate::object::handle::{Handle, Stored};
-use crate::object::Matrix;
+use crate::object::mask_arg::{MaskSnap1, MaskSnap2, Snap};
+use crate::object::{Matrix, MatrixMask, Vector, VectorMask};
 use crate::scalar::Scalar;
+use crate::storage::csr::Csr;
+use crate::storage::engine::MatrixStore;
+use crate::storage::vec::SparseVec;
 
 impl Context {
     /// Install a pending node as `out`'s new value and run/defer it per
     /// the mode, applying any injected test fault. `kind` is the Table II
-    /// operation name, surfaced in execution traces. The computed value
-    /// is re-stored under the output object's policy — migration (if
-    /// any) happens here, at completion time, once, and the policy has
-    /// the last word over whatever layout a fast-path kernel produced.
+    /// operation name, surfaced in execution traces. `eval` returns the
+    /// value already re-stored under the output object's policy
+    /// (`Stored::restore`, read at submission): migration (if any)
+    /// happens at completion time, once, and the policy has the last
+    /// word over whatever layout a fast-path kernel produced.
     pub(crate) fn submit<S: Stored>(
         &self,
         kind: &'static str,
         out: &Handle<S>,
         deps: Vec<Arc<dyn Completable>>,
-        eval: impl FnOnce() -> Result<S> + Send + 'static,
+        eval: Box<dyn FnOnce() -> Result<S> + Send>,
     ) -> Result<()> {
-        let policy = out.policy();
         let node = Node::pending_kind(
             kind,
             deps,
             match self.take_fault() {
                 Some(f) => Box::new(move || Err(f)),
-                None => Box::new(move || eval().map(|s| s.restore(policy))),
+                None => eval,
             },
         );
         // The operation overwrites the output's whole value, so any
@@ -72,41 +86,281 @@ impl Context {
         out.install(node.clone());
         self.finish_op(node)
     }
+
+    /// Open Figure 2's write stage for an operation writing `out`: the
+    /// mask must match the output ("the mask dimensions must match those
+    /// of the matrix C"), checked eagerly, and is snapshotted now.
+    fn fig2<'a, O: Output, Ac: Accumulate<Elem<O>>>(
+        &'a self,
+        out: &'a O,
+        mask: impl MaskFor<O>,
+        accum: Ac,
+        desc: &Descriptor,
+    ) -> Result<Fig2<'a, O, Ac>> {
+        mask.check_dims(out)?;
+        Ok(Fig2 {
+            ctx: self,
+            out,
+            msnap: mask.snapshot(desc),
+            accum,
+            replace: desc.is_replace(),
+            reads_c: false,
+            first: First::Old,
+        })
+    }
 }
 
-/// Deferred capture of an operation's *old output value*.
-///
-/// The write stage only consults the previous content of the output
-/// when an accumulator is present or a mask can exclude positions
-/// (merge/replace against old values). When neither holds, the output
-/// is overwritten wholesale — so the old node is **not** captured as a
-/// dependency, which lets nonblocking mode elide entire chains of
-/// overwritten intermediates (§IV lazy evaluation) and releases their
-/// memory immediately.
-pub(crate) struct Old<S: Stored> {
-    node: Option<Arc<Node<S>>>,
-    shape: S::Key,
+/// Figure 2's second and third steps for one operation call.
+struct Fig2<'a, O: Output, Ac> {
+    ctx: &'a Context,
+    out: &'a O,
+    msnap: O::Snap,
+    accum: Ac,
+    replace: bool,
+    /// The compute step reads the old output itself.
+    reads_c: bool,
+    first: First,
 }
 
-impl<S: Stored> Old<S> {
-    pub(crate) fn capture(out: &Handle<S>, needed: bool, shape: S::Key) -> Self {
-        Old {
-            node: needed.then(|| out.capture()),
-            shape,
+/// Which argument an operation reads first: when several are invalid,
+/// the first one read names the root cause of its `InvalidObject`. Each
+/// entry point keeps the order it has always had.
+#[derive(Clone, Copy, PartialEq)]
+enum First {
+    /// The old output, the mask, then the inputs (inside `compute`).
+    Old,
+    /// The inputs, the old output, then the mask.
+    Inputs,
+    /// The mask, then the old output.
+    Mask,
+}
+
+/// What an operation's compute step hands the write stage.
+enum Computed<O: Output> {
+    /// Figure 2's **T**: the stage forms `Z = C ⊙ T` and writes it under
+    /// the mask.
+    T(O::Value),
+    /// **T** computed under the stage's own mask (`mxm`, `eWiseMult`,
+    /// `mxv`, `vxm`): every stored position is admitted, so replace mode
+    /// without an accumulator writes `T ∩ mask = T` as it is.
+    Masked(O::Value),
+    /// A finished **Z** (`assign`): the stage applies the mask alone.
+    Z(O::Value),
+    /// The output's final value (a fast path): nothing is left to write.
+    Done(O::Store),
+}
+
+impl<O: Output, Ac: Accumulate<Elem<O>>> Fig2<'_, O, Ac> {
+    /// `assign`'s Z is the old output with a region updated, so the old
+    /// value is read whatever the accumulator and mask.
+    fn reading_c(self) -> Self {
+        Fig2 {
+            reads_c: true,
+            ..self
         }
     }
 
-    pub(crate) fn dep(&self) -> Option<Arc<dyn Completable>> {
-        self.node.clone().map(|n| n as Arc<dyn Completable>)
+    /// Read `first` first, rather than the old output.
+    fn reading(self, first: First) -> Self {
+        Fig2 { first, ..self }
     }
 
-    /// The old content — or an empty stand-in when the write stage can't
-    /// observe it anyway.
-    pub(crate) fn storage(&self) -> Result<Arc<S>> {
-        match &self.node {
-            Some(n) => n.ready_storage(),
-            None => Ok(Arc::new(S::empty(self.shape))),
+    /// Capture the old output when the write can observe it and submit
+    /// the deferred node: materialize the mask, run `compute` under it
+    /// (with the accumulator and the old output, which only `assign`
+    /// reads), write its result and poll the accumulator. The old output,
+    /// the mask and `inputs` are read in the entry point's [`First`]
+    /// order.
+    ///
+    /// Without an accumulator, and with no mask or a replace-mode one,
+    /// the write overwrites the output wholesale. Its old node is then
+    /// no dependency, so nonblocking mode drops whole chains of
+    /// overwritten values unrun (§IV) and frees them at once.
+    fn submit(
+        self,
+        kind: &'static str,
+        inputs: Vec<Arc<dyn Completable>>,
+        compute: impl FnOnce(&Mask<O>, &Ac, &O::Value) -> Result<Computed<O>> + Send + 'static,
+    ) -> Result<()> {
+        let Fig2 {
+            ctx,
+            out,
+            msnap,
+            accum,
+            replace,
+            reads_c,
+            first,
+        } = self;
+        let read = reads_c || accum.is_accum() || (!msnap.is_all() && !replace);
+        let old = read.then(|| out.handle().capture());
+        let shape = out.shape();
+        let inputs_first = (first == First::Inputs).then(|| inputs.clone());
+        let mut deps = inputs;
+        deps.extend(old.clone().map(|n| n as Arc<dyn Completable>));
+        deps.extend(msnap.deps());
+        let policy = out.handle().policy();
+        let eval = move || {
+            if let Some(e) = inputs_first.iter().flatten().find_map(|n| n.failure()) {
+                return Err(invalidated(&e));
+            }
+            // an old value the write cannot observe reads as empty
+            let read_c = || -> Result<_> {
+                Ok(O::value(match &old {
+                    Some(n) => n.ready_storage()?,
+                    None => Arc::new(O::Store::empty(shape)),
+                }))
+            };
+            let (c, mask) = if first == First::Mask {
+                let mask = msnap.materialize()?;
+                (read_c()?, mask)
+            } else {
+                (read_c()?, msnap.materialize()?)
+            };
+            let z = compute(&mask, &accum, &c)?.write(&c, &accum, &mask, replace);
+            accum.poll_error().map_or(Ok(z.restore(policy)), Err)
+        };
+        ctx.submit(kind, out.handle(), deps, Box::new(eval))
+    }
+}
+
+impl<O: Output> Computed<O> {
+    /// `Z = C ⊙ T` and the masked write into old content `c`. The
+    /// identity writes return their value without a pass.
+    fn write<Ac: Accumulate<Elem<O>>>(
+        self,
+        c: &O::Value,
+        accum: &Ac,
+        mask: &Mask<O>,
+        replace: bool,
+    ) -> O::Store {
+        let (assigns, all) = (!accum.is_accum(), O::admits_all(mask));
+        O::store(match self {
+            Computed::Done(store) => return store,
+            Computed::T(t) if assigns && all => t,
+            Computed::Masked(t) if assigns && (all || replace) => t,
+            Computed::T(t) | Computed::Masked(t) => O::write(c, t, accum, mask, replace),
+            Computed::Z(z) if all => z,
+            Computed::Z(z) => O::write(c, z, &NoAccum, mask, replace),
+        })
+    }
+}
+
+/// One of Figure 2's two output shapes: a matrix, written as CSR under a
+/// [`MaskCsr`], or a vector, written under a [`MaskVec`].
+trait Output {
+    type Store: Stored;
+    /// **T**, **Z** and the old output as the write kernel reads them.
+    type Value;
+    type Snap: Snap;
+    fn handle(&self) -> &Handle<Self::Store>;
+    fn shape(&self) -> <Self::Store as Stored>::Key;
+    fn value(store: Arc<Self::Store>) -> Arc<Self::Value>;
+    fn store(value: Self::Value) -> Self::Store;
+    fn admits_all(mask: &Mask<Self>) -> bool;
+    fn write<Ac: Accumulate<Elem<Self>>>(
+        c: &Self::Value,
+        t: Self::Value,
+        accum: &Ac,
+        mask: &Mask<Self>,
+        replace: bool,
+    ) -> Self::Value;
+}
+
+type Elem<O> = <<O as Output>::Store as Stored>::Elem;
+type Mask<O> = <<O as Output>::Snap as Snap>::Mask;
+
+impl<T: Scalar> Output for Matrix<T> {
+    type Store = MatrixStore<T>;
+    type Value = Csr<T>;
+    type Snap = MaskSnap2;
+    fn handle(&self) -> &Handle<MatrixStore<T>> {
+        &self.handle
+    }
+    fn shape(&self) -> (Index, Index) {
+        Matrix::shape(self)
+    }
+    fn value(store: Arc<MatrixStore<T>>) -> Arc<Csr<T>> {
+        store.row_csr()
+    }
+    fn store(value: Csr<T>) -> MatrixStore<T> {
+        MatrixStore::csr(value)
+    }
+    fn admits_all(mask: &MaskCsr) -> bool {
+        mask.admits_all()
+    }
+    fn write<Ac: Accumulate<T>>(
+        c: &Csr<T>,
+        t: Csr<T>,
+        accum: &Ac,
+        mask: &MaskCsr,
+        replace: bool,
+    ) -> Csr<T> {
+        write_matrix(c, t, accum, mask, replace)
+    }
+}
+
+impl<T: Scalar> Output for Vector<T> {
+    type Store = SparseVec<T>;
+    type Value = SparseVec<T>;
+    type Snap = MaskSnap1;
+    fn handle(&self) -> &Handle<SparseVec<T>> {
+        &self.handle
+    }
+    fn shape(&self) -> Index {
+        self.size()
+    }
+    fn value(store: Arc<SparseVec<T>>) -> Arc<SparseVec<T>> {
+        store
+    }
+    fn store(value: SparseVec<T>) -> SparseVec<T> {
+        value
+    }
+    fn admits_all(mask: &MaskVec) -> bool {
+        mask.admits_all()
+    }
+    fn write<Ac: Accumulate<T>>(
+        c: &SparseVec<T>,
+        t: SparseVec<T>,
+        accum: &Ac,
+        mask: &MaskVec,
+        replace: bool,
+    ) -> SparseVec<T> {
+        write_vector(c, t, accum, mask, replace)
+    }
+}
+
+/// A mask argument for an output `O`: a [`MatrixMask`] for a matrix, a
+/// [`VectorMask`] for a vector.
+trait MaskFor<O: Output> {
+    fn check_dims(&self, out: &O) -> Result<()>;
+    fn snapshot(&self, desc: &Descriptor) -> O::Snap;
+}
+
+impl<T: Scalar, Mk: MatrixMask> MaskFor<Matrix<T>> for Mk {
+    fn check_dims(&self, out: &Matrix<T>) -> Result<()> {
+        match (self.mask_dims(), out.shape()) {
+            (Some(md), od) => dim_check(md == od, || {
+                format!("mask is {}x{} but output is {}x{}", md.0, md.1, od.0, od.1)
+            }),
+            (None, _) => Ok(()),
         }
+    }
+    fn snapshot(&self, desc: &Descriptor) -> MaskSnap2 {
+        self.snap(desc)
+    }
+}
+
+impl<T: Scalar, Mk: VectorMask> MaskFor<Vector<T>> for Mk {
+    fn check_dims(&self, out: &Vector<T>) -> Result<()> {
+        match (self.mask_size(), out.size()) {
+            (Some(ms), n) => dim_check(ms == n, || {
+                format!("mask has size {ms} but output has size {n}")
+            }),
+            (None, _) => Ok(()),
+        }
+    }
+    fn snapshot(&self, desc: &Descriptor) -> MaskSnap1 {
+        self.snap(desc)
     }
 }
 
@@ -117,29 +371,6 @@ pub(crate) fn effective_dims<T: Scalar>(m: &Matrix<T>, transposed: bool) -> (Ind
     } else {
         (m.nrows(), m.ncols())
     }
-}
-
-/// Mask dimensions must match the output (Figure 2: "the mask dimensions
-/// must match those of the matrix C").
-pub(crate) fn check_mask_dims2(mask: Option<(Index, Index)>, out: (Index, Index)) -> Result<()> {
-    if let Some(md) = mask {
-        dim_check(md == out, || {
-            format!(
-                "mask is {}x{} but output is {}x{}",
-                md.0, md.1, out.0, out.1
-            )
-        })?;
-    }
-    Ok(())
-}
-
-pub(crate) fn check_mask_dims1(mask: Option<Index>, out: Index) -> Result<()> {
-    if let Some(ms) = mask {
-        dim_check(ms == out, || {
-            format!("mask has size {ms} but output has size {out}")
-        })?;
-    }
-    Ok(())
 }
 
 /// Resolve an `assign` target selection against dimension `n`, rejecting
@@ -158,4 +389,100 @@ pub(crate) fn resolve_target(sel: IndexSelection<'_>, n: Index, what: &str) -> R
         }
     }
     Ok(indices)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::accum::Accum;
+    use crate::algebra::binary::Plus;
+
+    fn c_old() -> Csr<i32> {
+        // [ 1 2 . ]
+        // [ . 3 . ]
+        Csr::from_sorted_tuples(2, 3, vec![(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+    }
+
+    fn mask_01_and_11() -> MaskCsr {
+        let m = Csr::from_sorted_tuples(2, 3, vec![(0, 1, true), (1, 1, true)]);
+        MaskCsr::from_csr(&m, false, false)
+    }
+
+    fn write_m(
+        t: Computed<Matrix<i32>>,
+        accum: Option<Plus<i32>>,
+        mask: &MaskCsr,
+        replace: bool,
+    ) -> Vec<(Index, Index, i32)> {
+        t.write(&c_old(), &accum, mask, replace)
+            .row_csr()
+            .to_tuples()
+    }
+
+    #[test]
+    fn masked_t_with_replace_is_written_as_is() {
+        // T already restricted to the mask: replace without accum is T
+        let t = Csr::from_sorted_tuples(2, 3, vec![(1, 1, 30)]);
+        let r = write_m(Computed::Masked(t.clone()), None, &mask_01_and_11(), true);
+        assert_eq!(r, t.to_tuples());
+        // merge mode still keeps unmasked old values
+        let r = write_m(Computed::Masked(t), None, &mask_01_and_11(), false);
+        assert_eq!(r, vec![(0, 0, 1), (1, 1, 30)]);
+    }
+
+    #[test]
+    fn only_the_identity_writes_skip_the_pass() {
+        // (0, 2) lies outside the mask: the pass drops it, a skip keeps it
+        let t = Csr::from_sorted_tuples(2, 3, vec![(0, 2, 20), (1, 1, 30)]);
+        let m = mask_01_and_11();
+        let skipped = t.to_tuples();
+        let passed = vec![(1, 1, 30)];
+        assert_eq!(
+            write_m(Computed::Masked(t.clone()), None, &m, true),
+            skipped
+        );
+        assert_eq!(write_m(Computed::T(t.clone()), None, &m, true), passed);
+        assert_eq!(write_m(Computed::Z(t.clone()), None, &m, true), passed);
+        assert_eq!(
+            write_m(Computed::Masked(t.clone()), Some(Plus::new()), &m, true),
+            vec![(0, 1, 2), (1, 1, 33)]
+        );
+        // unmasked without an accumulator, every kind is written as is
+        for computed in [
+            Computed::T(t.clone()),
+            Computed::Masked(t.clone()),
+            Computed::Z(t.clone()),
+        ] {
+            assert_eq!(write_m(computed, None, &MaskCsr::All, false), skipped);
+        }
+        // a finished value is never written again
+        let done = Computed::Done(MatrixStore::csr(t.clone()));
+        assert_eq!(write_m(done, Some(Plus::new()), &m, true), skipped);
+        // Z already holds the accumulation: the stage adds no second one
+        assert_eq!(
+            write_m(Computed::Z(t), Some(Plus::new()), &MaskCsr::All, false),
+            skipped
+        );
+    }
+
+    #[test]
+    fn masked_vector_t_with_replace_is_written_as_is() {
+        let w = SparseVec::from_sorted_parts(4, vec![0, 2], vec![1, 2]);
+        let msrc = SparseVec::from_sorted_parts(4, vec![1, 3], vec![true, true]);
+        let mask = MaskVec::from_vec(&msrc, false, false);
+        let write = |t: SparseVec<i32>, accum: Option<Plus<i32>>, replace| {
+            Computed::<Vector<i32>>::Masked(t).write(&w, &accum, &mask, replace)
+        };
+        // T already restricted to the mask: replace without accum is T
+        let t = SparseVec::from_sorted_parts(4, vec![1], vec![10]);
+        assert_eq!(write(t.clone(), None, true), t);
+        // merge mode still keeps unmasked old values
+        let r = write(t.clone(), None, false);
+        assert_eq!(r.to_tuples(), vec![(0, 1), (1, 10), (2, 2)]);
+        // an accumulator takes the full pass: replace clears the
+        // unadmitted old values
+        let r =
+            Computed::<Vector<i32>>::Masked(t).write(&w, &Accum(Plus::<i32>::new()), &mask, true);
+        assert_eq!(r.to_tuples(), vec![(1, 10)]);
+    }
 }

@@ -1,20 +1,18 @@
 //! `GrB_mxm`: `C<Mask> ⊙= A ⊕.⊗ B` (paper, Figure 2).
 
 use crate::accum::Accumulate;
-use crate::algebra::binary::BinaryOp;
 use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_tiled, prefer_dot, MxmStrategy};
-use crate::kernel::write::write_masked_matrix;
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
-use crate::op::{check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed};
 use crate::scalar::Scalar;
-use crate::storage::engine::{Layout, MatrixStore};
+use crate::storage::engine::Layout;
 
 impl Context {
     /// `GrB_mxm(C, Mask, accum, op, A, B, desc)`: matrix–matrix multiply
@@ -65,47 +63,26 @@ impl Context {
                 c.ncols()
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
+        let fig2 = self.fig2(c, mask, accum, desc)?;
 
-        // --- snapshot inputs, build the deferred thunk ---
         let a_node = a.handle.capture();
         let b_node = b.handle.capture();
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, b_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        // The tiled fast path bypasses the write stage, so it is only
-        // taken when that stage is the identity: no accumulator and
-        // nothing excludable by the mask (replace with no mask is a plain
-        // overwrite).
-        let write_is_identity = !accum.is_accum() && msnap.is_all();
-
-        let eval = move || {
+        let inputs = vec![a_node.clone() as _, b_node.clone() as _];
+        fig2.submit("mxm", inputs, move |mcsr, accum, _| {
             // Tiled fast path: walk A's tile grid directly instead of
-            // assembling a slab view first. Per-row gather order is
-            // ascending k, so the product is bitwise-identical to the
-            // slab kernel's.
-            if write_is_identity && !tr_a {
+            // assembling a slab view first, taken only when the write is
+            // the identity (no accumulator, no mask). Per-row gather
+            // order is ascending k, so the product is bitwise-identical
+            // to the slab kernel's.
+            if !accum.is_accum() && mcsr.admits_all() && !tr_a {
                 if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
                     let a_tiled = a_tiled.clone();
                     let b_st = oriented_storage(&b_node, tr_b)?;
                     let t = mxm_tiled(&semiring, &a_tiled, &b_st, &MaskCsr::All);
-                    if let Some(e) = semiring
-                        .add()
-                        .poll_error()
-                        .or_else(|| semiring.mul().poll_error())
-                    {
-                        return Err(e);
-                    }
-                    return Ok(MatrixStore::csr(t));
+                    return semiring.poll_error().map_or(Ok(Computed::T(t)), Err);
                 }
             }
 
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
 
@@ -115,7 +92,7 @@ impl Context {
             // cached column degrees — the stored B's row degrees when the
             // descriptor transposes it — and building Bᵀ is free when the
             // store already holds that view.
-            let t = match &mcsr {
+            let t = match mcsr {
                 MaskCsr::Pattern {
                     pattern,
                     complement: false,
@@ -139,26 +116,13 @@ impl Context {
                         let bt_st = oriented_storage(&b_node, !tr_b)?;
                         mxm_dot(&semiring, &a_st, &bt_st, pattern)
                     } else {
-                        mxm_kernel(&semiring, &a_st, &b_st, &mcsr, MxmStrategy::Auto)
+                        mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto)
                     }
                 }
-                _ => mxm_kernel(&semiring, &a_st, &b_st, &mcsr, MxmStrategy::Auto),
+                _ => mxm_kernel(&semiring, &a_st, &b_st, mcsr, MxmStrategy::Auto),
             };
-            if let Some(e) = semiring
-                .add()
-                .poll_error()
-                .or_else(|| semiring.mul().poll_error())
-            {
-                return Err(e);
-            }
-
-            let out = write_masked_matrix(&c_old, t, &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("mxm", &c.handle, deps, eval)
+            semiring.poll_error().map_or(Ok(Computed::Masked(t)), Err)
+        })
     }
 }
 

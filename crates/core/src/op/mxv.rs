@@ -2,16 +2,14 @@
 //! semiring.
 
 use crate::accum::Accumulate;
-use crate::algebra::binary::BinaryOp;
 use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
 use crate::kernel::spmspv;
-use crate::kernel::write::write_masked_vector;
 use crate::object::mask_arg::VectorMask;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, effective_dims};
+use crate::op::{effective_dims, Computed};
 use crate::scalar::Scalar;
 
 impl Context {
@@ -48,36 +46,14 @@ impl Context {
                 w.size()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
-        let a_node = a.handle.capture();
-        let u_node = u.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-        let eval = move || {
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let u_st = u_node.ready_storage()?;
-            let a_st = a_node.ready_storage()?;
-            let t = spmspv::mxv(&semiring, &a_st, &u_st, tr_a, &mvec);
-            if let Some(e) = semiring
-                .add()
-                .poll_error()
-                .or_else(|| semiring.mul().poll_error())
-            {
-                return Err(e);
-            }
-            let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("mxv", &w.handle, deps, eval)
+        let fig2 = self.fig2(w, mask, accum, desc)?;
+        let (a_node, u_node) = (a.handle.capture(), u.handle.capture());
+        let inputs = vec![a_node.clone() as _, u_node.clone() as _];
+        fig2.submit("mxv", inputs, move |mvec, _, _| {
+            let (u_st, a_st) = (u_node.ready_storage()?, a_node.ready_storage()?);
+            let t = spmspv::mxv(&semiring, &a_st, &u_st, tr_a, mvec);
+            semiring.poll_error().map_or(Ok(Computed::Masked(t)), Err)
+        })
     }
 
     /// `GrB_vxm(w, mask, accum, op, u, A, desc)`:
@@ -114,37 +90,14 @@ impl Context {
                 w.size()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
-        let a_node = a.handle.capture();
-        let u_node = u.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _, u_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
-            let a_st = a_node.ready_storage()?;
-            let u_st = u_node.ready_storage()?;
-            let t = spmspv::vxm(&semiring, &u_st, &a_st, tr_a, &mvec);
-            if let Some(e) = semiring
-                .add()
-                .poll_error()
-                .or_else(|| semiring.mul().poll_error())
-            {
-                return Err(e);
-            }
-            let out = write_masked_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("vxm", &w.handle, deps, eval)
+        let fig2 = self.fig2(w, mask, accum, desc)?;
+        let (a_node, u_node) = (a.handle.capture(), u.handle.capture());
+        let inputs = vec![a_node.clone() as _, u_node.clone() as _];
+        fig2.submit("vxm", inputs, move |mvec, _, _| {
+            let (a_st, u_st) = (a_node.ready_storage()?, u_node.ready_storage()?);
+            let t = spmspv::vxm(&semiring, &u_st, &a_st, tr_a, mvec);
+            semiring.poll_error().map_or(Ok(Computed::Masked(t)), Err)
+        })
     }
 }
 

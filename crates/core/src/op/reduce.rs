@@ -12,11 +12,10 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::{catch_panic, Context};
 use crate::kernel::reduce::{reduce_matrix_scalar, reduce_rows, reduce_vector_scalar};
-use crate::kernel::write::write_vector;
 use crate::object::mask_arg::VectorMask;
 use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
-use crate::op::{check_mask_dims1, effective_dims};
+use crate::op::{effective_dims, Computed, First};
 use crate::scalar::Scalar;
 
 impl Context {
@@ -46,31 +45,13 @@ impl Context {
                 w.size()
             )
         })?;
-        check_mask_dims1(mask.mask_size(), w.size())?;
-
+        let fig2 = self.fig2(w, mask, accum, desc)?.reading(First::Inputs);
         let a_node = a.handle.capture();
-        let msnap = mask.snap(desc);
-        let w_old_cap = w.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _];
-        deps.extend(w_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
+        fig2.submit("reduce", vec![a_node.clone() as _], move |_, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
-            let w_old = w_old_cap.storage()?;
-            let mvec = msnap.materialize()?;
             let t = reduce_rows(&a_st, &monoid);
-            if let Some(e) = monoid.poll_error() {
-                return Err(e);
-            }
-            let out = write_vector(&w_old, t, &accum, &mvec, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(out)
-        };
-        self.submit("reduce", &w.handle, deps, eval)
+            monoid.poll_error().map_or(Ok(Computed::T(t)), Err)
+        })
     }
 
     /// `GrB_reduce` (matrix → scalar): `⊕` over every stored element;

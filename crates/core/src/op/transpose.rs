@@ -10,13 +10,11 @@ use crate::accum::Accumulate;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
-use crate::kernel::write::write_matrix;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
-use crate::op::{check_mask_dims2, effective_dims};
+use crate::op::{effective_dims, Computed, First};
 use crate::scalar::Scalar;
-use crate::storage::engine::MatrixStore;
 
 impl Context {
     /// `GrB_transpose(C, Mask, accum, A, desc)`.
@@ -46,27 +44,11 @@ impl Context {
                 c.shape()
             )
         })?;
-        check_mask_dims2(mask.mask_dims(), c.shape())?;
-
+        let fig2 = self.fig2(c, mask, accum, desc)?.reading(First::Inputs);
         let a_node = a.handle.capture();
-        let msnap = mask.snap(desc);
-        let c_old_cap = c.old(accum.is_accum() || (!msnap.is_all() && !desc.is_replace()));
-        let mut deps: Vec<_> = vec![a_node.clone() as _];
-        deps.extend(c_old_cap.dep());
-        deps.extend(msnap.deps());
-        let replace = desc.is_replace();
-
-        let eval = move || {
-            let t_st = oriented_storage(&a_node, !tr_a)?;
-            let c_old = c_old_cap.storage()?.row_csr();
-            let mcsr = msnap.materialize()?;
-            let out = write_matrix(&c_old, (*t_st).clone(), &accum, &mcsr, replace);
-            if let Some(e) = accum.poll_error() {
-                return Err(e);
-            }
-            Ok(MatrixStore::csr(out))
-        };
-        self.submit("transpose", &c.handle, deps, eval)
+        fig2.submit("transpose", vec![a_node.clone() as _], move |_, _, _| {
+            Ok(Computed::T((*oriented_storage(&a_node, !tr_a)?).clone()))
+        })
     }
 }
 

@@ -2,9 +2,16 @@
 # Compile cost of the C facade (`graphblas-capi`): with its dependencies
 # already built, touch crates/capi/src/lib.rs and time a release rebuild
 # and a non-incremental (CARGO_INCREMENTAL=0) debug rebuild of the crate
-# alone; then count the code symbols the release rlib defines and the
-# copies of the core's `op::apply::apply_matrix` and `op::mxm::mxm` it
-# instantiates, and the most copies of any one core operation.
+# alone; then count the code symbols the release rlib defines, the copies
+# of the core's `op::apply::apply_matrix` and `op::mxm::mxm` it
+# instantiates, the copies of the Figure 2 write stage (`op::Fig2::submit`)
+# they go through, and the most copies of any one core operation.
+#
+# The raw symbol count follows codegen-unit partitioning: an unchanged
+# inline function gets one out-of-line copy per unit that calls it, so
+# moving code between units moves the count. The deduplicated count
+# (`sort -u`) counts each distinct name once and moves only with the
+# instantiations themselves.
 #
 # A timing, so it is not part of check.sh. To compare two trees, run it
 # in each, alternating, on the same otherwise idle machine:
@@ -39,7 +46,9 @@ count() { grep -cE "$1" <<<"$symbols" || true; }
 echo "capi release build s:        $release_s"
 echo "capi debug build s:          $debug_s"
 echo "rlib code symbols:           $(wc -l <<<"$symbols")"
+echo "rlib distinct code symbols:  $(sort -u <<<"$symbols" | wc -l)"
 echo "op::apply::apply_matrix:     $(count 'op::apply::<impl [^>]*>::apply_matrix$')"
 echo "op::mxm::mxm:                $(count 'op::mxm::<impl [^>]*>::mxm$')"
+echo "op::Fig2::submit:            $(count 'op::Fig2<[^>]*>::submit$')"
 echo "most copies of a core op:    $(grep -E '^graphblas_core::op::[a-z_]+::<impl [^>]*>::[a-z_]+$' <<<"$symbols" |
     sort | uniq -c | sort -rn | head -1 | sed -E 's/^ *([0-9]+) .*>::/\1 /')"

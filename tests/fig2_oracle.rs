@@ -22,6 +22,11 @@
 //! `mxv` and `vxm` run at the same sizes, with and without `TRAN`, under
 //! each forced SpMSpV direction over a slab and a tiled `A`; `A`'s row 0
 //! and column 0 carry the trap, so both products fold it.
+//!
+//! The aliasing cases make the output an input or the mask (`C ⊕= C·B`,
+//! `C<C> = A·B`, eWise with `C` as an operand, `w<w> = A·w`,
+//! `w ⊕= wᵀA`, vector extract/assign reading or masked by `w`) in both
+//! execution modes, against the oracle fed the old output.
 
 mod common;
 
@@ -848,3 +853,312 @@ proptest! {
         });
     }
 }
+
+/// A matrix program whose output `C` is also an input, or only the
+/// write mask (`Mxm`, run under the output's own mask).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MatAlias {
+    /// `C ⊙= C ⊕.⊗ B`
+    MxmInput,
+    /// `C ⊙= A ⊕.⊗ B`
+    Mxm,
+    /// `C ⊙= C − B` (eWiseAdd under `Minus`)
+    EwiseAddInput,
+    /// `C ⊙= C − B` (eWiseMult under `Minus`)
+    EwiseMultInput,
+}
+
+/// A vector program whose output `w` is also an input, or only the write
+/// mask (`ExtractU`, `AssignU`). Selections have length `n`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum VecAlias {
+    /// `w ⊙= w − u` (eWiseAdd under `Minus`)
+    EwiseAddInput,
+    /// `w ⊙= w − u` (eWiseMult under `Minus`)
+    EwiseMultInput,
+    /// `w ⊙= A ⊕.⊗ w`
+    MxvInput,
+    /// `w ⊙= wᵀ ⊕.⊗ A`
+    VxmInput,
+    /// `w ⊙= w(sel)`
+    ExtractInput,
+    /// `w ⊙= u(sel)`
+    ExtractU,
+    /// `w(sel) ⊙= w`
+    AssignInput,
+    /// `w(sel) ⊙= u`
+    AssignU,
+}
+
+/// One configuration of an aliasing case: the mask is a separate object
+/// or the output itself (`own`), in one masked form `m`.
+#[derive(Debug, Clone, Copy)]
+struct Cfg {
+    own: bool,
+    m: Option<(bool, bool)>,
+    accum: bool,
+    replace: bool,
+}
+
+impl Cfg {
+    /// A separate mask in every form, or the output's own mask in every
+    /// masked form; with and without an accumulator; merge and replace.
+    fn all() -> Vec<Cfg> {
+        let masks = [false, true]
+            .into_iter()
+            .flat_map(|own| MASKS.into_iter().map(move |m| (own, m)))
+            .filter(|&(own, m)| !own || m.is_some());
+        masks
+            .flat_map(|(own, m)| {
+                [(false, false), (false, true), (true, false), (true, true)].map(
+                    |(accum, replace)| Cfg {
+                        own,
+                        m,
+                        accum,
+                        replace,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// The oracle's mask over `separate`, or over the output's old value
+    /// `c` cast to Boolean (nonzero is true) when the mask is the output.
+    fn mask_source(&self, separate: Dense<bool>, c: &Dense<f64>) -> Dense<bool> {
+        if !self.own {
+            return separate;
+        }
+        c.iter()
+            .map(|r| r.iter().map(|v| v.map(|x| x != 0.0)).collect())
+            .collect()
+    }
+
+    fn oracle_mask<'a>(&self, source: &'a Dense<bool>) -> Option<Mask<'a>> {
+        self.m.map(|(structural, complement)| Mask {
+            source,
+            structural,
+            complement,
+        })
+    }
+
+    fn oracle_accum(&self) -> Option<&'static fig2::Accumulator<f64>> {
+        self.accum.then_some(&plus)
+    }
+}
+
+fn plus(x: &f64, y: &f64) -> f64 {
+    x + y
+}
+
+fn times(x: &f64, y: &f64) -> f64 {
+    x * y
+}
+
+fn minus(x: &f64, y: &f64) -> f64 {
+    x - y
+}
+
+/// Run `$call` with `$mask` bound to the configuration's mask argument:
+/// none, the separate mask `$separate`, or the output `$out`.
+macro_rules! under_mask {
+    ($cfg:expr, $separate:expr, $out:expr, |$mask:ident| $call:expr) => {
+        match ($cfg.m, $cfg.own) {
+            (None, _) => {
+                let $mask = NoMask;
+                $call
+            }
+            (Some(_), false) => {
+                let $mask = $separate;
+                $call
+            }
+            (Some(_), true) => {
+                let $mask = $out;
+                $call
+            }
+        }
+    };
+}
+
+/// The decoded draws of one aliasing case at size `n`.
+struct AliasCase {
+    n: usize,
+    a: Vec<(usize, usize, f64)>,
+    b: Vec<(usize, usize, f64)>,
+    c0: Vec<(usize, usize, f64)>,
+    mask: Vec<(usize, usize, bool)>,
+    u: Vec<(usize, f64)>,
+    w0: Vec<(usize, f64)>,
+    wmask: Vec<(usize, bool)>,
+}
+
+impl AliasCase {
+    /// A matrix program: the core library's answer in `ctx`'s mode, and
+    /// the oracle's, fed the old output wherever the program reads it.
+    fn matrix(&self, ctx: &Context, op: MatAlias, cfg: Cfg) -> (Dense<f64>, Dense<f64>) {
+        let n = self.n;
+        let mat = |t: &[(usize, usize, f64)]| Matrix::from_tuples(n, n, t).unwrap();
+        let (a, b, c) = (mat(&self.a), mat(&self.b), mat(&self.c0));
+        let mm = Matrix::from_tuples(n, n, &self.mask).unwrap();
+        let (acc, d, pt) = (
+            cfg.accum.then(Plus::new),
+            descriptor(cfg.m, cfg.replace),
+            plus_times(),
+        );
+        under_mask!(cfg, &mm, &c, |mk| match op {
+            MatAlias::MxmInput => ctx.mxm(&c, mk, acc, pt, &c, &b, &d),
+            MatAlias::Mxm => ctx.mxm(&c, mk, acc, pt, &a, &b, &d),
+            MatAlias::EwiseAddInput => ctx.ewise_add_matrix(&c, mk, acc, Minus::new(), &c, &b, &d),
+            MatAlias::EwiseMultInput =>
+                ctx.ewise_mult_matrix(&c, mk, acc, Minus::new(), &c, &b, &d),
+        })
+        .unwrap();
+        ctx.wait().unwrap();
+        let got = dense(n, n, &c.extract_tuples().unwrap());
+
+        let (da, db, dc) = (
+            dense(n, n, &self.a),
+            dense(n, n, &self.b),
+            dense(n, n, &self.c0),
+        );
+        let t = match op {
+            MatAlias::MxmInput => fig2::mxm(&dc, &db, plus, times),
+            MatAlias::Mxm => fig2::mxm(&da, &db, plus, times),
+            MatAlias::EwiseAddInput => fig2::ewise_add(&dc, &db, minus),
+            MatAlias::EwiseMultInput => fig2::ewise_mult(&dc, &db, minus),
+        };
+        let src = cfg.mask_source(dense(n, n, &self.mask), &dc);
+        let want = fig2::write(
+            &dc,
+            &t,
+            cfg.oracle_accum(),
+            cfg.oracle_mask(&src),
+            cfg.replace,
+        );
+        (got, want)
+    }
+
+    /// A vector program over `sel`: the core library's answer and the
+    /// oracle's.
+    fn vector(
+        &self,
+        ctx: &Context,
+        op: VecAlias,
+        sel: &Sel,
+        cfg: Cfg,
+    ) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+        let n = self.n;
+        let vector = |t: &[(usize, f64)]| Vector::from_tuples(n, t).unwrap();
+        let (u, w) = (vector(&self.u), vector(&self.w0));
+        let a = Matrix::from_tuples(n, n, &self.a).unwrap();
+        let mv = Vector::from_tuples(n, &self.wmask).unwrap();
+        let (acc, d, pt, s) = (
+            cfg.accum.then(Plus::new),
+            descriptor(cfg.m, cfg.replace),
+            plus_times(),
+            sel.core(),
+        );
+        under_mask!(cfg, &mv, &w, |mk| match op {
+            VecAlias::EwiseAddInput => ctx.ewise_add_vector(&w, mk, acc, Minus::new(), &w, &u, &d),
+            VecAlias::EwiseMultInput =>
+                ctx.ewise_mult_vector(&w, mk, acc, Minus::new(), &w, &u, &d),
+            VecAlias::MxvInput => ctx.mxv(&w, mk, acc, pt, &a, &w, &d),
+            VecAlias::VxmInput => ctx.vxm(&w, mk, acc, pt, &w, &a, &d),
+            VecAlias::ExtractInput => ctx.extract_vector(&w, mk, acc, &w, s, &d),
+            VecAlias::ExtractU => ctx.extract_vector(&w, mk, acc, &u, s, &d),
+            VecAlias::AssignInput => ctx.assign_vector(&w, mk, acc, &w, s, &d),
+            VecAlias::AssignU => ctx.assign_vector(&w, mk, acc, &u, s, &d),
+        })
+        .unwrap();
+        ctx.wait().unwrap();
+        let got = vector_of(n, &w.extract_tuples().unwrap()).1;
+
+        let (da, du, dw) = (
+            dense(n, n, &self.a),
+            vector_of(n, &self.u).1,
+            vector_of(n, &self.w0).1,
+        );
+        let (idx, acc) = (sel.indices(n), cfg.oracle_accum());
+        let (rw, ru) = (vec![dw.clone()], vec![du.clone()]);
+        // assign's Z already holds the accumulation
+        let (t, acc) = match op {
+            VecAlias::EwiseAddInput => (fig2::ewise_add(&rw, &ru, minus).remove(0), acc),
+            VecAlias::EwiseMultInput => (fig2::ewise_mult(&rw, &ru, minus).remove(0), acc),
+            VecAlias::MxvInput => (fig2::mxv(&da, &dw, plus, times), acc),
+            VecAlias::VxmInput => (fig2::vxm(&dw, &da, plus, times), acc),
+            VecAlias::ExtractInput => (fig2::extract(&dw, &idx), acc),
+            VecAlias::ExtractU => (fig2::extract(&du, &idx), acc),
+            VecAlias::AssignInput => (fig2::assign(&dw, &dw, &idx, acc), None),
+            VecAlias::AssignU => (fig2::assign(&dw, &du, &idx, acc), None),
+        };
+        let c = vec![dw];
+        let src = cfg.mask_source(vec![vector_of(n, &self.wmask).1], &c);
+        let want = fig2::write(&c, &vec![t], acc, cfg.oracle_mask(&src), cfg.replace);
+        (got, want.into_iter().next().unwrap())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The output as an input and as the mask, in both modes: `C ⊕= C·B`,
+    /// `C<C> = A·B`, matrix and vector eWise with the output as an
+    /// operand, `w<w> = A·w`, `w ⊕= wᵀA`, and vector extract/assign with
+    /// `w` as the source or the mask. An operation's inputs are snapshots
+    /// taken at the call, so the oracle is fed the old output.
+    #[test]
+    fn aliased_outputs_match_the_fig2_oracle_bitwise(
+        a in tuples(ALIAS_N, ALIAS_N, 64),
+        b in tuples(ALIAS_N, ALIAS_N, 64),
+        c0 in tuples(ALIAS_N, ALIAS_N, 64),
+        mask in mask_tuples(ALIAS_N, ALIAS_N),
+        u in tuples(ALIAS_N, 1, 12),
+        w0 in tuples(ALIAS_N, 1, 12),
+        wmask in mask_tuples(ALIAS_N, 1),
+        seed in any::<u64>(),
+    ) {
+        let n = ALIAS_N;
+        let f = |t: &Tuples| t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
+        let case = AliasCase {
+            n,
+            a: f(&a),
+            b: f(&b),
+            c0: f(&c0),
+            mask: mask.iter().map(|&(i, j, c)| (i, j, c % 2 == 0)).collect(),
+            u: decode(&u),
+            w0: decode(&w0),
+            wmask: wmask.iter().map(|e| (e.0, e.2 % 2 == 0)).collect(),
+        };
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by_key(|&i| (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let sels = [Sel::All, Sel::List(perm)];
+        par::with_cost_model(1, 0, || {
+            for ctx in common::contexts() {
+                for cfg in Cfg::all() {
+                    let mat_ops = [MatAlias::MxmInput, MatAlias::Mxm, MatAlias::EwiseAddInput, MatAlias::EwiseMultInput];
+                    // a program that reads no output is aliased by its mask alone
+                    for op in mat_ops.into_iter().filter(|&op| cfg.own || op != MatAlias::Mxm) {
+                        let (got, want) = case.matrix(&ctx, op, cfg);
+                        prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?} {:?}", op, ctx.mode(), cfg);
+                    }
+                    let vec_ops = [
+                        VecAlias::EwiseAddInput, VecAlias::EwiseMultInput, VecAlias::MxvInput, VecAlias::VxmInput,
+                        VecAlias::ExtractInput, VecAlias::ExtractU, VecAlias::AssignInput, VecAlias::AssignU,
+                    ];
+                    let reads_output = |op| !matches!(op, VecAlias::ExtractU | VecAlias::AssignU);
+                    for op in vec_ops.into_iter().filter(|&op| cfg.own || reads_output(op)) {
+                        for sel in &sels {
+                            let (got, want) = case.vector(&ctx, op, sel, cfg);
+                            prop_assert_eq!(
+                                vbits(&got), vbits(&want),
+                                "{:?} {:?} sel={:?} {:?}", op, ctx.mode(), sel, cfg
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// The size of the aliasing cases.
+const ALIAS_N: usize = 12;
