@@ -12,8 +12,7 @@
 
 use graphblas_core::error::{Error, Result};
 use graphblas_core::exec::{Context, Mode, TraceEvent};
-use graphblas_core::par;
-use graphblas_core::storage::{delta, engine, snapshot};
+use graphblas_core::options;
 use parking_lot::{Mutex, ReentrantMutex};
 
 static GLOBAL: Mutex<Option<Context>> = Mutex::new(None);
@@ -87,16 +86,18 @@ impl Config {
                 "GrB_init called while a context is already established".into(),
             ));
         }
-        par::set_default_parallelism(self.parallelism);
+        options::set_degree(self.parallelism);
         *g = Some(Context::new(self.mode));
         Ok(())
     }
 }
 
 /// `GrB_finalize()`. Fails if no context is established. Also restores
-/// every session knob ([`Config::parallelism`] and anything set through
+/// every session setting ([`Config::parallelism`], anything set through
 /// [`gxb_set`](crate::gxb_set) at [`Global`](crate::GxbScope::Global)
-/// scope) to auto, so pinned values cannot leak into the next session.
+/// scope, a forced SpMSpV direction) to auto with one
+/// [`options::reset`], so pinned values cannot leak into the next
+/// session.
 pub fn finalize() -> Result<()> {
     let mut g = GLOBAL.lock();
     if g.take().is_none() {
@@ -104,10 +105,7 @@ pub fn finalize() -> Result<()> {
             "GrB_finalize called without GrB_init".into(),
         ));
     }
-    par::set_default_parallelism(None);
-    delta::set_session_run_cap(None);
-    snapshot::set_session_flush_window_ms(None);
-    engine::set_session_default_policy(graphblas_core::FormatPolicy::Auto)?;
+    options::reset();
     Ok(())
 }
 
@@ -242,12 +240,12 @@ mod tests {
     #[test]
     fn config_parallelism_knob_scoped_to_session() {
         let _guard = SESSION.lock();
-        assert_eq!(par::default_parallelism(), None);
+        assert_eq!(options::session_degree(), None);
         Config::new(Mode::Blocking).parallelism(3).init().unwrap();
-        assert_eq!(par::default_parallelism(), Some(3));
+        assert_eq!(options::session_degree(), Some(3));
         finalize().unwrap();
         // finalize restores auto — the knob cannot leak across sessions
-        assert_eq!(par::default_parallelism(), None);
+        assert_eq!(options::session_degree(), None);
     }
 
     #[test]
@@ -263,8 +261,8 @@ mod tests {
     #[test]
     fn config_delta_knobs_scoped_to_session() {
         let _guard = SESSION.lock();
-        assert_eq!(delta::session_run_cap(), None);
-        assert_eq!(snapshot::session_flush_window_ms(), None);
+        assert_eq!(options::session_run_cap(), None);
+        assert_eq!(options::session_flush_window_ms(), None);
         Config::new(Mode::Blocking).init().unwrap();
         gxb_set(
             GxbScope::Global,
@@ -278,17 +276,17 @@ mod tests {
             GxbValue::Millis(Some(50)),
         )
         .unwrap();
-        assert_eq!(delta::session_run_cap(), Some(16));
-        assert_eq!(delta::run_cap(), 16);
-        assert_eq!(snapshot::session_flush_window_ms(), Some(50));
+        assert_eq!(options::session_run_cap(), Some(16));
+        assert_eq!(options::run_cap(), 16);
+        assert_eq!(options::session_flush_window_ms(), Some(50));
         assert_eq!(
-            snapshot::flush_window(),
+            options::flush_window(),
             Some(std::time::Duration::from_millis(50))
         );
         finalize().unwrap();
         // finalize restores auto — the knobs cannot leak across sessions
-        assert_eq!(delta::session_run_cap(), None);
-        assert_eq!(snapshot::session_flush_window_ms(), None);
+        assert_eq!(options::session_run_cap(), None);
+        assert_eq!(options::session_flush_window_ms(), None);
     }
 
     #[test]
@@ -301,7 +299,7 @@ mod tests {
             GxbValue::Millis(Some(0)),
         )
         .unwrap();
-        assert_eq!(snapshot::flush_window(), None);
+        assert_eq!(options::flush_window(), None);
         finalize().unwrap();
     }
 
@@ -318,7 +316,7 @@ mod tests {
             Err(Error::InvalidValue(_))
         ));
         // the rejected value leaves the knob on auto
-        assert_eq!(delta::session_run_cap(), None);
+        assert_eq!(options::session_run_cap(), None);
         finalize().unwrap();
     }
 

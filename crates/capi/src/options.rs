@@ -45,8 +45,7 @@
 //! ```
 
 use graphblas_core::error::{Error, Result};
-use graphblas_core::storage::engine;
-use graphblas_core::storage::{delta, snapshot};
+use graphblas_core::options;
 use graphblas_core::{Format, FormatPolicy};
 
 use crate::collections::{GrbMatrix, GrbVector, MatLane};
@@ -138,18 +137,18 @@ fn type_mismatch(option: GxbOption, value: &GxbValue) -> Error {
 pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()> {
     match (&scope, option) {
         (GxbScope::Global, GxbOption::Format) => match value {
-            GxbValue::Format(f) => engine::set_session_default_policy(f.into()),
+            GxbValue::Format(f) => options::set_format_policy(f.into()),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::FormatPolicy) => match value {
-            GxbValue::FormatPolicy(p) => engine::set_session_default_policy(p),
+            GxbValue::FormatPolicy(p) => options::set_format_policy(p),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::TileShape) => match value {
             GxbValue::TileShape(Some((r, c))) => {
-                engine::set_session_default_policy(FormatPolicy::tiled(r, c)?)
+                options::set_format_policy(FormatPolicy::tiled(r, c)?)
             }
-            GxbValue::TileShape(None) => engine::set_session_default_policy(FormatPolicy::Auto),
+            GxbValue::TileShape(None) => options::set_format_policy(FormatPolicy::Auto),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::DeltaRunCap) => match value {
@@ -157,14 +156,14 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
                 "GxB_set(DeltaRunCap): cap must be >= 1 (None means auto)".into(),
             )),
             GxbValue::Count(cap) => {
-                delta::set_session_run_cap(cap);
+                options::set_run_cap(cap);
                 Ok(())
             }
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Global, GxbOption::FlushWindowMs) => match value {
             GxbValue::Millis(ms) => {
-                snapshot::set_session_flush_window_ms(ms);
+                options::set_flush_window_ms(ms);
                 Ok(())
             }
             v => Err(type_mismatch(option, &v)),
@@ -194,17 +193,19 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
 pub fn gxb_get(scope: GxbScope, option: GxbOption) -> Result<GxbValue> {
     match (&scope, option) {
         (GxbScope::Global, GxbOption::Format) => {
-            Ok(GxbValue::Format(engine::session_default_policy().format()))
+            Ok(GxbValue::Format(options::format_policy().format()))
         }
         (GxbScope::Global, GxbOption::FormatPolicy) => {
-            Ok(GxbValue::FormatPolicy(engine::session_default_policy()))
+            Ok(GxbValue::FormatPolicy(options::format_policy()))
         }
-        (GxbScope::Global, GxbOption::TileShape) => Ok(GxbValue::TileShape(
-            engine::session_default_policy().tile_grid(),
-        )),
-        (GxbScope::Global, GxbOption::DeltaRunCap) => Ok(GxbValue::Count(delta::session_run_cap())),
+        (GxbScope::Global, GxbOption::TileShape) => {
+            Ok(GxbValue::TileShape(options::format_policy().tile_grid()))
+        }
+        (GxbScope::Global, GxbOption::DeltaRunCap) => {
+            Ok(GxbValue::Count(options::session_run_cap()))
+        }
         (GxbScope::Global, GxbOption::FlushWindowMs) => {
-            Ok(GxbValue::Millis(snapshot::session_flush_window_ms()))
+            Ok(GxbValue::Millis(options::session_flush_window_ms()))
         }
         (GxbScope::Matrix(m), GxbOption::Format) => {
             Ok(GxbValue::Format(lane!(MatLane, &m.m, x: T => x.format())?))

@@ -12,5 +12,5 @@ pub mod unary;
 pub use binary::{binary_fn, BinaryFn, BinaryOp};
 pub use monoid::{Monoid, MonoidDef};
 pub use semiring::{Semiring, SemiringDef};
-pub use udf::{UdfBinary, UdfMonoid, UdfSemiring, UdfTypeId, UdfUnary, UdfValue};
+pub use udf::{UdfBinary, UdfTypeId, UdfUnary, UdfValue};
 pub use unary::{unary_fn, UnaryFn, UnaryOp};

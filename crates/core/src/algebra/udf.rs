@@ -1,7 +1,8 @@
 //! Runtime-defined algebra: user-defined types and operators registered
 //! at **runtime**, the C API's `GrB_Type_new` / `GrB_UnaryOp_new` /
-//! `GrB_BinaryOp_new` / `GrB_Monoid_new` / `GrB_Semiring_new` surface
-//! (paper §III-B; Fig. 3 lines 12/53 build the algebra the same way).
+//! `GrB_BinaryOp_new` surface (paper §III-B; Fig. 3 lines 12/53 build
+//! the algebra the same way). The C facade builds `GrB_Monoid_new` and
+//! `GrB_Semiring_new` on top, with their domain checks.
 //!
 //! The typed core stays monomorphized: built-in kernels compile against
 //! zero-sized operator structs and never see this module. Runtime-defined
@@ -14,11 +15,9 @@
 //! small structs have) live inside the value, and an operator writes its
 //! result into a stack buffer of the output size it cached when it was
 //! built, so applying ⊗ or ⊕ allocates nothing and takes no lock. Larger
-//! types keep one shared heap payload per value. Because `UdfValue` satisfies
-//! the blanket [`Scalar`](crate::scalar::Scalar) bound, every generic kernel (mxm, SpMSpV,
-//! eWise, reduce, delta merge, tiled walks) works over it unchanged —
-//! the erased lane is a new *instantiation*, not a new code path, so the
-//! built-in instantiations keep their codegen and benchmarks.
+//! types keep one shared heap payload per value. The facade's `Value`
+//! wraps a `UdfValue`, so the generic kernels it instantiates over
+//! `Value` carry user-defined payloads unchanged.
 //!
 //! Type identity is nominal and process-global: [`register_type`] hands
 //! out a fresh [`UdfTypeId`] per call, and two registrations are distinct
@@ -28,14 +27,10 @@
 //! and the execution trace; they are interned for the process lifetime
 //! (bounded by the number of registrations, a handful per program).
 
-use std::cell::Cell;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::algebra::binary::BinaryOp;
-use crate::algebra::monoid::Monoid;
-use crate::algebra::semiring::Semiring;
-use crate::algebra::unary::UnaryOp;
 use crate::error::{Error, Result};
+use crate::exec::trace;
 
 // ----- the type registry -----
 
@@ -240,6 +235,17 @@ impl std::fmt::Debug for UdfValue {
 type RawUnaryFn = Arc<dyn Fn(&mut [u8], &[u8]) + Send + Sync>;
 type RawBinaryFn = Arc<dyn Fn(&mut [u8], &[u8], &[u8]) + Send + Sync>;
 
+/// Mark the erased lane for the execution trace: the first operator
+/// applied since the last drain names it, one `Cell` check per
+/// application after that.
+fn note(name: &'static str) {
+    trace::note(|n| {
+        if n.udf.get().is_none() {
+            n.udf.set(Some(name));
+        }
+    });
+}
+
 /// `GrB_UnaryOp_new`: a user function `f : D1 → D2` over raw bytes, in
 /// the C out-parameter shape `f(z, x)`. The output buffer arrives
 /// zeroed at the registered size of `d2`, looked up once at
@@ -284,7 +290,7 @@ impl UdfUnary {
     /// the operand domains).
     #[inline]
     pub fn apply_bytes(&self, x: &[u8]) -> UdfValue {
-        note_udf(self.name);
+        note(self.name);
         UdfValue::filled(self.d2, self.out_len, |z| (self.f)(z, x))
     }
 }
@@ -298,13 +304,6 @@ impl std::fmt::Debug for UdfUnary {
             self.d1.name(),
             self.d2.name()
         )
-    }
-}
-
-impl UnaryOp<UdfValue, UdfValue> for UdfUnary {
-    fn apply(&self, x: &UdfValue) -> UdfValue {
-        debug_assert_eq!(x.ty, self.d1, "domain confusion past the API checks");
-        self.apply_bytes(x.bytes())
     }
 }
 
@@ -355,7 +354,7 @@ impl UdfBinary {
     /// Apply over borrowed payloads, giving a value of `d3`.
     #[inline]
     pub fn apply_bytes(&self, x: &[u8], y: &[u8]) -> UdfValue {
-        note_udf(self.name);
+        note(self.name);
         UdfValue::filled(self.d3, self.out_len, |z| (self.f)(z, x, y))
     }
 }
@@ -373,160 +372,10 @@ impl std::fmt::Debug for UdfBinary {
     }
 }
 
-impl BinaryOp<UdfValue, UdfValue, UdfValue> for UdfBinary {
-    fn apply(&self, x: &UdfValue, y: &UdfValue) -> UdfValue {
-        debug_assert_eq!(x.ty, self.d1, "domain confusion past the API checks");
-        debug_assert_eq!(y.ty, self.d2, "domain confusion past the API checks");
-        self.apply_bytes(x.bytes(), y.bytes())
-    }
-}
-
-/// `GrB_Monoid_new`: a uniform-domain [`UdfBinary`] plus identity bytes,
-/// with an optional **terminal** (absorbing) value — a SuiteSparse-style
-/// extension letting reductions exit early once the fold can no longer
-/// change (e.g. `false` for LAND, `+∞`-free min over saturated domains).
-#[derive(Clone, Debug)]
-pub struct UdfMonoid {
-    op: UdfBinary,
-    identity: UdfValue,
-    terminal: Option<UdfValue>,
-}
-
-impl UdfMonoid {
-    pub fn new(op: UdfBinary, identity: &[u8], terminal: Option<&[u8]>) -> Result<Self> {
-        if op.d1 != op.d3 || op.d2 != op.d3 {
-            return Err(Error::DomainMismatch(format!(
-                "monoid operator {} has domains {} x {} -> {}; a monoid requires one domain",
-                op.name,
-                op.d1.name(),
-                op.d2.name(),
-                op.d3.name()
-            )));
-        }
-        for (role, bytes) in
-            std::iter::once(("identity", identity)).chain(terminal.iter().map(|t| ("terminal", *t)))
-        {
-            if bytes.len() != op.d3.size() {
-                return Err(Error::InvalidValue(format!(
-                    "monoid {role} of {} bytes for domain {} of size {}",
-                    bytes.len(),
-                    op.d3.name(),
-                    op.d3.size()
-                )));
-            }
-        }
-        let value =
-            |bytes: &[u8]| UdfValue::filled(op.d3, op.out_len, |z| z.copy_from_slice(bytes));
-        Ok(UdfMonoid {
-            identity: value(identity),
-            terminal: terminal.map(value),
-            op,
-        })
-    }
-
-    /// The single domain `D` of the monoid.
-    pub fn domain(&self) -> UdfTypeId {
-        self.op.d3
-    }
-
-    pub fn op(&self) -> &UdfBinary {
-        &self.op
-    }
-
-    pub fn identity_bytes(&self) -> &[u8] {
-        self.identity.bytes()
-    }
-
-    pub fn terminal_bytes(&self) -> Option<&[u8]> {
-        self.terminal.as_ref().map(UdfValue::bytes)
-    }
-}
-
-impl BinaryOp<UdfValue, UdfValue, UdfValue> for UdfMonoid {
-    fn apply(&self, x: &UdfValue, y: &UdfValue) -> UdfValue {
-        self.op.apply(x, y)
-    }
-}
-
-impl Monoid<UdfValue> for UdfMonoid {
-    fn identity(&self) -> UdfValue {
-        self.identity.clone()
-    }
-
-    fn is_terminal(&self, v: &UdfValue) -> bool {
-        self.terminal
-            .as_ref()
-            .is_some_and(|t| t.bytes() == v.bytes())
-    }
-}
-
-/// `GrB_Semiring_new`: a [`UdfMonoid`] ⊕ plus a [`UdfBinary`] ⊗ whose
-/// output domain is the monoid's domain. Implements the core
-/// [`Semiring`] trait over [`UdfValue`], so it drops into every generic
-/// kernel exactly where a Table I semiring would.
-#[derive(Clone, Debug)]
-pub struct UdfSemiring {
-    add: UdfMonoid,
-    mul: UdfBinary,
-}
-
-impl UdfSemiring {
-    pub fn new(add: UdfMonoid, mul: UdfBinary) -> Result<Self> {
-        if mul.d3 != add.domain() {
-            return Err(Error::DomainMismatch(format!(
-                "multiplicative operator {} produces {} but the additive monoid is over {}",
-                mul.name,
-                mul.d3.name(),
-                add.domain().name()
-            )));
-        }
-        Ok(UdfSemiring { add, mul })
-    }
-}
-
-impl Semiring<UdfValue, UdfValue, UdfValue> for UdfSemiring {
-    type Add = UdfMonoid;
-    type Mul = UdfBinary;
-
-    fn add(&self) -> &UdfMonoid {
-        &self.add
-    }
-
-    fn mul(&self) -> &UdfBinary {
-        &self.mul
-    }
-}
-
-// ----- erased-lane trace note -----
-
-thread_local! {
-    static UDF_NOTE: Cell<Option<&'static str>> = const { Cell::new(None) };
-}
-
-/// Note that a runtime-registered operator ran on this thread; the
-/// a traced `wait()` drains the note per node into `TraceEvent::udf`. First
-/// operator wins within one node (a semiring touches both ⊗ and ⊕; one
-/// representative name is enough to mark the erased lane). Applications
-/// inside pool-fanned row chunks may land on a chunk worker's local and
-/// be dropped by that worker's next pre-compute drain — the note is an
-/// attribution aid, never an under- or over-counted metric.
-pub fn note_udf(name: &'static str) {
-    UDF_NOTE.with(|c| {
-        if c.get().is_none() {
-            c.set(Some(name));
-        }
-    });
-}
-
-/// Drain this thread's erased-lane note (trace plumbing).
-pub fn take_udf() -> Option<&'static str> {
-    UDF_NOTE.with(Cell::take)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::monoid::Monoid;
+    use crate::exec::take_notes;
 
     fn i64_bytes(v: i64) -> [u8; 8] {
         v.to_ne_bytes()
@@ -590,9 +439,9 @@ mod tests {
             z.copy_from_slice(x);
             z.reverse();
         });
-        let z = rev.apply(&v, &v);
+        let z = rev.apply_bytes(v.bytes(), v.bytes());
         assert!(matches!(z.payload, Payload::Heap(_)));
-        assert_eq!(rev.apply(&z, &z), v);
+        assert_eq!(rev.apply_bytes(z.bytes(), z.bytes()), v);
         assert!(z > v, "ordered by bytes");
     }
 
@@ -602,57 +451,19 @@ mod tests {
         let op = plus_op(ty);
         let x = UdfValue::new(ty, &i64_bytes(40)).unwrap();
         let y = UdfValue::new(ty, &i64_bytes(2)).unwrap();
-        let z = op.apply(&x, &y);
+        let z = op.apply_bytes(x.bytes(), y.bytes());
         assert_eq!(z.ty(), ty);
         assert_eq!(z.bytes(), &i64_bytes(42));
     }
 
     #[test]
-    fn monoid_identity_and_terminal() {
-        let ty = wrapped_i64_type();
-        let m = UdfMonoid::new(plus_op(ty), &i64_bytes(0), Some(&i64_bytes(-1))).unwrap();
-        assert_eq!(m.identity().bytes(), &i64_bytes(0));
-        assert!(m.is_terminal(&UdfValue::new(ty, &i64_bytes(-1)).unwrap()));
-        assert!(!m.is_terminal(&UdfValue::new(ty, &i64_bytes(7)).unwrap()));
-        // wrong-length identity
-        assert!(UdfMonoid::new(plus_op(ty), &[0; 2], None).is_err());
-    }
-
-    #[test]
-    fn monoid_requires_uniform_domain() {
-        let a = register_type("test_dom_a", 8).unwrap();
-        let b = register_type("test_dom_b", 8).unwrap();
-        let op = UdfBinary::new("test_mixed", a, a, b, |z, _, _| z.fill(0));
-        let e = UdfMonoid::new(op, &[0; 8], None).unwrap_err();
-        assert_eq!(e.code_name(), "GrB_DOMAIN_MISMATCH");
-        let msg = e.to_string();
-        assert!(
-            msg.contains("test_dom_a") && msg.contains("test_dom_b"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn semiring_checks_mul_output_domain() {
-        let ty = wrapped_i64_type();
-        let other = register_type("test_other", 8).unwrap();
-        let add = UdfMonoid::new(plus_op(ty), &i64_bytes(0), None).unwrap();
-        let bad_mul = UdfBinary::new("test_bad_mul", ty, ty, other, |z, _, _| z.fill(0));
-        let e = UdfSemiring::new(add.clone(), bad_mul).unwrap_err();
-        assert_eq!(e.code_name(), "GrB_DOMAIN_MISMATCH");
-        let ok = UdfSemiring::new(add, plus_op(ty)).unwrap();
-        assert_eq!(ok.zero().bytes(), &i64_bytes(0));
-    }
-
-    #[test]
     fn apply_notes_the_erased_lane() {
         let ty = wrapped_i64_type();
-        let _ = take_udf();
+        take_notes();
         let op = plus_op(ty);
-        let x = UdfValue::new(ty, &i64_bytes(1)).unwrap();
-        op.apply(&x, &x);
-        assert_eq!(take_udf(), Some("test_plus"));
-        assert_eq!(take_udf(), None, "drained");
+        op.apply_bytes(&i64_bytes(1), &i64_bytes(1));
+        assert_eq!(take_notes().udf, Some("test_plus"));
+        assert_eq!(take_notes().udf, None, "drained");
     }
 
     #[test]
@@ -663,50 +474,6 @@ mod tests {
             z.copy_from_slice(&a.wrapping_neg().to_ne_bytes());
         });
         let v = UdfValue::new(ty, &i64_bytes(5)).unwrap();
-        assert_eq!(neg.apply(&v).bytes(), &i64_bytes(-5));
-    }
-
-    #[test]
-    fn generic_kernels_accept_udf_values_end_to_end() {
-        // the whole point of the erased lane: Matrix<UdfValue> runs the
-        // same generic kernels as Matrix<f64>
-        use crate::prelude::*;
-        let ty = wrapped_i64_type();
-        let sr = UdfSemiring::new(
-            UdfMonoid::new(plus_op(ty), &i64_bytes(0), None).unwrap(),
-            UdfBinary::new("test_times", ty, ty, ty, |z, x, y| {
-                let a = i64::from_ne_bytes(x.try_into().unwrap());
-                let b = i64::from_ne_bytes(y.try_into().unwrap());
-                z.copy_from_slice(&a.wrapping_mul(b).to_ne_bytes());
-            }),
-        )
-        .unwrap();
-        let uv = |v: i64| UdfValue::new(ty, &i64_bytes(v)).unwrap();
-        let ctx = Context::nonblocking();
-        let a = Matrix::<UdfValue>::new(2, 2).unwrap();
-        a.set(0, 0, uv(2)).unwrap();
-        a.set(0, 1, uv(3)).unwrap();
-        a.set(1, 1, uv(4)).unwrap();
-        let u = Vector::<UdfValue>::new(2).unwrap();
-        u.set(0, uv(10)).unwrap();
-        u.set(1, uv(100)).unwrap();
-        let w = Vector::<UdfValue>::new(2).unwrap();
-        let d = Descriptor::default();
-        ctx.mxv(&w, NoMask, NoAccum, sr.clone(), &a, &u, &d)
-            .unwrap();
-        ctx.wait().unwrap();
-        // w[0] = 2*10 + 3*100 = 320, w[1] = 4*100 = 400
-        let got = w.extract_tuples().unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], (0, uv(320)));
-        assert_eq!(got[1], (1, uv(400)));
-        // scalar reduce through the monoid
-        let s = ctx
-            .reduce_vector_to_scalar(
-                UdfMonoid::new(plus_op(ty), &i64_bytes(0), None).unwrap(),
-                &w,
-            )
-            .unwrap();
-        assert_eq!(s, uv(720));
+        assert_eq!(neg.apply_bytes(v.bytes()).bytes(), &i64_bytes(-5));
     }
 }

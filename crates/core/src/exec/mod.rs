@@ -21,7 +21,7 @@
 //! crate layers the global lifecycle on top.
 
 pub(crate) mod node;
-mod trace;
+pub(crate) mod trace;
 
 use std::sync::{Arc, Weak};
 
@@ -31,6 +31,8 @@ use crate::error::{Error, Result};
 #[doc(hidden)]
 pub use node::Completable;
 pub(crate) use node::{catch_panic, force, invalidated, Node};
+#[doc(hidden)]
+pub use trace::take_notes;
 pub use trace::TraceEvent;
 
 /// The one fusion policy: the pending DAG executes as written. Kept,
@@ -57,8 +59,7 @@ pub enum SchedPolicy {
 /// the `server` crate's admission control reads the backlog to decide
 /// when to shed load instead of queueing more. `queued` counts tasks
 /// waiting in the queue, not tasks mid-execution, so it is a floor on
-/// outstanding work; both fields are `0` before the pool's first use
-/// and always `0` without the `parallel` feature.
+/// outstanding work; both fields are `0` before the pool's first use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStatus {
     /// Daemon worker count (fixed at first use).
@@ -70,15 +71,8 @@ pub struct PoolStatus {
 /// Snapshot the shared worker pool's load (see [`PoolStatus`]). Never
 /// spawns the pool.
 pub fn pool_status() -> PoolStatus {
-    #[cfg(feature = "parallel")]
-    {
-        let (width, queued) = crate::kernel::workers::status();
-        PoolStatus { width, queued }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        PoolStatus::default()
-    }
+    let (width, queued) = crate::kernel::workers::status();
+    PoolStatus { width, queued }
 }
 
 /// Execution mode of a context (paper §IV).
@@ -433,7 +427,6 @@ mod tests {
         assert_eq!(*ok.ready_storage().unwrap(), 7);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn traced_wait_reports_intra_kernel_chunking() {
         // a node whose compute fans row chunks out to the pool reports

@@ -9,13 +9,11 @@
 //! the `wait()` that computed the node, so the trace doubles as a
 //! wall-clock profile of the sequence.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::algebra::udf;
 use crate::exec::Completable;
-use crate::kernel::{merge, par, spmspv};
-use crate::storage::tiled;
 
 /// Static description of a node for tracing: the operation kind that
 /// defined it plus result dims/nvals (zeros until the node is complete).
@@ -33,7 +31,7 @@ pub struct TraceMeta {
 }
 
 /// One node computed by a traced `wait()`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceEvent {
     /// Operation kind (Table II name such as `"mxm"`, or `"value"`).
     pub kind: &'static str,
@@ -101,24 +99,86 @@ impl TraceEvent {
     }
 }
 
-/// What the kernels noted on this thread since the last drain: the five
-/// thread-local side channels, taken together.
-type Notes = (
-    par::ParStats,
-    merge::FlushStats,
-    Option<&'static str>,
-    Option<&'static str>,
-    Vec<(u32, u32)>,
-);
+/// What kernels noted on one thread since the last drain, one field per
+/// note; each names the [`TraceEvent`] field it drains into. Kernels
+/// write through [`note`]; [`TraceSink::compute`] drains the record
+/// before and after each node. A note made inside a kernel chunk on a
+/// pool worker stays on that worker: only the submitting thread's notes
+/// reach the trace.
+pub(crate) struct Notes {
+    pub(crate) par_chunks: Cell<usize>,
+    pub(crate) chunk_rows: Cell<usize>,
+    pub(crate) par_workers: Cell<usize>,
+    pub(crate) pending_len: Cell<usize>,
+    pub(crate) merged_rows: Cell<usize>,
+    /// The last SpMSpV dispatch's direction.
+    pub(crate) direction: Cell<Option<&'static str>>,
+    /// The first runtime-registered operator applied: one representative
+    /// name marks the erased lane.
+    pub(crate) udf: Cell<Option<&'static str>>,
+    /// Unsorted, with repeats, until drained.
+    pub(crate) tiles: Cell<Vec<(u32, u32)>>,
+}
 
-fn take_notes() -> Notes {
-    (
-        par::take_stats(),
-        merge::take_flush_stats(),
-        spmspv::take_direction(),
-        udf::take_udf(),
-        tiled::take_tiles(),
-    )
+thread_local! {
+    static NOTES: Notes = const {
+        Notes {
+            par_chunks: Cell::new(0),
+            chunk_rows: Cell::new(0),
+            par_workers: Cell::new(0),
+            pending_len: Cell::new(0),
+            merged_rows: Cell::new(0),
+            direction: Cell::new(None),
+            udf: Cell::new(None),
+            tiles: Cell::new(Vec::new()),
+        }
+    };
+}
+
+/// Write to this thread's kernel notes.
+pub(crate) fn note(f: impl FnOnce(&Notes)) {
+    NOTES.with(f)
+}
+
+impl Notes {
+    /// A flush merged `pending_len` entries into `merged_rows` rows.
+    pub(crate) fn add_flush(&self, pending_len: usize, merged_rows: usize) {
+        self.pending_len.set(self.pending_len.get() + pending_len);
+        self.merged_rows.set(self.merged_rows.get() + merged_rows);
+    }
+
+    /// A kernel touched these tiles of a tiled operand or output.
+    pub(crate) fn add_tiles(&self, coords: impl IntoIterator<Item = (u32, u32)>) {
+        let mut tiles = self.tiles.take();
+        tiles.extend(coords);
+        self.tiles.set(tiles);
+    }
+
+    fn drain(&self) -> TraceEvent {
+        let mut tiles = self.tiles.take();
+        tiles.sort_unstable();
+        tiles.dedup();
+        TraceEvent {
+            par_chunks: self.par_chunks.take(),
+            chunk_rows: self.chunk_rows.take(),
+            par_workers: self.par_workers.take(),
+            pending_len: self.pending_len.take(),
+            merged_rows: self.merged_rows.take(),
+            direction: self.direction.take(),
+            udf: self.udf.take(),
+            tiles,
+            ..TraceEvent::default()
+        }
+    }
+}
+
+/// Drain what kernels noted on this thread since the last drain, as the
+/// kernel fields of an otherwise empty event: what a traced `wait()`
+/// records per node, for work forced outside one (PageRank's `vxm`,
+/// which its own reductions force).
+#[doc(hidden)]
+pub fn take_notes() -> TraceEvent {
+    NOTES.with(Notes::drain)
 }
 
 /// Collects [`TraceEvent`]s from one `wait()`.
@@ -143,11 +203,10 @@ impl TraceSink {
     /// are drained *before* the compute too, so a stale carry-over from
     /// earlier kernel work on this thread is not attributed to the node.
     pub(crate) fn compute(&mut self, node: &Arc<dyn Completable>, seq: Option<usize>) {
-        let _ = take_notes();
+        take_notes();
         let start_ns = self.now_ns();
         node.compute();
         let end_ns = self.now_ns();
-        let (stats, flush, direction, udf, tiles) = take_notes();
         let meta = node.trace_meta();
         self.events.push(TraceEvent {
             kind: meta.kind,
@@ -159,15 +218,8 @@ impl TraceSink {
             seq,
             start_ns,
             end_ns,
-            par_chunks: stats.par_chunks,
-            chunk_rows: stats.chunk_rows,
-            par_workers: stats.par_workers,
-            pending_len: flush.pending_len,
-            merged_rows: flush.merged_rows,
             by_flusher: meta.by_flusher,
-            direction,
-            udf,
-            tiles,
+            ..take_notes()
         });
     }
 

@@ -11,7 +11,6 @@ use crate::storage::vec::SparseVec;
 /// "rows" role: each chunk maps a contiguous span and the spans are
 /// concatenated in order, so output is identical to the serial map.
 fn map_vals<T: Scalar, U: Scalar, F: UnaryOp<T, U>>(vals: &[T], f: &F) -> Vec<U> {
-    #[cfg(feature = "parallel")]
     if let Some(plan) = crate::kernel::par::plan(vals.len(), vals.len()) {
         return crate::kernel::par::run_chunks(vals.len(), plan, |start, end| {
             vals[start..end]

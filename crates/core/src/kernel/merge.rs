@@ -16,13 +16,12 @@
 //! wins. A `Del` of an absent element merges to nothing, matching the
 //! C API's no-op semantics for `GrB_*_removeElement`.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::exec::trace;
 use crate::index::Index;
-#[cfg(feature = "parallel")]
 use crate::kernel::par;
 use crate::kernel::util::emit_rows;
 use crate::scalar::Scalar;
@@ -30,42 +29,6 @@ use crate::storage::delta::{DeltaEntry, DeltaOp, Run};
 use crate::storage::engine::{FormatPolicy, Layout, MatrixStore};
 use crate::storage::tiled::{self, Tiled};
 use crate::storage::{Csr, SparseVec};
-
-/// Flush work observed on this thread since the last
-/// [`take_flush_stats`] — a traced `wait()` drains it into `flush` trace
-/// events, alongside [`par::take_stats`] for the chunk fan-out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushStats {
-    /// Pending entries merged (post-dedup, summed over runs).
-    pub pending_len: usize,
-    /// Distinct output rows (vector: indices) the pending entries touched.
-    pub merged_rows: usize,
-}
-
-impl FlushStats {
-    const ZERO: FlushStats = FlushStats {
-        pending_len: 0,
-        merged_rows: 0,
-    };
-}
-
-thread_local! {
-    static FLUSH_STATS: Cell<FlushStats> = const { Cell::new(FlushStats::ZERO) };
-}
-
-/// Drain the flush stats accumulated on this thread since the last call.
-pub fn take_flush_stats() -> FlushStats {
-    FLUSH_STATS.with(|s| s.replace(FlushStats::ZERO))
-}
-
-fn note_flush(pending_len: usize, merged_rows: usize) {
-    FLUSH_STATS.with(|s| {
-        let mut st = s.get();
-        st.pending_len += pending_len;
-        st.merged_rows += merged_rows;
-        s.set(st);
-    });
-}
 
 /// Cross-run last-write-wins: `parts` are the runs' entries over one
 /// key range, each sorted and duplicate-free; append to `out` (empty)
@@ -168,7 +131,7 @@ fn merge_rows<T: Scalar>(base: &Csr<T>, runs: &[Run<(Index, Index), T>]) -> (Csr
 /// approves; bitwise identical either way.
 pub fn merge_matrix<T: Scalar>(base: &Csr<T>, runs: &[Run<(Index, Index), T>]) -> Csr<T> {
     let (out, merged_rows) = merge_rows(base, runs);
-    note_flush(runs.iter().map(|r| r.len()).sum(), merged_rows);
+    trace::note(|n| n.add_flush(runs.iter().map(|r| r.len()).sum(), merged_rows));
     out
 }
 
@@ -248,32 +211,25 @@ fn merge_tiled<T: Scalar>(t: &Tiled<T>, runs: &[Run<(Index, Index), T>]) -> Matr
             .iter()
             .map(|&k| t.tiles()[k].as_ref().map_or(0, |s| s.nvals()))
             .sum::<usize>();
-    let results: Vec<(Option<Arc<MatrixStore<T>>>, usize)>;
-    #[cfg(feature = "parallel")]
-    {
-        results = match par::plan(dirty.len(), work) {
-            Some(plan) => par::run_chunks(dirty.len(), plan, |lo, hi| {
-                (lo..hi).map(merge_one).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect(),
-            None => (0..dirty.len()).map(merge_one).collect(),
-        };
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = work;
-        results = (0..dirty.len()).map(merge_one).collect();
-    }
+    let results: Vec<_> = match par::plan(dirty.len(), work) {
+        Some(plan) => par::run_chunks(dirty.len(), plan, |lo, hi| {
+            (lo..hi).map(merge_one).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect(),
+        None => (0..dirty.len()).map(merge_one).collect(),
+    };
     let mut tiles = t.tiles().to_vec();
     let mut merged_rows = 0usize;
     for (&idx, (block, rows)) in dirty.iter().zip(results) {
         tiles[idx] = block;
         merged_rows += rows;
     }
-    note_flush(pending, merged_rows);
-    tiled::note_tiles(dirty.iter().map(|&k| ((k / gc) as u32, (k % gc) as u32)));
+    trace::note(|n| {
+        n.add_flush(pending, merged_rows);
+        n.add_tiles(dirty.iter().map(|&k| ((k / gc) as u32, (k % gc) as u32)));
+    });
     MatrixStore::tiled(Tiled::from_tiles(t.nrows(), t.ncols(), (gr, gc), tiles))
 }
 
@@ -302,7 +258,6 @@ pub fn merge_vector<T: Scalar>(base: &SparseVec<T>, runs: &[Run<Index, T>]) -> S
         );
         (idx, vals, delta.len())
     };
-    #[cfg(feature = "parallel")]
     if let Some(plan) = par::plan(n, base.nvals() + pending) {
         let parts = par::run_chunks(n, plan, span);
         // allocated on the calling thread, as in `emit_rows`
@@ -314,20 +269,24 @@ pub fn merge_vector<T: Scalar>(base: &SparseVec<T>, runs: &[Run<Index, T>]) -> S
             vals.append(&mut v);
             merged_rows += touched;
         }
-        note_flush(pending, merged_rows);
+        trace::note(|n| n.add_flush(pending, merged_rows));
         return SparseVec::from_sorted_parts(n, idx, vals);
     }
     let (idx, vals, merged_rows) = span(0, n);
-    note_flush(pending, merged_rows);
+    trace::note(|n| n.add_flush(pending, merged_rows));
     SparseVec::from_sorted_parts(n, idx, vals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::par;
+    use crate::exec::take_notes;
     use crate::storage::delta::{DeltaLog, MAX_RUNS};
     use std::collections::BTreeSet;
+
+    fn flushed(notes: &crate::exec::TraceEvent) -> (usize, usize) {
+        (notes.pending_len, notes.merged_rows)
+    }
 
     /// `(row, col, value)`; a `None` value removes.
     type Op = (Index, Index, Option<i64>);
@@ -434,7 +393,7 @@ mod tests {
         let base = Csr::from_sorted_tuples(3, 3, vec![(0, 1, 5i64), (2, 2, 7)]);
         let out = merge_matrix(&base, &[]);
         assert_eq!(out, base);
-        let st = take_flush_stats();
+        let st = take_notes();
         assert_eq!(st.pending_len, 0);
         assert_eq!(st.merged_rows, 0);
     }
@@ -451,7 +410,7 @@ mod tests {
         ];
         let out = merge_matrix(&base, &runs_of(&[ops.to_vec()]));
         assert_eq!(out, eager_apply(&base, &ops));
-        let st = take_flush_stats();
+        let st = take_notes();
         assert_eq!(st.pending_len, 5);
         assert_eq!(st.merged_rows, 4); // rows 0, 1, 2, 3 all touched
     }
@@ -468,7 +427,7 @@ mod tests {
         let out = merge_matrix(&base, &runs);
         assert_eq!(out.get(0, 0), Some(&2));
         assert_eq!(out.get(1, 1), Some(&9));
-        take_flush_stats();
+        take_notes();
     }
 
     #[test]
@@ -481,10 +440,9 @@ mod tests {
         runs.extend(log.drain());
         let out = merge_matrix(&base, &runs);
         assert_eq!(out.nvals(), 0);
-        take_flush_stats();
+        take_notes();
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn chunked_merge_is_bitwise_serial() {
         let mut all = cases();
@@ -503,22 +461,19 @@ mod tests {
             let ops = batches.concat();
             let expect = eager_apply(&base, &ops);
             let serial = par::with_parallelism(1, || merge_matrix(&base, &runs));
-            let st = take_flush_stats();
+            let st = take_notes();
             assert_eq!(serial, expect, "{name}");
             assert_eq!(st.pending_len, runs.iter().map(|r| r.len()).sum::<usize>());
             let rows: BTreeSet<Index> = ops.iter().map(|o| o.0).collect();
             assert_eq!(st.merged_rows, rows.len(), "{name}");
-            par::take_stats();
             for k in [2, 8] {
                 let parallel = par::with_parallelism(k, || {
                     par::with_cost_model(1, 0, || merge_matrix(&base, &runs))
                 });
                 assert_eq!(parallel, expect, "{name} at degree {k}");
-                assert_eq!(take_flush_stats(), st, "{name} at degree {k}");
-                assert!(
-                    par::take_stats().par_chunks >= 2,
-                    "{name}: no chunks at degree {k}"
-                );
+                let notes = take_notes();
+                assert_eq!(flushed(&notes), flushed(&st), "{name} at degree {k}");
+                assert!(notes.par_chunks >= 2, "{name}: no chunks at degree {k}");
             }
         }
         let runs = runs_of(&cases()[4].2);
@@ -542,7 +497,7 @@ mod tests {
             let runs = runs_of(&batches);
             let expect = eager_apply(&base, &batches.concat());
             assert_eq!(merge_matrix(&base, &runs), expect, "{name}");
-            take_flush_stats();
+            take_notes();
             for grid in [(1, 1), (2, 2), (4, 4), (3, 5)] {
                 let policy = FormatPolicy::Tiled {
                     rows: grid.0,
@@ -558,8 +513,7 @@ mod tests {
                         &expect,
                         "{name}, grid {grid:?}, degree {k}"
                     );
-                    take_flush_stats();
-                    let _ = tiled::take_tiles();
+                    take_notes();
                 }
             }
         }
@@ -600,9 +554,9 @@ mod tests {
         log.push((1usize, 2usize), DeltaOp::Put(9i64));
         log.push((0, 0), DeltaOp::Del);
         let out = merge_into_store(&store, &log.drain(), policy);
-        let st = take_flush_stats();
+        let st = take_notes();
         assert_eq!(st.pending_len, 2);
-        assert_eq!(tiled::take_tiles(), vec![(0, 0)]);
+        assert_eq!(st.tiles, vec![(0, 0)]);
 
         let Layout::Tiled(after) = out.layout() else {
             panic!("merge changed the layout");
@@ -637,7 +591,7 @@ mod tests {
         log.push(9, DeltaOp::Del); // absent: no-op
         let out = merge_vector(&base, &log.drain());
         assert_eq!(out.to_tuples(), vec![(1, 1.0), (2, 2.5), (7, -7.0)]);
-        let st = take_flush_stats();
+        let st = take_notes();
         assert_eq!(st.pending_len, 4);
         assert_eq!(st.merged_rows, 4);
 
@@ -669,7 +623,7 @@ mod tests {
                 runs.extend(log.drain());
             }
             let serial = par::with_parallelism(1, || merge_vector(&base, &runs));
-            let st = take_flush_stats();
+            let st = take_notes();
             assert_eq!(serial, expect, "{name}");
             let keys: BTreeSet<Index> = batches
                 .concat()
@@ -682,7 +636,7 @@ mod tests {
                     par::with_cost_model(1, 0, || merge_vector(&base, &runs))
                 });
                 assert_eq!(parallel, expect, "{name} at degree {k}");
-                assert_eq!(take_flush_stats(), st, "{name} at degree {k}");
+                assert_eq!(flushed(&take_notes()), flushed(&st), "{name} at degree {k}");
             }
         }
     }

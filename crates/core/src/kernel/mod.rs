@@ -1,6 +1,5 @@
 //! The sparse compute kernels beneath the GraphBLAS operations: pure
-//! functions from storage to storage, row-parallel where it pays
-//! (`parallel` feature, on by default).
+//! functions from storage to storage, row-parallel where it pays.
 //!
 //! The operation layer ([`crate::op`]) composes these with the shared
 //! accumulate-and-mask write stage ([`mod@write`]) to realize the full
@@ -16,7 +15,6 @@ pub mod par;
 pub mod reduce;
 pub mod spmspv;
 pub(crate) mod util;
-#[cfg(feature = "parallel")]
 pub(crate) mod workers;
 pub mod write;
 

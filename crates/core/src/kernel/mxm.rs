@@ -18,12 +18,13 @@
 use crate::algebra::binary::BinaryOp;
 use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
+use crate::exec::trace;
 use crate::index::Index;
 use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::{MaskCsr, MaskRow, Pattern};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::tiled::{self, OrientedTiles, Tiled};
+use crate::storage::tiled::{OrientedTiles, Tiled};
 
 /// Row-accumulator strategy for [`mxm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -318,7 +319,7 @@ where
             gustavson_row(sr, ac, av, b, mrow, MxmStrategy::Auto, ws, cols, vals);
         },
     );
-    tiled::note_tiles(ot.touched());
+    trace::note(|n| n.add_tiles(ot.touched()));
     t
 }
 
@@ -676,7 +677,7 @@ mod tests {
             // proves the tiled gather preserves the slab's fold order.
             assert_eq!(tiled, slab, "grid {grid:?}");
         }
-        let _ = tiled::take_tiles();
+        crate::exec::take_notes();
     }
 
     #[test]
@@ -695,7 +696,7 @@ mod tests {
         );
         assert_eq!(masked, reference);
         assert_eq!(masked.nvals(), 1);
-        let _ = tiled::take_tiles();
+        crate::exec::take_notes();
     }
 
     #[test]

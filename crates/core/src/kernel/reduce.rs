@@ -8,6 +8,7 @@
 //! `GrB_Matrix_reduce_TYPE`.
 
 use crate::algebra::monoid::Monoid;
+use crate::kernel::par;
 use crate::kernel::util::map_rows;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
@@ -72,32 +73,25 @@ fn fold_all<T: Scalar, M: Monoid<T>>(vals: &[T], monoid: &M) -> T {
         return fold_chunk(vals);
     }
     let chunks = vals.len().div_ceil(FOLD_CHUNK);
-    #[cfg(feature = "parallel")]
-    let partials: Vec<T> = {
-        use crate::kernel::par;
-        match par::plan(chunks, vals.len()) {
-            Some(mut plan) => {
-                // one task per fixed-width chunk — the plan's own span
-                // would merge chunks and change the association
-                plan.chunks = chunks;
-                plan.span = 1;
-                par::run_chunks(chunks, plan, |start, end| {
-                    (start..end)
-                        .map(|c| {
-                            fold_chunk(&vals[c * FOLD_CHUNK..vals.len().min((c + 1) * FOLD_CHUNK)])
-                        })
-                        .collect::<Vec<T>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            }
-            None => vals.chunks(FOLD_CHUNK).map(fold_chunk).collect(),
+    let partials: Vec<T> = match par::plan(chunks, vals.len()) {
+        Some(mut plan) => {
+            // one task per fixed-width chunk — the plan's own span
+            // would merge chunks and change the association
+            plan.chunks = chunks;
+            plan.span = 1;
+            par::run_chunks(chunks, plan, |start, end| {
+                (start..end)
+                    .map(|c| {
+                        fold_chunk(&vals[c * FOLD_CHUNK..vals.len().min((c + 1) * FOLD_CHUNK)])
+                    })
+                    .collect::<Vec<T>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         }
+        None => vals.chunks(FOLD_CHUNK).map(fold_chunk).collect(),
     };
-    #[cfg(not(feature = "parallel"))]
-    let partials: Vec<T> = vals.chunks(FOLD_CHUNK).map(fold_chunk).collect();
-    let _ = chunks;
     let mut acc = monoid.identity();
     for v in &partials {
         if monoid.is_terminal(&acc) {

@@ -47,20 +47,19 @@
 //! degree.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::algebra::binary::BinaryOp;
 use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
+use crate::exec::trace;
 use crate::index::Index;
-#[cfg(feature = "parallel")]
 use crate::kernel::par;
 use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::engine::{Layout, MatrixStore};
-use crate::storage::tiled::{self, OrientedTiles, RowCursor};
+use crate::storage::tiled::{OrientedTiles, RowCursor};
 use crate::storage::vec::SparseVec;
 
 /// Evaluation strategy for one matrix–vector product.
@@ -76,63 +75,9 @@ pub enum Direction {
     Dense,
 }
 
-/// Process-wide direction override, `0 = Auto`. A global (not a
-/// thread-local) on purpose: kernel chunks run on the pool's worker
-/// threads, and the equivalence tests and the E12 baseline need the
-/// forced direction to reach them.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(d: Direction) -> u8 {
-    match d {
-        Direction::Auto => 0,
-        Direction::Push => 1,
-        Direction::Pull => 2,
-        Direction::Dense => 3,
-    }
-}
-
-/// The currently forced direction, if any.
-pub fn direction_override() -> Direction {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => Direction::Push,
-        2 => Direction::Pull,
-        3 => Direction::Dense,
-        _ => Direction::Auto,
-    }
-}
-
-/// Run `f` with the direction forced process-wide (restored on exit,
-/// panic included). Intended for tests and benchmarks; concurrent
-/// callers forcing *different* directions race and must serialize
-/// themselves.
-pub fn with_direction<R>(d: Direction, f: impl FnOnce() -> R) -> R {
-    let prev = OVERRIDE.swap(encode(d), Ordering::Relaxed);
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.store(self.0, Ordering::Relaxed);
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-thread_local! {
-    /// Direction taken by the most recent dispatch on this thread; a
-    /// traced `wait()` drains it into the trace after each node compute.
-    static CHOSEN: std::cell::Cell<Option<&'static str>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn note_direction(d: &'static str) {
-    CHOSEN.with(|c| c.set(Some(d)));
-}
-
-/// Drain the direction note accumulated on this thread since the last
-/// call (a traced `wait()` calls this right after each node compute).
-pub fn take_direction() -> Option<&'static str> {
-    CHOSEN.with(|c| c.take())
-}
+/// The direction is a session setting (see [`crate::options`]): forced
+/// process-wide for tests and benchmarks, `Auto` otherwise.
+pub use crate::options::with_direction;
 
 /// `w^T = v^T ⊕.⊗ op(A)` with direction optimization; `transposed`
 /// selects `op(A) = A^T` (the `GrB_TRAN` descriptor).
@@ -224,16 +169,16 @@ where
     );
     match plan {
         Chosen::Push => {
-            note_direction("push");
+            trace::note(|n| n.direction.set(Some("push")));
             let rows = Rows::new(store, fwd_col_side, false);
             push(&rows, v, &bits, out_size, mulf, add)
         }
         Chosen::Dense => {
-            note_direction("dense");
+            trace::note(|n| n.direction.set(Some("dense")));
             scatter(store, fwd_col_side, v, &bits, out_size, products, mulf, add)
         }
         Chosen::Pull => {
-            note_direction("pull");
+            trace::note(|n| n.direction.set(Some("pull")));
             // A *wide* pull (the mask admits at least half the outputs)
             // over a tiled store would re-pay the per-segment overhead
             // on most rows every call, so it reads the store's memoized
@@ -341,7 +286,7 @@ impl<'a, A: Scalar> Rows<'a, A> {
     /// Record the tiles this walk touched in the execution trace.
     fn note_tiles(&self) {
         if let Rows::Tiled(ot) = self {
-            tiled::note_tiles(ot.touched());
+            trace::note(|n| n.add_tiles(ot.touched()));
         }
     }
 }
@@ -387,7 +332,7 @@ fn choose<A: Scalar>(
     masked: bool,
     out_size: Index,
 ) -> Chosen {
-    match direction_override() {
+    match crate::options::direction() {
         Direction::Push => return Chosen::Push,
         Direction::Pull => return Chosen::Pull,
         Direction::Dense => return Chosen::Dense,
@@ -655,7 +600,6 @@ where
     let eval = |lo: Index, hi: Index| scatter_range(rows, v, bits, lo, hi, mulf, add);
     // every range re-walks the whole frontier, so only the products
     // beyond a few per frontier row are worth splitting
-    #[cfg(feature = "parallel")]
     if par::plan(out_size, products.saturating_sub(8 * v.nvals())).is_some() {
         let out_deg = if fwd_col_side {
             store.row_degrees()
@@ -672,7 +616,6 @@ where
         rows.note_tiles();
         return concat(out_size, parts);
     }
-    let _ = products;
     let (idx, out) = eval(0, out_size);
     rows.note_tiles();
     SparseVec::from_sorted_parts(out_size, idx, out)
@@ -681,7 +624,6 @@ where
 /// Cut `0..deg.len()` into at most `k` contiguous ranges holding about
 /// equal shares of `deg`'s total; returns the range bounds, first `0`,
 /// last `deg.len()`.
-#[cfg(feature = "parallel")]
 fn balanced_bounds(deg: &[usize], k: usize) -> Vec<Index> {
     let total: usize = deg.iter().sum();
     let mut bounds = vec![0];
@@ -699,7 +641,6 @@ fn balanced_bounds(deg: &[usize], k: usize) -> Vec<Index> {
 }
 
 /// Concatenate per-range results that arrive in index order.
-#[cfg(feature = "parallel")]
 fn concat<D3: Scalar>(out_size: Index, parts: Vec<(Vec<Index>, Vec<D3>)>) -> SparseVec<D3> {
     let mut idx = Vec::new();
     let mut out = Vec::new();
@@ -800,13 +741,11 @@ where
         }
         (idx, out)
     };
-    #[cfg(feature = "parallel")]
     if let Some(plan) = par::plan(len, work) {
         let parts = par::run_chunks(len, plan, eval);
         rows.note_tiles();
         return concat(out_size, parts);
     }
-    let _ = work;
     let (idx, out) = eval(0, len);
     rows.note_tiles();
     SparseVec::from_sorted_parts(out_size, idx, out)
@@ -816,7 +755,7 @@ where
 mod tests {
     use super::*;
     use crate::algebra::semiring::{lor_land, min_plus, plus_times};
-    use crate::kernel::par;
+    use crate::exec::take_notes;
     use crate::storage::engine::Format;
     use std::sync::{Mutex, MutexGuard};
 
@@ -1034,58 +973,6 @@ mod tests {
         }
     }
 
-    /// The erased lane: a runtime-registered wrapped-i64 PLUS_TIMES under
-    /// forced Dense matches the built-in i64 result, values and pattern.
-    #[test]
-    fn udf_lane_under_forced_dense() {
-        let _serial = serial();
-        use crate::algebra::udf::{register_type, UdfBinary, UdfMonoid, UdfSemiring, UdfValue};
-        let ty = register_type("spmspv_wrapped_i64", 8).unwrap();
-        let op = |name: &str, f: fn(i64, i64) -> i64| {
-            UdfBinary::new(name, ty, ty, ty, move |z, x, y| {
-                let a = i64::from_ne_bytes(x.try_into().unwrap());
-                let b = i64::from_ne_bytes(y.try_into().unwrap());
-                z.copy_from_slice(&f(a, b).to_ne_bytes());
-            })
-        };
-        let add = UdfMonoid::new(
-            op("spmspv_plus", i64::wrapping_add),
-            &0i64.to_ne_bytes(),
-            None,
-        )
-        .unwrap();
-        let sr = UdfSemiring::new(add, op("spmspv_times", i64::wrapping_mul)).unwrap();
-        let wrap = |x: i64| UdfValue::new(ty, &x.to_ne_bytes()).unwrap();
-        let n = 70;
-        let mut tuples: Vec<(usize, usize, i64)> = (0..n)
-            .flat_map(|i| [(i, (i * 3) % n, i as i64 + 1), (i, n - 1, 2)])
-            .collect();
-        tuples.sort_unstable();
-        tuples.dedup_by_key(|t| (t.0, t.1));
-        let built = MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples.clone()));
-        let erased = MatrixStore::csr(Csr::from_sorted_tuples(
-            n,
-            n,
-            tuples.iter().map(|&(i, j, x)| (i, j, wrap(x))),
-        ));
-        let vi: Vec<usize> = (0..n).step_by(3).collect();
-        let v =
-            SparseVec::from_sorted_parts(n, vi.clone(), vi.iter().map(|&i| i as i64 - 9).collect());
-        let ve = SparseVec::from_sorted_parts(
-            n,
-            vi.clone(),
-            v.vals().iter().map(|&x| wrap(x)).collect(),
-        );
-        let want: SparseVec<i64> = vxm(&plus_times::<i64>(), &v, &built, false, &MaskVec::All);
-        let got: SparseVec<UdfValue> = with_direction(Direction::Dense, || {
-            vxm(&sr, &ve, &erased, false, &MaskVec::All)
-        });
-        assert_eq!(got.indices(), want.indices());
-        for (g, w) in got.vals().iter().zip(want.vals()) {
-            assert_eq!(g.bytes(), &w.to_ne_bytes());
-        }
-    }
-
     #[test]
     fn empty_frontier_pushes_nothing() {
         let _serial = serial();
@@ -1098,7 +985,7 @@ mod tests {
         let v = SparseVec::<bool>::empty(4);
         let w: SparseVec<bool> = vxm(&sr, &v, &st, false, &MaskVec::All);
         assert_eq!(w.nvals(), 0);
-        assert_eq!(take_direction(), Some("push"));
+        assert_eq!(take_notes().direction, Some("push"));
     }
 
     #[test]
@@ -1116,7 +1003,7 @@ mod tests {
         // one-vertex frontier: push, and never touch the transpose
         let v = SparseVec::from_sorted_parts(n, vec![0], vec![true]);
         let _: SparseVec<bool> = vxm(&sr, &v, &st, false, &MaskVec::All);
-        assert_eq!(take_direction(), Some("push"));
+        assert_eq!(take_notes().direction, Some("push"));
         assert!(
             !st.csr_view_ready(true),
             "push must not build the transpose"
@@ -1132,7 +1019,7 @@ mod tests {
             complement: true,
         };
         let _: SparseVec<bool> = vxm(&sr, &v, &st, false, &mask);
-        assert_eq!(take_direction(), Some("pull"));
+        assert_eq!(take_notes().direction, Some("pull"));
     }
 
     #[test]
@@ -1148,7 +1035,7 @@ mod tests {
         let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, band));
         let v = SparseVec::full(n, 2);
         let _: SparseVec<i32> = vxm(&plus_times::<i32>(), &v, &st, false, &MaskVec::All);
-        assert_eq!(take_direction(), Some("dense"));
+        assert_eq!(take_notes().direction, Some("dense"));
         assert!(!st.csr_view_ready(true), "the scatter needs no transpose");
     }
 
@@ -1192,10 +1079,14 @@ mod tests {
             let after = st.rent(true, 0);
             if after < price(&st) {
                 assert!(after > before, "call {calls} added no regret");
-                assert_eq!(take_direction(), Some("dense"), "call {calls}");
+                assert_eq!(take_notes().direction, Some("dense"), "call {calls}");
                 assert!(!st.csr_view_ready(true), "call {calls} built A^T");
             } else {
-                assert_eq!(take_direction(), Some("pull"), "crossing call {calls}");
+                assert_eq!(
+                    take_notes().direction,
+                    Some("pull"),
+                    "crossing call {calls}"
+                );
                 assert!(st.csr_view_ready(true), "crossing call {calls}");
                 break;
             }
@@ -1204,7 +1095,7 @@ mod tests {
         let paid = st.rent(true, 0);
         for _ in 0..3 {
             let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
-            assert_eq!(take_direction(), Some("pull"));
+            assert_eq!(take_notes().direction, Some("pull"));
         }
         assert_eq!(st.rent(true, 0), paid, "a bought view accrues no regret");
     }
@@ -1263,10 +1154,10 @@ mod tests {
     #[test]
     fn override_restores_on_exit() {
         let _serial = serial();
-        assert_eq!(direction_override(), Direction::Auto);
+        assert_eq!(crate::options::direction(), Direction::Auto);
         with_direction(Direction::Pull, || {
-            assert_eq!(direction_override(), Direction::Pull);
+            assert_eq!(crate::options::direction(), Direction::Pull);
         });
-        assert_eq!(direction_override(), Direction::Auto);
+        assert_eq!(crate::options::direction(), Direction::Auto);
     }
 }

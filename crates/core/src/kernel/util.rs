@@ -3,7 +3,6 @@
 //! CSR-producing kernel writes its output through.
 
 use crate::index::Index;
-#[cfg(feature = "parallel")]
 use crate::kernel::par;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
@@ -17,7 +16,6 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
     if let Some(plan) = par::plan(nrows, work) {
         return par::run_chunks(nrows, plan, |start, end| {
             (start..end).map(&f).collect::<Vec<R>>()
@@ -26,7 +24,6 @@ where
         .flatten()
         .collect();
     }
-    let _ = work;
     (0..nrows).map(f).collect()
 }
 
@@ -66,7 +63,6 @@ where
         }
         (ptr, cols, vals)
     };
-    #[cfg(feature = "parallel")]
     if let Some(plan) = par::plan(nrows, work) {
         let chunks = par::run_chunks(nrows, plan, fill);
         // The output is allocated here, on the calling thread, not grown
@@ -85,7 +81,6 @@ where
         }
         return Csr::from_parts(nrows, ncols, row_ptr, col_idx, vals);
     }
-    let _ = work;
     let (row_ptr, col_idx, vals) = fill(0, nrows);
     Csr::from_parts(nrows, ncols, row_ptr, col_idx, vals)
 }
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(sample(0), Csr::empty(0, 32));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn emit_rows_matches_serial_bitwise_at_any_degree() {
         let bits = |m: &Csr<f64>| {

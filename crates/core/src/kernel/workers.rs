@@ -80,12 +80,12 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool, spawned on first use. Width is fixed at that
 /// moment: `max(2, configured parallelism)` — the configured degree
-/// (knob > env > hardware, see [`crate::kernel::par`]) decides how many
+/// (session > env > hardware, see [`crate::options`]) decides how many
 /// daemons exist; later degree changes only affect how finely kernels
 /// chunk, not pool width.
 pub(crate) fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let width = crate::kernel::par::resolved_degree().max(MIN_WORKERS);
+        let width = crate::options::default_degree().max(MIN_WORKERS);
         let shared: &'static Shared = Box::leak(Box::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),

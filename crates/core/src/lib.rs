@@ -39,7 +39,6 @@
 pub mod accum;
 pub mod algebra;
 pub mod descriptor;
-mod env;
 pub mod error;
 pub mod exec;
 pub mod index;
@@ -47,6 +46,7 @@ pub mod kernel;
 pub mod mask;
 pub mod object;
 pub mod op;
+pub mod options;
 pub mod scalar;
 pub mod storage;
 

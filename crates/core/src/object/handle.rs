@@ -158,7 +158,7 @@ impl<S: Stored> Handle<S> {
         let due = {
             let mut delta = self.0.delta.lock();
             delta.push(key, op);
-            delta.autoflush_due(snapshot::flush_window())
+            delta.autoflush_due(crate::options::flush_window())
         };
         if let Some(delay) = due {
             self.schedule_background_flush(delay);

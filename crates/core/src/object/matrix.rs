@@ -55,7 +55,7 @@ impl<T: Scalar> Matrix<T> {
             )));
         }
         let empty = Node::ready(MatrixStore::csr(Csr::try_empty(nrows, ncols)?));
-        let policy = crate::storage::engine::session_default_policy();
+        let policy = crate::options::format_policy();
         Ok(Self::over(nrows, ncols, Handle::new(empty, policy)))
     }
 

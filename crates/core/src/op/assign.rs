@@ -21,6 +21,7 @@ use crate::object::matrix::oriented_storage;
 use crate::object::{Matrix, Vector};
 use crate::op::{effective_dims, resolve_target, Computed, First};
 use crate::scalar::Scalar;
+use crate::storage::csr::Csr;
 use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
@@ -88,46 +89,62 @@ impl Context {
         Ac: Accumulate<T>,
         Mk: MatrixMask,
     {
-        // Whole-matrix masked fill without an accumulator (`levels<frontier>
-        // = d`): a non-complemented mask admits few positions, so Z is built
-        // from its pattern, as in `assign_scalar_vector`.
-        let mask_fill = !accum.is_accum()
-            && matches!(rows, IndexSelection::All)
-            && matches!(cols, IndexSelection::All);
-        let rows = resolve_target(rows, c.nrows(), "row")?;
-        let cols = resolve_target(cols, c.ncols(), "column")?;
+        let assigns = !accum.is_accum();
+        let unmasked = mask.mask_dims().is_none();
 
         // A 1x1 no-accum unmasked scalar assign is exactly a point
         // update: route it through the O(1) pending-update buffer
         // instead of submitting a whole-output rewrite. (Skipped when a
         // test fault is armed, so the fault lands on a real submission.)
-        if !accum.is_accum()
-            && mask.mask_dims().is_none()
+        if assigns
+            && unmasked
             && !desc.is_replace()
             && !desc.is_mask_complemented()
-            && rows.len() == 1
-            && cols.len() == 1
+            && rows.len(c.nrows()) == 1
+            && cols.len(c.ncols()) == 1
             && !self.has_fault()
         {
-            return c.set(rows[0], cols[0], value);
+            let i = resolve_target(rows, c.nrows(), "row")?[0];
+            let j = resolve_target(cols, c.ncols(), "column")?[0];
+            return c.set(i, j, value);
         }
 
-        let replace = desc.is_replace();
-        let fig2 = self.fig2(c, mask, accum, desc)?.reading_c();
+        // Whole-matrix scalar fill without an accumulator (Fig. 3's
+        // `bcu = 1.0`, or `levels<frontier> = d`): as in
+        // `assign_scalar_vector`, no index list is materialized and the
+        // old value is read only through a merge mask. Unmasked, the
+        // result is the full matrix itself; a non-complemented mask
+        // writes only the positions it admits.
+        let whole = assigns && matches!((rows, cols), (IndexSelection::All, IndexSelection::All));
+        let (rows, cols) = if whole {
+            (Vec::new(), Vec::new())
+        } else {
+            let rows = resolve_target(rows, c.nrows(), "row")?;
+            (rows, resolve_target(cols, c.ncols(), "column")?)
+        };
+        let (m, n, replace) = (c.nrows(), c.ncols(), desc.is_replace());
+        let fig2 = self.fig2(c, mask, accum, desc)?;
+        let fig2 = if whole {
+            fig2.reading(First::Mask)
+        } else {
+            fig2.reading_c()
+        };
         fig2.submit("assign", vec![], move |mcsr, accum, c_old| {
-            if let (
-                true,
+            Ok(match mcsr {
+                _ if !whole => {
+                    Computed::Z(assign_scalar_matrix(c_old, &value, &rows, &cols, accum))
+                }
+                MaskCsr::All => Computed::Done(MatrixStore::csr(Csr::full(m, n, value))),
                 MaskCsr::Pattern {
                     pattern,
                     complement: false,
-                },
-            ) = (mask_fill, mcsr)
-            {
-                let z = fill_admitted_matrix(c_old, pattern, &value, replace);
-                return Ok(Computed::Done(MatrixStore::csr(z)));
-            }
-            let z = assign_scalar_matrix(c_old, &value, &rows, &cols, accum);
-            Ok(Computed::Z(z))
+                } => {
+                    let z = fill_admitted_matrix(c_old, pattern, &value, replace);
+                    Computed::Done(MatrixStore::csr(z))
+                }
+                // a complemented pattern admits O(n) positions anyway
+                _ => Computed::Z(Csr::full(m, n, value)),
+            })
         })
     }
 

@@ -82,6 +82,17 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
+    /// A fully dense matrix holding `value` at every position.
+    pub fn full(nrows: Index, ncols: Index, value: T) -> Self {
+        Csr {
+            nrows,
+            ncols,
+            row_ptr: (0..=nrows).map(|i| i * ncols).collect(),
+            col_idx: (0..nrows * ncols).map(|k| k % ncols).collect(),
+            vals: vec![value; nrows * ncols],
+        }
+    }
+
     /// Build from tuples that are already sorted by `(row, col)` with no
     /// duplicates.
     pub fn from_sorted_tuples(

@@ -4,7 +4,7 @@
 //! A [`DeltaLog`] is an LSM-style log of point mutations against an
 //! object's backing storage. [`DeltaLog::push`] is O(1) amortized: a
 //! mutation lands in an unsorted tail, and when the tail reaches the
-//! run cap ([`run_cap`]) it is *sealed* into a sorted, per-key-
+//! run cap ([`crate::options::run_cap`]) it is *sealed* into a sorted, per-key-
 //! deduplicated run (last write wins within the run — the log's
 //! dup-combining policy). Flushes — background auto-flushes
 //! ([`crate::storage::snapshot`]) or handle-level completion-forcing
@@ -33,14 +33,16 @@
 //! Keys are generic: matrices log `(row, col)` (row-major order, the
 //! order the CSR merge consumes), vectors log plain indices.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use crate::options::run_cap;
 
 /// Default tail length at which a delta log seals its unsorted tail into
 /// a sorted run. Sealing is O(cap · log cap) every `cap` pushes, so
 /// pushes stay O(log cap) ≈ O(1) amortized regardless of object size.
-/// The effective cap is resolved per push by [`run_cap`].
+/// The effective cap is resolved per push by
+/// [`crate::options::run_cap`].
 pub const RUN_CAP: usize = 4096;
 
 /// Sealed-run count above which a log compacts neighbouring runs. With
@@ -66,32 +68,6 @@ pub const AUTOFLUSH_MIN_PENDING: usize = 64;
 /// immediate background flush regardless of the time window — the size
 /// half of the time/size auto-flush policy.
 pub const AUTOFLUSH_RUN_FACTOR: usize = 4;
-
-/// Session override for the run cap; 0 = unset. Set by the capi's
-/// `gxb_set(Global, DeltaRunCap, …)`, restored by `finalize`.
-static SESSION_RUN_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Set (or clear, with `None`) the process-wide run-cap override.
-pub fn set_session_run_cap(cap: Option<usize>) {
-    SESSION_RUN_CAP.store(cap.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The session run-cap override, if one is configured.
-pub fn session_run_cap() -> Option<usize> {
-    match SESSION_RUN_CAP.load(Ordering::Relaxed) {
-        0 => None,
-        k => Some(k),
-    }
-}
-
-/// The effective tail-seal cap: session knob (`DeltaRunCap`) >
-/// `GRB_DELTA_RUN_CAP` env > [`RUN_CAP`].
-pub fn run_cap() -> usize {
-    session_run_cap()
-        .or(crate::env::env().delta_run_cap)
-        .unwrap_or(RUN_CAP)
-        .max(1)
-}
 
 /// One pending point mutation.
 #[derive(Debug, Clone, PartialEq)]

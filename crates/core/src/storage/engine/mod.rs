@@ -121,25 +121,6 @@ impl From<Format> for FormatPolicy {
     }
 }
 
-/// Session-wide default format policy, applied to newly created
-/// matrices (`GxB_set(Global, FormatPolicy | TileShape, …)`). Objects
-/// that set their own policy are unaffected.
-static SESSION_DEFAULT_POLICY: parking_lot::RwLock<FormatPolicy> =
-    parking_lot::RwLock::new(FormatPolicy::Auto);
-
-/// Set (or with `FormatPolicy::Auto` reset) the session default policy:
-/// `GrB_INVALID_VALUE`, and no change, for a grid
-/// [`FormatPolicy::tiled`] rejects.
-pub fn set_session_default_policy(policy: FormatPolicy) -> Result<()> {
-    *SESSION_DEFAULT_POLICY.write() = policy.checked()?;
-    Ok(())
-}
-
-/// The format policy newly created matrices start with.
-pub fn session_default_policy() -> FormatPolicy {
-    *SESSION_DEFAULT_POLICY.read()
-}
-
 /// The concrete layouts behind a [`MatrixStore`].
 #[derive(Debug)]
 pub enum Layout<T> {

@@ -48,45 +48,6 @@ use crate::storage::delta::{DeltaOp, Run};
 use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
-// ----- flush-window configuration -----
-
-/// Default auto-flush time window (milliseconds). Once a log holds
-/// [`crate::storage::delta::AUTOFLUSH_MIN_PENDING`] entries, a
-/// background flush is queued this far in the future.
-pub const DEFAULT_FLUSH_WINDOW_MS: u64 = 200;
-
-/// Sentinel meaning "no session override".
-const WINDOW_UNSET: u64 = u64::MAX;
-
-/// Session override for the flush window; set by the capi's
-/// `gxb_set(Global, FlushWindowMs, …)`, restored by `finalize`. `Some(0)`
-/// disables time-windowed auto-flush entirely.
-static SESSION_WINDOW: AtomicU64 = AtomicU64::new(WINDOW_UNSET);
-
-/// Set (or clear, with `None`) the process-wide flush-window override.
-pub fn set_session_flush_window_ms(ms: Option<u64>) {
-    SESSION_WINDOW.store(ms.unwrap_or(WINDOW_UNSET), Ordering::Relaxed);
-}
-
-/// The session flush-window override, if one is configured.
-pub fn session_flush_window_ms() -> Option<u64> {
-    match SESSION_WINDOW.load(Ordering::Relaxed) {
-        WINDOW_UNSET => None,
-        ms => Some(ms),
-    }
-}
-
-/// The effective auto-flush time window: session knob
-/// (`FlushWindowMs`) > `GRB_FLUSH_WINDOW_MS` env >
-/// [`DEFAULT_FLUSH_WINDOW_MS`]; a value of `0` (either source) disables
-/// the time trigger (`None`). The size trigger is never disabled.
-pub fn flush_window() -> Option<Duration> {
-    let ms = session_flush_window_ms()
-        .or(crate::env::env().flush_window_ms)
-        .unwrap_or(DEFAULT_FLUSH_WINDOW_MS);
-    (ms > 0).then(|| Duration::from_millis(ms))
-}
-
 // ----- process-wide telemetry -----
 
 static SNAPSHOTS_TAKEN: AtomicU64 = AtomicU64::new(0);
@@ -443,18 +404,6 @@ impl<T: Scalar> std::fmt::Debug for VectorSnapshot<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flush_window_session_override_wins_and_clears() {
-        // no env override in the test environment: default applies
-        let base = flush_window();
-        set_session_flush_window_ms(Some(7));
-        assert_eq!(flush_window(), Some(Duration::from_millis(7)));
-        set_session_flush_window_ms(Some(0));
-        assert_eq!(flush_window(), None, "0 disables the time trigger");
-        set_session_flush_window_ms(None);
-        assert_eq!(flush_window(), base);
-    }
 
     #[test]
     fn flusher_runs_jobs_after_their_delay() {

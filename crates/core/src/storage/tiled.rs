@@ -26,7 +26,6 @@
 //! identical results through [`OrientedTiles`] and through an assembled
 //! slab.
 
-use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use crate::index::Index;
@@ -392,28 +391,6 @@ impl<'o, 'a, T: Scalar> RowCursor<'o, 'a, T> {
             }
         }
     }
-}
-
-thread_local! {
-    /// Tile coordinates touched by kernels/flushes on this thread since
-    /// the last [`take_tiles`]; a traced `wait()` drains it into the trace.
-    static TOUCHED_TILES: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Record tile coordinates touched by the current operation.
-pub fn note_tiles(coords: impl IntoIterator<Item = (u32, u32)>) {
-    TOUCHED_TILES.with(|t| t.borrow_mut().extend(coords));
-}
-
-/// Drain the tile coordinates noted on this thread since the last call.
-pub fn take_tiles() -> Vec<(u32, u32)> {
-    TOUCHED_TILES.with(|t| {
-        let mut v = t.borrow_mut();
-        let mut out = std::mem::take(&mut *v);
-        out.sort_unstable();
-        out.dedup();
-        out
-    })
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ const N: usize = 1024;
 
 fn main() -> Result<()> {
     // Merge sealed runs in the background every 25 ms.
-    graphblas_core::storage::snapshot::set_session_flush_window_ms(Some(25));
+    graphblas_core::options::set_flush_window_ms(Some(25));
 
     // A ring so every vertex is reachable from vertex 0 from the start.
     let m = Matrix::<bool>::new(N, N)?;

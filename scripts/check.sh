@@ -2,8 +2,7 @@
 # Tier-1 verification: fmt, clippy, the release builds (workspace,
 # server, examples, grb-bench), the self-checking examples, grb-bench's
 # harness tests, the workspace tests, release-mode core unit tests, the
-# serial build (core with the `parallel` feature off, so the
-# single-threaded kernels stay green too), the thread matrix, rustdoc,
+# thread matrix (its degree-1 run covers the serial kernels), rustdoc,
 # and EXPERIMENTS.md's generated appendix.
 # Performance is measured by `grb-bench all`, not here.
 set -euo pipefail
@@ -66,9 +65,6 @@ cargo test -q --workspace
 # properties differ from debug.
 echo "== cargo test --release -q -p graphblas-core --lib"
 cargo test --release -q -p graphblas-core --lib
-
-echo "== cargo test -q -p graphblas-core --no-default-features (serial build)"
-cargo test -q -p graphblas-core --no-default-features
 
 # Thread matrix: the determinism suites at 1, 2 and 8 workers (the
 # suite list lives in scripts/thread_matrix.sh, which CI runs too).

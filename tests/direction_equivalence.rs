@@ -16,6 +16,7 @@ use std::sync::Mutex;
 mod common;
 
 use common::{at_degree, contexts, sparse, to_matrix, to_vector, vector_bits, Tuples};
+use graphblas_core::options;
 use graphblas_core::prelude::*;
 use graphblas_core::spmspv::{self, Direction};
 use proptest::prelude::*;
@@ -339,12 +340,16 @@ fn pagerank_reruns_pull_and_keep_their_ranks_bitwise() {
     let ctx = Context::blocking();
     assert_eq!(rank(&ctx), want, "first run");
     assert_eq!(
-        spmspv::take_direction(),
+        graphblas_core::exec::take_notes().direction,
         Some("pull"),
         "first run's last call"
     );
     assert_eq!(rank(&ctx), want, "rerun");
-    assert_eq!(spmspv::take_direction(), Some("pull"), "rerun");
+    assert_eq!(
+        graphblas_core::exec::take_notes().direction,
+        Some("pull"),
+        "rerun"
+    );
 }
 
 /// The override itself restores on scope exit even across panics in
@@ -352,9 +357,9 @@ fn pagerank_reruns_pull_and_keep_their_ranks_bitwise() {
 #[test]
 fn with_direction_scopes_the_override() {
     let _serialize = DIRECTION_LOCK.lock().unwrap();
-    assert!(matches!(spmspv::direction_override(), Direction::Auto));
+    assert!(matches!(options::direction(), Direction::Auto));
     spmspv::with_direction(Direction::Push, || {
-        assert!(matches!(spmspv::direction_override(), Direction::Push));
+        assert!(matches!(options::direction(), Direction::Push));
     });
-    assert!(matches!(spmspv::direction_override(), Direction::Auto));
+    assert!(matches!(options::direction(), Direction::Auto));
 }

@@ -273,6 +273,9 @@ fn every_entry_point() -> Vec<(&'static str, bool, &'static str, Write)> {
         ("apply vector", false, "input", |ctx, i, _, w, ch| masked!(ch, &i.mw, |m| ctx.apply_vector(w, m, acc(ch), inc(), &i.u, &i.d))),
         ("assign matrix", true, "input", |ctx, i, c, _, ch| masked!(ch, &i.mc, |m| ctx.assign_matrix(c, m, acc(ch), &i.a2, R2, R2, &i.d))),
         ("assign scalar matrix", true, "old", |ctx, i, c, _, ch| masked!(ch, &i.mc, |m| ctx.assign_scalar_matrix(c, m, acc(ch), 7, R2, R2, &i.d))),
+        // a whole-matrix fill without an accumulator replaces every
+        // position, so it reads the old value only through a merge mask
+        ("assign scalar matrix, all", false, "mask", |ctx, i, c, _, ch| masked!(ch, &i.mc, |m| ctx.assign_scalar_matrix(c, m, acc(ch), 7, ALL, ALL, &i.d))),
         ("assign vector", true, "input", |ctx, i, _, w, ch| masked!(ch, &i.mw, |m| ctx.assign_vector(w, m, acc(ch), &i.u2, R2, &i.d))),
         ("assign scalar vector", true, "old", |ctx, i, _, w, ch| masked!(ch, &i.mw, |m| ctx.assign_scalar_vector(w, m, acc(ch), 7, R2, &i.d))),
         // a whole-vector fill without an accumulator replaces every

@@ -16,8 +16,8 @@ use std::sync::Arc;
 mod common;
 
 use common::{at_degree, contexts, fval, matrix_bits};
+use graphblas_core::options;
 use graphblas_core::prelude::*;
-use graphblas_core::storage::delta;
 use proptest::prelude::*;
 
 const N: usize = 16;
@@ -26,7 +26,15 @@ const DEGREES: [usize; 3] = [1, 2, 8];
 /// Seal runs aggressively so snapshots routinely span several sealed
 /// runs plus an unsorted tail, and compaction actually fires.
 fn tiny_runs() {
-    delta::set_session_run_cap(Some(3));
+    options::set_run_cap(Some(3));
+    // The cap reaches the delta log: eleven pending updates at cap 3
+    // seal at least two sorted runs (the default of 4096 would seal none).
+    let m = Matrix::<f64>::new(8, 8).unwrap();
+    for k in 0..11usize {
+        m.set(k % 8, k / 8, k as f64).unwrap();
+    }
+    let stats = m.delta_stats();
+    assert!(stats.run_count >= 2, "cap 3 sealed no runs: {stats:?}");
 }
 
 /// One step of a random program over a matrix.
