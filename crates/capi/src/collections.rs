@@ -12,33 +12,9 @@ use graphblas_core::index::Index;
 use graphblas_core::object::{Matrix, Vector};
 use graphblas_core::scalar::CastFrom;
 use graphblas_core::storage::{DeltaStats, MatrixSnapshot, VectorSnapshot};
-use graphblas_core::{Format, FormatPolicy};
 
 use crate::ops::{Elem, GrbBinaryOp, LaneOp};
 use crate::value::{GrbType, Value};
-
-/// `GxB`-style storage-format hint constants, mirroring the SuiteSparse
-/// extension's `GxB_SPARSE` / `GxB_BITMAP` / `GxB_HYPERSPARSE`. Pass to
-/// [`GrbMatrix::set_format`]. There is no by-column hint: orientation is
-/// an access path, and a transposed read builds the column view once per
-/// value and reuses it.
-pub const GXB_FORMAT_CSR: Format = Format::Csr;
-/// `GxB_BITMAP`, kept so C-shaped callers compile: an alias of
-/// [`GXB_FORMAT_CSR`]. Sparsity control is a hint (as in SuiteSparse),
-/// and the engine has no bitmap layout — CSR measured faster at every
-/// density — so the hint stores the matrix as CSR.
-pub const GXB_FORMAT_BITMAP: Format = GXB_FORMAT_CSR;
-/// `GxB_HYPERSPARSE`, kept so C-shaped callers compile: an alias of
-/// [`GXB_FORMAT_CSR`], like [`GXB_FORMAT_BITMAP`]. The engine has no
-/// hypersparse layout (no workload stored nnz ≪ nrows values in one and
-/// read them faster), so the hint stores the matrix as CSR.
-pub const GXB_FORMAT_HYPER: Format = GXB_FORMAT_CSR;
-/// 2D-tiled storage: CSR tiles, and none at all where a tile is empty.
-/// The default grid applies; pick a specific grid with
-/// `gxb_set(…, GxbOption::TileShape, …)`.
-pub const GXB_FORMAT_TILED: Format = Format::Tiled;
-/// The default policy, one CSR slab (`GxB_AUTO_SPARSITY`).
-pub const GXB_FORMAT_AUTO: FormatPolicy = FormatPolicy::Auto;
 
 /// One collection per domain: a typed lane for each built-in domain, the
 /// `Value` lane for user-defined ones.
@@ -230,44 +206,6 @@ impl GrbMatrix {
     /// the current epoch.
     pub fn delta_stats(&self) -> DeltaStats {
         lane!(MatLane, &self.m, m: T => m.delta_stats())
-    }
-
-    /// `GxB_Matrix_Option_get(…, GxB_SPARSITY_STATUS, …)`: the storage
-    /// format currently holding this matrix's value (forces completion).
-    /// Sugar over [`gxb_get`](crate::gxb_get) at matrix scope.
-    pub fn format(&self) -> Result<Format> {
-        match crate::options::gxb_get(
-            crate::options::GxbScope::Matrix(self),
-            crate::options::GxbOption::Format,
-        )? {
-            crate::options::GxbValue::Format(f) => Ok(f),
-            v => Err(Error::InvalidValue(format!(
-                "GxB_get(Matrix, Format) returned {v:?}"
-            ))),
-        }
-    }
-
-    /// `GxB_Matrix_Option_set(…, GxB_SPARSITY_CONTROL, …)`: store this
-    /// matrix in the layout a `GXB_FORMAT_*` hint names, converting the
-    /// current value and directing future results into the same layout.
-    /// Sugar over [`gxb_set`](crate::gxb_set) at matrix scope.
-    pub fn set_format(&self, format: Format) -> Result<()> {
-        crate::options::gxb_set(
-            crate::options::GxbScope::Matrix(self),
-            crate::options::GxbOption::Format,
-            crate::options::GxbValue::Format(format),
-        )
-    }
-
-    /// Restore the slab policy ([`GXB_FORMAT_AUTO`]) or set a tiling one
-    /// for values computed into this matrix. Sugar over
-    /// [`gxb_set`](crate::gxb_set) at matrix scope.
-    pub fn set_format_policy(&self, policy: FormatPolicy) -> Result<()> {
-        crate::options::gxb_set(
-            crate::options::GxbScope::Matrix(self),
-            crate::options::GxbOption::FormatPolicy,
-            crate::options::GxbValue::FormatPolicy(policy),
-        )
     }
 
     /// Check this matrix's domain against an expected one
@@ -536,49 +474,6 @@ mod tests {
         v.remove(2).unwrap(); // absent: no-op
         assert_eq!(v.nvals().unwrap(), 0);
         assert!(matches!(v.remove(3), Err(Error::InvalidIndex(_))));
-    }
-
-    #[test]
-    fn format_hints_round_trip() {
-        let m = GrbMatrix::new(GrbType::Int32, 4, 4).unwrap();
-        m.set(0, 0, Value::Int32(1)).unwrap();
-        m.set_format(GXB_FORMAT_TILED).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Tiled);
-        // content is unchanged by migration
-        assert_eq!(m.get(0, 0).unwrap(), Some(Value::Int32(1)));
-        assert_eq!(m.nvals().unwrap(), 1);
-        // the bitmap and hypersparse hints land on CSR
-        for hint in [GXB_FORMAT_BITMAP, GXB_FORMAT_HYPER] {
-            m.set_format(GXB_FORMAT_TILED).unwrap();
-            m.set_format(hint).unwrap();
-            assert_eq!(m.format().unwrap(), Format::Csr, "{hint:?}");
-        }
-        m.set_format(GXB_FORMAT_CSR).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Csr);
-        // the policy directs the next computed value
-        m.set_format(GXB_FORMAT_TILED).unwrap();
-        m.set_format_policy(GXB_FORMAT_AUTO).unwrap();
-        m.set(1, 1, Value::Int32(2)).unwrap();
-        assert_eq!(m.format().unwrap(), Format::Csr);
-        assert_eq!(m.nvals().unwrap(), 2);
-    }
-
-    /// A bitmap hint on a huge, nearly empty matrix must not allocate by
-    /// `nrows * ncols` (2^40 cells; an overflow at 16 x usize::MAX): it
-    /// stores CSR and keeps the entry.
-    #[test]
-    fn bitmap_hint_on_huge_shapes_stores_csr() {
-        for (nrows, ncols) in [(1 << 20, 1 << 20), (16, usize::MAX)] {
-            let m = GrbMatrix::new(GrbType::Int32, nrows, ncols).unwrap();
-            m.set(nrows - 1, ncols - 1, Value::Int32(7)).unwrap();
-            m.set_format(GXB_FORMAT_BITMAP).unwrap();
-            assert_eq!(
-                m.get(nrows - 1, ncols - 1).unwrap(),
-                Some(Value::Int32(7)),
-                "{nrows} x {ncols}"
-            );
-            assert_eq!(m.format().unwrap(), Format::Csr, "{nrows} x {ncols}");
-        }
     }
 
     #[test]

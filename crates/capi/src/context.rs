@@ -44,8 +44,8 @@ static SESSION: ReentrantMutex<()> = ReentrantMutex::new(());
 ///   pool); unset means auto (`GRB_THREADS`/`GRB_TEST_THREADS`, then
 ///   the hardware's parallelism). [`finalize`] restores auto.
 ///
-/// The storage knobs (delta-log run cap, background flush window,
-/// default format policy) have one path: [`gxb_set`](crate::gxb_set) at
+/// The storage knobs (delta-log run cap, background flush window) have
+/// one path: [`gxb_set`](crate::gxb_set) at
 /// [`Global`](crate::GxbScope::Global) scope inside the session.
 #[derive(Debug, Clone)]
 #[must_use = "the builder does nothing until .init() is called"]

@@ -96,10 +96,7 @@ pub mod options;
 pub mod udf;
 pub mod value;
 
-pub use collections::{
-    GrbMatrix, GrbMatrixSnapshot, GrbVector, GrbVectorSnapshot, GXB_FORMAT_AUTO, GXB_FORMAT_BITMAP,
-    GXB_FORMAT_CSR, GXB_FORMAT_HYPER, GXB_FORMAT_TILED,
-};
+pub use collections::{GrbMatrix, GrbMatrixSnapshot, GrbVector, GrbVectorSnapshot};
 pub use context::{
     current_mode, enable_trace, error, finalize, inject_fault, take_trace, wait, with_no_session,
     with_session, with_session_config, Config,
@@ -109,7 +106,6 @@ pub use graphblas_core::error::{Error, Result};
 pub use graphblas_core::exec::{Mode, TraceEvent};
 pub use graphblas_core::index::{Index, IndexSelection, ALL};
 pub use graphblas_core::storage::{snapshot_stats, DeltaStats, SnapshotStats};
-pub use graphblas_core::{Format, FormatPolicy};
 pub use operations::*;
 pub use ops::{GrbBinaryOp, GrbMonoid, GrbSelectOp, GrbSemiring, GrbUnaryOp};
 pub use options::{gxb_get, gxb_set, GxbOption, GxbScope, GxbValue};

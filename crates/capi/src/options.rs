@@ -5,23 +5,20 @@
 //! One pair of entry points covers every runtime-tunable knob of this
 //! binding, scoped the way the SuiteSparse extension scopes them:
 //!
-//! * [`GxbScope::Global`] — session-wide defaults: the format policy
-//!   (and its tiled variant, the tile grid) newly created matrices
-//!   inherit, the delta-log run cap, and the background flush window.
-//! * [`GxbScope::Matrix`] — per-object storage control: the current
-//!   format, the format policy for future values, the tile grid
+//! * [`GxbScope::Global`] — session-wide storage-engine knobs: the
+//!   delta-log run cap and the background flush window.
+//! * [`GxbScope::Matrix`] — per-object storage control: the tile grid
 //!   (set converts the stored value immediately), and the read-epoch
-//!   probe.
+//!   probe. New matrices start as one CSR slab; tiling is the only
+//!   storage choice, and it is made per matrix.
 //! * [`GxbScope::Vector`] — the read-epoch probe (vectors have a single
-//!   sparse layout, so format options do not apply).
+//!   sparse layout, so the tiling option does not apply).
 //!
 //! This is the one public path to the session storage knobs (the
-//! delta-log run cap and the flush window; the `GRB_*` environment
-//! variables only seed their defaults) and the **only** path to the
-//! tiling knobs: there is deliberately no environment variable and no
-//! separate `set_tile_shape` method on the handle.
-//! [`GrbMatrix::set_format`]'s `GXB_FORMAT_*` hints forward here, so
-//! this dispatcher is the single implementation.
+//! `GRB_*` environment variables only seed their defaults) and the
+//! **only** path to the tiling knob: there is deliberately no
+//! environment variable and no separate `set_tile_shape` method on the
+//! handle.
 //!
 //! ```
 //! use graphblas_capi as capi;
@@ -46,7 +43,6 @@
 
 use graphblas_core::error::{Error, Result};
 use graphblas_core::options;
-use graphblas_core::{Format, FormatPolicy};
 
 use crate::collections::{GrbMatrix, GrbVector, MatLane};
 
@@ -76,18 +72,9 @@ impl GxbScope<'_> {
 /// analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GxbOption {
-    /// The storage format. Matrix get: the layout currently holding the
-    /// value (forces completion). Matrix set: `Csr` clears the tile grid,
-    /// `Tiled` sets the default one, converting now. Global: the layout
-    /// of the default policy newly created matrices inherit.
-    Format,
-    /// The format policy applied to future computed values. Matrix
-    /// scope sets the per-object policy; Global scope sets the default
-    /// policy newly created matrices inherit.
-    FormatPolicy,
-    /// The 2D tile grid. `TileShape(Some((r, c)))` shards storage into
-    /// an `r × c` grid of CSR tiles whose empty tiles hold no storage
-    /// (matrix scope converts the stored value immediately); each axis
+    /// The 2D tile grid (matrix). `TileShape(Some((r, c)))` shards the
+    /// matrix into an `r × c` grid of CSR tiles whose empty tiles hold
+    /// no storage, converting the stored value immediately; each axis
     /// must be in `1..=MAX_TILE_GRID_AXIS` (64). `TileShape(None)` clears
     /// tiling back to one CSR slab.
     TileShape,
@@ -105,10 +92,6 @@ pub enum GxbOption {
 /// A typed option value (the `void *` of the C extension, made honest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GxbValue {
-    /// A concrete storage format.
-    Format(Format),
-    /// A format policy.
-    FormatPolicy(FormatPolicy),
     /// A tile grid, or `None` for "not tiled".
     TileShape(Option<(usize, usize)>),
     /// A positive count, or `None` for "auto".
@@ -136,21 +119,6 @@ fn type_mismatch(option: GxbOption, value: &GxbValue) -> Error {
 /// [module docs](self) for the supported (scope, option) pairs.
 pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()> {
     match (&scope, option) {
-        (GxbScope::Global, GxbOption::Format) => match value {
-            GxbValue::Format(f) => options::set_format_policy(f.into()),
-            v => Err(type_mismatch(option, &v)),
-        },
-        (GxbScope::Global, GxbOption::FormatPolicy) => match value {
-            GxbValue::FormatPolicy(p) => options::set_format_policy(p),
-            v => Err(type_mismatch(option, &v)),
-        },
-        (GxbScope::Global, GxbOption::TileShape) => match value {
-            GxbValue::TileShape(Some((r, c))) => {
-                options::set_format_policy(FormatPolicy::tiled(r, c)?)
-            }
-            GxbValue::TileShape(None) => options::set_format_policy(FormatPolicy::Auto),
-            v => Err(type_mismatch(option, &v)),
-        },
         (GxbScope::Global, GxbOption::DeltaRunCap) => match value {
             GxbValue::Count(Some(0)) => Err(Error::InvalidValue(
                 "GxB_set(DeltaRunCap): cap must be >= 1 (None means auto)".into(),
@@ -166,14 +134,6 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
                 options::set_flush_window_ms(ms);
                 Ok(())
             }
-            v => Err(type_mismatch(option, &v)),
-        },
-        (GxbScope::Matrix(m), GxbOption::Format) => match value {
-            GxbValue::Format(f) => lane!(MatLane, &m.m, x: T => x.set_format(f)),
-            v => Err(type_mismatch(option, &v)),
-        },
-        (GxbScope::Matrix(m), GxbOption::FormatPolicy) => match value {
-            GxbValue::FormatPolicy(p) => lane!(MatLane, &m.m, x: T => x.set_format_policy(p)),
             v => Err(type_mismatch(option, &v)),
         },
         (GxbScope::Matrix(m), GxbOption::TileShape) => match value {
@@ -192,27 +152,12 @@ pub fn gxb_set(scope: GxbScope, option: GxbOption, value: GxbValue) -> Result<()
 /// readable on matrix and vector scopes.
 pub fn gxb_get(scope: GxbScope, option: GxbOption) -> Result<GxbValue> {
     match (&scope, option) {
-        (GxbScope::Global, GxbOption::Format) => {
-            Ok(GxbValue::Format(options::format_policy().format()))
-        }
-        (GxbScope::Global, GxbOption::FormatPolicy) => {
-            Ok(GxbValue::FormatPolicy(options::format_policy()))
-        }
-        (GxbScope::Global, GxbOption::TileShape) => {
-            Ok(GxbValue::TileShape(options::format_policy().tile_grid()))
-        }
         (GxbScope::Global, GxbOption::DeltaRunCap) => {
             Ok(GxbValue::Count(options::session_run_cap()))
         }
         (GxbScope::Global, GxbOption::FlushWindowMs) => {
             Ok(GxbValue::Millis(options::session_flush_window_ms()))
         }
-        (GxbScope::Matrix(m), GxbOption::Format) => {
-            Ok(GxbValue::Format(lane!(MatLane, &m.m, x: T => x.format())?))
-        }
-        (GxbScope::Matrix(m), GxbOption::FormatPolicy) => Ok(GxbValue::FormatPolicy(
-            lane!(MatLane, &m.m, x: T => x.format_policy()),
-        )),
         (GxbScope::Matrix(m), GxbOption::TileShape) => Ok(GxbValue::TileShape(
             lane!(MatLane, &m.m, x: T => x.tile_shape()),
         )),
@@ -227,16 +172,11 @@ mod tests {
     use super::*;
     use crate::context::with_session;
     use crate::value::{GrbType, Value};
-    use graphblas_core::exec::Mode;
+    use graphblas_core::exec::{take_notes, Mode};
 
     #[test]
     fn global_knobs_round_trip_and_reset_on_finalize() {
         with_session(Mode::Blocking, || {
-            // the default policy stores one CSR slab
-            assert_eq!(
-                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
-                GxbValue::Format(Format::Csr)
-            );
             gxb_set(
                 GxbScope::Global,
                 GxbOption::DeltaRunCap,
@@ -257,25 +197,11 @@ mod tests {
                 gxb_get(GxbScope::Global, GxbOption::FlushWindowMs).unwrap(),
                 GxbValue::Millis(Some(25))
             );
-            gxb_set(
-                GxbScope::Global,
-                GxbOption::TileShape,
-                GxbValue::TileShape(Some((2, 3))),
-            )
-            .unwrap();
-            assert_eq!(
-                gxb_get(GxbScope::Global, GxbOption::TileShape).unwrap(),
-                GxbValue::TileShape(Some((2, 3)))
-            );
-            assert_eq!(
-                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
-                GxbValue::Format(Format::Tiled)
-            );
-            // new matrices inherit the session default policy
+            // new matrices start as one slab
             let m = GrbMatrix::new(GrbType::Int32, 10, 10).unwrap();
             assert_eq!(
                 gxb_get(GxbScope::Matrix(&m), GxbOption::TileShape).unwrap(),
-                GxbValue::TileShape(Some((2, 3)))
+                GxbValue::TileShape(None)
             );
         })
         .unwrap();
@@ -288,14 +214,6 @@ mod tests {
             assert_eq!(
                 gxb_get(GxbScope::Global, GxbOption::FlushWindowMs).unwrap(),
                 GxbValue::Millis(None)
-            );
-            assert_eq!(
-                gxb_get(GxbScope::Global, GxbOption::FormatPolicy).unwrap(),
-                GxbValue::FormatPolicy(FormatPolicy::Auto)
-            );
-            assert_eq!(
-                gxb_get(GxbScope::Global, GxbOption::Format).unwrap(),
-                GxbValue::Format(Format::Csr)
             );
         })
         .unwrap();
@@ -315,22 +233,32 @@ mod tests {
             )
             .unwrap();
             assert_eq!(
-                gxb_get(GxbScope::Matrix(&m), GxbOption::Format).unwrap(),
-                GxbValue::Format(Format::Tiled)
+                gxb_get(GxbScope::Matrix(&m), GxbOption::TileShape).unwrap(),
+                GxbValue::TileShape(Some((4, 4)))
             );
             assert_eq!(m.nvals().unwrap(), 40);
             assert_eq!(m.get(7, 9).unwrap(), Some(Value::Int32(7)));
+            // the stored value is a grid: a point write flushes per tile
+            take_notes();
+            m.set(0, 1, Value::Int32(-1)).unwrap();
+            assert_eq!(m.nvals().unwrap(), 41);
+            assert!(!take_notes().tiles.is_empty());
             gxb_set(
                 GxbScope::Matrix(&m),
                 GxbOption::TileShape,
                 GxbValue::TileShape(None),
             )
             .unwrap();
-            assert_ne!(
-                gxb_get(GxbScope::Matrix(&m), GxbOption::Format).unwrap(),
-                GxbValue::Format(Format::Tiled)
+            assert_eq!(
+                gxb_get(GxbScope::Matrix(&m), GxbOption::TileShape).unwrap(),
+                GxbValue::TileShape(None)
             );
-            assert_eq!(m.nvals().unwrap(), 40);
+            m.set(0, 2, Value::Int32(-2)).unwrap();
+            assert_eq!(m.nvals().unwrap(), 42);
+            assert!(
+                take_notes().tiles.is_empty(),
+                "a slab flush touches no tile"
+            );
         })
         .unwrap();
     }
@@ -340,13 +268,16 @@ mod tests {
         with_session(Mode::Blocking, || {
             let m = GrbMatrix::new(GrbType::Int32, 4, 4).unwrap();
             let v = GrbVector::new(GrbType::Int32, 4).unwrap();
-            // vector scope has no format options
-            assert!(gxb_set(
-                GxbScope::Vector(&v),
-                GxbOption::Format,
-                GxbValue::Format(Format::Csr)
-            )
-            .is_err());
+            // tiling is per matrix: neither vectors nor the session take it
+            for scope in [GxbScope::Vector(&v), GxbScope::Global] {
+                assert!(gxb_set(
+                    scope,
+                    GxbOption::TileShape,
+                    GxbValue::TileShape(Some((2, 2)))
+                )
+                .is_err());
+                assert!(gxb_get(scope, GxbOption::TileShape).is_err());
+            }
             // read-epoch is get-only
             assert!(gxb_set(
                 GxbScope::Matrix(&m),
@@ -357,42 +288,33 @@ mod tests {
             // wrong value type for the option
             assert!(gxb_set(
                 GxbScope::Matrix(&m),
-                GxbOption::Format,
+                GxbOption::TileShape,
                 GxbValue::Count(Some(1))
             )
             .is_err());
-            // zero-sized grids and zero caps are invalid
-            assert!(gxb_set(
-                GxbScope::Matrix(&m),
-                GxbOption::TileShape,
-                GxbValue::TileShape(Some((0, 2)))
-            )
-            .is_err());
+            // zero-sized grids, grid axes past 64 and zero caps are
+            // invalid, and change nothing
+            for grid in [(0, 2), (1, 65)] {
+                assert!(matches!(
+                    gxb_set(
+                        GxbScope::Matrix(&m),
+                        GxbOption::TileShape,
+                        GxbValue::TileShape(Some(grid))
+                    ),
+                    Err(Error::InvalidValue(_))
+                ));
+                assert_eq!(
+                    gxb_get(GxbScope::Matrix(&m), GxbOption::TileShape).unwrap(),
+                    GxbValue::TileShape(None),
+                    "{grid:?}"
+                );
+            }
             assert!(gxb_set(
                 GxbScope::Global,
                 GxbOption::DeltaRunCap,
                 GxbValue::Count(Some(0))
             )
             .is_err());
-            // a grid axis past 64 is invalid at either scope, whether it
-            // comes as a tile shape or as a policy, and changes nothing
-            let wide = FormatPolicy::Tiled { rows: 1, cols: 65 };
-            for scope in [GxbScope::Global, GxbScope::Matrix(&m)] {
-                for (option, value) in [
-                    (GxbOption::TileShape, GxbValue::TileShape(Some((1, 65)))),
-                    (GxbOption::FormatPolicy, GxbValue::FormatPolicy(wide)),
-                ] {
-                    assert!(
-                        matches!(gxb_set(scope, option, value), Err(Error::InvalidValue(_))),
-                        "{scope:?} {option:?}"
-                    );
-                    assert_eq!(
-                        gxb_get(scope, GxbOption::TileShape).unwrap(),
-                        GxbValue::TileShape(None),
-                        "{scope:?} {option:?}"
-                    );
-                }
-            }
             // vector read-epoch works
             assert!(matches!(
                 gxb_get(GxbScope::Vector(&v), GxbOption::ReadEpoch),

@@ -55,11 +55,11 @@ pub enum SchedPolicy {
 /// Load snapshot of the shared worker pool: how many daemon workers
 /// exist and how many kernel chunks sit in the shared queue right now.
 ///
-/// Observability hook for layers that place work *onto* the engine —
-/// the `server` crate's admission control reads the backlog to decide
-/// when to shed load instead of queueing more. `queued` counts tasks
-/// waiting in the queue, not tasks mid-execution, so it is a floor on
-/// outstanding work; both fields are `0` before the pool's first use.
+/// Observability hook for layers that place work *onto* the engine:
+/// the `server` crate reports it in its `STATS` reply. Nothing sheds
+/// load on it. `queued` counts tasks waiting in the queue, not tasks
+/// mid-execution, so it is a floor on outstanding work; both fields are
+/// `0` before the pool's first use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStatus {
     /// Daemon worker count (fixed at first use).
@@ -68,8 +68,8 @@ pub struct PoolStatus {
     pub queued: usize,
 }
 
-/// Snapshot the shared worker pool's load (see [`PoolStatus`]). Never
-/// spawns the pool.
+/// Snapshot the shared worker pool's load (see [`PoolStatus`]), as the
+/// server's `STATS` reply shows it. Never spawns the pool.
 pub fn pool_status() -> PoolStatus {
     let (width, queued) = crate::kernel::workers::status();
     PoolStatus { width, queued }

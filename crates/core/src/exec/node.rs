@@ -32,11 +32,6 @@ pub(crate) trait StorageMeta {
     fn trace_format(&self) -> &'static str {
         "sparse"
     }
-    /// The format this value was migrated from by a policy conversion,
-    /// if any — drives the trace's migration events.
-    fn trace_migrated_from(&self) -> Option<&'static str> {
-        None
-    }
 }
 
 /// Type-erased interface to a node of the deferred DAG (implemented by
@@ -177,14 +172,9 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
     }
 
     fn trace_meta(&self) -> TraceMeta {
-        let (shape, nvals, format, migrated_from) = match &*self.state.lock() {
-            NodeState::Ready(s) => (
-                s.trace_shape(),
-                s.trace_nvals(),
-                s.trace_format(),
-                s.trace_migrated_from(),
-            ),
-            _ => ((0, 0), 0, "sparse", None),
+        let (shape, nvals, format) = match &*self.state.lock() {
+            NodeState::Ready(s) => (s.trace_shape(), s.trace_nvals(), s.trace_format()),
+            _ => ((0, 0), 0, "sparse"),
         };
         TraceMeta {
             kind: self.kind,
@@ -193,7 +183,6 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
             cols: shape.1,
             nvals,
             format,
-            migrated_from,
         }
     }
 }

@@ -27,7 +27,6 @@ pub struct TraceMeta {
     pub cols: usize,
     pub nvals: usize,
     pub format: &'static str,
-    pub migrated_from: Option<&'static str>,
 }
 
 /// One node computed by a traced `wait()`.
@@ -41,13 +40,10 @@ pub struct TraceEvent {
     pub cols: usize,
     /// Stored elements in the result (0 if the node failed).
     pub nvals: usize,
-    /// Storage format chosen for the result (`"csr"` or `"tiled"` for
-    /// matrix stores; `"sparse"` for vectors and `"sparse"`/empty shapes
-    /// if the node failed).
+    /// The result's storage layout (`"csr"` or `"tiled"` for matrix
+    /// stores; `"sparse"` for vectors and `"sparse"`/empty shapes if the
+    /// node failed).
     pub format: &'static str,
-    /// `Some(from)` when the format policy migrated the result out of the
-    /// layout it was produced in — the trace's migration event.
-    pub migrated_from: Option<&'static str>,
     /// Program-order index within the waited sequence, if this node was
     /// submitted through the context (interior nodes reachable only as
     /// dependencies have `None`).
@@ -214,7 +210,6 @@ impl TraceSink {
             cols: meta.cols,
             nvals: meta.nvals,
             format: meta.format,
-            migrated_from: meta.migrated_from,
             seq,
             start_ns,
             end_ns,

@@ -145,7 +145,7 @@ pub fn merge_matrix<T: Scalar>(base: &Csr<T>, runs: &[Run<(Index, Index), T>]) -
 /// every clean tile keeps its `Arc` identity, so its memoized views and
 /// degree caches survive the flush untouched. Otherwise this is the
 /// classic whole-slab merge re-stored under the policy.
-pub fn merge_into_store<T: Scalar>(
+pub(crate) fn merge_into_store<T: Scalar>(
     store: &MatrixStore<T>,
     runs: &[Run<(Index, Index), T>],
     policy: FormatPolicy,

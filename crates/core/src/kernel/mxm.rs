@@ -1,13 +1,9 @@
 //! Sparse matrix–matrix multiply over a semiring (`GrB_mxm`'s compute
 //! stage): `T(i,j) = ⊕_{k ∈ ind(A(i,:)) ∩ ind(B(:,j))} A(i,k) ⊗ B(k,j)`.
 //!
-//! Row-wise Gustavson SpGEMM, parallel over rows. Two accumulator
-//! strategies (`Auto` picks per row; the unit tests force each one):
-//!
-//! * **Dense**: an `ncols`-wide scatter array per worker — best for rows
-//!   whose result is a large fraction of the width;
-//! * **Hash**: an open-addressing table sized to the row's flop estimate —
-//!   best for very wide rows with few entries.
+//! Row-wise Gustavson SpGEMM, parallel over rows: each worker scatters
+//! its rows into one reused `ncols`-wide dense accumulator. A tiled `A`
+//! is read through its store's memoized row view, like any other store.
 //!
 //! The write mask is *pushed into the kernel*: positions the mask does not
 //! admit are never accumulated (and with [`mxm_dot`], never even touched),
@@ -16,35 +12,22 @@
 //! already-discovered vertices *during* the multiply.
 
 use crate::algebra::binary::BinaryOp;
-use crate::algebra::monoid::Monoid;
 use crate::algebra::semiring::Semiring;
-use crate::exec::trace;
 use crate::index::Index;
 use crate::kernel::util::{emit_rows, stateless};
-use crate::mask::{MaskCsr, MaskRow, Pattern};
+use crate::mask::{MaskCsr, Pattern};
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::tiled::{OrientedTiles, Tiled};
 
-/// Row-accumulator strategy for [`mxm`].
+/// Row-accumulator strategy for [`mxm`]. One remains: every row uses the
+/// reused dense accumulator. Kept so callers that name it still compile.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MxmStrategy {
-    /// Choose per row: dense whenever the row width fits comfortably in
-    /// cache (the per-worker scatter array is reused across rows, so it
-    /// wins even on rows with a handful of entries), hash only for
-    /// genuinely wide rows with few expected entries.
+    /// The dense per-worker accumulator.
     #[default]
     Auto,
-    /// Force the hash accumulator.
-    Hash,
-    /// Force the dense accumulator.
-    Dense,
 }
-
-/// Widths up to this always use the dense accumulator under `Auto`:
-/// the reused scatter array stays cache-resident and beats hashing
-/// (2× on both sparse Erdős–Rényi and skewed R-MAT inputs).
-const DENSE_ALWAYS_WIDTH: usize = 1 << 15;
 
 /// Per-worker scratch space, reused across the rows a worker processes.
 struct Workspace<T> {
@@ -65,184 +48,9 @@ impl<T: Scalar> Workspace<T> {
     }
 }
 
-/// Open-addressing accumulator for wide, sparse rows.
-struct HashAcc<T> {
-    keys: Vec<Index>,
-    vals: Vec<Option<T>>,
-    mask: usize,
-    len: usize,
-}
-
-const EMPTY: Index = Index::MAX;
-
-impl<T: Scalar> HashAcc<T> {
-    fn with_estimate(est: usize) -> Self {
-        let cap = (est.max(4) * 2).next_power_of_two();
-        HashAcc {
-            keys: vec![EMPTY; cap],
-            vals: vec![None; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, j: Index) -> usize {
-        // Fibonacci hashing on the column index
-        (j.wrapping_mul(0x9E3779B97F4A7C15) >> 32) & self.mask
-    }
-
-    fn grow(&mut self) {
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; (self.mask + 1) * 2]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![None; (self.mask + 1) * 2]);
-        self.mask = self.keys.len() - 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                self.insert_raw(k, v.expect("occupied slot has a value"));
-            }
-        }
-    }
-
-    fn insert_raw(&mut self, j: Index, v: T) {
-        let mut s = self.slot(j);
-        loop {
-            if self.keys[s] == EMPTY {
-                self.keys[s] = j;
-                self.vals[s] = Some(v);
-                self.len += 1;
-                return;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    fn accumulate<M: Monoid<T>>(&mut self, j: Index, v: T, add: &M) {
-        if self.len * 2 > self.mask {
-            self.grow();
-        }
-        let mut s = self.slot(j);
-        loop {
-            if self.keys[s] == j {
-                let slot = self.vals[s].as_mut().expect("occupied");
-                *slot = add.apply(slot, &v);
-                return;
-            }
-            if self.keys[s] == EMPTY {
-                self.keys[s] = j;
-                self.vals[s] = Some(v);
-                self.len += 1;
-                return;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    /// Append the accumulated entries in column order.
-    fn drain_into(mut self, cols: &mut Vec<Index>, vals: &mut Vec<T>) {
-        let mut pairs: Vec<(Index, T)> = Vec::with_capacity(self.len);
-        for (k, v) in self.keys.iter().zip(self.vals.iter_mut()) {
-            if *k != EMPTY {
-                pairs.push((*k, v.take().expect("occupied")));
-            }
-        }
-        pairs.sort_unstable_by_key(|&(j, _)| j);
-        for (j, v) in pairs {
-            cols.push(j);
-            vals.push(v);
-        }
-    }
-}
-
-/// One output row of Gustavson's product: `A(i,:) ⊕.⊗ B` for the row
-/// `(ac, av)` of `A`, restricted to what `mrow` admits and appended to
-/// `cols`/`vals`. The fold runs in ascending `k` whatever the accumulator,
-/// so every caller produces the same bits for the same row.
-#[allow(clippy::too_many_arguments)]
-fn gustavson_row<D1, D2, D3, S>(
-    sr: &S,
-    ac: &[Index],
-    av: &[D1],
-    b: &Csr<D2>,
-    mrow: MaskRow<'_>,
-    strategy: MxmStrategy,
-    ws: &mut Workspace<D3>,
-    cols: &mut Vec<Index>,
-    vals: &mut Vec<D3>,
-) where
-    D1: Scalar,
-    D2: Scalar,
-    D3: Scalar,
-    S: Semiring<D1, D2, D3>,
-{
-    if mrow.admits_nothing() || ac.is_empty() {
-        return;
-    }
-    let ncols = b.ncols();
-    let unmasked = mrow.admits_everything();
-    // Scatter the mask row for O(1) admission tests during the
-    // accumulation sweep.
-    let mask_flag = if unmasked {
-        true
-    } else {
-        mrow.scatter(&mut ws.mask_ws, &mut ws.mask_touched)
-    };
-    let admitted = |ws: &Workspace<D3>, j: Index| unmasked || (ws.mask_ws[j] != mask_flag);
-
-    let flops: usize = ac.iter().map(|&k| b.row_nvals(k)).sum();
-    let use_dense = match strategy {
-        MxmStrategy::Dense => true,
-        MxmStrategy::Hash => false,
-        MxmStrategy::Auto => ncols <= DENSE_ALWAYS_WIDTH || flops >= ncols / 16,
-    };
-    let add = sr.add();
-    let mul = sr.mul();
-
-    if use_dense {
-        for (k, aik) in ac.iter().zip(av) {
-            let (bc, bv) = b.row(*k);
-            for (j, bkj) in bc.iter().zip(bv) {
-                if !admitted(ws, *j) {
-                    continue;
-                }
-                let prod = mul.apply(aik, bkj);
-                match &mut ws.dense[*j] {
-                    Some(acc) => *acc = add.apply(acc, &prod),
-                    slot @ None => {
-                        *slot = Some(prod);
-                        ws.touched.push(*j);
-                    }
-                }
-            }
-        }
-        ws.touched.sort_unstable();
-        for &j in &ws.touched {
-            cols.push(j);
-            vals.push(ws.dense[j].take().expect("touched slot"));
-        }
-        ws.touched.clear();
-    } else {
-        let mut acc = HashAcc::with_estimate(flops);
-        for (k, aik) in ac.iter().zip(av) {
-            let (bc, bv) = b.row(*k);
-            for (j, bkj) in bc.iter().zip(bv) {
-                if !admitted(ws, *j) {
-                    continue;
-                }
-                acc.accumulate(*j, mul.apply(aik, bkj), add);
-            }
-        }
-        acc.drain_into(cols, vals);
-    }
-    // reset mask workspace for the next row handled by this worker
-    for &j in &ws.mask_touched {
-        ws.mask_ws[j] = false;
-    }
-    ws.mask_touched.clear();
-}
-
-/// `T = A ⊕.⊗ B`, restricted to mask-admitted positions.
+/// `T = A ⊕.⊗ B`, restricted to mask-admitted positions. Each output
+/// row folds in ascending `k`, as [`mxm_dot`] does, so both forms
+/// produce the same bits.
 ///
 /// Dimensions must already be validated by the operation layer
 /// (`ncols(A) == nrows(B)`).
@@ -251,7 +59,7 @@ pub fn mxm<D1, D2, D3, S>(
     a: &Csr<D1>,
     b: &Csr<D2>,
     mask: &MaskCsr,
-    strategy: MxmStrategy,
+    _strategy: MxmStrategy,
 ) -> Csr<D3>
 where
     D1: Scalar,
@@ -261,6 +69,8 @@ where
 {
     debug_assert_eq!(a.ncols(), b.nrows());
     let (nrows, ncols) = (a.nrows(), b.ncols());
+    let add = sr.add();
+    let mul = sr.mul();
     emit_rows(
         nrows,
         ncols,
@@ -268,59 +78,43 @@ where
         |_, _| Workspace::<D3>::new(ncols),
         |ws, i, cols, vals| {
             let (ac, av) = a.row(i);
-            gustavson_row(sr, ac, av, b, mask.row(i), strategy, ws, cols, vals);
-        },
-    )
-}
-
-/// Tiled SpGEMM: `T = A ⊕.⊗ B` where `A` is stored as a 2D tile grid.
-/// Each logical row of `A` is gathered across its stripe's tiles
-/// left-to-right — ascending global `k`, the same entry order the slab
-/// kernel walks — and fed through the identical per-row accumulation,
-/// so the result is bitwise-equal to [`mxm`] on the assembled slab.
-/// Only the tiles in stripes that actually multiply are materialized as
-/// row views; the touched set is recorded for the execution trace.
-pub fn mxm_tiled<D1, D2, D3, S>(sr: &S, a: &Tiled<D1>, b: &Csr<D2>, mask: &MaskCsr) -> Csr<D3>
-where
-    D1: Scalar,
-    D2: Scalar,
-    D3: Scalar,
-    S: Semiring<D1, D2, D3>,
-{
-    debug_assert_eq!(a.ncols(), b.nrows());
-    let (nrows, ncols) = (a.nrows(), b.ncols());
-    let ot = OrientedTiles::new(a, false);
-    let t = emit_rows(
-        nrows,
-        ncols,
-        a.nvals() + b.nvals(),
-        |_, _| {
-            (
-                Workspace::<D3>::new(ncols),
-                Vec::<Index>::new(),
-                Vec::<D1>::new(),
-                ot.cursor(),
-            )
-        },
-        |(ws, ac, av, cur), i, cols, vals| {
             let mrow = mask.row(i);
-            if mrow.admits_nothing() {
+            if mrow.admits_nothing() || ac.is_empty() {
                 return;
             }
-            // Gather A(i,:) across the stripe's tiles in ascending-k order.
-            ac.clear();
-            av.clear();
-            cur.for_row(i, &mut |off, tc, tv| {
-                for (c, v) in tc.iter().zip(tv) {
-                    ac.push(off + c);
-                    av.push(v.clone());
+            let unmasked = mrow.admits_everything();
+            // Scatter the mask row for O(1) admission tests during the
+            // accumulation sweep.
+            let mask_flag = unmasked || mrow.scatter(&mut ws.mask_ws, &mut ws.mask_touched);
+            for (k, aik) in ac.iter().zip(av) {
+                let (bc, bv) = b.row(*k);
+                for (j, bkj) in bc.iter().zip(bv) {
+                    if !(unmasked || ws.mask_ws[*j] != mask_flag) {
+                        continue;
+                    }
+                    let prod = mul.apply(aik, bkj);
+                    match &mut ws.dense[*j] {
+                        Some(acc) => *acc = add.apply(acc, &prod),
+                        slot @ None => {
+                            *slot = Some(prod);
+                            ws.touched.push(*j);
+                        }
+                    }
                 }
-            });
-            gustavson_row(sr, ac, av, b, mrow, MxmStrategy::Auto, ws, cols, vals);
+            }
+            ws.touched.sort_unstable();
+            for &j in &ws.touched {
+                cols.push(j);
+                vals.push(ws.dense[j].take().expect("touched slot"));
+            }
+            ws.touched.clear();
+            // reset mask workspace for the next row handled by this worker
+            for &j in &ws.mask_touched {
+                ws.mask_ws[j] = false;
+            }
+            ws.mask_touched.clear();
         },
-    );
-    trace::note(|n| n.add_tiles(ot.touched()));
-    t
+    )
 }
 
 /// The masked-product strategy choice: `true` when the dot form
@@ -452,25 +246,6 @@ mod tests {
             c.to_tuples(),
             vec![(0, 0, 17), (0, 1, 14), (1, 0, 18), (1, 1, 53)]
         );
-    }
-
-    #[test]
-    fn hash_and_dense_strategies_agree() {
-        let c_hash = mxm(
-            &plus_times::<i32>(),
-            &a(),
-            &b(),
-            &MaskCsr::All,
-            MxmStrategy::Hash,
-        );
-        let c_dense = mxm(
-            &plus_times::<i32>(),
-            &a(),
-            &b(),
-            &MaskCsr::All,
-            MxmStrategy::Dense,
-        );
-        assert_eq!(c_hash, c_dense);
     }
 
     #[test]
@@ -606,97 +381,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn large_random_hash_vs_dense_vs_dot() {
-        // deterministic pseudo-random pattern, big enough to hit the
-        // parallel path and hash growth
-        let n = 300usize;
+    /// Pseudo-random `nrows × ncols` tuples, `per_row` draws a row.
+    fn random_csr(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<i64> {
         let mut tuples = Vec::new();
-        let mut x = 12345u64;
-        for i in 0..n {
-            for _ in 0..5 {
+        let mut x = seed;
+        for i in 0..nrows {
+            for _ in 0..per_row {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let j = (x >> 33) as usize % n;
+                let j = (x >> 33) as usize % ncols;
                 tuples.push((i, j, ((x >> 17) % 10) as i64));
             }
         }
         tuples.sort_by_key(|&(i, j, _)| (i, j));
         tuples.dedup_by_key(|&mut (i, j, _)| (i, j));
-        let a = Csr::from_sorted_tuples(n, n, tuples);
-        let h = mxm(
-            &plus_times::<i64>(),
-            &a,
-            &a,
-            &MaskCsr::All,
-            MxmStrategy::Hash,
-        );
-        let d = mxm(
-            &plus_times::<i64>(),
-            &a,
-            &a,
-            &MaskCsr::All,
-            MxmStrategy::Dense,
-        );
-        assert_eq!(h, d);
-        // dot against the full pattern of the product
-        let full_pattern = h.map(|_| ());
-        let dot = mxm_dot(&plus_times::<i64>(), &a, &a.transpose(), &full_pattern);
-        assert_eq!(dot, h);
+        Csr::from_sorted_tuples(nrows, ncols, tuples)
+    }
+
+    /// Gustavson against the dot form over the full pattern of its own
+    /// product: the same entries, folded in the same order.
+    fn assert_matches_dot(a: &Csr<i64>, b: &Csr<i64>) {
+        let sr = plus_times::<i64>();
+        let t = mxm(&sr, a, b, &MaskCsr::All, MxmStrategy::Auto);
+        assert!(t.nvals() > 0);
+        let dot = mxm_dot(&sr, a, &b.transpose(), &t.map(|_| ()));
+        assert_eq!(dot, t);
     }
 
     #[test]
-    fn tiled_kernel_matches_csr_kernel_bitwise() {
-        let n = 300usize;
-        let mut tuples = Vec::new();
-        let mut x = 424242u64;
-        for i in 0..n {
-            for _ in 0..4 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let j = (x >> 33) as usize % n;
-                tuples.push((i, j, ((x >> 17) % 1000) as f64 / 7.0));
-            }
-        }
-        tuples.sort_by_key(|&(i, j, _)| (i, j));
-        tuples.dedup_by_key(|&mut (i, j, _)| (i, j));
-        let a_csr = Csr::from_sorted_tuples(n, n, tuples);
-        let slab = mxm(
-            &plus_times::<f64>(),
-            &a_csr,
-            &a_csr,
-            &MaskCsr::All,
-            MxmStrategy::Auto,
-        );
-        for grid in [(1, 1), (2, 2), (4, 4), (7, 3)] {
-            let a_tiled = Tiled::from_csr(&a_csr, grid);
-            let tiled = mxm_tiled(&plus_times::<f64>(), &a_tiled, &a_csr, &MaskCsr::All);
-            // f64 plus is not associative under reordering — equality here
-            // proves the tiled gather preserves the slab's fold order.
-            assert_eq!(tiled, slab, "grid {grid:?}");
-        }
-        crate::exec::take_notes();
+    fn large_random_gustavson_vs_dot() {
+        // big enough to hit the parallel path
+        let a = random_csr(300, 300, 5, 12345);
+        assert_matches_dot(&a, &a);
     }
 
     #[test]
-    fn tiled_kernel_respects_mask() {
-        let a_csr = Csr::from_sorted_tuples(10, 10, vec![(1, 2, 2i32), (2, 3, 3), (9, 1, 7)]);
-        let a_tiled = Tiled::from_csr(&a_csr, (3, 3));
-        let m = Csr::from_sorted_tuples(10, 10, vec![(1, 3, true)]);
-        let mask = MaskCsr::from_csr(&m, false, false);
-        let masked = mxm_tiled(&plus_times::<i32>(), &a_tiled, &a_csr, &mask);
-        let reference = mxm(
-            &plus_times::<i32>(),
-            &a_csr,
-            &a_csr,
-            &mask,
-            MxmStrategy::Auto,
-        );
-        assert_eq!(masked, reference);
-        assert_eq!(masked.nvals(), 1);
-        crate::exec::take_notes();
+    fn wide_sparse_rows_match_dot() {
+        // a few sparse rows over 40,000 output columns: the dense
+        // accumulator spans the full width, however few entries a row has
+        let (k, n) = (64, 40_000);
+        let a = random_csr(6, k, 3, 777);
+        let b = random_csr(k, n, 4, 4242);
+        assert_matches_dot(&a, &b);
     }
 
     #[test]

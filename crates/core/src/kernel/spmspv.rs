@@ -756,7 +756,7 @@ mod tests {
     use super::*;
     use crate::algebra::semiring::{lor_land, min_plus, plus_times};
     use crate::exec::take_notes;
-    use crate::storage::engine::Format;
+    use crate::storage::engine::FormatPolicy;
     use std::sync::{Mutex, MutexGuard};
 
     /// The direction override is process-wide: every test here that
@@ -784,6 +784,10 @@ mod tests {
         ))
     }
 
+    /// The slab and the default 4 × 4 tile grid.
+    const POLICIES: [FormatPolicy; 2] =
+        [FormatPolicy::Auto, FormatPolicy::Tiled { rows: 4, cols: 4 }];
+
     fn all_directions() -> [Direction; 3] {
         [Direction::Push, Direction::Pull, Direction::Dense]
     }
@@ -794,8 +798,8 @@ mod tests {
         let sr = plus_times::<i32>();
         let v = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 30]);
         for transposed in [false, true] {
-            for fmt in [Format::Csr, Format::Tiled] {
-                let st = store().apply_policy(fmt.into());
+            for fmt in POLICIES {
+                let st = store().apply_policy(fmt);
                 let masks = [
                     MaskVec::All,
                     MaskVec::Pattern {
@@ -905,9 +909,9 @@ mod tests {
                     complement: true,
                 },
             ];
-            for fmt in [Format::Csr, Format::Tiled] {
-                let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone()))
-                    .apply_policy(fmt.into());
+            for fmt in POLICIES {
+                let st =
+                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).apply_policy(fmt);
                 for f in &frontiers {
                     let (fi, fv): (Vec<usize>, Vec<i64>) = f.iter().copied().unzip();
                     let v = SparseVec::from_sorted_parts(n, fi, fv);
@@ -961,9 +965,9 @@ mod tests {
                 .enumerate()
                 .filter_map(|(j, w)| w.map(|w| (j, w)))
                 .collect();
-            for fmt in [Format::Csr, Format::Tiled] {
-                let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone()))
-                    .apply_policy(fmt.into());
+            for fmt in POLICIES {
+                let st =
+                    MatrixStore::csr(Csr::from_sorted_tuples(n, n, a.clone())).apply_policy(fmt);
                 for d in all_directions() {
                     let got: SparseVec<bool> =
                         with_direction(d, || vxm(&lor_land(), &v, &st, transposed, &MaskVec::All));

@@ -105,8 +105,8 @@ pub(crate) fn pool() -> &'static Pool {
 
 /// Load snapshot of the pool *without* forcing it to spawn: `(width,
 /// queued)` where `queued` counts tasks sitting in the shared queue
-/// (not ones mid-execution). `(0, 0)` before first use. The admission-
-/// control observability hook behind [`crate::exec::pool_status`].
+/// (not ones mid-execution). `(0, 0)` before first use. Read only
+/// through [`crate::exec::pool_status`], for the server's `STATS`.
 pub(crate) fn status() -> (usize, usize) {
     match POOL.get() {
         Some(p) => {

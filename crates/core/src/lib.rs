@@ -60,7 +60,6 @@ pub use kernel::spmspv;
 pub use mask::NoMask;
 pub use object::{Matrix, Vector};
 pub use scalar::{AsBool, NumScalar, Scalar};
-pub use storage::engine::{Format, FormatPolicy};
 pub use storage::{snapshot_stats, DeltaStats, MatrixSnapshot, SnapshotStats, VectorSnapshot};
 
 /// Convenient glob import: `use graphblas_core::prelude::*`.
@@ -92,7 +91,6 @@ pub mod prelude {
     pub use crate::mask::NoMask;
     pub use crate::object::{Matrix, Vector};
     pub use crate::scalar::{AsBool, CastFrom, NumScalar, Scalar};
-    pub use crate::storage::engine::{Format, FormatPolicy};
     pub use crate::storage::{
         snapshot_stats, DeltaStats, MatrixSnapshot, SnapshotStats, VectorSnapshot,
     };

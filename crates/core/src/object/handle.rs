@@ -56,8 +56,8 @@ pub(crate) trait Stored: StorageMeta + Send + Sync + Sized + 'static {
     type Key: Copy + Ord + Send + Sync + 'static;
     /// Element domain.
     type Elem: Scalar;
-    /// Per-object storage hint applied to computed values:
-    /// [`FormatPolicy`] for matrices, nothing for vectors.
+    /// Per-object storage hint applied to computed values: the tiling
+    /// policy for matrices, nothing for vectors.
     type Policy: Copy + Send + Sync + 'static;
 
     /// A value of the given shape with no stored elements.

@@ -26,7 +26,7 @@ use crate::scalar::Scalar;
 use crate::storage::coo::build_matrix;
 use crate::storage::csr::Csr;
 use crate::storage::delta::{DeltaOp, DeltaStats};
-use crate::storage::engine::{Format, FormatPolicy, MatrixStore};
+use crate::storage::engine::{FormatPolicy, MatrixStore};
 use crate::storage::snapshot::MatrixSnapshot;
 
 pub(crate) type MatrixNode<T> = Node<MatrixStore<T>>;
@@ -38,8 +38,9 @@ pub(crate) type MatrixNode<T> = Node<MatrixStore<T>>;
 pub struct Matrix<T: Scalar> {
     nrows: Index,
     ncols: Index,
-    /// The object: value node, per-object format policy (the `GxB`-style
-    /// format option) and pending point updates, shared by handle clones.
+    /// The object: value node, tiling policy (the `GxB`-style
+    /// `TileShape` option) and pending point updates, shared by handle
+    /// clones.
     pub(crate) handle: Handle<MatrixStore<T>>,
 }
 
@@ -55,8 +56,11 @@ impl<T: Scalar> Matrix<T> {
             )));
         }
         let empty = Node::ready(MatrixStore::csr(Csr::try_empty(nrows, ncols)?));
-        let policy = crate::options::format_policy();
-        Ok(Self::over(nrows, ncols, Handle::new(empty, policy)))
+        Ok(Self::over(
+            nrows,
+            ncols,
+            Handle::new(empty, FormatPolicy::Auto),
+        ))
     }
 
     /// The wrapper over an object of known dimensions.
@@ -148,10 +152,9 @@ impl<T: Scalar> Matrix<T> {
     /// `GrB_Matrix_setElement`. Appends to the object's pending-update
     /// buffer — O(1) amortized in every mode, per §IV's latitude to
     /// defer point updates. The buffer is merged into the backing store
-    /// (and the value re-stored under the object's format policy, since
-    /// updates can cross a density threshold) by the time/size-windowed
-    /// background auto-flusher, or eagerly by the next completion-
-    /// forcing read: `nvals`/`get`/`extract_tuples`/`wait`.
+    /// (and the value re-stored under the object's tiling policy) by the
+    /// time/size-windowed background auto-flusher, or eagerly by the next
+    /// completion-forcing read: `nvals`/`get`/`extract_tuples`/`wait`.
     pub fn set(&self, i: Index, j: Index, v: T) -> Result<()> {
         self.check_bounds(i, j)?;
         self.handle.push((i, j), DeltaOp::Put(v));
@@ -186,7 +189,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// `GrB_Matrix_dup`: a new object with a copy of this object's
-    /// current (possibly still deferred) value and format policy.
+    /// current (possibly still deferred) value and tiling policy.
     /// Snapshot-cheap even with pending point updates: the copy shares
     /// the Arc'd base node and sealed runs through the epoch's overlay
     /// node — the original's log is *not* drained, and the overlay
@@ -226,33 +229,7 @@ impl<T: Scalar> Matrix<T> {
         Ok(self.handle.forced_storage()?.col_degrees())
     }
 
-    // ----- storage-format hints (GxB-style per-object options) -----
-
-    /// The storage format currently holding this object's value. Forces
-    /// completion (the format of a deferred value isn't chosen yet).
-    pub fn format(&self) -> Result<Format> {
-        Ok(self.handle.forced_storage()?.format())
-    }
-
-    /// The format policy applied to values computed into this object.
-    pub fn format_policy(&self) -> FormatPolicy {
-        self.handle.policy()
-    }
-
-    /// Set the format policy for values computed into this object from
-    /// now on; the current value (deferred or not) is left as stored.
-    /// `GrB_INVALID_VALUE` for a tile grid [`FormatPolicy::tiled`]
-    /// rejects.
-    pub fn set_format_policy(&self, policy: FormatPolicy) -> Result<()> {
-        self.handle.set_policy(policy.checked()?);
-        Ok(())
-    }
-
-    /// `GxB_Matrix_Option_set(…, FORMAT, …)` analog: `Csr` is
-    /// [`Matrix::clear_tile_shape`], `Tiled` sets the default tile grid.
-    pub fn set_format(&self, format: Format) -> Result<()> {
-        self.restore_under(format.into())
-    }
+    // ----- tiling (the GxB-style per-object storage option) -----
 
     /// `GxB_set(matrix, TileShape, rows × cols)` analog: shard this
     /// object's value into a 2D tile grid, converting the current value
@@ -263,22 +240,23 @@ impl<T: Scalar> Matrix<T> {
         self.restore_under(FormatPolicy::tiled(rows, cols)?)
     }
 
-    /// The configured tile grid, if this object's policy shards it.
+    /// The configured tile grid, if this object is tiled.
     pub fn tile_shape(&self) -> Option<(usize, usize)> {
-        self.format_policy().tile_grid()
+        self.handle.policy().tile_grid()
     }
 
-    /// Undo [`Matrix::set_tile_shape`]: back to `FormatPolicy::Auto`,
-    /// re-storing the current value as a single slab (forces completion).
+    /// Undo [`Matrix::set_tile_shape`]: re-store the current value as a
+    /// single slab (forces completion), as new matrices start.
     pub fn clear_tile_shape(&self) -> Result<()> {
         self.restore_under(FormatPolicy::Auto)
     }
 
-    /// Direct future values into `policy`'s layout and re-store the
-    /// current value there now, unless it is already stored so.
+    /// Re-store the current value under `policy`, unless it is already
+    /// stored so, and direct future values there. The value is forced
+    /// first: an object whose value fails keeps its old policy.
     fn restore_under(&self, policy: FormatPolicy) -> Result<()> {
-        self.handle.set_policy(policy);
         let store = self.handle.forced_storage()?;
+        self.handle.set_policy(policy);
         let grid = policy
             .tile_grid()
             .map(|g| crate::storage::tiled::clamp_grid(self.nrows, self.ncols, g));
@@ -312,9 +290,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Publish an immediately computed CSR value, stored under this
-    /// object's format policy.
+    /// object's tiling policy.
     pub(crate) fn install_csr(&self, csr: Csr<T>) {
-        self.install_store(MatrixStore::from_csr(csr, self.format_policy()));
+        self.install_store(MatrixStore::from_csr(csr, self.handle.policy()));
     }
 
     fn install_store(&self, store: MatrixStore<T>) {
@@ -522,6 +500,35 @@ mod tests {
         // by m.nvals above, not by the snapshot).
         let m2 = snap.to_matrix();
         assert_eq!(m2.extract_tuples().unwrap(), vec![(0, 0, 1), (0, 1, 2)]);
+    }
+
+    #[test]
+    fn a_failed_tiling_change_keeps_the_old_policy() {
+        use crate::algebra::semiring::plus_times;
+        use crate::exec::Context;
+        use crate::{Descriptor, NoAccum, NoMask};
+
+        let ctx = Context::nonblocking();
+        let a = Matrix::from_tuples(8, 8, &[(0, 1, 2), (1, 0, 3)]).unwrap();
+        let failed = |c: &Matrix<i32>| {
+            ctx.inject_fault(Error::Panic("fault".into()));
+            let desc = Descriptor::default();
+            ctx.mxm(c, NoMask, NoAccum, plus_times::<i32>(), &a, &a, &desc)
+                .unwrap();
+        };
+        // setting a grid on an invalid object reports its error and
+        // leaves it untiled
+        let c = Matrix::<i32>::new(8, 8).unwrap();
+        failed(&c);
+        assert!(matches!(c.set_tile_shape(4, 4), Err(Error::Panic(_))));
+        assert_eq!(c.tile_shape(), None);
+        // clearing the grid of one keeps the grid
+        let c = Matrix::<i32>::new(8, 8).unwrap();
+        c.set_tile_shape(2, 2).unwrap();
+        failed(&c);
+        assert!(matches!(c.clear_tile_shape(), Err(Error::Panic(_))));
+        assert_eq!(c.tile_shape(), Some((2, 2)));
+        let _ = ctx.wait();
     }
 
     #[test]

@@ -60,9 +60,8 @@ impl Context {
     /// the mode, applying any injected test fault. `kind` is the Table II
     /// operation name, surfaced in execution traces. `eval` returns the
     /// value already re-stored under the output object's policy
-    /// (`Stored::restore`, read at submission): migration (if any)
-    /// happens at completion time, once, and the policy has the last
-    /// word over whatever layout a fast-path kernel produced.
+    /// (`Stored::restore`, read at submission): tiling (if any)
+    /// happens at completion time, once.
     pub(crate) fn submit<S: Stored>(
         &self,
         kind: &'static str,

@@ -5,14 +5,13 @@ use crate::algebra::semiring::Semiring;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Result};
 use crate::exec::Context;
-use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, mxm_tiled, prefer_dot, MxmStrategy};
+use crate::kernel::mxm::{mxm as mxm_kernel, mxm_dot, prefer_dot, MxmStrategy};
 use crate::mask::MaskCsr;
 use crate::object::mask_arg::MatrixMask;
 use crate::object::matrix::oriented_storage;
 use crate::object::Matrix;
 use crate::op::{effective_dims, Computed};
 use crate::scalar::Scalar;
-use crate::storage::engine::Layout;
 
 impl Context {
     /// `GrB_mxm(C, Mask, accum, op, A, B, desc)`: matrix–matrix multiply
@@ -68,21 +67,7 @@ impl Context {
         let a_node = a.handle.capture();
         let b_node = b.handle.capture();
         let inputs = vec![a_node.clone() as _, b_node.clone() as _];
-        fig2.submit("mxm", inputs, move |mcsr, accum, _| {
-            // Tiled fast path: walk A's tile grid directly instead of
-            // assembling a slab view first, taken only when the write is
-            // the identity (no accumulator, no mask). Per-row gather
-            // order is ascending k, so the product is bitwise-identical
-            // to the slab kernel's.
-            if !accum.is_accum() && mcsr.admits_all() && !tr_a {
-                if let Layout::Tiled(a_tiled) = a_node.ready_storage()?.layout() {
-                    let a_tiled = a_tiled.clone();
-                    let b_st = oriented_storage(&b_node, tr_b)?;
-                    let t = mxm_tiled(&semiring, &a_tiled, &b_st, &MaskCsr::All);
-                    return semiring.poll_error().map_or(Ok(Computed::T(t)), Err);
-                }
-            }
-
+        fig2.submit("mxm", inputs, move |mcsr, _, _| {
             let a_st = oriented_storage(&a_node, tr_a)?;
             let b_st = oriented_storage(&b_node, tr_b)?;
 

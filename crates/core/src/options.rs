@@ -1,7 +1,8 @@
 //! Session settings: the one owner of every engine knob the paper's
 //! single `GrB_init` context (§IV) implies — the intra-kernel degree,
-//! the forced SpMSpV direction, the format policy new matrices start
-//! with, the delta-log run cap and the background flush window.
+//! the forced SpMSpV direction, the delta-log run cap and the background
+//! flush window. Storage has no session setting: new matrices start as
+//! one CSR slab, and tiling is per matrix (`Matrix::set_tile_shape`).
 //!
 //! Each setting resolves in one order: a scoped override (per thread
 //! for the degree and the cost model, [`with_parallelism`] /
@@ -20,10 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use crate::error::Result;
 use crate::kernel::spmspv::Direction;
 use crate::storage::delta::RUN_CAP;
-use crate::storage::engine::FormatPolicy;
 
 /// Default auto-flush time window (milliseconds). Once a log holds
 /// [`crate::storage::delta::AUTOFLUSH_MIN_PENDING`] entries, a
@@ -79,7 +78,6 @@ fn hardware_degree() -> usize {
 enum Setting {
     Degree,
     Direction,
-    Policy,
     RunCap,
     FlushWindowMs,
 }
@@ -87,13 +85,13 @@ enum Setting {
 const UNSET: u64 = u64::MAX;
 
 /// One word per [`Setting`], `UNSET` until a session sets it.
-struct Session([AtomicU64; 5]);
+struct Session([AtomicU64; 4]);
 
 static SESSION: Session = Session::new();
 
 impl Session {
     const fn new() -> Self {
-        Session([const { AtomicU64::new(UNSET) }; 5])
+        Session([const { AtomicU64::new(UNSET) }; 4])
     }
 
     fn get(&self, s: Setting) -> Option<u64> {
@@ -156,28 +154,6 @@ pub fn session_degree() -> Option<usize> {
 /// decides the worker pool's width at first use.
 pub(crate) fn default_degree() -> usize {
     SESSION.degree(env())
-}
-
-/// Set (or with [`FormatPolicy::Auto`] reset) the policy newly created
-/// matrices start with (`GxB_set(Global, FormatPolicy | TileShape, …)`):
-/// `GrB_INVALID_VALUE`, and no change, for a grid
-/// [`FormatPolicy::tiled`] rejects. Objects that set their own policy
-/// are unaffected.
-pub fn set_format_policy(policy: FormatPolicy) -> Result<()> {
-    let grid = policy.checked()?.tile_grid();
-    SESSION.set(Setting::Policy, grid.map(|(r, c)| ((r << 16) | c) as u64));
-    Ok(())
-}
-
-/// The format policy newly created matrices start with.
-pub fn format_policy() -> FormatPolicy {
-    match SESSION.get(Setting::Policy) {
-        Some(g) => FormatPolicy::Tiled {
-            rows: (g >> 16) as u16,
-            cols: g as u16,
-        },
-        None => FormatPolicy::Auto,
-    }
 }
 
 /// Set (or with `None` clear) the session's delta-log run cap

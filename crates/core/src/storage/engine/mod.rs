@@ -4,12 +4,11 @@
 //! The paper's object model hides representation entirely — a
 //! `GrB_Matrix` is just the set `L(A) = {(i, j, A_ij)}` (§III-A) — which
 //! is precisely the latitude this module exploits. A [`MatrixStore`]
-//! holds the same mathematical content in whichever concrete layout its
-//! [`FormatPolicy`] names:
+//! holds the same mathematical content in one of two [`Layout`]s:
 //!
-//! * [`Format::Csr`] — the general-purpose row-compressed slab;
-//! * [`Format::Tiled`] — a 2D grid of CSR blocks whose empty tiles hold
-//!   no storage at all.
+//! * [`Layout::Csr`] — the general-purpose row-compressed slab;
+//! * [`Layout::Tiled`] — a 2D grid of CSR blocks whose empty tiles hold
+//!   no storage at all, chosen per matrix with `Matrix::set_tile_shape`.
 //!
 //! Column orientation is not a layout: it is an access path. Kernels stay
 //! layout-generic through the memoized [`MatrixStore::row_csr`] /
@@ -17,9 +16,9 @@
 //! kernel asks for **once**, no matter how many consumers ask (the
 //! `OnceLock` serializes concurrent first requests from kernel chunks
 //! or racing readers), which is the "convert an intermediate once instead of
-//! per-consumer" latitude of nonblocking mode. Specialized kernels (the
-//! tiled SpMSpV walks, the tiled `mxm`) dispatch on
-//! [`MatrixStore::layout`] instead and skip conversion entirely.
+//! per-consumer" latitude of nonblocking mode. The tiled SpMSpV walks
+//! dispatch on [`MatrixStore::layout`] instead and skip conversion
+//! entirely.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -30,25 +29,6 @@ use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
 use crate::storage::tiled::{self, Tiled};
 
-/// A concrete storage layout (the engine's `GxB_FORMAT_*` analog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Format {
-    /// Compressed sparse row.
-    Csr,
-    /// 2D grid of CSR blocks ([`crate::storage::tiled::Tiled`]).
-    Tiled,
-}
-
-impl Format {
-    /// Stable lowercase name, used in execution traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Format::Csr => "csr",
-            Format::Tiled => "tiled",
-        }
-    }
-}
-
 /// The most tiles along either grid axis. Each populated tile keeps
 /// `tile_nrows + 1` row pointers, so a grid holds up to
 /// `grid_cols · (nrows + grid_rows)` of them: the bound keeps that within
@@ -56,16 +36,15 @@ impl Format {
 /// gigabytes.
 pub const MAX_TILE_GRID_AXIS: usize = 64;
 
-/// Per-object format policy: how the engine stores values computed into
-/// an object (the `GxB_*`-style hint of the C extensions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FormatPolicy {
-    /// One CSR slab.
-    #[default]
+/// Per-object tiling policy: how the engine stores values computed into
+/// an object — the one storage knob, set through `Matrix::set_tile_shape`
+/// (`GxB_set(…, TileShape, …)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FormatPolicy {
+    /// One CSR slab, as new matrices start.
     Auto,
-    /// A 2D tile grid of the given shape — the tiling knob set through
-    /// `GxB_set(…, TileShape, …)`. Build it with [`FormatPolicy::tiled`],
-    /// which checks the grid.
+    /// A 2D tile grid of the given shape. Build it with
+    /// [`FormatPolicy::tiled`], which checks the grid.
     Tiled { rows: u16, cols: u16 },
 }
 
@@ -85,38 +64,11 @@ impl FormatPolicy {
         })
     }
 
-    /// This policy with its grid, if any, run through
-    /// [`FormatPolicy::tiled`]'s check.
-    pub fn checked(self) -> Result<Self> {
-        match self.tile_grid() {
-            Some((rows, cols)) => Self::tiled(rows, cols),
-            None => Ok(self),
-        }
-    }
-
-    /// The layout this policy stores values in.
-    pub fn format(self) -> Format {
-        match self {
-            FormatPolicy::Auto => Format::Csr,
-            FormatPolicy::Tiled { .. } => Format::Tiled,
-        }
-    }
-
     /// The tile grid this policy shards into, if it is a tiling policy.
     pub fn tile_grid(self) -> Option<(usize, usize)> {
         match self {
             FormatPolicy::Tiled { rows, cols } => Some((rows as usize, cols as usize)),
             FormatPolicy::Auto => None,
-        }
-    }
-}
-
-impl From<Format> for FormatPolicy {
-    /// `Csr` is the slab policy, `Tiled` the default 4 × 4 grid.
-    fn from(format: Format) -> Self {
-        match format {
-            Format::Csr => FormatPolicy::Auto,
-            Format::Tiled => FormatPolicy::Tiled { rows: 4, cols: 4 },
         }
     }
 }
@@ -147,10 +99,6 @@ pub struct MatrixStore<T> {
     nrows: Index,
     ncols: Index,
     layout: Layout<T>,
-    /// The layout this value was converted *from* by a policy migration
-    /// (`None` when it was produced natively) — surfaced in execution
-    /// traces as a migration event.
-    migrated_from: Option<Format>,
     /// Memoized CSR of `A` (identity for `Csr` layouts).
     row_view: OnceLock<Arc<Csr<T>>>,
     /// Memoized CSR of `A^T`.
@@ -174,7 +122,6 @@ impl<T> Clone for MatrixStore<T> {
             nrows: self.nrows,
             ncols: self.ncols,
             layout: self.layout.clone(),
-            migrated_from: self.migrated_from,
             row_view: self.row_view.clone(),
             col_view: self.col_view.clone(),
             regret: self
@@ -194,7 +141,6 @@ impl<T: Scalar> MatrixStore<T> {
             nrows,
             ncols,
             layout,
-            migrated_from: None,
             row_view: OnceLock::new(),
             col_view: OnceLock::new(),
             regret: Default::default(),
@@ -222,15 +168,15 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// Store a freshly computed CSR value under `policy`: as it is, or
-    /// cut into the policy's tile grid (recording the migration).
-    pub fn from_csr(csr: Csr<T>, policy: FormatPolicy) -> Self {
+    /// cut into the policy's tile grid.
+    pub(crate) fn from_csr(csr: Csr<T>, policy: FormatPolicy) -> Self {
         Self::csr(csr).apply_policy(policy)
     }
 
     /// Re-store this value under `policy` (the migration step of
-    /// `set_format` and of fast-path kernel outputs): tile it, or
+    /// `set_tile_shape` and of every computed output): tile it, or
     /// assemble it into one slab. A no-op when it is already stored so.
-    pub fn apply_policy(self, policy: FormatPolicy) -> Self {
+    pub(crate) fn apply_policy(self, policy: FormatPolicy) -> Self {
         match policy.tile_grid() {
             Some(grid) => self.into_tiled(grid),
             None => self.into_slab(),
@@ -240,7 +186,7 @@ impl<T: Scalar> MatrixStore<T> {
     /// Convert to a tile grid of the given shape (clamped to the matrix
     /// dimensions), carrying property caches like every migration. A
     /// no-op when already tiled at that grid.
-    pub fn into_tiled(self, grid: (usize, usize)) -> Self {
+    fn into_tiled(self, grid: (usize, usize)) -> Self {
         let clamped = tiled::clamp_grid(self.nrows, self.ncols, grid);
         if let Layout::Tiled(t) = &self.layout {
             if t.grid() == clamped {
@@ -266,12 +212,11 @@ impl<T: Scalar> MatrixStore<T> {
         }
     }
 
-    /// This value in `layout`, recording where it came from. Cached
-    /// properties describe the mathematical content, not the layout, so
-    /// a migration carries them over instead of recomputing.
+    /// This value in `layout`. Cached properties describe the
+    /// mathematical content, not the layout, so a migration carries them
+    /// over instead of recomputing.
     fn migrate(self, layout: Layout<T>) -> Self {
         let mut store = Self::from_layout(self.nrows, self.ncols, layout);
-        store.migrated_from = Some(self.format());
         store.row_degrees = self.row_degrees;
         store.col_degrees = self.col_degrees;
         store.symmetry = self.symmetry;
@@ -284,25 +229,12 @@ impl<T: Scalar> MatrixStore<T> {
         &self.layout
     }
 
-    /// The current format tag.
-    pub fn format(&self) -> Format {
-        match self.layout {
-            Layout::Csr(_) => Format::Csr,
-            Layout::Tiled(_) => Format::Tiled,
-        }
-    }
-
     /// The tile grid shape, when this value is stored tiled.
     pub fn tile_grid(&self) -> Option<(usize, usize)> {
         match &self.layout {
             Layout::Tiled(t) => Some(t.grid()),
             _ => None,
         }
-    }
-
-    /// The layout this value was migrated from, if a policy converted it.
-    pub fn migrated_from(&self) -> Option<Format> {
-        self.migrated_from
     }
 
     #[inline]
@@ -481,10 +413,10 @@ impl<T: Scalar> crate::exec::node::StorageMeta for MatrixStore<T> {
         self.nvals()
     }
     fn trace_format(&self) -> &'static str {
-        self.format().as_str()
-    }
-    fn trace_migrated_from(&self) -> Option<&'static str> {
-        self.migrated_from.map(Format::as_str)
+        match self.layout {
+            Layout::Csr(_) => "csr",
+            Layout::Tiled(_) => "tiled",
+        }
     }
 }
 
@@ -496,33 +428,41 @@ mod tests {
         Csr::from_sorted_tuples(3, 3, vec![(0, 0, 1), (0, 2, 2), (2, 0, 3), (2, 1, 4)])
     }
 
+    /// The slab policy, or a tiling policy cut at `grid`.
+    fn policy(grid: Option<(usize, usize)>) -> FormatPolicy {
+        grid.map_or(FormatPolicy::Auto, |(r, c)| {
+            FormatPolicy::tiled(r, c).unwrap()
+        })
+    }
+
+    const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((2, 2))];
+
     #[test]
-    fn all_formats_preserve_content() {
+    fn every_layout_preserves_content() {
         let csr = sample();
-        for fmt in [Format::Csr, Format::Tiled] {
-            let store = MatrixStore::csr(csr.clone()).apply_policy(fmt.into());
-            assert_eq!(store.format(), fmt, "{fmt:?}");
+        for grid in GRIDS {
+            let store = MatrixStore::csr(csr.clone()).apply_policy(policy(grid));
+            assert_eq!(store.tile_grid(), grid, "{grid:?}");
             assert_eq!(store.nvals(), 4);
-            assert_eq!(store.to_tuples(), csr.to_tuples(), "{fmt:?}");
-            assert_eq!(store.get(0, 2), Some(&2), "{fmt:?}");
-            assert_eq!(store.get(1, 1), None, "{fmt:?}");
-            assert_eq!(*store.row_csr(), csr, "{fmt:?} row view");
-            assert_eq!(*store.col_csr(), csr.transpose(), "{fmt:?} col view");
+            assert_eq!(store.to_tuples(), csr.to_tuples(), "{grid:?}");
+            assert_eq!(store.get(0, 2), Some(&2), "{grid:?}");
+            assert_eq!(store.get(1, 1), None, "{grid:?}");
+            assert_eq!(*store.row_csr(), csr, "{grid:?} row view");
+            assert_eq!(*store.col_csr(), csr.transpose(), "{grid:?} col view");
         }
     }
 
     #[test]
-    fn migration_is_recorded_once() {
-        let store = MatrixStore::csr(sample());
-        assert_eq!(store.migrated_from(), None);
-        let tiled = store.apply_policy(Format::Tiled.into());
-        assert_eq!(tiled.migrated_from(), Some(Format::Csr));
-        // converting to the format it's already in records nothing new
-        let same = tiled.clone().apply_policy(Format::Tiled.into());
-        assert_eq!(same.migrated_from(), Some(Format::Csr));
+    fn migration_to_the_current_layout_is_a_no_op() {
+        let tiled = MatrixStore::csr(sample()).apply_policy(policy(Some((2, 2))));
+        let Layout::Tiled(grid) = tiled.layout().clone() else {
+            panic!("a tiling policy stores a tile grid");
+        };
+        let same = tiled.apply_policy(policy(Some((2, 2))));
+        assert!(matches!(same.layout(), Layout::Tiled(g) if Arc::ptr_eq(g, &grid)));
         let slab = same.apply_policy(FormatPolicy::Auto);
-        assert_eq!(slab.format(), Format::Csr);
-        assert_eq!(slab.migrated_from(), Some(Format::Tiled));
+        assert_eq!(slab.tile_grid(), None);
+        assert_eq!(slab.to_tuples(), sample().to_tuples());
     }
 
     #[test]
@@ -538,14 +478,12 @@ mod tests {
 
     #[test]
     fn from_csr_tiles_only_under_a_tiling_policy() {
-        // the slab policy keeps the value native: no migration
+        // the slab policy keeps the value native
         let store = MatrixStore::from_csr(sample(), FormatPolicy::Auto);
-        assert_eq!(store.format(), Format::Csr);
-        assert_eq!(store.migrated_from(), None);
-        // a tiling policy cuts the grid, recording the migration
+        assert!(matches!(store.layout(), Layout::Csr(_)));
+        // a tiling policy cuts the grid
         let store = MatrixStore::from_csr(sample(), FormatPolicy::tiled(2, 2).unwrap());
         assert_eq!(store.tile_grid(), Some((2, 2)));
-        assert_eq!(store.migrated_from(), Some(Format::Csr));
     }
 
     #[test]
@@ -557,17 +495,14 @@ mod tests {
                 "{r}x{c}"
             );
         }
-        let wide = FormatPolicy::Tiled { rows: 1, cols: 65 };
-        assert!(wide.checked().is_err());
-        assert_eq!(FormatPolicy::Auto.checked().unwrap(), FormatPolicy::Auto);
     }
 
     #[test]
     fn degrees_agree_across_layouts() {
-        for fmt in [Format::Csr, Format::Tiled] {
-            let store = MatrixStore::csr(sample()).apply_policy(fmt.into());
-            assert_eq!(&store.row_degrees()[..], &[2, 0, 2], "{fmt:?} rows");
-            assert_eq!(&store.col_degrees()[..], &[2, 1, 1], "{fmt:?} cols");
+        for grid in GRIDS {
+            let store = MatrixStore::csr(sample()).apply_policy(policy(grid));
+            assert_eq!(&store.row_degrees()[..], &[2, 0, 2], "{grid:?} rows");
+            assert_eq!(&store.col_degrees()[..], &[2, 1, 1], "{grid:?} cols");
         }
         // a grid with empty tiles and a genuinely empty tail
         let wide = Csr::from_sorted_tuples(6, 4, vec![(1, 3, 1i32), (4, 0, 2)]);
@@ -629,7 +564,7 @@ mod tests {
     fn migration_carries_property_caches() {
         let store = MatrixStore::csr(sample());
         let deg = store.row_degrees();
-        let tiled = store.apply_policy(Format::Tiled.into());
+        let tiled = store.apply_policy(policy(Some((2, 2))));
         assert!(Arc::ptr_eq(&deg, &tiled.row_degrees()));
     }
 }

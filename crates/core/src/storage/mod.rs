@@ -13,7 +13,7 @@ pub mod vec;
 pub use coo::{build_matrix, build_vector};
 pub use csr::Csr;
 pub use delta::{DeltaEntry, DeltaLog, DeltaOp, DeltaStats};
-pub use engine::{Format, FormatPolicy, Layout, MatrixStore};
+pub use engine::{Layout, MatrixStore};
 pub use snapshot::{snapshot_stats, MatrixSnapshot, SnapshotStats, VectorSnapshot};
 pub use tiled::Tiled;
 pub use vec::SparseVec;

@@ -13,7 +13,7 @@
 //!   and views, so a flush that touches one tile leaves every other
 //!   tile's caches (and `Arc` identity) intact;
 //! * **delta flush** — pending runs are partitioned per tile and only
-//!   dirty tiles are re-merged ([`crate::kernel::merge::merge_into_store`]);
+//!   dirty tiles are re-merged (`kernel::merge::merge_into_store`);
 //! * **kernel scheduling** — tile tasks ride the shared pool as ordinary
 //!   chunk work with deterministic in-order merges, so tiled output is
 //!   bitwise identical to slab output at any parallelism degree.

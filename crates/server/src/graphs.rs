@@ -117,10 +117,12 @@ mod tests {
         r.create("t", 16, Some((4, 4))).unwrap();
         let g = r.get("t").unwrap();
         assert_eq!(g.matrix.tile_shape(), Some((4, 4)));
-        assert_eq!(g.matrix.format().unwrap(), Format::Tiled);
-        // writes and reads work exactly as on a slab graph
+        // writes and reads work exactly as on a slab graph; the write
+        // flushes into the one tile it lands in
+        graphblas_core::exec::take_notes();
         g.matrix.set(1, 13, true).unwrap();
         assert_eq!(g.matrix.get(1, 13).unwrap(), Some(true));
+        assert_eq!(graphblas_core::exec::take_notes().tiles, vec![(0, 3)]);
         // a grid wider than the matrix is rejected like any bad option
         assert!(r.create("bad", 4, Some((0, 2))).is_err());
     }

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use graphblas_core::exec::pool_status;
-use graphblas_core::{snapshot_stats, Context, FormatPolicy};
+use graphblas_core::{snapshot_stats, Context};
 
 use crate::engine;
 use crate::graphs::Registry;
@@ -201,15 +201,16 @@ impl Service {
             snap.compacted_bytes,
             snap.background_flushes,
         );
-        // Per-graph storage introspection: the configured format policy
-        // (the `GxB_get(matrix, …)` view — policy, not the live layout,
-        // so STATS never forces a pending drain) plus the delta backlog.
+        // Per-graph storage introspection: the configured tile grid
+        // (the `GxB_get(matrix, TileShape)` view — policy, not the live
+        // layout, so STATS never forces a pending drain) plus the delta
+        // backlog.
         let mut graphs = self.graphs.entries();
         graphs.sort_by(|a, b| a.name.cmp(&b.name));
         for g in graphs {
-            let policy = match g.matrix.format_policy() {
-                FormatPolicy::Auto => "auto".to_string(),
-                FormatPolicy::Tiled { rows, cols } => format!("tiled:{rows}x{cols}"),
+            let policy = match g.matrix.tile_shape() {
+                None => "auto".to_string(),
+                Some((rows, cols)) => format!("tiled:{rows}x{cols}"),
             };
             let _ = write!(
                 out,

@@ -1,7 +1,7 @@
 //! Helpers shared by the property suites: the adversarial f64 payload
 //! decoder, sorted-tuple strategies, f64 operand builders, bitwise
 //! observables, and the degree / execution-mode axes the suites sweep.
-//! Each suite keeps its own sizes, `DEGREES` and `FORMATS`.
+//! Each suite keeps its own sizes, `DEGREES` and `GRIDS`.
 
 // every suite compiles its own copy of this module and uses a subset
 #![allow(dead_code)]
@@ -39,13 +39,13 @@ pub fn sparse(n: usize, max_nnz: usize) -> impl Strategy<Value = Tuples> {
     tuples(n, n, max_nnz)
 }
 
-/// An `n × n` matrix of `t`'s decoded payloads, pinned to `format` when
-/// one is given.
-pub fn to_matrix(n: usize, t: &Tuples, format: Option<Format>) -> Matrix<f64> {
+/// An `n × n` matrix of `t`'s decoded payloads, sharded into the tile
+/// grid `grid` when one is given.
+pub fn to_matrix(n: usize, t: &Tuples, grid: Option<(usize, usize)>) -> Matrix<f64> {
     let tuples: Vec<(usize, usize, f64)> = t.iter().map(|&(i, j, c)| (i, j, fval(c))).collect();
     let m = Matrix::from_tuples(n, n, &tuples).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
+    if let Some((r, c)) = grid {
+        m.set_tile_shape(r, c).unwrap();
     }
     m
 }

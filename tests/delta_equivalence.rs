@@ -81,10 +81,10 @@ fn interpret(
     m0: &Tuples,
     u0: &Tuples,
     steps: &[Step],
-    format: Option<Format>,
+    grid: Option<(usize, usize)>,
     eager: bool,
 ) -> Obs {
-    let m = to_matrix(N, m0, format);
+    let m = to_matrix(N, m0, grid);
     let u = to_vector(N, u0);
     let d = Descriptor::default();
     let mut obs = Obs {
@@ -148,12 +148,12 @@ fn interpret(
     obs
 }
 
-const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
+const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((4, 4))];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The acceptance property: every (mode, format, degree) × {deferred,
+    /// The acceptance property: every (mode, grid, degree) × {deferred,
     /// eager} run of the same program observes the same bits as the
     /// serial eager blocking reference.
     #[test]
@@ -165,15 +165,15 @@ proptest! {
         let reference =
             at_degree(1, || interpret(&Context::blocking(), &m0, &u0, &steps, None, true));
         for ctx in contexts() {
-            for format in FORMATS {
+            for grid in GRIDS {
                 for k in DEGREES {
                     for eager in [false, true] {
                         let got =
-                            at_degree(k, || interpret(&ctx, &m0, &u0, &steps, format, eager));
+                            at_degree(k, || interpret(&ctx, &m0, &u0, &steps, grid, eager));
                         prop_assert_eq!(
                             &reference, &got,
-                            "mode {:?} format {:?} degree {} eager {}",
-                            ctx.mode(), format, k, eager
+                            "mode {:?} grid {:?} degree {} eager {}",
+                            ctx.mode(), grid, k, eager
                         );
                     }
                 }

@@ -45,7 +45,7 @@ fn operands() -> impl Strategy<Value = (usize, Tuples, Tuples, Tuples)> {
     })
 }
 
-const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Tiled)];
+const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((4, 4))];
 
 const DIRECTIONS: [Direction; 4] = [
     Direction::Dense,
@@ -69,7 +69,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `vxm` answers bitwise identically whichever direction computes
-    /// it, under every (mode, format, degree, transpose, mask) shape.
+    /// it, under every (mode, grid, degree, transpose, mask) shape.
     #[test]
     fn vxm_directions_agree_bitwise(
         (n, a, u, mask) in operands(),
@@ -84,8 +84,8 @@ proptest! {
             mask_descriptor(complement, structural)
         };
         for ctx in contexts() {
-            for format in FORMATS {
-                let am = to_matrix(n, &a, format);
+            for grid in GRIDS {
+                let am = to_matrix(n, &a, grid);
                 let uv = to_vector(n, &u);
                 let mv = to_vector(n, &mask);
                 for k in DEGREES {
@@ -99,9 +99,9 @@ proptest! {
                     for dir in DIRECTIONS {
                         prop_assert_eq!(
                             &dense, &run(dir),
-                            "vxm {:?} diverged from Dense (mode {:?} format {:?} \
+                            "vxm {:?} diverged from Dense (mode {:?} grid {:?} \
                              degree {} transpose {} complement {} structural {})",
-                            dir, ctx.mode(), format, k, transpose, complement, structural
+                            dir, ctx.mode(), grid, k, transpose, complement, structural
                         );
                     }
                 }
@@ -124,8 +124,8 @@ proptest! {
             mask_descriptor(complement, true)
         };
         for ctx in contexts() {
-            for format in FORMATS {
-                let am = to_matrix(n, &a, format);
+            for grid in GRIDS {
+                let am = to_matrix(n, &a, grid);
                 let uv = to_vector(n, &u);
                 let mv = to_vector(n, &mask);
                 for k in DEGREES {
@@ -139,9 +139,9 @@ proptest! {
                     for dir in DIRECTIONS {
                         prop_assert_eq!(
                             &dense, &run(dir),
-                            "mxv {:?} diverged from Dense (mode {:?} format {:?} \
+                            "mxv {:?} diverged from Dense (mode {:?} grid {:?} \
                              degree {} transpose {} complement {})",
-                            dir, ctx.mode(), format, k, transpose, complement
+                            dir, ctx.mode(), grid, k, transpose, complement
                         );
                     }
                 }
@@ -188,9 +188,11 @@ fn chunked_directions_keep_the_serial_fold() {
         .collect();
     let ones: Vec<(usize, f64)> = (0..16).map(|i| (i, 1.0)).collect();
     let ctx = Context::blocking();
-    for format in [Format::Csr, Format::Tiled] {
+    for grid in GRIDS {
         let a = Matrix::from_tuples(N, N, &tuples).unwrap();
-        a.set_format(format).unwrap();
+        if let Some((r, c)) = grid {
+            a.set_tile_shape(r, c).unwrap();
+        }
         let u = Vector::from_tuples(N, &ones).unwrap();
         for k in DEGREES {
             for dir in DIRECTIONS {
@@ -210,7 +212,7 @@ fn chunked_directions_keep_the_serial_fold() {
                         w.get(0).unwrap()
                     })
                 });
-                assert_eq!(w0, Some(1.0), "{dir:?} {format:?} degree {k}");
+                assert_eq!(w0, Some(1.0), "{dir:?} {grid:?} degree {k}");
             }
         }
     }

@@ -701,9 +701,11 @@ proptest! {
             for cf in FILLS {
                 let fills = (FILLS[ui], cf);
                 let case = MvCase::new(SIZES[ni], &a, &u, &c0, &mask, fills, skip);
-                for fmt in [Format::Csr, Format::Tiled] {
+                for grid in [None, Some((4, 4))] {
                     let am = Matrix::from_tuples(case.n, case.n, &case.a).unwrap();
-                    am.set_format(fmt).unwrap();
+                    if let Some((r, c)) = grid {
+                        am.set_tile_shape(r, c).unwrap();
+                    }
                     for d in [Direction::Push, Direction::Pull, Direction::Dense] {
                         for op in [MvOp::Mxv, MvOp::Vxm] {
                             for tran in [false, true] {
@@ -717,7 +719,7 @@ proptest! {
                                             prop_assert_eq!(
                                                 vbits(&got), vbits(&want),
                                                 "{:?} n={} fills={:?} {:?} {:?} tran={} mask={:?} accum={} replace={}",
-                                                op, case.n, fills, fmt, d, tran, m, accum, replace
+                                                op, case.n, fills, grid, d, tran, m, accum, replace
                                             );
                                         }
                                     }

@@ -89,10 +89,10 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 const N: usize = 5;
 
-/// Per-pool-object storage hint: `Some(f)` stores the object in format
-/// `f` ([`Matrix::set_format`]), `None` leaves the default slab policy.
-fn formats_strategy() -> impl Strategy<Value = Vec<Option<Format>>> {
-    proptest::collection::vec(prop_oneof![Just(None), Just(Some(Format::Tiled))], 3)
+/// Per-pool-object storage hint: `Some(grid)` shards the object into a
+/// tile grid ([`Matrix::set_tile_shape`]), `None` leaves it one slab.
+fn grids_strategy() -> impl Strategy<Value = Vec<Option<(usize, usize)>>> {
+    proptest::collection::vec(prop_oneof![Just(None), Just(Some((4, 4)))], 3)
 }
 
 fn interpret(
@@ -100,23 +100,22 @@ fn interpret(
     seeds: &[Vec<(usize, usize, i64)>],
     steps: &[Step],
 ) -> Vec<Vec<(usize, usize, i64)>> {
-    interpret_with_formats(ctx, seeds, steps, &[None, None, None])
+    interpret_with_grids(ctx, seeds, steps, &[None, None, None])
 }
 
-fn interpret_with_formats(
+fn interpret_with_grids(
     ctx: &Context,
     seeds: &[Vec<(usize, usize, i64)>],
     steps: &[Step],
-    formats: &[Option<Format>],
+    grids: &[Option<(usize, usize)>],
 ) -> Vec<Vec<(usize, usize, i64)>> {
     let pool: Vec<Matrix<i64>> = seeds
         .iter()
         .map(|t| Matrix::from_tuples(N, N, t).unwrap())
         .collect();
-    for (m, f) in pool.iter().zip(formats) {
-        match f {
-            Some(f) => m.set_format(*f).unwrap(),
-            None => m.set_format_policy(FormatPolicy::Auto).unwrap(),
+    for (m, grid) in pool.iter().zip(grids) {
+        if let Some((r, c)) = *grid {
+            m.set_tile_shape(r, c).unwrap();
         }
     }
     let d = Descriptor::default();
@@ -473,20 +472,20 @@ proptest! {
         prop_assert_eq!(observed, plain);
     }
 
-    /// The storage engine must be invisible: pinning pool objects to
-    /// any of the four formats (or leaving Auto selection on) changes
-    /// no observable result, in any execution mode. Forced formats also
-    /// direct every *computed* result into that layout, so this drives
-    /// the format-specific kernel paths, not just migrations.
+    /// The storage engine must be invisible: sharding pool objects into
+    /// a tile grid (or leaving them one slab) changes no observable
+    /// result, in any execution mode. A grid also directs every
+    /// *computed* result into that layout, so this drives the tiled
+    /// kernel paths, not just conversions.
     #[test]
     fn formats_are_observationally_invisible(
         seeds in seeds_strategy(),
         steps in proptest::collection::vec(step_strategy(), 1..16),
-        formats in formats_strategy(),
+        grids in grids_strategy(),
     ) {
         let baseline = interpret(&Context::blocking(), &seeds, &steps);
-        let blk = interpret_with_formats(&Context::blocking(), &seeds, &steps, &formats);
-        let nb = interpret_with_formats(&Context::nonblocking(), &seeds, &steps, &formats);
+        let blk = interpret_with_grids(&Context::blocking(), &seeds, &steps, &grids);
+        let nb = interpret_with_grids(&Context::nonblocking(), &seeds, &steps, &grids);
         prop_assert_eq!(&blk, &baseline);
         prop_assert_eq!(&nb, &baseline);
     }

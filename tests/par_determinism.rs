@@ -18,7 +18,7 @@ use proptest::prelude::*;
 const N: usize = 24;
 const DEGREES: [usize; 2] = [2, 8];
 
-const FORMATS: [Option<Format>; 2] = [Some(Format::Csr), Some(Format::Tiled)];
+const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((4, 4))];
 
 /// Widths of the thin right operands: a single column, the Fig. 3 batch
 /// of 32 sources, and one past a 64-bit word.
@@ -122,7 +122,7 @@ proptest! {
         b in sparse(N, 64),
     ) {
         let ctx = Context::blocking();
-        for fa in FORMATS {
+        for fa in GRIDS {
             let am = to_matrix(N, &a, fa);
             let bm = to_matrix(N, &b, None);
             let run = |k| at_degree(k, || {
@@ -168,7 +168,7 @@ proptest! {
         u in sparse(N, 24),
     ) {
         let ctx = Context::blocking();
-        for fa in FORMATS {
+        for fa in GRIDS {
             let am = to_matrix(N, &a, fa);
             let uv = to_vector(N, &u);
             let run = |k| at_degree(k, || {

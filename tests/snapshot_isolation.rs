@@ -80,10 +80,10 @@ fn snapshot_bits(s: &MatrixSnapshot<f64>) -> Vec<(usize, usize, u64)> {
 /// Interpret `steps`, pairing every snapshot with the shadow state at
 /// its instant; verify every pair after the whole program (writes,
 /// forces, compactions) has run.
-fn check_program(steps: &[Step], format: Option<Format>) -> std::result::Result<(), String> {
+fn check_program(steps: &[Step], grid: Option<(usize, usize)>) -> std::result::Result<(), String> {
     let m = Matrix::<f64>::new(N, N).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
+    if let Some((r, c)) = grid {
+        m.set_tile_shape(r, c).unwrap();
     }
     let mut model = Shadow::new();
     let mut snaps: Vec<(MatrixSnapshot<f64>, Shadow)> = Vec::new();
@@ -149,10 +149,13 @@ fn shadow_degrees(s: &Shadow) -> (Vec<usize>, Vec<usize>) {
 /// snapshot's own overlay-merged store, so a snapshot taken before a
 /// drain must never observe degrees cached after it — no matter how
 /// aggressively the live handle's caches are warmed in between.
-fn check_degree_program(steps: &[Step], format: Option<Format>) -> std::result::Result<(), String> {
+fn check_degree_program(
+    steps: &[Step],
+    grid: Option<(usize, usize)>,
+) -> std::result::Result<(), String> {
     let m = Matrix::<f64>::new(N, N).unwrap();
-    if let Some(f) = format {
-        m.set_format(f).unwrap();
+    if let Some((r, c)) = grid {
+        m.set_tile_shape(r, c).unwrap();
     }
     let mut model = Shadow::new();
     let mut snaps: Vec<(MatrixSnapshot<f64>, Shadow)> = Vec::new();
@@ -206,12 +209,12 @@ fn check_degree_program(steps: &[Step], format: Option<Format>) -> std::result::
     Ok(())
 }
 
-const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
+const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((4, 4))];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The acceptance property: at every (mode, format, degree), a
+    /// The acceptance property: at every (mode, grid, degree), a
     /// snapshot at epoch E reads bitwise the shadow state at E.
     #[test]
     fn snapshot_reads_the_state_at_its_epoch(
@@ -224,12 +227,12 @@ proptest! {
             // blocking mode Force has already drained, in nonblocking
             // the log is deep.
             let _ = &ctx;
-            for format in FORMATS {
+            for grid in GRIDS {
                 for k in DEGREES {
-                    if let Err(msg) = at_degree(k, || check_program(&steps, format)) {
+                    if let Err(msg) = at_degree(k, || check_program(&steps, grid)) {
                         panic!(
-                            "mode {:?} format {:?} degree {}: {}",
-                            ctx.mode(), format, k, msg
+                            "mode {:?} grid {:?} degree {}: {}",
+                            ctx.mode(), grid, k, msg
                         );
                     }
                 }
@@ -245,10 +248,10 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..32),
     ) {
         tiny_runs();
-        for format in FORMATS {
+        for grid in GRIDS {
             for k in DEGREES {
-                if let Err(msg) = at_degree(k, || check_degree_program(&steps, format)) {
-                    panic!("format {:?} degree {}: {}", format, k, msg);
+                if let Err(msg) = at_degree(k, || check_degree_program(&steps, grid)) {
+                    panic!("grid {:?} degree {}: {}", grid, k, msg);
                 }
             }
         }

@@ -9,23 +9,14 @@
 
 mod common;
 
-use common::{at_degree, contexts, fval, matrix_bits, sparse, to_vector, vector_bits, Tuples};
+use common::{at_degree, contexts, fval, matrix_bits, sparse, to_matrix, to_vector, vector_bits};
+use graphblas_core::exec::take_notes;
 use graphblas_core::prelude::*;
 use proptest::prelude::*;
 
 const N: usize = 24;
 const DEGREES: [usize; 3] = [1, 2, 8];
 const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 4)];
-
-/// `t` as a tile grid of the given shape, or as a CSR slab.
-fn to_matrix(t: &Tuples, grid: Option<(usize, usize)>) -> Matrix<f64> {
-    let m = common::to_matrix(N, t, None);
-    match grid {
-        Some((r, c)) => m.set_tile_shape(r, c).unwrap(),
-        None => m.set_format(Format::Csr).unwrap(),
-    }
-    m
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -49,7 +40,7 @@ proptest! {
         let vdesc = if transpose { desc.transpose_second() } else { desc };
         let mdesc = if transpose { desc.transpose_first() } else { desc };
         for ctx in contexts() {
-            let slab = to_matrix(&a, None);
+            let slab = to_matrix(N, &a, None);
             let uv = to_vector(N, &u);
             let mv = to_vector(N, &mask);
             for k in DEGREES {
@@ -61,7 +52,7 @@ proptest! {
                     (vector_bits(&w), vector_bits(&y))
                 });
                 for grid in GRIDS {
-                    let am = to_matrix(&a, Some(grid));
+                    let am = to_matrix(N, &a, Some(grid));
                     let got = at_degree(k, || {
                         let w = Vector::<f64>::new(N).unwrap();
                         ctx.vxm(&w, &mv, NoAccum, plus_times::<f64>(), &uv, &am, &vdesc).unwrap();
@@ -92,8 +83,8 @@ proptest! {
         for ctx in contexts() {
             for k in DEGREES {
                 let run = |grid: Option<(usize, usize)>| at_degree(k, || {
-                    let am = to_matrix(&a, grid);
-                    let bm = to_matrix(&b, None);
+                    let am = to_matrix(N, &a, grid);
+                    let bm = to_matrix(N, &b, None);
                     let c = Matrix::<f64>::new(N, N).unwrap();
                     ctx.mxm(&c, NoMask, NoAccum, plus_times::<f64>(), &am, &bm, &desc).unwrap();
                     let s = Matrix::<f64>::new(N, N).unwrap();
@@ -128,7 +119,7 @@ proptest! {
         for ctx in contexts() {
             for grid in GRIDS {
                 let run = |grid: Option<(usize, usize)>| {
-                    let m = to_matrix(&a, grid);
+                    let m = to_matrix(N, &a, grid);
                     let (early, late) = writes.split_at(writes.len() / 2);
                     for &(i, j, c, del) in early {
                         if del { m.remove(i, j).unwrap() } else { m.set(i, j, fval(c)).unwrap() }
@@ -161,20 +152,28 @@ proptest! {
 
 /// A tiled matrix stays tiled across a flush (the policy directs the
 /// merge back into the same grid), and a slab matrix is untouched by
-/// the tiled code paths.
+/// the tiled code paths. The flush's kernel notes show which: a
+/// tile-granular flush names the tiles it rebuilt, a slab flush none.
 #[test]
 fn flush_preserves_the_tile_grid() {
     let m = Matrix::<f64>::from_tuples(32, 32, &[(0, 0, 1.0), (20, 20, 2.0)]).unwrap();
     m.set_tile_shape(4, 4).unwrap();
-    assert_eq!(m.format().unwrap(), Format::Tiled);
+    take_notes();
     for i in 0..32 {
         m.set(i, (i * 3) % 32, i as f64).unwrap();
     }
     m.wait().unwrap();
-    assert_eq!(m.format().unwrap(), Format::Tiled);
+    assert!(!take_notes().tiles.is_empty(), "the flush kept the grid");
     assert_eq!(m.tile_shape(), Some((4, 4)));
     assert_eq!(m.extract_tuples().unwrap().len(), 33);
+    // a second flush still finds the grid
+    m.set(31, 0, -1.0).unwrap();
+    m.wait().unwrap();
+    assert_eq!(take_notes().tiles, vec![(3, 0)]);
     m.clear_tile_shape().unwrap();
-    assert_ne!(m.format().unwrap(), Format::Tiled);
-    assert_eq!(m.extract_tuples().unwrap().len(), 33);
+    assert_eq!(m.tile_shape(), None);
+    m.set(31, 1, -2.0).unwrap();
+    m.wait().unwrap();
+    assert!(take_notes().tiles.is_empty(), "the flush merged one slab");
+    assert_eq!(m.extract_tuples().unwrap().len(), 35);
 }

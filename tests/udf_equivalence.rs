@@ -20,14 +20,23 @@ mod common;
 
 use common::{at_degree, sparse, Tuples};
 use graphblas_capi::{
-    grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, grb_unary_op_new,
-    operations as ops, with_session, Descriptor, Format, GrbBinaryOp, GrbMatrix, GrbMonoid,
-    GrbSemiring, GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, Mode, Value,
+    grb_binary_op_new, grb_monoid_new, grb_semiring_new, grb_type_new, grb_unary_op_new, gxb_set,
+    operations as ops, with_session, Descriptor, GrbBinaryOp, GrbMatrix, GrbMonoid, GrbSemiring,
+    GrbType, GrbTypeHandle, GrbUnaryOp, GrbVector, GxbOption, GxbScope, GxbValue, Mode, Value,
 };
 use proptest::prelude::*;
 
 const N: usize = 10;
 const DEGREES: [usize; 3] = [1, 2, 8];
+
+/// Shard `a` into `grid`, when one is given, through
+/// `GxB_set(Matrix, TileShape, …)`.
+fn tile(a: &GrbMatrix, grid: Option<(usize, usize)>) {
+    if grid.is_some() {
+        let shape = GxbValue::TileShape(grid);
+        gxb_set(GxbScope::Matrix(a), GxbOption::TileShape, shape).unwrap();
+    }
+}
 
 /// Decode a strategy byte into an i64 payload with sign and magnitude
 /// spread (wrapping arithmetic is exercised by the products).
@@ -150,16 +159,14 @@ fn interpret(
     neg: &GrbUnaryOp,
     m0: &Tuples,
     u0: &Tuples,
-    format: Option<Format>,
+    grid: Option<(usize, usize)>,
 ) -> Obs {
     let d = Descriptor::default();
     let a = GrbMatrix::new(ty, N, N).unwrap();
     for &(i, j, c) in m0 {
         a.set(i, j, enc(ival(c))).unwrap();
     }
-    if let Some(f) = format {
-        a.set_format(f).unwrap();
-    }
+    tile(&a, grid);
     let u = graphblas_capi::GrbVector::new(ty, N).unwrap();
     for &(i, _, c) in u0 {
         u.set(i, enc(ival(c))).unwrap();
@@ -206,7 +213,7 @@ fn interpret(
     obs
 }
 
-fn run_udt(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
+fn run_udt(m0: &Tuples, u0: &Tuples, grid: Option<(usize, usize)>) -> Obs {
     let t = udt();
     let alg = udt_algebra();
     let enc = move |v: i64| t.value(&v.to_ne_bytes()).unwrap();
@@ -220,11 +227,11 @@ fn run_udt(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
         &alg.neg,
         m0,
         u0,
-        format,
+        grid,
     )
 }
 
-fn run_builtin(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
+fn run_builtin(m0: &Tuples, u0: &Tuples, grid: Option<(usize, usize)>) -> Obs {
     let alg = builtin_algebra();
     interpret(
         GrbType::Int64,
@@ -236,11 +243,11 @@ fn run_builtin(m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Obs {
         &alg.neg,
         m0,
         u0,
-        format,
+        grid,
     )
 }
 
-const FORMATS: [Option<Format>; 2] = [None, Some(Format::Tiled)];
+const GRIDS: [Option<(usize, usize)>; 2] = [None, Some((4, 4))];
 
 const SESSIONS: [Mode; 2] = [Mode::Blocking, Mode::Nonblocking];
 
@@ -249,7 +256,7 @@ proptest! {
 
     /// The acceptance property: the registered UDT semiring and the
     /// built-in INT64 semiring observe identical results on every
-    /// (mode, format, degree) combination — and every one of
+    /// (mode, grid, degree) combination — and every one of
     /// those equals the serial blocking built-in reference.
     #[test]
     fn udt_semiring_equals_builtin_bitwise(
@@ -262,22 +269,22 @@ proptest! {
         ).unwrap();
 
         for mode in SESSIONS {
-            for format in FORMATS {
+            for grid in GRIDS {
                 for k in DEGREES {
                     let (b, udt_obs) = with_session(mode, || {
                         at_degree(k, || {
-                            (run_builtin(&m0, &u0, format), run_udt(&m0, &u0, format))
+                            (run_builtin(&m0, &u0, grid), run_udt(&m0, &u0, grid))
                         })
                     }).unwrap();
                     prop_assert_eq!(
                         &reference, &b,
-                        "builtin drifted: mode {:?} format {:?} degree {}",
-                        mode, format, k
+                        "builtin drifted: mode {:?} grid {:?} degree {}",
+                        mode, grid, k
                     );
                     prop_assert_eq!(
                         &reference, &udt_obs,
-                        "udt lane drifted: mode {:?} format {:?} degree {}",
-                        mode, format, k
+                        "udt lane drifted: mode {:?} grid {:?} degree {}",
+                        mode, grid, k
                     );
                 }
             }
@@ -370,16 +377,14 @@ struct Bytes {
 
 /// `w = A ⊕.⊗ u`, `C = A ⊕.⊗ A`, `s = w ⊕ u`, `q = flip(s)`,
 /// `r = ⊕ over the rows of C`, and `⊕` over `q`, through the facade.
-fn run_sized(size: usize, m0: &Tuples, u0: &Tuples, format: Option<Format>) -> Bytes {
+fn run_sized(size: usize, m0: &Tuples, u0: &Tuples, grid: Option<(usize, usize)>) -> Bytes {
     let alg = sized_algebra(size);
     let (t, ty, d) = (alg.t, alg.t.ty(), Descriptor::default());
     let a = GrbMatrix::new(ty, N, N).unwrap();
     for &(i, j, c) in m0 {
         a.set(i, j, t.value(&payload(c, size)).unwrap()).unwrap();
     }
-    if let Some(f) = format {
-        a.set_format(f).unwrap();
-    }
+    tile(&a, grid);
     let u = GrbVector::new(ty, N).unwrap();
     for &(i, _, c) in u0 {
         u.set(i, t.value(&payload(c, size)).unwrap()).unwrap();
@@ -480,7 +485,7 @@ proptest! {
     /// Inline and heap payloads: for each registered size, every result
     /// of `mxv`, `mxm`, `eWiseAdd`, `apply` and both reductions, read back
     /// through `extract_tuples`, equals the plain-Rust model bitwise in
-    /// every session, format and degree. Sizes are an axis like the
+    /// every session, grid and degree. Sizes are an axis like the
     /// others, so each case covers both sides of the boundary.
     #[test]
     fn udt_payloads_of_every_size_match_a_plain_model(
@@ -490,15 +495,15 @@ proptest! {
         for size in SIZES {
             let want = model_sized(size, &m0, &u0);
             for mode in SESSIONS {
-                for format in FORMATS {
+                for grid in GRIDS {
                     for k in DEGREES {
                         let got = with_session(mode, || {
-                            at_degree(k, || run_sized(size, &m0, &u0, format))
+                            at_degree(k, || run_sized(size, &m0, &u0, grid))
                         }).unwrap();
                         prop_assert_eq!(
                             &want, &got,
-                            "size {}: mode {:?} format {:?} degree {}",
-                            size, mode, format, k
+                            "size {}: mode {:?} grid {:?} degree {}",
+                            size, mode, grid, k
                         );
                     }
                 }
