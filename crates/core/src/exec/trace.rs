@@ -5,7 +5,7 @@
 //! of operation it was, the shape/occupancy of its result, when it
 //! started and finished, and what its kernels noted on the way (row
 //! chunking, delta-flush stats, SpMSpV direction, erased-lane operator,
-//! touched tiles). Timestamps are nanoseconds relative to the start of
+//! the tiles a flush rebuilt). Timestamps are nanoseconds relative to the start of
 //! the `wait()` that computed the node, so the trace doubles as a
 //! wall-clock profile of the sequence.
 
@@ -81,10 +81,10 @@ pub struct TraceEvent {
     /// operator (`algebra::udf`) — the erased kernel lane. `None` for
     /// every node that stayed on the monomorphized built-in lane.
     pub udf: Option<&'static str>,
-    /// Tile coordinates `(stripe, tile_col)` this node's kernels touched
-    /// in a tiled operand or output — materialized tile views during a
-    /// multiply, or dirty tiles rebuilt by a tile-granular flush. Empty
-    /// for slab stores. Sorted and deduplicated.
+    /// Tile coordinates `(stripe, tile_col)` of the dirty tiles a
+    /// tile-granular flush rebuilt while computing this node. Empty for
+    /// slab stores and for nodes that flushed nothing. Sorted and
+    /// deduplicated.
     pub tiles: Vec<(u32, u32)>,
 }
 
@@ -143,7 +143,7 @@ impl Notes {
         self.merged_rows.set(self.merged_rows.get() + merged_rows);
     }
 
-    /// A kernel touched these tiles of a tiled operand or output.
+    /// A tile-granular flush rebuilt these dirty tiles.
     pub(crate) fn add_tiles(&self, coords: impl IntoIterator<Item = (u32, u32)>) {
         let mut tiles = self.tiles.take();
         tiles.extend(coords);

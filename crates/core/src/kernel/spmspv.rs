@@ -16,10 +16,10 @@
 //!   them, and a row stops folding once its accumulator is terminal
 //!   under ⊕ ([`Monoid::is_terminal`]).
 //!
-//! Every strategy probes the mask in O(1) through one bitset built per
-//! dispatch, in O(|mask| + n/64). Tiled stores serve their
-//! rows through per-tile views ([`RowCursor`]) to every strategy, so
-//! only the tiles a walk touches convert.
+//! Every strategy walks one CSR view per orientation, the store's
+//! memoized [`MatrixStore::row_csr`] / [`MatrixStore::col_csr`] whatever
+//! its layout, and probes the mask in O(1) through one bitset built per
+//! dispatch, in O(|mask| + n/64).
 //!
 //! The choice is driven by the per-store property cache
 //! ([`MatrixStore::row_degrees`] / [`MatrixStore::col_degrees`]): the
@@ -58,8 +58,7 @@ use crate::kernel::par;
 use crate::mask::MaskVec;
 use crate::scalar::Scalar;
 use crate::storage::csr::Csr;
-use crate::storage::engine::{Layout, MatrixStore};
-use crate::storage::tiled::{OrientedTiles, RowCursor};
+use crate::storage::engine::MatrixStore;
 use crate::storage::vec::SparseVec;
 
 /// Evaluation strategy for one matrix–vector product.
@@ -170,8 +169,7 @@ where
     match plan {
         Chosen::Push => {
             trace::note(|n| n.direction.set(Some("push")));
-            let rows = Rows::new(store, fwd_col_side, false);
-            push(&rows, v, &bits, out_size, mulf, add)
+            push(&view(store, fwd_col_side), v, &bits, out_size, mulf, add)
         }
         Chosen::Dense => {
             trace::note(|n| n.direction.set(Some("dense")));
@@ -179,16 +177,7 @@ where
         }
         Chosen::Pull => {
             trace::note(|n| n.direction.set(Some("pull")));
-            // A *wide* pull (the mask admits at least half the outputs)
-            // over a tiled store would re-pay the per-segment overhead
-            // on most rows every call, so it reads the store's memoized
-            // assembled reverse view instead — one slab assembly per
-            // store, the same conversion a slab pays for its missing
-            // orientation. Narrow pulls keep the tile walk and never
-            // force assembly. Both fold in ascending stored-index order,
-            // so the choice is bitwise invisible.
-            let assemble = admitted * 2 >= out_size || store.csr_view_ready(!fwd_col_side);
-            let rows = Rows::new(store, !fwd_col_side, assemble);
+            let rows = view(store, !fwd_col_side);
             pull(&rows, v, mask, &bits, out_size, store.nvals(), mulf, add)
         }
     }
@@ -254,61 +243,13 @@ impl MaskBits {
     }
 }
 
-/// The rows one strategy walks, in one orientation: a slab CSR view, or
-/// a tile grid's lazily materialized per-tile views (only the tiles a
-/// walk touches convert). Both serve a row as ascending-offset segments,
-/// so a fold over them is bitwise the same either way.
-enum Rows<'a, A> {
-    Slab(Arc<Csr<A>>),
-    Tiled(OrientedTiles<'a, A>),
-}
-
-impl<'a, A: Scalar> Rows<'a, A> {
-    /// `col_side` picks the orientation (`true` = rows indexed by A's
-    /// columns). A tiled store serves its tiles unless `assemble` asks
-    /// for its memoized slab view.
-    fn new(store: &'a MatrixStore<A>, col_side: bool, assemble: bool) -> Self {
-        match store.layout() {
-            Layout::Tiled(t) if !assemble => Rows::Tiled(OrientedTiles::new(t, col_side)),
-            _ if col_side => Rows::Slab(store.col_csr()),
-            _ => Rows::Slab(store.row_csr()),
-        }
-    }
-
-    /// A reader for one worker; tiled readers cache a stripe's views.
-    fn cursor(&self) -> Cursor<'_, 'a, A> {
-        match self {
-            Rows::Slab(c) => Cursor::Slab(c),
-            Rows::Tiled(ot) => Cursor::Tiled(ot.cursor()),
-        }
-    }
-
-    /// Record the tiles this walk touched in the execution trace.
-    fn note_tiles(&self) {
-        if let Rows::Tiled(ot) = self {
-            trace::note(|n| n.add_tiles(ot.touched()));
-        }
-    }
-}
-
-/// See [`Rows::cursor`].
-enum Cursor<'o, 'a, A> {
-    Slab(&'o Csr<A>),
-    Tiled(RowCursor<'o, 'a, A>),
-}
-
-impl<A: Scalar> Cursor<'_, '_, A> {
-    /// Visit row `i` as `f(index offset, local indices, values)`
-    /// segments in ascending global-index order.
-    #[inline]
-    fn for_row(&mut self, i: Index, f: &mut impl FnMut(Index, &[Index], &[A])) {
-        match self {
-            Cursor::Slab(c) => {
-                let (cols, vals) = c.row(i);
-                f(0, cols, vals);
-            }
-            Cursor::Tiled(cur) => cur.for_row(i, f),
-        }
+/// The store's CSR view in one orientation (`true` = rows indexed by
+/// A's columns), built at most once per store.
+fn view<A: Scalar>(store: &MatrixStore<A>, col_side: bool) -> Arc<Csr<A>> {
+    if col_side {
+        store.col_csr()
+    } else {
+        store.row_csr()
     }
 }
 
@@ -347,16 +288,11 @@ fn choose<A: Scalar>(
     // view is and the value is (bitwise) symmetric, because `col_csr`
     // then *shares* the row view instead of transposing. The symmetry
     // probe only runs when the row view is itself free, so costing a
-    // plan never triggers the very conversion being costed. A tiled
-    // store serves both orientations through per-tile views (a touched
-    // tile transposes lazily, amortized per tile), so neither side pays
-    // the whole-slab conversion penalty.
-    let is_tiled = matches!(store.layout(), Layout::Tiled(_));
+    // plan never triggers the very conversion being costed.
     let price = CONVERT.saturating_mul(nnz + out_size);
     let penalty = |col_side: bool| {
-        let free = is_tiled
-            || store.csr_view_ready(col_side)
-            || (store.csr_view_ready(false) && store.is_symmetric());
+        let free =
+            store.csr_view_ready(col_side) || (store.csr_view_ready(false) && store.is_symmetric());
         if free {
             0
         } else {
@@ -453,7 +389,7 @@ const CONVERT: usize = 6;
 /// adjacent duplicates left to right. It has no O(output) term and runs
 /// serially — a frontier this small never pays for a fan-out.
 fn push<A, V, D3, Mo, M>(
-    rows: &Rows<'_, A>,
+    rows: &Csr<A>,
     v: &SparseVec<V>,
     bits: &MaskBits,
     out_size: Index,
@@ -468,18 +404,15 @@ where
     M: Fn(&A, &V) -> D3,
 {
     let mut pairs: Vec<(Index, D3)> = Vec::new();
-    let mut cur = rows.cursor();
     for (i, x) in v.iter() {
-        cur.for_row(i, &mut |off, cols, vals| {
-            for (j, a) in cols.iter().zip(vals) {
-                // mask first: masked-out outputs never form a product
-                if bits.admits(off + j) {
-                    pairs.push((off + j, mulf(a, x)));
-                }
+        let (cols, vals) = rows.row(i);
+        for (&j, a) in cols.iter().zip(vals) {
+            // mask first: masked-out outputs never form a product
+            if bits.admits(j) {
+                pairs.push((j, mulf(a, x)));
             }
-        });
+        }
     }
-    rows.note_tiles();
     pairs.sort_by_key(|&(j, _)| j);
     let mut idx: Vec<Index> = Vec::new();
     let mut out: Vec<D3> = Vec::new();
@@ -495,19 +428,19 @@ where
     SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
-/// The positions of the sorted segment `cols` whose global index
-/// `off + j` lies in `lo..hi` — O(1) when the segment sits wholly inside.
+/// The positions of the sorted row `cols` whose index lies in `lo..hi`
+/// — O(1) when the row sits wholly inside.
 #[inline]
-fn within(cols: &[Index], off: Index, lo: Index, hi: Index) -> Range<usize> {
-    let start = if lo <= off {
+fn within(cols: &[Index], lo: Index, hi: Index) -> Range<usize> {
+    let start = if lo == 0 {
         0
     } else {
-        cols.partition_point(|&j| off + j < lo)
+        cols.partition_point(|&j| j < lo)
     };
-    let end = if cols.last().is_some_and(|&j| off + j < hi) {
+    let end = if cols.last().is_some_and(|&j| j < hi) {
         cols.len()
     } else {
-        cols.partition_point(|&j| off + j < hi)
+        cols.partition_point(|&j| j < hi)
     };
     start..end
 }
@@ -517,7 +450,7 @@ fn within(cols: &[Index], off: Index, lo: Index, hi: Index) -> Range<usize> {
 /// and a presence bitset marks the stored slots; sweeping it emits the
 /// range in index order.
 fn scatter_range<A, V, D3, Mo, M>(
-    rows: &Rows<'_, A>,
+    rows: &Csr<A>,
     v: &SparseVec<V>,
     bits: &MaskBits,
     lo: Index,
@@ -534,27 +467,24 @@ where
 {
     let mut vals: Vec<D3> = vec![add.identity(); hi - lo];
     let mut seen = vec![0u64; (hi - lo).div_ceil(64)];
-    let mut cur = rows.cursor();
     let masked = !bits.admits_all();
     for (i, x) in v.iter() {
-        cur.for_row(i, &mut |off, cols, avals| {
-            let r = within(cols, off, lo, hi);
-            for (j, a) in cols[r.clone()].iter().zip(&avals[r]) {
-                let g = off + j;
-                if masked && !bits.admits(g) {
-                    continue;
-                }
-                let k = g - lo;
-                let prod = mulf(a, x);
-                let (w, b) = (k / 64, 1u64 << (k % 64));
-                if seen[w] & b == 0 {
-                    seen[w] |= b;
-                    vals[k] = prod;
-                } else {
-                    vals[k] = add.apply(&vals[k], &prod);
-                }
+        let (cols, avals) = rows.row(i);
+        let r = within(cols, lo, hi);
+        for (&j, a) in cols[r.clone()].iter().zip(&avals[r]) {
+            if masked && !bits.admits(j) {
+                continue;
             }
-        });
+            let k = j - lo;
+            let prod = mulf(a, x);
+            let (w, b) = (k / 64, 1u64 << (k % 64));
+            if seen[w] & b == 0 {
+                seen[w] |= b;
+                vals[k] = prod;
+            } else {
+                vals[k] = add.apply(&vals[k], &prod);
+            }
+        }
     }
     let stored = seen.iter().map(|w| w.count_ones() as usize).sum();
     let mut idx = Vec::with_capacity(stored);
@@ -596,7 +526,7 @@ where
     Mo: Monoid<D3>,
     M: Fn(&A, &V) -> D3 + Sync,
 {
-    let rows = &Rows::new(store, fwd_col_side, false);
+    let rows = &view(store, fwd_col_side);
     let eval = |lo: Index, hi: Index| scatter_range(rows, v, bits, lo, hi, mulf, add);
     // every range re-walks the whole frontier, so only the products
     // beyond a few per frontier row are worth splitting
@@ -613,11 +543,9 @@ where
             span: 1,
         };
         let parts = par::run_chunks(ranges, plan, |c, _| eval(bounds[c], bounds[c + 1]));
-        rows.note_tiles();
         return concat(out_size, parts);
     }
     let (idx, out) = eval(0, out_size);
-    rows.note_tiles();
     SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
@@ -680,7 +608,7 @@ fn fold<D3: Scalar, Mo: Monoid<D3>>(acc: &mut Option<D3>, prod: D3, add: &Mo) ->
 /// push and the scatter.
 #[allow(clippy::too_many_arguments)] // dispatch-shape, mirrors scatter
 fn pull<A, V, D3, Mo, M>(
-    rows: &Rows<'_, A>,
+    rows: &Csr<A>,
     v: &SparseVec<V>,
     mask: &MaskVec,
     bits: &MaskBits,
@@ -697,19 +625,16 @@ where
     M: Fn(&A, &V) -> D3 + Sync,
 {
     let v_dense = &dense_input(v);
-    let probe = |cur: &mut Cursor<'_, '_, A>, j: Index| {
+    let probe = |j: Index| {
         let mut acc: Option<D3> = None;
-        let mut terminal = false;
-        cur.for_row(j, &mut |off, cols, vals| {
-            for (i, a) in cols.iter().zip(vals) {
-                if terminal {
-                    return;
-                }
-                if let Some(x) = v_dense[off + i] {
-                    terminal = fold(&mut acc, mulf(a, x), add);
+        let (cols, vals) = rows.row(j);
+        for (&i, a) in cols.iter().zip(vals) {
+            if let Some(x) = v_dense[i] {
+                if fold(&mut acc, mulf(a, x), add) {
+                    break;
                 }
             }
-        });
+        }
         acc
     };
     // a non-complement pattern expands *only* its admitted outputs (its
@@ -726,7 +651,6 @@ where
     let work = work + v.nvals();
     let len = outputs.map_or(out_size, <[Index]>::len);
     let eval = |lo: usize, hi: usize| {
-        let mut cur = rows.cursor();
         let mut idx = Vec::with_capacity(hi - lo);
         let mut out = Vec::with_capacity(hi - lo);
         for k in lo..hi {
@@ -734,7 +658,7 @@ where
             if !bits.admits(j) {
                 continue;
             }
-            if let Some(acc) = probe(&mut cur, j) {
+            if let Some(acc) = probe(j) {
                 idx.push(j);
                 out.push(acc);
             }
@@ -743,11 +667,9 @@ where
     };
     if let Some(plan) = par::plan(len, work) {
         let parts = par::run_chunks(len, plan, eval);
-        rows.note_tiles();
         return concat(out_size, parts);
     }
     let (idx, out) = eval(0, len);
-    rows.note_tiles();
     SparseVec::from_sorted_parts(out_size, idx, out)
 }
 
@@ -937,8 +859,8 @@ mod tests {
         }
     }
 
-    /// LOR's terminal `true` ends a pull row early (slab and tiled pulls
-    /// alike); the answer matches every other direction.
+    /// LOR's terminal `true` ends a pull row early; the answer matches
+    /// every other direction.
     #[test]
     fn terminal_early_exit_is_invisible() {
         let _serial = serial();
@@ -1068,40 +990,52 @@ mod tests {
     /// PageRank's `vxm`: a full input and no mask on a resident store.
     /// Each call scatters and adds its regret until the regret reaches
     /// the penalty; that call pulls and builds `A^T`, and every later one
-    /// pulls over it without adding regret.
+    /// pulls over it without adding regret. A tile grid rents and buys at
+    /// the same call as the slab.
     #[test]
     fn resident_store_buys_the_reverse_view_once_regret_pays_for_it() {
         let _serial = serial();
         let n = 2048;
-        let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, digraph(n, 8)));
         let (sr, v) = (plus_times::<f64>(), SparseVec::full(n, 0.5));
-        let mut calls = 0;
-        loop {
-            let before = st.rent(true, 0);
-            let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
-            calls += 1;
-            let after = st.rent(true, 0);
-            if after < price(&st) {
-                assert!(after > before, "call {calls} added no regret");
-                assert_eq!(take_notes().direction, Some("dense"), "call {calls}");
-                assert!(!st.csr_view_ready(true), "call {calls} built A^T");
-            } else {
-                assert_eq!(
-                    take_notes().direction,
-                    Some("pull"),
-                    "crossing call {calls}"
-                );
-                assert!(st.csr_view_ready(true), "crossing call {calls}");
-                break;
+        let mut crossings = Vec::new();
+        for fmt in POLICIES {
+            let st =
+                MatrixStore::csr(Csr::from_sorted_tuples(n, n, digraph(n, 8))).apply_policy(fmt);
+            let mut calls = 0;
+            loop {
+                let before = st.rent(true, 0);
+                let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
+                calls += 1;
+                let after = st.rent(true, 0);
+                if after < price(&st) {
+                    assert!(after > before, "{fmt:?} call {calls} added no regret");
+                    let dir = take_notes().direction;
+                    assert_eq!(dir, Some("dense"), "{fmt:?} call {calls}");
+                    assert!(!st.csr_view_ready(true), "{fmt:?} call {calls} built A^T");
+                } else {
+                    let dir = take_notes().direction;
+                    assert_eq!(dir, Some("pull"), "{fmt:?} crossing call {calls}");
+                    assert!(st.csr_view_ready(true), "{fmt:?} crossing call {calls}");
+                    break;
+                }
             }
+            assert!(calls > 1, "{fmt:?}: one call must not pay for the view");
+            let paid = st.rent(true, 0);
+            for _ in 0..3 {
+                let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
+                assert_eq!(take_notes().direction, Some("pull"), "{fmt:?}");
+            }
+            assert_eq!(
+                st.rent(true, 0),
+                paid,
+                "{fmt:?}: a bought view accrues no regret"
+            );
+            crossings.push(calls);
         }
-        assert!(calls > 1, "one call must not pay for the view");
-        let paid = st.rent(true, 0);
-        for _ in 0..3 {
-            let _: SparseVec<f64> = vxm(&sr, &v, &st, false, &MaskVec::All);
-            assert_eq!(take_notes().direction, Some("pull"));
-        }
-        assert_eq!(st.rent(true, 0), paid, "a bought view accrues no regret");
+        assert_eq!(
+            crossings[0], crossings[1],
+            "slab and tile grid buy at one call"
+        );
     }
 
     /// A write installs a fresh store: no view, no regret.
@@ -1124,7 +1058,7 @@ mod tests {
 
     /// One BFS on a fresh store (a snapshot's single query): its dense
     /// middle levels add regret, but less than the penalty, so the
-    /// traversal never transposes the matrix.
+    /// traversal never transposes the matrix, slab or tile grid.
     #[test]
     fn one_bfs_on_a_fresh_store_stays_below_the_penalty() {
         let _serial = serial();
@@ -1133,26 +1067,32 @@ mod tests {
             .into_iter()
             .map(|(i, j, _)| (i, j, true))
             .collect();
-        let st = MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples));
-        let mut frontier = SparseVec::from_sorted_parts(n, vec![0], vec![true]);
-        let mut visited = vec![0];
-        while frontier.nvals() > 0 {
-            let mask = MaskVec::Pattern {
-                indices: visited.clone(),
-                complement: true,
-            };
-            frontier = vxm(&lor_land(), &frontier, &st, false, &mask);
-            visited.extend_from_slice(frontier.indices());
-            visited.sort_unstable();
+        for fmt in POLICIES {
+            let st =
+                MatrixStore::csr(Csr::from_sorted_tuples(n, n, tuples.clone())).apply_policy(fmt);
+            let mut frontier = SparseVec::from_sorted_parts(n, vec![0], vec![true]);
+            let mut visited = vec![0];
+            while frontier.nvals() > 0 {
+                let mask = MaskVec::Pattern {
+                    indices: visited.clone(),
+                    complement: true,
+                };
+                frontier = vxm(&lor_land(), &frontier, &st, false, &mask);
+                visited.extend_from_slice(frontier.indices());
+                visited.sort_unstable();
+            }
+            assert!(
+                visited.len() > n / 2,
+                "{fmt:?}: the BFS should reach most of the graph"
+            );
+            let regret = st.rent(true, 0);
+            assert!(regret > 0, "{fmt:?}: the peak levels should add regret");
+            assert!(regret < price(&st), "{fmt:?}: {regret} of {}", price(&st));
+            assert!(
+                !st.csr_view_ready(true),
+                "{fmt:?}: one BFS must not transpose A"
+            );
         }
-        assert!(
-            visited.len() > n / 2,
-            "the BFS should reach most of the graph"
-        );
-        let regret = st.rent(true, 0);
-        assert!(regret > 0, "the peak levels should add regret");
-        assert!(regret < price(&st), "{regret} of {}", price(&st));
-        assert!(!st.csr_view_ready(true), "one BFS must not transpose A");
     }
 
     #[test]

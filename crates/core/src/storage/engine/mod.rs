@@ -4,21 +4,20 @@
 //! The paper's object model hides representation entirely — a
 //! `GrB_Matrix` is just the set `L(A) = {(i, j, A_ij)}` (§III-A) — which
 //! is precisely the latitude this module exploits. A [`MatrixStore`]
-//! holds the same mathematical content in one of two [`Layout`]s:
+//! holds the same mathematical content in one of two layouts:
 //!
-//! * [`Layout::Csr`] — the general-purpose row-compressed slab;
-//! * [`Layout::Tiled`] — a 2D grid of CSR blocks whose empty tiles hold
+//! * `Layout::Csr` — the general-purpose row-compressed slab;
+//! * `Layout::Tiled` — a 2D grid of CSR blocks whose empty tiles hold
 //!   no storage at all, chosen per matrix with `Matrix::set_tile_shape`.
 //!
-//! Column orientation is not a layout: it is an access path. Kernels stay
-//! layout-generic through the memoized [`MatrixStore::row_csr`] /
-//! [`MatrixStore::col_csr`] views: a store converts to the orientation a
-//! kernel asks for **once**, no matter how many consumers ask (the
+//! Column orientation is not a layout: it is an access path. Every kernel
+//! reads the memoized [`MatrixStore::row_csr`] / [`MatrixStore::col_csr`]
+//! views, so none knows the layout: a store converts to the orientation
+//! a kernel asks for **once**, no matter how many consumers ask (the
 //! `OnceLock` serializes concurrent first requests from kernel chunks
 //! or racing readers), which is the "convert an intermediate once instead of
-//! per-consumer" latitude of nonblocking mode. The tiled SpMSpV walks
-//! dispatch on [`MatrixStore::layout`] instead and skip conversion
-//! entirely.
+//! per-consumer" latitude of nonblocking mode. The tile grid is the unit
+//! of the delta flush only (`kernel::merge::merge_into_store`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -75,7 +74,7 @@ impl FormatPolicy {
 
 /// The concrete layouts behind a [`MatrixStore`].
 #[derive(Debug)]
-pub enum Layout<T> {
+pub(crate) enum Layout<T> {
     /// Row-compressed content.
     Csr(Arc<Csr<T>>),
     /// 2D grid of CSR blocks.
@@ -92,7 +91,7 @@ impl<T> Clone for Layout<T> {
     }
 }
 
-/// One matrix value in one of the [`Layout`]s, with memoized CSR views of
+/// One matrix value in one of the layouts, with memoized CSR views of
 /// both orientations so kernels can stay layout-generic.
 #[derive(Debug)]
 pub struct MatrixStore<T> {
@@ -162,7 +161,7 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// Wrap a natively produced tile grid without conversion.
-    pub fn tiled(t: Tiled<T>) -> Self {
+    pub(crate) fn tiled(t: Tiled<T>) -> Self {
         let (nrows, ncols) = (t.nrows(), t.ncols());
         Self::from_layout(nrows, ncols, Layout::Tiled(Arc::new(t)))
     }
@@ -212,20 +211,21 @@ impl<T: Scalar> MatrixStore<T> {
         }
     }
 
-    /// This value in `layout`. Cached properties describe the
-    /// mathematical content, not the layout, so a migration carries them
-    /// over instead of recomputing.
+    /// This value in `layout`. Cached properties and the transpose view
+    /// describe the mathematical content, not the layout, so a migration
+    /// carries them over instead of recomputing.
     fn migrate(self, layout: Layout<T>) -> Self {
         let mut store = Self::from_layout(self.nrows, self.ncols, layout);
+        store.col_view = self.col_view;
         store.row_degrees = self.row_degrees;
         store.col_degrees = self.col_degrees;
         store.symmetry = self.symmetry;
         store
     }
 
-    /// The concrete layout, for kernel dispatch.
+    /// The concrete layout, for the tile-granular flush.
     #[inline]
-    pub fn layout(&self) -> &Layout<T> {
+    pub(crate) fn layout(&self) -> &Layout<T> {
         &self.layout
     }
 
@@ -303,7 +303,7 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// `true` when the CSR view of the requested orientation is already
-    /// materialized (native layout or cached conversion) — lets kernels
+    /// materialized (a slab's own rows or a cached conversion) — lets kernels
     /// prefer plans whose operand views are free.
     pub fn csr_view_ready(&self, transposed: bool) -> bool {
         if transposed {
@@ -325,40 +325,28 @@ impl<T: Scalar> MatrixStore<T> {
     }
 
     /// Per-row stored-element counts, computed once per store from the
-    /// native layout (no CSR conversion), O(nvals + nrows). Because the
-    /// cache hangs off the *store* — and every delta-log drain or policy
-    /// migration installs a fresh store — invalidation is automatic, and
-    /// MVCC snapshots (which pin the old store) keep their old counts.
+    /// row view, O(nrows). Because the cache hangs off the *store* — and
+    /// every delta-log drain or policy migration installs a fresh store —
+    /// invalidation is automatic, and MVCC snapshots (which pin the old
+    /// store) keep their old counts.
     pub fn row_degrees(&self) -> Arc<[usize]> {
         self.row_degrees
             .get_or_init(|| {
-                let mut deg = vec![0usize; self.nrows];
-                match &self.layout {
-                    Layout::Csr(c) => {
-                        for (i, d) in deg.iter_mut().enumerate() {
-                            *d = c.row_nvals(i);
-                        }
-                    }
-                    Layout::Tiled(t) => deg = t.row_degrees_sum(),
-                }
-                deg.into()
+                let a = self.row_csr();
+                (0..self.nrows).map(|i| a.row_nvals(i)).collect()
             })
             .clone()
     }
 
-    /// Per-column stored-element counts; same caching and invalidation
-    /// story as [`MatrixStore::row_degrees`].
+    /// Per-column stored-element counts, O(nvals + ncols) over the row
+    /// view; same caching and invalidation story as
+    /// [`MatrixStore::row_degrees`].
     pub fn col_degrees(&self) -> Arc<[usize]> {
         self.col_degrees
             .get_or_init(|| {
                 let mut deg = vec![0usize; self.ncols];
-                match &self.layout {
-                    Layout::Csr(c) => {
-                        for &j in c.col_idx() {
-                            deg[j] += 1;
-                        }
-                    }
-                    Layout::Tiled(t) => deg = t.col_degrees_sum(),
+                for &j in self.row_csr().col_idx() {
+                    deg[j] += 1;
                 }
                 deg.into()
             })
@@ -564,7 +552,12 @@ mod tests {
     fn migration_carries_property_caches() {
         let store = MatrixStore::csr(sample());
         let deg = store.row_degrees();
+        let tr = store.col_csr();
         let tiled = store.apply_policy(policy(Some((2, 2))));
         assert!(Arc::ptr_eq(&deg, &tiled.row_degrees()));
+        assert!(
+            Arc::ptr_eq(&tr, &tiled.col_csr()),
+            "the bought A^T survives"
+        );
     }
 }

@@ -1,32 +1,20 @@
 //! 2D-tiled storage: a grid of CSR blocks behind one [`MatrixStore`].
 //!
-//! A single-slab store caps graph scale at one allocation and gives the
-//! kernels one flat row partition to chunk over. The tiled layout (the
-//! "parallel hypersparse" direction of GraphBLAS Mathematical
-//! Opportunities, and the 2D decompositions of the CombBLAS line of
-//! work) splits the index space into a `grid_rows × grid_cols` grid of
-//! *local-indexed* blocks, each an ordinary CSR [`MatrixStore`]. An
-//! empty tile holds no storage at all: that is where the hypersparse
-//! idea lives here. The tile is also the unit of everything else:
+//! The tiled layout (the "parallel hypersparse" direction of GraphBLAS
+//! Mathematical Opportunities, and the 2D decompositions of the CombBLAS
+//! line of work) splits the index space into a `grid_rows × grid_cols`
+//! grid of *local-indexed* blocks, each an ordinary CSR [`MatrixStore`].
+//! An empty tile holds no storage at all. The tile is the unit of the
+//! delta flush: pending runs are partitioned per tile and only dirty
+//! tiles are re-merged (`kernel::merge::merge_into_store`), so every
+//! clean tile keeps its `Arc`.
 //!
-//! * **property caches** — each tile memoizes its own row/col degrees
-//!   and views, so a flush that touches one tile leaves every other
-//!   tile's caches (and `Arc` identity) intact;
-//! * **delta flush** — pending runs are partitioned per tile and only
-//!   dirty tiles are re-merged (`kernel::merge::merge_into_store`);
-//! * **kernel scheduling** — tile tasks ride the shared pool as ordinary
-//!   chunk work with deterministic in-order merges, so tiled output is
-//!   bitwise identical to slab output at any parallelism degree.
-//!
-//! **Determinism contract.** Within one logical row (in either
-//! orientation) tiles are visited left-to-right, so concatenated tile
-//! segments enumerate stored entries in ascending global index order —
-//! exactly the order every slab kernel reads a CSR row in. Any kernel
-//! that folds a row's entries left-to-right therefore produces bitwise
-//! identical results through [`OrientedTiles`] and through an assembled
-//! slab.
+//! No kernel reads the tiles: they read the store's memoized row and
+//! column views, which [`Tiled::to_csr`] assembles by concatenating each
+//! stripe's tile rows left to right, so a tiled value answers every
+//! operation bitwise as its slab does.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::index::Index;
 use crate::scalar::Scalar;
@@ -238,159 +226,6 @@ impl<T: Scalar> Tiled<T> {
         }
         Csr::from_parts(self.nrows, self.ncols, row_ptr, col_idx, vals)
     }
-
-    /// Per-row stored-element counts, summed from each tile's own
-    /// memoized cache — a flush that swaps one tile recomputes only that
-    /// tile's contribution.
-    pub fn row_degrees_sum(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.nrows];
-        for ti in 0..self.grid_rows {
-            let r0 = (ti * self.tile_nrows).min(self.nrows);
-            for tj in 0..self.grid_cols {
-                if let Some(t) = self.tile(ti, tj) {
-                    for (k, d) in t.row_degrees().iter().enumerate() {
-                        deg[r0 + k] += d;
-                    }
-                }
-            }
-        }
-        deg
-    }
-
-    /// Per-column stored-element counts; same per-tile aggregation as
-    /// [`Tiled::row_degrees_sum`].
-    pub fn col_degrees_sum(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.ncols];
-        for tj in 0..self.grid_cols {
-            let c0 = (tj * self.tile_ncols).min(self.ncols);
-            for ti in 0..self.grid_rows {
-                if let Some(t) = self.tile(ti, tj) {
-                    for (k, d) in t.col_degrees().iter().enumerate() {
-                        deg[c0 + k] += d;
-                    }
-                }
-            }
-        }
-        deg
-    }
-}
-
-/// Lazy per-tile CSR views of one orientation over a [`Tiled`] value —
-/// the tile-grid analog of [`MatrixStore::row_csr`]/`col_csr`. Rows of
-/// the *logical* oriented matrix are served as ascending-offset segments
-/// drawn from the tiles that intersect them; a tile's view materializes
-/// the first time any row touches it (and only then — a push step over a
-/// narrow frontier transposes only the tile columns the frontier hits).
-pub struct OrientedTiles<'a, T> {
-    t: &'a Tiled<T>,
-    /// `true`: logical rows are A's columns (the reverse orientation).
-    transposed: bool,
-    views: Vec<OnceLock<Arc<Csr<T>>>>,
-}
-
-impl<'a, T: Scalar> OrientedTiles<'a, T> {
-    pub fn new(t: &'a Tiled<T>, transposed: bool) -> Self {
-        OrientedTiles {
-            t,
-            transposed,
-            views: (0..t.grid_rows * t.grid_cols)
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
-    }
-
-    /// Number of logical rows in this orientation.
-    pub fn nrows(&self) -> Index {
-        if self.transposed {
-            self.t.ncols
-        } else {
-            self.t.nrows
-        }
-    }
-
-    /// A stripe-caching cursor, the one way to walk the logical rows. It
-    /// resolves a stripe's tile views once and serves every row in the
-    /// stripe by direct slice, instead of paying an atomic view lookup
-    /// per tile per row, so walks that visit rows in ascending (or at
-    /// least stripe-clustered) order — the SpMSpV shape — pay one lookup
-    /// per stripe. A row visit materializes exactly its stripe's
-    /// non-empty tiles.
-    pub fn cursor(&self) -> RowCursor<'_, 'a, T> {
-        RowCursor {
-            ot: self,
-            stripe: usize::MAX,
-            segs: Vec::new(),
-        }
-    }
-
-    /// Grid coordinates of the tiles whose views this traversal
-    /// materialized (or reused) — drained into the execution trace.
-    pub fn touched(&self) -> Vec<(u32, u32)> {
-        let gc = self.t.grid_cols;
-        self.views
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.get().is_some())
-            .map(|(k, _)| ((k / gc) as u32, (k % gc) as u32))
-            .collect()
-    }
-}
-
-/// See [`OrientedTiles::cursor`]. Each parallel chunk owns its own
-/// cursor; the underlying views are shared through the `OrientedTiles`.
-pub struct RowCursor<'o, 'a, T> {
-    ot: &'o OrientedTiles<'a, T>,
-    /// Stripe whose views `segs` caches (`usize::MAX` = none yet).
-    stripe: usize,
-    /// `(index offset, oriented view)` per non-empty tile in the stripe.
-    segs: Vec<(Index, &'o Csr<T>)>,
-}
-
-impl<'o, 'a, T: Scalar> RowCursor<'o, 'a, T> {
-    fn load_stripe(&mut self, s: usize) {
-        self.segs.clear();
-        let ot = self.ot;
-        let t = ot.t;
-        if ot.transposed {
-            for ti in 0..t.grid_rows {
-                if let Some(tile) = t.tile(ti, s) {
-                    let view = ot.views[ti * t.grid_cols + s].get_or_init(|| tile.col_csr());
-                    self.segs.push((ti * t.tile_nrows, &**view));
-                }
-            }
-        } else {
-            for tj in 0..t.grid_cols {
-                if let Some(tile) = t.tile(s, tj) {
-                    let view = ot.views[s * t.grid_cols + tj].get_or_init(|| tile.row_csr());
-                    self.segs.push((tj * t.tile_ncols, &**view));
-                }
-            }
-        }
-        self.stripe = s;
-    }
-
-    /// Visit logical row `i`'s segments in ascending global-index order:
-    /// `f(index_offset, local_indices, values)` per intersecting
-    /// non-empty tile, served from the cached stripe.
-    pub fn for_row(&mut self, i: Index, f: &mut impl FnMut(Index, &[Index], &[T])) {
-        let t = self.ot.t;
-        let (s, local) = if self.ot.transposed {
-            let tj = t.tile_col_of(i);
-            (tj, i - tj * t.tile_ncols)
-        } else {
-            let ti = t.stripe_of(i);
-            (ti, i - ti * t.tile_nrows)
-        };
-        if s != self.stripe {
-            self.load_stripe(s);
-        }
-        for &(off, view) in &self.segs {
-            let (cols, vals) = view.row(local);
-            if !cols.is_empty() {
-                f(off, cols, vals);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -447,55 +282,5 @@ mod tests {
         // an empty value cut into the widest grid allocates no tile
         let empty = Tiled::from_csr(&Csr::<i64>::empty(20_000, 20_000), (64, 64));
         assert!(empty.tiles().iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn degree_sums_match_slab() {
-        let csr = sample(10, 7, 2);
-        let t = Tiled::from_csr(&csr, (3, 3));
-        let slab = MatrixStore::csr(csr);
-        assert_eq!(t.row_degrees_sum(), slab.row_degrees().to_vec());
-        assert_eq!(t.col_degrees_sum(), slab.col_degrees().to_vec());
-    }
-
-    #[test]
-    fn oriented_rows_enumerate_in_ascending_global_order() {
-        let csr = sample(9, 9, 2);
-        let t = Tiled::from_csr(&csr, (2, 4));
-        let fwd = OrientedTiles::new(&t, false);
-        let mut cur = fwd.cursor();
-        for i in 0..9 {
-            let mut got = Vec::new();
-            cur.for_row(i, &mut |off, cols, vals| {
-                got.extend(cols.iter().zip(vals).map(|(j, v)| (off + j, *v)));
-            });
-            let (cols, vals) = csr.row(i);
-            let want: Vec<(Index, i64)> = cols.iter().zip(vals).map(|(j, v)| (*j, *v)).collect();
-            assert_eq!(got, want, "row {i}");
-        }
-        let rev = OrientedTiles::new(&t, true);
-        let tr = csr.transpose();
-        let mut cur = rev.cursor();
-        for j in 0..9 {
-            let mut got = Vec::new();
-            cur.for_row(j, &mut |off, cols, vals| {
-                got.extend(cols.iter().zip(vals).map(|(i, v)| (off + i, *v)));
-            });
-            let (rows, vals) = tr.row(j);
-            let want: Vec<(Index, i64)> = rows.iter().zip(vals).map(|(i, v)| (*i, *v)).collect();
-            assert_eq!(got, want, "col {j}");
-        }
-    }
-
-    #[test]
-    fn touched_reports_only_materialized_tiles() {
-        let csr = sample(8, 8, 1);
-        let t = Tiled::from_csr(&csr, (2, 2));
-        let fwd = OrientedTiles::new(&t, false);
-        assert!(fwd.touched().is_empty());
-        fwd.cursor().for_row(0, &mut |_, _, _| {});
-        let mut got = fwd.touched();
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 0), (0, 1)]);
     }
 }

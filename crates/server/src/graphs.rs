@@ -38,8 +38,8 @@ impl Registry {
     /// Create an empty graph. Errors if the name is taken or the size
     /// is zero (matrix dimensions must be positive). `tiles` shards the
     /// adjacency into a 2D tile grid up front (clamped to the matrix
-    /// dimensions), so every later point write drains tile-granularly
-    /// and traversals run the tiled kernels.
+    /// dimensions), so every later point write drains tile-granularly;
+    /// traversals read the grid's assembled row and column views.
     pub fn create(
         &self,
         name: &str,

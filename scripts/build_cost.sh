@@ -2,7 +2,9 @@
 # Compile cost of the C facade (`graphblas-capi`): with its dependencies
 # already built, touch crates/capi/src/lib.rs and time a release rebuild
 # and a non-incremental (CARGO_INCREMENTAL=0) debug rebuild of the crate
-# alone; then count the code symbols the release rlib defines, the copies
+# alone, three times each, and print the median with the min–max range
+# (one rebuild on a shared machine can read 25 % off); then count the
+# code symbols the release rlib defines, the copies
 # of the core's `op::apply::apply_matrix` and `op::mxm::mxm` it
 # instantiates, the copies of the Figure 2 write stage (`op::Fig2::submit`)
 # they go through, and the most copies of any one core operation.
@@ -30,12 +32,19 @@ timed() {
     awk -v a="$t0" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f\n", b - a }'
 }
 
+# `timed` three times: "median (min–max)".
+timed3() {
+    local runs
+    runs=$(for _ in 1 2 3; do timed "$@"; done | sort -n | tr '\n' ' ')
+    awk -v r="$runs" 'BEGIN { split(r, t, " "); printf "%s (%s–%s)\n", t[2], t[1], t[3] }'
+}
+
 # Build everything the facade depends on, so only the facade is timed.
 build --release
 CARGO_INCREMENTAL=0 build
 
-release_s=$(timed build --release)
-debug_s=$(CARGO_INCREMENTAL=0 timed build)
+release_s=$(timed3 build --release)
+debug_s=$(CARGO_INCREMENTAL=0 timed3 build)
 
 # Demangled names of the functions the release rlib defines, hashes
 # stripped, so each line is one instantiation.

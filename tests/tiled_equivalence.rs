@@ -23,8 +23,8 @@ proptest! {
 
     /// `vxm` and `mxv` over a tiled operand answer bitwise identically
     /// to the slab, under every (mode, grid, degree, transpose) shape —
-    /// the tiled push/pull gathers visit tiles in ascending global
-    /// index order, reproducing the slab kernels' fold order exactly.
+    /// every direction reads the grid's assembled views, whose rows
+    /// concatenate the tiles in ascending global index order.
     #[test]
     fn tiled_mat_vec_matches_slab_bitwise(
         a in sparse(N, 96),
