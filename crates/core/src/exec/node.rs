@@ -5,7 +5,9 @@
 //! immediately. Nodes are immutable once complete and never mutated in
 //! place — a handle swap publishes each new value — so the pending graph
 //! is an acyclic persistent DAG and program-order semantics fall out of
-//! snapshotting.
+//! snapshotting. A value is reused in place only after its node is gone:
+//! [`Node::take_storage`] hands it to the one writer that held the last
+//! reference.
 //!
 //! [`force`] completes a node with an **iterative** topological walk: a
 //! BFS-style algorithm can defer a chain whose length is the graph
@@ -122,6 +124,16 @@ impl<S: Send + Sync + 'static> Node<S> {
         })
     }
 
+    /// The storage of a *complete* node, releasing this reference to the
+    /// node first: when it was the last, `Arc::try_unwrap` on the result
+    /// decides atomically whether anyone else (a snapshot, a `dup`, a
+    /// pending consumer, a `Weak` upgraded in time) can still read it.
+    pub(crate) fn take_storage(self: Arc<Self>) -> Result<Arc<S>> {
+        let storage = self.ready_storage();
+        drop(self);
+        storage
+    }
+
     /// The storage of a *complete* node. `Pending` here is an engine bug;
     /// a failed node surfaces as [`invalidated`].
     pub(crate) fn ready_storage(&self) -> Result<Arc<S>> {
@@ -154,9 +166,10 @@ impl<S: StorageMeta + Send + Sync + 'static> Completable for Node<S> {
                 &mut *guard,
                 NodeState::Failed(Error::Panic("internal: node mid-compute".into())),
             );
-            let NodeState::Pending { eval, .. } = taken else {
+            let NodeState::Pending { deps, eval } = taken else {
                 unreachable!()
             };
+            drop(deps); // or an old value `eval` takes over stays shared
             *guard = match catch_panic(eval) {
                 Ok(s) => NodeState::Ready(Arc::new(s)),
                 Err(e) => NodeState::Failed(e),
@@ -398,6 +411,23 @@ mod tests {
         let ok = Node::pending(vec![], Box::new(|| Ok(3i32)));
         force(&as_completable(&ok)).unwrap();
         assert_eq!(*ok.ready_storage().unwrap(), 3);
+    }
+
+    #[test]
+    fn compute_frees_the_dependency_edges_before_eval() {
+        let dep: Arc<Node<i32>> = Node::ready(1);
+        let weak = Arc::downgrade(&dep);
+        let n: Arc<Node<i32>> = Node::pending(
+            vec![as_completable(&dep)],
+            Box::new(move || Ok(i32::from(weak.upgrade().is_some()))),
+        );
+        drop(dep);
+        force(&as_completable(&n)).unwrap();
+        assert_eq!(
+            *n.ready_storage().unwrap(),
+            0,
+            "the pending node's own dependency edge kept its input alive through eval"
+        );
     }
 
     #[test]

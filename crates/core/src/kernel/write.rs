@@ -12,10 +12,15 @@
 //!    * **Merge mode** (default): admitted positions become exactly `Z`
 //!      there (including deletions where `Z` is absent), positions outside
 //!      the mask keep their old `C` values.
+//!
+//! When pattern(T) ⊆ pattern(C) and every stored position of T is
+//! admitted, with an accumulator and nothing cleared, Z differs from C in
+//! values only: `WriteTarget::positions` finds where T's entries sit in
+//! C and `fold` applies `C ⊙= T` there, in an output the write stage
+//! holds alone or has copied.
 
 use crate::accum::Accumulate;
 use crate::index::Index;
-use crate::kernel::ewise::union_full;
 use crate::kernel::util::{emit_rows, stateless};
 use crate::mask::{MaskCsr, MaskRow, MaskVec};
 use crate::scalar::Scalar;
@@ -146,10 +151,6 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
     replace: bool,
 ) -> SparseVec<T> {
     debug_assert_eq!(w_old.size(), t.size());
-    // Z = w ⊙ t with ind(w) = all: fold t into w's values by position
-    if mask.admits_all() && accum.is_accum() && w_old.is_full() {
-        return union_full(w_old, &t, |c, x| accum.combine(c, x));
-    }
     let mut idx = Vec::with_capacity(w_old.nvals() + t.nvals());
     let mut vals = Vec::with_capacity(w_old.nvals() + t.nvals());
     write_row(
@@ -164,6 +165,121 @@ pub fn write_vector<T: Scalar, Ac: Accumulate<T>>(
         &mut vals,
     );
     SparseVec::from_sorted_parts(w_old.size(), idx, vals)
+}
+
+/// One of Figure 2's two output values as these kernels write it: a CSR
+/// matrix under a [`MaskCsr`], or a vector under a [`MaskVec`].
+pub(crate) trait WriteTarget<T: Scalar>: Clone {
+    type Mask;
+    fn admits_all(mask: &Self::Mask) -> bool;
+    /// The full pass: `self ⊙=<mask, replace> t`.
+    fn write<Ac: Accumulate<T>>(
+        &self,
+        t: Self,
+        accum: &Ac,
+        mask: &Self::Mask,
+        replace: bool,
+    ) -> Self;
+    /// Where each of `t`'s entries sits among these stored values, in
+    /// `t`'s order, when pattern(t) ⊆ pattern(self); `None` at the first
+    /// row holding an entry this value does not store.
+    fn positions(&self, t: &Self) -> Option<Vec<usize>>;
+    fn vals(&self) -> &[T];
+    fn vals_mut(&mut self) -> &mut [T];
+}
+
+impl<T: Scalar> WriteTarget<T> for Csr<T> {
+    type Mask = MaskCsr;
+    fn admits_all(mask: &MaskCsr) -> bool {
+        mask.admits_all()
+    }
+    fn write<Ac: Accumulate<T>>(&self, t: Self, accum: &Ac, mask: &MaskCsr, replace: bool) -> Self {
+        write_matrix(self, t, accum, mask, replace)
+    }
+    fn positions(&self, t: &Self) -> Option<Vec<usize>> {
+        if t.nvals() > self.nvals() {
+            return None;
+        }
+        let mut at = Vec::with_capacity(t.nvals());
+        for i in 0..t.nrows() {
+            let base = self.row_ptr()[i];
+            if !locate(self.row(i).0, t.row(i).0, base, self.ncols(), &mut at) {
+                return None;
+            }
+        }
+        Some(at)
+    }
+    fn vals(&self) -> &[T] {
+        Csr::vals(self)
+    }
+    fn vals_mut(&mut self) -> &mut [T] {
+        Csr::vals_mut(self)
+    }
+}
+
+impl<T: Scalar> WriteTarget<T> for SparseVec<T> {
+    type Mask = MaskVec;
+    fn admits_all(mask: &MaskVec) -> bool {
+        mask.admits_all()
+    }
+    fn write<Ac: Accumulate<T>>(&self, t: Self, accum: &Ac, mask: &MaskVec, replace: bool) -> Self {
+        write_vector(self, t, accum, mask, replace)
+    }
+    fn positions(&self, t: &Self) -> Option<Vec<usize>> {
+        let mut at = Vec::with_capacity(t.nvals());
+        locate(self.indices(), t.indices(), 0, self.size(), &mut at).then_some(at)
+    }
+    fn vals(&self) -> &[T] {
+        SparseVec::vals(self)
+    }
+    fn vals_mut(&mut self) -> &mut [T] {
+        SparseVec::vals_mut(self)
+    }
+}
+
+/// Append `base` plus the offset in `c_idx` of each index of `t_idx`
+/// (both ascending); `false` at the first one `c_idx` lacks. A full row
+/// (`width` entries) stores index `j` at offset `j`.
+fn locate(
+    c_idx: &[Index],
+    t_idx: &[Index],
+    base: usize,
+    width: Index,
+    at: &mut Vec<usize>,
+) -> bool {
+    if c_idx.len() == width {
+        at.extend(t_idx.iter().map(|&j| base + j));
+        return true;
+    }
+    let mut k = 0;
+    for &j in t_idx {
+        while c_idx.get(k).is_some_and(|&cj| cj < j) {
+            k += 1;
+        }
+        if c_idx.get(k) != Some(&j) {
+            return false;
+        }
+        at.push(base + k);
+        k += 1;
+    }
+    true
+}
+
+/// `C ⊙= T` on values alone: fold each of `t`'s values into `c`'s at
+/// its position from [`WriteTarget::positions`], with the operands in
+/// [`write_row`]'s order, so the result is bitwise the full pass's.
+pub(crate) fn fold<T: Scalar, V: WriteTarget<T>, Ac: Accumulate<T>>(
+    mut c: V,
+    t: &V,
+    at: &[usize],
+    accum: &Ac,
+) -> V {
+    debug_assert_eq!(at.len(), t.vals().len());
+    let c_vals = c.vals_mut();
+    for (&p, x) in at.iter().zip(t.vals()) {
+        c_vals[p] = accum.combine(&c_vals[p], x);
+    }
+    c
 }
 
 #[cfg(test)]
@@ -268,10 +384,34 @@ mod tests {
     #[test]
     fn unmasked_accumulate_into_a_full_vector_folds_by_position() {
         use crate::algebra::binary::Minus;
+        let minus = Accum(Minus::<i32>::new());
         let w = SparseVec::from_dense(&[1, 2, 3]);
         let t = SparseVec::from_sorted_parts(3, vec![0, 2], vec![10, 20]);
-        let r = write_vector(&w, t, &Accum(Minus::<i32>::new()), &MaskVec::All, false);
-        assert_eq!(r.to_tuples(), vec![(0, -9), (1, 2), (2, -17)]);
+        let at = w.positions(&t).expect("a full vector stores every index");
+        let folded = fold(w.clone(), &t, &at, &minus);
+        assert_eq!(folded.to_tuples(), vec![(0, -9), (1, 2), (2, -17)]);
+        assert_eq!(folded, write_vector(&w, t, &minus, &MaskVec::All, false));
+    }
+
+    #[test]
+    fn positions_need_a_subset_pattern() {
+        // C = [ 1 2 . ]    its rows are searched; a full C's rows
+        //     [ . 3 . ]    take positions by index
+        let c = c_old();
+        let t = Csr::from_sorted_tuples(2, 3, vec![(0, 1, 10), (1, 1, 30)]);
+        assert_eq!(c.positions(&t), Some(vec![1, 2]));
+        assert_eq!(c.positions(&t_new()), None, "(0, 2) is not in C");
+        let full = Csr::full(2, 3, 0);
+        assert_eq!(full.positions(&t_new()), Some(vec![0, 2, 4]));
+        let at = c.positions(&t).unwrap();
+        let folded = fold(c.clone(), &t, &at, &Accum(Plus::<i32>::new()));
+        let pass = write_matrix(&c, t, &Accum(Plus::<i32>::new()), &MaskCsr::All, false);
+        assert_eq!(folded, pass);
+        let v = SparseVec::from_sorted_parts(4, vec![0, 2], vec![1, 2]);
+        let miss = SparseVec::from_sorted_parts(4, vec![1], vec![5]);
+        assert_eq!(v.positions(&miss), None);
+        let hit = SparseVec::from_sorted_parts(4, vec![2], vec![5]);
+        assert_eq!(v.positions(&hit), Some(vec![1]));
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! steps happen in one place, this module's write stage (`Fig2`): it
 //! checks the mask against the output, snapshots it, decides whether
 //! the old output is read at all, materializes the mask, forms and
-//! writes **Z**, polls the accumulator and submits. API errors
+//! writes **Z** (an accumulate that changes values only folds **T** into
+//! the old output's own storage when no one else holds it), polls the
+//! accumulator and submits. API errors
 //! (dimensions, indices) are checked eagerly, before any computation and
 //! in both modes; execution errors follow §V.
 
@@ -45,8 +47,7 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_check, Error, Result};
 use crate::exec::{invalidated, Completable, Context, Node};
 use crate::index::{Index, IndexSelection};
-use crate::kernel::write::{write_matrix, write_vector};
-use crate::mask::{MaskCsr, MaskVec};
+use crate::kernel::write::{fold, WriteTarget};
 use crate::object::handle::{Handle, Stored};
 use crate::object::mask_arg::{MaskSnap1, MaskSnap2, Snap};
 use crate::object::{Matrix, MatrixMask, Vector, VectorMask};
@@ -199,23 +200,21 @@ impl<O: Output, Ac: Accumulate<Elem<O>>> Fig2<'_, O, Ac> {
         deps.extend(msnap.deps());
         let policy = out.handle().policy();
         let eval = move || {
-            if let Some(e) = inputs_first.iter().flatten().find_map(|n| n.failure()) {
+            // consumed here: an input that aliases the output must not
+            // keep the old value shared past its check
+            if let Some(e) = inputs_first.into_iter().flatten().find_map(|n| n.failure()) {
                 return Err(invalidated(&e));
             }
             // an old value the write cannot observe reads as empty
-            let read_c = || -> Result<_> {
-                Ok(O::value(match &old {
-                    Some(n) => n.ready_storage()?,
-                    None => Arc::new(O::Store::empty(shape)),
-                }))
-            };
+            let old = old.unwrap_or_else(|| Node::ready(O::Store::empty(shape)));
             let (c, mask) = if first == First::Mask {
                 let mask = msnap.materialize()?;
-                (read_c()?, mask)
+                (old.ready_storage()?, mask)
             } else {
-                (read_c()?, msnap.materialize()?)
+                (old.ready_storage()?, msnap.materialize()?)
             };
-            let z = compute(&mask, &accum, &c)?.write(&c, &accum, &mask, replace);
+            let c = O::value(c);
+            let z = compute(&mask, &accum, &c)?.write(c, old, &accum, &mask, replace)?;
             accum.poll_error().map_or(Ok(z.restore(policy)), Err)
         };
         ctx.submit(kind, out.handle(), deps, Box::new(eval))
@@ -223,46 +222,56 @@ impl<O: Output, Ac: Accumulate<Elem<O>>> Fig2<'_, O, Ac> {
 }
 
 impl<O: Output> Computed<O> {
-    /// `Z = C ⊙ T` and the masked write into old content `c`. The
-    /// identity writes return their value without a pass.
+    /// `Z = C ⊙ T` and the masked write into old content `c`, held by
+    /// the node `old`. The identity writes return their value without a
+    /// pass. When every stored position of T is admitted, nothing is
+    /// cleared and pattern(T) ⊆ pattern(C), Z is C with T folded into its
+    /// values: in C's own storage when this stage holds the last
+    /// reference to it, else in a copy. Only `Arc` counts decide, so a
+    /// snapshot, a `dup`, a pending consumer or an aliased input still
+    /// holding the old value keeps it unchanged.
     fn write<Ac: Accumulate<Elem<O>>>(
         self,
-        c: &O::Value,
+        c: Arc<O::Value>,
+        old: Arc<Node<O::Store>>,
         accum: &Ac,
         mask: &Mask<O>,
         replace: bool,
-    ) -> O::Store {
-        let (assigns, all) = (!accum.is_accum(), O::admits_all(mask));
-        O::store(match self {
-            Computed::Done(store) => return store,
+    ) -> Result<O::Store> {
+        let (assigns, all) = (!accum.is_accum(), O::Value::admits_all(mask));
+        let folds = !assigns && (all || (!replace && matches!(self, Computed::Masked(_))));
+        Ok(O::store(match self {
+            Computed::Done(store) => return Ok(store),
             Computed::T(t) if assigns && all => t,
             Computed::Masked(t) if assigns && (all || replace) => t,
-            Computed::T(t) | Computed::Masked(t) => O::write(c, t, accum, mask, replace),
+            Computed::T(t) | Computed::Masked(t) => {
+                match folds.then(|| c.positions(&t)).flatten() {
+                    Some(at) => {
+                        drop(c);
+                        let c = O::value(old.take_storage()?);
+                        fold(Arc::unwrap_or_clone(c), &t, &at, accum)
+                    }
+                    None => c.write(t, accum, mask, replace),
+                }
+            }
             Computed::Z(z) if all => z,
-            Computed::Z(z) => O::write(c, z, &NoAccum, mask, replace),
-        })
+            Computed::Z(z) => c.write(z, &NoAccum, mask, replace),
+        }))
     }
 }
 
 /// One of Figure 2's two output shapes: a matrix, written as CSR under a
-/// [`MaskCsr`], or a vector, written under a [`MaskVec`].
+/// [`MaskCsr`](crate::mask::MaskCsr), or a vector, written under a
+/// [`MaskVec`](crate::mask::MaskVec).
 trait Output {
     type Store: Stored;
-    /// **T**, **Z** and the old output as the write kernel reads them.
-    type Value;
+    /// **T**, **Z** and the old output as the write kernels read them.
+    type Value: WriteTarget<Elem<Self>, Mask = Mask<Self>>;
     type Snap: Snap;
     fn handle(&self) -> &Handle<Self::Store>;
     fn shape(&self) -> <Self::Store as Stored>::Key;
     fn value(store: Arc<Self::Store>) -> Arc<Self::Value>;
     fn store(value: Self::Value) -> Self::Store;
-    fn admits_all(mask: &Mask<Self>) -> bool;
-    fn write<Ac: Accumulate<Elem<Self>>>(
-        c: &Self::Value,
-        t: Self::Value,
-        accum: &Ac,
-        mask: &Mask<Self>,
-        replace: bool,
-    ) -> Self::Value;
 }
 
 type Elem<O> = <<O as Output>::Store as Stored>::Elem;
@@ -284,18 +293,6 @@ impl<T: Scalar> Output for Matrix<T> {
     fn store(value: Csr<T>) -> MatrixStore<T> {
         MatrixStore::csr(value)
     }
-    fn admits_all(mask: &MaskCsr) -> bool {
-        mask.admits_all()
-    }
-    fn write<Ac: Accumulate<T>>(
-        c: &Csr<T>,
-        t: Csr<T>,
-        accum: &Ac,
-        mask: &MaskCsr,
-        replace: bool,
-    ) -> Csr<T> {
-        write_matrix(c, t, accum, mask, replace)
-    }
 }
 
 impl<T: Scalar> Output for Vector<T> {
@@ -313,18 +310,6 @@ impl<T: Scalar> Output for Vector<T> {
     }
     fn store(value: SparseVec<T>) -> SparseVec<T> {
         value
-    }
-    fn admits_all(mask: &MaskVec) -> bool {
-        mask.admits_all()
-    }
-    fn write<Ac: Accumulate<T>>(
-        c: &SparseVec<T>,
-        t: SparseVec<T>,
-        accum: &Ac,
-        mask: &MaskVec,
-        replace: bool,
-    ) -> SparseVec<T> {
-        write_vector(c, t, accum, mask, replace)
     }
 }
 
@@ -395,6 +380,7 @@ mod tests {
     use super::*;
     use crate::accum::Accum;
     use crate::algebra::binary::Plus;
+    use crate::mask::{MaskCsr, MaskVec};
 
     fn c_old() -> Csr<i32> {
         // [ 1 2 . ]
@@ -407,13 +393,21 @@ mod tests {
         MaskCsr::from_csr(&m, false, false)
     }
 
+    /// `store` as a captured old output: its value and its node.
+    fn old<O: Output>(store: O::Store) -> (Arc<O::Value>, Arc<Node<O::Store>>) {
+        let node = Node::ready(store);
+        (O::value(node.ready_storage().unwrap()), node)
+    }
+
     fn write_m(
         t: Computed<Matrix<i32>>,
         accum: Option<Plus<i32>>,
         mask: &MaskCsr,
         replace: bool,
     ) -> Vec<(Index, Index, i32)> {
-        t.write(&c_old(), &accum, mask, replace)
+        let (c, node) = old::<Matrix<i32>>(MatrixStore::csr(c_old()));
+        t.write(c, node, &accum, mask, replace)
+            .unwrap()
             .row_csr()
             .to_tuples()
     }
@@ -464,13 +458,65 @@ mod tests {
         );
     }
 
+    /// Fig. 3 line 74's shape, `bcu += w .* numsp` into a full n × 32
+    /// `bcu`, optionally with a snapshot pinning the old value: whether
+    /// `bcu`'s value buffer moved across the accumulate.
+    fn line_74_moves_bcu(ctx: &Context, pin: bool) -> bool {
+        use crate::prelude::*;
+        let (n, k) = (256, 32);
+        let bcu = Matrix::<f32>::new(n, k).unwrap();
+        let desc = Descriptor::default();
+        ctx.assign_scalar_matrix(&bcu, NoMask, NoAccum, 1.0f32, ALL, ALL, &desc)
+            .unwrap();
+        let w: Vec<_> = (0..n).step_by(3).map(|i| (i, i % k, 0.5f32)).collect();
+        let numsp: Vec<_> = (0..n).step_by(2).map(|i| (i, i % k, 2i32)).collect();
+        let w = Matrix::from_tuples(n, k, &w).unwrap();
+        let numsp = Matrix::from_tuples(n, k, &numsp).unwrap();
+        ctx.wait().unwrap();
+        let buffer = |m: &Matrix<f32>| {
+            let store = m.handle.forced_storage().unwrap();
+            store.row_csr().vals().as_ptr() as usize
+        };
+        let before = buffer(&bcu);
+        let snap = pin.then(|| bcu.snapshot());
+        let times = binary_fn(|wv: &f32, nv: &i32| wv * *nv as f32);
+        ctx.ewise_mult_matrix(&bcu, NoMask, Accum(Plus::new()), times, &w, &numsp, &desc)
+            .unwrap();
+        ctx.wait().unwrap();
+        // (0, 0) is in both operands: 1 + 0.5 * 2
+        assert_eq!(bcu.get(0, 0).unwrap(), Some(2.0));
+        if let Some(snap) = snap {
+            assert_eq!(
+                snap.get(0, 0).unwrap(),
+                Some(1.0),
+                "the snapshot saw the write"
+            );
+        }
+        before != buffer(&bcu)
+    }
+
+    #[test]
+    fn line_74_accumulates_in_place_unless_the_old_value_is_pinned() {
+        for ctx in [Context::blocking(), Context::nonblocking()] {
+            assert!(!line_74_moves_bcu(&ctx, false), "{:?}: copied", ctx.mode());
+            assert!(
+                line_74_moves_bcu(&ctx, true),
+                "{:?}: written in place",
+                ctx.mode()
+            );
+        }
+    }
+
     #[test]
     fn masked_vector_t_with_replace_is_written_as_is() {
         let w = SparseVec::from_sorted_parts(4, vec![0, 2], vec![1, 2]);
         let msrc = SparseVec::from_sorted_parts(4, vec![1, 3], vec![true, true]);
         let mask = MaskVec::from_vec(&msrc, false, false);
         let write = |t: SparseVec<i32>, accum: Option<Plus<i32>>, replace| {
-            Computed::<Vector<i32>>::Masked(t).write(&w, &accum, &mask, replace)
+            let (c, node) = old::<Vector<i32>>(w.clone());
+            Computed::<Vector<i32>>::Masked(t)
+                .write(c, node, &accum, &mask, replace)
+                .unwrap()
         };
         // T already restricted to the mask: replace without accum is T
         let t = SparseVec::from_sorted_parts(4, vec![1], vec![10]);
@@ -480,8 +526,10 @@ mod tests {
         assert_eq!(r.to_tuples(), vec![(0, 1), (1, 10), (2, 2)]);
         // an accumulator takes the full pass: replace clears the
         // unadmitted old values
-        let r =
-            Computed::<Vector<i32>>::Masked(t).write(&w, &Accum(Plus::<i32>::new()), &mask, true);
+        let (c, node) = old::<Vector<i32>>(w);
+        let r = Computed::<Vector<i32>>::Masked(t)
+            .write(c, node, &Accum(Plus::<i32>::new()), &mask, true)
+            .unwrap();
         assert_eq!(r.to_tuples(), vec![(1, 10)]);
     }
 }

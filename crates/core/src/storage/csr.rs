@@ -87,8 +87,10 @@ impl<T: Scalar> Csr<T> {
         Csr {
             nrows,
             ncols,
-            row_ptr: (0..=nrows).map(|i| i * ncols).collect(),
-            col_idx: (0..nrows * ncols).map(|k| k % ncols).collect(),
+            row_ptr: std::iter::successors(Some(0), |p| Some(p + ncols))
+                .take(nrows + 1)
+                .collect(),
+            col_idx: (0..ncols).collect::<Vec<_>>().repeat(nrows),
             vals: vec![value; nrows * ncols],
         }
     }
@@ -322,6 +324,18 @@ impl<T: Scalar> Csr<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn full_stores_every_position() {
+        for (nrows, ncols) in [(0, 5), (5, 0), (3, 4)] {
+            let f = Csr::full(nrows, ncols, 7u8);
+            let want: Vec<_> = (0..nrows)
+                .flat_map(|i| (0..ncols).map(move |j| (i, j, 7u8)))
+                .collect();
+            assert_eq!(f, Csr::from_sorted_tuples(nrows, ncols, want));
+            assert_eq!(f.row_ptr().len(), nrows + 1);
+        }
+    }
 
     fn sample() -> Csr<i32> {
         // [ 1 . 2 ]

@@ -51,6 +51,12 @@ cargo build --examples
 step "cargo run --release --example sssp"
 cargo run --release --example sssp
 
+# The betweenness example runs Fig. 3's BC_update end to end, the write
+# stage's in-place accumulate (line 74) included, and asserts every score
+# within 1e-3 relative (absolute below 1) of queue-based Brandes.
+step "cargo run --release --example betweenness"
+cargo run --release --example betweenness
+
 # The user-type examples assert their results too: complex PLUS_TIMES and
 # tropical min-plus in udf_algebra, and sssp_parents' 16-byte
 # (dist, parent) pair, the largest payload stored inline in a value.

@@ -571,3 +571,61 @@ fn snapshots_make_in_place_updates_well_defined() {
     ctx.wait().unwrap();
     assert_eq!(c.extract_tuples().unwrap(), vec![(0, 0, 1), (1, 1, 1)]);
 }
+
+/// Who still reads the old `bcu` when line 74 accumulates into it.
+#[derive(Debug, Clone, Copy)]
+enum OldReader {
+    Snapshot,
+    Dup,
+    /// An `apply` reading `bcu`, still deferred in nonblocking mode
+    /// while the accumulate is forced ahead of it.
+    PendingConsumer,
+}
+
+#[test]
+fn in_place_accumulates_leave_other_readers_the_old_value() {
+    // Fig. 3 line 74, `bcu += w .* numsp` into a full `bcu`: the write
+    // stage folds T into bcu's own storage when it holds the only
+    // reference, so each other reader of the old value must keep it
+    let (n, k) = (64, 32);
+    let d = Descriptor::default();
+    let times = || binary_fn(|wv: &f32, nv: &i32| wv * *nv as f32);
+    for ctx in [Context::blocking(), Context::nonblocking()] {
+        for reader in [
+            OldReader::Snapshot,
+            OldReader::Dup,
+            OldReader::PendingConsumer,
+        ] {
+            let bcu = Matrix::<f32>::new(n, k).unwrap();
+            ctx.assign_scalar_matrix(&bcu, NoMask, NoAccum, 1.0f32, ALL, ALL, &d)
+                .unwrap();
+            let w = Matrix::from_tuples(n, k, &[(0, 0, 0.5f32), (5, 3, 0.25)]).unwrap();
+            let numsp = Matrix::from_tuples(n, k, &[(0, 0, 2i32), (5, 3, 4), (9, 9, 1)]).unwrap();
+            ctx.wait().unwrap();
+            let old = bcu.extract_tuples().unwrap();
+            let read: Box<dyn Fn() -> Vec<(Index, Index, f32)>> = match reader {
+                OldReader::Snapshot => {
+                    let snap = bcu.snapshot();
+                    Box::new(move || snap.extract_tuples().unwrap())
+                }
+                OldReader::Dup => {
+                    let dup = bcu.dup();
+                    Box::new(move || dup.extract_tuples().unwrap())
+                }
+                OldReader::PendingConsumer => {
+                    let copy = Matrix::<f32>::new(n, k).unwrap();
+                    ctx.apply_matrix(&copy, NoMask, NoAccum, Identity::new(), &bcu, &d)
+                        .unwrap();
+                    Box::new(move || copy.extract_tuples().unwrap())
+                }
+            };
+            ctx.ewise_mult_matrix(&bcu, NoMask, Accum(Plus::new()), times(), &w, &numsp, &d)
+                .unwrap();
+            // forces bcu's cone alone: a pending consumer is still deferred
+            assert_eq!(bcu.get(0, 0).unwrap(), Some(2.0));
+            assert_eq!(bcu.get(5, 3).unwrap(), Some(2.0));
+            assert_eq!(read(), old, "{:?} {reader:?}", ctx.mode());
+            ctx.wait().unwrap();
+        }
+    }
+}

@@ -1,8 +1,15 @@
 //! The core operations against the Figure 2 oracle of
 //! `graphblas-reference` (`fig2`): `mxm`, `eWiseAdd`, `eWiseMult` and the
 //! vector `extract` and `assign` under every mask form (none, valued,
-//! structural, complemented), with and without an accumulator, in merge
+//! structural, complemented), with and without an accumulator (`Minus`
+//! for the matrix operations, so the operand order shows), in merge
 //! and replace mode — compared bit for bit.
+//!
+//! The old output of the matrix cases is what was drawn, that plus every
+//! position of **T**, or full: an accumulate whose **T** stores nothing
+//! outside the old output folds into the old output's own storage, so
+//! those cases run in both modes, alone and beside a `dup` that shares
+//! the storage and must keep the old value.
 //!
 //! The shapes are the thin blocks of Fig. 3 (n × 1, n × 32, n × 65),
 //! masks are often a single entry, and `A`'s row 0 is the f64 trap row
@@ -77,7 +84,6 @@ struct Case {
     w: usize,
     a: Matrix<f64>,
     b: Matrix<f64>,
-    c0: Vec<(usize, usize, f64)>,
     mask: Matrix<bool>,
     dense_a: Dense<f64>,
     dense_b: Dense<f64>,
@@ -125,7 +131,6 @@ impl Case {
             w,
             a: Matrix::from_tuples(N, N, &at).unwrap(),
             b: Matrix::from_tuples(N, w, &bt).unwrap(),
-            c0: ct.clone(),
             mask: Matrix::from_tuples(N, w, &mt).unwrap(),
             dense_a: dense(N, N, &at),
             dense_b: dense(N, w, &bt),
@@ -160,29 +165,63 @@ impl Case {
         )
     }
 
-    /// The core library's answer.
+    /// The old output filled to `fill` around `t`, the internal result of
+    /// the operation: every stored position of `t` gets a value derived
+    /// from it where the draw left one undefined, or every position does.
+    fn filled_c0(&self, fill: MatFill, t: &Dense<f64>) -> Dense<f64> {
+        let mut c = self.dense_c0.clone();
+        for (i, row) in c.iter_mut().enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                if fill == MatFill::Full || (fill == MatFill::CoversT && t[i][j].is_some()) {
+                    x.get_or_insert(fval(((i * 65 + j) * 37 % 251) as u8));
+                }
+            }
+        }
+        c
+    }
+
+    /// The core library's answer in `ctx`'s mode, writing into an output
+    /// that starts as `c0`; with `shared`, a `dup` of the old output is
+    /// alive during the call and must still read `c0` after it.
+    #[allow(clippy::too_many_arguments)]
     fn core(
         &self,
+        ctx: &Context,
         op: Op,
         y: &Matrix<f64>,
+        c0: &Dense<f64>,
+        shared: bool,
         mask: Option<(bool, bool)>,
         accum: bool,
         replace: bool,
     ) -> Dense<f64> {
-        let c = Matrix::from_tuples(N, self.w, &self.c0).unwrap();
+        let c = Matrix::from_tuples(N, self.w, &stored(c0)).unwrap();
+        let dup = shared.then(|| c.dup());
         let desc = descriptor(mask, replace);
-        let plus = Accum(Plus::<f64>::new());
+        // ⊙ = −, so swapped accumulator operands cannot go unseen
+        let minus = Accum(Minus::<f64>::new());
         match (mask.is_some(), accum) {
-            (false, false) => self.run(op, &c, NoMask, NoAccum, y, &desc),
-            (false, true) => self.run(op, &c, NoMask, plus, y, &desc),
-            (true, false) => self.run(op, &c, &self.mask, NoAccum, y, &desc),
-            (true, true) => self.run(op, &c, &self.mask, plus, y, &desc),
+            (false, false) => self.run(ctx, op, &c, NoMask, NoAccum, y, &desc),
+            (false, true) => self.run(ctx, op, &c, NoMask, minus, y, &desc),
+            (true, false) => self.run(ctx, op, &c, &self.mask, NoAccum, y, &desc),
+            (true, true) => self.run(ctx, op, &c, &self.mask, minus, y, &desc),
+        }
+        ctx.wait().unwrap();
+        if let Some(dup) = dup {
+            let old = dense(N, self.w, &dup.extract_tuples().unwrap());
+            assert_eq!(
+                bits(&old),
+                bits(c0),
+                "the write reached a dup of the output"
+            );
         }
         dense(N, self.w, &c.extract_tuples().unwrap())
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run<Mk: MatrixMask, Ac: Accumulate<f64>>(
         &self,
+        ctx: &Context,
         op: Op,
         c: &Matrix<f64>,
         mask: Mk,
@@ -190,7 +229,6 @@ impl Case {
         y: &Matrix<f64>,
         desc: &Descriptor,
     ) {
-        let ctx = Context::blocking();
         match op {
             Op::Mxm => ctx.mxm(c, mask, accum, plus_times::<f64>(), &self.a, &self.b, desc),
             Op::EwiseAdd => ctx.ewise_add_matrix(c, mask, accum, Plus::new(), &self.b, y, desc),
@@ -199,30 +237,51 @@ impl Case {
         .unwrap();
     }
 
-    /// The oracle's answer.
+    /// The oracle's internal result **T** of `op`.
+    fn oracle_t(&self, op: Op, y: &Dense<f64>) -> Dense<f64> {
+        match op {
+            Op::Mxm => fig2::mxm(&self.dense_a, &self.dense_b, plus, times),
+            Op::EwiseAdd => fig2::ewise_add(&self.dense_b, y, plus),
+            Op::EwiseMult => fig2::ewise_mult(&self.dense_b, y, times),
+        }
+    }
+
+    /// The oracle's answer: `t` written into `c0`.
     fn oracle(
         &self,
-        op: Op,
-        y: &Dense<f64>,
+        t: &Dense<f64>,
+        c0: &Dense<f64>,
         mask: Option<(bool, bool)>,
         accum: bool,
         replace: bool,
     ) -> Dense<f64> {
-        let add = |x: &f64, y: &f64| x + y;
-        let mul = |x: &f64, y: &f64| x * y;
-        let t = match op {
-            Op::Mxm => fig2::mxm(&self.dense_a, &self.dense_b, add, mul),
-            Op::EwiseAdd => fig2::ewise_add(&self.dense_b, y, add),
-            Op::EwiseMult => fig2::ewise_mult(&self.dense_b, y, mul),
-        };
         let mask = mask.map(|(structural, complement)| Mask {
             source: &self.dense_mask,
             structural,
             complement,
         });
-        let accum = accum.then_some(&add as &dyn Fn(&f64, &f64) -> f64);
-        fig2::write(&self.dense_c0, &t, accum, mask, replace)
+        let accum = accum.then_some(&minus as &fig2::Accumulator<f64>);
+        fig2::write(c0, t, accum, mask, replace)
     }
+}
+
+/// The stored entries of a dense matrix, row-major.
+fn stored(d: &Dense<f64>) -> Vec<(usize, usize, f64)> {
+    let entries = d.iter().enumerate().flat_map(|(i, row)| {
+        let cols = row.iter().enumerate();
+        cols.filter_map(move |(j, x)| x.map(|x| (i, j, x)))
+    });
+    entries.collect()
+}
+
+/// How much a matrix case's old output stores: what was drawn, that
+/// plus every position of **T** (pattern(T) ⊆ pattern(C), the write
+/// stage's in-place accumulate), or every position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MatFill {
+    Drawn,
+    CoversT,
+    Full,
 }
 
 /// The descriptor of one mask form (`(structural, complement)`, `None`
@@ -482,18 +541,33 @@ proptest! {
     ) {
         let case = Case::new(&a, &b, &c0, &mask, THIN[wi]);
         let (y, dense_y) = case.ewise_operands();
+        // an accumulate may run in the old output's own storage: run it
+        // in both modes, with and without a `dup` sharing that storage
+        let ctxs = common::contexts();
+        let runs = |accum: bool| -> Vec<(&Context, bool)> {
+            match accum {
+                false => vec![(&ctxs[0], false)],
+                true => ctxs.iter().flat_map(|ctx| [(ctx, false), (ctx, true)]).collect(),
+            }
+        };
         par::with_cost_model(1, 0, || {
             for op in [Op::Mxm, Op::EwiseAdd, Op::EwiseMult] {
-                for m in MASKS {
-                    for accum in [false, true] {
-                        for replace in [false, true] {
-                            let got = case.core(op, &y, m, accum, replace);
-                            let want = case.oracle(op, &dense_y, m, accum, replace);
-                            prop_assert_eq!(
-                                bits(&got), bits(&want),
-                                "{:?} w={} mask={:?} accum={} replace={}",
-                                op, case.w, m, accum, replace
-                            );
+                let t = case.oracle_t(op, &dense_y);
+                for fill in [MatFill::Drawn, MatFill::CoversT, MatFill::Full] {
+                    let c0 = case.filled_c0(fill, &t);
+                    for m in MASKS {
+                        for accum in [false, true] {
+                            for replace in [false, true] {
+                                let want = case.oracle(&t, &c0, m, accum, replace);
+                                for (ctx, shared) in runs(accum) {
+                                    let got = case.core(ctx, op, &y, &c0, shared, m, accum, replace);
+                                    prop_assert_eq!(
+                                        bits(&got), bits(&want),
+                                        "{:?} w={} fill={:?} {:?} shared={} mask={:?} accum={} replace={}",
+                                        op, case.w, fill, ctx.mode(), shared, m, accum, replace
+                                    );
+                                }
+                            }
                         }
                     }
                 }
